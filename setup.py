@@ -1,8 +1,6 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the package metadata and ``pip install -e .``.
 
-The pyproject.toml [project] table carries the metadata; this file exists so
-that ``pip install -e .`` works on environments without the ``wheel`` package
-(legacy editable install path).
+The library is pure Python with no third-party runtime dependency.
 """
 from setuptools import find_packages, setup
 
@@ -16,5 +14,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
 )

@@ -3,7 +3,7 @@
 The mirror image of :mod:`repro.analysis.verifier`: instead of checking the
 code the compiler *generates*, this checks the code the runtime *is* —
 lock discipline over the serving substrate (``server/``, ``robustness/``,
-the compiled-query cache, the access layer).  See :mod:`repro.concurrency`
+the compiler, the access layer and its derived cache).  See :mod:`repro.concurrency`
 for the annotation vocabulary and ``python -m repro.analysis.concurrency``
 for the CLI.
 """

@@ -170,7 +170,7 @@ def _check_guards(program: Program) -> None:
     for fn in program.all_functions():
         for access in fn.accesses:
             cls = program.classes.get(access.owner)
-            if cls is None or not cls.owns_lock:
+            if cls is None:
                 continue
             decl = cls.shared.get(access.attr)
             if decl is None or decl.thread_local:

@@ -541,7 +541,10 @@ def _build_inventory(program: Program,
     comes from the declaration when present; otherwise the guard is inferred
     iff the class owns exactly one lock (more than one is an
     ``ambiguous-guard`` violation — the author must say which lock guards
-    what).
+    what).  A class that owns no lock but declares disciplines (the event
+    loop confines ``QueryServer``'s state) is inventoried the same way; an
+    attribute it writes outside ``__init__`` without declaring one has
+    nothing to be guarded by, which is an ``unguarded-access``.
     """
     outside_writes: Dict[str, Dict[str, int]] = {}
     for fn in program.all_functions():
@@ -555,9 +558,9 @@ def _build_inventory(program: Program,
             attrs = outside_writes.setdefault(access.owner, {})
             attrs.setdefault(access.attr, access.line)
     for cls in program.classes.values():
-        if not cls.owns_lock:
-            continue
         declared = declared_by_class.get(cls.name, {})
+        if not cls.owns_lock and not declared:
+            continue
         names = set(declared) | set(outside_writes.get(cls.name, {}))
         names -= set(cls.locks)
         for attr in sorted(names):
@@ -582,12 +585,19 @@ def _build_inventory(program: Program,
                     and not shared.init_only and not shared.thread_local
                     and not shared.synchronized):
                 single = cls.single_lock()
+                line = (outside_writes.get(cls.name, {}).get(attr)
+                        or shared.decl_line or cls.line)
                 if single is not None:
                     shared.guard = single
                     shared.guard_source = "inferred"
+                elif not cls.owns_lock:
+                    program.violations.append(Violation(
+                        "unguarded-access", cls.path, line,
+                        f"{cls.name}.{attr}",
+                        f"{attr!r} is written outside __init__, but "
+                        f"{cls.name} owns no lock and declares no "
+                        "discipline for it"))
                 else:
-                    line = (outside_writes.get(cls.name, {}).get(attr)
-                            or shared.decl_line or cls.line)
                     program.violations.append(Violation(
                         "ambiguous-guard", cls.path, line,
                         f"{cls.name}.{attr}",

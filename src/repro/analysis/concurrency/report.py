@@ -17,12 +17,14 @@ from .checks import LockOrderResult, run_checks
 from .collect import Program, collect
 from .model import Violation
 
-#: what the analyzer points at by default: every lock-owning runtime module
+#: what the analyzer points at by default: every runtime module that owns a
+#: lock or runs on the serving threads
 DEFAULT_TARGETS: Sequence[str] = (
     "server",
     "robustness",
     "codegen/compiler.py",
     "storage/access.py",
+    "storage/derived.py",
 )
 
 _DISPLAY_PREFIX = "src/repro/"

@@ -19,7 +19,7 @@ what that means for one concrete program's objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from ...ir.nodes import Program, Sym
 from ...ir.ops import effect_of

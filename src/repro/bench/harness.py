@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codegen.compiler import CompiledQuery, QueryCompiler
-from ..dsl import qplan as Q
 from ..dsl.expr_compile import compile_row
 from ..engine.template_expander import TemplateExpander
 from ..planner import Planner, PlannerOptions
@@ -210,10 +209,9 @@ class BenchmarkHarness:
         self.repetitions = max(1, repetitions)
         self.engines = tuple(engines)
         self.use_planner = use_planner
-        self.planner = Planner(catalog, planner_options)
+        self.planner = Planner.for_catalog(catalog, planner_options)
         self._configs: Dict[str, StackConfig] = {
             name: build_config(name) for name in self.engines if name in CONFIG_NAMES}
-        self._compiled_cache: Dict[tuple, CompiledQuery] = {}
 
     # ------------------------------------------------------------------
     # Single measurements
@@ -239,7 +237,7 @@ class BenchmarkHarness:
     def run_once(self, query_name: str, engine: str, plan) -> list:
         """Execute one plan on one engine outside the timed path and return
         its rows — the warm-up / verification counterpart of :meth:`measure`,
-        routed exactly like it (compiled stacks go through the same compiled
+        routed exactly like it (compiled stacks go through the compiled-query
         cache, so a later ``measure`` reuses what this call built)."""
         if engine in DIRECT_ENGINE_NAMES:
             return build_direct_engine(engine, self.catalog).execute(plan)
@@ -282,15 +280,11 @@ class BenchmarkHarness:
         raise KeyError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
 
     def _compiled(self, query_name: str, engine: str, plan) -> CompiledQuery:
-        # The key includes the plan fingerprint so that raw and
-        # planner-optimized variants of one query compile separately.
-        key = (query_name, engine,
-               Q.plan_fingerprint(plan) if isinstance(plan, Q.Operator) else None)
-        if key not in self._compiled_cache:
-            config = self._configs[engine]
-            compiler = QueryCompiler(config.stack, config.flags)
-            self._compiled_cache[key] = compiler.compile(plan, self.catalog, query_name)
-        return self._compiled_cache[key]
+        # Served by the compiled-query cache, whose key includes the plan
+        # fingerprint: raw and planner-optimized variants compile separately.
+        config = self._configs[engine]
+        return QueryCompiler(config.stack, config.flags).compile(
+            plan, self.catalog, query_name)
 
     def _measure_callable(self, query_name: str, engine: str, fn: Callable[[], list],
                           measure_memory: bool) -> Measurement:

@@ -5,22 +5,20 @@
 (standing in for CLang in the paper's tool chain).  The result of compiling a
 plan is a :class:`CompiledQuery` exposing:
 
-* ``prepare(db)`` — run the hoisted (data-loading time) section once,
-* ``run(db)`` — execute the query body and return its rows,
+* ``prepare(db)`` — run the hoisted (data-loading time) section and return
+  its state (``aux``),
+* ``run(db, aux)`` — execute the query body and return its rows (``run(db)``
+  prepares first),
 * ``source`` — the generated Python source (for inspection / debugging),
 * ``generation_seconds`` / ``python_compile_seconds`` — the two components of
   compilation time reported in Figure 9.
 """
 from __future__ import annotations
 
-import threading
 import time
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..concurrency import guarded_by
 from ..dsl import qmonad as M
 from ..dsl import qplan as Q
 from ..ir.nodes import Program
@@ -31,6 +29,7 @@ from ..stack.language import QMONAD, QPLAN
 from ..stack.pipeline import CompilationResult, DslStack
 from ..storage.access import AccessLayer
 from ..storage.catalog import Catalog
+from ..storage.derived import COMPILED, DerivedCache
 from . import runtime
 from .unparser import PythonUnparser
 
@@ -39,9 +38,14 @@ class CompilerError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledQuery:
-    """A query compiled down to executable Python."""
+    """A query compiled down to executable Python: an immutable code value.
+
+    Nothing prepared is ever stored on it, so one instance can be shared by
+    every caller and every thread — which is what lets the compiled-query
+    cache hand out its entry instead of a copy.
+    """
 
     name: str
     source: str
@@ -56,53 +60,33 @@ class CompiledQuery:
     cache_hit: bool = False
     _prepare_fn: Any = None
     _query_fn: Any = None
-    _aux: Optional[Dict[str, Any]] = None
-    _aux_generation: Optional[int] = None
-    #: access-layer generation the program was compiled against; compiled
+    #: access-layer generation the program was compiled against.  Compiled
     #: code bakes in statistics-derived facts (interval-folded predicates,
-    #: dense key ranges), so running against reloaded data triggers a
-    #: transparent recompile through ``_recompile``
+    #: dense key ranges), so a query still held after a table reload hands
+    #: ``run`` to ``_recompile`` — a fresh ``QueryCompiler.compile``.
     _compiled_generation: Optional[int] = None
     _recompile: Any = None
 
     def prepare(self, db: Catalog) -> Dict[str, Any]:
         """Run the data-loading-time section (index builds, dictionaries, pools)."""
-        self._aux = self._prepare_fn(db, runtime)
-        self._aux_generation = AccessLayer.for_catalog(db).generation
-        return self._aux
+        return self._prepare_fn(db, runtime)
 
     def run(self, db: Catalog, aux: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
         """Execute the compiled query body and return its result rows.
 
-        The memoized prepared state is stamped with the catalog's
-        access-layer generation: re-registering a table invalidates it, so a
-        later ``run()`` re-prepares instead of silently serving structures
-        (index objects, candidate row lists, dictionaries) built against the
-        replaced data.  The compiled *code* is stamped the same way —
-        statistics-derived facts (interval-folded predicates, dense key
-        ranges) are baked into it at compile time, so a generation mismatch
-        transparently recompiles against the live data before running.  An
-        explicitly passed ``aux`` is the caller's responsibility and is used
-        as-is.
+        ``aux`` is what :meth:`prepare` returned; without it the query
+        prepares afresh, so prepared state (index objects, candidate row
+        lists, dictionaries) lives exactly as long as the caller keeps it.
+        A query compiled before the catalog's last table reload is stale —
+        its code and any ``aux`` built for it assume the replaced data — so
+        it hands the run to a fresh compile against the live data.
         """
+        if self._recompile is not None and \
+                AccessLayer.for_catalog(db).generation != self._compiled_generation:
+            return self._recompile(db).run(db)
         fault_point("engine.compiled.run", query=self.name, config=self.config)
-        if self._recompile is not None and self._compiled_generation is not None \
-                and AccessLayer.for_catalog(db).generation != self._compiled_generation:
-            fresh = self._recompile(db)
-            self.source = fresh.source
-            self.program = fresh.program
-            self.phases = fresh.phases
-            self.loop_safety = fresh.loop_safety
-            self._prepare_fn = fresh._prepare_fn
-            self._query_fn = fresh._query_fn
-            self._compiled_generation = fresh._compiled_generation
-            self._aux = None
-            self._aux_generation = None
         if aux is None:
-            if self._aux is None or \
-                    self._aux_generation != AccessLayer.for_catalog(db).generation:
-                self.prepare(db)
-            aux = self._aux
+            aux = self.prepare(db)
         rows = self._query_fn(db, runtime, aux)
         governor = current_governor()
         if governor is not None:
@@ -118,53 +102,28 @@ class CompiledQuery:
         return len(self.source.splitlines())
 
 
-@dataclass
-class QueryCacheStats:
-    """Hit/miss/eviction counters of the compiled-query cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 class QueryCompiler:
     """Compiles QPlan trees through a DSL stack configuration.
 
-    Compilation results are cached process-wide, keyed by a stable fingerprint
-    of the QPlan tree plus the stack configuration, its optimization flags and
-    the target catalog.  Recompiling the same plan under the same
+    Compilation results are cached per catalog, keyed by a stable fingerprint
+    of the QPlan tree plus the stack configuration, its optimization flags
+    and the query name.  Recompiling the same plan under the same
     configuration is therefore free: the DSL stack does not run again (this
     directly improves the repeated-compilation numbers behind Figure 9).
 
-    The cache is a bounded LRU so a long-lived serving process cannot grow
-    memory without limit: hits refresh recency, inserts beyond
-    ``cache_capacity`` evict the least recently used entry, and an
-    access-layer generation bump (table re-registration) evicts every entry
-    compiled against the catalog's previous data.
-
-    The cache is shared by every thread of a serving process (the async
-    front door executes queries on a thread pool), so every structural
-    operation — lookup + recency bump, insert + eviction, capacity change —
-    holds :data:`_cache_lock`.  Compilation itself runs outside the lock;
-    two threads missing on the same key may both compile, but only a result
-    compiled against the catalog's *live* access-layer generation is ever
-    inserted, so a slow compile racing a table re-registration cannot
-    resurrect an entry the generation bump already evicted.
+    The cache is the :data:`~repro.storage.derived.COMPILED` kind of the
+    catalog's :class:`~repro.storage.derived.DerivedCache`: a bounded,
+    lock-guarded LRU that a table re-registration empties, so an entry is
+    valid for the loaded data by construction and this class holds no cache
+    state of its own.  The classmethods below are the process-wide view
+    over every catalog.
     """
 
-    #: process-wide compiled-query cache (LRU order):
-    #: key -> (CompiledQuery, catalog ref, access-layer generation)
-    _cache: "OrderedDict[Tuple, Tuple[CompiledQuery, weakref.ref, int]]" = OrderedDict()
-    #: guards _cache and cache_stats against concurrent readers/writers
-    _cache_lock = threading.RLock()
-    cache_stats = QueryCacheStats()
-    #: maximum live entries; configurable via :meth:`set_cache_capacity`
-    cache_capacity: int = 512
+    #: hit/miss/eviction counters of compiled queries, over every catalog
+    cache_stats = DerivedCache.stats[COMPILED]
+    #: maximum live entries per catalog and kind (read-only mirror of
+    #: ``DerivedCache.capacity``; change it via :meth:`set_cache_capacity`)
+    cache_capacity: int = DerivedCache.capacity
 
     def __init__(self, stack: DslStack, flags: Optional[OptimizationFlags] = None,
                  verify: bool = False) -> None:
@@ -172,9 +131,9 @@ class QueryCompiler:
         compile: each transformation's output is scope/type/effect-checked,
         each optimization pass is audited for effect-system legality, and the
         generated Python is linted before ``exec``.  Verified compiles bypass
-        the process-wide cache in both directions — a cached unverified entry
-        must not satisfy a verifying compile, and verification runs must not
-        mask cache-path bugs by polluting the cache."""
+        the cache in both directions — a cached unverified entry must not
+        satisfy a verifying compile, and verification runs must not mask
+        cache-path bugs by polluting the cache."""
         self.stack = stack
         self.flags = flags if flags is not None else OptimizationFlags()
         self.verify = verify
@@ -184,54 +143,50 @@ class QueryCompiler:
     # ------------------------------------------------------------------
     @classmethod
     def clear_cache(cls) -> None:
-        with cls._cache_lock:
-            cls._cache.clear()
-            cls.cache_stats.reset()
+        """Empty every catalog's derived cache and zero the counters."""
+        DerivedCache.clear_all()
 
     @classmethod
     def cache_len(cls) -> int:
-        with cls._cache_lock:
-            return len(cls._cache)
+        return DerivedCache.total(COMPILED)
 
     @classmethod
     def set_cache_capacity(cls, capacity: int) -> None:
-        """Re-bound the compiled-query cache, evicting LRU-first if needed."""
+        """Re-bound the derived caches, evicting LRU-first if needed."""
         if capacity < 1:
             raise CompilerError(f"cache capacity must be positive, got {capacity}")
-        with cls._cache_lock:
-            cls.cache_capacity = capacity
-            while len(cls._cache) > capacity:
-                cls._cache.popitem(last=False)
-                cls.cache_stats.evictions += 1
+        cls.cache_capacity = capacity
+        DerivedCache.set_capacity(capacity)
 
-    @classmethod
-    @guarded_by("_cache_lock")
-    def _evict_stale_generations(cls, catalog: Catalog, generation: int) -> None:
-        """Drop entries compiled against an earlier generation of ``catalog``.
-
-        Called on insert: the first compile after a table re-registration
-        observes the bumped generation and clears out every query that baked
-        in the replaced data's statistics and indices.
-        """
-        stale = [key for key, (_, catalog_ref, entry_generation)
-                 in cls._cache.items()
-                 if entry_generation != generation and catalog_ref() is catalog]
-        for key in stale:
-            del cls._cache[key]
-        cls.cache_stats.evictions += len(stale)
-
-    def _cache_key(self, plan, catalog: Catalog, query_name: str) -> Optional[Tuple]:
-        if not isinstance(plan, Q.Operator):
+    def _cache_key(self, plan, query_name: str) -> Optional[Tuple]:
+        if self.verify or not isinstance(plan, Q.Operator):
             return None  # QMonad chains are not fingerprinted (yet)
         flags_key = tuple(sorted(self.flags.__dict__.items()))
-        # The access-layer generation is bumped whenever a table is
-        # (re)registered: compiled queries bake in statistics-derived facts
-        # (dense key ranges, dictionary availability) and close over memoized
-        # index objects through prepare(), so a query compiled against the
-        # previous data must miss the cache and recompile.
-        generation = AccessLayer.for_catalog(catalog).generation
-        return (Q.plan_fingerprint(plan), self.stack.name, flags_key,
-                query_name, id(catalog), generation)
+        return (Q.plan_fingerprint(plan), self.stack.name, flags_key, query_name)
+
+    def is_cached(self, plan: Q.Operator, catalog: Catalog,
+                  query_name: str = "query") -> bool:
+        """Whether :meth:`compile` would be served from the cache right now."""
+        key = self._cache_key(self._planned(plan, catalog), query_name)
+        return key is not None and AccessLayer.for_catalog(catalog).derived.contains(
+            COMPILED, key)
+
+    def _planned(self, plan: Q.Operator, catalog: Catalog) -> Q.Operator:
+        """``plan`` as the stack receives it: logically optimized when the
+        flag is on (so the cache is keyed on the *optimized* fingerprint and
+        differently-written plans that optimize to one tree share one
+        compiled query), validated otherwise."""
+        if not self.flags.logical_plan_optimizer:
+            Q.validate(plan, catalog)
+            return plan
+        from ..planner import Planner, PlannerOptions
+        if self.verify:
+            # A verifying compile also verifies the plan rewrites: every rule
+            # application re-validates the plan, and the cached planner is
+            # bypassed so an unverified optimization cannot satisfy it.
+            return Planner(
+                catalog, PlannerOptions(validate_rewrites=True)).optimize(plan)
+        return Planner.for_catalog(catalog).optimize(plan)
 
     def compile(self, plan, catalog: Catalog,
                 query_name: str = "query") -> CompiledQuery:
@@ -244,47 +199,32 @@ class QueryCompiler:
         if isinstance(plan, M.QueryMonad):
             source = QMONAD
         elif isinstance(plan, Q.Operator):
-            if self.flags.logical_plan_optimizer:
-                # The logical optimizer runs before the cache key is computed,
-                # so the cache is keyed on the *optimized* plan fingerprint:
-                # two differently-written plans that optimize to the same tree
-                # share one compiled query.  The shared per-catalog planner
-                # validates both the raw and the optimized plan and memoizes
-                # by raw fingerprint, keeping repeated compiles cheap.
-                from ..planner import Planner
-                if self.verify:
-                    # A verifying compile also verifies the plan rewrites:
-                    # every rule application re-validates the plan, and the
-                    # shared memoizing planner is bypassed so a cached
-                    # unverified optimization cannot satisfy this compile.
-                    from ..planner import PlannerOptions
-                    plan = Planner(
-                        catalog,
-                        PlannerOptions(validate_rewrites=True)).optimize(plan)
-                else:
-                    plan = Planner.for_catalog(catalog).optimize(plan)
-            else:
-                Q.validate(plan, catalog)
+            plan = self._planned(plan, catalog)
             source = QPLAN
         else:
             raise CompilerError(
                 f"expected a QPlan operator or a QueryMonad chain, got {type(plan).__name__}")
 
-        key = None if self.verify else self._cache_key(plan, catalog, query_name)
-        if key is not None:
-            with QueryCompiler._cache_lock:
-                entry = QueryCompiler._cache.get(key)
-                if entry is not None:
-                    cached, catalog_ref, _ = entry
-                    if catalog_ref() is catalog:
-                        # The id() component of the key could alias a dead
-                        # catalog; the weak reference check rules that out.
-                        QueryCompiler._cache.move_to_end(key)
-                        QueryCompiler.cache_stats.hits += 1
-                        return replace(cached, cache_hit=True, _aux=None,
-                                       _aux_generation=None)
-                    del QueryCompiler._cache[key]
+        key = self._cache_key(plan, query_name)
+        if key is None:
+            compiled = self._build(plan, source, catalog, query_name)
+        else:
+            compiled, hit = AccessLayer.for_catalog(catalog).derived.lookup(
+                COMPILED, key,
+                lambda: self._build(plan, source, catalog, query_name))
+            if hit:
+                return replace(compiled, cache_hit=True)
+        governor = current_governor()
+        if governor is not None:
+            governor.charge_compile(compiled.compile_seconds)
+        return compiled
 
+    def _build(self, plan, source, catalog: Catalog,
+               query_name: str) -> CompiledQuery:
+        """Run the stack, unparse and ``exec``: the work a cache hit skips."""
+        # read before compiling: a reload landing mid-compile must leave the
+        # result marked stale, not stamped with the generation it missed
+        generation = AccessLayer.for_catalog(catalog).generation
         fault_point("compiler.compile", query=query_name, stack=self.stack.name)
         context = CompilationContext(catalog=catalog, flags=self.flags,
                                      query_name=query_name)
@@ -308,10 +248,10 @@ class QueryCompiler:
             loop_safety = list(annotate_parallel_safety(program))
             check_stamps(program, catalog=catalog,
                          phase=f"parallel-safety[{query_name}]")
-        source = PythonUnparser(query_name).unparse(program)
+        text = PythonUnparser(query_name).unparse(program)
         if self.verify:
             from ..analysis import verify_source
-            verify_source(source, phase=f"unparse[{query_name}]")
+            verify_source(text, phase=f"unparse[{query_name}]")
         generation_seconds = time.perf_counter() - start
         # Injected slow-compile penalty: deterministic extra seconds charged
         # as if the staged lowering had taken that long (no real sleeping).
@@ -319,14 +259,14 @@ class QueryCompiler:
 
         start = time.perf_counter()
         namespace: Dict[str, Any] = {}
-        code = compile(source, filename=f"<generated:{query_name}:{self.stack.name}>",
+        code = compile(text, filename=f"<generated:{query_name}:{self.stack.name}>",
                        mode="exec")
         exec(code, namespace)  # noqa: S102 - executing our own generated code
         python_compile_seconds = time.perf_counter() - start
 
-        compiled = CompiledQuery(
+        return CompiledQuery(
             name=query_name,
-            source=source,
+            source=text,
             config=self.stack.name,
             program=program,
             phases=result.phases,
@@ -335,43 +275,6 @@ class QueryCompiler:
             python_compile_seconds=python_compile_seconds,
             _prepare_fn=namespace["prepare"],
             _query_fn=namespace["query"],
-            _compiled_generation=AccessLayer.for_catalog(catalog).generation,
-            _recompile=lambda db, _plan=plan, _name=query_name:
-                self.compile(_plan, db, query_name=_name),
+            _compiled_generation=generation,
+            _recompile=lambda db: self.compile(plan, db, query_name),
         )
-        with QueryCompiler._cache_lock:
-            QueryCompiler.cache_stats.misses += 1
-            if key is not None:
-                generation = key[-1]
-                # Re-read the live generation under the lock: a table
-                # re-registration that landed while this thread was compiling
-                # must win.  Stale-generation entries are evicted against the
-                # *live* generation, and a result compiled against a
-                # now-replaced generation is returned to the caller but never
-                # inserted — otherwise it would resurrect an entry the bump
-                # already evicted (and the eviction sweep, keyed on the stale
-                # generation, would evict the *fresh* entries instead).
-                live = AccessLayer.for_catalog(catalog).generation
-                QueryCompiler._evict_stale_generations(catalog, live)
-                if generation == live:
-                    if len(QueryCompiler._cache) >= QueryCompiler.cache_capacity:
-                        QueryCompiler._prune_cache()
-                    QueryCompiler._cache[key] = (compiled, weakref.ref(catalog),
-                                                 generation)
-        governor = current_governor()
-        if governor is not None:
-            governor.charge_compile(compiled.compile_seconds)
-        return compiled
-
-    @classmethod
-    @guarded_by("_cache_lock")
-    def _prune_cache(cls) -> None:
-        """Make room for one insert: drop entries whose catalog is gone,
-        then evict least-recently-used entries until under capacity."""
-        dead = [key for key, (_, catalog_ref, _) in cls._cache.items()
-                if catalog_ref() is None]
-        for key in dead:
-            del cls._cache[key]
-        while len(cls._cache) >= cls.cache_capacity:
-            cls._cache.popitem(last=False)
-            cls.cache_stats.evictions += 1

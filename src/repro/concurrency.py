@@ -1,8 +1,8 @@
 """The runtime half of the repo's concurrency contract vocabulary.
 
 The static analyzer in :mod:`repro.analysis.concurrency` checks the lock
-discipline of the serving substrate (server, robustness, compiled-query
-cache, access layer).  Intent is declared in two ways:
+discipline of the serving substrate (server, robustness, compiler, access
+layer and its derived cache).  Intent is declared in two ways:
 
 * the :func:`guarded_by` decorator, for *methods* whose whole body runs with
   a lock already held by every caller (the analyzer seeds the method's
@@ -65,8 +65,8 @@ def guarded_by(lock_name: str) -> Callable[[_F], _F]:
     function::
 
         @classmethod
-        @guarded_by("_cache_lock")
-        def _prune_cache(cls) -> None: ...
+        @guarded_by("_lock")
+        def _trim_all(cls) -> None: ...
     """
     def decorate(func: _F) -> _F:
         setattr(func, GUARDED_BY_ATTR, lock_name)

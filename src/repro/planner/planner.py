@@ -34,9 +34,11 @@ order-identical results are required.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..dsl import qplan as Q
+from ..storage.access import AccessLayer
+from ..storage.derived import PLANS
 from .access_rules import IndexJoinSelection, PrunedScanSelection
 from .cardinality import CardinalityEstimator
 from .pruning import prune_plan
@@ -120,47 +122,49 @@ class PlanReport:
 class Planner:
     """Rule-based logical optimizer for QPlan trees against one catalog.
 
-    Optimization results are memoized per planner by the raw plan's
-    fingerprint, so re-optimizing the same plan (e.g. the query compiler
-    recomputing its cache key on a repeated compile) is a dictionary lookup.
+    A directly constructed planner runs the rules on every :meth:`optimize`.
+    :meth:`for_catalog` gives one whose results live in the catalog's
+    :class:`~repro.storage.derived.DerivedCache`, keyed by the raw plan's
+    fingerprint and the rule options: re-optimizing a plan is a lookup, the
+    memo is bounded, and a table re-registration empties it — a cached tree
+    is never one costed on replaced statistics.
     """
 
     def __init__(self, catalog, options: Optional[PlannerOptions] = None) -> None:
         self.catalog = catalog
         self.options = options if options is not None else PlannerOptions()
-        self.estimator = CardinalityEstimator(catalog)
-        self._memo: Dict[str, Q.Operator] = {}
+        self._cached = False
 
     @classmethod
-    def for_catalog(cls, catalog) -> "Planner":
-        """A shared default-options planner for a catalog (memo reused).
-
-        The planner is stored on the catalog object itself, so its lifetime
-        — and that of its memo — is exactly the catalog's lifetime.
-        """
-        planner = getattr(catalog, "_shared_planner", None)
-        if planner is None:
-            planner = cls(catalog)
-            catalog._shared_planner = planner
+    def for_catalog(cls, catalog,
+                    options: Optional[PlannerOptions] = None) -> "Planner":
+        """A planner serving ``optimize`` from the catalog's derived cache."""
+        planner = cls(catalog, options)
+        planner._cached = True
         return planner
+
+    @property
+    def estimator(self) -> CardinalityEstimator:
+        """An estimator over the catalog's *current* statistics."""
+        return CardinalityEstimator(self.catalog)
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def optimize(self, plan: Q.Operator) -> Q.Operator:
         """Rewrite a plan; the result is validated before it is returned."""
-        fingerprint = Q.plan_fingerprint(plan)
-        cached = self._memo.get(fingerprint)
-        if cached is not None:
-            return cached
-        plan, _ = self._run(plan)
-        self._memo[fingerprint] = plan
-        return plan
+        if not self._cached:
+            return self._run(plan)[0]
+        planned, _ = AccessLayer.for_catalog(self.catalog).derived.lookup(
+            PLANS, (Q.plan_fingerprint(plan), self.options),
+            lambda: self._run(plan)[0])
+        return planned
 
     def explain(self, plan: Q.Operator) -> PlanReport:
         """Optimize and report: before/after trees, applied rules, estimates."""
         before = plan.tree_repr()
-        rows_before = self.estimator.estimate_rows(plan)
+        estimator = self.estimator
+        rows_before = estimator.estimate_rows(plan)
         optimized, (context, report) = self._run(plan)
         return PlanReport(
             before=before,
@@ -169,7 +173,7 @@ class Planner:
             iterations=report.iterations,
             reached_fixpoint=report.reached_fixpoint,
             estimated_rows_before=rows_before,
-            estimated_rows_after=self.estimator.estimate_rows(optimized),
+            estimated_rows_after=estimator.estimate_rows(optimized),
         )
 
     # ------------------------------------------------------------------
@@ -192,12 +196,13 @@ class Planner:
         # otherwise rewrite an invalid plan into a valid-but-different one.
         Q.validate(plan, self.catalog)
         context = PlannerContext(catalog=self.catalog, options=self.options)
+        estimator = self.estimator
         plan, report = apply_rules_fixpoint(plan, self._rules(), context,
                                             self.options.max_iterations)
         if self.options.join_strategy:
-            plan = reorder_join_chains(plan, context, self.estimator)
+            plan = reorder_join_chains(plan, context, estimator)
             plan, swap_report = apply_rules_fixpoint(
-                plan, [BuildSideSwap(self.estimator)], context,
+                plan, [BuildSideSwap(estimator)], context,
                 self.options.max_iterations)
             report.applied.extend(swap_report.applied)
         if self.options.field_pruning:
@@ -213,7 +218,7 @@ class Planner:
             # order and values exactly.
             plan, access_report = apply_rules_fixpoint(
                 plan,
-                [PrunedScanSelection(), IndexJoinSelection(self.estimator)],
+                [PrunedScanSelection(), IndexJoinSelection(estimator)],
                 context, self.options.max_iterations)
             report.applied.extend(access_report.applied)
         # An optimizer bug must surface here, not as a wrong answer later.

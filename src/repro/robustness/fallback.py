@@ -33,8 +33,8 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:
     from ..codegen.compiler import QueryCompiler
@@ -141,13 +141,12 @@ class ExecutionReport:
 class HardenedExecutor:
     """Runs queries through the fallback ladder against one catalog.
 
-    Engine instances are created once *per worker thread* and reused across
-    queries and ladder attempts (which is what makes the per-execution cache
-    hygiene of :class:`~repro.engine.sharing.SubplanSharing` load-bearing).
-    The executor is safe to share across the serving layer's thread pool:
-    engines carry per-execution state and therefore live in thread-local
-    storage, the plan memo is lock-guarded, and the circuit breaker and
-    incident log are thread-safe themselves.
+    The executor is safe to share across the serving layer's thread pool and
+    keeps no per-query state: a direct engine carries per-execution state
+    (subplan-sharing caches) and is constructed for the attempt that uses it,
+    planned trees and compiled queries live in the catalog's derived cache
+    (:class:`~repro.storage.derived.DerivedCache`), and the circuit breaker
+    and incident log are thread-safe themselves.
     """
 
     def __init__(self, catalog: Catalog, *,
@@ -174,114 +173,49 @@ class HardenedExecutor:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self._sleep = sleep
-        #: engines keep per-execution state (subplan-sharing caches), so each
-        #: worker thread gets its own trio; the catalog itself is shared
-        self._tls = threading.local()
-        self._lock = threading.Lock()
-        self._compilers: Dict[str, object] = {}
-        #: (fingerprint, mode) -> (access-layer generation, planned tree)
-        self._plans: Dict[Tuple[str, str], Tuple[int, Q.Operator]] = {}
-
-    # ------------------------------------------------------------------
-    # Per-thread engines
-    # ------------------------------------------------------------------
-    @property
-    def _volcano(self) -> VolcanoEngine:
-        engine = getattr(self._tls, "volcano", None)
-        if engine is None:
-            engine = self._tls.volcano = VolcanoEngine(self.catalog)
-        return engine
-
-    @property
-    def _vectorized(self) -> VectorizedEngine:
-        engine = getattr(self._tls, "vectorized", None)
-        if engine is None:
-            engine = self._tls.vectorized = VectorizedEngine(self.catalog)
-        return engine
-
-    @property
-    def _template(self) -> TemplateExpander:
-        engine = getattr(self._tls, "template", None)
-        if engine is None:
-            engine = self._tls.template = TemplateExpander(self.catalog)
-        return engine
+        from ..codegen.compiler import QueryCompiler
+        from ..stack.configs import build_config
+        config = build_config(compiled_config)
+        #: one compiler per plan mode.  Planning is the executor's job (it
+        #: owns the mode axis), so the compiler's own logical optimizer stays
+        #: off; the access-layer flag follows the plan mode so a degraded
+        #: plan also stops the generated code from touching catalog-resident
+        #: structures.
+        # concurrency: init-only
+        self._compilers: Dict[str, QueryCompiler] = {
+            mode: QueryCompiler(config.stack, config.flags.copy_with(
+                logical_plan_optimizer=False,
+                catalog_access_layer=(mode == "access"),
+                subplan_sharing=True))
+            for mode in PLAN_MODES}
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _plan_options(self, mode: str) -> Optional[PlannerOptions]:
-        if mode == "access":
-            return PlannerOptions.all_rules()
-        if mode == "no_access":
-            return PlannerOptions.no_access_paths()
-        return None  # raw
-
-    def _plan(self, plan: Q.Operator, fingerprint: str, mode: str,
-              force: bool = False) -> Tuple[int, Q.Operator]:
-        """The planned tree for ``mode``, memoized per generation.
-
-        A fresh :class:`Planner` is built per (re)planning so no memoized
-        optimization computed against stale statistics can leak through.
-        """
-        layer = AccessLayer.for_catalog(self.catalog)
-        key = (fingerprint, mode)
-        with self._lock:
-            cached = self._plans.get(key)
-            if cached is not None and not force and cached[0] == layer.generation:
-                return cached
-        # Planning runs outside the lock (it is pure per planner instance);
-        # two threads may plan the same key concurrently, in which case the
-        # last write wins — both results are valid for their generation.
-        options = self._plan_options(mode)
-        if options is None:
+    def _plan(self, plan: Q.Operator, mode: str) -> Q.Operator:
+        """The tree the tiers run in ``mode``: planned through the catalog's
+        cached planner, or — in ``raw`` mode — the validated plan itself."""
+        if mode == "raw":
             Q.validate(plan, self.catalog)
-            planned = plan
-        else:
-            planned = Planner(self.catalog, options).optimize(plan)
-        entry = (layer.generation, planned)
-        with self._lock:
-            self._plans[key] = entry
-        return entry
+            return plan
+        options = PlannerOptions.all_rules() if mode == "access" \
+            else PlannerOptions.no_access_paths()
+        return Planner.for_catalog(self.catalog, options).optimize(plan)
 
     # ------------------------------------------------------------------
     # Tier runners
     # ------------------------------------------------------------------
-    def _compiler(self, mode: str) -> QueryCompiler:
-        from ..codegen.compiler import QueryCompiler
-        from ..stack.configs import build_config
-
-        key = f"{self.compiled_config}:{mode}"
-        with self._lock:
-            compiler = self._compilers.get(key)
-            if compiler is None:
-                config = build_config(self.compiled_config)
-                # Planning is the executor's job (it owns the mode axis), so
-                # the compiler's own logical optimizer stays off; the
-                # access-layer flag follows the plan mode so a degraded plan
-                # also stops the generated code from touching
-                # catalog-resident structures.
-                flags = config.flags.copy_with(
-                    logical_plan_optimizer=False,
-                    catalog_access_layer=(mode == "access"),
-                    subplan_sharing=True)
-                compiler = QueryCompiler(config.stack, flags)
-                self._compilers[key] = compiler
-        return compiler
-
-    def _run_tier(self, tier: str, planned: Q.Operator,
-                  query_name: str) -> List[dict]:
+    def _run_tier(self, tier: str, planned: Q.Operator, query_name: str,
+                  compiler: QueryCompiler) -> List[dict]:
         if tier == "compiled":
-            compiled = self._compiler_for_run(planned, query_name)
-            return compiled.run(self.catalog)
+            return compiler.compile(planned, self.catalog,
+                                    query_name).run(self.catalog)
         if tier == "template":
-            return self._template.compile(planned, query_name).run(self.catalog)
+            return TemplateExpander(self.catalog).compile(
+                planned, query_name).run(self.catalog)
         if tier == "vectorized":
-            return self._vectorized.execute(planned)
-        return self._volcano.execute(planned)
-
-    def _compiler_for_run(self, planned: Q.Operator, query_name: str) -> Any:
-        return self._tls.current_compiler.compile(planned, self.catalog,
-                                                  query_name)
+            return VectorizedEngine(self.catalog).execute(planned)
+        return VolcanoEngine(self.catalog).execute(planned)
 
     # ------------------------------------------------------------------
     # The ladder
@@ -330,8 +264,7 @@ class HardenedExecutor:
 
             started = time.perf_counter()
             try:
-                rows = self._attempt(plan, fingerprint, tier, mode,
-                                     query_name, budget)
+                rows = self._attempt(plan, tier, mode, query_name, budget)
             except BudgetExceeded as error:
                 elapsed = time.perf_counter() - started
                 self.incidents.report(
@@ -406,15 +339,15 @@ class HardenedExecutor:
         raise LadderExhausted(query_name, attempts)
 
     # ------------------------------------------------------------------
-    def _attempt(self, plan: Q.Operator, fingerprint: str, tier: str,
-                 mode: str, query_name: str,
-                 budget: Optional[QueryBudget]) -> List[dict]:
-        generation, planned = self._plan(plan, fingerprint, mode)
+    def _attempt(self, plan: Q.Operator, tier: str, mode: str,
+                 query_name: str, budget: Optional[QueryBudget]) -> List[dict]:
+        layer = AccessLayer.for_catalog(self.catalog)
+        generation = layer.generation
+        planned = self._plan(plan, mode)
         # the plan→execute window: a concurrent re-registration (simulated by
         # the executor.pre_execute fault site) lands here
         fault_point("executor.pre_execute", query=query_name, tier=tier,
                     catalog=self.catalog)
-        layer = AccessLayer.for_catalog(self.catalog)
         if layer.generation != generation:
             self.incidents.report(
                 "generation_skew", query=query_name, tier=tier,
@@ -423,28 +356,32 @@ class HardenedExecutor:
                          f"{layer.generation} between plan and execute; "
                          "re-planning"),
                 plan_mode=mode)
-            generation, planned = self._plan(plan, fingerprint, mode, force=True)
-        self._tls.current_compiler = self._compiler(mode)
+            planned = self._plan(plan, mode)
         scope = governed(budget) if budget is not None else nullcontext()
         with scope:
-            return self._run_tier(tier, planned, query_name)
+            return self._run_tier(tier, planned, query_name,
+                                  self._compilers[mode])
 
     # ------------------------------------------------------------------
     def warm(self, plan: Q.Operator, query_name: str = "query") -> float:
         """Pre-plan and pre-compile ``plan`` for the compiled tier.
 
         Plans in ``access`` mode, compiles through the compiled-tier stack
-        (populating the process-wide compiled-query cache) and runs
-        ``prepare`` so the catalog-resident access structures the query needs
-        are built before traffic arrives.  Returns the compile seconds spent
-        (0.0 on a cache hit).  Used by the serving front door's warm-up.
+        (populating the catalog's derived cache) and runs ``prepare`` so the
+        catalog-resident access structures the query needs are built before
+        traffic arrives.  Returns the compile seconds spent (0.0 on a cache
+        hit).  Used by the serving front door's warm-up.
         """
-        fingerprint = Q.plan_fingerprint(plan)
-        _, planned = self._plan(plan, fingerprint, "access")
-        compiled = self._compiler("access").compile(planned, self.catalog,
-                                                    query_name)
+        compiled = self._compilers["access"].compile(
+            self._plan(plan, "access"), self.catalog, query_name)
         compiled.prepare(self.catalog)
         return 0.0 if compiled.cache_hit else compiled.compile_seconds
+
+    def is_warm(self, plan: Q.Operator, query_name: str = "query") -> bool:
+        """Whether the compiled tier would run ``plan`` without compiling:
+        its entry is in the cache *now* (a reload or an eviction undoes it)."""
+        return self._compilers["access"].is_cached(
+            self._plan(plan, "access"), self.catalog, query_name)
 
     def _attempt_record(self, tier: str, mode: str, error: BaseException,
                         elapsed: float) -> dict:

@@ -35,7 +35,6 @@ the overload chaos suite drive this machinery through injected storms.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -46,7 +45,9 @@ from ..robustness.fallback import HardenedExecutor, LadderExhausted
 from ..robustness.faults import fault_value
 from ..robustness.governor import BudgetExceeded, QueryBudget
 from ..robustness.incidents import IncidentLog
+from ..storage.access import AccessLayer
 from ..storage.catalog import Catalog
+from ..storage.derived import COMPILED
 from ..storage.loader import warm_access_paths
 from .admission import (POLICY_TIERS, AdaptiveLimiter, AdmissionController,
                         AdmittedRequest, SheddingPolicy)
@@ -123,12 +124,6 @@ class QueryServer:
         self._started_at: Optional[float] = None
         # concurrency: confined(event-loop): _count runs on the loop; sync reads are snapshots
         self._responses_by_status: Dict[str, int] = {}
-        #: plan fingerprints with a warm compiled plan (warm-up + successful
-        #: compiled-tier executions); gates the compiled tier under
-        #: ``cached_only`` shedding
-        # concurrency: guarded-by(_warm_lock)
-        self._warm_fingerprints: set = set()
-        self._warm_lock = threading.Lock()
         # concurrency: confined(startup): filled by _warm_up before serving starts
         self._warmup_report: Dict[str, float] = {}
 
@@ -161,10 +156,8 @@ class QueryServer:
         """Pre-build access structures, pre-compile the configured set."""
         warm_access_paths(self.catalog)
         for name in self.warmup_names:
-            plan = self.queries[name]
-            seconds = self.executor.warm(plan, name)
-            self._note_warm(Q.plan_fingerprint(plan))
-            self._warmup_report[name] = seconds
+            self._warmup_report[name] = self.executor.warm(
+                self.queries[name], name)
 
     async def drain(self, timeout_seconds: Optional[float] = None) -> None:
         """Stop admitting, finish every admitted query, then shut down.
@@ -239,8 +232,6 @@ class QueryServer:
     def stats(self) -> dict:
         """The stats endpoint: queue, limiter, incident counters (via
         :meth:`IncidentLog.snapshot` — the ring is not drained)."""
-        with self._warm_lock:
-            warm_plans = len(self._warm_fingerprints)
         return {
             "state": self._state,
             "in_flight": self._in_flight,
@@ -248,7 +239,8 @@ class QueryServer:
             "queue": self._admission.snapshot(),
             "limiter": self._limiter.snapshot(),
             "responses_by_status": dict(self._responses_by_status),
-            "warm_plans": warm_plans,
+            "warm_plans": AccessLayer.for_catalog(self.catalog).derived.entry_count(
+                COMPILED),
             "warmup_compile_seconds": dict(self._warmup_report),
             "incidents": self.incidents.snapshot(),
         }
@@ -459,8 +451,6 @@ class QueryServer:
                 queue_seconds=queue_seconds,
                 execute_seconds=time.perf_counter() - started)
         elapsed = time.perf_counter() - started
-        if report.tier == "compiled":
-            self._note_warm(Q.plan_fingerprint(request.plan))
         return QueryResponse(
             query=request.name, status=STATUS_OK, rows=report.rows,
             tier=report.tier, plan_mode=report.plan_mode,
@@ -486,14 +476,9 @@ class QueryServer:
         if policy == "interpreter_only":
             return POLICY_TIERS["interpreter_only"]
         # cached_only: the compiled tier is only worth its admission cost if
-        # the plan is already compiled (warm-up or a previous execution)
-        with self._warm_lock:
-            warm = Q.plan_fingerprint(request.plan) in self._warm_fingerprints
+        # the plan's compiled entry is in the cache right now
+        warm = self.executor.is_warm(request.plan, request.name)
         return POLICY_TIERS["cached_only" if warm else "cached_only_cold"]
-
-    def _note_warm(self, fingerprint: str) -> None:
-        with self._warm_lock:
-            self._warm_fingerprints.add(fingerprint)
 
 
 async def serve_one_shot(

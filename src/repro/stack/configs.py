@@ -82,24 +82,24 @@ class StackConfig:
 
 
 def _flags_level2() -> OptimizationFlags:
-    return OptimizationFlags.all_disabled().copy_with(
-        pipelining=True, operator_inlining=True)
+    # Pipelining (the push-engine lowering) is the stack itself, not an
+    # option: level 2 runs with every optional optimization off.
+    return OptimizationFlags.all_disabled()
 
 
 def _flags_level3() -> OptimizationFlags:
     return _flags_level2().copy_with(
-        data_layout=True, scalar_replacement=True, dce=True, cse=True,
-        partial_evaluation=True, let_binding_removal=True, memory_hoisting=True,
-        unused_field_removal=True, flatten_nested_structs=True,
-        subplan_sharing=True, dataflow_folding=True,
-        loop_invariant_code_motion=True)
+        data_layout=True, scalar_replacement=True, dce=True,
+        partial_evaluation=True, memory_hoisting=True,
+        unused_field_removal=True, subplan_sharing=True,
+        dataflow_folding=True, loop_invariant_code_motion=True)
 
 
 def _flags_level4() -> OptimizationFlags:
     return _flags_level3().copy_with(
         hash_table_specialization=True, automatic_index_inference=True,
         data_structure_partitioning=True, string_dictionaries=True,
-        init_hoisting=True, catalog_access_layer=True)
+        catalog_access_layer=True)
 
 
 def _flags_level5() -> OptimizationFlags:
@@ -108,8 +108,8 @@ def _flags_level5() -> OptimizationFlags:
     # CPython the bitwise operators dispatch through `__and__` and are slower
     # than the short-circuit jumps they replace, the opposite of compiled C.
     return _flags_level4().copy_with(
-        list_specialization=True, constant_array_to_locals=True,
-        control_flow_opts=False, horizontal_fusion=True)
+        list_specialization=True, control_flow_opts=False,
+        horizontal_fusion=True)
 
 
 def _flags_tpch_compliant() -> OptimizationFlags:

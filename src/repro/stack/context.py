@@ -29,21 +29,16 @@ class OptimizationFlags:
     #: before the stack; off by default — the paper's configurations compile
     #: the hand-written plans as-is, the planner is an extra layer on top.
     logical_plan_optimizer: bool = False
-    pipelining: bool = True
-    operator_inlining: bool = True
     data_layout: bool = True
     scalar_replacement: bool = True
     dce: bool = True
-    cse: bool = True
     partial_evaluation: bool = True
-    let_binding_removal: bool = True
     memory_hoisting: bool = True
     hash_table_specialization: bool = True
     list_specialization: bool = True
     automatic_index_inference: bool = True
     data_structure_partitioning: bool = True
     string_dictionaries: bool = True
-    init_hoisting: bool = True
     unused_field_removal: bool = True
     #: compiled pipelines consume the *catalog-resident* physical access layer
     #: (repro.storage.access): PrunedScan candidate slices, IndexJoin probes of
@@ -55,8 +50,6 @@ class OptimizationFlags:
     #: further occurrence — the IR-level counterpart of the direct engines'
     #: common-subtree sharing.
     subplan_sharing: bool = True
-    constant_array_to_locals: bool = True
-    flatten_nested_structs: bool = True
     control_flow_opts: bool = True
     horizontal_fusion: bool = True
     #: dataflow-analysis-driven rewrites (repro.analysis.dataflow): dead-branch

@@ -41,6 +41,7 @@ from ..concurrency import guarded_by
 from ..dsl import expr as E
 from ..dsl import qplan as Q
 from ..robustness.faults import fault_point
+from .derived import DerivedCache
 
 #: sorts after every real string with a given prefix: the exclusive upper
 #: bound of the ``LIKE 'prefix%'`` value range
@@ -423,11 +424,15 @@ class AccessLayer:
         #: ``(kind, table, column) -> times built`` — the build-once proof
         # concurrency: guarded-by(_lock)
         self.build_counts: Dict[Tuple[str, str, str], int] = {}
-        #: bumped on every invalidation; memoized compiled queries key on it
-        #: so they can never close over (or assume statistics of) structures
-        #: from before a table reload
+        #: bumped on every invalidation: which load of the data is live
         # concurrency: guarded-by(_lock)
         self.generation: int = 0
+        #: everything derived from the loaded data by the layers above
+        #: (planned trees, compiled queries); emptied with every bump, so an
+        #: entry can never assume statistics of — or close over structures
+        #: from — before a table reload
+        # concurrency: synchronized
+        self.derived = DerivedCache()
 
     @classmethod
     def for_catalog(cls, catalog) -> "AccessLayer":
@@ -453,12 +458,13 @@ class AccessLayer:
         cached candidate lists built against the old columns would otherwise
         silently serve stale row positions.  ``build_counts`` is kept — it
         counts constructions, and a legitimate rebuild after a reload is
-        exactly what it should record.  The generation counter is bumped so
-        the compiled-query cache (:mod:`repro.codegen.compiler`) also drops
-        queries compiled against the previous data.
+        exactly what it should record.  The generation counter is bumped
+        and, in the same critical section, the derived cache is emptied:
+        this is the one place that decides generation-derived state is stale.
         """
         with self._lock:
             self.generation += 1
+            self.derived.invalidate()
             for memo in (self._key_indices, self._dictionaries,
                          self._sorted_columns):
                 for key in [k for k in memo if k[0] == table]:

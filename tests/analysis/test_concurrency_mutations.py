@@ -17,7 +17,7 @@ FAULTS = "src/repro/robustness/faults.py"
 FALLBACK = "src/repro/robustness/fallback.py"
 SERVER = "src/repro/server/server.py"
 ADMISSION = "src/repro/server/admission.py"
-COMPILER = "src/repro/codegen/compiler.py"
+DERIVED = "src/repro/storage/derived.py"
 
 
 def mutate(path, old, new):
@@ -54,16 +54,16 @@ class TestSeededMutations:
         assert matching(report, "unguarded-access", "IncidentLog.report")
 
     def test_reordered_acquisition_creates_a_cycle(self):
-        """Touching the compiler cache inside ``_CREATE_LOCK`` reverses the
-        one legitimate acquired-before edge → lock-order-cycle."""
+        """The derived cache calling back into the access layer while it
+        holds its own lock reverses the one legitimate acquired-before edge
+        (layer lock, then cache lock) → lock-order-cycle."""
         report = mutate(
-            ACCESS,
-            """            with cls._CREATE_LOCK:
-                layer = getattr(catalog, "_access_layer", None)""",
-            """            with cls._CREATE_LOCK:
-                from ..codegen.compiler import QueryCompiler
-                QueryCompiler.cache_len()
-                layer = getattr(catalog, "_access_layer", None)""")
+            DERIVED,
+            """            self._invalidations += 1
+            self._entries.clear()""",
+            """            self._invalidations += 1
+            self.layer.invalidate_table("lineitem")
+            self._entries.clear()""")
         assert matching(report, "lock-order-cycle")
 
     def test_blocking_fault_action_moved_under_the_plan_lock(self):
@@ -105,8 +105,8 @@ class TestSeededMutations:
 
     def test_deleted_confinement_directive(self):
         """Stripping the ``confined(event-loop)`` declaration from
-        ``_in_flight`` reverts it to the inferred lock guard, which no
-        counter update holds → unguarded-access."""
+        ``_in_flight`` leaves a counter written outside ``__init__`` with no
+        discipline in a class that owns no lock → unguarded-access."""
         report = mutate(
             SERVER,
             """        # concurrency: confined(event-loop): counters touched only by loop tasks
@@ -141,13 +141,11 @@ class TestSeededMutations:
         assert matching(report, "unguarded-access", "successes")
 
     def test_stripped_guarded_by_decorator_on_cache_pruning(self):
-        """Deleting ``@guarded_by("_cache_lock")`` from ``_prune_cache``
-        analyzes its cache sweeps without the lock → unguarded-access."""
+        """Deleting ``@guarded_by("_lock")`` from ``DerivedCache._trim``
+        analyzes its eviction loop without the lock → unguarded-access."""
         report = mutate(
-            COMPILER,
-            """    @classmethod
-    @guarded_by("_cache_lock")
-    def _prune_cache(cls) -> None:""",
-            """    @classmethod
-    def _prune_cache(cls) -> None:""")
-        assert matching(report, "unguarded-access", "QueryCompiler._prune_cache")
+            DERIVED,
+            """    @guarded_by("_lock")
+    def _trim(self, kind: str) -> None:""",
+            """    def _trim(self, kind: str) -> None:""")
+        assert matching(report, "unguarded-access", "DerivedCache._trim")

@@ -3,7 +3,9 @@ import pytest
 
 from repro.bench.harness import BenchmarkHarness, ENGINE_NAMES, Measurement
 from repro.bench.loc import count_loc, format_table4, loc_by_package, table4
+from repro.codegen.compiler import QueryCompiler
 from repro.tpch.dbgen import generate_catalog
+from repro.tpch.queries import build_query
 
 
 @pytest.fixture(scope="module")
@@ -67,16 +69,17 @@ class TestHarness:
 
     def test_compiled_queries_are_cached(self, harness):
         harness.measure("Q6", "dblab-5")
-        key = next(k for k in harness._compiled_cache if k[:2] == ("Q6", "dblab-5"))
-        cached = harness._compiled_cache[key]
+        misses = QueryCompiler.cache_stats.misses
         harness.measure("Q6", "dblab-5")
-        assert harness._compiled_cache[key] is cached
+        assert QueryCompiler.cache_stats.misses == misses
+        assert harness._compiled("Q6", "dblab-5", build_query("Q6")).cache_hit
 
     def test_raw_and_planned_compile_separately(self, harness):
+        QueryCompiler.clear_cache()
         harness.measure("Q6", "dblab-3", optimize=False)
         harness.measure("Q6", "dblab-3", optimize=True)
-        keys = [k for k in harness._compiled_cache if k[:2] == ("Q6", "dblab-3")]
-        assert len(keys) == 2, "raw and planned plans must not share a cache slot"
+        assert QueryCompiler.cache_stats.misses == 2, \
+            "raw and planned plans must not share a cache slot"
 
     def test_engine_names_cover_all_configs(self):
         assert ENGINE_NAMES[0] == "interpreter"

@@ -1,4 +1,7 @@
 """Tests for the compiled-query cache and plan fingerprints."""
+import gc
+import weakref
+
 import pytest
 
 from repro.codegen.compiler import QueryCompiler
@@ -75,13 +78,35 @@ class TestCompiledQueryCache:
         assert second.run(tiny_catalog) == first.run(tiny_catalog)
 
     def test_cached_copy_has_independent_prepared_state(self, tiny_catalog):
+        """The stateless contract: every ``prepare`` hands its caller a new
+        ``aux`` and nothing prepared stays on the query — neither on the
+        object a miss returned (the one the cache holds) nor on a hit."""
         config = build_config("dblab-4")
         compiler = QueryCompiler(config.stack, config.flags)
         first = compiler.compile(_plan(), tiny_catalog, "q")
-        first.prepare(tiny_catalog)
+        prepared = []
+
+        class Sentinel:
+            pass
+
+        def tracking_prepare(db, rt, _prepare=first._prepare_fn):
+            aux = _prepare(db, rt)
+            aux["sentinel"] = Sentinel()
+            prepared.append(weakref.ref(aux["sentinel"]))
+            return aux
+
+        # the test's probe, not the API: CompiledQuery is frozen
+        object.__setattr__(first, "_prepare_fn", tracking_prepare)
         second = compiler.compile(_plan(), tiny_catalog, "q")
-        assert second._aux is None  # lazily re-prepared against its catalog
+        assert second.cache_hit and second._prepare_fn is tracking_prepare
+        assert first.prepare(tiny_catalog) is not first.prepare(tiny_catalog)
         assert second.run(tiny_catalog) == first.run(tiny_catalog)
+        gc.collect()
+        assert len(prepared) == 4
+        assert all(ref() is None for ref in prepared), \
+            "prepared state outlived the call that prepared it"
+        assert compiler.compile(_plan(), tiny_catalog, "q").cache_hit
+        assert not any(name.startswith("_aux") for name in vars(first))
 
     def test_different_configuration_misses(self, tiny_catalog):
         five = build_config("dblab-5")
@@ -162,15 +187,15 @@ class TestAccessLayerGeneration:
         assert third.cache_hit
 
     def test_prepared_state_is_invalidated_without_recompiling(self, tiny_catalog):
-        """run() on an already-prepared CompiledQuery must not serve aux
-        structures built against pre-reload data: the prepared state is
-        stamped with the access-layer generation and re-prepared on
-        mismatch."""
+        """run() on a CompiledQuery held across a reload must not run code
+        (or serve aux structures) built against pre-reload data: the stale
+        query hands the run to a fresh compile."""
         from repro.storage.layouts import ColumnarTable
         config = build_config("dblab-5")
         compiler = QueryCompiler(config.stack, config.flags)
         compiled = compiler.compile(self._index_plan(), tiny_catalog, "gen2")
-        assert compiled.run(tiny_catalog) == [{"n": 0}]  # prepares + caches aux
+        aux = compiled.prepare(tiny_catalog)
+        assert compiled.run(tiny_catalog, aux) == [{"n": 0}]
 
         table = tiny_catalog.table("S")
         tiny_catalog.register(ColumnarTable(table.schema, {
@@ -178,7 +203,8 @@ class TestAccessLayerGeneration:
             "s_rid": [1, 3, 3],
             "s_val": [1.0, 2.0, 3.0],
         }))
-        # same CompiledQuery object, no recompile: stale aux is detected
+        # same CompiledQuery object: stale code and stale aux are detected
+        assert compiled.run(tiny_catalog, aux) == [{"n": 3}]
         assert compiled.run(tiny_catalog) == [{"n": 3}]
 
     def test_generation_counter_tracks_invalidations(self, tiny_catalog):
@@ -200,7 +226,7 @@ def _distinct_plan(n):
 def bounded_capacity():
     saved = QueryCompiler.cache_capacity
     yield
-    QueryCompiler.cache_capacity = saved
+    QueryCompiler.set_cache_capacity(saved)
 
 
 class TestCacheBounds:
@@ -261,7 +287,9 @@ class TestCacheBounds:
 
         table = tiny_catalog.table("S")
         tiny_catalog.register(ColumnarTable(table.schema, dict(table.columns)))
-        # the first compile after the reload drops every pre-reload entry
-        compiler.compile(_distinct_plan(0), tiny_catalog, "q")
+        # the reload itself drops every pre-reload entry (an invalidation,
+        # not an eviction: the counter is for what the bound pushed out)
+        assert QueryCompiler.cache_len() == 0
+        assert not compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
         assert QueryCompiler.cache_len() == 1
-        assert QueryCompiler.cache_stats.evictions == 3
+        assert QueryCompiler.cache_stats.evictions == 0

@@ -1,13 +1,13 @@
 """Regression tests for the races the concurrency analyzer polices.
 
-The warm-fingerprint set is written by executor worker threads
-(``_note_warm`` after each successful run) while ``stats()`` reads its size
-from whatever thread the monitoring caller lives on — the exact
-reader/writer pair the analyzer's ``guarded-by(_warm_lock)`` discipline
-covers.  These tests drive that overlap for real: a burst of concurrent
-submissions warming plans while monitor threads hammer ``stats()`` and the
-loop drains mid-storm.  No pytest-asyncio in the image, so each test runs
-its own loop via ``asyncio.run``.
+Warmth is "the compiled entry is in the catalog's derived cache": executor
+worker threads insert entries (one per successful compiled-tier run of a new
+plan) while ``stats()`` reads the entry count from whatever thread the
+monitoring caller lives on — a reader/writer pair the cache's own lock
+covers (the server itself owns none).  These tests drive that overlap for
+real: a burst of concurrent submissions warming plans while monitor threads
+hammer ``stats()`` and the loop drains mid-storm.  No pytest-asyncio in the
+image, so each test runs its own loop via ``asyncio.run``.
 """
 import asyncio
 import threading
@@ -45,7 +45,7 @@ class TestWarmVersusDrain:
             for thread in monitors:
                 thread.start()
             # distinct thresholds → distinct fingerprints → every request
-            # warms a new plan while the monitors read the warm set
+            # warms a new plan while the monitors read the warm count
             responses = await asyncio.gather(
                 *(server.submit(_plan(i / 100.0), f"q{i}")
                   for i in range(24)))
@@ -66,8 +66,8 @@ class TestWarmVersusDrain:
                                 "failed") for r in responses)
         completed = sum(1 for r in responses if r.ok)
         final = server.stats()
-        # every completed request warmed its (distinct) fingerprint, and the
-        # final warm count reflects all of them — no lost updates
+        # every completed request cached its (distinct) compiled plan, and
+        # the final warm count reflects all of them — no lost updates
         assert final["warm_plans"] >= completed > 0
         assert all(s["warm_plans"] <= 24 for s in snapshots)
 

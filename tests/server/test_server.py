@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.volcano import VolcanoEngine
@@ -17,6 +18,8 @@ from repro.robustness.faults import FaultPlan, FaultSpec, inject
 from repro.robustness.governor import QueryBudget
 from repro.server import QueryServer, serve_one_shot
 from repro.server.admission import AdmittedRequest
+from repro.tpch.dbgen import generate_catalog
+from repro.tpch.queries import build_query
 
 
 def _scan_plan():
@@ -263,9 +266,56 @@ class TestLoadShedding:
                                   deadline=None, enqueued_at=0.0,
                                   tier_policy="cached_only")
         assert server._tiers_for(request) == ("vectorized", "interpreter")
-        server._note_warm(Q.plan_fingerprint(plan))
+        server.executor.warm(plan, "w")
         assert server._tiers_for(request) == \
             ("compiled", "vectorized", "interpreter")
+
+    def test_cached_only_warmth_is_truthful(self):
+        """Warm means "the compiled entry exists now".  A re-registration or
+        an LRU eviction makes a warmed query cold again: under
+        ``cached_only`` it must take the cold ladder instead of compiling."""
+        catalog = generate_catalog(scale_factor=0.0005, seed=5)
+        queries = {name: build_query(name) for name in ("Q6", "Q14")}
+
+        def request(name):
+            return AdmittedRequest(name=name, plan=queries[name], priority=0,
+                                   deadline=None, enqueued_at=0.0,
+                                   tier_policy="cached_only")
+
+        def served_cold(server, name):
+            """Run one cached_only request on this thread, as a worker
+            would: the cold ladder answers and nothing compiles."""
+            misses = QueryCompiler.cache_stats.misses
+            response = server._execute(request(name), 0.0)
+            assert response.ok and response.tier_policy == "cached_only"
+            assert QueryCompiler.cache_stats.misses == misses
+            return response.tier == "vectorized"
+
+        async def scenario():
+            server = QueryServer(catalog, queries=queries,
+                                 warmup=tuple(queries))
+            await server.start()
+            try:
+                assert server.stats()["warm_plans"] == 2
+                assert not served_cold(server, "Q6")
+
+                catalog.register(catalog.table("lineitem"))
+                assert server.stats()["warm_plans"] == 0
+                assert served_cold(server, "Q6")
+
+                for name in queries:  # Q14 is now the most recently used
+                    server.executor.warm(queries[name], name)
+                assert server.stats()["warm_plans"] == 2
+                QueryCompiler.set_cache_capacity(1)
+                assert server.stats()["warm_plans"] == 1
+                assert served_cold(server, "Q6")
+                assert not served_cold(server, "Q14")
+            finally:
+                QueryCompiler.set_cache_capacity(saved)
+                await server.drain()
+
+        saved = QueryCompiler.cache_capacity
+        _run(scenario())
 
     def test_occupancy_downgrades_then_rejects(self, tiny_catalog):
         """Ten concurrent submissions against a depth-8 queue: the offers

@@ -53,10 +53,30 @@ class TestConfigs:
                              "catalog_access_layer"}
 
     def test_level2_only_pipelines(self):
+        """Pipelining is the stack's one lowering, not an option: level 2
+        enables no optional optimization at all."""
         flags = config_flags("dblab-2")
-        assert flags.pipelining
+        assert flags.enabled() == []
         assert not flags.hash_table_specialization
         assert not flags.data_layout
+
+    def test_every_flag_is_read_by_the_source(self):
+        """A flag no transformation consults only widens every compiled-cache
+        key and every ``describe()``: each field must be read somewhere."""
+        import dataclasses
+        import pathlib
+        import repro
+        from repro.stack.context import OptimizationFlags
+        source = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            if path.name not in ("context.py", "configs.py"))
+        fields = [f.name for f in dataclasses.fields(OptimizationFlags)]
+        assert len(fields) == 18
+        unread = [name for name in fields
+                  if f"flags.{name}" not in source          # read directly
+                  and f'flag = "{name}"' not in source]     # gates a pass
+        assert unread == []
 
     def test_describe_mentions_levels_and_flags(self):
         config = build_config("dblab-4")

@@ -89,10 +89,8 @@ class TestExecutionCountProbe:
                                                  query_name, table,
                                                  shared_reads):
         def reads(compiled, counting):
-            compiled._aux = None  # force prepare() against the counting db
             counting.reset()
-            compiled.prepare(counting)
-            rows = compiled.run(counting)
+            rows = compiled.run(counting, compiled.prepare(counting))
             return counting.reads_of_table(table), rows
 
         counting = CountingCatalog(tpch_catalog)
@@ -137,7 +135,6 @@ class TestHandBuiltSharing:
         compiled = _compile(plan, counting, True, "hand")
         assert shared_binding_count(compiled.program) == 1
         counting.reset()
-        compiled.prepare(counting)
-        rows = compiled.run(counting)
+        rows = compiled.run(counting, compiled.prepare(counting))
         assert counting.reads_of_table("S") == 2  # s_rid + s_val, once each
         assert rows == VolcanoEngine(tiny_catalog).execute(plan)
