@@ -4,9 +4,10 @@ Two responsibilities, both grounded in :mod:`repro.ir.effects`:
 
 * :func:`audit_effects` checks every statement of a program against the
   *declared* effect of its op — control effects and nested blocks must
-  agree, a writing op must target a symbol (never a constant, and never a
-  symbol the program cannot have allocated), and every op must actually be
-  registered with an effect.
+  agree, a writing op must target a symbol (never a constant, never a
+  symbol the program cannot have allocated, and never a structure that
+  lives on the catalog and is shared by every other query), and every op
+  must actually be registered with an effect.
 
 * :func:`audit_transition` takes the program **before** and **after** one
   optimization pass and proves the pass stayed inside the effect system's
@@ -69,8 +70,46 @@ def effective_effect(expr: Expr) -> Effect:
 # ---------------------------------------------------------------------------
 # Static declaration audit of a single program
 # ---------------------------------------------------------------------------
+#: reads that hand out a part of their first argument: an element of a
+#: shared structure is as shared as the structure
+_ELEMENT_READS = frozenset({"array_get", "list_get", "index_get_multi"})
+
+
+def _shared_bindings(program: Program) -> Set[int]:
+    """Bindings holding (a part of) a catalog-resident, read-only structure:
+    the result of a ``shared_result`` op, an element read out of one, or an
+    ``if_`` either arm of which hands one out (a guarded probe)."""
+    shared: Set[int] = set()
+
+    def visit(block) -> None:
+        for stmt in block.stmts:
+            expr = stmt.expr
+            for nested in expr.blocks:
+                visit(nested)  # arms first: an if_ is judged by their results
+            if not ir_ops.is_registered(expr.op):
+                continue  # reported by the audit proper
+            if signature_of(expr.op).shared_result:
+                derived = True
+            elif expr.op in _ELEMENT_READS:
+                derived = isinstance(expr.args[0], Sym) \
+                    and expr.args[0].id in shared
+            elif expr.op == "if_":
+                derived = any(isinstance(arm.result, Sym)
+                              and arm.result.id in shared
+                              for arm in expr.blocks)
+            else:
+                derived = False
+            if derived:
+                shared.add(stmt.sym.id)
+
+    visit(program.hoisted)
+    visit(program.body)
+    return shared
+
+
 def audit_effects(program: Program) -> None:
     allocated: Set[int] = {param.id for param in program.params}
+    shared = _shared_bindings(program)
     for stmt, _ in iter_program_stmts(program):
         expr = stmt.expr
         if not ir_ops.is_registered(expr.op):
@@ -88,7 +127,8 @@ def audit_effects(program: Program) -> None:
                 binding=stmt.sym.name)
         signature = signature_of(expr.op)
         if signature.mutated_arg is not None:
-            _check_mutation_target(stmt, signature.mutated_arg, allocated)
+            _check_mutation_target(stmt, signature.mutated_arg, allocated,
+                                   shared)
         if effect.allocates or expr.op in ("malloc", "pool_next"):
             allocated.add(stmt.sym.id)
         for block in expr.blocks:
@@ -98,7 +138,8 @@ def audit_effects(program: Program) -> None:
                 allocated.add(param.id)
 
 
-def _check_mutation_target(stmt: Stmt, index: int, allocated: Set[int]) -> None:
+def _check_mutation_target(stmt: Stmt, index: int, allocated: Set[int],
+                           shared: Set[int]) -> None:
     expr = stmt.expr
     if index >= len(expr.args):
         # arity problems are the type checker's report; skip here
@@ -109,6 +150,11 @@ def _check_mutation_target(stmt: Stmt, index: int, allocated: Set[int]) -> None:
             f"writing op {expr.op} mutates the constant {target.value!r} — "
             "writes must target an allocated object",
             binding=stmt.sym.name)
+    if isinstance(target, Sym) and target.id in shared:
+        raise _err(
+            f"writing op {expr.op} mutates {target.name}, which is (part of) "
+            "a catalog-resident structure shared by every query — generated "
+            "code may only read it", binding=stmt.sym.name)
     if isinstance(target, Sym) and expr.op in ("var_write",) \
             and target.id not in allocated:
         raise _err(

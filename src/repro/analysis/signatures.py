@@ -33,6 +33,10 @@ class OpSignature:
         mutated_arg: index of the argument mutated in place by a writing op,
             or ``None``.  The effect auditor requires that argument to be a
             symbol bound to a mutable object, never a constant.
+        shared_result: the result is a structure resident on the catalog
+            and shared by every query, request and thread — read-only for
+            generated code.  The effect auditor rejects any writing op whose
+            mutated argument derives from such a result.
         category: coarse typing family used by the type checker
             (``"arith"``, ``"compare"``, ``"logic"``, ``"string"``, ...).
     """
@@ -43,6 +47,7 @@ class OpSignature:
     required_attrs: Tuple[str, ...] = ()
     block_params: Optional[Tuple[int, ...]] = None
     mutated_arg: Optional[int] = None
+    shared_result: bool = False
     category: str = "generic"
 
 
@@ -51,7 +56,8 @@ _SIGNATURES: Dict[str, OpSignature] = {}
 
 def _sig(name: str, n_args: Optional[int] = None, *, min_args: int = 0,
          attrs: Tuple[str, ...] = (), blocks: Optional[Tuple[int, ...]] = None,
-         mutated: Optional[int] = None, category: str = "generic") -> None:
+         mutated: Optional[int] = None, shared: bool = False,
+         category: str = "generic") -> None:
     if name in _SIGNATURES:
         raise ValueError(f"signature for op {name!r} declared twice")
     if name not in ir_ops.REGISTRY:
@@ -64,7 +70,8 @@ def _sig(name: str, n_args: Optional[int] = None, *, min_args: int = 0,
             f"the op registry declares {opdef.n_blocks}")
     _SIGNATURES[name] = OpSignature(name, n_args, min_args=min_args,
                                     required_attrs=attrs, block_params=blocks,
-                                    mutated_arg=mutated, category=category)
+                                    mutated_arg=mutated, shared_result=shared,
+                                    category=category)
 
 
 # -- pure scalar ops --------------------------------------------------------
@@ -138,7 +145,7 @@ _sig("set_len", 1, category="map")
 
 # -- database access --------------------------------------------------------
 _sig("table_size", 1, attrs=("table",), category="db")
-_sig("table_column", 1, attrs=("table", "column"), category="db")
+_sig("table_column", 1, attrs=("table", "column"), shared=True, category="db")
 
 # -- specialised structures -------------------------------------------------
 _sig("index_build_multi", 1, attrs=("table", "column", "lo", "hi"),
@@ -156,11 +163,17 @@ _sig("strdict_code", 2, category="strdict")
 _sig("strdict_prefix_range", 2, category="strdict")
 
 # -- catalog-resident access layer ------------------------------------------
-_sig("access_key_index", 1, attrs=("table", "column"), category="access")
+_sig("access_key_index", 1, attrs=("table", "column"), shared=True,
+     category="access")
 _sig("access_index_lookup", 2, category="access")
-_sig("access_pruned_indices", 1, attrs=("table", "filters"), category="access")
-_sig("access_strdict", 1, attrs=("table", "column"), category="access")
-_sig("access_strdict_codes", 1, attrs=("table", "column"), category="access")
+_sig("access_pruned_indices", 1, attrs=("table", "filters"), shared=True,
+     category="access")
+_sig("access_partition", 1, attrs=("table", "column", "key_lo", "key_hi"),
+     shared=True, category="access")
+_sig("access_strdict", 1, attrs=("table", "column"), shared=True,
+     category="access")
+_sig("access_strdict_codes", 1, attrs=("table", "column"), shared=True,
+     category="access")
 _sig("access_prefix_range", 2, category="access")
 
 # -- explicit memory (C.Py) -------------------------------------------------

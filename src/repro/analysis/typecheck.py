@@ -272,7 +272,7 @@ class TypeChecker:
     # Schema resolution of table/column attributes
     # ------------------------------------------------------------------
     _TABLE_COLUMN_OPS: Tuple[str, ...] = (
-        "table_column", "access_key_index", "access_strdict",
+        "table_column", "access_key_index", "access_partition", "access_strdict",
         "access_strdict_codes", "index_build_multi", "index_build_unique")
 
     def _check_schema_refs(self, stmt: Stmt, signature: OpSignature) -> None:

@@ -265,6 +265,34 @@ def catalog_key_index(db, table: str, column: str):
     return index
 
 
+def catalog_partition(db, table: str, column: str, lo: int, size: int,
+                      single: bool):
+    """The slot array of the catalog's partition of ``table.column``.
+
+    ``slots[key - lo]`` is the ascending list of row positions holding
+    ``key`` — or, for a ``single`` (unique-key) probe, the one position or
+    ``None``, straight from the unique-key index.  Shared by every query,
+    request and thread: generated code only ever reads it.  The compiled
+    probe bakes in ``lo`` and ``size``; a catalog whose structure covers
+    another key range fails loudly here instead of indexing out of range.
+    """
+    from ..storage.access import AccessError, AccessLayer, DirectArray
+
+    layer = AccessLayer.for_catalog(db)
+    if single:
+        index = layer.key_index(table, column)
+        if not isinstance(index, DirectArray):
+            index = None
+    else:
+        index = layer.partition(table, column)
+    if index is None or index.offset != lo or len(index.slots) != size:
+        raise AccessError(
+            f"no partition of {table}.{column} over keys "
+            f"[{lo}, {lo + size - 1}]; the query was compiled against a "
+            "catalog that had one")
+    return index.slots
+
+
 def catalog_pruned_indices(db, table: str, filters):
     """Candidate base-row positions of a pruned scan (ascending, memoized)."""
     from ..storage.access import AccessLayer

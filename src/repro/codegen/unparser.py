@@ -512,6 +512,18 @@ class PythonUnparser:
         return self._assign(
             stmt, f"_rt.catalog_pruned_indices({db}, {table!r}, {filters!r})")
 
+    def _op_access_partition(self, stmt):
+        attrs = stmt.expr.attrs
+        if "single" not in attrs:
+            raise UnparserError(
+                f"partition of {attrs['table']}.{attrs['column']} was never "
+                "claimed by a hash-table lowering; its probes cannot be emitted")
+        lo, hi = attrs["key_lo"], attrs["key_hi"]
+        db = _atom(stmt.expr.args[0])
+        return self._assign(
+            stmt, f"_rt.catalog_partition({db}, {attrs['table']!r}, "
+                  f"{attrs['column']!r}, {lo}, {hi - lo + 1}, {attrs['single']})")
+
     def _op_access_strdict(self, stmt):
         table = stmt.expr.attrs["table"]
         column = stmt.expr.attrs["column"]

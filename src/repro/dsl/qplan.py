@@ -640,10 +640,15 @@ def validate(plan: Operator, catalog) -> None:
             raise PlanError(
                 f"{node.describe()}: negative row count {node.count}; "
                 "use 0 to return no rows")
-        for child in node.children():
-            check(child)
 
-    check(plan)
+    # Pre-order over an explicit stack, not recursion: a nested function that
+    # calls itself is a reference cycle through its own closure cell, and this
+    # one would pin ``catalog`` (and all its data) until a GC pass.
+    pending = [plan]
+    while pending:
+        node = pending.pop()
+        check(node)
+        pending.extend(reversed(node.children()))
 
 
 def _require(columns: Sequence[str], available: Sequence[str], node: Operator) -> None:

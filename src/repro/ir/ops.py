@@ -193,6 +193,7 @@ _r("strdict_prefix_range", READ,
 # layer.  They are reads of catalog state, never allocations.
 # ---------------------------------------------------------------------------
 ACCESS_OPS = ("access_key_index", "access_index_lookup", "access_pruned_indices",
+              "access_partition",
               "access_strdict", "access_strdict_codes", "access_prefix_range")
 
 _r("access_key_index", READ,
@@ -203,6 +204,12 @@ _r("access_index_lookup", READ,
 _r("access_pruned_indices", READ,
    "candidate base-row positions of a pruned scan (ascending, memoized); "
    "attrs: table, filters")
+_r("access_partition", READ,
+   "the catalog's partition of table.column: slot[key - key_lo] is the "
+   "ascending list of row positions holding key (a MultiMap the hash-table "
+   "lowerings probe by array indexing); attrs: table, column, key_lo, key_hi, "
+   "and — once a lowering has claimed it — single (one position or None per "
+   "slot, served by the unique-key index)")
 _r("access_strdict", READ,
    "the catalog's sorted string dictionary of table.column; attrs: table, column; "
    "raises at prepare time when the loaded column has no dictionary")

@@ -21,6 +21,7 @@ Registered sites (kept here as the single source of truth):
 site                             planted in
 ===============================  ================================================
 ``access.key_index``             ``storage/access.py`` — missing/broken key index
+``access.partition``             ``storage/access.py`` — broken partition index
 ``access.zone_map``              ``storage/access.py`` — corrupted zone map
 ``catalog.table``                ``storage/catalog.py`` — transient catalog fault
 ``compiler.compile``             ``codegen/compiler.py`` — compile-time exception
@@ -57,6 +58,7 @@ from ..concurrency import guarded_by
 
 KNOWN_SITES = frozenset({
     "access.key_index",
+    "access.partition",
     "access.zone_map",
     "catalog.table",
     "compiler.compile",

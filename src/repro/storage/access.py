@@ -11,6 +11,13 @@ vectorized, template expander) the same load-time structures:
   mapping ``value - offset`` to the row position, so an FK→PK join probes by
   array indexing instead of building a per-query hash table.  Sparse unique
   keys fall back to a prebuilt dict.
+* **Partition indices** (:meth:`AccessLayer.partition`) — for a dense
+  *multi-valued* key (a foreign key, typically), ``slots[value - offset]`` is
+  the ascending list of row positions holding that value: the hash-join
+  build over a base table, done once per loaded table instead of once per
+  request.  Positions, not copied records, so one index per ``(table,
+  column)`` serves every payload set of every query; the compiled stacks
+  fetch it in ``prepare`` and read payload columns through it.
 * **Zone maps + sorted-column partition pruning**
   (:meth:`AccessLayer.chunk_ranges`, :meth:`AccessLayer.prune_candidates`) —
   range predicates on a column skip whole chunks via the load-time zone maps
@@ -28,10 +35,18 @@ Every structure is built **lazily, once per catalog** and memoized on the
 ``measure()`` calls of the benchmark harness, reuse the same indices.
 ``build_counts`` records every construction, which is how the benchmarks
 prove the build-once claim.
+
+The catalog owns the layer and the layer points back only weakly, so the
+lifetime of every structure here — and of the planned trees and compiled
+queries in :attr:`AccessLayer.derived` — is exactly the catalog's: when the
+last reference to a catalog goes, all of it is freed by reference counting,
+with no GC pass.  The other side of that coin: keep the catalog, not just
+its layer.
 """
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -98,6 +113,25 @@ class DirectArray:
         if 0 <= index < len(self.slots):
             return self.slots[index]
         return None
+
+
+@dataclass
+class PartitionIndex:
+    """A dense multi-valued key index: ``slots[value - offset]`` is the
+    ascending list of row positions holding that key (empty when none does).
+
+    The catalog-resident form of a hash-join build over a base table
+    (Section B.1's data-structure partitioning): positions instead of copied
+    records, so one index serves every payload set of every query.  The
+    domain is that of the key a foreign key references — one slot per key of
+    the referenced primary key — so a probe drawn from the same domain needs
+    no bounds check.  Shared and read-only: consumers never write to a slot.
+    """
+
+    table: str
+    column: str
+    offset: int
+    slots: List[List[int]]
 
 
 @dataclass
@@ -406,15 +440,21 @@ class AccessLayer:
     _CREATE_LOCK = threading.Lock()
 
     def __init__(self, catalog) -> None:
+        #: weak: the catalog owns the layer (``catalog._access_layer``), so a
+        #: strong back-pointer would be a cycle, and a dropped catalog — its
+        #: columns, every structure below and the whole derived cache — would
+        #: wait for a generation-2 GC pass instead of being freed at once
         # concurrency: init-only
-        self.catalog = catalog
+        self._catalog_ref = weakref.ref(catalog)
         #: guards every memo below: pool workers share one layer per catalog,
         #: and the check-build-store sequences must be atomic or a thundering
         #: herd builds the same index many times (and tears dict state).
         #: Reentrant because pruned_indices computes through sorted_column.
         self._lock = threading.RLock()
+        #: ``(table, column)`` -> unique-key index, and
+        #: ``(table, column, "partition")`` -> partition index
         # concurrency: guarded-by(_lock)
-        self._key_indices: Dict[Tuple[str, str], Optional[object]] = {}
+        self._key_indices: Dict[Tuple[str, ...], Optional[object]] = {}
         # concurrency: guarded-by(_lock)
         self._dictionaries: Dict[Tuple[str, str], Optional[StringDictionary]] = {}
         # concurrency: guarded-by(_lock)
@@ -434,12 +474,22 @@ class AccessLayer:
         # concurrency: synchronized
         self.derived = DerivedCache()
 
+    @property
+    def catalog(self):
+        """The owning catalog; a layer held past its catalog is unusable."""
+        catalog = self._catalog_ref()
+        if catalog is None:
+            raise AccessError("the catalog of this access layer is gone")
+        return catalog
+
     @classmethod
     def for_catalog(cls, catalog) -> "AccessLayer":
         """The shared access layer of a catalog (created on first use).
 
-        Stored on the catalog object itself, so its lifetime — and that of
-        every memoized index — is exactly the catalog's lifetime.
+        Stored on the catalog object itself and pointing back only weakly,
+        so its lifetime — and that of every memoized index, planned tree and
+        compiled query — is exactly the catalog's lifetime: the last
+        reference to the catalog going away frees all of it, with no GC pass.
         """
         layer = getattr(catalog, "_access_layer", None)
         if layer is None:
@@ -524,6 +574,65 @@ class AccessLayer:
                 return None
             positions[value] = position
         return DictIndex(table, column, positions)
+
+    # ------------------------------------------------------------------
+    # Partition indices (catalog-resident hash-join builds)
+    # ------------------------------------------------------------------
+    def partition_domain(self, table: str, column: str
+                         ) -> Optional[Tuple[int, int]]:
+        """The inclusive key range ``(lo, hi)`` a partition of ``table.column``
+        covers, or ``None`` when the column cannot be partitioned.
+
+        Decided from load-time statistics alone, without building anything:
+        the column must hold non-null integers, and its *domain* — the key a
+        foreign key references, else the column itself — must be a dense key
+        (``ColumnStatistics.is_dense_key``) enclosing every stored value.
+        """
+        stats = self._column_stats(table, column)
+        if stats is None or stats.num_nulls or not stats.is_dense_key():
+            return None
+        domain = stats
+        foreign_key = self.catalog.schema.table(table).column(column).foreign_key
+        if foreign_key is not None:
+            domain = self._column_stats(foreign_key.table, foreign_key.column)
+            if domain is None or not domain.is_dense_key():
+                return None
+        lo, hi = domain.min_value, domain.max_value
+        if stats.min_value < lo or stats.max_value > hi:
+            return None  # a dangling reference: the probe could not elide its bounds check
+        return int(lo), int(hi)
+
+    def partition(self, table: str, column: str) -> Optional[PartitionIndex]:
+        """The partition index of ``table.column`` (built once), or ``None``.
+
+        One structure per ``(table, column)`` serves every query, request and
+        thread, whatever payload columns they read; the number of live
+        partitions is bounded by the schema.  A memoized partition whose key
+        domain has since moved (the *referenced* table was reloaded with a
+        different key range) is rebuilt here rather than served.
+        """
+        fault_point("access.partition", table=table, column=column)
+        key = (table, column, "partition")
+        with self._lock:
+            domain = self.partition_domain(table, column)
+            if domain is None:
+                return None
+            lo, hi = domain
+            cached = self._key_indices.get(key)
+            if cached is None or cached.offset != lo \
+                    or len(cached.slots) != hi - lo + 1:
+                cached = self._build_partition(table, column, lo, hi)
+                self._key_indices[key] = cached
+            return cached
+
+    @guarded_by("_lock")
+    def _build_partition(self, table: str, column: str, lo: int,
+                         hi: int) -> PartitionIndex:
+        self._count_build("partition", table, column)
+        slots: List[List[int]] = [[] for _ in range(hi - lo + 1)]
+        for position, value in enumerate(self.catalog.column(table, column)):
+            slots[value - lo].append(position)
+        return PartitionIndex(table, column, lo, slots)
 
     # ------------------------------------------------------------------
     # String dictionaries

@@ -115,10 +115,9 @@ class TpchGenerator:
             tables["customer"], tables["part"], tables["supplier"], tables["partsupp"])
         for name in ("region", "nation", "supplier", "customer", "part",
                      "partsupp", "orders", "lineitem"):
-            schema = catalog.schema.table(name)
-            catalog.tables[name] = ColumnarTable(schema, tables[name])
-            from ..storage.statistics import compute_table_statistics
-            catalog.statistics.tables[name] = compute_table_statistics(catalog.tables[name])
+            # the loader's path: one place computes statistics and tells the
+            # access layer (had one been created) that the table's data changed
+            catalog.register(ColumnarTable(catalog.schema.table(name), tables[name]))
         return catalog
 
     # ------------------------------------------------------------------

@@ -11,6 +11,9 @@ Specialisations applied here:
 
 * **MultiMap with a dense integer key** → an array of buckets indexed by
   ``key - lo`` (Figure 4e: ``Array[List[R]]``), removing the hashing of keys.
+  A build the pipelining lowering already replaced by the catalog's resident
+  partition (``access_partition``) is that array as it stands — only the
+  probes are lowered.
 * **HashMap aggregation with a dense integer key** → a dense accumulator
   array (``DenseAggTable``), removing key hashing on the aggregation path.
 * everything else stays on the generic (GLib-substitute) containers, which
@@ -69,6 +72,8 @@ class _Specializer:
         op = stmt.expr.op
         if op == "mmap_new":
             return self._mmap_new(stmt, rw)
+        if op == "access_partition":
+            return self._partition(stmt, rw)
         if op == "mmap_add":
             return self._mmap_add(stmt, rw)
         if op == "mmap_get":
@@ -110,6 +115,21 @@ class _Specializer:
         empty = rw.emit("list_new", [], hint="nobucket")
         guarded = not stmt.expr.attrs.get("probe_in_range", False)
         self.arrays[array.id] = (array, lo, hi, empty, guarded)
+        return array
+
+    def _partition(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
+        """Claim a catalog-resident partition as the bucket array of its probes."""
+        attrs = stmt.expr.attrs
+        if "single" in attrs:
+            return None  # already claimed
+        if attrs.get("unique") and self.defer_unique and self.flags.list_specialization:
+            return None  # a primary-key map: left for the list-specialization lowering
+        lo, hi = int(attrs["key_lo"]), int(attrs["key_hi"])
+        array = rw.emit("access_partition", stmt.expr.args,
+                        attrs=dict(attrs, single=False), hint="part")
+        empty = rw.emit("list_new", [], hint="nobucket")
+        self.arrays[array.id] = (array, lo, hi, empty,
+                                 not attrs.get("probe_in_range", False))
         return array
 
     def _mmap_add(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:

@@ -7,7 +7,9 @@ Two specialisations are applied on the way down:
   bucket list disappears entirely — the probe reads a single slot and the
   bucket iteration becomes a null check around the inlined loop body.  (The
   hash-table specialization lowering of the five-level stack leaves such maps
-  untouched so that this lowering can claim them.)
+  untouched so that this lowering can claim them.)  When the build was
+  replaced by a catalog-resident partition (``access_partition``), the direct
+  array is the catalog's own unique-key index: a slot holds the row position.
 * **Worst-case-sized buffers**: lists whose cardinality is statically bounded
   (annotated by earlier phases) could be lowered to pre-sized arrays; on the
   Python target the representation is the same object, so only the annotation
@@ -57,6 +59,8 @@ class _UniqueKeySpecializer:
         op = stmt.expr.op
         if op == "mmap_new":
             return self._mmap_new(stmt, rw)
+        if op == "access_partition":
+            return self._partition(stmt, rw)
         if op == "mmap_add":
             return self._mmap_add(stmt, rw)
         if op == "mmap_get":
@@ -76,6 +80,17 @@ class _UniqueKeySpecializer:
                         hint="slots")
         guarded = not attrs.get("probe_in_range", False)
         self.arrays[array.id] = (array, lo, hi, guarded)
+        return array
+
+    def _partition(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
+        """Claim a primary-key partition: one row position (or None) per slot."""
+        attrs = stmt.expr.attrs
+        if "single" in attrs or not attrs.get("unique"):
+            return None
+        array = rw.emit("access_partition", stmt.expr.args,
+                        attrs=dict(attrs, single=True), hint="slots")
+        self.arrays[array.id] = (array, int(attrs["key_lo"]), int(attrs["key_hi"]),
+                                 not attrs.get("probe_in_range", False))
         return array
 
     def _mmap_add(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:

@@ -19,8 +19,10 @@ the optimization flags of the compilation context decide:
 * whether rows travel as boxed records (naive) or as per-field locals
   (scalar replacement by construction),
 * whether hash-table builds over base relations are *partitioned at loading
-  time*, i.e. emitted into the hoisted block (automatic index inference +
-  data-structure partitioning, Section B.1), and
+  time* (automatic index inference + data-structure partitioning, Section
+  B.1): a lookup of the catalog's resident partition of row positions when
+  the catalog access layer is on, a build loop in the hoisted block
+  otherwise, and
 * which record layout (boxed dictionaries vs row tuples) materialised rows
   use (Section 4.2 / Figure 3).
 
@@ -38,7 +40,7 @@ from ..dsl import qplan as Q
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
 from ..stack.context import CompilationContext
-from ..stack.language import Language, QPLAN
+from ..stack.language import Language, QPLAN, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
 from .rowvals import RowVals
 from .scalar_compiler import ScalarCompiler
@@ -86,6 +88,11 @@ class _PushCompiler:
                                    is not None)
         #: shared-subplan bindings (armed per plan in :meth:`compile`)
         self.sharing: Optional[SharedSubplanMaterializer] = None
+        #: catalog-resident partitions already fetched in the hoisted block:
+        #: ``(table, column, probe_in_range) -> sym`` (the bounds-check
+        #: decision rides on the fetch, so probes share one only when they
+        #: agree on it)
+        self._partitions: Dict[Tuple[str, str, bool], Sym] = {}
 
     # ------------------------------------------------------------------
     # Builder management
@@ -481,10 +488,13 @@ class _PushCompiler:
     def _build_hash_table(self, side: Q.Operator, key_expr: E.Expr,
                           probe_key_expr: Optional[E.Expr] = None,
                           probe_side: Optional[Q.Operator] = None
-                          ) -> Tuple[Sym, List[str], Optional[E.Expr]]:
+                          ) -> Tuple[Sym, List[str], Optional[E.Expr],
+                                     Callable[[Sym], RowVals]]:
         """Build (possibly at loading time) a MultiMap over ``side`` keyed by ``key_expr``.
 
-        Returns ``(mmap_sym, stored_fields, probe_filter)``.
+        Returns ``(mmap_sym, stored_fields, probe_filter, bucket_rows)``;
+        ``bucket_rows(element)`` is the build row a bucket element stands
+        for (a stored record, or a base-table row position).
         """
         fields = Q.output_fields(side, self.catalog)
         partition = self._partition_info(side, key_expr)
@@ -513,20 +523,66 @@ class _PushCompiler:
             # be elided in the specialised code.
             attrs["probe_in_range"] = probe_domain == attrs.get("key_domain")
 
+        def stored_row(element: Sym) -> RowVals:
+            return self._bucket_rows(element, fields)
+
         if partition is not None:
             scan, probe_filter = partition
             attrs["partitioned"] = True
+            if self._has_resident_partition(scan.table, key_expr.name, attrs):
+                return self._resident_partition(scan, key_expr.name, attrs,
+                                                probe_filter)
             self._use_builder(self.hoisted)
             try:
                 hash_table = self.b.emit("mmap_new", [], attrs=attrs, hint="part")
                 self._emit_build_loop(scan, key_expr, hash_table, fields)
             finally:
                 self._pop_builder()
-            return hash_table, fields, probe_filter
+            return hash_table, fields, probe_filter, stored_row
 
         hash_table = self.b.emit("mmap_new", [], attrs=attrs, hint="hm")
         self._emit_build_loop(side, key_expr, hash_table, fields)
-        return hash_table, fields, None
+        return hash_table, fields, None, stored_row
+
+    def _has_resident_partition(self, table: str, column: str, attrs: Dict) -> bool:
+        """Whether a partitioned build can be the catalog's own partition.
+
+        Only a stack that lowers MultiMaps (the hash-table specialization
+        below ScaLite[Map, List]) can turn the probe into array indexing, and
+        the catalog's partition must cover exactly the key range the
+        specialised probe will bake in.  Decided from statistics: nothing is
+        built at compile time.
+        """
+        if not (self.catalog_access and self.target is SCALITE_MAP_LIST
+                and "key_lo" in attrs):
+            return False
+        from ..storage.access import AccessLayer
+        return AccessLayer.for_catalog(self.catalog).partition_domain(
+            table, column) == (attrs["key_lo"], attrs["key_hi"])
+
+    def _resident_partition(self, scan: Q.Scan, column: str, attrs: Dict,
+                            probe_filter: Optional[E.Expr]):
+        """A partitioned build served by the catalog's partition of row
+        positions (one per ``(table, column)``, shared by every query,
+        request and thread): no build loop at all, and the probe reads the
+        payload columns of a matching position from the base table."""
+        key = (scan.table, column, bool(attrs.get("probe_in_range")))
+        partition = self._partitions.get(key)
+        if partition is None:
+            self._use_builder(self.hoisted)
+            try:
+                partition = self._partitions[key] = self.b.emit(
+                    "access_partition", [self.db],
+                    attrs=dict(attrs, table=scan.table, column=column),
+                    hint="part")
+            finally:
+                self._pop_builder()
+        fields, columns = self._scan_columns(scan)
+
+        def row_at(position: Sym) -> RowVals:
+            return RowVals.column_backed(self.b, columns, position, fields)
+
+        return partition, fields, probe_filter, row_at
 
     def _emit_build_loop(self, side: Q.Operator, key_expr: E.Expr, hash_table: Sym,
                          fields: List[str]) -> None:
@@ -541,7 +597,7 @@ class _PushCompiler:
         return RowVals.record_backed(self.b, element, fields, layout=self.record_layout)
 
     def _hash_join_inner(self, node: Q.HashJoin, consume: Consumer) -> None:
-        hash_table, build_fields, probe_filter = self._build_hash_table(
+        hash_table, build_fields, probe_filter, bucket_rows = self._build_hash_table(
             node.left, node.left_key, node.right_key, node.right)
 
         def probe(right_row: RowVals) -> None:
@@ -550,7 +606,7 @@ class _PushCompiler:
             bucket = b.emit("mmap_get", [hash_table, key], hint="bucket")
 
             def per_match(element: Sym) -> None:
-                left_row = self._bucket_rows(element, build_fields)
+                left_row = bucket_rows(element)
 
                 def emit_match() -> None:
                     combined = left_row.merge(right_row, b)
@@ -573,7 +629,7 @@ class _PushCompiler:
 
     def _hash_join_left(self, node: Q.HashJoin, consume: Consumer) -> None:
         """Semi, anti and outer joins: hash the right side, stream the left side."""
-        hash_table, build_fields, probe_filter = self._build_hash_table(
+        hash_table, build_fields, probe_filter, bucket_rows = self._build_hash_table(
             node.right, node.right_key, node.left_key, node.left)
 
         def probe(left_row: RowVals) -> None:
@@ -585,7 +641,7 @@ class _PushCompiler:
                 found = b.emit("var_new", [Const(False)], hint="found")
 
                 def per_match(element: Sym) -> None:
-                    right_row = self._bucket_rows(element, build_fields)
+                    right_row = bucket_rows(element)
                     conds = []
                     if probe_filter is not None:
                         conds.append(self.scalars.compile(probe_filter, right_row))
@@ -613,7 +669,7 @@ class _PushCompiler:
             matched = b.emit("var_new", [Const(False)], hint="matched")
 
             def per_match(element: Sym) -> None:
-                right_row = self._bucket_rows(element, build_fields)
+                right_row = bucket_rows(element)
 
                 def emit_match() -> None:
                     b.emit("var_write", [matched, Const(True)])

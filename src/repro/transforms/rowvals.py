@@ -2,13 +2,16 @@
 
 A :class:`RowVals` is the compile-time stand-in for "the current row" while
 operators are being lowered: it maps column names to the IR atoms holding
-their values.  Rows come in two flavours:
+their values.  Rows come in three flavours:
 
 * **scalar rows** hold one atom per column (the fields of the row live in
-  local variables — scalar replacement by construction), and
+  local variables — scalar replacement by construction),
 * **record-backed rows** hold a single record atom and read fields through
   ``record_get`` on demand (the boxed representation the naive two-level
-  stack uses).
+  stack uses), and
+* **column-backed rows** hold a row position and read fields through
+  ``array_get`` on the base table's column arrays on demand (the elements of
+  a catalog-resident partition are positions, not records).
 
 Materialising a row produces a record value that can be stored in data
 structures (hash-table buckets, sort buffers, the result list); the layout of
@@ -17,7 +20,7 @@ of Section 4.2.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const
@@ -30,12 +33,14 @@ class RowVals:
                  record: Optional[Atom] = None,
                  record_fields: Tuple[str, ...] = (),
                  layout: str = "boxed",
-                 builder: Optional[IRBuilder] = None) -> None:
+                 read: Optional[Callable[[str], Atom]] = None) -> None:
         self._values = dict(values)
         self._record = record
+        #: the columns read on demand through ``read`` (backed rows only)
         self._record_fields = tuple(record_fields)
         self._layout = layout
-        self._builder = builder
+        #: emits the read of one of ``record_fields`` and returns its atom
+        self._read = read
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -47,8 +52,24 @@ class RowVals:
     @classmethod
     def record_backed(cls, builder: IRBuilder, record: Atom, fields: Sequence[str],
                       layout: str = "boxed") -> "RowVals":
-        return cls({}, record=record, record_fields=tuple(fields), layout=layout,
-                   builder=builder)
+        fields = tuple(fields)
+
+        def read(name: str) -> Atom:
+            return builder.emit(
+                "record_get", [record],
+                attrs={"field": name, "layout": layout, "fields": fields},
+                hint=name.split("_")[-1][:8] or "f")
+        return cls({}, record=record, record_fields=fields, layout=layout,
+                   read=read)
+
+    @classmethod
+    def column_backed(cls, builder: IRBuilder, columns: Dict[str, Atom],
+                      index: Atom, fields: Sequence[str]) -> "RowVals":
+        """The base-table row at position ``index``, read column by column."""
+        def read(name: str) -> Atom:
+            return builder.emit("array_get", [columns[name], index],
+                                hint=name[:10])
+        return cls({}, record_fields=tuple(fields), read=read)
 
     @classmethod
     def nulls(cls, fields: Sequence[str]) -> "RowVals":
@@ -59,7 +80,7 @@ class RowVals:
     # Access
     # ------------------------------------------------------------------
     def fields(self) -> List[str]:
-        if self._record is not None:
+        if self._record_fields:
             return list(self._record_fields)
         return list(self._values)
 
@@ -67,18 +88,15 @@ class RowVals:
         return name in self._values or name in self._record_fields
 
     def get(self, name: str) -> Atom:
-        """The atom holding column ``name`` (reads through the record if needed)."""
+        """The atom holding column ``name`` (reads through the backing if needed)."""
         if name in self._values:
             return self._values[name]
-        if self._record is not None and name in self._record_fields:
-            # Note: the read is re-emitted at every access (record_get has a
-            # read effect, so it is never shared); caching the atom here would
-            # risk referencing a value bound in a sibling scope.
-            return self._builder.emit(
-                "record_get", [self._record],
-                attrs={"field": name, "layout": self._layout,
-                       "fields": self._record_fields},
-                hint=name.split("_")[-1][:8] or "f")
+        if self._read is not None and name in self._record_fields:
+            # Note: the read is re-emitted at every access (record_get and
+            # array_get have a read effect, so they are never shared); caching
+            # the atom here would risk referencing a value bound in a sibling
+            # scope.
+            return self._read(name)
         raise KeyError(f"row has no column {name!r}; available: {self.fields()}")
 
     def merge(self, other: "RowVals", builder: IRBuilder) -> "RowVals":
@@ -86,10 +104,10 @@ class RowVals:
         values = {name: self.get(name) for name in self.fields()}
         for name in other.fields():
             values[name] = other.get(name)
-        return RowVals(values, builder=builder)
+        return RowVals(values)
 
     def restricted(self, fields: Sequence[str]) -> "RowVals":
-        return RowVals({name: self.get(name) for name in fields}, builder=self._builder)
+        return RowVals({name: self.get(name) for name in fields})
 
     # ------------------------------------------------------------------
     # Materialisation

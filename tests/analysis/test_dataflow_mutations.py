@@ -35,8 +35,9 @@ def _rebuild(program, body=None, hoisted=None):
                         hoisted if hoisted is not None else program.hoisted)
 
 
-def compile_mutated(catalog, mutation, name, query):
+def compile_mutated(catalog, mutation, name, query, **flag_overrides):
     config = build_config(CONFIG)
+    config.flags = config.flags.copy_with(**flag_overrides)
     broken = FunctionOptimization(language_by_name(LEVEL), name, mutation)
     stack = DslStack(config.stack.name + "+mutation",
                      config.stack.languages, config.stack.lowerings,
@@ -53,7 +54,10 @@ def build_query_cached(name):
 class TestDataflowMutations:
     def test_parallelizable_stamp_on_loop_carried_write_rejected(self, tpch_catalog):
         """A loop the dependence analysis proves sequential (order-dependent
-        array_set into a shared slots array) stamped ``parallelizable``."""
+        array_set into a shared slots array) stamped ``parallelizable``.
+        Only the hoisted build loop of a primary-key map is sequential, and
+        with the catalog access layer on there is no such loop (the slots are
+        the catalog's own index), so this compiles the ``no_access`` mode."""
 
         def stamp(program, context):
             for verdict in classify_loops(program):
@@ -66,7 +70,8 @@ class TestDataflowMutations:
             return program
 
         with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, stamp, "broken-annotator", "Q16")
+            compile_mutated(tpch_catalog, stamp, "broken-annotator", "Q16",
+                            catalog_access_layer=False)
         assert exc.value.check == "parallel-safety"
         assert exc.value.phase == f"broken-annotator[{LEVEL}]"
         assert "sequential" in str(exc.value)
@@ -182,7 +187,10 @@ class TestDataflowMutations:
             return _rebuild(program, hoisted=hoisted) if done else program
 
         with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, flip, "broken-retarget", "Q16")
+            # the sequential loop is the hoisted primary-key build, which only
+            # the no_access mode still emits (see the stamp test above)
+            compile_mutated(tpch_catalog, flip, "broken-retarget", "Q16",
+                            catalog_access_layer=False)
         assert exc.value.check == "parallel-safety"
         assert exc.value.phase == f"broken-retarget[{LEVEL}]"
         assert "flipped" in str(exc.value)
@@ -249,3 +257,40 @@ class TestDataflowMutations:
         assert exc.value.check == "dataflow"
         assert exc.value.phase == f"broken-unwrap[{LEVEL}]"
         assert "justification" in str(exc.value)
+
+    def test_partition_probe_offset_off_by_one_rejected(self, tpch_catalog):
+        """The probe of a catalog-resident partition indexes ``key - key_lo``;
+        a variant that subtracts one more shifts every probe to its
+        neighbour's bucket (and ``-1`` wraps to the last one).  The shifted
+        index interval no longer fits the one the unmutated program had."""
+
+        def shift(program, context):
+            defs = use_def(program).defs
+            probe_indices = {
+                stmt.expr.args[1].id for stmt, _ in iter_program_stmts(program)
+                if stmt.expr.op == "array_get"
+                and isinstance(stmt.expr.args[0], Sym)
+                and isinstance(stmt.expr.args[1], Sym)
+                and defs[stmt.expr.args[0].id].expr.op == "access_partition"}
+
+            def rewrite(block):
+                stmts = []
+                for stmt in block.stmts:
+                    expr = stmt.expr
+                    args = expr.args
+                    if stmt.sym.id in probe_indices and expr.op == "sub":
+                        args = (args[0], Const(args[1].value + 1))
+                    stmts.append(Stmt(stmt.sym, Expr(
+                        expr.op, args, dict(expr.attrs),
+                        tuple(rewrite(nested) for nested in expr.blocks),
+                        expr.type)))
+                return Block(stmts, block.result, block.params)
+
+            assert probe_indices, "Q4 no longer probes a resident partition"
+            return _rebuild(program, body=rewrite(program.body))
+
+        with pytest.raises(VerificationError) as exc:
+            compile_mutated(tpch_catalog, shift, "broken-probe-offset", "Q4")
+        assert exc.value.check == "interval"
+        assert exc.value.phase == f"broken-probe-offset[{LEVEL}]"
+        assert "widened" in str(exc.value)

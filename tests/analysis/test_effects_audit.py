@@ -77,6 +77,57 @@ class TestDeclarationAudit:
             audit_effects(program_of([stmt], stmt.sym))
 
 
+class TestSharedStructuresAreReadOnly:
+    """Catalog-resident structures (``shared_result`` ops) are shared by every
+    query, request and thread: a write whose target derives from one is a
+    verifier error, however the target was reached."""
+
+    PARTITION = {"table": "L", "column": "l_key", "key_lo": 1, "key_hi": 9,
+                 "single": False}
+
+    def _partition(self):
+        return Stmt(Sym("part"), Expr("access_partition", (Sym("db"),),
+                                      dict(self.PARTITION)))
+
+    def test_reading_a_bucket_passes(self):
+        part = self._partition()
+        bucket = Stmt(Sym("bucket"), Expr("array_get", (part.sym, Const(0))))
+        size = Stmt(Sym("n"), Expr("list_len", (bucket.sym,)))
+        audit_effects(program_of([part, bucket, size], size.sym))
+
+    def test_append_to_a_bucket_rejected(self):
+        part = self._partition()
+        bucket = Stmt(Sym("bucket"), Expr("array_get", (part.sym, Const(0))))
+        write = Stmt(Sym("w"), Expr("list_append", (bucket.sym, Const(7))))
+        with pytest.raises(VerificationError, match="catalog-resident"):
+            audit_effects(program_of([part, bucket, write], write.sym))
+
+    def test_overwriting_a_slot_rejected(self):
+        part = self._partition()
+        write = Stmt(Sym("w"), Expr("array_set", (part.sym, Const(0), Const(None))))
+        with pytest.raises(VerificationError, match="catalog-resident"):
+            audit_effects(program_of([part, write], write.sym))
+
+    def test_bucket_of_a_guarded_probe_rejected(self):
+        """The bounds-guarded probe hands the bucket out of an ``if_`` arm."""
+        part = self._partition()
+        empty = Stmt(Sym("nobucket"), Expr("list_new", ()))
+        slot = Sym("slot")
+        hit = Block([Stmt(slot, Expr("array_get", (part.sym, Const(0))))], slot)
+        probe = Stmt(Sym("bucket"), Expr("if_", (Const(True),),
+                                         blocks=(hit, Block([], empty.sym))))
+        write = Stmt(Sym("w"), Expr("list_append", (probe.sym, Const(7))))
+        with pytest.raises(VerificationError, match="catalog-resident"):
+            audit_effects(program_of([part, empty, probe, write], write.sym))
+
+    def test_write_into_a_base_column_rejected(self):
+        column = Stmt(Sym("col"), Expr("table_column", (Sym("db"),),
+                                       {"table": "L", "column": "l_key"}))
+        write = Stmt(Sym("w"), Expr("array_set", (column.sym, Const(0), Const(1))))
+        with pytest.raises(VerificationError, match="catalog-resident"):
+            audit_effects(program_of([column, write], write.sym))
+
+
 class TestTransitionAudit:
     def test_identity_passes(self):
         program, _ = writer_program()

@@ -116,6 +116,36 @@ class TestMutationSuite:
         assert "removable" in str(exc.value)
         assert exc.value.phase == f"effectful-dce[{LEVEL}]"
 
+    def test_write_into_shared_partition_bucket_rejected(self, tpch_catalog):
+        """A variant that appends to a bucket of the catalog's resident
+        partition: the bucket is shared by every query, request and thread,
+        so generated code may only read it."""
+
+        def rewrite(block, partitions):
+            stmts = []
+            for stmt in block.stmts:
+                expr = stmt.expr
+                stmts.append(Stmt(stmt.sym, Expr(
+                    expr.op, expr.args, dict(expr.attrs),
+                    tuple(rewrite(nested, partitions) for nested in expr.blocks),
+                    expr.type)))
+                if expr.op == "array_get" and expr.args[0] in partitions:
+                    stmts.append(Stmt(Sym("mutwrite"), Expr(
+                        "list_append", (stmt.sym, Const(0)))))
+            return Block(stmts, block.result, block.params)
+
+        def mutate(program, context):
+            partitions = {stmt.sym for stmt in program.hoisted.stmts
+                          if stmt.expr.op == "access_partition"}
+            assert partitions, "Q4 no longer probes a resident partition"
+            return _rebuild(program, rewrite(program.body, partitions))
+
+        with pytest.raises(VerificationError) as exc:
+            compile_mutated(tpch_catalog, mutate, "bucket-write", query="Q4")
+        assert exc.value.check == "effects"
+        assert "catalog-resident" in str(exc.value)
+        assert exc.value.phase == f"bucket-write[{LEVEL}]"
+
     def test_reordered_writes_rejected(self, tpch_catalog):
         """Hoisting variant that swaps two effect-pinned statements."""
 

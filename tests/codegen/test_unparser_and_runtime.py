@@ -200,3 +200,44 @@ class TestRuntime:
         assert not runtime.like("requests then special", "%special%requests%")
         assert runtime.like("forest green", "forest%")
         assert not runtime.like("green forest", "forest%")
+
+
+class TestCatalogPartition:
+    """``access_partition`` and its runtime companion."""
+
+    ATTRS = {"table": "S", "column": "s_rid", "key_lo": 10, "key_hi": 50}
+
+    def _program(self, **claimed):
+        db = Sym("db")
+        part = Stmt(Sym("part"), Expr("access_partition", (db,),
+                                      dict(self.ATTRS, **claimed)))
+        bucket = Stmt(Sym("bucket"), Expr("array_get", (part.sym, Const(0))))
+        return Program(body=Block([bucket], bucket.sym), params=(db,),
+                       language="C.Py", hoisted=Block([part]))
+
+    def test_claimed_partition_fetches_the_slot_array(self, tiny_catalog):
+        result, source = unparse_and_run(self._program(single=False), tiny_catalog)
+        assert "_rt.catalog_partition(db" in source
+        assert "'S', 's_rid', 10, 41, False)" in source
+        assert result == [0, 2]   # rows of S with s_rid == 10
+
+    def test_unclaimed_partition_is_an_unparser_error(self):
+        with pytest.raises(UnparserError, match="never claimed"):
+            PythonUnparser().unparse(self._program())
+
+    def test_other_key_range_than_compiled_fails_loudly(self, tiny_catalog):
+        from repro.storage.access import AccessError
+        slots = runtime.catalog_partition(tiny_catalog, "S", "s_rid", 10, 41, False)
+        assert slots is tiny_catalog.access_layer().partition("S", "s_rid").slots
+        with pytest.raises(AccessError, match="compiled against"):
+            runtime.catalog_partition(tiny_catalog, "S", "s_rid", 10, 40, False)
+        with pytest.raises(AccessError, match="compiled against"):
+            runtime.catalog_partition(tiny_catalog, "R", "r_name", 0, 5, False)
+
+    def test_single_slots_come_from_the_unique_key_index(self, tiny_catalog):
+        from repro.storage.access import AccessError
+        slots = runtime.catalog_partition(tiny_catalog, "R", "r_id", 1, 5, True)
+        assert slots is tiny_catalog.access_layer().key_index("R", "r_id").slots
+        assert slots == [0, 1, 2, 3, 4]
+        with pytest.raises(AccessError):   # s_rid is not unique
+            runtime.catalog_partition(tiny_catalog, "S", "s_rid", 10, 41, True)

@@ -35,8 +35,14 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 #: Queries whose access-path plan degrades when the named structure breaks
 #: (measured against the deterministic sf=0.001/seed=20160626 catalog: the
 #: planner only chooses an IndexJoin / zone-map pruned scan where the
-#: statistics justify one, and only a *used* structure can fault).
-KEY_INDEX_DEPENDENT = {"Q7", "Q10", "Q12", "Q14", "Q15", "Q18", "Q19", "Q20"}
+#: statistics justify one, and only a *used* structure can fault).  The
+#: compiled tier also probes the unique-key index wherever a hash build over
+#: a primary key became the catalog's resident slot array.
+KEY_INDEX_DEPENDENT = {"Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q10", "Q11", "Q12",
+                       "Q14", "Q15", "Q16", "Q17", "Q18", "Q19", "Q20", "Q21"}
+#: queries with a hash build over a non-unique dense key of a base table
+#: (lineitem by l_orderkey, orders by o_custkey, partsupp by ps_partkey)
+PARTITION_DEPENDENT = {"Q4", "Q9", "Q13", "Q21", "Q22"}
 ZONE_MAP_DEPENDENT = {"Q1", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8", "Q10", "Q12",
                       "Q14", "Q15", "Q19", "Q20", "Q21", "Q22"}
 
@@ -126,6 +132,38 @@ class TestBrokenKeyIndex:
 
 
 @pytest.mark.timeout(120)
+class TestBrokenPartition:
+    """A broken partition index costs the access paths, not the tier: the
+    compiled stack retries in ``no_access`` mode, where the build is the
+    per-query hoisted loop again."""
+
+    @pytest.mark.parametrize("name", QUERY_NAMES)
+    def test_plan_degrades_only_where_a_partition_is_used(self, tpch_catalog,
+                                                          reference_results,
+                                                          name):
+        executor = HardenedExecutor(tpch_catalog, incidents=IncidentLog())
+        faults = FaultPlan([FaultSpec(site="access.partition",
+                                      error=DataCorruptionFault,
+                                      fires_on=None)], seed=CHAOS_SEED)
+        with inject(faults):
+            report = executor.execute(build_query(name), name)
+        assert report.tier == "compiled"
+        degraded = executor.incidents.records(category="plan_degraded")
+        if name in PARTITION_DEPENDENT:
+            assert report.plan_mode == "no_access"
+            assert len(degraded) == 1
+            assert degraded[0].detail["to_mode"] == "no_access"
+            assert [a["error_type"] for a in report.attempts] == \
+                ["DataCorruptionFault"]
+        else:
+            assert report.plan_mode == "access"
+            assert degraded == [] and report.attempts == []
+        # the tier itself never failed
+        assert executor.incidents.records(category="tier_failure") == []
+        _check_parity(reference_results, name, report)
+
+
+@pytest.mark.timeout(120)
 class TestCorruptZoneMap:
     """A corrupted zone map likewise costs the access paths, not the tier."""
 
@@ -201,6 +239,7 @@ class TestFaultStorm:
         ("access.key_index",
          lambda: AccessError("storm: index corrupted"), 0.20),
         ("access.zone_map", DataCorruptionFault, 0.15),
+        ("access.partition", DataCorruptionFault, 0.15),
     )
 
     @pytest.mark.parametrize("name", QUERY_NAMES)

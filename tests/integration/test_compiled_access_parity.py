@@ -4,11 +4,15 @@ The compiled lineup now consumes the same catalog-resident physical access
 layer as the direct engines (PR 4) and shares repeated subplans at the IR
 level.  This suite proves the closed architecture loop end to end: every
 TPC-H query, planner-optimized and pushed through ``dblab-5`` and
-``tpch-compliant`` with the access layer and subplan sharing enabled,
-returns rows equivalent (under the raw plan's sort contract) to the Volcano
-reference executing the raw plan — and the whole 22-query run builds every
-access structure exactly once.
+``tpch-compliant`` with subplan sharing enabled and the access layer on
+(builds over base tables are the catalog's resident partitions) and off (the
+hoisted build loops of the ``no_access`` ladder mode), returns rows
+equivalent (under the raw plan's sort contract) to the Volcano reference
+executing the raw plan — and the whole 22-query run builds every access
+structure exactly once.
 """
+import functools
+
 import pytest
 
 from repro.bench.harness import assert_rows_equivalent
@@ -33,23 +37,29 @@ def reference(tpch_catalog):
     return {name: engine.execute(build_query(name)) for name in QUERY_NAMES}
 
 
-@pytest.fixture(scope="module")
-def compilers(tpch_catalog):
+@functools.lru_cache(maxsize=None)
+def _compilers(access):
     built = {}
     for config_name in CONFIGS:
         config = build_config(config_name)
-        flags = config.flags.copy_with(catalog_access_layer=True,
+        flags = config.flags.copy_with(catalog_access_layer=access,
                                        subplan_sharing=True)
         built[config_name] = QueryCompiler(config.stack, flags)
     return built
 
 
+@pytest.fixture(scope="module")
+def compilers(tpch_catalog):
+    return _compilers(access=True)
+
+
+@pytest.mark.parametrize("access", [True, False], ids=["access", "no_access"])
 @pytest.mark.parametrize("config_name", CONFIGS)
 @pytest.mark.parametrize("query_name", QUERY_NAMES)
-def test_all22_contract_parity(tpch_catalog, planned, reference, compilers,
-                               config_name, query_name):
-    compiled = compilers[config_name].compile(planned[query_name],
-                                              tpch_catalog, query_name)
+def test_all22_contract_parity(tpch_catalog, planned, reference,
+                               config_name, query_name, access):
+    compiled = _compilers(access)[config_name].compile(planned[query_name],
+                                                       tpch_catalog, query_name)
     rows = compiled.run(tpch_catalog)
     assert_rows_equivalent(reference[query_name], rows,
                            sort_keys=sort_contract(build_query(query_name)),

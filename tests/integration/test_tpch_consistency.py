@@ -60,11 +60,17 @@ class TestPlanWellFormedness:
 class TestAllQueriesAtFullStack:
     """All 22 queries: interpreter vs the five-level stack."""
 
+    @pytest.mark.parametrize("access", [True, False],
+                             ids=["access", "no_access"])
     @pytest.mark.parametrize("query_name", QUERY_NAMES)
-    def test_dblab5_matches_interpreter(self, tpch_catalog, reference_results, query_name):
+    def test_dblab5_matches_interpreter(self, tpch_catalog, reference_results,
+                                        query_name, access):
+        """With the catalog access layer on (hash builds over base tables are
+        the catalog's resident partitions) and off (hoisted build loops)."""
         config = build_config("dblab-5")
         plan = build_query(query_name)
-        compiled = QueryCompiler(config.stack, config.flags).compile(
+        flags = config.flags.copy_with(catalog_access_layer=access)
+        compiled = QueryCompiler(config.stack, flags).compile(
             plan, tpch_catalog, query_name)
         assert canon(compiled.run(tpch_catalog)) == canon(reference_results[query_name])
 

@@ -132,4 +132,5 @@ class TestInstallation:
         for site in ("server.queue_stall", "server.executor_slow",
                      "server.deadline_skew"):
             assert site in KNOWN_SITES
-        assert len(KNOWN_SITES) == 13
+        assert "access.partition" in KNOWN_SITES
+        assert len(KNOWN_SITES) == 14

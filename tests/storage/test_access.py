@@ -6,7 +6,7 @@ import pytest
 from repro.dsl.expr import col, date, in_list, like, lit
 from repro.dsl.expr_compile import compile_columnar_predicate, compile_row
 from repro.storage.access import (AccessLayer, DictIndex, DirectArray,
-                                  extract_zone_filters,
+                                  PartitionIndex, extract_zone_filters,
                                   rewrite_string_predicates,
                                   template_key_index, template_pruned_indices)
 from repro.storage.access import AccessError
@@ -37,7 +37,8 @@ def _catalog(rows=None):
 
 class TestKeyIndex:
     def test_dense_key_gets_a_direct_array(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         index = layer.key_index("R", "r_id")
         assert isinstance(index, DirectArray)
         assert index.lookup(10) == 0
@@ -46,20 +47,23 @@ class TestKeyIndex:
         assert index.lookup(9) is None
 
     def test_direct_array_matches_hash_key_semantics(self):
-        index = _catalog().access_layer().key_index("R", "r_id")
+        catalog = _catalog()
+        index = catalog.access_layer().key_index("R", "r_id")
         # a float that equals an int key must match, like a dict lookup would
         assert index.lookup(12.0) == 2
         assert index.lookup(12.5) is None
         assert index.lookup("12") is None
 
     def test_sparse_unique_key_gets_a_dict_index(self):
-        index = _catalog().access_layer().key_index("S", "s_id")
+        catalog = _catalog()
+        index = catalog.access_layer().key_index("S", "s_id")
         assert isinstance(index, DictIndex)
         assert index.lookup(900000) == 1
         assert index.lookup(8) is None
 
     def test_non_unique_column_has_no_index(self):
-        assert _catalog().access_layer().key_index("R", "r_tag") is None
+        catalog = _catalog()
+        assert catalog.access_layer().key_index("R", "r_tag") is None
 
     def test_built_once_and_memoized(self):
         catalog = _catalog()
@@ -73,16 +77,101 @@ class TestKeyIndex:
         assert catalog.access_layer() is layer
 
 
+def _fk_catalog(dept_ids=(1, 2, 3, 4), emp_depts=(3, 1, 3, 4, 1)):
+    """dept(d_id PK) <- emp(e_dept FK): department 2 has no employee."""
+    catalog = Catalog()
+    catalog.register(ColumnarTable(
+        TableSchema("dept", [int_column("d_id")], primary_key=("d_id",)),
+        {"d_id": list(dept_ids)}))
+    catalog.register(ColumnarTable(
+        TableSchema("emp", [int_column("e_id"),
+                            int_column("e_dept", references=("dept", "d_id"))],
+                    primary_key=("e_id",)),
+        {"e_id": list(range(10, 10 + len(emp_depts))),
+         "e_dept": list(emp_depts)}))
+    return catalog
+
+
+class TestPartitionIndex:
+    def test_positions_ascend_per_key_of_the_referenced_domain(self):
+        catalog = _fk_catalog()
+        index = catalog.access_layer().partition("emp", "e_dept")
+        assert isinstance(index, PartitionIndex)
+        assert index.offset == 1
+        # one slot per department, the empty one included
+        assert index.slots == [[1, 4], [], [0, 2], [3]]
+
+    def test_domain_is_decided_from_statistics_without_building(self):
+        catalog = _fk_catalog()
+        layer = catalog.access_layer()
+        assert layer.partition_domain("emp", "e_dept") == (1, 4)
+        assert layer.partition_domain("dept", "d_id") == (1, 4)
+        assert layer.build_counts == {}
+
+    def test_unpartitionable_columns(self):
+        catalog = _catalog()
+        layer = catalog.access_layer()
+        assert layer.partition_domain("R", "r_tag") is None     # strings
+        assert layer.partition_domain("S", "s_id") is None      # sparse
+        assert layer.partition("S", "s_id") is None
+        assert layer.partition_domain("R", "no_such") is None
+        assert layer.build_counts == {}
+
+    def test_dangling_reference_is_not_partitioned(self):
+        """A value outside the referenced key range would index out of the
+        slot array of a probe that elided its bounds check."""
+        catalog = _fk_catalog(emp_depts=(3, 1, 9))
+        assert catalog.access_layer().partition("emp", "e_dept") is None
+
+    def test_built_once_and_dropped_with_its_table(self):
+        catalog = _fk_catalog()
+        layer = catalog.access_layer()
+        first = layer.partition("emp", "e_dept")
+        assert layer.partition("emp", "e_dept") is first
+        assert layer.build_counts[("partition", "emp", "e_dept")] == 1
+        catalog.register(catalog.table("dept"))     # another table: kept
+        assert layer.partition("emp", "e_dept") is first
+        catalog.register(catalog.table("emp"))
+        assert layer.partition("emp", "e_dept") is not first
+        assert layer.build_counts[("partition", "emp", "e_dept")] == 2
+
+    def test_rebuilt_when_the_referenced_domain_moves(self):
+        """Reloading the *referenced* table with another key range leaves
+        the memo of the referencing table in place but no longer valid."""
+        catalog = _fk_catalog()
+        layer = catalog.access_layer()
+        assert len(layer.partition("emp", "e_dept").slots) == 4
+        dept = catalog.table("dept")
+        catalog.register(ColumnarTable(dept.schema, {"d_id": [0, 1, 2, 3, 4, 5]}))
+        index = layer.partition("emp", "e_dept")
+        assert (index.offset, len(index.slots)) == (0, 6)
+        assert index.slots[3] == [0, 2]
+        assert layer.build_counts[("partition", "emp", "e_dept")] == 2
+
+    def test_unique_key_index_is_not_disturbed(self):
+        """Partitions share the key-index memo; the two never collide."""
+        catalog = _fk_catalog()
+        layer = catalog.access_layer()
+        partition = layer.partition("dept", "d_id")
+        index = layer.key_index("dept", "d_id")
+        assert isinstance(index, DirectArray) and index.slots == [0, 1, 2, 3]
+        assert partition.slots == [[0], [1], [2], [3]]
+        assert layer.partition("dept", "d_id") is partition
+        assert layer.key_index("dept", "d_id") is index
+
+
 class TestStringDictionary:
     def test_codes_follow_sorted_value_order(self):
-        dictionary = _catalog().access_layer().dictionary("R", "r_tag")
+        catalog = _catalog()
+        dictionary = catalog.access_layer().dictionary("R", "r_tag")
         assert dictionary.values == ["alpha", "beta", "gamma"]
         assert dictionary.codes == [1, 0, 1, 2, 0]
         assert dictionary.code("gamma") == 2
         assert dictionary.code("delta") is None
 
     def test_prefix_code_range(self):
-        dictionary = _catalog().access_layer().dictionary("R", "r_tag")
+        catalog = _catalog()
+        dictionary = catalog.access_layer().dictionary("R", "r_tag")
         lo, hi = dictionary.prefix_code_range("a")
         assert (lo, hi) == (0, 1)
         assert dictionary.prefix_code_range("x") == (3, 3)
@@ -98,18 +187,21 @@ class TestStringDictionary:
         assert catalog.access_layer().dictionary("T", "t_s") is None
 
     def test_non_string_column_is_not_encoded(self):
-        assert _catalog().access_layer().dictionary("R", "r_val") is None
+        catalog = _catalog()
+        assert catalog.access_layer().dictionary("R", "r_val") is None
 
 
 class TestSortedColumn:
     def test_unsorted_column_gets_a_permutation(self):
-        index = _catalog().access_layer().sorted_column("R", "r_val")
+        catalog = _catalog()
+        index = catalog.access_layer().sorted_column("R", "r_val")
         assert index.values == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert list(index.permutation) == [1, 3, 2, 4, 0]
         assert not index.identity
 
     def test_sorted_column_is_identity(self):
-        index = _catalog().access_layer().sorted_column("R", "r_id")
+        catalog = _catalog()
+        index = catalog.access_layer().sorted_column("R", "r_id")
         assert index.identity
         assert list(index.permutation) == [0, 1, 2, 3, 4]
 
@@ -135,22 +227,26 @@ class TestZoneFilterExtraction:
 
 class TestPruning:
     def test_candidates_are_ascending_and_cover_all_matches(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         candidates = layer.prune_candidates("R", [("r_val", ">", 3.5)])
         assert list(candidates) == sorted(candidates)
         assert set(candidates) == {0, 4}      # 5.0 and 4.0
 
     def test_equality_on_strings_prunes(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         candidates = layer.prune_candidates("R", [("r_tag", "==", "gamma")])
         assert list(candidates) == [3]
 
     def test_unselective_range_returns_none(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         assert layer.prune_candidates("R", [("r_val", ">", 0.0)]) is None
 
     def test_combined_bounds_on_one_column(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         candidates = layer.prune_candidates(
             "R", [("r_val", ">=", 2.0), ("r_val", "<", 4.0)])
         assert set(candidates) == {2, 3}      # 3.0 and 2.0
@@ -165,7 +261,8 @@ class TestPruning:
         assert catalog.access_layer().chunk_ranges("T", [("t_id", ">", 9999)]) == []
 
     def test_pruned_indices_is_memoized(self):
-        layer = _catalog().access_layer()
+        catalog = _catalog()
+        layer = catalog.access_layer()
         first = layer.pruned_indices("R", (("r_val", ">", 3.5),))
         assert layer.pruned_indices("R", (("r_val", ">", 3.5),)) is first
 
@@ -354,7 +451,8 @@ class TestMultiColumnIntersection:
         return catalog
 
     def test_conjunction_keeps_fewer_candidates_than_either_filter(self):
-        layer = self._two_column_catalog().access_layer()
+        catalog = self._two_column_catalog()
+        layer = catalog.access_layer()
         only_a = [("m_a", "<", 30)]
         only_b = [("m_b", "<", 30)]
         both = only_a + only_b
@@ -366,7 +464,8 @@ class TestMultiColumnIntersection:
         assert list(both_rows) == sorted(both_rows)
 
     def test_pruned_indices_intersects_too(self):
-        layer = self._two_column_catalog().access_layer()
+        catalog = self._two_column_catalog()
+        layer = catalog.access_layer()
         both = (("m_a", "<", 30), ("m_b", "<", 30))
         survivors = list(layer.pruned_indices("M", both))
         # every candidate satisfies both bounds and nothing satisfying both
@@ -451,7 +550,8 @@ class TestThunderingHerd:
         assert AccessLayer.for_catalog(catalog) is layers[0]
 
     def test_each_structure_builds_exactly_once_under_contention(self):
-        layer = AccessLayer.for_catalog(_catalog())
+        catalog = _catalog()
+        layer = AccessLayer.for_catalog(catalog)
         results = self._herd(lambda: (layer.key_index("R", "r_id"),
                                       layer.dictionary("R", "r_tag")))
         indices = {id(index) for index, _ in results}
@@ -459,3 +559,10 @@ class TestThunderingHerd:
         assert len(indices) == 1 and len(dictionaries) == 1
         assert layer.build_counts[("key_index", "R", "r_id")] == 1
         assert layer.build_counts[("dictionary", "R", "r_tag")] == 1
+
+    def test_partition_builds_exactly_once_under_contention(self):
+        catalog = _fk_catalog()
+        layer = AccessLayer.for_catalog(catalog)
+        partitions = self._herd(lambda: layer.partition("emp", "e_dept"))
+        assert all(partition is partitions[0] for partition in partitions)
+        assert layer.build_counts[("partition", "emp", "e_dept")] == 1

@@ -113,3 +113,27 @@ class TestGenerator:
         for name in catalog.table_names():
             assert catalog.statistics.has_table(name)
             assert catalog.statistics.cardinality(name) == catalog.size(name)
+
+    def test_generated_catalog_is_a_loaded_catalog(self, catalog, monkeypatch):
+        """The generator goes through ``Catalog.register`` like the loader:
+        the same statistics and generation as registering its tables by hand,
+        and every table passes the loader's one invalidation point."""
+        from repro.storage.catalog import Catalog
+
+        loaded = Catalog(schema=tpch_schema())
+        for name in catalog.table_names():
+            loaded.register(catalog.table(name))
+        assert loaded.table_names() == catalog.table_names()
+        assert loaded.statistics == catalog.statistics
+        assert loaded.access_layer().generation == \
+            catalog.access_layer().generation == 0
+
+        registered = []
+        original = Catalog.register
+        monkeypatch.setattr(
+            Catalog, "register",
+            lambda self, table: (registered.append(table.schema.name),
+                                 original(self, table))[1])
+        generated = generate_catalog(scale_factor=SF, seed=7)
+        assert sorted(registered) == sorted(generated.table_names())
+        assert generated.statistics == catalog.statistics

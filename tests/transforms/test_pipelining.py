@@ -19,6 +19,19 @@ def lower(plan, catalog, flags=None):
     return lowering.run(plan, context), context
 
 
+def no_access_flags(config_name="dblab-4"):
+    """The hoisted-build mode: stacks and ladder modes without the catalog
+    access layer keep the per-query MultiMap build (paper footnote 11)."""
+    return build_config(config_name).flags.copy_with(catalog_access_layer=False)
+
+
+def build_stmts(program):
+    """The statements standing for hash-join builds: a per-query MultiMap, or
+    the catalog's resident partition when the access layer serves it."""
+    return [s for s, _ in iter_program_stmts(program)
+            if s.expr.op in ("mmap_new", "access_partition")]
+
+
 def compile_and_run(plan, catalog, config_name="dblab-5"):
     config = build_config(config_name)
     compiled = QueryCompiler(config.stack, config.flags).compile(plan, catalog, "test")
@@ -53,9 +66,19 @@ class TestLoweringStructure:
 
     def test_hash_join_uses_multimap(self, tiny_catalog):
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
-        program, _ = lower(plan, tiny_catalog)
+        program, _ = lower(plan, tiny_catalog, no_access_flags())
         used = ops_used(program)
         assert {"mmap_new", "mmap_add", "mmap_get", "list_foreach"} <= used
+
+    def test_base_table_build_is_the_catalogs_partition(self, tiny_catalog):
+        """With the access layer on, a partitionable build is a lookup: the
+        MultiMap probe stays, the build loop and its records are gone."""
+        plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
+        program, _ = lower(plan, tiny_catalog)
+        used = ops_used(program)
+        assert {"access_partition", "mmap_get", "list_foreach"} <= used
+        assert not {"mmap_new", "mmap_add"} & used
+        assert [s.expr.op for s in program.hoisted.stmts] == ["access_partition"]
 
     def test_aggregate_uses_hashmap_agg(self, tiny_catalog):
         plan = Q.Agg(Q.Scan("S"), [("s_rid", col("s_rid"))],
@@ -74,13 +97,16 @@ class TestLoweringStructure:
         with pytest.raises(PipeliningError):
             lowering.run(Q.Scan("R"), CompilationContext(catalog=None))
 
-    def test_dense_key_annotations_attached(self, tiny_catalog):
-        """Key range facts flow to mmap_new as annotations (Section 3.3)."""
+    @pytest.mark.parametrize("access", [True, False])
+    def test_dense_key_annotations_attached(self, tiny_catalog, access):
+        """Key range facts flow to the build as annotations (Section 3.3)."""
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
-        program, _ = lower(plan, tiny_catalog)
-        mmap_news = [s for s, _ in iter_program_stmts(program) if s.expr.op == "mmap_new"]
-        assert len(mmap_news) == 1
-        attrs = mmap_news[0].expr.attrs
+        program, _ = lower(plan, tiny_catalog,
+                           None if access else no_access_flags())
+        builds = build_stmts(program)
+        assert len(builds) == 1
+        assert builds[0].expr.op == ("access_partition" if access else "mmap_new")
+        attrs = builds[0].expr.attrs
         assert attrs["key_lo"] == 10 and attrs["key_hi"] == 40
         assert attrs["build_is_base"] is True
 
@@ -100,8 +126,7 @@ class TestLoweringStructure:
             {"e_id": [10, 11], "e_dept": [1, 3]}))
         plan = Q.HashJoin(Q.Scan("dept"), Q.Scan("emp"), col("d_id"), col("e_dept"))
         program, _ = lower(plan, catalog)
-        attrs = [s for s, _ in iter_program_stmts(program)
-                 if s.expr.op == "mmap_new"][0].expr.attrs
+        attrs = build_stmts(program)[0].expr.attrs
         assert attrs["probe_in_range"] is True
         assert attrs["unique"] is True
 
@@ -109,18 +134,21 @@ class TestLoweringStructure:
         """The tiny catalog has a dangling rid and no FK: the guard must stay."""
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
         program, _ = lower(plan, tiny_catalog)
-        attrs = [s for s, _ in iter_program_stmts(program)
-                 if s.expr.op == "mmap_new"][0].expr.attrs
+        attrs = build_stmts(program)[0].expr.attrs
         assert attrs["probe_in_range"] is False
 
-    def test_partitioned_build_moves_to_hoisted_block(self, tiny_catalog):
-        flags = build_config("dblab-4").flags
+    @pytest.mark.parametrize("access", [True, False])
+    def test_partitioned_build_moves_to_hoisted_block(self, tiny_catalog, access):
+        flags = build_config("dblab-4").flags if access else no_access_flags()
         plan = Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
                           Q.Scan("S"), col("r_sid"), col("s_rid"))
         program, _ = lower(plan, tiny_catalog, flags)
         hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
-        assert "mmap_new" in hoisted_ops
-        assert "for_range" in hoisted_ops
+        if access:
+            assert hoisted_ops == {"access_partition"}
+        else:
+            assert "mmap_new" in hoisted_ops
+            assert "for_range" in hoisted_ops
         # the filter is applied at probe time (Figure 7c), inside the body
         body_ops = ops_used(Program(body=program.body, params=program.params, language=""))
         assert "eq" in body_ops
@@ -257,7 +285,7 @@ class TestCatalogAccessLowering:
                            build_config("dblab-5").flags)
         used = ops_used(program)
         assert "access_index_lookup" not in used
-        assert "mmap_new" in used or "array_new" in used
+        assert "mmap_get" in used
 
     @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti"])
     def test_index_join_rows_match_volcano(self, tpch_catalog, kind):

@@ -132,16 +132,24 @@ class TestStringDictionaries:
 
 
 class TestHashTableSpecialization:
-    def test_dense_base_build_becomes_bucket_array(self, tiny_catalog):
+    @pytest.mark.parametrize("access", [True, False])
+    def test_dense_base_build_becomes_bucket_array(self, tiny_catalog, access):
         plan = Q.Agg(Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid")),
                      [], [Q.AggSpec("count", None, "n")])
-        flags = build_config("dblab-4").flags
+        flags = build_config("dblab-4").flags.copy_with(catalog_access_layer=access)
         context = CompilationContext(catalog=tiny_catalog, flags=flags)
         program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
         specialized = HashTableSpecialization(SCALITE).run(program, context)
         used = ops_used(specialized)
-        assert "mmap_new" not in used
-        assert "array_new" in used
+        assert not {"mmap_new", "mmap_add", "mmap_get"} & used
+        if access:
+            # the bucket array is the catalog's partition, claimed as lists
+            claimed = [s for s in specialized.hoisted.stmts
+                       if s.expr.op == "access_partition"]
+            assert [s.expr.attrs["single"] for s in claimed] == [False]
+            assert "array_new" not in used
+        else:
+            assert "array_new" in used
         assert specialized.language == "ScaLite"
 
     def test_generic_keys_stay_on_generic_containers(self, tiny_catalog):
@@ -174,15 +182,24 @@ class TestHashTableSpecialization:
         assert {"dense_agg_new", "dense_agg_update", "dense_agg_foreach"} <= used
         assert "hashmap_agg_new" not in used
 
-    def test_unique_maps_deferred_for_five_level_stack(self, tiny_catalog):
+    @pytest.mark.parametrize("access", [True, False])
+    def test_unique_maps_deferred_for_five_level_stack(self, tiny_catalog, access):
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_id"), col("s_id"))
-        flags = build_config("dblab-5").flags
+        flags = build_config("dblab-5").flags.copy_with(catalog_access_layer=access)
         context = CompilationContext(catalog=tiny_catalog, flags=flags)
         from repro.stack import SCALITE_LIST
         program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
         deferred = HashTableSpecialization(
             SCALITE_LIST, defer_unique_to_list_level=True).run(program, context)
-        assert "mmap_new" in ops_used(deferred)
+        # the primary-key map is left, probe intact, for the list-specialization
+        # lowering — as a MultiMap, or as the catalog's still unclaimed partition
+        assert "mmap_get" in ops_used(deferred)
+        if access:
+            unclaimed = [s for s in deferred.hoisted.stmts
+                         if s.expr.op == "access_partition"]
+            assert len(unclaimed) == 1 and "single" not in unclaimed[0].expr.attrs
+        else:
+            assert "mmap_new" in ops_used(deferred)
 
     @pytest.mark.parametrize("config_name", ["dblab-4", "dblab-5"])
     def test_specialized_plans_agree_with_interpreter(self, tiny_catalog, config_name):
