@@ -16,8 +16,8 @@ zone-map/sorted-column pruning, ``IndexJoin`` over the load-time PK indices,
 dictionary-encoded string predicates) and once with
 ``PlannerOptions.no_access_paths()`` (every logical rule, no physical
 selection) — and times both on the same engine(s).  ``--engines`` accepts
-the direct engines, the template expander and the compiled stack
-configurations (``dblab-2..5``, ``tpch-compliant``): the compiled stacks
+the direct engines and the compiled stack configurations
+(``template-expander``, ``dblab-2..5``, ``tpch-compliant``): the compiled stacks
 now lower ``PrunedScan``/``IndexJoin`` onto the same catalog-resident
 structures, so the grid measures the access layer end to end across the
 whole lineup.  The catalog, and therefore the access layer, is shared across
@@ -47,9 +47,8 @@ def main(argv=None) -> int:
                         help="TPC-H query names (default: the pruning and "
                              "index-join showcases Q3 Q4 Q6 Q10 Q12 Q14)")
     parser.add_argument("--engines", nargs="+", default=None,
-                        help="engine names: direct engines, template-expander "
-                             "or stack configs like dblab-5 (default: "
-                             "vectorized)")
+                        help="engine names: direct engines or stack configs "
+                             "like dblab-5 (default: vectorized)")
     parser.add_argument("--engine", default=None,
                         help="single engine (kept for compatibility; "
                              "prefer --engines)")

@@ -1,10 +1,10 @@
 """Table 3: TPC-H execution time per engine configuration.
 
 Each benchmark entry is one (query, engine) cell of the paper's Table 3.  The
-engines are the Volcano interpreter, the single-step template expander
-(standing in for the pre-DBLAB compiler generation / LegoBase reference
-column) and the DBLAB/LB stack with 2, 3, 4 and 5 levels plus the TPC-H
-compliant configuration.
+engines are the Volcano interpreter, the vectorized engine and the stack
+configurations: the one-lowering template expander (standing in for the
+pre-DBLAB compiler generation / LegoBase reference column), the DBLAB/LB
+stack with 2, 3, 4 and 5 levels, and the TPC-H compliant configuration.
 
 Run with ``pytest benchmarks/bench_table3_tpch.py --benchmark-only``; set
 ``REPRO_BENCH_FULL=1`` for all 22 queries.  ``examples/reproduce_table3.py``
@@ -14,14 +14,11 @@ import pytest
 
 from conftest import BENCH_QUERIES
 
-from repro.bench.harness import PLAN_MODES
-
-ENGINES = ("interpreter", "template-expander", "vectorized", "dblab-2", "dblab-3",
-           "dblab-4", "dblab-5", "tpch-compliant")
+from repro.bench.harness import ENGINE_NAMES, PLAN_MODES
 
 
 @pytest.mark.parametrize("mode", PLAN_MODES)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 @pytest.mark.parametrize("query_name", BENCH_QUERIES)
 def test_table3_cell(benchmark, harness, query_name, engine, mode):
     """Time one Table 3 cell: query execution only (compilation not included)."""
@@ -29,24 +26,7 @@ def test_table3_cell(benchmark, harness, query_name, engine, mode):
     plan = build_query(query_name)
     if mode == "planned":
         plan = harness.planner.optimize(plan)
-
-    if engine == "interpreter":
-        from repro.engine.volcano import VolcanoEngine
-        runner = VolcanoEngine(harness.catalog)
-        run = lambda: runner.execute(plan)
-    elif engine == "vectorized":
-        from repro.engine.vectorized import VectorizedEngine
-        runner = VectorizedEngine(harness.catalog)
-        run = lambda: runner.execute(plan)
-    elif engine == "template-expander":
-        from repro.engine.template_expander import TemplateExpander
-        expanded = TemplateExpander(harness.catalog).compile(plan, query_name)
-        run = lambda: expanded.run(harness.catalog)
-    else:
-        compiled = harness._compiled(query_name, engine, plan)
-        aux = compiled.prepare(harness.catalog)
-        run = lambda: compiled.run(harness.catalog, aux)
-
+    run, _ = harness.runner(query_name, engine, plan)
     rows = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     benchmark.extra_info["query"] = query_name
     benchmark.extra_info["engine"] = engine

@@ -3,7 +3,8 @@
 Usage::
 
     python -m repro.analysis.verify [--sf 0.001] [--seed 20160626]
-        [--configs dblab-5,tpch-compliant] [--queries Q1,Q6,...]
+        [--configs template-expander,dblab-5,tpch-compliant]
+        [--queries Q1,Q6,...]
 
 For each (config, query) pair the full compilation runs with the static
 verifier enabled: every optimization pass is audited for effect-system
@@ -20,7 +21,7 @@ import sys
 import time
 from typing import List, Optional
 
-DEFAULT_CONFIGS = "dblab-5,tpch-compliant"
+DEFAULT_CONFIGS = "template-expander,dblab-5,tpch-compliant"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -67,13 +68,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     compiled.run(catalog)
             except VerificationError as exc:
                 failures += 1
-                print(f"FAIL  {config_name:16s} {query_name:4s} {exc}")
+                print(f"FAIL  {config_name:17s} {query_name:4s} {exc}")
             except Exception as exc:  # noqa: BLE001 - report, keep going
                 failures += 1
-                print(f"ERROR {config_name:16s} {query_name:4s} "
+                print(f"ERROR {config_name:17s} {query_name:4s} "
                       f"{type(exc).__name__}: {exc}")
             else:
-                print(f"ok    {config_name:16s} {query_name}")
+                print(f"ok    {config_name:17s} {query_name}")
     elapsed = time.perf_counter() - started
     total = len(configs) * len(queries)
     print(f"{total - failures}/{total} verified clean in {elapsed:.1f}s "

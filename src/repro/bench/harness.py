@@ -4,7 +4,8 @@ The harness runs TPC-H queries under every engine configuration and collects
 the measurements behind the paper's tables and figures:
 
 * **Table 3** — query execution time per configuration (interpreter,
-  single-step template expander, DBLAB/LB with 2..5 levels, TPC-H compliant),
+  vectorized, and the stack configurations: the one-lowering template
+  expander, DBLAB/LB with 2..5 levels, TPC-H compliant),
 * **Figure 8** — peak memory consumption of the generated code,
 * **Figure 9** — compilation time split into DSL-stack code generation and
   Python compilation (the CLang stand-in).
@@ -33,12 +34,11 @@ import math
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..codegen.compiler import CompiledQuery, QueryCompiler
 from ..dsl.expr_compile import compile_row
-from ..engine.template_expander import TemplateExpander
 from ..planner import Planner, PlannerOptions
 from ..stack.configs import (CONFIG_NAMES, DIRECT_ENGINE_NAMES, StackConfig,
                              build_config, build_direct_engine)
@@ -46,7 +46,7 @@ from ..storage.catalog import Catalog
 from ..tpch.queries import QUERY_NAMES, build_query
 
 #: every engine the harness knows how to run, in reporting order
-ENGINE_NAMES = DIRECT_ENGINE_NAMES + ("template-expander",) + CONFIG_NAMES
+ENGINE_NAMES = DIRECT_ENGINE_NAMES + CONFIG_NAMES
 
 #: the two plan modes of the planner comparison benchmarks
 PLAN_MODES = ("raw", "planned")
@@ -230,54 +230,43 @@ class BenchmarkHarness:
         if optimize:
             plan = self.planner.optimize(plan)
         plan_mode = "planned" if optimize else "raw"
-        measurement = self._dispatch(query_name, engine, plan, measure_memory)
-        measurement.plan_mode = plan_mode
-        return measurement
+        run, timings = self.runner(query_name, engine, plan)
+        measurement = self._measure_callable(query_name, engine, run,
+                                             measure_memory=measure_memory)
+        return replace(measurement, plan_mode=plan_mode, **timings)
+
+    def runner(self, query_name: str, engine: str, plan
+               ) -> Tuple[Callable[[], list], Dict[str, float]]:
+        """Resolve an engine name to ``(run, timings)`` for one plan.
+
+        The one place that knows the two shapes an engine name can take: a
+        direct engine executes the plan as it stands; a stack configuration
+        compiles it (through the compiled-query cache) and prepares once, so
+        ``run`` times execution only.  ``timings`` carries the compile-side
+        seconds in :class:`Measurement` field names, empty for direct
+        engines.
+        """
+        if engine in DIRECT_ENGINE_NAMES:
+            direct = build_direct_engine(engine, self.catalog)
+            return (lambda: direct.execute(plan)), {}
+        if engine not in self._configs:
+            raise KeyError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
+        compiled = self._compiled(query_name, engine, plan)
+        start = time.perf_counter()
+        aux = compiled.prepare(self.catalog)
+        prepare_seconds = time.perf_counter() - start
+        return (lambda: compiled.run(self.catalog, aux)), {
+            "generation_seconds": compiled.generation_seconds,
+            "compile_seconds": compiled.compile_seconds,
+            "prepare_seconds": prepare_seconds}
 
     def run_once(self, query_name: str, engine: str, plan) -> list:
         """Execute one plan on one engine outside the timed path and return
         its rows — the warm-up / verification counterpart of :meth:`measure`,
         routed exactly like it (compiled stacks go through the compiled-query
         cache, so a later ``measure`` reuses what this call built)."""
-        if engine in DIRECT_ENGINE_NAMES:
-            return build_direct_engine(engine, self.catalog).execute(plan)
-        if engine == "template-expander":
-            return TemplateExpander(self.catalog).compile(
-                plan, query_name).run(self.catalog)
-        if engine in self._configs:
-            compiled = self._compiled(query_name, engine, plan)
-            aux = compiled.prepare(self.catalog)
-            return compiled.run(self.catalog, aux)
-        raise KeyError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
-
-    def _dispatch(self, query_name: str, engine: str, plan,
-                  measure_memory: bool) -> Measurement:
-        if engine in DIRECT_ENGINE_NAMES:
-            runner = build_direct_engine(engine, self.catalog)
-            return self._measure_callable(
-                query_name, engine, lambda: runner.execute(plan),
-                measure_memory=measure_memory)
-        if engine == "template-expander":
-            expanded = TemplateExpander(self.catalog).compile(plan, query_name)
-            measurement = self._measure_callable(
-                query_name, engine, lambda: expanded.run(self.catalog),
-                measure_memory=measure_memory)
-            measurement.generation_seconds = expanded.generation_seconds
-            measurement.compile_seconds = expanded.compile_seconds
-            return measurement
-        if engine in self._configs:
-            compiled = self._compiled(query_name, engine, plan)
-            start = time.perf_counter()
-            aux = compiled.prepare(self.catalog)
-            prepare_seconds = time.perf_counter() - start
-            measurement = self._measure_callable(
-                query_name, engine, lambda: compiled.run(self.catalog, aux),
-                measure_memory=measure_memory)
-            measurement.generation_seconds = compiled.generation_seconds
-            measurement.compile_seconds = compiled.compile_seconds
-            measurement.prepare_seconds = prepare_seconds
-            return measurement
-        raise KeyError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
+        run, _ = self.runner(query_name, engine, plan)
+        return run()
 
     def _compiled(self, query_name: str, engine: str, plan) -> CompiledQuery:
         # Served by the compiled-query cache, whose key includes the plan

@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..robustness.faults import fault_point
 from ..robustness.governor import current_governor
 
 
@@ -251,7 +250,7 @@ class MemoryPool:
 # block.  The pipelining lowering only emits the ops after verifying, against
 # the compile-time catalog, that the structure exists; a prepare() against a
 # catalog whose data breaks that assumption fails loudly instead of running a
-# wrong plan (mirroring ``template_key_index``).
+# wrong plan.
 # ---------------------------------------------------------------------------
 def catalog_key_index(db, table: str, column: str):
     """The catalog's unique-key index of ``table.column`` (never ``None``)."""
@@ -383,18 +382,6 @@ def governed_iter(obj):
     if governor is None:
         return obj
     return governor.guard_rows(obj)
-
-
-def template_checkpoint(rows: int) -> None:
-    """Loop-epilogue checkpoint emitted by the template expander.
-
-    Fires the ``engine.template.checkpoint`` fault site, then charges the
-    operator's materialised output to the active budget (if any).
-    """
-    fault_point("engine.template.checkpoint", rows=rows)
-    governor = current_governor()
-    if governor is not None:
-        governor.checkpoint(rows)
 
 
 def like(value: str, pattern: str) -> bool:

@@ -7,13 +7,15 @@ queries need: scans, selections, projections, hash joins (inner, semi, anti,
 outer), nested-loop joins, group-by aggregation, sorting, limits and bounded
 top-k (the planner's fusion of ``Limit`` over ``Sort``).
 
-A QPlan tree is consumed by three clients:
+A QPlan tree is consumed by two kinds of client:
 
-* the Volcano interpreter (:mod:`repro.engine.volcano`) executes it directly,
-* the template expander (:mod:`repro.engine.template_expander`) macro-expands
-  it into Python source in one step, and
+* the direct engines — the Volcano interpreter (:mod:`repro.engine.volcano`)
+  and the vectorized engine (:mod:`repro.engine.vectorized`) — execute it as
+  it stands, and
 * the DSL stack lowers it through the intermediate languages
-  (:mod:`repro.transforms.pipelining` and friends).
+  (:mod:`repro.transforms.pipelining` and friends).  The single-step template
+  expander is the stack configuration with exactly one lowering
+  (``"template-expander"`` in :mod:`repro.stack.configs`).
 """
 from __future__ import annotations
 

@@ -1,8 +1,6 @@
-"""Execution engines that run QPlan trees directly: the Volcano interpreter,
-the single-step template expander and the vectorized columnar engine."""
-from .template_expander import TemplateExpander
+"""Execution engines that run QPlan trees directly: the Volcano interpreter
+and the vectorized columnar engine."""
 from .vectorized import ColumnBatch, VectorizedEngine
 from .volcano import VolcanoEngine, execute
 
-__all__ = ["ColumnBatch", "TemplateExpander", "VectorizedEngine",
-           "VolcanoEngine", "execute"]
+__all__ = ["ColumnBatch", "VectorizedEngine", "VolcanoEngine", "execute"]

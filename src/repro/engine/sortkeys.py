@@ -1,10 +1,10 @@
 """Null-aware sort keys and bounded top-k selection, shared by every engine.
 
 This module is the single definition of the repository's **ordering
-semantics**; the Volcano interpreter, the vectorized engine, the template
-expander, the compiled runtime (:mod:`repro.codegen.runtime`) and the ``TopK``
-operator all route their comparisons through it so that a plan returns the
-same row order everywhere.
+semantics**; the Volcano interpreter, the vectorized engine, the compiled
+runtime (:mod:`repro.codegen.runtime`) and the ``TopK`` operator all route
+their comparisons through it so that a plan returns the same row order
+everywhere.
 
 Null ordering
     ``None`` compares as **greater than every non-null value**: ascending
@@ -74,7 +74,7 @@ def null_aware_key(value: Any) -> Tuple[bool, Any]:
     """Decorate one sort-key value per the null contract (always decorates).
 
     Used where per-column ``None`` detection is not worth the bookkeeping
-    (the template expander's generated sorts and the compiled runtime).
+    (the compiled runtime's sorts).
     """
     return (value is None, value)
 
@@ -139,8 +139,8 @@ def topk_rows(rows: Sequence[Any], keys: Sequence[Tuple[Callable[[Any], Any], st
               count: int) -> List[Any]:
     """The first ``count`` rows of ``rows`` under ``keys`` = ``[(key_fn, order)]``.
 
-    Row-oriented front end over :func:`topk_indices`, shared by the Volcano
-    interpreter and the template expander's generated code.
+    Row-oriented front end over :func:`topk_indices`, used by the Volcano
+    interpreter.
     """
     if count <= 0 or not rows:
         return []

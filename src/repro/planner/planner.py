@@ -1,8 +1,8 @@
 """The logical plan optimizer: rule configuration, driver and reporting.
 
 The planner sits *above* the DSL stack: it rewrites QPlan operator trees
-before any engine — the Volcano interpreter, the vectorized engine, the
-template expander or a compiled stack configuration — consumes them.  In the
+before any engine — the Volcano interpreter, the vectorized engine or a
+compiled stack configuration — consumes them.  In the
 paper's terms it is one more transformation level at the highest abstraction
 layer, organized exactly like the lower ones: small rules applied to a fixed
 point, each at the level where the rewrite is trivial to express.

@@ -1,7 +1,7 @@
 """Execution hardening: resource governor, fallback ladder, fault injection.
 
-The engine lineup (Volcano interpreter, vectorized engine, template expander,
-compiled DSL stacks) is wrapped by three cooperating layers:
+The engine lineup (Volcano interpreter, vectorized engine, compiled DSL
+stacks) is wrapped by three cooperating layers:
 
 * :mod:`repro.robustness.governor` — per-query :class:`QueryBudget` limits
   (wall-clock timeout, intermediate/output row caps, compile-time cap)

@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from ..codegen.compiler import QueryCompiler
 
 from ..dsl import qplan as Q
-from ..engine.template_expander import TemplateExpander
 from ..engine.vectorized import VectorizedEngine
 from ..engine.volcano import VolcanoEngine
 from ..planner import Planner, PlannerOptions
@@ -50,12 +49,22 @@ from .faults import DataCorruptionFault, TransientFault, fault_point
 from .governor import BudgetExceeded, QueryBudget, governed
 from .incidents import DEFAULT_INCIDENTS, IncidentLog
 
-ENGINE_TIERS = ("compiled", "template", "vectorized", "interpreter")
+ENGINE_TIERS = ("compiled", "vectorized", "interpreter")
 PLAN_MODES = ("access", "no_access", "raw")
 
 #: errors that indicate a broken physical access structure: degrade the plan
 #: (drop access paths), not the engine
 ACCESS_ERRORS = (AccessError, DataCorruptionFault)
+
+
+def _checked_tiers(tiers: Sequence[str]) -> Tuple[str, ...]:
+    """``tiers`` as a ladder: non-empty, every name a known engine tier."""
+    unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
+    if unknown:
+        raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
+    if not tiers:
+        raise ValueError("at least one tier is required")
+    return tuple(tiers)
 
 
 class LadderExhausted(RuntimeError):
@@ -159,13 +168,8 @@ class HardenedExecutor:
                  max_retries: int = 2,
                  backoff_seconds: float = 0.01,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
-        if unknown:
-            raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
-        if not tiers:
-            raise ValueError("at least one tier is required")
         self.catalog = catalog
-        self.tiers = tuple(tiers)
+        self.tiers = _checked_tiers(tiers)
         self.compiled_config = compiled_config
         self.budget = budget
         self.incidents = incidents if incidents is not None else DEFAULT_INCIDENTS
@@ -210,9 +214,6 @@ class HardenedExecutor:
         if tier == "compiled":
             return compiler.compile(planned, self.catalog,
                                     query_name).run(self.catalog)
-        if tier == "template":
-            return TemplateExpander(self.catalog).compile(
-                planned, query_name).run(self.catalog)
         if tier == "vectorized":
             return VectorizedEngine(self.catalog).execute(planned)
         return VolcanoEngine(self.catalog).execute(planned)
@@ -234,15 +235,7 @@ class HardenedExecutor:
         interpreter).
         """
         budget = budget if budget is not None else self.budget
-        if tiers is None:
-            active_tiers = self.tiers
-        else:
-            unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
-            if unknown:
-                raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
-            if not tiers:
-                raise ValueError("at least one tier is required")
-            active_tiers = tuple(tiers)
+        active_tiers = self.tiers if tiers is None else _checked_tiers(tiers)
         fingerprint = Q.plan_fingerprint(plan)
         attempts: List[dict] = []
         mode_index = 0

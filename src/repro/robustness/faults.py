@@ -28,7 +28,6 @@ site                             planted in
 ``compiler.slow_compile``        ``codegen/compiler.py`` — value: extra seconds
 ``engine.volcano.operator``      ``engine/volcano.py`` — mid-query operator error
 ``engine.vectorized.batch``      ``engine/vectorized.py`` — truncated batch
-``engine.template.checkpoint``   ``engine/template_expander.py`` — epilogue error
 ``engine.compiled.run``          ``codegen/compiler.py`` — generated-code error
 ``executor.pre_execute``         ``robustness/fallback.py`` — plan/run skew window
 ``server.queue_stall``           ``server/server.py`` — value: dispatcher stall s
@@ -65,7 +64,6 @@ KNOWN_SITES = frozenset({
     "compiler.slow_compile",
     "engine.volcano.operator",
     "engine.vectorized.batch",
-    "engine.template.checkpoint",
     "engine.compiled.run",
     "executor.pre_execute",
     "server.queue_stall",

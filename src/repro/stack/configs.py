@@ -3,25 +3,29 @@
 Each configuration is a :class:`~repro.stack.pipeline.DslStack` plus the
 optimization flags that gate individual transformations:
 
-=================  ==========================================================
-configuration      stack / optimizations
-=================  ==========================================================
-``dblab-2``        QPlan → C.Py.  Pipelining (push engine) only; boxed
-                   records, generic containers.
-``dblab-3``        QPlan → ScaLite → C.Py.  Adds data layout (row tuples /
-                   scalar fields), scalar replacement, DCE, CSE, partial
-                   evaluation, allocation hoisting, unused-field removal.
-``dblab-4``        QPlan → ScaLite[Map, List] → ScaLite → C.Py.  Adds string
-                   dictionaries, hash-table specialization, automatic index
-                   inference and data-structure partitioning.
-``dblab-5``        QPlan → ScaLite[Map, List] → ScaLite[List] → ScaLite →
-                   C.Py.  Adds list specialization (primary-key maps become
-                   direct arrays) and the fine-grained control-flow
-                   optimizations.
-``tpch-compliant`` The five-level stack with string dictionaries,
-                   partitioning, index inference and unused-field removal
-                   disabled (footnote 11 of the paper).
-=================  ==========================================================
+=====================  ==========================================================
+configuration          stack / optimizations
+=====================  ==========================================================
+``template-expander``  QPlan → C.Py in one lowering and nothing else: the
+                       degenerate stack the paper argues against.  There is no
+                       level to host an optimization, so there are none (the
+                       Table 3 baseline column).
+``dblab-2``            QPlan → C.Py.  Pipelining (push engine) only; boxed
+                       records, generic containers.
+``dblab-3``            QPlan → ScaLite → C.Py.  Adds data layout (row tuples /
+                       scalar fields), scalar replacement, DCE, CSE, partial
+                       evaluation, allocation hoisting, unused-field removal.
+``dblab-4``            QPlan → ScaLite[Map, List] → ScaLite → C.Py.  Adds string
+                       dictionaries, hash-table specialization, automatic index
+                       inference and data-structure partitioning.
+``dblab-5``            QPlan → ScaLite[Map, List] → ScaLite[List] → ScaLite →
+                       C.Py.  Adds list specialization (primary-key maps become
+                       direct arrays) and the fine-grained control-flow
+                       optimizations.
+``tpch-compliant``     The five-level stack with string dictionaries,
+                       partitioning, index inference and unused-field removal
+                       disabled (footnote 11 of the paper).
+=====================  ==========================================================
 """
 from __future__ import annotations
 
@@ -47,7 +51,8 @@ from .language import C_PY, QMONAD, QPLAN, SCALITE, SCALITE_LIST, SCALITE_MAP_LI
 from .pipeline import DslStack
 
 #: The configuration names, in the order Table 3 reports them.
-CONFIG_NAMES = ("dblab-2", "dblab-3", "dblab-4", "dblab-5", "tpch-compliant")
+CONFIG_NAMES = ("template-expander", "dblab-2", "dblab-3", "dblab-4", "dblab-5",
+                "tpch-compliant")
 
 #: Engines that execute QPlan trees directly, without a DSL stack.  They are
 #: selectable everywhere a stack configuration is (benchmark harness, Table 3
@@ -141,6 +146,14 @@ def build_config(name: str, planner: bool = False) -> StackConfig:
 
 
 def _build_config(name: str) -> StackConfig:
+    if name == "template-expander":
+        # A template expander is a stack with a single lowering: plan to
+        # target code in one step, with no intermediate level where an
+        # optimization could live.
+        stack = DslStack(name, languages=[QPLAN, C_PY],
+                         lowerings=[PushPipelineLowering(C_PY)])
+        return StackConfig(name, stack, OptimizationFlags.all_disabled(), levels=2)
+
     if name == "dblab-2":
         stack = DslStack(
             name,

@@ -4,7 +4,7 @@ The paper's biggest TPC-H wins come from work "moved to loading time":
 primary-key arrays that turn hash probes into array indexing, partitioned
 join structures, and string dictionaries.  The compiled DSL stacks reproduce
 those at the IR level; this module gives the *direct* engines (Volcano,
-vectorized, template expander) the same load-time structures:
+vectorized) the same load-time structures:
 
 * **PK direct arrays / join indices** (:meth:`AccessLayer.key_index`) — for a
   dense single-column key (``ColumnStatistics.is_dense_key``), a plain list
@@ -819,26 +819,3 @@ def _restrict_to_ranges(candidates, ranges: Sequence[Tuple[int, int]]):
         if position >= start:
             append(position)
     return kept
-
-
-# ---------------------------------------------------------------------------
-# Helpers for template-expanded code (injected into its namespace)
-# ---------------------------------------------------------------------------
-def template_pruned_indices(db, table: str, filters: Sequence[ZoneFilter]):
-    """Runtime companion of the template expander's PrunedScan template."""
-    return AccessLayer.for_catalog(db).pruned_indices(table, filters)
-
-
-def template_key_index(db, table: str, column: str):
-    """Runtime companion of the template expander's IndexJoin template.
-
-    The expander only emits the index-probe template when the compile-time
-    catalog has a usable unique-key index; a run against a catalog whose data
-    breaks that assumption fails loudly instead of joining wrongly.
-    """
-    index = AccessLayer.for_catalog(db).key_index(table, column)
-    if index is None:
-        raise AccessError(
-            f"no unique-key index available for {table}.{column}; "
-            "the plan was expanded against a catalog that had one")
-    return index

@@ -5,8 +5,8 @@ list per attribute), which is what the generated code reads directly when the
 column-store transformer is active.  The row and boxed layouts exist both as
 conversion targets (the layout transformation of Section 4.2 chooses between
 them for intermediate data) and as the representation used by the naive
-engines (the Volcano interpreter and the template expander pass boxed rows
-around).
+engines (the Volcano interpreter and the stack configurations without the
+data-layout optimization pass boxed rows around).
 """
 from __future__ import annotations
 

@@ -19,7 +19,8 @@ def _fresh_cache():
 
 
 class TestVerifiedCompilation:
-    @pytest.mark.parametrize("config_name", ["dblab-5", "tpch-compliant"])
+    @pytest.mark.parametrize("config_name", ["template-expander", "dblab-5",
+                                             "tpch-compliant"])
     def test_queries_verify_clean_and_match_unverified(self, tpch_catalog,
                                                        config_name):
         config = build_config(config_name)

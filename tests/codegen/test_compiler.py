@@ -5,7 +5,7 @@ from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.volcano import execute
-from repro.stack.configs import build_config
+from repro.stack.configs import CONFIG_NAMES, build_config
 
 
 @pytest.fixture()
@@ -60,7 +60,7 @@ class TestQueryCompiler:
 
     def test_more_levels_never_change_results(self, tiny_catalog, plan):
         reference = execute(plan, tiny_catalog)
-        for name in ("dblab-2", "dblab-3", "dblab-4", "dblab-5", "tpch-compliant"):
+        for name in CONFIG_NAMES:
             config = build_config(name)
             compiled = QueryCompiler(config.stack, config.flags).compile(plan, tiny_catalog)
             assert compiled.run(tiny_catalog) == reference

@@ -1,18 +1,21 @@
-"""Execution tests for the access paths across all three direct engines.
+"""Execution tests for the access paths across the direct engines and the
+one-lowering ``template-expander`` stack.
 
 The planner's access rules are order- and value-preserving, so every plan
 containing ``PrunedScan`` / ``IndexJoin`` must return exactly — ``==``, not
 just multiset-equal — the rows of its raw counterpart on the Volcano
-interpreter, the vectorized engine and the template expander.
+interpreter, the vectorized engine and the template-expander stack (run with
+the catalog access layer on, so its pipelines are index-served too).
 """
 import pytest
 
+from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col, date
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
 from repro.planner import Planner, PlannerOptions
+from repro.stack.configs import build_config
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, int_column, string_column
@@ -20,6 +23,13 @@ from repro.tpch.queries import build_query
 
 #: queries whose optimized plans exercise both access ops (and Q4's semi join)
 ACCESS_QUERIES = ("Q3", "Q4", "Q6", "Q10", "Q12", "Q14", "Q19")
+
+
+def expand(plan, catalog):
+    """Rows of ``plan`` on the template-expander stack, access layer on."""
+    config = build_config("template-expander")
+    flags = config.flags.copy_with(catalog_access_layer=True)
+    return QueryCompiler(config.stack, flags).compile(plan, catalog).run(catalog)
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +64,7 @@ class TestExactRowParity:
     def test_template_expander(self, tpch_catalog, planner, query_name):
         raw = build_query(query_name)
         optimized = planner.optimize(build_query(query_name))
-        expander = TemplateExpander(tpch_catalog)
-        assert expander.compile(optimized, query_name).run(tpch_catalog) == \
-            expander.compile(raw, query_name).run(tpch_catalog)
-
-    def test_template_source_uses_the_index_and_prune_helpers(self, tpch_catalog,
-                                                              planner):
-        optimized = planner.optimize(build_query("Q12"))
-        source = TemplateExpander(tpch_catalog).compile(optimized, "Q12").source
-        assert "_tpl_index(db, 'orders', 'o_orderkey')" in source
-        assert "_tpl_prune(db, 'lineitem'" in source
+        assert expand(optimized, tpch_catalog) == expand(raw, tpch_catalog)
 
 
 class TestIndexJoinKinds:
@@ -86,9 +87,7 @@ class TestIndexJoinKinds:
         for engine in (VolcanoEngine(tpch_catalog),
                        VectorizedEngine(tpch_catalog)):
             assert engine.execute(index_plan) == engine.execute(hash_plan)
-        expander = TemplateExpander(tpch_catalog)
-        assert expander.compile(index_plan).run(tpch_catalog) == \
-            expander.compile(hash_plan).run(tpch_catalog)
+        assert expand(index_plan, tpch_catalog) == expand(hash_plan, tpch_catalog)
 
     @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti"])
     def test_filtered_build_kinds(self, tpch_catalog, kind):
@@ -103,9 +102,7 @@ class TestIndexJoinKinds:
         for engine in (VolcanoEngine(tpch_catalog),
                        VectorizedEngine(tpch_catalog)):
             assert engine.execute(index_plan) == engine.execute(hash_plan)
-        expander = TemplateExpander(tpch_catalog)
-        assert expander.compile(index_plan).run(tpch_catalog) == \
-            expander.compile(hash_plan).run(tpch_catalog)
+        assert expand(index_plan, tpch_catalog) == expand(hash_plan, tpch_catalog)
 
     def test_residual_predicate(self, tpch_catalog):
         residual = col("o_orderdate") < date("1995-01-01")
@@ -191,7 +188,7 @@ class TestDictionaryEncodedSelects:
 class TestLeftOuterIndexJoin:
     """Leftouter joins are index-served with null-padded probe misses.
 
-    Regression for the silent fallback: all three direct engines used to
+    Regression for the silent fallback: the direct engines used to
     drop to a full hash build for ``kind="leftouter"`` even when the build
     side was an indexed PK scan.
     """
@@ -213,9 +210,7 @@ class TestLeftOuterIndexJoin:
                        VectorizedEngine(tpch_catalog),
                        VectorizedEngine(tpch_catalog, batch_size=17)):
             assert engine.execute(index_plan) == engine.execute(hash_plan)
-        expander = TemplateExpander(tpch_catalog)
-        assert expander.compile(index_plan).run(tpch_catalog) == \
-            expander.compile(hash_plan).run(tpch_catalog)
+        assert expand(index_plan, tpch_catalog) == expand(hash_plan, tpch_catalog)
 
     def test_unmatched_rows_are_padded_with_none_in_every_probe_field(
             self, tpch_catalog):
@@ -225,7 +220,7 @@ class TestLeftOuterIndexJoin:
         for rows in (
             VolcanoEngine(tpch_catalog).execute(index_plan),
             VectorizedEngine(tpch_catalog).execute(index_plan),
-            TemplateExpander(tpch_catalog).compile(index_plan).run(tpch_catalog),
+            expand(index_plan, tpch_catalog),
         ):
             padded = [row for row in rows if row["o_orderkey"] is None]
             assert padded, "the 0.001-sf catalog has customers without orders"

@@ -11,7 +11,6 @@ import pytest
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan
 from repro.dsl.expr import col, lit
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
 from repro.engine import sortkeys
@@ -44,13 +43,19 @@ def catalog() -> Catalog:
     return _nullable_catalog()
 
 
+def expand(plan, catalog):
+    """Compile ``plan`` with the one-lowering template-expander stack."""
+    config = build_config("template-expander")
+    return QueryCompiler(config.stack, config.flags).compile(plan, catalog)
+
+
 def run_everywhere(plan, catalog):
-    """Execute a plan on the three direct engines; results must agree exactly."""
+    """Execute a plan on the two direct engines and the one-lowering
+    template-expander stack; results must agree exactly."""
     reference = VolcanoEngine(catalog).execute(plan)
     assert VectorizedEngine(catalog).execute(plan) == reference
     assert VectorizedEngine(catalog, batch_size=2).execute(plan) == reference
-    expanded = TemplateExpander(catalog).compile(plan).run(catalog)
-    assert expanded == reference
+    assert expand(plan, catalog).run(catalog) == reference
     return reference
 
 
@@ -145,13 +150,14 @@ class TestLimitEdgeCases:
 
     def test_negative_limit_yields_nothing_on_direct_engines(self, catalog):
         # The direct engines do not validate; they must still agree that a
-        # non-positive count keeps no rows.  The template expander validates
-        # up front and rejects the plan outright.
+        # non-positive count keeps no rows.  The query compiler validates up
+        # front and rejects the plan outright, whatever the configuration.
         plan = qplan.Limit(qplan.Scan("N"), -2)
         assert VolcanoEngine(catalog).execute(plan) == []
         assert VectorizedEngine(catalog).execute(plan) == []
-        with pytest.raises(qplan.PlanError, match="negative row count"):
-            TemplateExpander(catalog).compile(plan)
+        for bad in (plan, qplan.TopK(qplan.Scan("N"), [(col("n_id"), "asc")], -3)):
+            with pytest.raises(qplan.PlanError, match="negative row count"):
+                expand(bad, catalog)
 
 
 class TestEmptyGlobalFold:
@@ -244,12 +250,6 @@ class TestCommonSubtreeSharing:
         rows = engine.execute(plan)
         assert scans.count("N") == 1
         assert rows == VolcanoEngine(catalog).execute(plan)
-
-    def test_template_expander_emits_shared_subplan_once(self, catalog):
-        plan = _shared_subplan_query()
-        expanded = TemplateExpander(catalog).compile(plan, "shared")
-        assert expanded.source.count("db.size('N')") == 1
-        assert expanded.run(catalog) == VolcanoEngine(catalog).execute(plan)
 
     def test_results_identical_with_and_without_sharing(self, catalog):
         plan = _shared_subplan_query()

@@ -9,7 +9,6 @@ import pytest
 
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.volcano import execute
 from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.tpch.queries import QUERY_NAMES, all_queries, build_query
@@ -58,27 +57,24 @@ class TestPlanWellFormedness:
 
 
 class TestAllQueriesAtFullStack:
-    """All 22 queries: interpreter vs the five-level stack."""
+    """All 22 queries: interpreter vs the two ends of the configuration
+    range — the five-level stack and the one-lowering template expander."""
 
-    @pytest.mark.parametrize("access", [True, False],
-                             ids=["access", "no_access"])
+    @pytest.mark.parametrize("config_name,access", [
+        ("dblab-5", True), ("dblab-5", False), ("template-expander", False)],
+        ids=["access", "no_access", "template-expander"])
     @pytest.mark.parametrize("query_name", QUERY_NAMES)
-    def test_dblab5_matches_interpreter(self, tpch_catalog, reference_results,
-                                        query_name, access):
-        """With the catalog access layer on (hash builds over base tables are
-        the catalog's resident partitions) and off (hoisted build loops)."""
-        config = build_config("dblab-5")
+    def test_config_matches_interpreter(self, tpch_catalog, reference_results,
+                                        query_name, config_name, access):
+        """dblab-5 with the catalog access layer on (hash builds over base
+        tables are the catalog's resident partitions) and off (hoisted build
+        loops); the template expander has no level that could use it."""
+        config = build_config(config_name)
         plan = build_query(query_name)
         flags = config.flags.copy_with(catalog_access_layer=access)
         compiled = QueryCompiler(config.stack, flags).compile(
             plan, tpch_catalog, query_name)
         assert canon(compiled.run(tpch_catalog)) == canon(reference_results[query_name])
-
-    @pytest.mark.parametrize("query_name", QUERY_NAMES)
-    def test_template_expander_matches_interpreter(self, tpch_catalog, reference_results,
-                                                   query_name):
-        expanded = TemplateExpander(tpch_catalog).compile(build_query(query_name), query_name)
-        assert canon(expanded.run(tpch_catalog)) == canon(reference_results[query_name])
 
 
 class TestRepresentativeQueriesAtEveryLevel:

@@ -7,22 +7,22 @@ Two suites:
   by construction, so optimized plans are compared against raw ones with
   plain ``==`` on the result lists — same rows, same values (bit-for-bit
   floats), same order — across every TPC-H query on the interpreter, the
-  vectorized engine and the template expander, and on a representative
-  subset through the full compiled stack.
+  vectorized engine and the one-lowering ``template-expander`` stack, and on
+  a representative subset through the full compiled stack.
 
 * **Contract parity** — the *default* options additionally enable the
   cost-based join-strategy rules, which preserve the result multiset and the
   plan's sort contract but not tie order or float accumulation order.  All
-  22 queries are checked on all three direct engines with the sort-key-aware
-  multiset comparator (:func:`repro.bench.harness.rows_equivalent`) against
-  the raw plan's :func:`repro.planner.sort_contract`.
+  22 queries are checked on both direct engines and the one-lowering stack
+  with the sort-key-aware multiset comparator
+  (:func:`repro.bench.harness.rows_equivalent`) against the raw plan's
+  :func:`repro.planner.sort_contract`.
 """
 import pytest
 
 from repro.bench.harness import assert_rows_equivalent, rows_equivalent
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
 from repro.planner import Planner, PlannerOptions, sort_contract
@@ -32,6 +32,11 @@ from repro.tpch.queries import QUERY_NAMES, build_query
 #: queries exercised through the (expensive to compile) five-level stack:
 #: scans, join pipelines, residuals, outer/semi/anti joins, cross joins
 STACK_SUBSET = ("Q1", "Q3", "Q5", "Q9", "Q13", "Q15", "Q19", "Q21")
+
+#: compiled configuration × query cases: the one-lowering baseline takes all
+#: 22, the five-level stack the representative subset
+COMPILED_CASES = [("template-expander", name) for name in QUERY_NAMES] + \
+    [("dblab-5", name) for name in STACK_SUBSET]
 
 #: queries with join chains / residuals for the cost-based strategy check
 STRATEGY_SUBSET = ("Q2", "Q5", "Q7", "Q8", "Q9", "Q11", "Q21", "Q22")
@@ -67,17 +72,10 @@ class TestExactParity:
         engine = VectorizedEngine(tpch_catalog)
         assert engine.execute(optimized) == engine.execute(raw)
 
-    @pytest.mark.parametrize("query_name", QUERY_NAMES)
-    def test_template_expander(self, tpch_catalog, exact_planner, query_name):
-        raw = build_query(query_name)
-        optimized = exact_planner.optimize(build_query(query_name))
-        expander = TemplateExpander(tpch_catalog)
-        assert expander.compile(optimized, query_name).run(tpch_catalog) == \
-            expander.compile(raw, query_name).run(tpch_catalog)
-
-    @pytest.mark.parametrize("query_name", STACK_SUBSET)
-    def test_compiled_five_level_stack(self, tpch_catalog, exact_planner, query_name):
-        config = build_config("dblab-5")
+    @pytest.mark.parametrize("config_name,query_name", COMPILED_CASES)
+    def test_compiled_stack(self, tpch_catalog, exact_planner, config_name,
+                            query_name):
+        config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
         raw = compiler.compile(build_query(query_name), tpch_catalog, query_name)
         optimized = compiler.compile(exact_planner.optimize(build_query(query_name)),
@@ -87,8 +85,9 @@ class TestExactParity:
 
 class TestContractParity:
     """Default options (cost-based join strategies on): every query on every
-    direct engine satisfies the raw plan's sort contract, with rows compared
-    as multisets within key ties and floats to accumulation tolerance."""
+    direct engine and the one-lowering stack satisfies the raw plan's sort
+    contract, with rows compared as multisets within key ties and floats to
+    accumulation tolerance."""
 
     @pytest.mark.parametrize("query_name", QUERY_NAMES)
     def test_interpreter(self, tpch_catalog, default_planner, query_name):
@@ -100,16 +99,10 @@ class TestContractParity:
         self._check(tpch_catalog, default_planner, query_name,
                     VectorizedEngine(tpch_catalog).execute)
 
-    @pytest.mark.parametrize("query_name", QUERY_NAMES)
-    def test_template_expander(self, tpch_catalog, default_planner, query_name):
-        expander = TemplateExpander(tpch_catalog)
-        self._check(tpch_catalog, default_planner, query_name,
-                    lambda plan: expander.compile(plan).run(tpch_catalog))
-
-    @pytest.mark.parametrize("query_name", STACK_SUBSET)
-    def test_compiled_five_level_stack(self, tpch_catalog, default_planner,
-                                       query_name):
-        config = build_config("dblab-5")
+    @pytest.mark.parametrize("config_name,query_name", COMPILED_CASES)
+    def test_compiled_stack(self, tpch_catalog, default_planner, config_name,
+                            query_name):
+        config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
         self._check(tpch_catalog, default_planner, query_name,
                     lambda plan: compiler.compile(plan, tpch_catalog,
@@ -161,9 +154,9 @@ class TestTopKFusion:
 class TestAccessPathsDefaultOn:
     """The physical access-path rules run in the default rule set — every
     contract-parity check above therefore already executes ``PrunedScan`` /
-    ``IndexJoin`` plans on all three direct engines.  This class pins the
-    selection itself: the ops are present where expected, on by default,
-    and order-preserving (exact ``==`` against the raw plan)."""
+    ``IndexJoin`` plans on both direct engines and the compiled stacks.  This
+    class pins the selection itself: the ops are present where expected, on
+    by default, and order-preserving (exact ``==`` against the raw plan)."""
 
     #: queries whose default-optimized plans must carry each op
     INDEX_JOIN_QUERIES = ("Q10", "Q12", "Q14", "Q18")

@@ -15,7 +15,6 @@ import pytest
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
 from repro.robustness.fallback import ENGINE_TIERS, HardenedExecutor
@@ -62,15 +61,10 @@ class TestZeroTimeoutBudget:
         _assert_populated(info.value)
         assert info.value.stats.checkpoints >= 1
 
-    def test_template_trips_at_first_checkpoint(self, tiny_catalog):
-        expanded = TemplateExpander(tiny_catalog).compile(_scan_plan(), "zq")
-        with governed(QueryBudget(timeout_seconds=0.0, check_interval=1)):
-            with pytest.raises(BudgetExceeded) as info:
-                expanded.run(tiny_catalog)
-        _assert_populated(info.value)
-
-    def test_compiled_trips_inside_governed_range(self, tiny_catalog):
-        config = build_config("dblab-5")
+    @pytest.mark.parametrize("config_name", ["dblab-5", "template-expander"])
+    def test_compiled_trips_inside_governed_range(self, tiny_catalog,
+                                                  config_name):
+        config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
         compiled = compiler.compile(_scan_plan(), tiny_catalog, "zq")
         assert "_rt.governed_" in compiled.source
@@ -85,11 +79,13 @@ class TestNearZeroTimeoutBudget:
 
     @pytest.mark.parametrize("timeout", [1e-9, 1e-6])
     def test_every_engine_trips(self, tiny_catalog, timeout):
+        config = build_config("template-expander")
+        expanded = QueryCompiler(config.stack, config.flags).compile(
+            _scan_plan(), tiny_catalog, "nq")
         runs = [
             lambda: VolcanoEngine(tiny_catalog).execute(_scan_plan()),
             lambda: VectorizedEngine(tiny_catalog).execute(_scan_plan()),
-            lambda: TemplateExpander(tiny_catalog).compile(
-                _scan_plan(), "nq").run(tiny_catalog),
+            lambda: expanded.run(tiny_catalog),
         ]
         for run in runs:
             with governed(QueryBudget(timeout_seconds=timeout,

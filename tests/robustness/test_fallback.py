@@ -11,8 +11,8 @@ from repro.engine.volcano import VolcanoEngine
 from repro.robustness.faults import (DataCorruptionFault, EngineFault,
                                      FaultPlan, FaultSpec, TransientFault,
                                      inject)
-from repro.robustness.fallback import (CircuitBreaker, HardenedExecutor,
-                                       LadderExhausted)
+from repro.robustness.fallback import (ENGINE_TIERS, CircuitBreaker,
+                                       HardenedExecutor, LadderExhausted)
 from repro.robustness.governor import BudgetExceeded, QueryBudget
 from repro.robustness.incidents import DEFAULT_INCIDENTS, IncidentLog
 from repro.stack.configs import build_config
@@ -85,18 +85,25 @@ class TestCleanExecution:
             VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
         assert len(executor.incidents) == 0
 
-    def test_template_tier(self, tiny_catalog):
-        executor = _executor(tiny_catalog, tiers=("template",))
+    def test_template_expander_as_the_compiled_tier(self, tiny_catalog):
+        executor = _executor(tiny_catalog, tiers=("compiled",),
+                             compiled_config="template-expander")
         report = executor.execute(_select_plan(), "tmpl_q")
-        assert report.tier == "template"
+        assert report.tier == "compiled" and not report.degraded
         assert_rows_equivalent(
             VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
 
     def test_tier_validation(self, tiny_catalog):
+        assert ENGINE_TIERS == ("compiled", "vectorized", "interpreter")
         with pytest.raises(ValueError, match="unknown tiers"):
-            HardenedExecutor(tiny_catalog, tiers=("quantum",))
+            HardenedExecutor(tiny_catalog, tiers=("template",))
         with pytest.raises(ValueError, match="at least one tier"):
             HardenedExecutor(tiny_catalog, tiers=())
+        executor = _executor(tiny_catalog)
+        with pytest.raises(ValueError, match="unknown tiers"):
+            executor.execute(_select_plan(), "bad_q", tiers=("template",))
+        with pytest.raises(ValueError, match="at least one tier"):
+            executor.execute(_select_plan(), "bad_q", tiers=())
 
 
 class TestTierDegradation:

@@ -133,4 +133,4 @@ class TestInstallation:
                      "server.deadline_skew"):
             assert site in KNOWN_SITES
         assert "access.partition" in KNOWN_SITES
-        assert len(KNOWN_SITES) == 14
+        assert len(KNOWN_SITES) == 13

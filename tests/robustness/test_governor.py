@@ -6,7 +6,6 @@ from repro.codegen.compiler import QueryCompiler
 from repro.codegen.runtime import governed_iter, governed_range
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
-from repro.engine.template_expander import TemplateExpander
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
 from repro.robustness.governor import (BudgetExceeded, QueryBudget,
@@ -153,21 +152,9 @@ class TestEngineCancellation:
                 engine.execute(_scan_plan())
         assert info.value.kind == "timeout"
 
-    def test_template_expander_checkpoints(self, tiny_catalog):
-        expanded = TemplateExpander(tiny_catalog).compile(_scan_plan(), "tq")
-        assert "_tpl_checkpoint(" in expanded.source
-        with governed(QueryBudget(max_intermediate_rows=3)):
-            with pytest.raises(BudgetExceeded) as info:
-                expanded.run(tiny_catalog)
-        assert info.value.kind == "rows"
-
-    def test_template_expander_runs_clean_without_governor(self, tiny_catalog):
-        expanded = TemplateExpander(tiny_catalog).compile(_scan_plan(), "tq")
-        reference = VolcanoEngine(tiny_catalog).execute(_scan_plan())
-        assert expanded.run(tiny_catalog) == reference
-
-    def test_compiled_stack_in_loop_cancellation(self, tiny_catalog):
-        config = build_config("dblab-5")
+    @pytest.mark.parametrize("config_name", ["dblab-5", "template-expander"])
+    def test_compiled_stack_in_loop_cancellation(self, tiny_catalog, config_name):
+        config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
         compiled = compiler.compile(_scan_plan(), tiny_catalog, "gq")
         assert "_rt.governed_" in compiled.source
@@ -177,8 +164,10 @@ class TestEngineCancellation:
         assert info.value.kind == "rows"
         assert info.value.stats.rows_processed == 4
 
-    def test_compiled_stack_clean_run_matches_reference(self, tiny_catalog):
-        config = build_config("dblab-5")
+    @pytest.mark.parametrize("config_name", ["dblab-5", "template-expander"])
+    def test_compiled_stack_clean_run_matches_reference(self, tiny_catalog,
+                                                        config_name):
+        config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
         compiled = compiler.compile(_scan_plan(), tiny_catalog, "gq")
         assert compiled.run(tiny_catalog) == \

@@ -6,9 +6,20 @@ from repro.stack.language import C_PY, QPLAN
 
 
 class TestConfigs:
-    def test_all_five_configurations_build(self):
+    def test_all_configurations_build(self):
         configs = all_configs()
         assert [c.name for c in configs] == list(CONFIG_NAMES)
+
+    def test_template_expander_is_the_one_lowering_stack(self):
+        """The degenerate stack: plan to target code in a single lowering,
+        with no level that could host an optimization."""
+        config = build_config("template-expander")
+        assert CONFIG_NAMES[0] == "template-expander"
+        assert config.stack.languages == [QPLAN, C_PY]
+        assert len(config.stack.lowerings) == 1
+        assert config.stack.optimizations == []
+        assert config.flags.enabled() == []
+        assert config.stack.level_count(QPLAN) == 2
 
     def test_level_counts_match_names(self):
         assert build_config("dblab-2").stack.level_count(QPLAN) == 2

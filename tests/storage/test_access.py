@@ -3,12 +3,12 @@ import threading
 
 import pytest
 
+from repro.codegen.runtime import catalog_key_index, catalog_pruned_indices
 from repro.dsl.expr import col, date, in_list, like, lit
 from repro.dsl.expr_compile import compile_columnar_predicate, compile_row
 from repro.storage.access import (AccessLayer, DictIndex, DirectArray,
                                   PartitionIndex, extract_zone_filters,
-                                  rewrite_string_predicates,
-                                  template_key_index, template_pruned_indices)
+                                  rewrite_string_predicates)
 from repro.storage.access import AccessError
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
@@ -266,14 +266,15 @@ class TestPruning:
         first = layer.pruned_indices("R", (("r_val", ">", 3.5),))
         assert layer.pruned_indices("R", (("r_val", ">", 3.5),)) is first
 
-    def test_template_helper_falls_back_to_every_row(self):
+    def test_generated_code_helper_falls_back_to_every_row(self):
         catalog = _catalog()
-        rows = template_pruned_indices(catalog, "R", ())
+        rows = catalog_pruned_indices(catalog, "R", ())
         assert list(rows) == [0, 1, 2, 3, 4]
 
-    def test_template_key_index_raises_without_an_index(self):
+    def test_generated_code_key_index_raises_without_an_index(self):
+        catalog = _catalog()
         with pytest.raises(AccessError):
-            template_key_index(_catalog(), "R", "r_tag")
+            catalog_key_index(catalog, "R", "r_tag")
 
 
 class TestDictionaryRewrite:

@@ -168,11 +168,17 @@ class TestLoweringStructure:
         assert counts["record_get"] >= 1
 
 
+#: the two ends of the configuration range: the pipelining lowering straight
+#: into the target language and nothing else, and the full five-level stack
+both_ends = pytest.mark.parametrize("config_name",
+                                    ["template-expander", "dblab-5"])
+
+
 class TestLoweredSemantics:
     """The compiled plans must agree with the Volcano interpreter."""
 
-    @pytest.mark.parametrize("config_name", ["dblab-2", "dblab-3", "dblab-4", "dblab-5",
-                                             "tpch-compliant"])
+    @pytest.mark.parametrize("config_name", ["template-expander", "dblab-2", "dblab-3",
+                                             "dblab-4", "dblab-5", "tpch-compliant"])
     def test_join_aggregate_pipeline(self, tiny_catalog, config_name):
         plan = Q.Agg(
             Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
@@ -182,42 +188,48 @@ class TestLoweredSemantics:
         compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
+    @both_ends
     @pytest.mark.parametrize("kind", ["leftsemi", "leftanti", "leftouter"])
-    def test_join_variants(self, tiny_catalog, kind):
+    def test_join_variants(self, tiny_catalog, config_name, kind):
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"), kind=kind)
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
-    def test_join_with_sided_residual(self, tiny_catalog):
+    @both_ends
+    def test_join_with_sided_residual(self, tiny_catalog, config_name):
         plan = Q.HashJoin(Q.Scan("S"), Q.Scan("S", fields=("s_rid", "s_id")),
                           col("s_rid"), Col("s_rid"), kind="leftsemi",
                           residual=Col("s_id", "left") != Col("s_id", "right"))
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
-    def test_nested_loop_join(self, tiny_catalog):
+    @both_ends
+    def test_nested_loop_join(self, tiny_catalog, config_name):
         plan = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"),
                                 predicate=Col("r_sid", "left") < Col("s_rid", "right"))
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
-    def test_sort_and_limit(self, tiny_catalog):
+    @both_ends
+    def test_sort_and_limit(self, tiny_catalog, config_name):
         plan = Q.Limit(Q.Sort(Q.Scan("S"), [(col("s_val"), "desc")]), 3)
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert compiled.run(tiny_catalog) == execute(plan, tiny_catalog)
 
-    def test_global_aggregate_with_having_free_group(self, tiny_catalog):
+    @both_ends
+    def test_global_aggregate_with_having_free_group(self, tiny_catalog, config_name):
         plan = Q.Agg(Q.Scan("S"), [],
                      [Q.AggSpec("min", col("s_val"), "lo"),
                       Q.AggSpec("max", col("s_val"), "hi"),
                       Q.AggSpec("avg", col("s_val"), "mean")])
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
-    def test_projection_with_computed_columns(self, tiny_catalog):
+    @both_ends
+    def test_projection_with_computed_columns(self, tiny_catalog, config_name):
         plan = Q.Project(Q.Scan("S"), [("twice", col("s_val") * 2),
                                        ("shifted", col("s_rid") + 1)])
-        compiled = compile_and_run(plan, tiny_catalog)
+        compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
     def test_prepared_structures_are_reusable_across_runs(self, tiny_catalog):

@@ -55,8 +55,9 @@ def fresh_cache():
     QueryCompiler.clear_cache()
 
 
-def _compile(plan, catalog, shared: bool, name: str):
-    config = build_config("dblab-5")
+def _compile(plan, catalog, shared: bool, name: str,
+             config_name: str = "dblab-5"):
+    config = build_config(config_name)
     flags = config.flags.copy_with(subplan_sharing=shared)
     return QueryCompiler(config.stack, flags).compile(plan, catalog, name)
 
@@ -122,8 +123,15 @@ class TestExecutionCountProbe:
 
 
 class TestHandBuiltSharing:
-    def test_identity_shared_subtree_runs_once(self, tiny_catalog):
-        """One subplan object referenced from two parents (the Q15 shape)."""
+    @pytest.mark.parametrize("config_name,column_reads", [
+        ("dblab-5", 2),             # s_rid + s_val, once each
+        ("template-expander", 3),   # no unused-field removal: all of S, once
+    ])
+    def test_identity_shared_subtree_runs_once(self, tiny_catalog, config_name,
+                                               column_reads):
+        """One subplan object referenced from two parents (the Q15 shape).
+        Sharing lives in the pipelining lowering, so the one-lowering stack
+        has it too once the flag (off in that configuration) is set."""
         view = Q.Agg(Q.Select(Q.Scan("S"), col("s_val") > 1.0),
                      [("s_rid", col("s_rid"))],
                      [Q.AggSpec("sum", col("s_val"), "total")])
@@ -132,9 +140,9 @@ class TestHandBuiltSharing:
             Q.Project(view, [("k2", col("s_rid")), ("t2", col("total"))]),
             col("k1"), col("k2"))
         counting = CountingCatalog(tiny_catalog)
-        compiled = _compile(plan, counting, True, "hand")
+        compiled = _compile(plan, counting, True, "hand", config_name)
         assert shared_binding_count(compiled.program) == 1
         counting.reset()
         rows = compiled.run(counting, compiled.prepare(counting))
-        assert counting.reads_of_table("S") == 2  # s_rid + s_val, once each
+        assert counting.reads_of_table("S") == column_reads
         assert rows == VolcanoEngine(tiny_catalog).execute(plan)
