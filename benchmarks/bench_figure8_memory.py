@@ -3,8 +3,8 @@
 The paper profiles the generated C with Valgrind; here ``tracemalloc`` tracks
 the peak allocation of the compiled query body (the five-level configuration,
 as in the paper).  The peak is attached to each benchmark entry as
-``extra_info['peak_mb']``; ``examples/reproduce_table3.py --figure8`` prints
-the full series.
+``extra_info['peak_mb']``; ``examples/reproduce_evaluation.py`` prints the
+full series (its "Figure 8" section).
 """
 import tracemalloc
 

@@ -14,4 +14,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "pytest-timeout", "hypothesis"],
+    },
 )

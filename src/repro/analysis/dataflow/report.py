@@ -6,13 +6,13 @@ Usage::
         [--configs dblab-5,tpch-compliant] [--queries Q1,Q6,...]
         [--out BENCH_parallel_safety.json] [--no-planner]
 
-Every (config, query) pair compiles with the full verifier battery on; the
-compiler stamps each depth-0 loop of the final program with its
-parallel-safety verdict and re-proves the stamps
+Every (config, query) pair is lowered (``QueryCompiler.lower``) with the full
+verifier battery on; the compiler stamps each depth-0 loop of the final
+program with its parallel-safety verdict and re-proves the stamps
 (:func:`repro.analysis.dataflow.checks.check_stamps`).  The report prints a
 per-query table — loop label, op, verdict, reason — and writes a JSON
 artifact suitable for CI trend tracking.  Exit status is 0 only when every
-pair compiles, verifies and leaves no loop unclassified.
+pair lowers, verifies and leaves no loop unclassified.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ DEFAULT_CONFIGS = "dblab-5,tpch-compliant"
 
 def build_report(scale_factor: float, seed: int, config_names: List[str],
                  query_names: List[str], planner: bool = True) -> Dict[str, Any]:
-    """Compile each (config, query) pair with verification and collect verdicts."""
+    """Lower each (config, query) pair with verification and collect verdicts."""
     from ...codegen.compiler import QueryCompiler
     from ...stack.configs import build_config
     from ...tpch.dbgen import generate_catalog
@@ -47,8 +47,8 @@ def build_report(scale_factor: float, seed: int, config_names: List[str],
         per_query: Dict[str, Any] = {}
         for query_name in query_names:
             try:
-                compiled = compiler.compile(build_query(query_name), catalog,
-                                            query_name=query_name)
+                lowered = compiler.lower(build_query(query_name), catalog,
+                                         query_name=query_name)
             except Exception as exc:  # noqa: BLE001 - report, keep going
                 failures += 1
                 per_query[query_name] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -59,7 +59,7 @@ def build_report(scale_factor: float, seed: int, config_names: List[str],
                 "verdict": "parallelizable" if c.parallelizable else "sequential",
                 "reason": c.reason,
                 "merges": [list(m) for m in c.merges],
-            } for c in compiled.loop_safety]
+            } for c in lowered.loop_safety]
             n_parallel = sum(1 for loop in loops
                              if loop["verdict"] == "parallelizable")
             total += len(loops)

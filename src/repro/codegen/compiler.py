@@ -2,8 +2,8 @@
 
 :class:`QueryCompiler` wires together a stack configuration
 (:mod:`repro.stack.configs`), the unparser and Python's ``compile``/``exec``
-(standing in for CLang in the paper's tool chain).  The result of compiling a
-plan is a :class:`CompiledQuery` exposing:
+(standing in for CLang in the paper's tool chain).  ``lower`` stops at the
+final IR; ``compile`` goes on to a :class:`CompiledQuery` — code only — exposing:
 
 * ``prepare(db)`` — run the hoisted (data-loading time) section and return
   its bindings (``aux``): lookups of catalog-resident structures when the
@@ -45,17 +45,16 @@ class CompiledQuery:
 
     Nothing prepared is ever stored on it, so one instance can be shared by
     every caller and every thread — which is what lets the compiled-query
-    cache hand out its entry instead of a copy.
+    cache hand out its entry instead of a copy.  Nor is the IR it was
+    unparsed from: a cache entry holds what a request reads (source, trace,
+    timings, two functions); :meth:`QueryCompiler.lower` is where the
+    program is.
     """
 
     name: str
     source: str
     config: str
-    program: Program
     phases: List[Any] = field(default_factory=list)
-    #: per-loop parallel-safety classifications (verify-mode compiles only):
-    #: each depth-0 loop of the final program, stamped and re-proved.
-    loop_safety: List[Any] = field(default_factory=list)
     generation_seconds: float = 0.0
     python_compile_seconds: float = 0.0
     cache_hit: bool = False
@@ -203,23 +202,31 @@ class QueryCompiler:
                 catalog, PlannerOptions(validate_rewrites=True)).optimize(plan)
         return Planner.for_catalog(catalog).optimize(plan)
 
+    def _front_end(self, plan, catalog: Catalog):
+        """``(plan as the stack receives it, its front-end language)``: the
+        language is inferred from the type of ``plan``; both front ends share
+        every level below them (the extensibility argument of Section 4.6)."""
+        if isinstance(plan, M.QueryMonad):
+            return plan, QMONAD
+        if isinstance(plan, Q.Operator):
+            return self._planned(plan, catalog), QPLAN
+        raise CompilerError(
+            f"expected a QPlan operator or a QueryMonad chain, got {type(plan).__name__}")
+
+    def lower(self, plan, catalog: Catalog,
+              query_name: str = "query") -> CompilationResult:
+        """Push a QPlan tree or a QMonad chain through the stack and stop at
+        the IR: the final ANF ``program``, the per-phase trace and (verifying
+        compilers only) ``loop_safety``.  This is where IR is inspected —
+        :meth:`compile` unparses this program and keeps only the code."""
+        plan, source = self._front_end(plan, catalog)
+        return self._lower(plan, source, catalog, query_name)
+
     def compile(self, plan, catalog: Catalog,
                 query_name: str = "query") -> CompiledQuery:
-        """Push a QPlan tree or a QMonad chain through the stack.
-
-        The front-end language is inferred from the type of ``plan``; both
-        front ends share every level below them, which is the extensibility
-        argument of Section 4.6.
-        """
-        if isinstance(plan, M.QueryMonad):
-            source = QMONAD
-        elif isinstance(plan, Q.Operator):
-            plan = self._planned(plan, catalog)
-            source = QPLAN
-        else:
-            raise CompilerError(
-                f"expected a QPlan operator or a QueryMonad chain, got {type(plan).__name__}")
-
+        """:meth:`lower`, unparse and ``exec``; served from the catalog's
+        compiled-query cache when the same planned tree was compiled before."""
+        plan, source = self._front_end(plan, catalog)
         key = self._cache_key(plan, query_name)
         if key is None:
             compiled = self._build(plan, source, catalog, query_name)
@@ -234,25 +241,17 @@ class QueryCompiler:
             governor.charge_compile(compiled.compile_seconds)
         return compiled
 
-    def _build(self, plan, source, catalog: Catalog,
-               query_name: str) -> CompiledQuery:
-        """Run the stack, unparse and ``exec``: the work a cache hit skips."""
-        # read before compiling: a reload landing mid-compile must leave the
-        # result marked stale, not stamped with the generation it missed
-        generation = AccessLayer.for_catalog(catalog).generation
-        fault_point("compiler.compile", query=query_name, stack=self.stack.name)
+    def _lower(self, plan, source, catalog: Catalog,
+               query_name: str) -> CompilationResult:
         context = CompilationContext(catalog=catalog, flags=self.flags,
                                      query_name=query_name)
-        start = time.perf_counter()
-        result: CompilationResult = self.stack.compile(plan, source, context,
-                                                      verify=self.verify,
-                                                      catalog=catalog if self.verify else None)
+        result = self.stack.compile(plan, source, context, verify=self.verify,
+                                    catalog=catalog if self.verify else None)
         program = result.program
         if not isinstance(program, Program):
             raise CompilerError(
                 f"stack {self.stack.name!r} did not produce an ANF program "
                 f"(got {type(program).__name__}); is the lowering chain complete?")
-        loop_safety: List[Any] = []
         if self.verify:
             # Stamp every depth-0 loop with its parallel-safety verdict and
             # immediately re-prove the stamps: the annotate → check round
@@ -260,10 +259,22 @@ class QueryCompiler:
             # apart.
             from ..analysis.dataflow import annotate_parallel_safety
             from ..analysis.dataflow.checks import check_stamps
-            loop_safety = list(annotate_parallel_safety(program))
+            result.loop_safety = list(annotate_parallel_safety(program))
             check_stamps(program, catalog=catalog,
                          phase=f"parallel-safety[{query_name}]")
-        text = PythonUnparser(query_name).unparse(program)
+        return result
+
+    def _build(self, plan, source, catalog: Catalog,
+               query_name: str) -> CompiledQuery:
+        """Lower, unparse and ``exec``: the work a cache hit skips.  The IR
+        dies here — the result keeps the code, the trace and the timings."""
+        # read before compiling: a reload landing mid-compile must leave the
+        # result marked stale, not stamped with the generation it missed
+        generation = AccessLayer.for_catalog(catalog).generation
+        fault_point("compiler.compile", query=query_name, stack=self.stack.name)
+        start = time.perf_counter()
+        result = self._lower(plan, source, catalog, query_name)
+        text = PythonUnparser(query_name).unparse(result.program)
         if self.verify:
             from ..analysis import verify_source
             verify_source(text, phase=f"unparse[{query_name}]")
@@ -283,9 +294,7 @@ class QueryCompiler:
             name=query_name,
             source=text,
             config=self.stack.name,
-            program=program,
             phases=result.phases,
-            loop_safety=loop_safety,
             generation_seconds=generation_seconds,
             python_compile_seconds=python_compile_seconds,
             _prepare_fn=namespace["prepare"],

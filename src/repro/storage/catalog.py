@@ -96,7 +96,11 @@ class Catalog:
         return self.schema.table(table).column(column).foreign_key is not None
 
     def memory_footprint(self) -> int:
-        """Approximate loaded-data size in bytes (used for Figure 8 context)."""
+        """*Logical* loaded-data size in bytes: the C layout the paper's
+        Figure 8 assumes — 8 B per non-string value, one per character of a
+        string, plus the column lists — not what the Python objects occupy
+        (shared objects are counted once per row here).  This is the value
+        the benchmark reports as ``storage.catalog_bytes``."""
         import sys
         total = 0
         for table in self.tables.values():

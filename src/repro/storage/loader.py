@@ -33,10 +33,17 @@ def parse_value(raw: str, column_type):
 
 
 def load_table_file(schema: TableSchema, path: str) -> ColumnarTable:
-    """Load one ``.tbl`` file into a columnar table."""
+    """Load one ``.tbl`` file into a columnar table.
+
+    Each column interns through its own pool as it parses: a field text seen
+    before in that column yields the object parsed the first time, so a column
+    holds one object per distinct value.  Pools are keyed on the text, not the
+    value (``0.0`` and ``-0.0`` stay apart), and never span columns.
+    """
     column_names = schema.column_names()
     column_types = [schema.column_type(name) for name in column_names]
     columns: Dict[str, List] = {name: [] for name in column_names}
+    pools: List[Dict[str, object]] = [{} for _ in column_names]
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -48,8 +55,10 @@ def load_table_file(schema: TableSchema, path: str) -> ColumnarTable:
             if len(parts) != len(column_names):
                 raise LoaderError(
                     f"{path}:{line_no}: expected {len(column_names)} fields, got {len(parts)}")
-            for name, ctype, raw in zip(column_names, column_types, parts):
-                columns[name].append(parse_value(raw, ctype))
+            for name, ctype, pool, raw in zip(column_names, column_types, pools, parts):
+                if raw not in pool:
+                    pool[raw] = parse_value(raw, ctype)
+                columns[name].append(pool[raw])
     return ColumnarTable(schema, columns)
 
 

@@ -76,6 +76,13 @@ START_DATE = dates.date_to_int("1992-01-01")
 END_DATE = dates.date_to_int("1998-08-02")
 _TOTAL_DAYS = 2405   # days between START_DATE and END_DATE
 
+# Value tables: a row holds the table's object, not a fresh box, so a loaded
+# column costs one object per *distinct* value; dates are drawn as day ordinals
+# into ``_CALENDAR``, which also keeps ``datetime`` off the per-row path.
+_CALENDAR = [dates.add_days(START_DATE, day) for day in range(_TOTAL_DAYS + 1)]
+_QUANTITIES = [float(quantity) for quantity in range(51)]
+_HUNDREDTHS = [percent / 100.0 for percent in range(11)]
+
 #: TPC-H base cardinalities at scale factor 1.
 BASE_CARDINALITIES = {
     "supplier": 10_000,
@@ -125,9 +132,6 @@ class TpchGenerator:
     # ------------------------------------------------------------------
     def _count(self, table: str) -> int:
         return max(1, int(round(BASE_CARDINALITIES[table] * self.scale_factor)))
-
-    def _random_date(self, lo: int = START_DATE, hi_days: int = _TOTAL_DAYS) -> int:
-        return dates.add_days(lo, self._rng.randrange(0, hi_days + 1))
 
     def _text(self, min_words: int = 4, max_words: int = 10,
               inject: str = "", inject_probability: float = 0.0) -> str:
@@ -252,10 +256,15 @@ class TpchGenerator:
     def _gen_orders_and_lineitems(self, customer, part, supplier, partsupp):
         rng = self._rng
         n_orders = self._count("orders")
-        n_customers = len(customer["c_custkey"])
-        n_parts = len(part["p_partkey"])
+        # a foreign key is the referenced primary-key column's own int object
+        custkeys = customer["c_custkey"]
+        partkeys = part["p_partkey"]
+        n_customers = len(custkeys)
+        n_parts = len(partkeys)
         n_suppliers = len(supplier["s_suppkey"])
         retail_price = part["p_retailprice"]
+        n_clerks = max(2, n_orders // 1000)
+        clerks = [f"Clerk#{number:09d}" for number in range(n_clerks + 1)]
 
         orders: Dict[str, List] = {name: [] for name in
                                    ("o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
@@ -277,21 +286,22 @@ class TpchGenerator:
             while custkey % 3 == 0:
                 custkey = rng.randint(1, n_customers)
             # order dates leave room for shipping within the 1992-1998 window
-            orderdate = self._random_date(START_DATE, _TOTAL_DAYS - 151)
+            order_day = rng.randrange(0, _TOTAL_DAYS - 151 + 1)
             n_lines = rng.randint(lo_lines, hi_lines)
             total_price = 0.0
             all_filled = True
             any_open = False
             for line_number in range(1, n_lines + 1):
-                partkey = rng.randint(1, n_parts)
+                partkey = partkeys[rng.randint(1, n_parts) - 1]
                 suppkey = rng.randint(1, n_suppliers)
-                quantity = float(rng.randint(1, 50))
+                quantity = _QUANTITIES[rng.randint(1, 50)]
                 extended = round(quantity * retail_price[partkey - 1], 2)
-                discount = rng.randint(0, 10) / 100.0
-                tax = rng.randint(0, 8) / 100.0
-                shipdate = dates.add_days(orderdate, rng.randint(1, 121))
-                commitdate = dates.add_days(orderdate, rng.randint(30, 90))
-                receiptdate = dates.add_days(shipdate, rng.randint(1, 30))
+                discount = _HUNDREDTHS[rng.randint(0, 10)]
+                tax = _HUNDREDTHS[rng.randint(0, 8)]
+                ship_day = order_day + rng.randint(1, 121)
+                shipdate = _CALENDAR[ship_day]
+                commitdate = _CALENDAR[order_day + rng.randint(30, 90)]
+                receiptdate = _CALENDAR[ship_day + rng.randint(1, 30)]
                 if receiptdate > cutoff:
                     returnflag = "N"
                 else:
@@ -329,12 +339,12 @@ class TpchGenerator:
             else:
                 status = "P"
             orders["o_orderkey"].append(orderkey)
-            orders["o_custkey"].append(custkey)
+            orders["o_custkey"].append(custkeys[custkey - 1])
             orders["o_orderstatus"].append(status)
             orders["o_totalprice"].append(round(total_price, 2))
-            orders["o_orderdate"].append(orderdate)
+            orders["o_orderdate"].append(_CALENDAR[order_day])
             orders["o_orderpriority"].append(rng.choice(PRIORITIES))
-            orders["o_clerk"].append(f"Clerk#{rng.randint(1, max(2, n_orders // 1000)):09d}")
+            orders["o_clerk"].append(clerks[rng.randint(1, n_clerks)])
             orders["o_shippriority"].append(0)
             orders["o_comment"].append(
                 self._text(5, 10, inject="special packages requests", inject_probability=0.05))

@@ -50,8 +50,8 @@ class TestQueryCompiler:
     def test_generated_program_reaches_target_language(self, tiny_catalog, plan):
         for name in ("dblab-2", "dblab-3", "dblab-4", "dblab-5"):
             config = build_config(name)
-            compiled = QueryCompiler(config.stack, config.flags).compile(plan, tiny_catalog)
-            assert compiled.program.language == "C.Py"
+            lowered = QueryCompiler(config.stack, config.flags).lower(plan, tiny_catalog)
+            assert lowered.program.language == "C.Py"
 
     def test_run_without_prepare_prepares_lazily(self, tiny_catalog, plan):
         config = build_config("dblab-4")

@@ -78,3 +78,61 @@ class TestLoader:
         path.write_text("1|apple|2.5|1995-01-01|\n\n2|pear|3.0|1996-06-15|\n")
         table = load_table_file(sales_schema(), str(path))
         assert table.num_rows == 2
+
+
+class TestLoaderInterning:
+    """``load_table_file`` interns per column as it parses: same values,
+    types and ``repr`` as parsing every field, one object per distinct field."""
+
+    SCHEMA = TableSchema("t", [int_column("k"), float_column("f"),
+                               string_column("s"), date_column("d")])
+    ROWS = [("1", "1.0", "a", "1995-01-01"), ("1", "-0.0", "None", "1995-01-01"),
+            ("7", "0.0", "a", "1996-02-29"), ("1", "nan", "", "1995-01-01"),
+            ("7", "NaN", "None", "1996-02-29"), ("300", "1.0", "1", "1995-01-01"),
+            ("300", "-0.0", "1.0", "1996-02-29"), ("1", "1e3", "a", "1995-01-01")]
+
+    @pytest.fixture()
+    def table(self, tmp_path):
+        path = tmp_path / "t.tbl"
+        path.write_text("".join("|".join(row) + "|\n" for row in self.ROWS))
+        return load_table_file(self.SCHEMA, str(path))
+
+    def test_values_types_and_repr_are_those_of_parsing_every_field(self, table):
+        from repro.storage.loader import parse_value
+        names = self.SCHEMA.column_names()
+        for index, name in enumerate(names):
+            ctype = self.SCHEMA.column_type(name)
+            expected = [parse_value(row[index], ctype) for row in self.ROWS]
+            assert [(type(v), repr(v)) for v in table.column(name)] == \
+                [(type(v), repr(v)) for v in expected]
+        assert [repr(v) for v in table.column("f")] == \
+            ["1.0", "-0.0", "0.0", "nan", "nan", "1.0", "-0.0", "1000.0"]
+
+    def test_one_object_per_distinct_field(self, table):
+        for index, name in enumerate(self.SCHEMA.column_names()):
+            distinct_fields = len({row[index] for row in self.ROWS})
+            assert len({id(v) for v in table.column(name)}) == distinct_fields
+        k = table.column("k")
+        assert k[5] is k[6] and k[5] == 300   # beyond CPython's small ints
+
+    def test_pools_are_per_column(self, table):
+        """An INT column's ``1`` and a FLOAT column's ``1.0`` are equal and
+        hash alike; they must never meet in one pool."""
+        assert table.column("k")[0] == table.column("f")[0]
+        assert type(table.column("k")[0]) is int
+        assert type(table.column("f")[0]) is float
+        assert table.column("s")[5] == "1" and table.column("s")[6] == "1.0"
+
+    def test_generated_table_round_trips_with_values_and_types(self, tmp_path):
+        from repro.tpch.dbgen import generate_catalog
+        catalog = generate_catalog(scale_factor=0.001, seed=3)
+        for name in ("orders", "lineitem"):
+            original = catalog.table(name)
+            path = tmp_path / f"{name}.tbl"
+            dump_table_file(original, str(path))
+            reloaded = load_table_file(original.schema, str(path))
+            for column, values in original.columns.items():
+                again = reloaded.column(column)
+                assert again == values
+                assert [type(v) for v in again] == [type(v) for v in values]
+                assert len({id(v) for v in again}) == len(set(values))

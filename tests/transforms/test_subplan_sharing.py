@@ -55,27 +55,37 @@ def fresh_cache():
     QueryCompiler.clear_cache()
 
 
+def _compiler(shared: bool, config_name: str = "dblab-5") -> QueryCompiler:
+    config = build_config(config_name)
+    return QueryCompiler(config.stack,
+                         config.flags.copy_with(subplan_sharing=shared))
+
+
 def _compile(plan, catalog, shared: bool, name: str,
              config_name: str = "dblab-5"):
-    config = build_config(config_name)
-    flags = config.flags.copy_with(subplan_sharing=shared)
-    return QueryCompiler(config.stack, flags).compile(plan, catalog, name)
+    return _compiler(shared, config_name).compile(plan, catalog, name)
+
+
+def _program(plan, catalog, shared: bool, name: str,
+             config_name: str = "dblab-5"):
+    """The final IR: ``lower`` is where it is, ``CompiledQuery`` is code."""
+    return _compiler(shared, config_name).lower(plan, catalog, name).program
 
 
 class TestSharedBindings:
     @pytest.mark.parametrize("query_name", SHARED_QUERIES)
     def test_shared_queries_materialise_bindings(self, tpch_catalog, query_name):
-        compiled = _compile(build_query(query_name), tpch_catalog, True,
-                            query_name)
-        assert shared_binding_count(compiled.program) >= 1
+        program = _program(build_query(query_name), tpch_catalog, True,
+                           query_name)
+        assert shared_binding_count(program) >= 1
 
     def test_unshared_plan_gets_no_bindings(self, tpch_catalog):
-        compiled = _compile(build_query("Q6"), tpch_catalog, True, "Q6")
-        assert shared_binding_count(compiled.program) == 0
+        program = _program(build_query("Q6"), tpch_catalog, True, "Q6")
+        assert shared_binding_count(program) == 0
 
     def test_flag_off_keeps_the_inlined_duplicates(self, tpch_catalog):
-        compiled = _compile(build_query("Q15"), tpch_catalog, False, "Q15-off")
-        assert shared_binding_count(compiled.program) == 0
+        program = _program(build_query("Q15"), tpch_catalog, False, "Q15-off")
+        assert shared_binding_count(program) == 0
 
 
 class TestExecutionCountProbe:
@@ -141,7 +151,8 @@ class TestHandBuiltSharing:
             col("k1"), col("k2"))
         counting = CountingCatalog(tiny_catalog)
         compiled = _compile(plan, counting, True, "hand", config_name)
-        assert shared_binding_count(compiled.program) == 1
+        assert shared_binding_count(
+            _program(plan, counting, True, "hand", config_name)) == 1
         counting.reset()
         rows = compiled.run(counting, compiled.prepare(counting))
         assert counting.reads_of_table("S") == column_reads
