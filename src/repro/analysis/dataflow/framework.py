@@ -16,10 +16,12 @@ Three things live here, shared by every concrete analysis of the package:
   concrete analyses treat conservatively).
 
 * per-``(program, analysis)`` memoization (:class:`AnalysisCache`).  Programs
-  are immutable — every transformation *rebuilds* them — so caching by object
-  identity is sound and invalidation on rewrite is automatic: a rewritten
-  program is a new object and simply misses the cache.  Entries are evicted
-  when the program is garbage collected, so the cache never pins memory.
+  are immutable — a transformation that changes one builds a new one, and one
+  that changes nothing returns its input — so caching by object identity is
+  sound, invalidation on rewrite is automatic (a rewritten program is a new
+  object and simply misses the cache), and a program keeps its facts across
+  every pass that leaves it alone.  Entries are evicted when the program is
+  garbage collected, so the cache never pins memory.
 
 The use-def facts (:func:`use_def`) are the memoized replacement for the
 per-pass recomputation that :mod:`repro.transforms.analysis` used to do.
@@ -106,10 +108,11 @@ def _walk_block(block: Block, depth: int, reverse: bool) -> Iterator[Visit]:
 class AnalysisCache:
     """Memoizes analysis results per ``(program identity, analysis, context)``.
 
-    Rewrites build new :class:`~repro.ir.nodes.Program` objects, so identity
-    keying gives exactly the required invalidation semantics: facts survive
-    as long as the program they describe does, and never serve a rewritten
-    program.  A ``weakref.finalize`` on the program evicts the entry when the
+    A rewrite builds a new :class:`~repro.ir.nodes.Program` and a no-op pass
+    returns its input, so identity keying gives exactly the required
+    invalidation semantics: facts survive as long as the program they
+    describe does — across any number of passes that leave it alone — and
+    never serve a rewritten program.  A ``weakref.finalize`` on the program evicts the entry when the
     program dies, which also makes ``id()`` reuse harmless.
     """
 

@@ -9,7 +9,7 @@ class VerificationError(Exception):
 
     Attributes:
         check: which verifier fired (``"scope"``, ``"types"``, ``"effects"``,
-            ``"language"``, ``"codelint"``, ``"plan"``).
+            ``"language"``, ``"codelint"``, ``"plan"``, ``"fixpoint"``).
         phase: the transformation / pipeline phase that produced the program,
             when known — this is the attribution that turns "query Q19 is
             wrong" into "``dce[ScaLite]`` dropped a live binding".

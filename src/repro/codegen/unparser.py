@@ -60,9 +60,9 @@ class PythonUnparser:
         if len(program.params) != 1:
             raise UnparserError("expected exactly one program parameter (the database)")
         db = _name(program.params[0])
-        hoisted_syms = [stmt.sym for stmt in program.hoisted.stmts]
-        needed_from_hoisted = [sym for sym in hoisted_syms
-                               if sym in used_syms(program.body)]
+        used_in_body = used_syms(program.body)
+        needed_from_hoisted = [stmt.sym for stmt in program.hoisted.stmts
+                               if stmt.sym in used_in_body]
 
         lines: List[str] = []
         lines.append(f'"""Generated by the DSL stack for query {self.query_name!r}."""')

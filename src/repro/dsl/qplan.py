@@ -489,13 +489,12 @@ def shared_subplan_fingerprints(plan: Operator) -> Dict[int, str]:
     for node in walk(plan):
         if isinstance(node, Scan):
             continue
-        canonical = by_id.get(id(node))
-        if canonical is None:
-            canonical = _plan_canonical(node)
-            by_id[id(node)] = canonical
+        # pre-order: the root's canonical form fills ``by_id`` for the whole
+        # tree, so every later node is a lookup, not another subtree walk
+        canonical = _plan_canonical(node, by_id)
         counts[canonical] = counts.get(canonical, 0) + 1
     return {node_id: canonical for node_id, canonical in by_id.items()
-            if counts[canonical] > 1}
+            if counts.get(canonical, 0) > 1}
 
 
 def plan_fingerprint(plan: Operator) -> str:
@@ -507,14 +506,27 @@ def plan_fingerprint(plan: Operator) -> str:
     """
     import hashlib
 
-    return hashlib.sha256(_plan_canonical(plan).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_plan_canonical(plan, {}).encode("utf-8")).hexdigest()
 
 
-def _plan_canonical(plan: Operator) -> str:
+def _plan_canonical(plan: Operator, memo: Dict[int, str]) -> str:
+    """Canonical form of a subtree.  ``memo`` (``id(node) -> canonical``)
+    belongs to one caller and one live plan: with it every node is
+    canonicalised once per call, however many enclosing subtrees ask."""
+    canonical = memo.get(id(plan))
+    if canonical is None:
+        canonical = memo[id(plan)] = _canonicalize(plan, memo)
+    return canonical
+
+
+def _canonicalize(plan: Operator, memo: Dict[int, str]) -> str:
     from .expr_compile import expr_fingerprint as efp
 
     def opt(expr) -> str:
         return "-" if expr is None else efp(expr)
+
+    def sub(child: Operator) -> str:
+        return _plan_canonical(child, memo)
 
     if isinstance(plan, Scan):
         fields = "*" if plan.fields is None else ",".join(plan.fields)
@@ -523,37 +535,37 @@ def _plan_canonical(plan: Operator) -> str:
         zones = ",".join(f"{column}{op}{value!r}"
                          for column, op, value in plan.zone_filters)
         return (f"PrunedScan({efp(plan.predicate)};[{zones}];"
-                f"{_plan_canonical(plan.child)})")
+                f"{sub(plan.child)})")
     if isinstance(plan, Select):
-        return f"Select({efp(plan.predicate)};{_plan_canonical(plan.child)})"
+        return f"Select({efp(plan.predicate)};{sub(plan.child)})"
     if isinstance(plan, Project):
         projections = ",".join(f"{name}={efp(expr)}" for name, expr in plan.projections)
-        return f"Project({projections};{_plan_canonical(plan.child)})"
+        return f"Project({projections};{sub(plan.child)})"
     if isinstance(plan, IndexJoin):
         return (f"IndexJoin({plan.kind};{plan.index_table}.{plan.index_column};"
                 f"{efp(plan.left_key)};{efp(plan.right_key)};"
-                f"{opt(plan.residual)};{_plan_canonical(plan.left)};"
-                f"{_plan_canonical(plan.right)})")
+                f"{opt(plan.residual)};{sub(plan.left)};"
+                f"{sub(plan.right)})")
     if isinstance(plan, HashJoin):
         return (f"HashJoin({plan.kind};{efp(plan.left_key)};{efp(plan.right_key)};"
-                f"{opt(plan.residual)};{_plan_canonical(plan.left)};"
-                f"{_plan_canonical(plan.right)})")
+                f"{opt(plan.residual)};{sub(plan.left)};"
+                f"{sub(plan.right)})")
     if isinstance(plan, NestedLoopJoin):
         return (f"NestedLoopJoin({plan.kind};{opt(plan.predicate)};"
-                f"{_plan_canonical(plan.left)};{_plan_canonical(plan.right)})")
+                f"{sub(plan.left)};{sub(plan.right)})")
     if isinstance(plan, Agg):
         keys = ",".join(f"{name}={efp(expr)}" for name, expr in plan.group_keys)
         aggs = ",".join(f"{a.name}={a.kind}({opt(a.expr)})" for a in plan.aggregates)
         return (f"Agg([{keys}];[{aggs}];{opt(plan.having)};"
-                f"{_plan_canonical(plan.child)})")
+                f"{sub(plan.child)})")
     if isinstance(plan, Sort):
         keys = ",".join(f"{efp(expr)}:{order}" for expr, order in plan.keys)
-        return f"Sort([{keys}];{_plan_canonical(plan.child)})"
+        return f"Sort([{keys}];{sub(plan.child)})"
     if isinstance(plan, Limit):
-        return f"Limit({plan.count};{_plan_canonical(plan.child)})"
+        return f"Limit({plan.count};{sub(plan.child)})"
     if isinstance(plan, TopK):
         keys = ",".join(f"{efp(expr)}:{order}" for expr, order in plan.keys)
-        return f"TopK([{keys}];{plan.count};{_plan_canonical(plan.child)})"
+        return f"TopK([{keys}];{plan.count};{sub(plan.child)})"
     raise PlanError(f"cannot fingerprint operator {type(plan).__name__}")
 
 

@@ -1,9 +1,10 @@
 """Human-readable printing of ANF programs.
 
-The printer is also used as a cheap structural fingerprint: the fixed-point
-driver of :mod:`repro.stack.transformation` re-applies optimizations until the
-printed form stops changing, which is the paper's "no structurally different
-code" termination condition.
+The printed form is also the structural fingerprint of a program — the
+paper's "no structurally different code".  The fixed-point driver of
+:mod:`repro.stack.transformation` does not print anything to find its fixed
+point (a pass that changes nothing returns its input); the verifier uses the
+fingerprint to hold passes to that contract.
 """
 from __future__ import annotations
 

@@ -7,7 +7,8 @@ callback.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from . import ops as op_registry
 from .effects import Effect
@@ -63,6 +64,15 @@ def free_syms(block: Block) -> Set[Sym]:
     return used_syms(block) - bound_syms(block)
 
 
+def same_objects(new: Sequence, old: Sequence) -> bool:
+    """Whether two equally long sequences hold the same objects, pairwise.
+
+    The "did anything change" test of every path-copying rewrite: a pass
+    that changes nothing returns its input, all the way down.
+    """
+    return all(a is b for a, b in zip(new, old))
+
+
 def substitute_atom(atom: Atom, mapping: Dict[Sym, Atom]) -> Atom:
     if isinstance(atom, Sym):
         return mapping.get(atom, atom)
@@ -114,6 +124,14 @@ class BlockRewriter:
     remapped) and the rewriter itself; it can emit replacement statements via
     :meth:`emit` and return the atom that stands for the original statement's
     result.  Returning ``None`` keeps the statement unchanged.
+
+    The rebuild is path-copying: a statement with no substituted argument, no
+    replacement and no rewritten nested block is kept as the same object, a
+    block whose statements and result were all kept is returned as the same
+    :class:`Block`, and likewise the :class:`Program`.  A pass built on the
+    rewriter therefore returns its input when it rewrote nothing, which is
+    how the fixpoint driver knows (statements are shared between the input
+    and the output, so neither may be mutated afterwards).
     """
 
     def __init__(self, rewrite: RewriteFn) -> None:
@@ -150,35 +168,53 @@ class BlockRewriter:
     def rewrite_program(self, program: Program) -> Program:
         hoisted = self._rewrite_block(program.hoisted)
         body = self._rewrite_block(program.body)
+        if hoisted is program.hoisted and body is program.body:
+            return program
         return Program(body=body, params=program.params, language=program.language,
                        hoisted=hoisted)
 
     # -- internals ----------------------------------------------------------
     def _rewrite_block(self, block: Block) -> Block:
-        self._out_stack.append([])
+        mapping = self._mapping
+        out: List[Stmt] = []
+        self._out_stack.append(out)
         for stmt in block.stmts:
             expr = stmt.expr
-            remapped_args = tuple(substitute_atom(a, self._mapping) for a in expr.args)
-            remapped = Stmt(stmt.sym, Expr(expr.op, remapped_args, dict(expr.attrs),
-                                           expr.blocks, expr.type))
+            remapped = stmt
+            if mapping:
+                args = tuple(substitute_atom(a, mapping) for a in expr.args)
+                if not same_objects(args, expr.args):
+                    remapped = Stmt(stmt.sym, Expr(expr.op, args, expr.attrs,
+                                                   expr.blocks, expr.type))
             replacement = self._rewrite(remapped, self)
             if replacement is None:
                 # Keep the statement, but still rewrite its nested blocks.
                 if expr.blocks:
                     new_blocks = tuple(self._rewrite_block(b) for b in expr.blocks)
-                    remapped = Stmt(stmt.sym, Expr(expr.op, remapped_args, dict(expr.attrs),
-                                                   new_blocks, expr.type))
-                self._out_stack[-1].append(remapped)
+                    if not same_objects(new_blocks, expr.blocks):
+                        remapped = Stmt(stmt.sym, Expr(expr.op, remapped.expr.args,
+                                                       expr.attrs, new_blocks, expr.type))
+                out.append(remapped)
             else:
-                self._mapping[stmt.sym] = replacement
-        stmts = self._out_stack.pop()
-        return Block(stmts, substitute_atom(block.result, self._mapping), block.params)
+                mapping[stmt.sym] = replacement
+        self._out_stack.pop()
+        result = substitute_atom(block.result, mapping)
+        if (result is block.result and len(out) == len(block.stmts)
+                and same_objects(out, block.stmts)):
+            return block
+        return Block(out, result, block.params)
 
 
 def rewrite_program(program: Program, rewrite: RewriteFn,
                     language: Optional[str] = None) -> Program:
-    """Convenience wrapper: rewrite a whole program with a statement callback."""
+    """Convenience wrapper: rewrite a whole program with a statement callback.
+
+    Returns ``program`` itself when the callback rewrote nothing and the
+    language is unchanged.
+    """
     result = BlockRewriter(rewrite).rewrite_program(program)
-    if language is not None:
-        result.language = language
+    if language is not None and language != result.language:
+        # relabel a copy: ``result`` may be the caller's own ``program``
+        result = Program(body=result.body, params=result.params,
+                         language=language, hoisted=result.hoisted)
     return result

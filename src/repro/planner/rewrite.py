@@ -3,9 +3,10 @@
 This is the plan-level sibling of :mod:`repro.stack.transformation`: the DSL
 stack applies IR transformations until a fixed point, the planner applies
 *plan rewrite rules* over :class:`~repro.dsl.qplan.Operator` trees until a
-fixed point.  The drivers share the same shape on purpose — a rule list, a
-structural fingerprint to detect convergence, a hard iteration bound against
-non-terminating rule sets, and a report of what fired.
+fixed point.  The drivers share the same shape on purpose — a rule list, an
+identity check to detect convergence (a sweep in which no rule fired returns
+the tree it was given), a hard iteration bound against non-terminating rule
+sets, and a report of what fired.
 
 Rules are node-local: :meth:`PlanRule.apply` looks at one operator (and its
 children, which it may restructure) and returns a rewritten operator or
@@ -70,7 +71,9 @@ class PlanRule:
 class RewriteReport:
     """What happened while rewriting one plan (mirrors ``FixpointReport``)."""
 
+    #: sweeps over the tree, the confirming one included
     iterations: int = 0
+    #: names of the rule applications that changed the plan, in order
     applied: List[str] = field(default_factory=list)
     reached_fixpoint: bool = False
 
@@ -135,24 +138,23 @@ def apply_rules_fixpoint(plan: Q.Operator, rules: Sequence[PlanRule],
                          max_iterations: int = 8) -> tuple:
     """Sweep ``rules`` over the plan until it stops changing.
 
-    Returns ``(plan, report)``.  Like the stack's ``apply_fixpoint``, a hard
-    iteration bound guards against non-terminating rule sets, and hitting the
-    bound is reported (``reached_fixpoint=False``) rather than raised.
+    Returns ``(plan, report)``.  :func:`rewrite_sweep` returns the tree it
+    was given when no rule fired, so the fixed point is an identity check.
+    Like the stack's ``apply_fixpoint``, a hard iteration bound guards
+    against non-terminating rule sets, and hitting the bound is reported
+    (``reached_fixpoint=False``) rather than raised.
     """
     report = RewriteReport()
     if not rules:
         report.reached_fixpoint = True
         return plan, report
 
-    previous = Q.plan_fingerprint(plan)
     for _ in range(max_iterations):
         report.iterations += 1
-        before = len(context.applied)
+        before, fired = plan, len(context.applied)
         plan = rewrite_sweep(plan, rules, context)
-        report.applied.extend(context.applied[before:])
-        current = Q.plan_fingerprint(plan)
-        if current == previous:
+        if plan is before:
             report.reached_fixpoint = True
             break
-        previous = current
+        report.applied.extend(context.applied[fired:])
     return plan, report

@@ -15,7 +15,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .context import CompilationContext
 from .language import Language
-from .transformation import Lowering, Optimization, apply_fixpoint
+from .transformation import (Lowering, Optimization, apply_fixpoint,
+                             program_fingerprint)
 
 
 class StackValidationError(Exception):
@@ -195,7 +196,9 @@ class DslStack:
         With ``verify=True`` the static-analysis battery of
         :mod:`repro.analysis` runs after **every** transformation — each
         optimization pass is audited against the effect system
-        (before/after legality) and each intermediate program is scope-,
+        (before/after legality; a pass that returned its input changed
+        nothing and is skipped, one that rebuilt an identical program is
+        rejected) and each intermediate program is scope-,
         type- and vocabulary-checked, with failures raised as
         phase-attributed :class:`~repro.analysis.VerificationError`.  A
         ``catalog`` additionally resolves table/column attributes against
@@ -211,9 +214,12 @@ class DslStack:
         observer = None
         verify_state = {"language": source}
         if verify:
-            from ..analysis import audit_optimization, verify_program
+            from ..analysis import (VerificationError, audit_optimization,
+                                    verify_program)
 
             def observer(opt, before, after):
+                if after is before:
+                    return  # the pass changed nothing: already audited
                 language = verify_state["language"]
                 phase = f"{opt.name}[{language.name}]"
                 audit_optimization(
@@ -222,6 +228,14 @@ class DslStack:
                 if language.kind == "anf":
                     verify_program(after, language=language,
                                    catalog=catalog, phase=phase)
+                if program_fingerprint(after) == program_fingerprint(before):
+                    # The fixpoint driver takes a new object for a change; a
+                    # pass that copies without rewriting would never converge.
+                    raise VerificationError(
+                        "spurious rebuild: the pass returned a new object "
+                        "structurally identical to its input (a pass that "
+                        "changes nothing must return its input)",
+                        check="fixpoint", phase=phase)
 
         while True:
             verify_state["language"] = current_language

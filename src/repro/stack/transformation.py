@@ -121,13 +121,22 @@ class FixpointReport:
     """What happened while optimizing one abstraction level."""
 
     language: str
+    #: rounds over the optimization list that were started
     iterations: int = 0
+    #: names of the passes that changed the program, in order
     applied: List[str] = field(default_factory=list)
+    #: every pass run, changing or not
+    runs: int = 0
     reached_fixpoint: bool = False
 
 
 def program_fingerprint(program) -> str:
-    """Structural fingerprint used to detect that optimization reached a fixed point."""
+    """Structural fingerprint of a program at any level.
+
+    The fixpoint driver does not use it — a pass that changes nothing returns
+    its input, so convergence is an identity check.  The verifier does, to
+    hold passes to that contract.
+    """
     if isinstance(program, Program):
         return fingerprint(program)
     # Tree (front-end) programs provide their own structural representation.
@@ -137,38 +146,45 @@ def program_fingerprint(program) -> str:
 def apply_fixpoint(optimizations: Sequence[Optimization], program,
                    context: CompilationContext, max_iterations: int = 8,
                    observer: Optional[Callable] = None) -> tuple:
-    """Apply ``optimizations`` repeatedly until the program stops changing.
+    """Apply ``optimizations`` round-robin until the program stops changing.
 
-    Returns ``(program, report)``.  A hard iteration bound guards against
-    non-terminating optimization sets (the "special care" footnote of the
-    paper); hitting the bound is reported rather than silently accepted.
+    Returns ``(program, report)``.  The pass contract makes "stopped
+    changing" an O(1) fact: **a pass that changes nothing returns its
+    input**, so the fixed point is reached once every applicable pass in a
+    row has returned the object it was given — the pass right after the last
+    changer is not run a second time to confirm it.  A hard bound on rounds
+    guards against non-terminating optimization sets (the "special care"
+    footnote of the paper); hitting the bound is reported rather than
+    silently accepted.
 
     ``observer``, when given, is called as ``observer(opt, before, after)``
     after every individual pass — the hook the verifier uses to audit each
     transformation in isolation.  The default path pays no cost for it.
     """
     report = FixpointReport(language=optimizations[0].source.name if optimizations else "")
-    if not optimizations:
+    applicable = [opt for opt in optimizations if opt.applies(context)]
+    if not applicable:
         report.reached_fixpoint = True
         return program, report
 
-    previous = program_fingerprint(program)
+    unchanged = 0  # consecutive runs that returned their input
     for _ in range(max_iterations):
         report.iterations += 1
-        for opt in optimizations:
-            if not opt.applies(context):
-                continue
+        for opt in applicable:
             start = time.perf_counter()
             before = program
             program = opt.run(program, context)
             context.record_phase(opt.name, "optimization", time.perf_counter() - start,
                                  detail=opt.source.name)
-            report.applied.append(opt.name)
+            report.runs += 1
             if observer is not None:
                 observer(opt, before, program)
-        current = program_fingerprint(program)
-        if current == previous:
-            report.reached_fixpoint = True
-            break
-        previous = current
+            if program is before:
+                unchanged += 1
+                if unchanged == len(applicable):
+                    report.reached_fixpoint = True
+                    return program, report
+            else:
+                unchanged = 0
+                report.applied.append(opt.name)
     return program, report

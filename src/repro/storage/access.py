@@ -335,23 +335,46 @@ def rewrite_string_predicates(predicate: E.Expr, table: str, schema_columns,
     * ``LIKE 'p%'`` (single trailing wildcard) — one code-range test, because
       codes are assigned in sorted string order.
     """
-    extra: Dict[str, List[int]] = {}
-    string_columns = {column.name for column in schema_columns if column.is_string}
+    rewriter = _DictionaryRewriter(table, schema_columns, layer)
+    rewritten = rewriter.rewrite(predicate)
+    # `extra` can be empty even when something rewrote (a comparison against
+    # a value absent from the dictionary folds straight to a literal)
+    if rewritten is predicate:
+        return predicate, {}
+    return rewritten, rewriter.extra
 
-    def dictionary_for(name: str) -> Optional[StringDictionary]:
-        if name not in string_columns:
+
+class _DictionaryRewriter:
+    """State of one :func:`rewrite_string_predicates` run.
+
+    A class with a recursive method, not nested closures: a nested function
+    that calls itself is a reference cycle through its own closure cell, and
+    that one pinned ``layer`` (and through it every structure of a dropped
+    catalog's access layer) until a GC pass.
+    """
+
+    def __init__(self, table: str, schema_columns, layer: "AccessLayer") -> None:
+        self.table = table
+        self.layer = layer
+        self.string_columns = {column.name for column in schema_columns
+                               if column.is_string}
+        #: the code columns the rewritten predicate references
+        self.extra: Dict[str, List[int]] = {}
+
+    def dictionary_for(self, name: str) -> Optional[StringDictionary]:
+        if name not in self.string_columns:
             return None
-        return layer.dictionary(table, name)
+        return self.layer.dictionary(self.table, name)
 
-    def code_column(dictionary: StringDictionary) -> E.Col:
+    def code_column(self, dictionary: StringDictionary) -> E.Col:
         name = dictionary.column + DICT_CODE_SUFFIX
-        extra[name] = dictionary.codes
+        self.extra[name] = dictionary.codes
         return E.Col(name)
 
-    def rewrite(node: E.Expr) -> E.Expr:
+    def rewrite(self, node: E.Expr) -> E.Expr:
         if isinstance(node, E.BinOp):
             if node.op in ("and", "or"):
-                left, right = rewrite(node.left), rewrite(node.right)
+                left, right = self.rewrite(node.left), self.rewrite(node.right)
                 if left is node.left and right is node.right:
                     return node
                 return E.BinOp(node.op, left, right)
@@ -364,60 +387,53 @@ def rewrite_string_predicates(predicate: E.Expr, table: str, schema_columns,
                 if (column is None or column.side is not None
                         or not isinstance(literal, str)):
                     return node
-                dictionary = dictionary_for(column.name)
+                dictionary = self.dictionary_for(column.name)
                 if dictionary is None:
                     return node
                 code = dictionary.code(literal)
                 if code is None:
                     return E.Lit(node.op == "!=")
-                return E.BinOp(node.op, code_column(dictionary), E.Lit(code))
+                return E.BinOp(node.op, self.code_column(dictionary), E.Lit(code))
             return node
         if isinstance(node, E.UnaryOp) and node.op == "not":
-            operand = rewrite(node.operand)
+            operand = self.rewrite(node.operand)
             return node if operand is node.operand else E.UnaryOp("not", operand)
         if isinstance(node, E.InList):
             operand = node.operand
             if (not isinstance(operand, E.Col) or operand.side is not None
                     or not all(isinstance(v, str) for v in node.values)):
                 return node
-            dictionary = dictionary_for(operand.name)
+            dictionary = self.dictionary_for(operand.name)
             if dictionary is None:
                 return node
             codes = [dictionary.code(v) for v in node.values]
             present = tuple(c for c in codes if c is not None)
             if not present:
                 return E.Lit(False)
-            return E.InList(code_column(dictionary), present)
+            return E.InList(self.code_column(dictionary), present)
         if isinstance(node, E.Like):
             kind, needle = node.kind()
             operand = node.operand
             if ("%" in needle or not isinstance(operand, E.Col)
                     or operand.side is not None):
                 return node
-            dictionary = dictionary_for(operand.name)
+            dictionary = self.dictionary_for(operand.name)
             if dictionary is None:
                 return node
             if kind == "equals":
                 code = dictionary.code(needle)
                 if code is None:
                     return E.Lit(False)
-                return E.BinOp("==", code_column(dictionary), E.Lit(code))
+                return E.BinOp("==", self.code_column(dictionary), E.Lit(code))
             if kind == "prefix":
                 lo, hi = dictionary.prefix_code_range(needle)
                 if lo >= hi:
                     return E.Lit(False)
-                codes = code_column(dictionary)
+                codes = self.code_column(dictionary)
                 return E.BinOp("and", E.BinOp(">=", codes, E.Lit(lo)),
                                E.BinOp("<", codes, E.Lit(hi)))
             return node
         return node
-
-    rewritten = rewrite(predicate)
-    # `extra` can be empty even when something rewrote (a comparison against
-    # a value absent from the dictionary folds straight to a literal)
-    if rewritten is predicate:
-        return predicate, {}
-    return rewritten, extra
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,30 @@ _CALENDAR = [dates.add_days(START_DATE, day) for day in range(_TOTAL_DAYS + 1)]
 _QUANTITIES = [float(quantity) for quantity in range(51)]
 _HUNDREDTHS = [percent / 100.0 for percent in range(11)]
 
+# Word-list sizes and the bit widths ``Random.choice`` draws them with.
+_N_ADJECTIVES, _N_NOUNS, _N_VERBS = len(ADJECTIVES), len(NOUNS), len(VERBS)
+_K_ADJECTIVES, _K_NOUNS, _K_VERBS = (_N_ADJECTIVES.bit_length(), _N_NOUNS.bit_length(),
+                                     _N_VERBS.bit_length())
+
+
+def draw_below(getrandbits):
+    """``below(n)``: a uniform draw from ``range(n)``, ``n > 0``.
+
+    This is the rejection loop under ``Random.randrange``, ``randint`` and
+    ``choice`` (``_randbelow_with_getrandbits``) without the argument checks
+    and the three Python calls in front of it: the value drawn and the
+    generator state afterwards are the same, so ``lo + below(hi - lo + 1)``
+    *is* ``randint(lo, hi)`` and ``seq[below(len(seq))]`` *is* ``choice(seq)``.
+    """
+    def below(n: int) -> int:
+        width = n.bit_length()
+        drawn = getrandbits(width)
+        while drawn >= n:
+            drawn = getrandbits(width)
+        return drawn
+    return below
+
+
 #: TPC-H base cardinalities at scale factor 1.
 BASE_CARDINALITIES = {
     "supplier": 10_000,
@@ -103,6 +127,7 @@ class TpchGenerator:
         self.scale_factor = scale_factor
         self.seed = seed
         self._rng = random.Random(seed)
+        self._below = draw_below(self._rng.getrandbits)
 
     # ------------------------------------------------------------------
     # Public API
@@ -135,22 +160,39 @@ class TpchGenerator:
 
     def _text(self, min_words: int = 4, max_words: int = 10,
               inject: str = "", inject_probability: float = 0.0) -> str:
-        rng = self._rng
+        """Random prose; with ``inject``, a marker phrase at a random position.
+
+        Every word draws an adjective, a noun and a verb and then picks one
+        of the three — four draws a word, two million of them at sf 0.01 —
+        so the ``below`` loop is written out with the widths of the word
+        lists precomputed.
+        """
+        getrandbits = self._rng.getrandbits
         words = []
-        for _ in range(rng.randint(min_words, max_words)):
-            words.append(rng.choice([rng.choice(ADJECTIVES), rng.choice(NOUNS), rng.choice(VERBS)]))
-        text = " ".join(words)
-        if inject and rng.random() < inject_probability:
-            position = rng.randint(0, len(words))
-            words.insert(position, inject)
-            text = " ".join(words)
-        return text
+        for _ in range(min_words + self._below(max_words - min_words + 1)):
+            adjective = getrandbits(_K_ADJECTIVES)
+            while adjective >= _N_ADJECTIVES:
+                adjective = getrandbits(_K_ADJECTIVES)
+            noun = getrandbits(_K_NOUNS)
+            while noun >= _N_NOUNS:
+                noun = getrandbits(_K_NOUNS)
+            verb = getrandbits(_K_VERBS)
+            while verb >= _N_VERBS:
+                verb = getrandbits(_K_VERBS)
+            pick = getrandbits(2)
+            while pick >= 3:
+                pick = getrandbits(2)
+            words.append(ADJECTIVES[adjective] if pick == 0
+                         else NOUNS[noun] if pick == 1 else VERBS[verb])
+        if inject and self._rng.random() < inject_probability:
+            words.insert(self._below(len(words) + 1), inject)
+        return " ".join(words)
 
     def _phone(self, nation_key: int) -> str:
-        rng = self._rng
+        below = self._below
         country = 10 + nation_key
-        return (f"{country}-{rng.randint(100, 999)}"
-                f"-{rng.randint(100, 999)}-{rng.randint(1000, 9999)}")
+        return (f"{country}-{100 + below(900)}"
+                f"-{100 + below(900)}-{1000 + below(9000)}")
 
     # ------------------------------------------------------------------
     # Table generators
@@ -217,21 +259,22 @@ class TpchGenerator:
         return columns
 
     def _gen_partsupp(self, part: Dict[str, List], supplier: Dict[str, List]) -> Dict[str, List]:
-        rng = self._rng
+        rng, below, text = self._rng, self._below, self._text
         n_supp = len(supplier["s_suppkey"])
         per_part = BASE_CARDINALITIES["partsupp_per_part"]
-        columns: Dict[str, List] = {name: [] for name in
-                                    ("ps_partkey", "ps_suppkey", "ps_availqty",
-                                     "ps_supplycost", "ps_comment")}
+        ps_partkey, ps_suppkey, ps_availqty, ps_supplycost, ps_comment = (
+            [] for _ in range(5))
         for partkey in part["p_partkey"]:
             suppliers = rng.sample(range(1, n_supp + 1), min(per_part, n_supp))
             for suppkey in suppliers:
-                columns["ps_partkey"].append(partkey)
-                columns["ps_suppkey"].append(suppkey)
-                columns["ps_availqty"].append(rng.randint(1, 9999))
-                columns["ps_supplycost"].append(round(rng.uniform(1.0, 1000.0), 2))
-                columns["ps_comment"].append(self._text(5, 12))
-        return columns
+                ps_partkey.append(partkey)
+                ps_suppkey.append(suppkey)
+                ps_availqty.append(1 + below(9999))
+                ps_supplycost.append(round(rng.uniform(1.0, 1000.0), 2))
+                ps_comment.append(text(5, 12))
+        return {"ps_partkey": ps_partkey, "ps_suppkey": ps_suppkey,
+                "ps_availqty": ps_availqty, "ps_supplycost": ps_supplycost,
+                "ps_comment": ps_comment}
 
     def _gen_customer(self) -> Dict[str, List]:
         rng = self._rng
@@ -254,7 +297,7 @@ class TpchGenerator:
         return columns
 
     def _gen_orders_and_lineitems(self, customer, part, supplier, partsupp):
-        rng = self._rng
+        rng, below, text = self._rng, self._below, self._text
         n_orders = self._count("orders")
         # a foreign key is the referenced primary-key column's own int object
         custkeys = customer["c_custkey"]
@@ -266,88 +309,90 @@ class TpchGenerator:
         n_clerks = max(2, n_orders // 1000)
         clerks = [f"Clerk#{number:09d}" for number in range(n_clerks + 1)]
 
-        orders: Dict[str, List] = {name: [] for name in
-                                   ("o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
-                                    "o_orderdate", "o_orderpriority", "o_clerk",
-                                    "o_shippriority", "o_comment")}
-        lineitem: Dict[str, List] = {name: [] for name in
-                                     ("l_orderkey", "l_partkey", "l_suppkey", "l_linenumber",
-                                      "l_quantity", "l_extendedprice", "l_discount", "l_tax",
-                                      "l_returnflag", "l_linestatus", "l_shipdate",
-                                      "l_commitdate", "l_receiptdate", "l_shipinstruct",
-                                      "l_shipmode", "l_comment")}
+        (o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate,
+         o_orderpriority, o_clerk, o_shippriority, o_comment) = ([] for _ in range(9))
+        (l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,
+         l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus,
+         l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct, l_shipmode,
+         l_comment) = ([] for _ in range(16))
         lo_lines, hi_lines = BASE_CARDINALITIES["lineitems_per_order"]
         cutoff = dates.date_to_int("1995-06-17")
 
         for orderkey in range(1, n_orders + 1):
             # As in official dbgen, one third of the customers never place an
             # order (keys divisible by three), which keeps Q13/Q22 meaningful.
-            custkey = rng.randint(1, n_customers)
+            custkey = 1 + below(n_customers)
             while custkey % 3 == 0:
-                custkey = rng.randint(1, n_customers)
+                custkey = 1 + below(n_customers)
             # order dates leave room for shipping within the 1992-1998 window
-            order_day = rng.randrange(0, _TOTAL_DAYS - 151 + 1)
-            n_lines = rng.randint(lo_lines, hi_lines)
+            order_day = below(_TOTAL_DAYS - 151 + 1)
             total_price = 0.0
-            all_filled = True
             any_open = False
-            for line_number in range(1, n_lines + 1):
-                partkey = partkeys[rng.randint(1, n_parts) - 1]
-                suppkey = rng.randint(1, n_suppliers)
-                quantity = _QUANTITIES[rng.randint(1, 50)]
+            for line_number in range(1, lo_lines + below(hi_lines - lo_lines + 1) + 1):
+                partkey = partkeys[below(n_parts)]
+                suppkey = 1 + below(n_suppliers)
+                quantity = _QUANTITIES[1 + below(50)]
                 extended = round(quantity * retail_price[partkey - 1], 2)
-                discount = _HUNDREDTHS[rng.randint(0, 10)]
-                tax = _HUNDREDTHS[rng.randint(0, 8)]
-                ship_day = order_day + rng.randint(1, 121)
+                discount = _HUNDREDTHS[below(11)]
+                tax = _HUNDREDTHS[below(9)]
+                ship_day = order_day + 1 + below(121)
                 shipdate = _CALENDAR[ship_day]
-                commitdate = _CALENDAR[order_day + rng.randint(30, 90)]
-                receiptdate = _CALENDAR[ship_day + rng.randint(1, 30)]
-                if receiptdate > cutoff:
-                    returnflag = "N"
-                else:
-                    returnflag = rng.choice(["R", "A"])
+                commitdate = _CALENDAR[order_day + 30 + below(61)]
+                receiptdate = _CALENDAR[ship_day + 1 + below(30)]
+                returnflag = "N" if receiptdate > cutoff else ("R", "A")[below(2)]
                 if shipdate > cutoff:
                     linestatus = "O"
                     any_open = True
                 else:
                     linestatus = "F"
-                    all_filled = all_filled and True
-                if linestatus == "O":
-                    all_filled = False
                 total_price += round(extended * (1 + tax) * (1 - discount), 2)
-                lineitem["l_orderkey"].append(orderkey)
-                lineitem["l_partkey"].append(partkey)
-                lineitem["l_suppkey"].append(suppkey)
-                lineitem["l_linenumber"].append(line_number)
-                lineitem["l_quantity"].append(quantity)
-                lineitem["l_extendedprice"].append(extended)
-                lineitem["l_discount"].append(discount)
-                lineitem["l_tax"].append(tax)
-                lineitem["l_returnflag"].append(returnflag)
-                lineitem["l_linestatus"].append(linestatus)
-                lineitem["l_shipdate"].append(shipdate)
-                lineitem["l_commitdate"].append(commitdate)
-                lineitem["l_receiptdate"].append(receiptdate)
-                lineitem["l_shipinstruct"].append(rng.choice(SHIP_INSTRUCTIONS))
-                lineitem["l_shipmode"].append(rng.choice(SHIP_MODES))
-                lineitem["l_comment"].append(self._text(3, 6))
+                l_orderkey.append(orderkey)
+                l_partkey.append(partkey)
+                l_suppkey.append(suppkey)
+                l_linenumber.append(line_number)
+                l_quantity.append(quantity)
+                l_extendedprice.append(extended)
+                l_discount.append(discount)
+                l_tax.append(tax)
+                l_returnflag.append(returnflag)
+                l_linestatus.append(linestatus)
+                l_shipdate.append(shipdate)
+                l_commitdate.append(commitdate)
+                l_receiptdate.append(receiptdate)
+                l_shipinstruct.append(SHIP_INSTRUCTIONS[below(4)])
+                l_shipmode.append(SHIP_MODES[below(7)])
+                l_comment.append(text(3, 6))
 
-            if all_filled and not any_open:
+            # an order has at least one line: it is filled unless one is open
+            if not any_open:
                 status = "F"
-            elif any_open and not all_filled:
-                status = "O" if rng.random() < 0.7 else "P"
             else:
-                status = "P"
-            orders["o_orderkey"].append(orderkey)
-            orders["o_custkey"].append(custkeys[custkey - 1])
-            orders["o_orderstatus"].append(status)
-            orders["o_totalprice"].append(round(total_price, 2))
-            orders["o_orderdate"].append(_CALENDAR[order_day])
-            orders["o_orderpriority"].append(rng.choice(PRIORITIES))
-            orders["o_clerk"].append(clerks[rng.randint(1, n_clerks)])
-            orders["o_shippriority"].append(0)
-            orders["o_comment"].append(
-                self._text(5, 10, inject="special packages requests", inject_probability=0.05))
+                status = "O" if rng.random() < 0.7 else "P"
+            o_orderkey.append(orderkey)
+            o_custkey.append(custkeys[custkey - 1])
+            o_orderstatus.append(status)
+            o_totalprice.append(round(total_price, 2))
+            o_orderdate.append(_CALENDAR[order_day])
+            o_orderpriority.append(PRIORITIES[below(5)])
+            o_clerk.append(clerks[1 + below(n_clerks)])
+            o_shippriority.append(0)
+            o_comment.append(
+                text(5, 10, inject="special packages requests", inject_probability=0.05))
+        orders = {
+            "o_orderkey": o_orderkey, "o_custkey": o_custkey,
+            "o_orderstatus": o_orderstatus, "o_totalprice": o_totalprice,
+            "o_orderdate": o_orderdate, "o_orderpriority": o_orderpriority,
+            "o_clerk": o_clerk, "o_shippriority": o_shippriority,
+            "o_comment": o_comment}
+        lineitem = {
+            "l_orderkey": l_orderkey, "l_partkey": l_partkey, "l_suppkey": l_suppkey,
+            "l_linenumber": l_linenumber, "l_quantity": l_quantity,
+            "l_extendedprice": l_extendedprice, "l_discount": l_discount,
+            "l_tax": l_tax, "l_returnflag": l_returnflag,
+            "l_linestatus": l_linestatus, "l_shipdate": l_shipdate,
+            "l_commitdate": l_commitdate, "l_receiptdate": l_receiptdate,
+            "l_shipinstruct": l_shipinstruct, "l_shipmode": l_shipmode,
+            "l_comment": l_comment}
         return orders, lineitem
 
 

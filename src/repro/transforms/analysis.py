@@ -4,8 +4,9 @@
 call, once per pass per fixpoint iteration.  They now delegate to the
 memoized use-def facts of the dataflow framework
 (:func:`repro.analysis.dataflow.use_def`): the maps are computed once per
-program object and invalidated automatically on rewrite, because every
-transformation builds a *new* :class:`~repro.ir.nodes.Program`.  Treat the
+program object, kept across the passes that return the program unchanged,
+and invalidated automatically on rewrite, because a transformation that
+changes anything builds a *new* :class:`~repro.ir.nodes.Program`.  Treat the
 returned maps as read-only — they are shared between all passes that ask
 about the same program.
 """

@@ -26,6 +26,7 @@ from ..analysis.dataflow.liveness import liveness
 from ..analysis.dataflow.purity import purity
 from ..ir.nodes import Block, Expr, Program, Stmt
 from ..ir.ops import effect_of
+from ..ir.traversal import same_objects
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
@@ -56,19 +57,29 @@ class DeadCodeElimination(Optimization):
 
         body = _sweep(program.body, dead)
         hoisted = _sweep(program.hoisted, dead)
+        if body is program.body and hoisted is program.hoisted:
+            return program
         return Program(body=body, params=program.params,
                        language=program.language, hoisted=hoisted)
 
 
 def _sweep(block: Block, dead: Callable[[Stmt], bool]) -> Block:
+    """``block`` without its dead statements; the same object when none died."""
     new_stmts: List[Stmt] = []
+    changed = False
     for stmt in block.stmts:
         if dead(stmt):
+            changed = True
             continue
-        if stmt.expr.blocks:
-            new_blocks = tuple(_sweep(nested, dead) for nested in stmt.expr.blocks)
-            stmt = Stmt(stmt.sym, Expr(stmt.expr.op, stmt.expr.args,
-                                       dict(stmt.expr.attrs), new_blocks,
-                                       stmt.expr.type))
+        blocks = stmt.expr.blocks
+        if blocks:
+            new_blocks = tuple(_sweep(nested, dead) for nested in blocks)
+            if not same_objects(new_blocks, blocks):
+                changed = True
+                stmt = Stmt(stmt.sym, Expr(stmt.expr.op, stmt.expr.args,
+                                           stmt.expr.attrs, new_blocks,
+                                           stmt.expr.type))
         new_stmts.append(stmt)
+    if not changed:
+        return block
     return Block(new_stmts, block.result, block.params)

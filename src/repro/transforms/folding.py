@@ -28,7 +28,7 @@ from typing import Dict, List, Optional
 from ..analysis.dataflow.framework import use_def
 from ..analysis.dataflow.values import ValueFacts, value_facts
 from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
-from ..ir.traversal import block_effect
+from ..ir.traversal import block_effect, same_objects
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
@@ -52,7 +52,7 @@ class DataflowFolding(Optimization):
         folder = _Folder(facts, use_def(program).uses)
         hoisted = folder.rewrite_block(program.hoisted)
         body = folder.rewrite_block(program.body)
-        if not folder.changed:
+        if hoisted is program.hoisted and body is program.body:
             return program
         if folder.justifications:
             context.info.setdefault("dataflow_justifications", {}).update(
@@ -67,7 +67,6 @@ class _Folder:
         self.uses = uses
         self.mapping: Dict[int, Atom] = {}
         self.justifications: Dict[int, str] = {}
-        self.changed = False
 
     # ------------------------------------------------------------------
     def subst(self, atom: Atom) -> Atom:
@@ -76,7 +75,9 @@ class _Folder:
         return atom
 
     def rewrite_block(self, block: Block) -> Block:
+        """``block`` folded; the same object when nothing in it folded."""
         new_stmts: List[Stmt] = []
+        changed = False
         for stmt in block.stmts:
             expr = stmt.expr
             args = tuple(self.subst(arg) for arg in expr.args)
@@ -101,29 +102,29 @@ class _Folder:
                             f"if_ condition provably "
                             f"{'true' if verdict else 'false'} "
                             "(interval/nullability analysis)")
-                        self.changed = True
+                        changed = True
                         continue
 
             folded = self._fold_predicate(stmt, args)
             if folded is not None:
                 self.mapping[stmt.sym.id] = folded
-                self.changed = True
+                changed = True
                 continue
 
             blocks = expr.blocks
             if blocks:
-                outer_changed = self.changed
-                self.changed = False
                 rewritten = tuple(self.rewrite_block(nested) for nested in blocks)
-                if self.changed:
+                if not same_objects(rewritten, blocks):
                     blocks = rewritten
-                self.changed = self.changed or outer_changed
             if args != expr.args or blocks is not expr.blocks:
-                expr = Expr(expr.op, args, dict(expr.attrs), blocks, expr.type)
-                stmt = Stmt(stmt.sym, expr)
-                self.changed = True
+                stmt = Stmt(stmt.sym, Expr(expr.op, args, expr.attrs, blocks,
+                                           expr.type))
+                changed = True
             new_stmts.append(stmt)
-        return Block(new_stmts, self.subst(block.result), block.params)
+        result = self.subst(block.result)
+        if not changed and result is block.result:
+            return block
+        return Block(new_stmts, result, block.params)
 
     # ------------------------------------------------------------------
     def _branch_verdict(self, cond: Optional[Atom]) -> Optional[bool]:

@@ -42,7 +42,8 @@ class MonadFusionRules(Optimization):
 
 def _fuse(query: M.QueryMonad) -> M.QueryMonad:
     children = tuple(_fuse(child) for child in query.children)
-    query = M.QueryMonad(query.op, dict(query.args), children)
+    if any(new is not old for new, old in zip(children, query.children)):
+        query = M.QueryMonad(query.op, query.args, children)
 
     # filter(p2) . filter(p1)  ->  filter(p1 and p2): one traversal, one test.
     if query.op == "filter" and children and children[0].op == "filter":

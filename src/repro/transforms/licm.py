@@ -28,6 +28,7 @@ from ..analysis.dataflow.lattices import Nullability
 from ..analysis.dataflow.liveness import liveness
 from ..analysis.dataflow.values import ValueFacts, value_facts
 from ..ir.nodes import Block, Const, Expr, Program, Stmt, Sym
+from ..ir.traversal import same_objects
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
@@ -55,28 +56,30 @@ class LoopInvariantHoisting(Optimization):
     def run(self, program: Program, context: CompilationContext) -> Program:
         facts = value_facts(program, context.catalog)
         live = liveness(program).live
-        changed = [False]
 
         def process(block: Block) -> Block:
             new_stmts: List[Stmt] = []
+            changed = False
             for stmt in block.stmts:
-                if stmt.expr.blocks:
-                    blocks = tuple(process(nested) for nested in stmt.expr.blocks)
-                    if stmt.expr.op in _HOISTED_LOOPS:
+                expr = stmt.expr
+                if expr.blocks:
+                    blocks = tuple(process(nested) for nested in expr.blocks)
+                    if expr.op in _HOISTED_LOOPS:
                         hoisted, body = _split_invariants(blocks[-1], facts, live)
-                        if hoisted:
-                            changed[0] = True
-                            new_stmts.extend(hoisted)
-                            blocks = blocks[:-1] + (body,)
-                    stmt = Stmt(stmt.sym, Expr(stmt.expr.op, stmt.expr.args,
-                                               dict(stmt.expr.attrs), blocks,
-                                               stmt.expr.type))
+                        new_stmts.extend(hoisted)
+                        blocks = blocks[:-1] + (body,)
+                    if not same_objects(blocks, expr.blocks):
+                        changed = True
+                        stmt = Stmt(stmt.sym, Expr(expr.op, expr.args, expr.attrs,
+                                                   blocks, expr.type))
                 new_stmts.append(stmt)
+            if not changed:
+                return block
             return Block(new_stmts, block.result, block.params)
 
         body = process(program.body)
         hoisted = process(program.hoisted)
-        if not changed[0]:
+        if body is program.body and hoisted is program.hoisted:
             return program
         return Program(body=body, params=program.params,
                        language=program.language, hoisted=hoisted)

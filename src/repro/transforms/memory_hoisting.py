@@ -48,6 +48,8 @@ class MemoryAllocationHoisting(Optimization):
             else:
                 remaining.append(stmt)
 
+        if len(remaining) == len(program.body.stmts):
+            return program
         return Program(
             body=Block(remaining, program.body.result, program.body.params),
             params=program.params,

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
-from ..ir.traversal import BlockRewriter, iter_stmts, rewrite_program
+from ..ir.traversal import BlockRewriter, iter_stmts
 from ..ir.types import BOOL, INT
 from ..stack.context import CompilationContext
 from ..stack.language import Language, SCALITE_MAP_LIST
@@ -161,11 +161,11 @@ class StringDictionaries(Optimization):
                 return result
             return None
 
-        rewritten = rewrite_program(program, rewrite, language=program.language)
-        rewritten.hoisted = Block(hoisted_stmts, program.hoisted.result,
-                                  program.hoisted.params)
+        body = BlockRewriter(rewrite).rewrite_block(program.body)
         context.info.setdefault("string_dictionary_columns", set()).update(columns)
-        return rewritten
+        return Program(body=body, params=program.params, language=program.language,
+                       hoisted=Block(hoisted_stmts, program.hoisted.result,
+                                     program.hoisted.params))
 
     # ------------------------------------------------------------------
     # Catalog-backed dictionaries

@@ -255,6 +255,20 @@ class TestMutationSuite:
         assert exc.value.check == "codelint"
         assert exc.value.phase == f"unparse[{QUERY}]"
 
+    def test_unconditional_copy_rejected(self, tpch_catalog):
+        """A pass that copies its input whether or not it rewrote anything:
+        the change-driven fixpoint would take every copy for a change and
+        only stop at the iteration bound."""
+
+        def copy_always(program, context):
+            return _rebuild(program, program.body)
+
+        with pytest.raises(VerificationError) as exc:
+            compile_mutated(tpch_catalog, copy_always, "copying-pass")
+        assert exc.value.check == "fixpoint"
+        assert exc.value.phase == f"copying-pass[{LEVEL}]"
+        assert "spurious rebuild" in str(exc.value)
+
     def test_broken_plan_rule_rejected(self, tpch_catalog):
         """Planner rule producing an invalid plan is named the moment it
         fires (per-rule re-validation, ``validate_rewrites``)."""

@@ -289,3 +289,27 @@ class TestDroppedCatalogIsFreedAtOnce:
             assert layer() is None
         finally:
             gc.enable()
+
+    def test_direct_engine_catalog_dies_without_a_gc_pass(self):
+        """The direct engines rewrite string predicates onto dictionary codes
+        (``rewrite_string_predicates``) — once a self-recursive closure whose
+        cycle pinned the access layer until a GC pass."""
+        from repro.engine import VectorizedEngine
+        from repro.engine.volcano import VolcanoEngine
+
+        gc.collect()
+        gc.disable()
+        try:
+            catalog = generate_catalog(scale_factor=0.001, seed=7)
+            alive = weakref.ref(catalog)
+            layer = weakref.ref(catalog.access_layer())
+            for engine in (VectorizedEngine(catalog), VolcanoEngine(catalog)):
+                for name in ("Q3", "Q12", "Q16", "Q19"):   # =, IN, LIKE, and/or
+                    assert engine.execute(build_query(name)) is not None
+            assert any(kind == "dictionary"
+                       for kind, *_ in catalog.access_layer().build_counts)
+            del catalog, engine
+            assert alive() is None
+            assert layer() is None
+        finally:
+            gc.enable()
