@@ -20,7 +20,7 @@ A QPlan tree is consumed by two kinds of client:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import Expr, columns_used, columns_used_with_sides, wrap
 
@@ -506,7 +506,14 @@ def plan_fingerprint(plan: Operator) -> str:
     """
     import hashlib
 
-    return hashlib.sha256(_plan_canonical(plan, {}).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(plan).encode("utf-8")).hexdigest()
+
+
+def _canonical(plan: Operator) -> str:
+    """Canonical form of a subtree, each node canonicalised where it is met:
+    what one fingerprint of one tree needs, with nothing allocated to
+    remember nodes it will not meet again."""
+    return _canonicalize(plan, _canonical)
 
 
 def _plan_canonical(plan: Operator, memo: Dict[int, str]) -> str:
@@ -515,18 +522,17 @@ def _plan_canonical(plan: Operator, memo: Dict[int, str]) -> str:
     canonicalised once per call, however many enclosing subtrees ask."""
     canonical = memo.get(id(plan))
     if canonical is None:
-        canonical = memo[id(plan)] = _canonicalize(plan, memo)
+        canonical = memo[id(plan)] = _canonicalize(
+            plan, lambda child: _plan_canonical(child, memo))
     return canonical
 
 
-def _canonicalize(plan: Operator, memo: Dict[int, str]) -> str:
+def _canonicalize(plan: Operator, sub: Callable[[Operator], str]) -> str:
+    """One node's canonical form; ``sub`` gives that of a child."""
     from .expr_compile import expr_fingerprint as efp
 
     def opt(expr) -> str:
         return "-" if expr is None else efp(expr)
-
-    def sub(child: Operator) -> str:
-        return _plan_canonical(child, memo)
 
     if isinstance(plan, Scan):
         fields = "*" if plan.fields is None else ",".join(plan.fields)

@@ -36,6 +36,25 @@ Every structure is built **lazily, once per catalog** and memoized on the
 ``build_counts`` records every construction, which is how the benchmarks
 prove the build-once claim.
 
+What the structures cost in memory (Figure 8's side of the trade) is kept
+to what they add to the catalog:
+
+* **Positions are pooled.**  A row position is table-agnostic and immutable,
+  so the layer holds one ``int`` object per position (``pool[i] is i``, grown
+  to the largest table built so far) and every builder draws from it: a
+  direct array, a partition slot, a permutation and a memoized candidate
+  list that mention row 40 000 all point at the same object, and a mention
+  costs one 8-byte pointer instead of a boxed ``int``.
+* **Clustered partitions are ranges.**  Over a column stored in ascending
+  order the rows of one key are contiguous, so its slots are immutable
+  ``range`` objects found by one bisect per key; consumers only iterate,
+  ``len()`` and truth-test a slot, which a ``range`` and a ``list`` do alike.
+* **A sorted column is a permutation.**  The sorted *values* are not copied:
+  a range predicate bisects the permutation keyed by the catalog's own
+  column (or the column itself when it is stored sorted).
+
+Everything stays a plain ``list`` or ``range``; no typed buffer is involved.
+
 The catalog owns the layer and the layer points back only weakly, so the
 lifetime of every structure here — and of the planned trees and compiled
 queries in :attr:`AccessLayer.derived` — is exactly the catalog's: when the
@@ -50,7 +69,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..concurrency import guarded_by
 from ..dsl import expr as E
@@ -118,7 +137,9 @@ class DirectArray:
 @dataclass
 class PartitionIndex:
     """A dense multi-valued key index: ``slots[value - offset]`` is the
-    ascending list of row positions holding that key (empty when none does).
+    ascending sequence of row positions holding that key (empty when none
+    does): a ``range`` per key over a column stored in ascending order, a
+    list per key otherwise.
 
     The catalog-resident form of a hash-join build over a base table
     (Section B.1's data-structure partitioning): positions instead of copied
@@ -131,7 +152,7 @@ class PartitionIndex:
     table: str
     column: str
     offset: int
-    slots: List[List[int]]
+    slots: List[Sequence[int]]
 
 
 @dataclass
@@ -174,28 +195,33 @@ class StringDictionary:
 class SortedColumn:
     """A value-sorted permutation of one column (the partition index).
 
-    ``values`` is the column sorted ascending and ``permutation[k]`` is the
-    base-row position of ``values[k]``; a range predicate bisects into one
-    contiguous slice of candidates.  ``identity`` marks columns that are
-    already stored sorted, where the slice *is* a base-row range.
+    ``permutation[k]`` is the base-row position of the ``k``-th smallest
+    value of ``source``, the catalog's own column (not a copy); a range
+    predicate bisects into one contiguous slice of candidates.  ``identity``
+    marks columns that are already stored sorted, where the permutation is
+    ``range(len(source))`` and the slice *is* a base-row range.
     """
 
     table: str
     column: str
-    values: List[Any]
-    permutation: Sequence[int]
+    source: List[Any] = field(repr=False)
+    permutation: Sequence[int] = field(repr=False)
     identity: bool = False
 
     def slice_bounds(self, bounds: "_Bounds") -> Tuple[int, int]:
-        start, stop = 0, len(self.values)
+        # the identity case bisects the column itself; otherwise the
+        # permutation, seen through the column, *is* the sorted values
+        ordered, key = (self.source, None) if self.identity else \
+            (self.permutation, self.source.__getitem__)
+        start, stop = 0, len(ordered)
         if bounds.lo is not None:
             value, strict = bounds.lo
-            start = bisect_right(self.values, value) if strict else \
-                bisect_left(self.values, value)
+            start = (bisect_right if strict else bisect_left)(
+                ordered, value, key=key)
         if bounds.hi is not None:
             value, strict = bounds.hi
-            stop = bisect_left(self.values, value) if strict else \
-                bisect_right(self.values, value)
+            stop = (bisect_left if strict else bisect_right)(
+                ordered, value, key=key)
         return start, max(start, stop)
 
 
@@ -447,8 +473,10 @@ class AccessLayer:
     catalog — the "moved to loading time" amortization of the paper.
     """
 
-    #: bound on memoized candidate lists (distinct (table, filters) keys)
-    _CANDIDATE_CACHE_LIMIT = 256
+    #: the memoized candidate lists of one table hold at most this many
+    #: times its row count in positions (a ``range`` holds none; every entry
+    #: is charged at least one); the oldest go first
+    _CANDIDATE_POSITION_BUDGET = 4
 
     #: serialises first-use layer creation: two threads racing
     #: :meth:`for_catalog` must agree on one layer (and therefore one
@@ -467,16 +495,19 @@ class AccessLayer:
         #: herd builds the same index many times (and tears dict state).
         #: Reentrant because pruned_indices computes through sorted_column.
         self._lock = threading.RLock()
-        #: ``(table, column)`` -> unique-key index, and
-        #: ``(table, column, "partition")`` -> partition index
+        #: the position pool: ``_positions[i] is`` the one ``int`` object for
+        #: row position ``i`` that every structure below mentions.  Grown to
+        #: the largest table built so far and never invalidated — a position
+        #: means the same in every table and every load
         # concurrency: guarded-by(_lock)
-        self._key_indices: Dict[Tuple[str, ...], Optional[object]] = {}
+        self._positions: List[int] = []
+        #: ``(kind, table, column)`` -> structure (``None``: cannot be built),
+        #: kinds as in ``build_counts``
         # concurrency: guarded-by(_lock)
-        self._dictionaries: Dict[Tuple[str, str], Optional[StringDictionary]] = {}
+        self._structures: Dict[Tuple[str, str, str], Optional[object]] = {}
+        #: table -> zone filters -> candidate positions, oldest first
         # concurrency: guarded-by(_lock)
-        self._sorted_columns: Dict[Tuple[str, str], Optional[SortedColumn]] = {}
-        # concurrency: guarded-by(_lock)
-        self._candidates: Dict[Tuple, object] = {}
+        self._candidates: Dict[str, Dict[Tuple[ZoneFilter, ...], Sequence[int]]] = {}
         #: ``(kind, table, column) -> times built`` — the build-once proof
         # concurrency: guarded-by(_lock)
         self.build_counts: Dict[Tuple[str, str, str], int] = {}
@@ -531,12 +562,9 @@ class AccessLayer:
         with self._lock:
             self.generation += 1
             self.derived.invalidate()
-            for memo in (self._key_indices, self._dictionaries,
-                         self._sorted_columns):
-                for key in [k for k in memo if k[0] == table]:
-                    del memo[key]
-            for key in [k for k in self._candidates if k[0] == table]:
-                del self._candidates[key]
+            for key in [k for k in self._structures if k[1] == table]:
+                del self._structures[key]
+            self._candidates.pop(table, None)
 
     # ------------------------------------------------------------------
     def _column_stats(self, table: str, column: str):
@@ -550,6 +578,23 @@ class AccessLayer:
         key = (kind, table, column)
         self.build_counts[key] = self.build_counts.get(key, 0) + 1
 
+    @guarded_by("_lock")
+    def _structure(self, kind: str, table: str, column: str,
+                   build: Callable[[str, str], Optional[object]]):
+        """The memoized ``kind`` structure of ``table.column``, built on
+        first use (a ``None`` — cannot be built — is remembered too)."""
+        key = (kind, table, column)
+        if key not in self._structures:
+            self._structures[key] = build(table, column)
+        return self._structures[key]
+
+    @guarded_by("_lock")
+    def _pool(self, num_rows: int) -> List[int]:
+        """The position pool, grown to cover ``num_rows`` positions."""
+        pool = self._positions
+        pool.extend(range(len(pool), num_rows))
+        return pool
+
     # ------------------------------------------------------------------
     # PK direct arrays / join indices
     # ------------------------------------------------------------------
@@ -562,11 +607,9 @@ class AccessLayer:
         engines then fall back to the plain hash join).
         """
         fault_point("access.key_index", table=table, column=column)
-        key = (table, column)
         with self._lock:
-            if key not in self._key_indices:
-                self._key_indices[key] = self._build_key_index(table, column)
-            return self._key_indices[key]
+            return self._structure("key_index", table, column,
+                                   self._build_key_index)
 
     @guarded_by("_lock")
     def _build_key_index(self, table: str, column: str):
@@ -578,14 +621,14 @@ class AccessLayer:
         if stats.is_dense_key():
             offset = stats.min_value
             slots: List[Optional[int]] = [None] * (stats.max_value - offset + 1)
-            for position, value in enumerate(values):
+            for position, value in zip(self._pool(len(values)), values):
                 slot = value - offset
                 if slots[slot] is not None:
                     return None  # statistics lied: duplicate key
                 slots[slot] = position
             return DirectArray(table, column, offset, slots)
         positions: Dict[Any, int] = {}
-        for position, value in enumerate(values):
+        for position, value in zip(self._pool(len(values)), values):
             if value in positions:
                 return None
             positions[value] = position
@@ -628,26 +671,40 @@ class AccessLayer:
         different key range) is rebuilt here rather than served.
         """
         fault_point("access.partition", table=table, column=column)
-        key = (table, column, "partition")
+        key = ("partition", table, column)
         with self._lock:
             domain = self.partition_domain(table, column)
             if domain is None:
                 return None
             lo, hi = domain
-            cached = self._key_indices.get(key)
-            if cached is None or cached.offset != lo \
-                    or len(cached.slots) != hi - lo + 1:
-                cached = self._build_partition(table, column, lo, hi)
-                self._key_indices[key] = cached
-            return cached
+            cached = self._structures.get(key)
+            if cached is not None and (cached.offset != lo
+                                       or len(cached.slots) != hi - lo + 1):
+                del self._structures[key]
+            return self._structure("partition", table, column,
+                                   self._build_partition)
 
     @guarded_by("_lock")
-    def _build_partition(self, table: str, column: str, lo: int,
-                         hi: int) -> PartitionIndex:
+    def _build_partition(self, table: str, column: str) -> PartitionIndex:
+        lo, hi = self.partition_domain(table, column)
+        values = self.catalog.column(table, column)
         self._count_build("partition", table, column)
-        slots: List[List[int]] = [[] for _ in range(hi - lo + 1)]
-        for position, value in enumerate(self.catalog.column(table, column)):
-            slots[value - lo].append(position)
+        slots: List[Sequence[int]]
+        if self._column_stats(table, column).sorted_ascending:
+            # clustered: the rows of one key are one run, found by bisection.
+            # A run's bounds are positions too (the end of the table
+            # included), so a slot adds nothing but its ``range`` header
+            pool = self._pool(len(values) + 1)
+            slots = []
+            start = pool[0]
+            for key in range(lo, hi + 1):
+                stop = pool[bisect_right(values, key, start)]
+                slots.append(range(start, stop))
+                start = stop
+        else:
+            slots = [[] for _ in range(hi - lo + 1)]
+            for position, value in zip(self._pool(len(values)), values):
+                slots[value - lo].append(position)
         return PartitionIndex(table, column, lo, slots)
 
     # ------------------------------------------------------------------
@@ -656,11 +713,9 @@ class AccessLayer:
     def dictionary(self, table: str, column: str) -> Optional[StringDictionary]:
         """The string dictionary of ``table.column`` (built once), or ``None``
         when the column is not a reasonably-repetitive string column."""
-        key = (table, column)
         with self._lock:
-            if key not in self._dictionaries:
-                self._dictionaries[key] = self._build_dictionary(table, column)
-            return self._dictionaries[key]
+            return self._structure("dictionary", table, column,
+                                   self._build_dictionary)
 
     @guarded_by("_lock")
     def _build_dictionary(self, table: str, column: str) -> Optional[StringDictionary]:
@@ -683,12 +738,9 @@ class AccessLayer:
     # Sorted-column partition indices
     # ------------------------------------------------------------------
     def sorted_column(self, table: str, column: str) -> Optional[SortedColumn]:
-        key = (table, column)
         with self._lock:
-            if key not in self._sorted_columns:
-                self._sorted_columns[key] = \
-                    self._build_sorted_column(table, column)
-            return self._sorted_columns[key]
+            return self._structure("sorted_column", table, column,
+                                   self._build_sorted_column)
 
     @guarded_by("_lock")
     def _build_sorted_column(self, table: str, column: str) -> Optional[SortedColumn]:
@@ -700,9 +752,9 @@ class AccessLayer:
         if stats.sorted_ascending:
             return SortedColumn(table, column, values, range(len(values)),
                                 identity=True)
-        permutation = sorted(range(len(values)), key=values.__getitem__)
-        ordered = [values[i] for i in permutation]
-        return SortedColumn(table, column, ordered, permutation)
+        permutation = self._pool(len(values))[:len(values)]
+        permutation.sort(key=values.__getitem__)
+        return SortedColumn(table, column, values, permutation)
 
     # ------------------------------------------------------------------
     # Partition pruning
@@ -735,20 +787,23 @@ class AccessLayer:
         if not slices:
             return None
         slices.sort(key=lambda entry: entry[0])
-        best_size, index, start, stop = slices[0]
-        if best_size > max_fraction * num_rows:
+        if slices[0][0] > max_fraction * num_rows:
             return None
-        if len(slices) == 1:
+        # a slice of a clustered column is a row range: it clips the result
+        # and never has to be materialised
+        lo, hi = 0, num_rows
+        listed: List[List[int]] = []
+        for size, index, start, stop in slices:
             if index.identity:
-                return range(start, stop)
-            return sorted(index.permutation[start:stop])
-        surviving = set(index.permutation[start:stop])
-        for other_size, other, other_start, other_stop in slices[1:]:
-            if other_size >= num_rows:
-                continue  # an all-rows slice cannot shrink the intersection
-            surviving.intersection_update(other.permutation[other_start:other_stop])
-            if not surviving:
-                break
+                lo, hi = max(lo, start), min(hi, stop)
+            elif size < num_rows:  # an all-rows slice cannot shrink the intersection
+                listed.append(index.permutation[start:stop])
+        if not listed:
+            return range(lo, max(lo, hi))
+        surviving: Iterable[int] = listed[0] if len(listed) == 1 else \
+            set(listed[0]).intersection(*listed[1:])
+        if (lo, hi) != (0, num_rows):
+            surviving = [position for position in surviving if lo <= position < hi]
         return sorted(surviving)
 
     def chunk_ranges(self, table: str,
@@ -792,34 +847,47 @@ class AccessLayer:
         per ``(table, filters)`` so the repeated-query regime pays the
         slice-and-sort once."""
         fault_point("access.zone_map", table=table)
-        key = (table, tuple(filters))
+        key = tuple(filters)
         with self._lock:
-            cached = self._candidates.get(key)
+            memo = self._candidates.setdefault(table, {})
+            cached = memo.get(key)
             if cached is None:
-                cached = self._compute_pruned_indices(table, filters)
-                if len(self._candidates) >= self._CANDIDATE_CACHE_LIMIT:
-                    self._candidates.clear()
-                self._candidates[key] = cached
+                cached = memo[key] = self._compute_pruned_indices(table, filters)
+                budget = self._CANDIDATE_POSITION_BUDGET * self.catalog.size(table)
+                held = sum(map(_positions_held, memo.values()))
+                while held > budget:
+                    held -= _positions_held(memo.pop(next(iter(memo))))
             return cached
 
+    @guarded_by("_lock")
     def _compute_pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
         num_rows = self.catalog.size(table)
         ranges = self.chunk_ranges(table, filters)
         unpruned = len(ranges) == 1 and ranges[0] == (0, num_rows)
         candidates = self.prune_candidates(table, filters)
-        if candidates is not None:
-            if unpruned:
-                return candidates
+        if unpruned:
+            return range(num_rows) if candidates is None else candidates
+        if candidates is None:
+            kept = ranges
+        elif isinstance(candidates, range):
+            kept = [(max(start, candidates.start), min(stop, candidates.stop))
+                    for start, stop in ranges]
+        else:
             # Zone maps of columns *without* a sorted permutation can still
             # reject whole chunks the sorted slices kept: intersect.
             return _restrict_to_ranges(candidates, ranges)
-        if unpruned:
-            return range(num_rows)
-        return list(chain.from_iterable(range(start, stop)
-                                        for start, stop in ranges))
+        pool = self._pool(num_rows)
+        return list(chain.from_iterable(pool[start:stop] for start, stop in kept))
 
 
-def _restrict_to_ranges(candidates, ranges: Sequence[Tuple[int, int]]):
+def _positions_held(candidates: Sequence[int]) -> int:
+    """What a memoized candidate sequence is charged against the budget:
+    the positions it holds (a ``range`` holds none), and at least one so
+    that the number of entries is bounded too."""
+    return 1 if isinstance(candidates, range) else max(1, len(candidates))
+
+
+def _restrict_to_ranges(candidates: List[int], ranges: Sequence[Tuple[int, int]]):
     """Keep the (ascending) candidates that fall inside the sorted,
     non-overlapping row ranges — one merge walk over both sequences."""
     kept: List[int] = []

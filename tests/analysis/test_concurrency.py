@@ -357,7 +357,7 @@ class TestCleanTree:
         # back up unnoticed (PR 10 shipped 9 / 10 / 46 / 1)
         assert summary["lock_owning_classes"] <= 7
         assert summary["locks"] <= 8
-        assert summary["shared_attrs"] <= 32
+        assert summary["shared_attrs"] <= 31
         assert summary["lock_order_edges"] <= 1
         assert {"edges", "cycles"} <= set(payload["lock_order"])
         for entry in payload["lock_order"]["edges"]:

@@ -116,10 +116,19 @@ class TestMutationSuite:
         assert "removable" in str(exc.value)
         assert exc.value.phase == f"effectful-dce[{LEVEL}]"
 
-    def test_write_into_shared_partition_bucket_rejected(self, tpch_catalog):
+    @pytest.mark.parametrize("query, table, column, slot_type", [
+        ("Q4", "lineitem", "l_orderkey", range),   # clustered key
+        ("Q13", "orders", "o_custkey", list),
+    ])
+    def test_write_into_shared_partition_bucket_rejected(
+            self, tpch_catalog, query, table, column, slot_type):
         """A variant that appends to a bucket of the catalog's resident
         partition: the bucket is shared by every query, request and thread,
-        so generated code may only read it."""
+        so generated code may only read it — whether the catalog serves it
+        as a list or, over a clustered key, as a ``range`` (which would only
+        fail at run time, and only once a probe hit)."""
+        slots = tpch_catalog.access_layer().partition(table, column).slots
+        assert all(type(slot) is slot_type for slot in slots)
 
         def rewrite(block, partitions):
             stmts = []
@@ -136,12 +145,13 @@ class TestMutationSuite:
 
         def mutate(program, context):
             partitions = {stmt.sym for stmt in program.hoisted.stmts
-                          if stmt.expr.op == "access_partition"}
-            assert partitions, "Q4 no longer probes a resident partition"
+                          if stmt.expr.op == "access_partition"
+                          and stmt.expr.attrs["column"] == column}
+            assert partitions, f"{query} no longer probes a resident partition"
             return _rebuild(program, rewrite(program.body, partitions))
 
         with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, mutate, "bucket-write", query="Q4")
+            compile_mutated(tpch_catalog, mutate, "bucket-write", query=query)
         assert exc.value.check == "effects"
         assert "catalog-resident" in str(exc.value)
         assert exc.value.phase == f"bucket-write[{LEVEL}]"

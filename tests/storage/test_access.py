@@ -149,13 +149,14 @@ class TestPartitionIndex:
         assert layer.build_counts[("partition", "emp", "e_dept")] == 2
 
     def test_unique_key_index_is_not_disturbed(self):
-        """Partitions share the key-index memo; the two never collide."""
+        """Partitions share the structure memo; the two never collide."""
         catalog = _fk_catalog()
         layer = catalog.access_layer()
         partition = layer.partition("dept", "d_id")
         index = layer.key_index("dept", "d_id")
         assert isinstance(index, DirectArray) and index.slots == [0, 1, 2, 3]
-        assert partition.slots == [[0], [1], [2], [3]]
+        # d_id is stored ascending, so the slots are ranges, not lists
+        assert [list(slot) for slot in partition.slots] == [[0], [1], [2], [3]]
         assert layer.partition("dept", "d_id") is partition
         assert layer.key_index("dept", "d_id") is index
 
@@ -195,7 +196,10 @@ class TestSortedColumn:
     def test_unsorted_column_gets_a_permutation(self):
         catalog = _catalog()
         index = catalog.access_layer().sorted_column("R", "r_val")
-        assert index.values == [1.0, 2.0, 3.0, 4.0, 5.0]
+        # no sorted copy: the permutation, read through the column, is it
+        assert index.source is catalog.column("R", "r_val")
+        assert [index.source[i] for i in index.permutation] == \
+            [1.0, 2.0, 3.0, 4.0, 5.0]
         assert list(index.permutation) == [1, 3, 2, 4, 0]
         assert not index.identity
 
@@ -513,6 +517,54 @@ class TestMultiColumnIntersection:
         assert both == [(2048, 4096)]
         assert both[0][1] - both[0][0] < sum(b - a for a, b in up_chunks)
         assert both[0][1] - both[0][0] < sum(b - a for a, b in down_chunks)
+
+
+class TestCandidateBudget:
+    """The candidate memo is bounded by the positions it holds — a multiple
+    of the table's row count — and sheds its oldest entries, never all."""
+
+    ROWS = 1000
+
+    def _catalog(self):
+        catalog = Catalog()
+        schema = TableSchema("B", [int_column("b_id"), int_column("b_val")],
+                             primary_key=("b_id",))
+        catalog.register(ColumnarTable(schema, {
+            "b_id": list(range(self.ROWS)),                       # clustered
+            "b_val": [(i * 37) % self.ROWS for i in range(self.ROWS)],
+        }))
+        return catalog
+
+    def _held(self, layer):
+        return sum(len(candidates) for candidates in layer._candidates["B"].values()
+                   if not isinstance(candidates, range))
+
+    def test_never_repeated_literals_stay_within_the_budget(self):
+        catalog = self._catalog()
+        layer = catalog.access_layer()
+        budget = AccessLayer._CANDIDATE_POSITION_BUDGET * self.ROWS
+        keys = [(("b_val", "<", bound),) for bound in range(100, 500, 10)]
+        for made, key in enumerate(keys, 1):
+            newest = layer.pruned_indices("B", key)
+            assert len(newest) == key[0][2]
+            assert self._held(layer) <= budget
+            # the entry just made is served, not shed
+            assert layer.pruned_indices("B", key) is newest
+            # and what is kept is the newest run of what was asked for
+            assert list(layer._candidates["B"]) == \
+                keys[made - len(layer._candidates["B"]):made]
+        assert 100 + 110 + 120 < budget < sum(key[0][2] for key in keys)
+        assert keys[0] not in layer._candidates["B"]
+        assert len(layer._candidates["B"]) > 1   # shed from the old end, not cleared
+
+    def test_a_range_holds_no_positions(self):
+        catalog = self._catalog()
+        layer = catalog.access_layer()
+        kept = layer.pruned_indices("B", (("b_val", "<", 400),))
+        for bound in range(1, 300):
+            assert type(layer.pruned_indices("B", (("b_id", "<", bound),))) is range
+        assert layer.pruned_indices("B", (("b_val", "<", 400),)) is kept
+        assert len(layer._candidates["B"]) == 300
 
 
 class TestThunderingHerd:

@@ -138,6 +138,11 @@ class TestStress:
         counted exactly once, no cache ever exceeds the bound, and nothing
         built before an invalidation is served after it."""
         threads, rounds, keys = 8, 400, 12
+        # the bound the workers assert must hold before the first of them
+        # runs, not from the disturber's first ``set_capacity`` on: until
+        # then the capacity is what the last test left (512), and a disturber
+        # descheduled for a few hundred microseconds let 12 keys into a cache
+        DerivedCache.set_capacity(8)
         caches = [DerivedCache(), DerivedCache()]
         epoch = [0]  # bumped *before* each invalidation
         errors = []
