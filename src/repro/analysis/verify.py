@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.analysis.verify [--sf 0.001] [--seed 20160626]
-        [--configs template-expander,dblab-5,tpch-compliant]
+        [--configs dblab-5,tpch-compliant]   (default: all six)
         [--queries Q1,Q6,...]
 
 For each (config, query) pair the full compilation runs with the static
@@ -21,7 +21,9 @@ import sys
 import time
 from typing import List, Optional
 
-DEFAULT_CONFIGS = "template-expander,dblab-5,tpch-compliant"
+from ..stack.configs import CONFIG_NAMES
+
+DEFAULT_CONFIGS = ",".join(CONFIG_NAMES)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -175,8 +175,7 @@ class QueryCompiler:
     def _cache_key(self, plan, query_name: str) -> Optional[Tuple]:
         if self.verify or not isinstance(plan, Q.Operator):
             return None  # QMonad chains are not fingerprinted (yet)
-        flags_key = tuple(sorted(self.flags.__dict__.items()))
-        return (Q.plan_fingerprint(plan), self.stack.name, flags_key, query_name)
+        return (Q.plan_fingerprint(plan), self.stack.name, self.flags, query_name)
 
     def is_cached(self, plan: Q.Operator, catalog: Catalog,
                   query_name: str = "query") -> bool:

@@ -73,7 +73,6 @@ class PlannerOptions:
     #: :class:`~repro.analysis.VerificationError` (the planner half of the
     #: compiler's ``verify`` mode; off by default — it is O(rules × plan))
     validate_rewrites: bool = False
-    max_iterations: int = 8
 
     @classmethod
     def all_rules(cls) -> "PlannerOptions":
@@ -197,13 +196,11 @@ class Planner:
         Q.validate(plan, self.catalog)
         context = PlannerContext(catalog=self.catalog, options=self.options)
         estimator = self.estimator
-        plan, report = apply_rules_fixpoint(plan, self._rules(), context,
-                                            self.options.max_iterations)
+        plan, report = apply_rules_fixpoint(plan, self._rules(), context)
         if self.options.join_strategy:
             plan = reorder_join_chains(plan, context, estimator)
             plan, swap_report = apply_rules_fixpoint(
-                plan, [BuildSideSwap(estimator)], context,
-                self.options.max_iterations)
+                plan, [BuildSideSwap(estimator)], context)
             report.applied.extend(swap_report.applied)
         if self.options.field_pruning:
             pruned = prune_plan(plan, self.catalog, prune_projections=True,
@@ -218,8 +215,7 @@ class Planner:
             # order and values exactly.
             plan, access_report = apply_rules_fixpoint(
                 plan,
-                [PrunedScanSelection(), IndexJoinSelection(estimator)],
-                context, self.options.max_iterations)
+                [PrunedScanSelection(), IndexJoinSelection(estimator)], context)
             report.applied.extend(access_report.applied)
         # An optimizer bug must surface here, not as a wrong answer later.
         Q.validate(plan, self.catalog)

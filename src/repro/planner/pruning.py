@@ -6,8 +6,8 @@ factored out of :mod:`repro.transforms.field_removal` so that both clients
 share one implementation:
 
 * the DSL stack's ``UnusedFieldRemoval`` optimization calls it in scan-only
-  mode (its historical behaviour, gated by the ``unused_field_removal``
-  flag), and
+  mode (its historical behaviour; listed by the stacks of three levels and
+  up, except the TPC-H compliant one), and
 * the logical planner calls it with projection and aggregate pruning enabled
   as the final pass of :meth:`repro.planner.planner.Planner.optimize`.
 

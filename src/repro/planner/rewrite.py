@@ -1,12 +1,11 @@
 """Rewrite-rule framework for QPlan operator trees.
 
-This is the plan-level sibling of :mod:`repro.stack.transformation`: the DSL
-stack applies IR transformations until a fixed point, the planner applies
-*plan rewrite rules* over :class:`~repro.dsl.qplan.Operator` trees until a
-fixed point.  The drivers share the same shape on purpose — a rule list, an
-identity check to detect convergence (a sweep in which no rule fired returns
-the tree it was given), a hard iteration bound against non-terminating rule
-sets, and a report of what fired.
+The planner applies *plan rewrite rules* over
+:class:`~repro.dsl.qplan.Operator` trees until a fixed point — found by the
+same driver the DSL stack runs its optimizations through
+(:func:`repro.stack.transformation.apply_fixpoint`): a sweep of the rules
+over the tree is one QPlan optimization, and a sweep in which no rule fired
+returns the tree it was given.
 
 Rules are node-local: :meth:`PlanRule.apply` looks at one operator (and its
 children, which it may restructure) and returns a rewritten operator or
@@ -20,6 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..dsl import qplan as Q
+from ..stack.language import QPLAN
+from ..stack.transformation import FunctionOptimization, apply_fixpoint
 
 
 class PlannerError(Exception):
@@ -65,17 +66,6 @@ class PlanRule:
 
     def __repr__(self) -> str:
         return f"<plan-rule {self.name}>"
-
-
-@dataclass
-class RewriteReport:
-    """What happened while rewriting one plan (mirrors ``FixpointReport``)."""
-
-    #: sweeps over the tree, the confirming one included
-    iterations: int = 0
-    #: names of the rule applications that changed the plan, in order
-    applied: List[str] = field(default_factory=list)
-    reached_fixpoint: bool = False
 
 
 #: bound on repeated rule applications at a single node within one sweep;
@@ -138,23 +128,16 @@ def apply_rules_fixpoint(plan: Q.Operator, rules: Sequence[PlanRule],
                          max_iterations: int = 8) -> tuple:
     """Sweep ``rules`` over the plan until it stops changing.
 
-    Returns ``(plan, report)``.  :func:`rewrite_sweep` returns the tree it
-    was given when no rule fired, so the fixed point is an identity check.
-    Like the stack's ``apply_fixpoint``, a hard iteration bound guards
-    against non-terminating rule sets, and hitting the bound is reported
-    (``reached_fixpoint=False``) rather than raised.
+    Returns ``(plan, report)``: :func:`rewrite_sweep` is handed to the
+    stack's fixpoint driver as its single step, so ``report.iterations``
+    counts the confirming sweep and hitting the bound is reported
+    (``reached_fixpoint=False``) rather than raised.  ``report.applied``
+    names the rule applications, not the sweeps.
     """
-    report = RewriteReport()
-    if not rules:
-        report.reached_fixpoint = True
-        return plan, report
-
-    for _ in range(max_iterations):
-        report.iterations += 1
-        before, fired = plan, len(context.applied)
-        plan = rewrite_sweep(plan, rules, context)
-        if plan is before:
-            report.reached_fixpoint = True
-            break
-        report.applied.extend(context.applied[fired:])
+    fired = len(context.applied)
+    sweep = FunctionOptimization(
+        QPLAN, "rewrite-sweep", lambda tree, ctx: rewrite_sweep(tree, rules, ctx))
+    plan, report = apply_fixpoint([sweep] if rules else [], plan, context,
+                                  max_iterations)
+    report.applied = context.applied[fired:]
     return plan, report

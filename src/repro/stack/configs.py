@@ -1,10 +1,11 @@
 """The stack configurations evaluated in the paper (Section 7, Table 3).
 
-Each configuration is a :class:`~repro.stack.pipeline.DslStack` plus the
-optimization flags that gate individual transformations:
+A configuration *is* its stack: the languages on the chain, one lowering
+between each adjacent pair, and the optimizations listed for each language
+are everything that runs.  :data:`_ROWS` is Table 3 written down once:
 
 =====================  ==========================================================
-configuration          stack / optimizations
+configuration          stack
 =====================  ==========================================================
 ``template-expander``  QPlan → C.Py in one lowering and nothing else: the
                        degenerate stack the paper argues against.  There is no
@@ -13,26 +14,32 @@ configuration          stack / optimizations
 ``dblab-2``            QPlan → C.Py.  Pipelining (push engine) only; boxed
                        records, generic containers.
 ``dblab-3``            QPlan → ScaLite → C.Py.  Adds data layout (row tuples /
-                       scalar fields), scalar replacement, DCE, CSE, partial
-                       evaluation, allocation hoisting, unused-field removal.
+                       scalar fields), scalar replacement, DCE, partial
+                       evaluation, dataflow folding, loop-invariant hoisting,
+                       allocation hoisting, unused-field removal.
 ``dblab-4``            QPlan → ScaLite[Map, List] → ScaLite → C.Py.  Adds string
                        dictionaries, hash-table specialization, automatic index
                        inference and data-structure partitioning.
 ``dblab-5``            QPlan → ScaLite[Map, List] → ScaLite[List] → ScaLite →
                        C.Py.  Adds list specialization (primary-key maps become
-                       direct arrays) and the fine-grained control-flow
-                       optimizations.
-``tpch-compliant``     The five-level stack with string dictionaries,
-                       partitioning, index inference and unused-field removal
-                       disabled (footnote 11 of the paper).
+                       direct arrays) and QMonad fusion.
+``tpch-compliant``     The five-level stack without string dictionaries,
+                       unused-field removal and loading-time partitioning of
+                       base-relation builds (footnote 11 of the paper).
 =====================  ==========================================================
+
+Every ``dblab-N`` also takes QMonad chains (a second front end over the same
+levels).  :class:`~repro.transforms.control_flow.BranchlessBooleans`
+(``x && y`` → ``x & y``, Appendix E) is a tested library pass that no
+configuration lists: under CPython the bitwise operators dispatch through
+``__and__`` and are slower than the short-circuit jumps they replace, the
+opposite of compiled C.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
-from ..transforms.control_flow import BranchlessBooleans
 from ..transforms.dce import DeadCodeElimination
 from ..transforms.field_removal import UnusedFieldRemoval
 from ..transforms.folding import DataflowFolding
@@ -47,12 +54,9 @@ from ..transforms.pipelining import PushPipelineLowering
 from ..transforms.scalar_replacement import ScalarReplacement
 from ..transforms.string_dictionary import StringDictionaries
 from .context import OptimizationFlags
-from .language import C_PY, QMONAD, QPLAN, SCALITE, SCALITE_LIST, SCALITE_MAP_LIST
+from .language import (C_PY, Language, QMONAD, QPLAN, SCALITE, SCALITE_LIST,
+                       SCALITE_MAP_LIST)
 from .pipeline import DslStack
-
-#: The configuration names, in the order Table 3 reports them.
-CONFIG_NAMES = ("template-expander", "dblab-2", "dblab-3", "dblab-4", "dblab-5",
-                "tpch-compliant")
 
 #: Engines that execute QPlan trees directly, without a DSL stack.  They are
 #: selectable everywhere a stack configuration is (benchmark harness, Table 3
@@ -75,59 +79,76 @@ def build_direct_engine(name: str, catalog):
 
 @dataclass
 class StackConfig:
-    """A named stack configuration: the DSL stack plus its optimization flags."""
+    """A named stack configuration: the DSL stack plus the caller-set flags."""
 
     name: str
     stack: DslStack
     flags: OptimizationFlags
-    levels: int
+
+    @property
+    def levels(self) -> int:
+        return self.stack.level_count(QPLAN)
 
     def describe(self) -> str:
         return f"{self.name}: {self.levels} levels; flags: {', '.join(self.flags.enabled())}"
 
 
-def _flags_level2() -> OptimizationFlags:
-    # Pipelining (the push-engine lowering) is the stack itself, not an
-    # option: level 2 runs with every optional optimization off.
-    return OptimizationFlags.all_disabled()
+#: the lowering out of each front end / level, given the next language down
+_LOWERING_OUT_OF = {
+    QPLAN: PushPipelineLowering,
+    QMONAD: QMonadShortcutFusionLowering,
+    SCALITE_MAP_LIST: HashTableSpecialization,
+    SCALITE_LIST: lambda target: ListSpecialization(),
+    SCALITE: lambda target: ScaLiteToCPy(),
+}
+
+#: the optimizations each level below the front ends hosts, in run order
+_LEVEL_PASSES = {
+    SCALITE_MAP_LIST: (StringDictionaries,),
+    SCALITE: (ScalarReplacement, PartialEvaluation, DataflowFolding,
+              LoopInvariantHoisting, DeadCodeElimination, MemoryAllocationHoisting),
+}
 
 
-def _flags_level3() -> OptimizationFlags:
-    return _flags_level2().copy_with(
-        data_layout=True, scalar_replacement=True, dce=True,
-        partial_evaluation=True, memory_hoisting=True,
-        unused_field_removal=True, subplan_sharing=True,
-        dataflow_folding=True, loop_invariant_code_motion=True)
+@dataclass(frozen=True)
+class _Row:
+    """One row of Table 3: what the named configuration's stack contains."""
+
+    #: the levels below the front ends, top down, ending in C.Py
+    chain: Tuple[Language, ...]
+    front_ends: Tuple[Language, ...] = (QPLAN, QMONAD)
+    #: front-end optimizations (they arrive with a level count, not a language)
+    front_end_passes: Tuple[type, ...] = ()
+    #: passes the chain would bring that this stack leaves out
+    without: Tuple[type, ...] = ()
+    #: hash builds over base relations move to loading time (Section B.1)
+    partition_base_builds: bool = True
+    catalog_access_layer: bool = False
+    subplan_sharing: bool = True
 
 
-def _flags_level4() -> OptimizationFlags:
-    return _flags_level3().copy_with(
-        hash_table_specialization=True, automatic_index_inference=True,
-        data_structure_partitioning=True, string_dictionaries=True,
-        catalog_access_layer=True)
+_ROWS = {
+    # plan to target code in one step, no level where an optimization could live
+    "template-expander": _Row((C_PY,), front_ends=(QPLAN,), subplan_sharing=False),
+    "dblab-2": _Row((C_PY,), subplan_sharing=False),
+    "dblab-3": _Row((SCALITE, C_PY), front_end_passes=(UnusedFieldRemoval,)),
+    "dblab-4": _Row((SCALITE_MAP_LIST, SCALITE, C_PY),
+                    front_end_passes=(UnusedFieldRemoval,),
+                    catalog_access_layer=True),
+    "dblab-5": _Row((SCALITE_MAP_LIST, SCALITE_LIST, SCALITE, C_PY),
+                    front_end_passes=(UnusedFieldRemoval, MonadFusionRules),
+                    catalog_access_layer=True),
+}
+# Footnote 11: without the optimizations that bend the TPC-H rules.  The
+# catalog access layer is load-time work amortised across queries — the same
+# rule-bending — so it is off with them (the parity suite re-enables it
+# explicitly to prove correctness).
+_ROWS["tpch-compliant"] = replace(
+    _ROWS["dblab-5"], without=(StringDictionaries, UnusedFieldRemoval),
+    partition_base_builds=False, catalog_access_layer=False)
 
-
-def _flags_level5() -> OptimizationFlags:
-    # Note: the branchless-boolean rewrite (`x && y` -> `x & y`, Appendix E)
-    # is implemented and covered by tests but left off by default: under
-    # CPython the bitwise operators dispatch through `__and__` and are slower
-    # than the short-circuit jumps they replace, the opposite of compiled C.
-    return _flags_level4().copy_with(
-        list_specialization=True, control_flow_opts=False,
-        horizontal_fusion=True)
-
-
-def _flags_tpch_compliant() -> OptimizationFlags:
-    """Footnote 11: disable the four optimizations that bend the TPC-H rules.
-
-    The catalog access layer is load-time work amortised across queries —
-    the same rule-bending the footnote excludes — so it is disabled with
-    them (the parity suite re-enables it explicitly to prove correctness).
-    """
-    return _flags_level5().copy_with(
-        string_dictionaries=False, data_structure_partitioning=False,
-        automatic_index_inference=False, unused_field_removal=False,
-        catalog_access_layer=False)
+#: The configuration names, in the order Table 3 reports them.
+CONFIG_NAMES = tuple(_ROWS)
 
 
 def build_config(name: str, planner: bool = False) -> StackConfig:
@@ -139,98 +160,26 @@ def build_config(name: str, planner: bool = False) -> StackConfig:
     conversion run before the stack lowers the plan.  The compiled-query
     cache is then keyed on the optimized plan's fingerprint.
     """
-    config = _build_config(name)
-    if planner:
-        config.flags = config.flags.copy_with(logical_plan_optimizer=True)
-    return config
-
-
-def _build_config(name: str) -> StackConfig:
-    if name == "template-expander":
-        # A template expander is a stack with a single lowering: plan to
-        # target code in one step, with no intermediate level where an
-        # optimization could live.
-        stack = DslStack(name, languages=[QPLAN, C_PY],
-                         lowerings=[PushPipelineLowering(C_PY)])
-        return StackConfig(name, stack, OptimizationFlags.all_disabled(), levels=2)
-
-    if name == "dblab-2":
-        stack = DslStack(
-            name,
-            languages=[QPLAN, QMONAD, C_PY],
-            lowerings=[PushPipelineLowering(C_PY), QMonadShortcutFusionLowering(C_PY)],
-            optimizations=[MonadFusionRules()])
-        return StackConfig(name, stack, _flags_level2(), levels=2)
-
-    if name == "dblab-3":
-        stack = DslStack(
-            name,
-            languages=[QPLAN, QMONAD, SCALITE, C_PY],
-            lowerings=[PushPipelineLowering(SCALITE),
-                       QMonadShortcutFusionLowering(SCALITE),
-                       ScaLiteToCPy()],
-            optimizations=[
-                UnusedFieldRemoval(),
-                MonadFusionRules(),
-                ScalarReplacement(SCALITE),
-                PartialEvaluation(SCALITE),
-                DataflowFolding(SCALITE),
-                LoopInvariantHoisting(SCALITE),
-                DeadCodeElimination(SCALITE),
-                MemoryAllocationHoisting(SCALITE),
-            ])
-        return StackConfig(name, stack, _flags_level3(), levels=3)
-
-    if name == "dblab-4":
-        stack = DslStack(
-            name,
-            languages=[QPLAN, QMONAD, SCALITE_MAP_LIST, SCALITE, C_PY],
-            lowerings=[
-                PushPipelineLowering(SCALITE_MAP_LIST),
-                QMonadShortcutFusionLowering(SCALITE_MAP_LIST),
-                HashTableSpecialization(SCALITE),
-                ScaLiteToCPy(),
-            ],
-            optimizations=[
-                UnusedFieldRemoval(),
-                MonadFusionRules(),
-                StringDictionaries(SCALITE_MAP_LIST),
-                ScalarReplacement(SCALITE),
-                PartialEvaluation(SCALITE),
-                DataflowFolding(SCALITE),
-                LoopInvariantHoisting(SCALITE),
-                DeadCodeElimination(SCALITE),
-                MemoryAllocationHoisting(SCALITE),
-            ])
-        return StackConfig(name, stack, _flags_level4(), levels=4)
-
-    if name in ("dblab-5", "tpch-compliant"):
-        stack = DslStack(
-            name,
-            languages=[QPLAN, QMONAD, SCALITE_MAP_LIST, SCALITE_LIST, SCALITE, C_PY],
-            lowerings=[
-                PushPipelineLowering(SCALITE_MAP_LIST),
-                QMonadShortcutFusionLowering(SCALITE_MAP_LIST),
-                HashTableSpecialization(SCALITE_LIST, defer_unique_to_list_level=True),
-                ListSpecialization(),
-                ScaLiteToCPy(),
-            ],
-            optimizations=[
-                UnusedFieldRemoval(),
-                MonadFusionRules(),
-                StringDictionaries(SCALITE_MAP_LIST),
-                ScalarReplacement(SCALITE),
-                PartialEvaluation(SCALITE),
-                DataflowFolding(SCALITE),
-                LoopInvariantHoisting(SCALITE),
-                DeadCodeElimination(SCALITE),
-                MemoryAllocationHoisting(SCALITE),
-                BranchlessBooleans(C_PY),
-            ])
-        flags = _flags_level5() if name == "dblab-5" else _flags_tpch_compliant()
-        return StackConfig(name, stack, flags, levels=5)
-
-    raise KeyError(f"unknown stack configuration {name!r}; known: {CONFIG_NAMES}")
+    if name not in _ROWS:
+        raise KeyError(f"unknown stack configuration {name!r}; known: {CONFIG_NAMES}")
+    row = _ROWS[name]
+    top = row.chain[0]
+    lowerings = [_LOWERING_OUT_OF[front_end](
+        top, partition_base_builds=row.partition_base_builds)
+        for front_end in row.front_ends]
+    lowerings += [_LOWERING_OUT_OF[source](target)
+                  for source, target in zip(row.chain, row.chain[1:])]
+    optimizations = [make() for make in row.front_end_passes
+                     if make not in row.without]
+    optimizations += [make(level) for level in row.chain
+                      for make in _LEVEL_PASSES.get(level, ())
+                      if make not in row.without]
+    stack = DslStack(name, languages=row.front_ends + row.chain,
+                     lowerings=lowerings, optimizations=optimizations)
+    return StackConfig(name, stack, OptimizationFlags(
+        logical_plan_optimizer=planner,
+        catalog_access_layer=row.catalog_access_layer,
+        subplan_sharing=row.subplan_sharing))
 
 
 def all_configs(planner: bool = False) -> List[StackConfig]:

@@ -94,15 +94,14 @@ class DslStack:
                     f"optimization {optimization.name!r} must stay within one language")
 
         # Transformation cohesion principle: at most one lowering out of each
-        # language towards each other language, and the lowerings reachable
-        # from any language form a single chain (a unique path downwards).
+        # language, so the lowerings reachable from any language form a
+        # single chain (a unique path downwards).
         by_source: Dict[str, List[Lowering]] = {}
         for lowering in self.lowerings:
             by_source.setdefault(lowering.source.name, []).append(lowering)
         for source_name, outgoing in by_source.items():
-            non_front_end = [low for low in outgoing]
-            if len(non_front_end) > 1:
-                targets = sorted(low.target.name for low in non_front_end)
+            if len(outgoing) > 1:
+                targets = sorted(low.target.name for low in outgoing)
                 raise StackValidationError(
                     "transformation cohesion violated: more than one lowering out of "
                     f"{source_name} (targets: {targets}); split the language instead "
@@ -114,25 +113,15 @@ class DslStack:
         # (unique) chain of lowerings — otherwise the stack has dead levels or
         # several disconnected targets.
         if self.lowerings:
-            target = min(self.languages, key=lambda lang: lang.level)
+            target = self.target_language
             for lang in self.languages:
                 if lang is target:
                     continue
-                path = self._path_from(lang, by_source)
+                path = self.lowering_path(lang)
                 if not path or path[-1].target is not target:
                     raise StackValidationError(
                         f"stack {self.name!r}: no lowering path from {lang.name} "
                         f"to the target language {target.name}")
-
-    @staticmethod
-    def _path_from(language: Language, by_source: Dict[str, List[Lowering]]) -> List[Lowering]:
-        path: List[Lowering] = []
-        current = language
-        while current.name in by_source:
-            lowering = by_source[current.name][0]
-            path.append(lowering)
-            current = lowering.target
-        return path
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -151,13 +140,10 @@ class DslStack:
     def lowering_path(self, source: Language) -> List[Lowering]:
         """The unique chain of lowerings from ``source`` to the target language."""
         path: List[Lowering] = []
-        current = source
-        while True:
-            lowering = self.lowering_from(current)
-            if lowering is None:
-                break
+        lowering = self.lowering_from(source)
+        while lowering is not None:
             path.append(lowering)
-            current = lowering.target
+            lowering = self.lowering_from(lowering.target)
         return path
 
     def optimizations_for(self, language: Language) -> List[Optimization]:
@@ -184,14 +170,15 @@ class DslStack:
     # ------------------------------------------------------------------
     def compile(self, program, source: Language,
                 context: Optional[CompilationContext] = None,
-                validate_levels: bool = True, verify: bool = False,
-                catalog=None) -> CompilationResult:
+                verify: bool = False, catalog=None) -> CompilationResult:
         """Push ``program`` from ``source`` down to the stack's target language.
 
-        At every level the enabled optimizations are applied to a fixed point,
-        then the unique lowering out of that level translates the program one
-        level down.  The per-phase timings collected in the result are the
-        data behind Figure 9 (code generation time).
+        At every level the optimizations the stack lists for it are applied
+        to a fixed point, then the unique lowering out of that level
+        translates the program one level down and the result is checked
+        against the vocabulary of its language.  The per-phase timings
+        collected in the result are the data behind Figure 9 (code
+        generation time).
 
         With ``verify=True`` the static-analysis battery of
         :mod:`repro.analysis` runs after **every** transformation — each
@@ -239,8 +226,7 @@ class DslStack:
 
         while True:
             verify_state["language"] = current_language
-            optimizations = [opt for opt in self.optimizations_for(current_language)
-                             if opt.applies(context)]
+            optimizations = self.optimizations_for(current_language)
             if optimizations:
                 start = time.perf_counter()
                 current_program, report = apply_fixpoint(optimizations, current_program, context,
@@ -264,7 +250,7 @@ class DslStack:
                 language=lowering.target.name, seconds=seconds,
                 detail=f"{current_language.name} -> {lowering.target.name}"))
             current_language = lowering.target
-            if (validate_levels or verify) and current_language.kind == "anf":
+            if current_language.kind == "anf":
                 from ..analysis import VerificationError, check_language
                 try:
                     check_language(current_program, current_language,

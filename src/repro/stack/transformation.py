@@ -14,7 +14,6 @@ once and must always be applicable.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -35,14 +34,6 @@ class Transformation:
     name: str = "transformation"
     source: Language
     target: Language
-
-    def applies(self, context: CompilationContext) -> bool:
-        """Whether this transformation is enabled under the given context.
-
-        Optimizations may be switched off by configuration flags; lowerings
-        must always apply (Section 2.2), so they return ``True``.
-        """
-        return True
 
     def run(self, program, context: CompilationContext):
         """Transform ``program`` and return the transformed program."""
@@ -74,19 +65,14 @@ class Transformation:
 
 
 class Optimization(Transformation):
-    """A transformation that stays within one language."""
+    """A transformation that stays within one language.
 
-    #: name of the :class:`OptimizationFlags` attribute gating this optimization
-    flag: Optional[str] = None
+    A stack runs exactly the optimizations it lists: there is no switch
+    beside the list."""
 
     def __init__(self, language: Language) -> None:
         self.source = language
         self.target = language
-
-    def applies(self, context: CompilationContext) -> bool:
-        if self.flag is None:
-            return True
-        return bool(getattr(context.flags, self.flag, False))
 
 
 class Lowering(Transformation):
@@ -105,12 +91,10 @@ class FunctionOptimization(Optimization):
     """An optimization defined by a plain function (useful for tests/ablations)."""
 
     def __init__(self, language: Language, name: str,
-                 fn: Callable[[Program, CompilationContext], Program],
-                 flag: Optional[str] = None) -> None:
+                 fn: Callable[[Program, CompilationContext], Program]) -> None:
         super().__init__(language)
         self.name = name
         self.fn = fn
-        self.flag = flag
 
     def run(self, program, context: CompilationContext):
         return self.fn(program, context)
@@ -118,14 +102,13 @@ class FunctionOptimization(Optimization):
 
 @dataclass
 class FixpointReport:
-    """What happened while optimizing one abstraction level."""
+    """What happened while one step list ran to its fixed point."""
 
-    language: str
-    #: rounds over the optimization list that were started
+    #: rounds over the step list that were started, the confirming one included
     iterations: int = 0
-    #: names of the passes that changed the program, in order
+    #: names of the steps that changed the program, in order
     applied: List[str] = field(default_factory=list)
-    #: every pass run, changing or not
+    #: every step run, changing or not
     runs: int = 0
     reached_fixpoint: bool = False
 
@@ -143,48 +126,48 @@ def program_fingerprint(program) -> str:
     return repr(program)
 
 
-def apply_fixpoint(optimizations: Sequence[Optimization], program,
-                   context: CompilationContext, max_iterations: int = 8,
+def apply_fixpoint(steps: Sequence[Transformation], program, context,
+                   max_iterations: int = 8,
                    observer: Optional[Callable] = None) -> tuple:
-    """Apply ``optimizations`` round-robin until the program stops changing.
+    """Run ``steps`` round-robin until the program stops changing.
+
+    The one fixpoint loop of the repository: the stack drives a level's
+    optimizations through it, the planner a sweep of its rewrite rules
+    (:func:`repro.planner.rewrite.apply_rules_fixpoint`).  A step is anything
+    with a ``name`` and ``run(program, context)``.
 
     Returns ``(program, report)``.  The pass contract makes "stopped
-    changing" an O(1) fact: **a pass that changes nothing returns its
-    input**, so the fixed point is reached once every applicable pass in a
-    row has returned the object it was given — the pass right after the last
-    changer is not run a second time to confirm it.  A hard bound on rounds
-    guards against non-terminating optimization sets (the "special care"
-    footnote of the paper); hitting the bound is reported rather than
-    silently accepted.
+    changing" an O(1) fact: **a step that changes nothing returns its
+    input**, so the fixed point is reached once every step in a row has
+    returned the object it was given — the step right after the last changer
+    is not run a second time to confirm it.  A hard bound on rounds guards
+    against non-terminating step sets (the "special care" footnote of the
+    paper); hitting the bound is reported rather than silently accepted.
 
-    ``observer``, when given, is called as ``observer(opt, before, after)``
-    after every individual pass — the hook the verifier uses to audit each
+    ``observer``, when given, is called as ``observer(step, before, after)``
+    after every individual run — the hook the verifier uses to audit each
     transformation in isolation.  The default path pays no cost for it.
     """
-    report = FixpointReport(language=optimizations[0].source.name if optimizations else "")
-    applicable = [opt for opt in optimizations if opt.applies(context)]
-    if not applicable:
+    report = FixpointReport()
+    if not steps:
         report.reached_fixpoint = True
         return program, report
 
     unchanged = 0  # consecutive runs that returned their input
     for _ in range(max_iterations):
         report.iterations += 1
-        for opt in applicable:
-            start = time.perf_counter()
+        for step in steps:
             before = program
-            program = opt.run(program, context)
-            context.record_phase(opt.name, "optimization", time.perf_counter() - start,
-                                 detail=opt.source.name)
+            program = step.run(program, context)
             report.runs += 1
             if observer is not None:
-                observer(opt, before, program)
+                observer(step, before, program)
             if program is before:
                 unchanged += 1
-                if unchanged == len(applicable):
+                if unchanged == len(steps):
                     report.reached_fixpoint = True
                     return program, report
             else:
                 unchanged = 0
-                report.applied.append(opt.name)
+                report.applied.append(step.name)
     return program, report

@@ -27,8 +27,6 @@ _BOOLEAN_OPS = {"eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_", "band
 class BranchlessBooleans(Optimization):
     """Replace short-circuit boolean connectives with bitwise operators."""
 
-    flag = "control_flow_opts"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"branchless-booleans[{language.name}]"

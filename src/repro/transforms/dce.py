@@ -35,8 +35,6 @@ from ..stack.transformation import Optimization
 class DeadCodeElimination(Optimization):
     """Remove statements whose results are unused and whose effects allow it."""
 
-    flag = "dce"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"dce[{language.name}]"

@@ -24,7 +24,6 @@ from ..stack.transformation import Optimization
 class UnusedFieldRemoval(Optimization):
     """Prune scan field lists down to the columns the query references."""
 
-    flag = "unused_field_removal"
     name = "unused-field-removal[QPlan]"
 
     def __init__(self) -> None:

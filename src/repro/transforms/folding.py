@@ -41,8 +41,6 @@ _PREDICATE_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge",
 class DataflowFolding(Optimization):
     """Fold provably-constant predicates and eliminate decided branches."""
 
-    flag = "dataflow_folding"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"dataflow-folding[{language.name}]"

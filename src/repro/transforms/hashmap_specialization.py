@@ -33,26 +33,23 @@ from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import BlockRewriter, rewrite_program, substitute_block
 from ..ir.types import BOOL, INT
 from ..stack.context import CompilationContext
-from ..stack.language import Language, SCALITE_MAP_LIST
+from ..stack.language import Language, SCALITE_LIST, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
 
 
 class HashTableSpecialization(Lowering):
     """Lower MultiMap/HashMap abstractions into arrays where annotations allow."""
 
-    def __init__(self, target: Language, defer_unique_to_list_level: bool = False) -> None:
+    def __init__(self, target: Language) -> None:
         self.name = "hash-table-specialization"
-        self.defer_unique = defer_unique_to_list_level
         super().__init__(SCALITE_MAP_LIST, target)
 
     def run(self, program: Program, context: CompilationContext) -> Program:
-        if not context.flags.hash_table_specialization:
-            return Program(body=program.body, params=program.params,
-                           language=self.target.name, hoisted=program.hoisted)
-        specializer = _Specializer(context, self.defer_unique)
-        rewritten = rewrite_program(program, specializer.rewrite,
-                                    language=self.target.name)
-        return rewritten
+        # Primary-key maps are the list-specialization lowering's to claim
+        # when the stack has that level below this one.
+        specializer = _Specializer(context, defer_unique=self.target is SCALITE_LIST)
+        return rewrite_program(program, specializer.rewrite,
+                               language=self.target.name)
 
 
 class _Specializer:
@@ -60,7 +57,6 @@ class _Specializer:
 
     def __init__(self, context: CompilationContext, defer_unique: bool) -> None:
         self.context = context
-        self.flags = context.flags
         self.defer_unique = defer_unique
         #: array sym id -> (array, lo, hi, empty_list, needs_bounds_guard)
         self.arrays: Dict[int, Tuple[Sym, int, int, Sym, bool]] = {}
@@ -103,7 +99,7 @@ class _Specializer:
             # one bucket per key of the whole domain only pays off when the
             # build covers (a filtered subset of) a base relation.
             return None
-        if stmt.expr.attrs.get("unique") and self.defer_unique and self.flags.list_specialization:
+        if stmt.expr.attrs.get("unique") and self.defer_unique:
             # Leave primary-key maps for the list-specialization lowering.
             return None
         lo, hi = key_range
@@ -122,7 +118,7 @@ class _Specializer:
         attrs = stmt.expr.attrs
         if "single" in attrs:
             return None  # already claimed
-        if attrs.get("unique") and self.defer_unique and self.flags.list_specialization:
+        if attrs.get("unique") and self.defer_unique:
             return None  # a primary-key map: left for the list-specialization lowering
         lo, hi = int(attrs["key_lo"]), int(attrs["key_hi"])
         array = rw.emit("access_partition", stmt.expr.args,

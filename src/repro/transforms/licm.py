@@ -47,8 +47,6 @@ _HOISTED_LOOPS = LOOP_OPS - {"while_"}
 class LoopInvariantHoisting(Optimization):
     """Hoist provably-safe invariant bindings out of loop bodies."""
 
-    flag = "loop_invariant_code_motion"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"loop-invariant-hoisting[{language.name}]"

@@ -38,9 +38,6 @@ class ListSpecialization(Lowering):
         super().__init__(source, target)
 
     def run(self, program: Program, context: CompilationContext) -> Program:
-        if not context.flags.list_specialization:
-            return Program(body=program.body, params=program.params,
-                           language=self.target.name, hoisted=program.hoisted)
         specializer = _UniqueKeySpecializer(context)
         return rewrite_program(program, specializer.rewrite, language=self.target.name)
 

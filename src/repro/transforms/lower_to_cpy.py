@@ -5,8 +5,9 @@ memory pools) and fixes the physical data layout before unparsing to C.  For
 the Python target the memory-management decisions amount to:
 
 * choosing the concrete representation of records that are still boxed
-  (dictionaries) versus row tuples — already decided upstream by the layout
-  flag, so this lowering normalises the remaining attrs, and
+  (dictionaries) versus row tuples — already decided upstream by the
+  pipelining lowering's target, so this lowering normalises the remaining
+  attrs, and
 * re-labelling the program into the C.Py language, whose op vocabulary is a
   superset of ScaLite's.
 

@@ -29,8 +29,6 @@ HOISTABLE_OPS = {
 class MemoryAllocationHoisting(Optimization):
     """Move loading-time-evaluable statements from the body to the hoisted block."""
 
-    flag = "memory_hoisting"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"allocation-hoisting[{language.name}]"

@@ -34,8 +34,6 @@ _FOLDABLE = {
 class PartialEvaluation(Optimization):
     """Fold pure operations whose arguments are all compile-time constants."""
 
-    flag = "partial_evaluation"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"partial-evaluation[{language.name}]"

@@ -14,17 +14,20 @@ are the only places where records are materialised into data structures.
 The same lowering serves every stack configuration; the target language is a
 constructor parameter (C.Py for the naive two-level stack, ScaLite for the
 three-level one, ScaLite[Map, List] for the four- and five-level stacks), and
-the optimization flags of the compilation context decide:
+the target decides:
 
-* whether rows travel as boxed records (naive) or as per-field locals
-  (scalar replacement by construction),
+* whether rows travel as boxed records (straight into C.Py: there is no level
+  below to take the boxes apart) or as per-field locals (scalar replacement
+  by construction),
+* which record layout (boxed dictionaries vs row tuples) materialised rows
+  use (Section 4.2 / Figure 3) — boxed, again, only straight into C.Py, and
 * whether hash-table builds over base relations are *partitioned at loading
   time* (automatic index inference + data-structure partitioning, Section
-  B.1): a lookup of the catalog's resident partition of row positions when
-  the catalog access layer is on, a build loop in the hoisted block
-  otherwise, and
-* which record layout (boxed dictionaries vs row tuples) materialised rows
-  use (Section 4.2 / Figure 3).
+  B.1), which needs the hash-table specialization below ScaLite[Map, List]
+  and is the one thing the TPC-H compliant stack turns off
+  (``partition_base_builds``): a lookup of the catalog's resident partition
+  of row positions when the catalog access layer is on, a build loop in the
+  hoisted block otherwise.
 
 Key-range and uniqueness facts about hash-table keys are attached to the
 ``mmap_new`` / ``hashmap_agg_new`` statements as attributes — the annotation
@@ -40,7 +43,7 @@ from ..dsl import qplan as Q
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
 from ..stack.context import CompilationContext
-from ..stack.language import Language, QPLAN, SCALITE_MAP_LIST
+from ..stack.language import C_PY, Language, QPLAN, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
 from .rowvals import RowVals
 from .scalar_compiler import ScalarCompiler
@@ -56,21 +59,24 @@ class PipeliningError(Exception):
 class PushPipelineLowering(Lowering):
     """Lower a QPlan operator tree into an imperative ANF program."""
 
-    def __init__(self, target: Language, name: str = "pipelining") -> None:
+    def __init__(self, target: Language, name: str = "pipelining",
+                 partition_base_builds: bool = True) -> None:
         self.name = name
+        self.partition_base_builds = partition_base_builds
         super().__init__(QPLAN, target)
 
     def run(self, plan: Q.Operator, context: CompilationContext) -> Program:
         if context.catalog is None:
             raise PipeliningError("pipelining requires a catalog in the compilation context")
-        compiler = _PushCompiler(context, self.target)
+        compiler = _PushCompiler(context, self.target, self.partition_base_builds)
         return compiler.compile(plan)
 
 
 class _PushCompiler:
     """One compilation run of the push engine."""
 
-    def __init__(self, context: CompilationContext, target: Language) -> None:
+    def __init__(self, context: CompilationContext, target: Language,
+                 partition_base_builds: bool) -> None:
         self.context = context
         self.catalog = context.catalog
         self.flags = context.flags
@@ -80,8 +86,15 @@ class _PushCompiler:
         self.hoisted = IRBuilder()
         self._builders = [self.body]
         self.scalars = ScalarCompiler(self.body)
+        #: rows are boxed records iff the program goes straight into C.Py;
+        #: any level in between gets per-field locals and row tuples
+        self.scalar_rows = target is not C_PY
         #: record layout used for materialised intermediate rows
-        self.record_layout = "row" if self.flags.data_layout else "boxed"
+        self.record_layout = "row" if self.scalar_rows else "boxed"
+        #: whether hash builds over base relations move to loading time: only
+        #: a stack that lowers MultiMaps can index the partitions
+        self.partition_base_builds = (partition_base_builds
+                                      and target is SCALITE_MAP_LIST)
         #: whether pipelines consume the catalog-resident access layer
         self.catalog_access = bool(self.flags.catalog_access_layer
                                    and getattr(self.catalog, "statistics", None)
@@ -168,28 +181,11 @@ class _PushCompiler:
     # ------------------------------------------------------------------
     def _scan(self, node: Q.Scan, consume: Consumer) -> None:
         b = self.b
-        fields = list(node.fields) if node.fields is not None else \
-            self.catalog.schema.table(node.table).column_names()
         size = b.emit("table_size", [self.db], attrs={"table": node.table}, hint="n")
-        columns = {name: b.emit("table_column", [self.db],
-                                attrs={"table": node.table, "column": name}, hint="col")
-                   for name in fields}
-
-        def body(index: Sym) -> None:
-            if self.flags.scalar_replacement:
-                row = RowVals.scalars({name: b.emit("array_get", [columns[name], index],
-                                                    hint=name[:10])
-                                       for name in fields})
-            else:
-                # Naive (two-level) behaviour: build one boxed record per row
-                # and pass it down the pipeline.
-                values = [b.emit("array_get", [columns[name], index]) for name in fields]
-                record = b.emit("record_new", values,
-                                attrs={"fields": tuple(fields), "layout": "boxed"}, hint="rec")
-                row = RowVals.record_backed(b, record, fields, layout="boxed")
-            consume(row)
-
-        b.for_range(0, size, body, hint="i")
+        fields, columns = self._scan_columns(node)
+        b.for_range(0, size,
+                    lambda index: consume(self._fetch_row(columns, fields, index)),
+                    hint="i")
 
     def _select(self, node: Q.Select, consume: Consumer) -> None:
         def filtered(row: RowVals) -> None:
@@ -216,11 +212,13 @@ class _PushCompiler:
                    index: Atom) -> RowVals:
         """The row at ``index``, in the active row representation."""
         b = self.b
-        if self.flags.scalar_replacement:
+        if self.scalar_rows:
             return RowVals.scalars({name: b.emit("array_get",
                                                  [columns[name], index],
                                                  hint=name[:10])
                                     for name in fields})
+        # Naive (two-level) behaviour: build one boxed record per row and
+        # pass it down the pipeline.
         values = [b.emit("array_get", [columns[name], index]) for name in fields]
         record = b.emit("record_new", values,
                         attrs={"fields": tuple(fields), "layout": "boxed"},
@@ -466,9 +464,7 @@ class _PushCompiler:
         ``None`` otherwise.  The filter, if any, is re-applied in the probe
         loop (Figure 7c of the paper).
         """
-        if not (self.flags.data_structure_partitioning
-                and self.flags.automatic_index_inference
-                and self.flags.hash_table_specialization):
+        if not self.partition_base_builds:
             return None
         probe_filter = None
         candidate = side
@@ -547,14 +543,11 @@ class _PushCompiler:
     def _has_resident_partition(self, table: str, column: str, attrs: Dict) -> bool:
         """Whether a partitioned build can be the catalog's own partition.
 
-        Only a stack that lowers MultiMaps (the hash-table specialization
-        below ScaLite[Map, List]) can turn the probe into array indexing, and
-        the catalog's partition must cover exactly the key range the
+        The catalog's partition must cover exactly the key range the
         specialised probe will bake in.  Decided from statistics: nothing is
         built at compile time.
         """
-        if not (self.catalog_access and self.target is SCALITE_MAP_LIST
-                and "key_lo" in attrs):
+        if not (self.catalog_access and "key_lo" in attrs):
             return False
         from ..storage.access import AccessLayer
         return AccessLayer.for_catalog(self.catalog).partition_domain(

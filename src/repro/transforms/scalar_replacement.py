@@ -21,8 +21,6 @@ from .analysis import definition_map
 class ScalarReplacement(Optimization):
     """Forward record fields read back out of freshly constructed records."""
 
-    flag = "scalar_replacement"
-
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"scalar-replacement[{language.name}]"

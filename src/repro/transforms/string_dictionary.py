@@ -49,8 +49,6 @@ _REWRITABLE = {"eq", "ne", "str_startswith", "str_in"}
 class StringDictionaries(Optimization):
     """Rewrite constant string comparisons into integer comparisons."""
 
-    flag = "string_dictionaries"
-
     def __init__(self, language: Language = SCALITE_MAP_LIST) -> None:
         super().__init__(language)
         self.name = f"string-dictionaries[{language.name}]"
@@ -182,7 +180,7 @@ class StringDictionaries(Optimization):
         reuses the same object.  Columns the layer declines (near-unique,
         non-string values) keep the per-query hoisted build.
         """
-        if not getattr(context.flags, "catalog_access_layer", False):
+        if not context.flags.catalog_access_layer:
             return set()
         catalog = context.catalog
         if catalog is None or not hasattr(catalog, "access_layer"):

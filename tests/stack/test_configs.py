@@ -1,8 +1,18 @@
 """Tests for the evaluated stack configurations (Section 7 of the paper)."""
 import pytest
 
-from repro.stack.configs import CONFIG_NAMES, all_configs, build_config, config_flags
-from repro.stack.language import C_PY, QPLAN
+from repro.codegen.compiler import QueryCompiler
+from repro.dsl.qmonad import QueryMonad
+from repro.stack.configs import CONFIG_NAMES, all_configs, build_config
+from repro.stack.language import C_PY, QMONAD, QPLAN
+from repro.tpch.queries import build_query
+
+
+def pass_names(config_name):
+    """Everything a configuration runs: its optimizations and its lowerings."""
+    stack = build_config(config_name).stack
+    return ({opt.name for opt in stack.optimizations}
+            | {low.name for low in stack.lowerings})
 
 
 class TestConfigs:
@@ -36,63 +46,92 @@ class TestConfigs:
         with pytest.raises(KeyError):
             build_config("dblab-42")
 
-    def test_flags_grow_monotonically_with_levels(self):
-        """Each additional level only ever enables more optimizations."""
-        previous = set(config_flags("dblab-2").enabled())
+    def test_pass_lists_grow_monotonically_with_levels(self):
+        """Each additional level only ever adds transformations."""
+        previous = pass_names("dblab-2")
         for name in ("dblab-3", "dblab-4", "dblab-5"):
-            current = set(config_flags(name).enabled())
-            assert previous <= current, f"{name} disabled something from the level below"
-            assert previous != current
+            current = pass_names(name)
+            assert previous < current, f"{name} dropped a pass of the level below"
             previous = current
 
-    def test_tpch_compliant_disables_the_non_compliant_optimizations(self):
-        """Footnote 11: string dictionaries, partitioning, index inference,
-        field removal — plus the catalog access layer, which amortises the
-        same load-time work across queries."""
-        compliant = config_flags("tpch-compliant")
-        full = config_flags("dblab-5")
-        assert full.string_dictionaries and not compliant.string_dictionaries
-        assert full.data_structure_partitioning and not compliant.data_structure_partitioning
-        assert full.automatic_index_inference and not compliant.automatic_index_inference
-        assert full.unused_field_removal and not compliant.unused_field_removal
-        assert full.catalog_access_layer and not compliant.catalog_access_layer
-        # everything else stays identical
-        differing = {name for name in vars(full)
-                     if getattr(full, name) != getattr(compliant, name)}
-        assert differing == {"string_dictionaries", "data_structure_partitioning",
-                             "automatic_index_inference", "unused_field_removal",
-                             "catalog_access_layer"}
+    def test_tpch_compliant_drops_the_non_compliant_optimizations(self):
+        """Footnote 11: string dictionaries, field removal, and partitioning /
+        index inference (one constructor fact of the front-end lowerings) —
+        plus the catalog access layer, which amortises the same load-time
+        work across queries.  Everything else is the five-level stack."""
+        compliant, full = build_config("tpch-compliant"), build_config("dblab-5")
+        assert pass_names("dblab-5") - pass_names("tpch-compliant") == {
+            "string-dictionaries[ScaLite[Map, List]]", "unused-field-removal[QPlan]"}
+        assert pass_names("tpch-compliant") < pass_names("dblab-5")
+        assert [(type(low), low.target) for low in compliant.stack.lowerings] \
+            == [(type(low), low.target) for low in full.stack.lowerings]
+        for front_end in (QPLAN, QMONAD):
+            assert full.stack.lowering_from(front_end).partition_base_builds
+            assert not compliant.stack.lowering_from(front_end).partition_base_builds
+        assert full.flags.catalog_access_layer and not compliant.flags.catalog_access_layer
+        assert compliant.flags == full.flags.copy_with(catalog_access_layer=False)
 
     def test_level2_only_pipelines(self):
-        """Pipelining is the stack's one lowering, not an option: level 2
-        enables no optional optimization at all."""
-        flags = config_flags("dblab-2")
-        assert flags.enabled() == []
-        assert not flags.hash_table_specialization
-        assert not flags.data_layout
+        """Pipelining is the stack's one lowering: level 2 lists no
+        optimization at all and sets no flag."""
+        config = build_config("dblab-2")
+        assert config.stack.optimizations == []
+        assert config.flags.enabled() == []
+        assert [low.name for low in config.stack.lowerings] \
+            == ["pipelining", "qmonad-shortcut-fusion"]
 
-    def test_every_flag_is_read_by_the_source(self):
-        """A flag no transformation consults only widens every compiled-cache
-        key and every ``describe()``: each field must be read somewhere."""
+    def test_monad_fusion_is_listed_only_where_it_runs(self):
+        listed = [name for name in CONFIG_NAMES
+                  if "monad-fusion[QMonad]" in pass_names(name)]
+        assert listed == ["dblab-5", "tpch-compliant"]
+
+    def test_branchless_booleans_is_a_library_pass_no_stack_lists(self):
+        for name in CONFIG_NAMES:
+            assert not any(n.startswith("branchless") for n in pass_names(name))
+
+    def test_option_census(self):
+        """What runs is the pass list; the options left are the three a caller
+        sets independently of it — and nothing in ``src/`` gates a pass."""
         import dataclasses
         import pathlib
         import repro
         from repro.stack.context import OptimizationFlags
+        assert [f.name for f in dataclasses.fields(OptimizationFlags)] == [
+            "logical_plan_optimizer", "catalog_access_layer", "subplan_sharing"]
+        assert len({OptimizationFlags(), OptimizationFlags()}) == 1   # hashable
+        with pytest.raises(TypeError):
+            OptimizationFlags().copy_with(hash_table_specialization=False)
         source = "\n".join(
             path.read_text(encoding="utf-8")
-            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
-            if path.name not in ("context.py", "configs.py"))
-        fields = [f.name for f in dataclasses.fields(OptimizationFlags)]
-        assert len(fields) == 18
-        unread = [name for name in fields
-                  if f"flags.{name}" not in source          # read directly
-                  and f'flag = "{name}"' not in source]     # gates a pass
-        assert unread == []
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py"))
+        assert '    flag = "' not in source and "def applies" not in source
+
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
+    def test_every_listed_optimization_is_run(self, tpch_catalog, config_name,
+                                              monkeypatch):
+        """``DslStack.compile`` filters nothing: a QPlan and a QMonad compile
+        together run every optimization the stack lists."""
+        config = build_config(config_name)
+        ran = set()
+        for opt in config.stack.optimizations:
+            def run(program, context, opt=opt, inner=opt.run):
+                ran.add(opt.name)
+                return inner(program, context)
+            monkeypatch.setattr(opt, "run", run)
+        compiler = QueryCompiler(config.stack, config.flags)
+        QueryCompiler.clear_cache()
+        compiler.compile(build_query("Q3"), tpch_catalog, "Q3")
+        if QMONAD in config.stack.languages:
+            compiler.compile(QueryMonad.table("nation").count("n"), tpch_catalog, "n")
+        assert ran == {opt.name for opt in config.stack.optimizations}
+
+    def test_levels_is_read_off_the_stack(self):
+        assert [config.levels for config in all_configs()] == [2, 2, 3, 4, 5, 5]
 
     def test_describe_mentions_levels_and_flags(self):
         config = build_config("dblab-4")
         text = config.describe()
-        assert "dblab-4" in text and "hash_table_specialization" in text
+        assert "dblab-4: 4 levels" in text and "catalog_access_layer" in text
 
     def test_stacks_respect_cohesion_by_construction(self):
         """Every configuration has exactly one lowering out of each non-target level."""

@@ -1,11 +1,12 @@
-"""The pass contract behind the change-driven fixpoint drivers.
+"""The pass contract behind the change-driven fixpoint driver.
 
-*A pass that changes nothing returns its input.*  Both drivers
-(:func:`repro.stack.transformation.apply_fixpoint` and
-:func:`repro.planner.rewrite.apply_rules_fixpoint`) detect convergence by
-object identity and never print a program, so the contract is what makes
-them terminate early — and the golden source digest is what shows that
-finding the fixed point differently did not move it.
+*A pass that changes nothing returns its input.*  The one driver
+(:func:`repro.stack.transformation.apply_fixpoint`; the planner's
+:func:`repro.planner.rewrite.apply_rules_fixpoint` hands it a rule sweep as
+its single step) detects convergence by object identity and never prints a
+program, so the contract is what makes it terminate early — and the golden
+source digests are what show that finding the fixed point differently, or
+building the stacks from a table, did not move it.
 """
 import hashlib
 
@@ -18,9 +19,11 @@ from repro.dsl.qmonad import QueryMonad
 from repro.ir import IRBuilder, make_program
 from repro.ir import pretty
 from repro.ir.nodes import reset_symbol_counter
-from repro.planner import Planner
-from repro.stack import (CompilationContext, FunctionOptimization, QPLAN, SCALITE,
-                         apply_fixpoint)
+from repro.planner import Planner, PlannerContext, apply_rules_fixpoint
+from repro.planner import rewrite
+from repro.planner.rules import PredicatePushdown
+from repro.stack import (CompilationContext, FixpointReport, FunctionOptimization,
+                         QPLAN, SCALITE, StackValidationError, apply_fixpoint)
 from repro.stack import transformation
 from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.tpch.queries import QUERY_NAMES, build_query
@@ -35,6 +38,35 @@ GOLDEN_SOURCE_SHA256 = {
     True: "34ce5726e0b706b8520c67bbfabf0ebb492aa6ad1218febc6e9f3d32728f2d3c",
 }
 
+#: sha256 of the source each configuration generates for
+#: :func:`fusable_chain` (same catalog, after ``reset_symbol_counter()``),
+#: computed on the last commit that gated passes by flag (326b160).  The
+#: digests above compile QPlan only and cannot see a QMonad pass land in the
+#: wrong stack: fusion runs in dblab-5 / tpch-compliant and nowhere else
+#: (with it, dblab-3 would generate tpch-compliant's source and dblab-4
+#: dblab-5's).  ``None``: the one-lowering stack has no QMonad front end.
+GOLDEN_QMONAD_SHA256 = {
+    "template-expander": None,
+    "dblab-2": "a93ab574b9523481a0134b5352aa308e584fb23832bcc210820f4baa8062d736",
+    "dblab-3": "9bd1c16849c6b54bbc3660a854eb8e2ca276a1ea7e9f7873a3f741f56eca74dd",
+    "dblab-4": "24398e3cfe889eccd3ce4ff3667c6d6d4a97a7a74f1652c76977a5db2ce7a0f2",
+    "dblab-5": "c7490fbf29ebdeecaabae030cb9ff9d93271c0ebbd9a85bac5d1334bce4b573b",
+    "tpch-compliant": "94a3af79c651209d52ea8fd7f633b43d69fae470846348001474a25f83680806",
+}
+
+
+def fusable_chain():
+    """``filter∘filter``, ``map∘map``, a join and a fold over TPC-H."""
+    orders = (QueryMonad.table("orders")
+              .filter(col("o_orderpriority") == "1-URGENT")
+              .filter(col("o_totalprice") > 1000.0)
+              .map([("okey", col("o_orderkey")), ("ckey", col("o_custkey")),
+                    ("price", col("o_totalprice"))])
+              .map([("okey", col("okey")), ("ckey", col("ckey")),
+                    ("cents", col("price") * 100)]))
+    return (orders.hashJoin(QueryMonad.table("customer"), col("ckey"), col("c_custkey"))
+            .fold([Q.AggSpec("count", None, "n"), Q.AggSpec("sum", col("cents"), "cents")]))
+
 
 def fixed_points(config, plan, catalog, query_name):
     """Yield ``(optimizations, program, context)`` at every level of the
@@ -43,8 +75,7 @@ def fixed_points(config, plan, catalog, query_name):
                                  query_name=query_name)
     stack, language, program = config.stack, QPLAN, plan
     while True:
-        optimizations = [opt for opt in stack.optimizations_for(language)
-                         if opt.applies(context)]
+        optimizations = stack.optimizations_for(language)
         program, report = apply_fixpoint(optimizations, program, context)
         assert report.reached_fixpoint
         yield optimizations, program, context
@@ -122,7 +153,30 @@ class TestDrivers:
         assert calls == ["a", "fold", "b", "a", "fold"]
         assert report.runs == 5 and report.iterations == 2
 
-    def test_neither_driver_fingerprints_on_the_default_path(
+    def test_the_planner_fixpoint_is_the_stack_driver(self, tiny_catalog, monkeypatch):
+        """``apply_rules_fixpoint`` hands one rule sweep to ``apply_fixpoint``:
+        same report type, the confirming sweep counted, and ``applied`` naming
+        the rule applications rather than the sweep."""
+        handed = []
+
+        def spy(steps, plan, context, *args, **kwargs):
+            handed.append([step.name for step in steps])
+            return apply_fixpoint(steps, plan, context, *args, **kwargs)
+
+        monkeypatch.setattr(rewrite, "apply_fixpoint", spy)
+        join = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
+        raw = Q.Select(join, (col("r_name") == "R1") & (col("s_val") > 1.0))
+        context = PlannerContext(catalog=tiny_catalog)
+        pushed, report = apply_rules_fixpoint(raw, [PredicatePushdown()], context)
+        assert handed == [["rewrite-sweep"]]
+        assert isinstance(report, FixpointReport) and report.reached_fixpoint
+        assert pushed is not raw and report.iterations == 2 and report.runs == 2
+        assert report.applied == context.applied
+        assert set(report.applied) == {"predicate-pushdown"}
+        _, settled = apply_rules_fixpoint(pushed, [PredicatePushdown()], context)
+        assert settled.iterations == 1 and settled.applied == []
+
+    def test_the_driver_never_fingerprints_on_the_default_path(
             self, tpch_catalog, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a fixpoint driver printed a program")
@@ -158,3 +212,17 @@ class TestGoldenSource:
                 digest.update(f"{config_name}/{query}\n".encode())
                 digest.update(source.encode())
         assert digest.hexdigest() == GOLDEN_SOURCE_SHA256[planner]
+
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
+    def test_generated_qmonad_source_is_byte_identical(self, tpch_catalog,
+                                                       config_name):
+        config = build_config(config_name)
+        compiler = QueryCompiler(config.stack, config.flags)
+        reset_symbol_counter()
+        if GOLDEN_QMONAD_SHA256[config_name] is None:
+            with pytest.raises(StackValidationError):
+                compiler.compile(fusable_chain(), tpch_catalog, "chain")
+            return
+        source = compiler.compile(fusable_chain(), tpch_catalog, "chain").source
+        assert hashlib.sha256(source.encode()).hexdigest() \
+            == GOLDEN_QMONAD_SHA256[config_name]

@@ -31,7 +31,6 @@ class RenamingLowering(Lowering):
 
 class ConstantFolding(Optimization):
     name = "constant-folding"
-    flag = None
 
     def run(self, program, context):
         def fold(stmt, rw):
@@ -52,13 +51,16 @@ class TestTransformationDeclarations:
         with pytest.raises(TransformationError):
             RenamingLowering(SCALITE, SCALITE)
 
-    def test_optimization_flag_gating(self):
-        opt = ConstantFolding(SCALITE)
-        opt.flag = "partial_evaluation"
-        ctx_on = CompilationContext(flags=OptimizationFlags())
-        ctx_off = CompilationContext(flags=OptimizationFlags.all_disabled())
-        assert opt.applies(ctx_on)
-        assert not opt.applies(ctx_off)
+    def test_a_listed_optimization_runs_whatever_the_flags(self):
+        """The pass list is the only statement of what runs: no flag gates a
+        listed optimization."""
+        stack = DslStack("two", [SCALITE, C_PY], [RenamingLowering(SCALITE, C_PY)],
+                         [ConstantFolding(SCALITE)])
+        all_off = CompilationContext(flags=OptimizationFlags(
+            logical_plan_optimizer=False, catalog_access_layer=False,
+            subplan_sharing=False))
+        counts = count_ops(stack.compile(simple_program(), SCALITE, all_off).program)
+        assert "add" not in counts and "mul" not in counts
 
 
 class TestFixpoint:

@@ -71,14 +71,6 @@ class TestDeadCodeElimination:
         assert "mul" not in count_ops(cleaned)
         assert count_ops(cleaned)["var_write"] == 1
 
-    def test_respects_disabled_flag(self):
-        b = IRBuilder()
-        keep = b.emit("add", [1, 2])
-        b.emit("mul", [keep, 3])
-        program = make_program(b.finish(keep), [], "ScaLite")
-        dce = DeadCodeElimination(SCALITE)
-        assert not dce.applies(CompilationContext(flags=OptimizationFlags.all_disabled()))
-
 
 class TestPartialEvaluation:
     def test_folds_constant_arithmetic(self):

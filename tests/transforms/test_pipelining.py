@@ -7,16 +7,17 @@ from repro.dsl.expr import Col, col
 from repro.engine.volcano import execute
 from repro.ir.nodes import Program
 from repro.ir.traversal import count_ops, iter_program_stmts, ops_used
-from repro.stack import CompilationContext, SCALITE_MAP_LIST
+from repro.stack import CompilationContext, QPLAN, SCALITE_MAP_LIST
 from repro.stack.configs import build_config
 from repro.transforms.pipelining import PipeliningError, PushPipelineLowering
 
 
-def lower(plan, catalog, flags=None):
-    lowering = PushPipelineLowering(SCALITE_MAP_LIST)
-    context = CompilationContext(catalog=catalog,
-                                 flags=flags or build_config("dblab-4").flags)
-    return lowering.run(plan, context), context
+def lower(plan, catalog, flags=None, config_name="dblab-4"):
+    """Run the configuration's own QPlan lowering (dblab-4: the push engine
+    into ScaLite[Map, List])."""
+    config = build_config(config_name)
+    context = CompilationContext(catalog=catalog, flags=flags or config.flags)
+    return config.stack.lowering_from(QPLAN).run(plan, context), context
 
 
 def no_access_flags(config_name="dblab-4"):
@@ -153,19 +154,32 @@ class TestLoweringStructure:
         body_ops = ops_used(Program(body=program.body, params=program.params, language=""))
         assert "eq" in body_ops
 
-    def test_no_partitioning_when_flag_disabled(self, tiny_catalog):
-        flags = build_config("tpch-compliant").flags
+    def test_no_partitioning_in_the_compliant_stack(self, tiny_catalog):
+        """Same target as dblab-5; the lowering was built without base-build
+        partitioning, so the build stays in the query body."""
         plan = Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
                           Q.Scan("S"), col("r_sid"), col("s_rid"))
-        program, _ = lower(plan, tiny_catalog, flags)
+        program, _ = lower(plan, tiny_catalog, config_name="tpch-compliant")
+        assert program.language == "ScaLite[Map, List]"
         assert not program.hoisted.stmts
+        partitioned, _ = lower(plan, tiny_catalog, no_access_flags("dblab-5"),
+                               config_name="dblab-5")
+        assert partitioned.hoisted.stmts
 
-    def test_boxed_records_without_scalar_replacement(self, tiny_catalog):
-        flags = build_config("dblab-2").flags
-        program, _ = lower(Q.Select(Q.Scan("R"), col("r_id") > 1), tiny_catalog, flags)
-        counts = count_ops(program)
+    def test_no_partitioning_without_a_multimap_level(self, tiny_catalog):
+        """Only a stack that lowers MultiMaps can index a partition."""
+        plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
+        program, _ = lower(plan, tiny_catalog, config_name="dblab-3")
+        assert program.language == "ScaLite" and not program.hoisted.stmts
+
+    def test_boxed_records_straight_into_the_target_language(self, tiny_catalog):
+        plan = Q.Select(Q.Scan("R"), col("r_id") > 1)
+        counts = count_ops(lower(plan, tiny_catalog, config_name="dblab-2")[0])
         assert counts["record_new"] >= 1
         assert counts["record_get"] >= 1
+        # one level in between: rows travel as per-field locals
+        assert "record_get" not in count_ops(
+            lower(plan, tiny_catalog, config_name="dblab-3")[0])
 
 
 #: the two ends of the configuration range: the pipelining lowering straight

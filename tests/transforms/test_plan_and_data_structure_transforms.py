@@ -162,14 +162,20 @@ class TestHashTableSpecialization:
         specialized = HashTableSpecialization(SCALITE).run(program, context)
         assert "mmap_new" in ops_used(specialized)
 
-    def test_specialization_disabled_by_flag(self, tiny_catalog):
+    def test_specialization_is_a_lowering_a_stack_lists_or_not(self, tiny_catalog):
+        """No flag switches it off: a stack without the ScaLite[Map, List]
+        level has no such lowering and keeps the generic MultiMap down to
+        C.Py; a stack that lists it always specialises."""
         plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
-        flags = build_config("tpch-compliant").flags.copy_with(hash_table_specialization=False)
-        context = CompilationContext(catalog=tiny_catalog, flags=flags)
-        program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
-        specialized = HashTableSpecialization(SCALITE).run(program, context)
-        assert "mmap_new" in ops_used(specialized)
-        assert specialized.language == "ScaLite"
+        lowered = {}
+        for config_name in ("dblab-3", "dblab-4"):
+            config = build_config(config_name)
+            listed = "hash-table-specialization" in [
+                low.name for low in config.stack.lowerings]
+            program = QueryCompiler(config.stack, config.flags).lower(
+                plan, tiny_catalog, "hts").program
+            lowered[config_name] = (listed, "mmap_new" in ops_used(program))
+        assert lowered == {"dblab-3": (False, True), "dblab-4": (True, False)}
 
     def test_dense_aggregation_uses_dense_table(self, tiny_catalog):
         plan = Q.Agg(Q.Scan("S"), [("s_id", col("s_id"))],
@@ -189,8 +195,7 @@ class TestHashTableSpecialization:
         context = CompilationContext(catalog=tiny_catalog, flags=flags)
         from repro.stack import SCALITE_LIST
         program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
-        deferred = HashTableSpecialization(
-            SCALITE_LIST, defer_unique_to_list_level=True).run(program, context)
+        deferred = HashTableSpecialization(SCALITE_LIST).run(program, context)
         # the primary-key map is left, probe intact, for the list-specialization
         # lowering — as a MultiMap, or as the catalog's still unclaimed partition
         assert "mmap_get" in ops_used(deferred)
