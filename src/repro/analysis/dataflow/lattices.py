@@ -103,16 +103,6 @@ class Interval:
                     self.hi * other.lo, self.hi * other.hi)
         return Interval(min(products), max(products))
 
-    def min2(self, other: "Interval") -> "Interval":
-        return Interval(_min_lo(self.lo, other.lo),
-                        None if self.hi is None or other.hi is None
-                        else min(self.hi, other.hi))
-
-    def max2(self, other: "Interval") -> "Interval":
-        return Interval(None if self.lo is None or other.lo is None
-                        else max(self.lo, other.lo),
-                        _max_hi(self.hi, other.hi))
-
     def compare(self, other: "Interval", op: str) -> "Interval":
         """Abstract comparison: ``[1,1]``/``[0,0]`` when provable, else ``[0,1]``."""
         if None in (self.lo, self.hi, other.lo, other.hi):

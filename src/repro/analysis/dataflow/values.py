@@ -9,14 +9,13 @@ is deliberately mapped to top.
 The interesting facts come from the catalog: a scan's ``array_get`` over a
 ``table_column`` is seeded from the column's load-time statistics (min/max
 feeding the interval, the null count feeding nullability), dictionary code
-columns from the dictionary size, ``access_index_lookup`` hits from declared
-foreign keys (referential integrity: an FK-traced probe key always finds its
-row).  Those seeds are what the dataflow folding pass and the verifier's
-stamp checks consume.
+columns from the dictionary size.  Those seeds are what the dataflow folding
+pass and the verifier's stamp checks consume.  (A read of an
+``access_partition`` slot — how a compiled ``IndexJoin`` reaches the
+unique-key index — is an ``array_get`` of no known column: its fact is top.)
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -26,7 +25,7 @@ from .lattices import Interval, Nullability, ValueFact
 
 _COMPARISONS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
 _BOOL_RESULT_OPS = frozenset({"str_contains", "str_startswith", "str_endswith",
-                              "str_like", "str_in", "set_contains"})
+                              "str_like", "str_in"})
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ class _ValueAnalysis:
         op = expr.op
         fact = ValueFact.top()
 
-        if op in ("add", "sub", "mul", "neg", "min2", "max2"):
+        if op in ("add", "sub", "mul", "neg"):
             fact = self._arithmetic(op, expr)
-        elif op in ("div", "mod", "to_float", "to_int", "year_of_date"):
+        elif op in ("div", "year_of_date"):
             fact = self._conversion(op, expr)
         elif op in _COMPARISONS:
             fact = self._comparison(op, expr)
@@ -105,16 +104,12 @@ class _ValueAnalysis:
             self.columns[stmt.sym.id] = (expr.attrs["table"], expr.attrs["column"], True)
         elif op == "table_size":
             fact = self._table_size(expr)
-        elif op in ("list_len", "array_len", "set_len", "str_length"):
-            fact = ValueFact(Interval(0, None), Nullability.NON_NULL)
-        elif op in ("index_get_unique", "strdict_code"):
+        elif op == "strdict_code":
             fact = ValueFact(Interval(-1, None), Nullability.NON_NULL)
         elif op == "tuple_get":
             fact = self._tuple_get(expr)
         elif op == "record_get":
             fact = self._record_get(expr)
-        elif op == "access_index_lookup":
-            fact = self._index_lookup(expr)
         elif op == "if_":
             fact = self._if(expr)
         elif op == "for_range":
@@ -137,8 +132,7 @@ class _ValueAnalysis:
         if op == "neg":
             return ValueFact(facts[0].interval.neg(), nullability)
         a, b = facts[0].interval, facts[1].interval
-        interval = {"add": a.add, "sub": a.sub, "mul": a.mul,
-                    "min2": a.min2, "max2": a.max2}[op](b)
+        interval = {"add": a.add, "sub": a.sub, "mul": a.mul}[op](b)
         return ValueFact(interval, nullability)
 
     def _conversion(self, op: str, expr: Expr) -> ValueFact:
@@ -150,11 +144,6 @@ class _ValueAnalysis:
             # dates are yyyymmdd integers
             interval = Interval(None if src.lo is None else int(src.lo) // 10000,
                                 None if src.hi is None else int(src.hi) // 10000)
-        elif op == "to_float":
-            interval = src
-        elif op == "to_int":
-            interval = Interval(None if src.lo is None else math.floor(src.lo),
-                                None if src.hi is None else math.ceil(src.hi))
         return ValueFact(interval, nullability)
 
     def _comparison(self, op: str, expr: Expr) -> ValueFact:
@@ -261,50 +250,6 @@ class _ValueAnalysis:
                     if position < len(definition.expr.args):
                         return self._atom(definition.expr.args[position])
         return ValueFact.top()
-
-    def _index_lookup(self, expr: Expr) -> ValueFact:
-        """FK referential integrity: an FK-traced probe always finds its row."""
-        index_atom, key_atom = expr.args[0], expr.args[1]
-        if self.catalog is None or not isinstance(index_atom, Sym):
-            return ValueFact.top()
-        index_def = self.defs.get(index_atom.id)
-        if index_def is None or index_def.expr.op != "access_key_index":
-            return ValueFact.top()
-        index_table = index_def.expr.attrs.get("table")
-        index_column = index_def.expr.attrs.get("column")
-        source = self._traced_column(key_atom)
-        if source is None:
-            return ValueFact.top()
-        key_table, key_column = source
-        schema = getattr(self.catalog, "schema", None)
-        if schema is None or not schema.has_table(key_table):
-            return ValueFact.top()
-        try:
-            fkey = schema.table(key_table).column(key_column).foreign_key
-        except Exception:
-            return ValueFact.top()
-        if fkey is not None and fkey.table == index_table and fkey.column == index_column:
-            stats = self._column_stats(key_table, key_column)
-            if stats is not None and stats.num_nulls == 0:
-                return ValueFact(Interval(0, None), Nullability.NON_NULL)
-        return ValueFact.top()
-
-    def _traced_column(self, atom: Atom) -> Optional[Tuple[str, str]]:
-        """Follow ``array_get``/``table_column`` chains back to a base column."""
-        seen = 0
-        while isinstance(atom, Sym) and seen < 16:
-            seen += 1
-            definition = self.defs.get(atom.id)
-            if definition is None:
-                return None
-            expr = definition.expr
-            if expr.op == "table_column":
-                return (expr.attrs["table"], expr.attrs["column"])
-            if expr.op in ("array_get", "list_get", "to_int", "to_float"):
-                atom = expr.args[0]
-                continue
-            return None
-        return None
 
     # ------------------------------------------------------------------
     def _if(self, expr: Expr) -> ValueFact:

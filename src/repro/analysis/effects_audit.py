@@ -70,14 +70,10 @@ def effective_effect(expr: Expr) -> Effect:
 # ---------------------------------------------------------------------------
 # Static declaration audit of a single program
 # ---------------------------------------------------------------------------
-#: reads that hand out a part of their first argument: an element of a
-#: shared structure is as shared as the structure
-_ELEMENT_READS = frozenset({"array_get", "list_get", "index_get_multi"})
-
-
 def _shared_bindings(program: Program) -> Set[int]:
     """Bindings holding (a part of) a catalog-resident, read-only structure:
-    the result of a ``shared_result`` op, an element read out of one, or an
+    the result of a ``shared_result`` op, an element read out of one (an
+    element of a shared structure is as shared as the structure), or an
     ``if_`` either arm of which hands one out (a guarded probe)."""
     shared: Set[int] = set()
 
@@ -90,7 +86,7 @@ def _shared_bindings(program: Program) -> Set[int]:
                 continue  # reported by the audit proper
             if signature_of(expr.op).shared_result:
                 derived = True
-            elif expr.op in _ELEMENT_READS:
+            elif expr.op == "array_get":
                 derived = isinstance(expr.args[0], Sym) \
                     and expr.args[0].id in shared
             elif expr.op == "if_":
@@ -129,7 +125,7 @@ def audit_effects(program: Program) -> None:
         if signature.mutated_arg is not None:
             _check_mutation_target(stmt, signature.mutated_arg, allocated,
                                    shared)
-        if effect.allocates or expr.op in ("malloc", "pool_next"):
+        if effect.allocates:
             allocated.add(stmt.sym.id)
         for block in expr.blocks:
             # block parameters (loop variables, foreach elements) may be

@@ -75,7 +75,7 @@ def _sig(name: str, n_args: Optional[int] = None, *, min_args: int = 0,
 
 
 # -- pure scalar ops --------------------------------------------------------
-for _name in ("add", "sub", "mul", "div", "mod", "min2", "max2"):
+for _name in ("add", "sub", "mul", "div"):
     _sig(_name, 2, category="arith")
 _sig("neg", 1, category="arith")
 for _name in ir_ops.COMPARISON_OPS:
@@ -83,8 +83,6 @@ for _name in ir_ops.COMPARISON_OPS:
 for _name in ("and_", "or_", "band", "bor"):
     _sig(_name, 2, category="logic")
 _sig("not_", 1, category="logic")
-_sig("to_float", 1, category="convert")
-_sig("to_int", 1, category="convert")
 _sig("year_of_date", 1, category="convert")
 
 # -- strings ----------------------------------------------------------------
@@ -92,7 +90,6 @@ _sig("str_contains", 2, category="string")
 _sig("str_startswith", 2, category="string")
 _sig("str_endswith", 2, category="string")
 _sig("str_like", 1, attrs=("pattern",), category="string")
-_sig("str_length", 1, category="string")
 _sig("str_substr", 1, attrs=("start", "length"), category="string")
 _sig("str_in", 1, attrs=("values",), category="string")
 
@@ -118,17 +115,12 @@ _sig("record_get", 1, attrs=("field",), category="record")
 _sig("array_new", 1, category="array")
 _sig("array_get", 2, category="array")
 _sig("array_set", 3, mutated=0, category="array")
-_sig("array_len", 1, category="array")
 
 # -- lists ------------------------------------------------------------------
 _sig("list_new", 0, category="list")
 _sig("list_append", 2, mutated=0, category="list")
 _sig("list_foreach", 1, blocks=(1,), category="control")
-_sig("list_len", 1, category="list")
-_sig("list_get", 2, category="list")
-_sig("list_clear", 1, mutated=0, category="list")
 _sig("list_sort_by_fields", 1, attrs=("keys",), category="list")
-_sig("list_sort_by_index", 1, attrs=("keys",), category="list")
 _sig("list_take", 2, category="list")
 
 # -- generic hash containers ------------------------------------------------
@@ -138,22 +130,12 @@ _sig("mmap_get", 2, category="map")
 _sig("hashmap_agg_new", 0, attrs=("aggs",), category="map")
 _sig("hashmap_agg_update", None, min_args=2, mutated=0, category="map")
 _sig("hashmap_agg_foreach", 1, blocks=(2,), category="control")
-_sig("set_new", 0, category="map")
-_sig("set_add", 2, mutated=0, category="map")
-_sig("set_contains", 2, category="map")
-_sig("set_len", 1, category="map")
 
 # -- database access --------------------------------------------------------
 _sig("table_size", 1, attrs=("table",), category="db")
 _sig("table_column", 1, attrs=("table", "column"), shared=True, category="db")
 
 # -- specialised structures -------------------------------------------------
-_sig("index_build_multi", 1, attrs=("table", "column", "lo", "hi"),
-     category="index")
-_sig("index_get_multi", 2, category="index")
-_sig("index_build_unique", 1, attrs=("table", "column", "lo", "hi"),
-     category="index")
-_sig("index_get_unique", 2, category="index")
 _sig("dense_agg_new", 1, attrs=("aggs",), category="map")
 _sig("dense_agg_update", None, min_args=2, mutated=0, category="map")
 _sig("dense_agg_foreach", 1, blocks=(2,), category="control")
@@ -163,9 +145,6 @@ _sig("strdict_code", 2, category="strdict")
 _sig("strdict_prefix_range", 2, category="strdict")
 
 # -- catalog-resident access layer ------------------------------------------
-_sig("access_key_index", 1, attrs=("table", "column"), shared=True,
-     category="access")
-_sig("access_index_lookup", 2, category="access")
 _sig("access_pruned_indices", 1, attrs=("table", "filters"), shared=True,
      category="access")
 _sig("access_partition", 1, attrs=("table", "column", "key_lo", "key_hi"),
@@ -176,16 +155,7 @@ _sig("access_strdict_codes", 1, attrs=("table", "column"), shared=True,
      category="access")
 _sig("access_prefix_range", 2, category="access")
 
-# -- explicit memory (C.Py) -------------------------------------------------
-_sig("malloc", 0, category="memory")
-_sig("free", 1, mutated=0, category="memory")
-_sig("pool_new", 1, category="memory")
-_sig("pool_next", 1, mutated=0, category="memory")
-_sig("ptr_field_get", 1, attrs=("field",), category="memory")
-_sig("ptr_field_set", 2, attrs=("field",), mutated=0, category="memory")
-
 # -- output -----------------------------------------------------------------
-_sig("emit_row", 2, mutated=0, category="output")
 _sig("print_", 1, category="output")
 
 

@@ -208,8 +208,7 @@ class TypeChecker:
             self._check_record(stmt)
         elif category == "tuple":
             self._check_tuple(stmt)
-        elif category in ("array", "list") and expr.op in (
-                "array_get", "array_set", "list_get"):
+        elif expr.op in ("array_get", "array_set"):
             index_type = types[1]
             if index_type in (STRING, FLOAT, UNIT):
                 raise _err(
@@ -272,8 +271,8 @@ class TypeChecker:
     # Schema resolution of table/column attributes
     # ------------------------------------------------------------------
     _TABLE_COLUMN_OPS: Tuple[str, ...] = (
-        "table_column", "access_key_index", "access_partition", "access_strdict",
-        "access_strdict_codes", "index_build_multi", "index_build_unique")
+        "table_column", "access_partition", "access_strdict",
+        "access_strdict_codes")
 
     def _check_schema_refs(self, stmt: Stmt, signature: OpSignature) -> None:
         if self.catalog is None:
@@ -283,7 +282,7 @@ class TypeChecker:
             return
         expr = stmt.expr
         table = expr.attrs.get("table")
-        if table is None or signature.category not in ("db", "access", "index",
+        if table is None or signature.category not in ("db", "access",
                                                        "strdict"):
             return
         if not schema.has_table(table):
@@ -312,14 +311,10 @@ class TypeChecker:
         op = expr.op
         if signature.category == "compare" or op in (
                 "and_", "or_", "not_", "str_contains", "str_startswith",
-                "str_endswith", "str_like", "str_in", "set_contains"):
+                "str_endswith", "str_like", "str_in"):
             return BOOL
-        if op in ("str_length", "list_len", "array_len", "set_len",
-                  "table_size", "to_int", "year_of_date", "strdict_code",
-                  "index_get_unique", "pool_next"):
+        if op in ("table_size", "year_of_date", "strdict_code"):
             return INT
-        if op == "to_float":
-            return FLOAT
         if op in ("str_substr",):
             return STRING
         if signature.category == "arith":

@@ -1,7 +1,7 @@
 """The small runtime library targeted by generated code.
 
 The C code generated by DBLAB/LB links against GLib (generic hash tables and
-lists) plus a handful of support routines (string dictionaries, memory pools).
+lists) plus a handful of support routines (string dictionaries).
 Our generated Python plays the same game: the *generic* data-structure paths
 call into the helpers below, while the *specialised* paths (dense arrays,
 integer-coded strings) are emitted inline by the unparser, exactly as the
@@ -16,46 +16,62 @@ from ..robustness.governor import current_governor
 
 
 # ---------------------------------------------------------------------------
-# Generic aggregation hash table (the GLib-hash-table substitute).
+# Aggregation tables.  Both keep one accumulator per aggregate per group, the
+# shapes of the direct engines' ``initial_accumulator`` / ``fold_value`` /
+# ``finalise_accumulator``: a running number, a ``(total, count)`` pair for
+# ``avg``, the ``set`` of seen values for ``count_distinct``.  Group creation
+# and finalisation run once per group and are shared; the per-row folds stay
+# inline in each ``update`` (they are the hot loop of every aggregating query).
 # ---------------------------------------------------------------------------
+def _new_accumulators(specs: Sequence[str]) -> list:
+    """The neutral accumulators of one group."""
+    accumulators: list = []
+    for spec in specs:
+        if spec in ("sum", "count"):
+            accumulators.append(0)
+        elif spec == "avg":
+            accumulators.append((0.0, 0))
+        elif spec == "count_distinct":
+            accumulators.append(set())
+        else:  # min / max
+            accumulators.append(None)
+    return accumulators
+
+
+def _finalised_values(specs: Sequence[str], accumulators: list) -> Tuple:
+    """One group's result values: averages divided out, sets counted."""
+    values = []
+    for spec, accumulator in zip(specs, accumulators):
+        if spec == "avg":
+            total, count = accumulator
+            values.append(total / count if count else None)
+        elif spec == "count_distinct":
+            values.append(len(accumulator))
+        else:
+            values.append(accumulator)
+    return tuple(values)
+
+
 class AggTable:
-    """A HashMap-based aggregation table: key -> tuple of accumulators.
+    """A HashMap-based aggregation table (the GLib-hash-table substitute):
+    key -> list of accumulators.
 
     ``specs`` is a sequence of aggregate kinds (``"sum"``, ``"count"``,
     ``"avg"``, ``"min"``, ``"max"``, ``"count_distinct"``).  ``update`` folds
     one row's values into the accumulators of its group; ``finalised`` yields
-    ``(key, values)`` pairs with averages divided out.
+    ``(key, values)`` pairs.
     """
 
-    __slots__ = ("specs", "groups", "distinct")
+    __slots__ = ("specs", "groups")
 
     def __init__(self, specs: Sequence[str]) -> None:
         self.specs = tuple(specs)
         self.groups: Dict[Any, list] = {}
-        self.distinct: Dict[Any, list] = {}
-
-    def _new_group(self, key: Any) -> list:
-        accumulators = []
-        sets = []
-        for spec in self.specs:
-            if spec in ("sum", "count"):
-                accumulators.append(0)
-            elif spec == "avg":
-                accumulators.append((0.0, 0))
-            elif spec == "count_distinct":
-                accumulators.append(0)
-            else:  # min / max
-                accumulators.append(None)
-            sets.append(set() if spec == "count_distinct" else None)
-        self.groups[key] = accumulators
-        self.distinct[key] = sets
-        return accumulators
 
     def update(self, key: Any, values: Sequence[Any]) -> None:
         accumulators = self.groups.get(key)
         if accumulators is None:
-            accumulators = self._new_group(key)
-        sets = self.distinct[key]
+            accumulators = self.groups[key] = _new_accumulators(self.specs)
         for i, (spec, value) in enumerate(zip(self.specs, values)):
             if spec == "count":
                 if value is not None:
@@ -75,19 +91,11 @@ class AggTable:
                 if accumulators[i] is None or value > accumulators[i]:
                     accumulators[i] = value
             elif spec == "count_distinct":
-                sets[i].add(value)
-                accumulators[i] = len(sets[i])
+                accumulators[i].add(value)
 
     def finalised(self) -> Iterator[Tuple[Any, Tuple]]:
         for key, accumulators in self.groups.items():
-            values = []
-            for spec, accumulator in zip(self.specs, accumulators):
-                if spec == "avg":
-                    total, count = accumulator
-                    values.append(total / count if count else None)
-                else:
-                    values.append(accumulator)
-            yield key, tuple(values)
+            yield key, _finalised_values(self.specs, accumulators)
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -112,15 +120,7 @@ class DenseAggTable:
     def update(self, index: int, values: Sequence[Any]) -> None:
         slot = self.slots[index]
         if slot is None:
-            slot = []
-            for spec in self.specs:
-                if spec in ("sum", "count"):
-                    slot.append(0)
-                elif spec == "avg":
-                    slot.append((0.0, 0))
-                else:
-                    slot.append(None)
-            self.slots[index] = slot
+            slot = self.slots[index] = _new_accumulators(self.specs)
             self.touched.append(index)
         for i, (spec, value) in enumerate(zip(self.specs, values)):
             if spec == "count":
@@ -140,18 +140,12 @@ class DenseAggTable:
             elif spec == "max":
                 if slot[i] is None or value > slot[i]:
                     slot[i] = value
+            elif spec == "count_distinct":
+                slot[i].add(value)
 
     def finalised(self) -> Iterator[Tuple[int, Tuple]]:
         for index in self.touched:
-            slot = self.slots[index]
-            values = []
-            for spec, accumulator in zip(self.specs, slot):
-                if spec == "avg":
-                    total, count = accumulator
-                    values.append(total / count if count else None)
-                else:
-                    values.append(accumulator)
-            yield index, tuple(values)
+            yield index, _finalised_values(self.specs, self.slots[index])
 
     def reset(self) -> None:
         for index in self.touched:
@@ -165,9 +159,10 @@ class DenseAggTable:
 class StringDictionary:
     """Maps the distinct strings of a column to integer codes.
 
-    Ordered dictionaries assign codes in lexicographic order so that range
-    (prefix) predicates can be answered with two integer comparisons
-    (Table 2 of the paper).
+    Codes are assigned in lexicographic order, so range (prefix) predicates
+    can be answered with two integer comparisons (Table 2 of the paper);
+    ``ordered`` only says whether the query relies on that (it gates
+    :meth:`prefix_range`).
     """
 
     __slots__ = ("ordered", "codes", "sorted_values")
@@ -180,13 +175,8 @@ class StringDictionary:
     @classmethod
     def build(cls, values: Iterable[str], ordered: bool = False) -> "StringDictionary":
         dictionary = cls(ordered)
-        distinct = set(values)
-        if ordered:
-            dictionary.sorted_values = sorted(distinct)
-            dictionary.codes = {value: i for i, value in enumerate(dictionary.sorted_values)}
-        else:
-            dictionary.codes = {value: i for i, value in enumerate(sorted(distinct))}
-            dictionary.sorted_values = sorted(distinct)
+        dictionary.sorted_values = sorted(set(values))
+        dictionary.codes = {value: i for i, value in enumerate(dictionary.sorted_values)}
         return dictionary
 
     def code(self, value: str) -> int:
@@ -216,34 +206,6 @@ class StringDictionary:
 
 
 # ---------------------------------------------------------------------------
-# Memory pools (Section D.1) — the Python stand-in pre-sizes result buffers.
-# ---------------------------------------------------------------------------
-class MemoryPool:
-    """A pre-allocated pool of record slots.
-
-    In generated C this removes per-tuple ``malloc`` calls; in Python the
-    equivalent benefit is avoiding repeated list growth, so the pool
-    pre-allocates a list of the worst-case size and hands out slots.
-    """
-
-    __slots__ = ("slots", "used")
-
-    def __init__(self, size: int) -> None:
-        self.slots: List[Any] = [None] * size
-        self.used = 0
-
-    def next(self) -> int:
-        index = self.used
-        if index >= len(self.slots):
-            self.slots.extend([None] * max(16, len(self.slots)))
-        self.used = index + 1
-        return index
-
-    def reset(self) -> None:
-        self.used = 0
-
-
-# ---------------------------------------------------------------------------
 # Catalog-resident access layer (repro.storage.access).  These helpers back
 # the ``access_*`` IR ops: compiled queries fetch the *shared* load-time
 # structures of the catalog instead of rebuilding their own in the hoisted
@@ -252,18 +214,6 @@ class MemoryPool:
 # catalog whose data breaks that assumption fails loudly instead of running a
 # wrong plan.
 # ---------------------------------------------------------------------------
-def catalog_key_index(db, table: str, column: str):
-    """The catalog's unique-key index of ``table.column`` (never ``None``)."""
-    from ..storage.access import AccessError, AccessLayer
-
-    index = AccessLayer.for_catalog(db).key_index(table, column)
-    if index is None:
-        raise AccessError(
-            f"no unique-key index available for {table}.{column}; "
-            "the query was compiled against a catalog that had one")
-    return index
-
-
 def catalog_partition(db, table: str, column: str, lo: int, size: int,
                       single: bool):
     """The slot array of the catalog's partition of ``table.column``.

@@ -9,7 +9,7 @@ two functions:
 
 * ``prepare(db, _rt)`` executes the hoisted (data-loading time) block and
   returns the auxiliary structures it built (partitioned indices, string
-  dictionaries, pre-allocated pools), and
+  dictionaries), and
 * ``query(db, _rt, aux)`` executes the query body against the database and
   the auxiliary structures and returns the result rows.
 
@@ -135,7 +135,6 @@ class PythonUnparser:
     def _op_sub(self, stmt):  return self._binary(stmt, "-")
     def _op_mul(self, stmt):  return self._binary(stmt, "*")
     def _op_div(self, stmt):  return self._binary(stmt, "/")
-    def _op_mod(self, stmt):  return self._binary(stmt, "%")
     def _op_lt(self, stmt):   return self._binary(stmt, "<")
     def _op_le(self, stmt):   return self._binary(stmt, "<=")
     def _op_gt(self, stmt):   return self._binary(stmt, ">")
@@ -163,20 +162,6 @@ class PythonUnparser:
     def _op_not_(self, stmt):
         return self._assign(stmt, f"(not {_atom(stmt.expr.args[0])})")
 
-    def _op_min2(self, stmt):
-        left, right = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"min({left}, {right})")
-
-    def _op_max2(self, stmt):
-        left, right = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"max({left}, {right})")
-
-    def _op_to_float(self, stmt):
-        return self._assign(stmt, f"float({_atom(stmt.expr.args[0])})")
-
-    def _op_to_int(self, stmt):
-        return self._assign(stmt, f"int({_atom(stmt.expr.args[0])})")
-
     def _op_year_of_date(self, stmt):
         return self._assign(stmt, f"({_atom(stmt.expr.args[0])} // 10000)")
 
@@ -198,9 +183,6 @@ class PythonUnparser:
     def _op_str_like(self, stmt):
         pattern = stmt.expr.attrs["pattern"]
         return self._assign(stmt, f"_rt.like({_atom(stmt.expr.args[0])}, {pattern!r})")
-
-    def _op_str_length(self, stmt):
-        return self._assign(stmt, f"len({_atom(stmt.expr.args[0])})")
 
     def _op_str_substr(self, stmt):
         start = stmt.expr.attrs["start"]
@@ -325,25 +307,12 @@ class PythonUnparser:
         array, index, value = (_atom(a) for a in stmt.expr.args)
         return [f"{array}[{index}] = {value}"]
 
-    def _op_array_len(self, stmt):
-        return self._assign(stmt, f"len({_atom(stmt.expr.args[0])})")
-
     def _op_list_new(self, stmt):
         return self._assign(stmt, "[]")
 
     def _op_list_append(self, stmt):
         lst, value = (_atom(a) for a in stmt.expr.args)
         return [f"{lst}.append({value})"]
-
-    def _op_list_len(self, stmt):
-        return self._assign(stmt, f"len({_atom(stmt.expr.args[0])})")
-
-    def _op_list_get(self, stmt):
-        lst, index = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"{lst}[{index}]")
-
-    def _op_list_clear(self, stmt):
-        return [f"{_atom(stmt.expr.args[0])}.clear()"]
 
     def _op_list_take(self, stmt):
         lst, count = (_atom(a) for a in stmt.expr.args)
@@ -366,13 +335,6 @@ class PythonUnparser:
         return self._assign(
             stmt,
             f"_rt.sort_records({_atom(stmt.expr.args[0])}, {keys!r}, {layout!r}, {fields!r})")
-
-    def _op_list_sort_by_index(self, stmt):
-        keys = tuple(stmt.expr.attrs["keys"])
-        return self._assign(
-            stmt,
-            f"_rt.sort_records({_atom(stmt.expr.args[0])}, {keys!r}, 'row', "
-            f"{tuple(stmt.expr.attrs.get('fields', ()))!r})")
 
     # ------------------------------------------------------------------
     # Generic hash containers (the GLib substitutes)
@@ -409,20 +371,6 @@ class PythonUnparser:
         lines.extend(_INDENT + line for line in self._loop_body(body))
         return lines
 
-    def _op_set_new(self, stmt):
-        return self._assign(stmt, "set()")
-
-    def _op_set_add(self, stmt):
-        target, value = (_atom(a) for a in stmt.expr.args)
-        return [f"{target}.add({value})"]
-
-    def _op_set_contains(self, stmt):
-        target, value = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"({value} in {target})")
-
-    def _op_set_len(self, stmt):
-        return self._assign(stmt, f"len({_atom(stmt.expr.args[0])})")
-
     # ------------------------------------------------------------------
     # Dense / specialised structures
     # ------------------------------------------------------------------
@@ -447,30 +395,6 @@ class PythonUnparser:
         lines.extend(_INDENT + line for line in self._loop_body(body))
         return lines
 
-    def _op_index_build_multi(self, stmt):
-        table = stmt.expr.attrs["table"]
-        column = stmt.expr.attrs["column"]
-        lo, hi = stmt.expr.attrs["lo"], stmt.expr.attrs["hi"]
-        db = _atom(stmt.expr.args[0])
-        return self._assign(
-            stmt, f"_rt.build_multi_index({db}, {table!r}, {column!r}, {lo}, {hi})")
-
-    def _op_index_get_multi(self, stmt):
-        index, key = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"{index}[{key}]")
-
-    def _op_index_build_unique(self, stmt):
-        table = stmt.expr.attrs["table"]
-        column = stmt.expr.attrs["column"]
-        lo, hi = stmt.expr.attrs["lo"], stmt.expr.attrs["hi"]
-        db = _atom(stmt.expr.args[0])
-        return self._assign(
-            stmt, f"_rt.build_unique_index({db}, {table!r}, {column!r}, {lo}, {hi})")
-
-    def _op_index_get_unique(self, stmt):
-        index, key = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"{index}[{key}]")
-
     # ------------------------------------------------------------------
     # String dictionaries
     # ------------------------------------------------------------------
@@ -494,17 +418,6 @@ class PythonUnparser:
     # ------------------------------------------------------------------
     # Catalog-resident access layer
     # ------------------------------------------------------------------
-    def _op_access_key_index(self, stmt):
-        table = stmt.expr.attrs["table"]
-        column = stmt.expr.attrs["column"]
-        db = _atom(stmt.expr.args[0])
-        return self._assign(
-            stmt, f"_rt.catalog_key_index({db}, {table!r}, {column!r})")
-
-    def _op_access_index_lookup(self, stmt):
-        index, key = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"{index}.lookup({key})")
-
     def _op_access_pruned_indices(self, stmt):
         table = stmt.expr.attrs["table"]
         filters = tuple(stmt.expr.attrs["filters"])
@@ -556,35 +469,7 @@ class PythonUnparser:
         return self._assign(stmt, f"{_atom(stmt.expr.args[0])}.column({table!r}, {column!r})")
 
     # ------------------------------------------------------------------
-    # Memory management (C.Py level)
-    # ------------------------------------------------------------------
-    def _op_malloc(self, stmt):
-        return self._assign(stmt, "{}")
-
-    def _op_free(self, stmt):
-        return [f"del {_atom(stmt.expr.args[0])}"]
-
-    def _op_pool_new(self, stmt):
-        return self._assign(stmt, f"_rt.MemoryPool({_atom(stmt.expr.args[0])})")
-
-    def _op_pool_next(self, stmt):
-        return self._assign(stmt, f"{_atom(stmt.expr.args[0])}.next()")
-
-    def _op_ptr_field_get(self, stmt):
-        field = stmt.expr.attrs["field"]
-        return self._assign(stmt, f"{_atom(stmt.expr.args[0])}[{field!r}]")
-
-    def _op_ptr_field_set(self, stmt):
-        field = stmt.expr.attrs["field"]
-        record, value = (_atom(a) for a in stmt.expr.args)
-        return [f"{record}[{field!r}] = {value}"]
-
-    # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
-    def _op_emit_row(self, stmt):
-        target, value = (_atom(a) for a in stmt.expr.args)
-        return [f"{target}.append({value})"]
-
     def _op_print_(self, stmt):
         return [f"print({_atom(stmt.expr.args[0])})"]

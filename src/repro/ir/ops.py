@@ -7,6 +7,13 @@ module is the single source of truth for those operations: each op is
 registered once with its effect summary, and the language definitions in
 :mod:`repro.stack.language` pick subsets of this registry.
 
+An op is registered iff something in ``src/`` can emit it (``print_`` is the
+exception: the effect lattice's only ``IO`` witness).  Every op costs a row
+in the language sets, the signature and type tables, the value analysis and
+an unparser handler, so one nobody emits is deleted from all of them;
+``tests/ir/test_vocabulary.py`` lowers every query under every configuration
+and names the producer of each op the sweep does not reach.
+
 Registering effects centrally means generic transformations (CSE, DCE, code
 motion, hoisting) never need op-specific data-flow analysis, which is the
 point the paper makes for choosing ANF as the IR (Section 3.3).
@@ -16,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .effects import (ALLOC, CONTROL, Effect, IO, PURE, READ, READ_WRITE,
-                      WRITE)
+from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, WRITE
 
 
 @dataclass(frozen=True)
@@ -32,9 +38,9 @@ class OpDef:
     #: how per-worker partial states of this *writing* op combine when the
     #: enclosing loop is split across morsels: ``"concat"`` (order-preserving
     #: concatenation), ``"reduce"`` (commutative aggregate merge),
-    #: ``"set-union"``, ``"bucket-concat"`` — or ``None`` when the write is
-    #: order-dependent and pins the loop to sequential execution.  The
-    #: loop-dependence analysis (repro.analysis.dataflow) is the consumer.
+    #: ``"bucket-concat"`` — or ``None`` when the write is order-dependent and
+    #: pins the loop to sequential execution.  The loop-dependence analysis
+    #: (repro.analysis.dataflow) is the consumer.
     merge: Optional[str] = None
 
 
@@ -78,12 +84,12 @@ _r = REGISTRY.register
 # ---------------------------------------------------------------------------
 # Pure scalar operations (available at every imperative level).
 # ---------------------------------------------------------------------------
-ARITHMETIC_OPS = ("add", "sub", "mul", "div", "mod", "neg", "min2", "max2")
+ARITHMETIC_OPS = ("add", "sub", "mul", "div", "neg")
 COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 LOGICAL_OPS = ("and_", "or_", "not_", "band", "bor")
-CONVERSION_OPS = ("to_float", "to_int", "year_of_date")
+CONVERSION_OPS = ("year_of_date",)
 STRING_OPS = ("str_contains", "str_startswith", "str_endswith", "str_like",
-              "str_length", "str_substr", "str_in")
+              "str_substr", "str_in")
 TUPLE_OPS = ("tuple_new", "tuple_get")
 
 for _name in ARITHMETIC_OPS + COMPARISON_OPS + LOGICAL_OPS + CONVERSION_OPS + TUPLE_OPS:
@@ -118,7 +124,6 @@ _r("record_get", READ, "read a record field; attrs: field=<name>")
 _r("array_new", ALLOC, "allocate an array of a given size; attrs: init=<default value>")
 _r("array_get", READ)
 _r("array_set", WRITE)
-_r("array_len", READ)
 
 # ---------------------------------------------------------------------------
 # Lists (ScaLite[List] and below; also used for query results).
@@ -126,19 +131,14 @@ _r("array_len", READ)
 _r("list_new", ALLOC)
 _r("list_append", WRITE, merge="concat")
 _r("list_foreach", CONTROL, "iterate a list; one body block with one element parameter", n_blocks=1)
-_r("list_len", READ)
-_r("list_get", READ)
-_r("list_clear", WRITE)
 _r("list_sort_by_fields", Effect(reads=True, allocates=True),
    "sort a list of records; attrs: keys=[(field, 'asc'|'desc'), ...]")
-_r("list_sort_by_index", Effect(reads=True, allocates=True),
-   "sort a list of records/tuples by positional key; attrs: keys=[(index, order), ...]")
 _r("list_take", Effect(reads=True, allocates=True), "first n elements of a list")
 
 # ---------------------------------------------------------------------------
-# Hash tables and sets: ScaLite[Map, List].  These same ops double as the
-# generic library (GLib substitute) containers when they survive down to C.Py
-# in the 2- and 3-level stack configurations.
+# Hash tables: ScaLite[Map, List].  These same ops double as the generic
+# library (GLib substitute) containers when they survive down to C.Py in the
+# 2- and 3-level stack configurations.
 # ---------------------------------------------------------------------------
 _r("mmap_new", ALLOC, "MultiMap: key -> list of values (hash joins)")
 _r("mmap_add", WRITE, "append a value to the bucket of a key", merge="bucket-concat")
@@ -150,10 +150,6 @@ _r("hashmap_agg_update", WRITE,
    merge="reduce")
 _r("hashmap_agg_foreach", CONTROL,
    "iterate (key, accumulator-values) pairs of an aggregation table", n_blocks=1)
-_r("set_new", ALLOC)
-_r("set_add", WRITE, merge="set-union")
-_r("set_contains", READ)
-_r("set_len", READ)
 
 # ---------------------------------------------------------------------------
 # Database access (the loaded catalog is a parameter of every program).
@@ -167,12 +163,6 @@ _r("table_column", READ, "column array of a table; attrs: table=<name>, column=<
 # dictionaries, dense aggregation arrays).  Only allowed at ScaLite[List] and
 # below: they are the *result* of lowering the Map/List abstractions.
 # ---------------------------------------------------------------------------
-_r("index_build_multi", ALLOC,
-   "partition a table by an integer key: bucket[key] = list of row ids; attrs: table, key_column")
-_r("index_get_multi", READ, "bucket (list of row ids) for a key")
-_r("index_build_unique", ALLOC,
-   "unique index on a primary key: slot[key] = row id; attrs: table, key_column")
-_r("index_get_unique", READ, "row id for a key (-1 when absent)")
 _r("dense_agg_new", ALLOC,
    "dense aggregation array over a known key range; attrs: aggs=[...], size known at prepare time")
 _r("dense_agg_update", WRITE, merge="reduce")
@@ -186,21 +176,15 @@ _r("strdict_prefix_range", READ,
 
 # ---------------------------------------------------------------------------
 # Catalog-resident access structures (repro.storage.access).  Unlike the
-# index_build_* / strdict_build ops above — which construct per-query
-# structures in the hoisted block — these ops *fetch* structures that live on
-# the catalog itself and are built lazily once per loaded database, so every
-# compiled query (and every direct engine) shares the same physical access
-# layer.  They are reads of catalog state, never allocations.
+# strdict_build op above — which constructs a per-query structure in the
+# hoisted block — these ops *fetch* structures that live on the catalog
+# itself and are built lazily once per loaded database, so every compiled
+# query (and every direct engine) shares the same physical access layer.
+# They are reads of catalog state, never allocations.
 # ---------------------------------------------------------------------------
-ACCESS_OPS = ("access_key_index", "access_index_lookup", "access_pruned_indices",
-              "access_partition",
+ACCESS_OPS = ("access_pruned_indices", "access_partition",
               "access_strdict", "access_strdict_codes", "access_prefix_range")
 
-_r("access_key_index", READ,
-   "the catalog's load-time unique-key index of table.column; attrs: table, column; "
-   "raises at prepare time when the loaded data has no such index")
-_r("access_index_lookup", READ,
-   "row position of a key in a unique-key index (None when absent)")
 _r("access_pruned_indices", READ,
    "candidate base-row positions of a pruned scan (ascending, memoized); "
    "attrs: table, filters")
@@ -221,19 +205,8 @@ _r("access_prefix_range", READ,
    "catalog dictionary ((1, 0) when no string matches)")
 
 # ---------------------------------------------------------------------------
-# C.Py level: explicit memory management (the C.Scala analogue).
+# Debugging: the effect lattice's one IO witness (never removed or reordered).
 # ---------------------------------------------------------------------------
-_r("malloc", ALLOC, "allocate one record-sized chunk; attrs: record fields")
-_r("free", WRITE)
-_r("pool_new", ALLOC, "pre-allocate a memory pool of records; attrs: size hint")
-_r("pool_next", READ_WRITE, "take the next free record slot from a pool")
-_r("ptr_field_get", READ, "read a field through a pointer; attrs: field")
-_r("ptr_field_set", WRITE, "write a field through a pointer; attrs: field")
-
-# ---------------------------------------------------------------------------
-# Output / debugging.
-# ---------------------------------------------------------------------------
-_r("emit_row", WRITE, "append an output row to the query result list", merge="concat")
 _r("print_", IO)
 
 

@@ -3,11 +3,9 @@
 Every degradation the :class:`~repro.robustness.fallback.HardenedExecutor`
 performs — a tier falling over, a plan losing its access paths, a transient
 retry, a circuit breaker opening — is recorded as one :class:`Incident`.
-The compiled-stack lowering also reports here when it silently downgrades a
-leftouter ``IndexJoin`` to the hash lowering (ROADMAP carry-over), and the
-query-serving front door (:mod:`repro.server`) records every admission-time
-degradation: load-shed rejections, tier downgrades under pressure, and
-requests dropped because their deadline expired in the queue.
+The query-serving front door (:mod:`repro.server`) records every
+admission-time degradation: load-shed rejections, tier downgrades under
+pressure, and requests dropped because their deadline expired in the queue.
 
 The log is an in-process ring buffer (bounded, oldest-first eviction) so a
 long-lived serving process cannot grow it without limit.  Per-category
@@ -42,7 +40,6 @@ CATEGORIES = (
     "circuit_close",       # breaker re-enabled after cooldown probe succeeded
     "generation_skew",     # access-layer generation moved between plan and run
     "budget_trip",         # governor raised BudgetExceeded
-    "lowering_fallback",   # compiled stack silently chose a weaker lowering
     "admission_reject",    # front door shed a request (queue full / draining)
     "admission_downgrade", # front door admitted at a cheaper tier policy
     "deadline_expired",    # request deadline expired before execution started
@@ -191,6 +188,6 @@ class IncidentLog:
             self._total = 0
 
 
-#: Process-wide sink for call sites without an executor-scoped log (e.g. the
-#: compiled-stack lowering).  Tests may ``clear()`` it between cases.
+#: Process-wide sink for call sites without an executor-scoped log.  Tests may
+#: ``clear()`` it between cases.
 DEFAULT_INCIDENTS = IncidentLog()

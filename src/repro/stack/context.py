@@ -27,9 +27,10 @@ class OptimizationFlags:
     #: the hand-written plans as-is, the planner is an extra layer on top.
     logical_plan_optimizer: bool = False
     #: compiled pipelines consume the *catalog-resident* physical access layer
-    #: (repro.storage.access): PrunedScan candidate slices, IndexJoin probes of
-    #: the load-time PK indices, and the shared sorted string dictionaries —
-    #: instead of rebuilding per-query structures in the hoisted block.
+    #: (repro.storage.access): PrunedScan candidate slices, resident
+    #: partitions for base-table hash builds (an IndexJoin's is the load-time
+    #: PK index), and the shared sorted string dictionaries — instead of
+    #: rebuilding per-query structures in the hoisted block.
     catalog_access_layer: bool = True
     #: repeated subplans (qplan.shared_subplan_fingerprints) are materialised
     #: once behind a binding in the generated program and replayed for every

@@ -10,15 +10,18 @@ Language              level  description
 ``ScaLite[Map,List]`` 40     imperative core + HashMap/MultiMap/List
 ``ScaLite[List]``     30     imperative core + List (MultiMaps lowered away)
 ``ScaLite``           20     imperative core: bounded loops, records, arrays
-``C.Py``              10     explicit memory/layout constructs; unparsed to
-                             Python source (the C.Scala/C analogue)
+``C.Py``              10     the unparser's input (the C.Scala/C analogue);
+                             same vocabulary as ``ScaLite`` for now
 ====================  =====  ==============================================
 
 Front-end languages (QPlan, QMonad) are *tree DSLs*: their programs are plain
 operator ASTs, which the paper notes is a sufficient IR for algebraic
 languages without variable bindings.  The imperative levels are *ANF DSLs*:
 they share the :mod:`repro.ir` data structures and differ only in the
-vocabulary of operations they allow.
+vocabulary of operations they allow.  A vocabulary lists only ops some
+transformation in ``src/`` emits (:mod:`repro.ir.ops`); nothing emits an
+explicit-memory op, so ``C.Py`` — a level and a lowering of its own — says
+exactly what ``ScaLite`` says.
 
 A higher level number means a higher level of abstraction.  Lowerings must go
 strictly downwards (expressibility principle); the stack validator in
@@ -99,17 +102,14 @@ _SCALAR_OPS = set(ir_ops.ARITHMETIC_OPS + ir_ops.COMPARISON_OPS + ir_ops.LOGICAL
 _CONTROL_OPS = {"if_", "for_range", "while_"}
 _VAR_OPS = {"var_new", "var_read", "var_write"}
 _RECORD_OPS = {"record_new", "record_get"}
-_ARRAY_OPS = {"array_new", "array_get", "array_set", "array_len"}
-_LIST_OPS = {"list_new", "list_append", "list_foreach", "list_len", "list_get",
-             "list_clear", "list_sort_by_fields", "list_sort_by_index", "list_take"}
+_ARRAY_OPS = {"array_new", "array_get", "array_set"}
+_LIST_OPS = {"list_new", "list_append", "list_foreach", "list_sort_by_fields",
+             "list_take"}
 _MAP_OPS = {"mmap_new", "mmap_add", "mmap_get",
-            "hashmap_agg_new", "hashmap_agg_update", "hashmap_agg_foreach",
-            "set_new", "set_add", "set_contains", "set_len"}
+            "hashmap_agg_new", "hashmap_agg_update", "hashmap_agg_foreach"}
 _DB_OPS = {"table_size", "table_column"}
-_SPECIALIZED_OPS = {"index_build_multi", "index_get_multi", "index_build_unique",
-                    "index_get_unique", "dense_agg_new", "dense_agg_update",
-                    "dense_agg_foreach"}
-#: String-dictionary structures.  Unlike the index/dense specialisations
+_SPECIALIZED_OPS = {"dense_agg_new", "dense_agg_update", "dense_agg_foreach"}
+#: String-dictionary structures.  Unlike the dense specialisation
 #: (introduced by the HashMap lowering at level 30), these are emitted by the
 #: StringDictionaries *optimization*, which the stack declares at
 #: ScaLite[Map, List] — and an optimization must stay within its own language
@@ -118,13 +118,13 @@ _SPECIALIZED_OPS = {"index_build_multi", "index_get_multi", "index_build_unique"
 #: introduced them at level 30 while the optimization ran one level higher.
 _STRDICT_OPS = {"strdict_build", "strdict_encode_column",
                 "strdict_code", "strdict_prefix_range"}
-#: Reads of the catalog-resident physical access layer (PK key indices,
-#: partition pruning, load-time string dictionaries).  Available at every
-#: imperative level: they are database accessors like table_column, not
-#: specialised structures introduced by a lowering.
+#: Reads of the catalog-resident physical access layer (resident partitions
+#: — a primary-key one is the unique-key index — partition pruning, load-time
+#: string dictionaries).  Available at every imperative level: they are
+#: database accessors like table_column, not specialised structures
+#: introduced by a lowering.
 _ACCESS_OPS = set(ir_ops.ACCESS_OPS)
-_MEMORY_OPS = {"malloc", "free", "pool_new", "pool_next", "ptr_field_get", "ptr_field_set"}
-_OUTPUT_OPS = {"emit_row", "print_"}
+_OUTPUT_OPS = {"print_"}
 
 #: The imperative core shared by every ScaLite variant (and C.Py).
 SCALITE_CORE = (_SCALAR_OPS | _CONTROL_OPS | _VAR_OPS | _RECORD_OPS | _ARRAY_OPS
@@ -152,10 +152,10 @@ SCALITE_LIST = Language(
     name="ScaLite[List]", level=30, kind="anf",
     # MultiMaps are lowered to arrays of lists here, so generic map ops are
     # still allowed only in their role as GLib-style fallback containers; the
-    # specialised index/dense/strdict structures become available.
+    # specialised dense aggregation arrays become available.
     ops=frozenset(SCALITE_CORE | _LIST_OPS | _MAP_OPS | _SPECIALIZED_OPS
                   | _STRDICT_OPS),
-    description="Imperative core + lists and specialised (index/dense) structures")
+    description="Imperative core + lists and specialised (dense) structures")
 
 SCALITE = Language(
     name="ScaLite", level=20, kind="anf",
@@ -166,10 +166,11 @@ SCALITE = Language(
 
 C_PY = Language(
     name="C.Py", level=10, kind="anf",
-    ops=frozenset(SCALITE_CORE | _LIST_OPS | _MAP_OPS | _SPECIALIZED_OPS
-                  | _STRDICT_OPS | _MEMORY_OPS),
-    description="Lowest level: explicit memory management and generic library "
-                "(GLib substitute) containers; unparsed to Python source")
+    # The same vocabulary as ScaLite until a lowering into C.Py emits
+    # something ScaLite cannot say: an op is registered iff a stack emits it.
+    ops=SCALITE.ops,
+    description="Lowest level: generic library (GLib substitute) containers; "
+                "unparsed to Python source")
 
 ALL_LANGUAGES: Tuple[Language, ...] = (QPLAN, QMONAD, SCALITE_MAP_LIST, SCALITE_LIST,
                                        SCALITE, C_PY)

@@ -20,8 +20,7 @@ from .analysis import definition_map
 
 #: ops that are known to produce booleans
 _BOOLEAN_OPS = {"eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_", "band", "bor",
-                "str_contains", "str_startswith", "str_endswith", "str_like", "str_in",
-                "set_contains"}
+                "str_contains", "str_startswith", "str_endswith", "str_like", "str_in"}
 
 
 class BranchlessBooleans(Optimization):

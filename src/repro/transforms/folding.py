@@ -8,10 +8,7 @@ load-time statistics:
 
 * a comparison whose operand intervals do not overlap folds to its constant
   verdict (``lt(year, 2050)`` with ``year`` inside the column's [min, max]);
-* a null check against a column with zero nulls — or against an
-  ``access_index_lookup`` probe whose key carries a declared foreign key —
-  folds the same way: the ``ne(position, None)`` hit checks of inner index
-  joins over FK-backed keys are provably always true;
+* a null check against a column with zero nulls folds the same way;
 * an ``if_`` whose condition folded becomes its taken arm, spliced into the
   enclosing block — provided the dropped arm is effect-free, so removing it
   is unobservable.

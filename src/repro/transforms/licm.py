@@ -6,7 +6,7 @@ zero-iteration loops:
 
 * **purity**: the op is pure, block-free and — because a hoisted statement
   runs even when the loop body would not — drawn from a whitelist of
-  exception-free scalar ops (no ``div``/``mod``, no container reads);
+  exception-free scalar ops (no ``div``, no container reads);
 * **operands**: every argument is defined outside the loop body, and every
   operand is provably non-null (``lt(None, k)`` raises in Python, so
   nullability is part of the safety proof, seeded from column statistics);
@@ -35,7 +35,7 @@ from ..stack.transformation import Optimization
 
 #: pure scalar ops that cannot raise on non-null operands
 _HOISTABLE_OPS = frozenset({
-    "add", "sub", "mul", "neg", "min2", "max2",
+    "add", "sub", "mul", "neg",
     "eq", "ne", "lt", "le", "gt", "ge",
     "and_", "or_", "not_",
     "year_of_date",

@@ -1,19 +1,16 @@
-"""The final lowering: ScaLite → C.Py (explicit memory level).
+"""The final lowering: ScaLite → C.Py (the unparser's input level).
 
 In the paper this step introduces explicit memory management (malloc/free or
 memory pools) and fixes the physical data layout before unparsing to C.  For
-the Python target the memory-management decisions amount to:
+the Python target the host runtime owns memory and the record layout (boxed
+dictionaries versus row tuples) is already decided upstream by the pipelining
+lowering's target, so all that is left is re-labelling the program into the
+C.Py language.
 
-* choosing the concrete representation of records that are still boxed
-  (dictionaries) versus row tuples — already decided upstream by the
-  pipelining lowering's target, so this lowering normalises the remaining
-  attrs, and
-* re-labelling the program into the C.Py language, whose op vocabulary is a
-  superset of ScaLite's.
-
-It intentionally stays thin: the heavy lifting happens in the optimizations
-of the levels above, which is exactly the separation of concerns the paper
-argues for.
+C.Py's op vocabulary equals ScaLite's: an op is registered only if something
+in ``src/`` emits it (:mod:`repro.ir.ops`), and nothing emits an
+explicit-memory op.  The first lowering that emits something ScaLite cannot
+say (runtime library code lowered into the stack) adds its ops to this level.
 """
 from __future__ import annotations
 
@@ -24,7 +21,7 @@ from ..stack.transformation import Lowering
 
 
 class ScaLiteToCPy(Lowering):
-    """Relabel a ScaLite program as C.Py after fixing memory-level details."""
+    """Relabel a ScaLite program as C.Py."""
 
     name = "scalite-to-c.py"
 

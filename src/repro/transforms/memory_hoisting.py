@@ -3,9 +3,9 @@
 Statements at the top level of the query body that only depend on the database
 parameter (and on other already-hoisted values) and that do not mutate state
 visible to the rest of the body can be executed once at loading time instead
-of on the query's critical path: column lookups, table sizes, dictionary code
-lookups, worst-case-sized pool allocations.  They are moved into the
-program's hoisted block, which the compiled artefact exposes as ``prepare``.
+of on the query's critical path: column lookups, table sizes, dictionary
+builds and code lookups.  They are moved into the program's hoisted block,
+which the compiled artefact exposes as ``prepare``.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ from ..stack.transformation import Optimization
 HOISTABLE_OPS = {
     "table_size", "table_column",
     "strdict_build", "strdict_encode_column", "strdict_code", "strdict_prefix_range",
-    "index_build_multi", "index_build_unique",
-    "pool_new",
 }
 
 

@@ -19,15 +19,12 @@ _FOLDABLE = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
-    "mod": operator.mod,
     "eq": operator.eq,
     "ne": operator.ne,
     "lt": operator.lt,
     "le": operator.le,
     "gt": operator.gt,
     "ge": operator.ge,
-    "min2": min,
-    "max2": max,
 }
 
 
@@ -44,8 +41,7 @@ class PartialEvaluation(Optimization):
             if not all(isinstance(arg, Const) for arg in expr.args):
                 return None
             values = [arg.value for arg in expr.args]
-            # ZeroDivisionError covers `mod` with a constant zero divisor and
-            # OverflowError covers e.g. huge float exponents: a fold that
+            # OverflowError covers e.g. huge float products: a fold that
             # cannot be computed at compile time is skipped, never raised —
             # the runtime expression keeps its own failure behaviour.
             if expr.op in _FOLDABLE and len(values) == 2:

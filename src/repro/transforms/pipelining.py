@@ -29,6 +29,15 @@ the target decides:
   of row positions when the catalog access layer is on, a build loop in the
   hoisted block otherwise.
 
+There is one join lowering per join shape.  The planner's ``IndexJoin`` (a
+hash join whose build side is a base table with a load-time unique-key index)
+is lowered as the ``HashJoin`` it subclasses: its build is a base-table build
+over a dense integer key, so with the access layer on it becomes the resident
+partition like any other, and the list-level specialization claims a
+primary-key partition as ``single`` — slots served by the unique-key index
+itself, read by inline indexing.  A merely-unique key (sparse or non-integer)
+gets the per-query hash build; only the direct engines probe a ``DictIndex``.
+
 Key-range and uniqueness facts about hash-table keys are attached to the
 ``mmap_new`` / ``hashmap_agg_new`` statements as attributes — the annotation
 mechanism of Section 3.3 — and consumed later by the hash-table
@@ -159,9 +168,9 @@ class _PushCompiler:
             self._select(node, consume)
         elif isinstance(node, Q.Project):
             self._project(node, consume)
-        elif isinstance(node, Q.IndexJoin):
-            self._index_join(node, consume)
         elif isinstance(node, Q.HashJoin):
+            # Q.IndexJoin included: it is lowered as the hash join it
+            # subclasses (module docstring)
             self._hash_join(node, consume)
         elif isinstance(node, Q.NestedLoopJoin):
             self._nested_loop_join(node, consume)
@@ -195,7 +204,7 @@ class _PushCompiler:
         self.produce(node.child, filtered)
 
     # ------------------------------------------------------------------
-    # Catalog-access-layer scans and joins
+    # Catalog-access-layer scans
     # ------------------------------------------------------------------
     def _scan_columns(self, scan: Q.Scan) -> Tuple[List[str], Dict[str, Sym]]:
         """Column arrays of a base-table scan, bound in the current block."""
@@ -256,147 +265,6 @@ class _PushCompiler:
             self.b.if_(cond, lambda: consume(row))
 
         b.foreach(candidates, body, hint="ri")
-
-    def _index_join(self, node: Q.IndexJoin, consume: Consumer) -> None:
-        """Hash join served by the catalog's load-time unique-key index.
-
-        No per-query build: the index (a PK direct array or dict) is fetched
-        from the access layer at data-loading time and each probe key is
-        looked up directly; the (at most one) matching build row is read from
-        the base columns on demand, with the build filter and residual
-        applied per candidate.  Unique keys make every bucket of the replaced
-        hash join at most one row, so each emission order below reproduces
-        the plain lowering's order exactly: probe-major for inner joins, base
-        (= bucket) order for the semi/anti emission pass.
-
-        ``leftouter`` falls back: the plain lowering hashes the *right* side
-        for outer joins, which the left-table index cannot serve.
-        """
-        parts = node.build_parts()
-        usable = (self.catalog_access
-                  and parts is not None
-                  and node.kind in ("inner", "leftsemi", "leftanti"))
-        if usable:
-            from ..storage.access import AccessLayer
-            usable = AccessLayer.for_catalog(self.catalog).key_index(
-                node.index_table, node.index_column) is not None
-        if not usable:
-            if self.catalog_access and parts is not None \
-                    and node.kind == "leftouter":
-                # The plain lowering hashes the *right* side for outer joins,
-                # which the left-table index cannot serve — a real downgrade
-                # the planner asked for, so record it instead of degrading
-                # silently (ROADMAP carry-over).
-                from ..robustness.incidents import DEFAULT_INCIDENTS
-                DEFAULT_INCIDENTS.report(
-                    "lowering_fallback",
-                    query=self.context.query_name or "",
-                    tier="compiled",
-                    cause="leftouter_index_join",
-                    message=(f"IndexJoin on {node.index_table}."
-                             f"{node.index_column} lowered to hash join: "
-                             "leftouter kind is not index-servable"),
-                    table=node.index_table, column=node.index_column)
-            self._hash_join(node, consume)
-            return
-        scan, build_filter = parts
-        b = self.b
-        self._use_builder(self.hoisted)
-        try:
-            index = self.b.emit(
-                "access_key_index", [self.db],
-                attrs={"table": node.index_table, "column": node.index_column},
-                hint="kidx")
-        finally:
-            self._pop_builder()
-        fields, columns = self._scan_columns(scan)
-
-        def lookup(right_row: RowVals) -> Tuple[Sym, Sym]:
-            key = self.scalars.compile(node.right_key, right_row)
-            position = self.b.emit("access_index_lookup", [index, key],
-                                   hint="pos")
-            hit = self.b.emit("ne", [position, Const(None)], hint="hit")
-            return position, hit
-
-        if node.kind == "inner":
-            def probe(right_row: RowVals) -> None:
-                position, hit = lookup(right_row)
-
-                def on_hit() -> None:
-                    left_row = self._fetch_row(columns, fields, position)
-
-                    def emit_match() -> None:
-                        combined = left_row.merge(right_row, self.b)
-                        if node.residual is not None:
-                            cond = self.scalars.compile(node.residual, combined,
-                                                        left=left_row,
-                                                        right=right_row)
-                            self.b.if_(cond, lambda: consume(combined))
-                        else:
-                            consume(combined)
-
-                    if build_filter is not None:
-                        cond = self.scalars.compile(build_filter, left_row)
-                        self.b.if_(cond, emit_match)
-                    else:
-                        emit_match()
-
-                self.b.if_(hit, on_hit)
-
-            self.produce(node.right, probe)
-            return
-
-        # leftsemi / leftanti: probe pass marks matched build positions, then
-        # the emission pass walks the base table in row (= bucket) order.
-        matched = b.emit("set_new", [], hint="matched")
-
-        def probe(right_row: RowVals) -> None:
-            position, hit = lookup(right_row)
-
-            def on_hit() -> None:
-                conds = []
-                if build_filter is not None or node.residual is not None:
-                    left_row = self._fetch_row(columns, fields, position)
-                    if build_filter is not None:
-                        conds.append(self.scalars.compile(build_filter, left_row))
-                    if node.residual is not None:
-                        combined = left_row.merge(right_row, self.b)
-                        conds.append(self.scalars.compile(
-                            node.residual, combined,
-                            left=left_row, right=right_row))
-
-                def mark() -> None:
-                    self.b.emit("set_add", [matched, position])
-
-                if conds:
-                    cond = conds[0]
-                    for extra in conds[1:]:
-                        cond = self.b.emit("and_", [cond, extra])
-                    self.b.if_(cond, mark)
-                else:
-                    mark()
-
-            self.b.if_(hit, on_hit)
-
-        self.produce(node.right, probe)
-
-        size = b.emit("table_size", [self.db], attrs={"table": scan.table},
-                      hint="n")
-        want_match = node.kind == "leftsemi"
-
-        def emit_pass(position: Sym) -> None:
-            left_row = self._fetch_row(columns, fields, position)
-            member = self.b.emit("set_contains", [matched, position],
-                                 hint="inset")
-            cond = member if want_match else self.b.emit("not_", [member])
-            if build_filter is not None:
-                # rows the build filter rejects never entered the replaced
-                # hash table, so they are emitted by neither join kind
-                passes = self.scalars.compile(build_filter, left_row)
-                cond = self.b.emit("and_", [passes, cond])
-            self.b.if_(cond, lambda: consume(left_row))
-
-        b.for_range(0, size, emit_pass, hint="bi")
 
     def _project(self, node: Q.Project, consume: Consumer) -> None:
         def projected(row: RowVals) -> None:

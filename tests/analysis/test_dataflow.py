@@ -133,8 +133,8 @@ class TestPurity:
         b = IRBuilder()
         lst = b.emit("list_new", [])
         b.emit("list_append", [lst, 1])
-        n = b.emit("list_len", [lst])
-        program = make_program(b.finish(n), [], "ScaLite")
+        head = b.emit("list_take", [lst, 1])
+        program = make_program(b.finish(head), [], "ScaLite")
         assert lst.id in purity(program).escaping
 
 

@@ -92,8 +92,8 @@ class TestSharedStructuresAreReadOnly:
     def test_reading_a_bucket_passes(self):
         part = self._partition()
         bucket = Stmt(Sym("bucket"), Expr("array_get", (part.sym, Const(0))))
-        size = Stmt(Sym("n"), Expr("list_len", (bucket.sym,)))
-        audit_effects(program_of([part, bucket, size], size.sym))
+        first = Stmt(Sym("pos"), Expr("array_get", (bucket.sym, Const(0))))
+        audit_effects(program_of([part, bucket, first], first.sym))
 
     def test_append_to_a_bucket_rejected(self):
         part = self._partition()

@@ -88,7 +88,7 @@ class TestMutationSuite:
 
         def drop_write(block):
             for i, stmt in enumerate(block.stmts):
-                if stmt.expr.op in ("emit_row", "hashmap_agg_update",
+                if stmt.expr.op in ("hashmap_agg_update",
                                     "dense_agg_update", "list_append"):
                     return Block(block.stmts[:i] + block.stmts[i + 1:],
                                  block.result, block.params), True
@@ -232,21 +232,26 @@ class TestMutationSuite:
         assert exc.value.phase == f"broken-folding[{LEVEL}]"
 
     def test_vocabulary_violation_rejected(self, tpch_catalog):
-        """Lowering-ahead-of-time variant: C.Py memory ops at ScaLite."""
+        """Lowering-ahead-of-time variant: a dense aggregation array — what
+        the hash-table lowering introduces one level down — already at
+        ScaLite[Map, List]."""
+        level = "ScaLite[Map, List]"
 
-        def emit_malloc(program, context):
+        def emit_dense_table(program, context):
             body = program.body
-            if any(stmt.expr.op == "malloc" for stmt in body.stmts):
+            if any(stmt.expr.op == "dense_agg_new" for stmt in body.stmts):
                 return program
-            stmt = Stmt(Sym("chunk"), Expr("malloc", ()))
+            stmt = Stmt(Sym("dense"), Expr("dense_agg_new", (Const(4),),
+                                           {"aggs": ("sum",)}))
             return _rebuild(program, Block([stmt] + list(body.stmts),
                                            body.result, body.params))
 
         with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, emit_malloc, "eager-lowering")
+            compile_mutated(tpch_catalog, emit_dense_table, "eager-lowering",
+                            level=level)
         assert exc.value.check == "language"
-        assert "malloc" in str(exc.value)
-        assert exc.value.phase == f"eager-lowering[{LEVEL}]"
+        assert "dense_agg_new" in str(exc.value)
+        assert exc.value.phase == f"eager-lowering[{level}]"
 
     def test_unparser_tampering_rejected(self, tpch_catalog, monkeypatch):
         """Generated-code lint: a module-level statement smuggled into the

@@ -72,7 +72,7 @@ class TestClassifyLoops:
 
         def body(i):
             b.emit("list_append", [out, i])
-            b.emit("list_len", [out])
+            b.emit("list_take", [out, 1])
 
         b.for_range(0, 10, body)
         program = make_program(b.finish(out), [], "ScaLite")

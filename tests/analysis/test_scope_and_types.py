@@ -198,7 +198,7 @@ class TestTypeChecker:
     def test_inference_ignores_stale_annotations(self):
         """Transforms may leave stale types; only *derived* types fire rules."""
         x = Sym("x", STRING)  # annotation says string...
-        build = Stmt(x, Expr("to_int", (Const("7"),)))  # ...but it is an int
+        build = Stmt(x, Expr("year_of_date", (Const(19940101),)))  # ...but it is an int
         program = _one_stmt_program(Expr("add", (x, Const(1))), [build])
         check_types(program)
 

@@ -81,12 +81,10 @@ class TestUnparser:
         b.emit("mmap_add", [table, 1, "a"])
         b.emit("mmap_add", [table, 1, "b"])
         bucket = b.emit("mmap_get", [table, 1])
-        count = b.emit("list_len", [bucket])
         miss = b.emit("mmap_get", [table, 99])
-        miss_count = b.emit("list_len", [miss])
-        program = make_program(b.finish(b.emit("tuple_new", [count, miss_count])), [db], "C.Py")
+        program = make_program(b.finish(b.emit("tuple_new", [bucket, miss])), [db], "C.Py")
         result, _ = unparse_and_run(program)
-        assert result == (2, 0)
+        assert result == (["a", "b"], ())
 
     def test_hoisted_block_becomes_prepare(self, tiny_catalog):
         db = Sym("db")
@@ -129,13 +127,16 @@ class TestUnparser:
 
 
 class TestRuntime:
-    def test_agg_table_all_kinds(self):
-        table = runtime.AggTable(("sum", "count", "min", "max", "avg", "count_distinct"))
-        table.update("k", (1.0, 1, 5, 5, 10.0, "a"))
-        table.update("k", (2.0, None, 3, 7, 20.0, "b"))
-        table.update("k", (None, 1, None, None, None, "a"))
+    @pytest.mark.parametrize("make", [
+        runtime.AggTable, lambda kinds: runtime.DenseAggTable(kinds, size=10)],
+        ids=["hash", "dense"])
+    def test_agg_tables_fold_all_kinds(self, make):
+        table = make(("sum", "count", "min", "max", "avg", "count_distinct"))
+        table.update(3, (1.0, 1, 5, 5, 10.0, "a"))
+        table.update(3, (2.0, None, 3, 7, 20.0, "b"))
+        table.update(3, (None, 1, None, None, None, "a"))
         rows = dict(table.finalised())
-        assert rows["k"] == (3.0, 2, 3, 7, 15.0, 2)
+        assert rows[3] == (3.0, 2, 3, 7, 15.0, 2)
 
     def test_agg_table_multiple_groups(self):
         table = runtime.AggTable(("sum",))
@@ -179,13 +180,6 @@ class TestRuntime:
         dictionary = runtime.StringDictionary.build(["a"], ordered=False)
         with pytest.raises(ValueError):
             dictionary.prefix_range("a")
-
-    def test_memory_pool_grows_when_exhausted(self):
-        pool = runtime.MemoryPool(2)
-        indices = [pool.next() for _ in range(5)]
-        assert indices == [0, 1, 2, 3, 4]
-        pool.reset()
-        assert pool.next() == 0
 
     def test_sort_records_boxed_and_row(self):
         boxed = [{"a": 2, "b": "x"}, {"a": 1, "b": "y"}, {"a": 2, "b": "a"}]

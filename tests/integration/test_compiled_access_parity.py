@@ -15,8 +15,11 @@ import functools
 
 import pytest
 
-from repro.bench.harness import assert_rows_equivalent
+from repro.bench.harness import (ENGINE_NAMES, BenchmarkHarness,
+                                 assert_rows_equivalent)
 from repro.codegen.compiler import QueryCompiler
+from repro.dsl import qplan as Q
+from repro.dsl.expr import col
 from repro.engine.volcano import VolcanoEngine
 from repro.planner import Planner, sort_contract
 from repro.stack.configs import build_config
@@ -87,3 +90,32 @@ def test_access_structures_build_once_across_compiled_runs(tpch_catalog,
                                                     tpch_catalog, "Q12")
     compliant.run(tpch_catalog)
     assert layer.build_counts == counts
+
+
+_AGG_KEY_SHAPES = {
+    "global": (),
+    "dense_int_key": ("o_custkey",),
+    "string_key": ("o_orderpriority",),
+    "composite_key": ("o_orderstatus", "o_orderpriority"),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("shape", list(_AGG_KEY_SHAPES))
+def test_every_aggregate_kind_on_every_key_shape(tpch_catalog, shape, engine):
+    """Each aggregate kind under each grouping-key shape, on every engine:
+    the shapes pick different aggregation tables in the compiled stacks (a
+    single dense integer key lowers to the dense array), and every table
+    must fold every kind."""
+    specs = [Q.AggSpec("sum", col("o_totalprice"), "total"),
+             Q.AggSpec("count", None, "n"),
+             Q.AggSpec("avg", col("o_totalprice"), "mean"),
+             Q.AggSpec("min", col("o_orderdate"), "first"),
+             Q.AggSpec("max", col("o_orderdate"), "last"),
+             Q.AggSpec("count_distinct", col("o_clerk"), "clerks")]
+    assert {spec.kind for spec in specs} == set(Q.AGG_KINDS)
+    plan = Q.Agg(Q.Scan("orders"),
+                 [(name, col(name)) for name in _AGG_KEY_SHAPES[shape]], specs)
+    rows = BenchmarkHarness(tpch_catalog).run_once(f"agg_{shape}", engine, plan)
+    assert_rows_equivalent(VolcanoEngine(tpch_catalog).execute(plan), rows,
+                           context=f"{engine}/{shape}")

@@ -38,7 +38,7 @@ class TestRegistry:
     def test_core_ops_registered(self):
         for op in ("add", "mul", "eq", "if_", "for_range", "list_append",
                    "mmap_add", "hashmap_agg_update", "table_column",
-                   "index_get_unique", "strdict_code", "pool_next"):
+                   "access_partition", "strdict_code", "dense_agg_update"):
             assert is_registered(op), op
 
     def test_effects_of_key_ops(self):

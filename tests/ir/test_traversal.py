@@ -117,15 +117,15 @@ class TestBlockRewriter:
     def test_rewrite_descends_into_loop_bodies(self):
         program, _ = build_loop_program()
 
-        def replace_add_with_max(stmt, rw):
+        def replace_add_with_sub(stmt, rw):
             if stmt.expr.op == "add":
-                return rw.emit("max2", list(stmt.expr.args), hint="m")
+                return rw.emit("sub", list(stmt.expr.args), hint="m")
             return None
 
-        rewritten = rewrite_program(program, replace_add_with_max)
+        rewritten = rewrite_program(program, replace_add_with_sub)
         counts = count_ops(rewritten)
         assert "add" not in counts
-        assert counts["max2"] == 1
+        assert counts["sub"] == 1
 
     def test_rewrite_program_sets_language(self):
         program, _ = build_loop_program()

@@ -8,6 +8,7 @@ from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine
+from repro.planner import Planner, sort_contract
 from repro.robustness.faults import (DataCorruptionFault, EngineFault,
                                      FaultPlan, FaultSpec, TransientFault,
                                      inject)
@@ -19,6 +20,7 @@ from repro.stack.configs import build_config
 from repro.storage.access import AccessError
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, float_column, int_column
+from repro.tpch.queries import build_query
 
 
 def _select_plan():
@@ -385,29 +387,30 @@ class TestSharingCacheHygiene:
         assert_rows_equivalent(reference, report.rows)
 
 
-class TestLeftOuterLoweringFallback:
-    """The compiled stack silently lowers a leftouter IndexJoin to the hash
-    join; that downgrade must be visible as a lowering_fallback incident."""
+class TestLeftOuterIndexJoinIsNotADowngrade:
+    """A compiled IndexJoin is the hash join it subclasses, so there is no
+    weaker lowering to fall back to and nothing to report: Q13's planned
+    leftouter IndexJoin compiles without an incident."""
 
-    def test_leftouter_index_join_reports_and_stays_correct(self, tpch_catalog):
-        plan = Q.IndexJoin(Q.Scan("customer"), Q.Scan("orders"),
-                           col("c_custkey"), col("o_custkey"),
-                           kind="leftouter", index_table="customer",
-                           index_column="c_custkey")
+    def test_compiling_q13_reports_no_incident(self, tpch_catalog):
+        config = build_config("dblab-5", planner=True)
+        raw = build_query("Q13")
+        plan = Planner.for_catalog(tpch_catalog).optimize(raw)
+        assert any(isinstance(node, Q.IndexJoin) and node.kind == "leftouter"
+                   for node in Q.walk(plan))
         reference = VolcanoEngine(tpch_catalog).execute(plan)
         QueryCompiler.clear_cache()
         DEFAULT_INCIDENTS.clear()
-        config = build_config("dblab-5")
-        compiler = QueryCompiler(config.stack, config.flags)
         try:
-            compiled = compiler.compile(plan, tpch_catalog, "louter_q")
+            compiled = QueryCompiler(config.stack, config.flags).compile(
+                plan, tpch_catalog, "Q13")
             rows = compiled.run(tpch_catalog)
+            reported = DEFAULT_INCIDENTS.snapshot()["total_reported"]
         finally:
-            incidents = DEFAULT_INCIDENTS.records(category="lowering_fallback")
             DEFAULT_INCIDENTS.clear()
-        assert_rows_equivalent(reference, rows)
-        assert len(incidents) == 1
-        assert incidents[0].cause == "leftouter_index_join"
-        assert incidents[0].query == "louter_q"
-        assert incidents[0].tier == "compiled"
-        assert incidents[0].detail["table"] == "customer"
+        assert_rows_equivalent(reference, rows, sort_keys=sort_contract(raw))
+        assert reported == 0
+
+    def test_lowering_fallback_is_not_a_category(self):
+        with pytest.raises(ValueError):
+            IncidentLog().report("lowering_fallback")

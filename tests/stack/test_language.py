@@ -28,15 +28,9 @@ class TestLanguageDefinitions:
         assert SCALITE_LIST.ops <= C_PY.ops
         assert SCALITE.ops <= C_PY.ops
 
-    def test_memory_ops_only_at_cpy(self):
-        for op in ("malloc", "pool_new", "ptr_field_get"):
-            assert C_PY.allows_op(op)
-            assert not SCALITE.allows_op(op)
-            assert not SCALITE_MAP_LIST.allows_op(op)
-
     def test_specialized_structures_not_in_map_list_level(self):
-        """Index/dense structures only appear below ScaLite[Map, List]."""
-        for op in ("index_build_unique", "dense_agg_update"):
+        """Dense structures only appear below ScaLite[Map, List]."""
+        for op in ("dense_agg_new", "dense_agg_update"):
             assert not SCALITE_MAP_LIST.allows_op(op)
             assert SCALITE_LIST.allows_op(op)
 
@@ -78,10 +72,10 @@ class TestValidation:
         program = self._program_with([("add", [1, 2]), ("mul", [3, 4])])
         SCALITE.validate(program)
 
-    def test_map_ops_rejected_above_their_level(self):
-        program = self._program_with([("malloc", [8])])
+    def test_specialized_ops_rejected_above_their_level(self):
+        program = self._program_with([("dense_agg_new", [8])])
         with pytest.raises(LanguageError):
-            SCALITE.validate(program)
+            SCALITE_MAP_LIST.validate(program)
 
     def test_anf_language_rejects_tree_program(self):
         with pytest.raises(LanguageError):

@@ -5,7 +5,7 @@ from repro.ir import IRBuilder, make_program
 from repro.ir.nodes import Const, Program
 from repro.ir.traversal import count_ops, rewrite_program
 from repro.stack import (C_PY, CompilationContext, DslStack, FunctionOptimization,
-                         Lowering, Optimization, OptimizationFlags, QPLAN, SCALITE,
+                         Language, Lowering, Optimization, OptimizationFlags, QPLAN, SCALITE,
                          SCALITE_LIST, SCALITE_MAP_LIST, StackValidationError,
                          TransformationError, apply_fixpoint)
 
@@ -166,11 +166,11 @@ class TestStackCompilation:
 
             def run(self, program, context):
                 builder = IRBuilder()
-                builder.emit("malloc", [8])   # malloc is not allowed in ScaLite
+                builder.emit("list_new", [])   # not in the target's vocabulary
                 return make_program(builder.finish(), [], self.target.name)
 
-        stack = DslStack("bad-stack", [SCALITE_LIST, SCALITE, C_PY],
-                         [BadLowering(SCALITE_LIST, SCALITE),
-                          RenamingLowering(SCALITE, C_PY)])
+        scalars_only = Language("Scalars", level=15, ops=frozenset({"add", "mul"}))
+        stack = DslStack("bad-stack", [SCALITE, scalars_only],
+                         [BadLowering(SCALITE, scalars_only)])
         with pytest.raises(StackValidationError):
-            stack.compile(simple_program("ScaLite[List]"), SCALITE_LIST)
+            stack.compile(simple_program(), SCALITE)

@@ -1,15 +1,12 @@
 """Unit tests for the physical access layer (repro.storage.access)."""
 import threading
 
-import pytest
-
-from repro.codegen.runtime import catalog_key_index, catalog_pruned_indices
+from repro.codegen.runtime import catalog_pruned_indices
 from repro.dsl.expr import col, date, in_list, like, lit
 from repro.dsl.expr_compile import compile_columnar_predicate, compile_row
 from repro.storage.access import (AccessLayer, DictIndex, DirectArray,
                                   PartitionIndex, extract_zone_filters,
                                   rewrite_string_predicates)
-from repro.storage.access import AccessError
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
@@ -274,11 +271,6 @@ class TestPruning:
         catalog = _catalog()
         rows = catalog_pruned_indices(catalog, "R", ())
         assert list(rows) == [0, 1, 2, 3, 4]
-
-    def test_generated_code_key_index_raises_without_an_index(self):
-        catalog = _catalog()
-        with pytest.raises(AccessError):
-            catalog_key_index(catalog, "R", "r_tag")
 
 
 class TestDictionaryRewrite:

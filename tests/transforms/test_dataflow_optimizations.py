@@ -1,6 +1,6 @@
 """Unit tests for the analysis-driven passes: dataflow folding and LICM."""
 
-from repro.ir import IRBuilder, Const, make_program
+from repro.ir import IRBuilder, Const, Sym, make_program
 from repro.ir.traversal import count_ops
 from repro.stack import CompilationContext, OptimizationFlags, SCALITE
 from repro.transforms.folding import DataflowFolding
@@ -37,10 +37,10 @@ class TestDataflowFolding:
 
     def test_unknown_predicate_is_left_alone(self):
         b = IRBuilder()
-        lst = b.emit("list_new", [])
-        n = b.emit("list_len", [lst])          # [0, +inf]: no verdict
+        db = Sym("db")
+        n = b.emit("table_size", [db], attrs={"table": "t"})  # [0, +inf]: no verdict
         cond = b.emit("lt", [n, 100])
-        program = make_program(b.finish(cond), [], "ScaLite")
+        program = make_program(b.finish(cond), [db], "ScaLite")
         assert DataflowFolding(SCALITE).run(program, context()) is program
 
     def test_effectful_dropped_arm_blocks_the_unwrap(self):

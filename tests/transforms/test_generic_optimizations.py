@@ -99,14 +99,6 @@ class TestPartialEvaluation:
         folded = PartialEvaluation(SCALITE).run(program, context())
         assert "div" in count_ops(folded)
 
-    def test_mod_by_zero_not_folded(self):
-        """Folding `7 mod 0` must skip the fold, not raise at compile time."""
-        b = IRBuilder()
-        x = b.emit("mod", [7, 0])
-        program = make_program(b.finish(x), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
-        assert "mod" in count_ops(folded)
-
     def test_mismatched_constant_types_not_folded(self):
         b = IRBuilder()
         x = b.emit("div", [Const("text"), Const(3)])

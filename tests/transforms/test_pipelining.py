@@ -257,7 +257,8 @@ class TestLoweredSemantics:
 
 
 class TestCatalogAccessLowering:
-    """PrunedScan and IndexJoin lower onto the catalog's access layer."""
+    """PrunedScan lowers onto the catalog's access layer; IndexJoin reaches it
+    as the hash join it is."""
 
     def _pruned_plan(self):
         from repro.dsl.expr import date
@@ -289,31 +290,29 @@ class TestCatalogAccessLowering:
         assert "access_pruned_indices" not in ops_used(program)
         assert count_ops(program)["for_range"] >= 1
 
-    def test_inner_index_join_probes_without_a_build(self, tpch_catalog):
-        program, _ = lower(self._index_plan(), tpch_catalog,
-                           build_config("dblab-5").flags)
-        hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
-        assert "access_key_index" in hoisted_ops
-        used = ops_used(program)
-        assert "access_index_lookup" in used
-        assert "mmap_new" not in used and "mmap_add" not in used
+    @pytest.mark.parametrize("kind, partition, single", [
+        ("inner", ("orders", "o_orderkey"), True),
+        ("leftsemi", ("lineitem", "l_orderkey"), False),
+        ("leftouter", ("lineitem", "l_orderkey"), False),
+    ])
+    def test_index_join_is_the_hash_join_over_a_resident_partition(
+            self, tpch_catalog, kind, partition, single):
+        """A compiled IndexJoin has no lowering of its own: the build side of
+        the hash join it subclasses is the catalog's partition — for the
+        inner join's primary-key build, the unique-key index itself."""
+        config = build_config("dblab-5")
+        lowered = QueryCompiler(config.stack, config.flags).lower(
+            self._index_plan(kind), tpch_catalog, "test").program
+        fetches = [s.expr for s in lowered.hoisted.stmts
+                   if s.expr.op == "access_partition"]
+        assert [(e.attrs["table"], e.attrs["column"], e.attrs["single"])
+                for e in fetches] == [partition + (single,)]
+        counts = count_ops(lowered)
+        assert not {"mmap_new", "mmap_add"} & set(counts)
+        # prepare builds nothing: no loop in the hoisted block
+        assert not any(s.expr.blocks for s in lowered.hoisted.stmts)
 
-    def test_semi_index_join_marks_matches_in_a_set(self, tpch_catalog):
-        program, _ = lower(self._index_plan("leftsemi"), tpch_catalog,
-                           build_config("dblab-5").flags)
-        used = ops_used(program)
-        assert {"access_index_lookup", "set_new", "set_add",
-                "set_contains"} <= used
-        assert "mmap_new" not in used
-
-    def test_leftouter_falls_back_to_the_hash_lowering(self, tpch_catalog):
-        program, _ = lower(self._index_plan("leftouter"), tpch_catalog,
-                           build_config("dblab-5").flags)
-        used = ops_used(program)
-        assert "access_index_lookup" not in used
-        assert "mmap_get" in used
-
-    @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti"])
+    @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti", "leftouter"])
     def test_index_join_rows_match_volcano(self, tpch_catalog, kind):
         plan = Q.Agg(self._index_plan(kind), [],
                      [Q.AggSpec("count", None, "n")])
