@@ -25,13 +25,14 @@ pipeline calls between phases; ``python -m repro.analysis.verify`` drives
 the whole battery over the 22 TPC-H queries.
 """
 from .errors import VerificationError
-from .verifier import (audit_optimization, check_language, verify_program,
-                       verify_source)
+from .verifier import (audit_optimization, check_language, confirm_fixpoint,
+                       verify_program, verify_source)
 
 __all__ = [
     "VerificationError",
     "audit_optimization",
     "check_language",
+    "confirm_fixpoint",
     "verify_program",
     "verify_source",
 ]

@@ -8,7 +8,7 @@ binding".
 """
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from ..ir.nodes import Program
 from .codelint import lint_source
@@ -82,6 +82,38 @@ def audit_optimization(before: Any, after: Any,
         audit_transition(before, after, phase=phase)
         audit_dataflow_transition(before, after, catalog=catalog,
                                   justifications=justifications, phase=phase)
+
+
+def confirm_fixpoint(steps: Sequence[Any], program: Any, context: Any,
+                     report: Any) -> None:
+    """The confirming round, as a check instead of a cost.
+
+    ``report`` is what :func:`repro.stack.transformation.apply_fixpoint` said
+    about running ``steps`` to the fixed point ``program``.  The worklist
+    re-ran a step only when a step declaring that it ``enables`` it changed
+    the program, so here every step runs once more: one that still changes
+    the settled program was owed a run by a declaration that left it out.
+    A fixpoint that stopped at the driver's bound is rejected the same way.
+    """
+    from ..stack.transformation import enabled_by
+    if not report.reached_fixpoint:
+        raise VerificationError(
+            f"no fixed point: still queued after {report.runs} runs in "
+            f"{report.iterations} passes over the step list (last changes: "
+            f"{', '.join(report.applied[-len(steps):])})", check="fixpoint")
+    for position, step in enumerate(steps):
+        if step.run(program, context) is program:
+            continue
+        owed = type(step).__name__
+        silent = [other.name for other in steps if other.name in report.applied
+                  and position not in enabled_by(other, steps)]
+        blame = (f"{', '.join(silent)} changed it without declaring `enables` "
+                 f"of {owed}") if silent else (
+            f"every step that changed it declares `enables` of {owed}: an "
+            "`enables_after` left it out of one run")
+        raise VerificationError(
+            f"still changes the program the worklist settled on: {blame}",
+            check="fixpoint", phase=step.name)
 
 
 def verify_source(source: str, phase: Optional[str] = None) -> None:

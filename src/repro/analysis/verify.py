@@ -13,10 +13,19 @@ against the catalog schema, and the generated Python is linted before
 ``exec``.  The compiled query is also executed once so a verification
 pass never reports green on a query that cannot run.  Exit status is 0
 only when every pair verifies.
+
+Verification includes the fixpoint confirmation (every optimization run once
+more on each settled program), so the sweep is also what holds the passes'
+``enables`` declarations.  Per configuration it prints how the worklist went
+— pass ``runs / changed / re-queued``, summed over the queries — and then
+the same counts as one ``fixpoint-runs {json}`` line (what CI keeps as
+``BENCH_fixpoint_runs.json``): they depend on the source alone and repeat
+exactly on any machine.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import List, Optional
@@ -58,14 +67,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     catalog = generate_catalog(scale_factor=args.sf, seed=args.seed)
     failures = 0
+    fixpoint_counts = {}
     started = time.perf_counter()
     for config_name in configs:
         config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags, verify=True)
+        counts = fixpoint_counts[config_name] = {
+            "runs": 0, "changed": 0, "requeued": 0}
         for query_name in queries:
             try:
                 compiled = compiler.compile(build_query(query_name), catalog,
                                             query_name=query_name)
+                for phase in compiled.phases:
+                    counts["runs"] += phase.runs
+                    counts["changed"] += phase.changed
+                    counts["requeued"] += phase.requeued
                 if not args.no_run:
                     compiled.run(catalog)
             except VerificationError as exc:
@@ -78,6 +94,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             else:
                 print(f"ok    {config_name:17s} {query_name}")
     elapsed = time.perf_counter() - started
+    for config_name, counts in fixpoint_counts.items():
+        print(f"fixpoint {config_name:17s} runs {counts['runs']} / changed "
+              f"{counts['changed']} / re-queued {counts['requeued']}")
+    print("fixpoint-runs", json.dumps(fixpoint_counts))
     total = len(configs) * len(queries)
     print(f"{total - failures}/{total} verified clean in {elapsed:.1f}s "
           f"(sf={args.sf}, configs={','.join(configs)})")

@@ -103,6 +103,8 @@ class PlanReport:
     before: str
     after: str
     applied: List[str]
+    #: sweeps of the logical rules (the first of the rule phases), the last
+    #: one — which found nothing left to rewrite — included
     iterations: int
     reached_fixpoint: bool
     estimated_rows_before: float

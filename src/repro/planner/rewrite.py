@@ -129,10 +129,12 @@ def apply_rules_fixpoint(plan: Q.Operator, rules: Sequence[PlanRule],
     """Sweep ``rules`` over the plan until it stops changing.
 
     Returns ``(plan, report)``: :func:`rewrite_sweep` is handed to the
-    stack's fixpoint driver as its single step, so ``report.iterations``
-    counts the confirming sweep and hitting the bound is reported
-    (``reached_fixpoint=False``) rather than raised.  ``report.applied``
-    names the rule applications, not the sweeps.
+    stack's fixpoint driver as its single step.  The sweep declares no
+    ``enables`` — any rule may give any rule work — so a sweep that rewrote
+    something re-queues itself: ``report.iterations`` counts the sweeps run,
+    the last one (which found nothing) included, and hitting the bound is
+    reported (``reached_fixpoint=False``) rather than raised.
+    ``report.applied`` names the rule applications, not the sweeps.
     """
     fired = len(context.applied)
     sweep = FunctionOptimization(

@@ -32,6 +32,12 @@ class PhaseResult:
     language: str
     seconds: float
     detail: str = ""
+    #: how the worklist of an ``"optimization-fixpoint"`` phase went: pass
+    #: runs, runs that changed the program, steps put back on the worklist
+    #: (all 0 for a lowering); ``detail`` names the passes that changed it
+    runs: int = 0
+    changed: int = 0
+    requeued: int = 0
 
 
 @dataclass
@@ -174,9 +180,10 @@ class DslStack:
         """Push ``program`` from ``source`` down to the stack's target language.
 
         At every level the optimizations the stack lists for it are applied
-        to a fixed point, then the unique lowering out of that level
-        translates the program one level down and the result is checked
-        against the vocabulary of its language.  The per-phase timings
+        to a fixed point (a worklist: a pass re-runs when a pass that declares
+        it ``enables`` it changed the program), then the unique lowering out
+        of that level translates the program one level down and the result is
+        checked against the vocabulary of its language.  The per-phase timings
         collected in the result are the data behind Figure 9 (code
         generation time).
 
@@ -187,7 +194,12 @@ class DslStack:
         nothing and is skipped, one that rebuilt an identical program is
         rejected) and each intermediate program is scope-,
         type- and vocabulary-checked, with failures raised as
-        phase-attributed :class:`~repro.analysis.VerificationError`.  A
+        phase-attributed :class:`~repro.analysis.VerificationError`.  Every
+        fixed point is then confirmed: each optimization of the level runs
+        once more on the settled program and must return it, so an
+        ``enables`` declaration that misses an edge — or a fixpoint cut short
+        by the driver's bound — is an error here, never a quietly weaker
+        program.  A
         ``catalog`` additionally resolves table/column attributes against
         the schema.  The default path (``verify=False``) installs no hooks
         and pays nothing.
@@ -202,7 +214,7 @@ class DslStack:
         verify_state = {"language": source}
         if verify:
             from ..analysis import (VerificationError, audit_optimization,
-                                    verify_program)
+                                    confirm_fixpoint, verify_program)
 
             def observer(opt, before, after):
                 if after is before:
@@ -231,13 +243,20 @@ class DslStack:
                 start = time.perf_counter()
                 current_program, report = apply_fixpoint(optimizations, current_program, context,
                                                          observer=observer)
+                if verify:
+                    confirm_fixpoint(optimizations, current_program, context, report)
+                bound = "" if report.reached_fixpoint else \
+                    ", stopped at the bound with steps still queued"
                 result.phases.append(PhaseResult(
                     name=f"optimize[{current_language.name}]",
                     kind="optimization-fixpoint",
                     language=current_language.name,
                     seconds=time.perf_counter() - start,
-                    detail=(f"{report.iterations} iteration(s): "
-                            f"{', '.join(sorted(set(report.applied)))}")))
+                    detail=(f"{report.runs} run(s) in {report.iterations} "
+                            f"iteration(s){bound}: "
+                            f"{', '.join(sorted(set(report.applied)))}"),
+                    runs=report.runs, changed=len(report.applied),
+                    requeued=report.requeued))
 
             lowering = self.lowering_from(current_language)
             if lowering is None:

@@ -158,8 +158,12 @@ def compute_column_statistics(name: str, values,
     stats = ColumnStatistics(name=name, num_rows=len(values))
     if len(values) == 0:
         return stats
-    stats.num_distinct = len(set(values))
-    stats.num_nulls = sum(1 for value in values if value is None)
+    distinct = set(values)
+    stats.num_distinct = len(distinct)
+    nullable = None in distinct
+    del distinct  # the pass's largest temporary: gone before the chunk slices
+    if nullable:
+        stats.num_nulls = sum(1 for value in values if value is None)
     mins: List[Any] = []
     maxs: List[Any] = []
     sorted_ascending = True

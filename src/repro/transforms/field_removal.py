@@ -24,6 +24,9 @@ from ..stack.transformation import Optimization
 class UnusedFieldRemoval(Optimization):
     """Prune scan field lists down to the columns the query references."""
 
+    #: pruning does not change which columns the plan references
+    enables = ()
+
     name = "unused-field-removal[QPlan]"
 
     def __init__(self) -> None:

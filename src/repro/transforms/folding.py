@@ -38,6 +38,11 @@ _PREDICATE_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge",
 class DataflowFolding(Optimization):
     """Fold provably-constant predicates and eliminate decided branches."""
 
+    #: every step: unwrapping a decided branch hands its consumers the taken
+    #: arm's record or constant, tightens the facts of what the ``if_`` used
+    #: to join (this pass again), lifts statements a block up and drops uses
+    enables = None
+
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"dataflow-folding[{language.name}]"

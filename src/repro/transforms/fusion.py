@@ -30,6 +30,10 @@ from .pipelining import _PushCompiler
 class MonadFusionRules(Optimization):
     """Algebraic fusion rules applied inside QMonad (map/map and filter/filter)."""
 
+    #: children fuse before their parent, so one run collapses whole chains
+    #: and fusing maps never makes two filters adjacent (nor the reverse)
+    enables = ()
+
     name = "monad-fusion[QMonad]"
 
     def __init__(self) -> None:

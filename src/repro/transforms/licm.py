@@ -32,6 +32,7 @@ from ..ir.traversal import same_objects
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
+from .memory_hoisting import MemoryAllocationHoisting
 
 #: pure scalar ops that cannot raise on non-null operands
 _HOISTABLE_OPS = frozenset({
@@ -46,6 +47,11 @@ _HOISTED_LOOPS = LOOP_OPS - {"while_"}
 
 class LoopInvariantHoisting(Optimization):
     """Hoist provably-safe invariant bindings out of loop bodies."""
+
+    #: a binding that leaves a top-level loop may go on to loading time;
+    #: it keeps its symbol, operands and liveness, and what leaves an inner
+    #: loop is offered to the outer one in the same run
+    enables = (MemoryAllocationHoisting,)
 
     def __init__(self, language: Language) -> None:
         super().__init__(language)

@@ -27,6 +27,11 @@ HOISTABLE_OPS = {
 class MemoryAllocationHoisting(Optimization):
     """Move loading-time-evaluable statements from the body to the hoisted block."""
 
+    #: a block-free statement moves from the top of the body to the hoisted
+    #: block with its symbol and operands: no use, fact or loop body changes,
+    #: and one run in definition order moves whole chains
+    enables = ()
+
     def __init__(self, language: Language) -> None:
         super().__init__(language)
         self.name = f"allocation-hoisting[{language.name}]"

@@ -14,6 +14,10 @@ from ..ir.traversal import BlockRewriter, rewrite_program
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
+from .dce import DeadCodeElimination
+from .folding import DataflowFolding
+from .licm import LoopInvariantHoisting
+from .memory_hoisting import MemoryAllocationHoisting
 
 _FOLDABLE = {
     "add": operator.add,
@@ -30,6 +34,12 @@ _FOLDABLE = {
 
 class PartialEvaluation(Optimization):
     """Fold pure operations whose arguments are all compile-time constants."""
+
+    #: a folded value is a constant condition (folding), a constant operand
+    #: (invariance, loading-time evaluation) and one use fewer (DCE); it is
+    #: never a record, and chains of folds finish in the same run
+    enables = (DataflowFolding, LoopInvariantHoisting, DeadCodeElimination,
+               MemoryAllocationHoisting)
 
     def __init__(self, language: Language) -> None:
         super().__init__(language)

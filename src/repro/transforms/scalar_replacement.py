@@ -16,10 +16,21 @@ from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
 from .analysis import definition_map
+from .dce import DeadCodeElimination
+from .folding import DataflowFolding
+from .licm import LoopInvariantHoisting
+from .memory_hoisting import MemoryAllocationHoisting
+from .partial_eval import PartialEvaluation
 
 
 class ScalarReplacement(Optimization):
     """Forward record fields read back out of freshly constructed records."""
+
+    #: a forwarded field hands its consumers a constant or an outer symbol
+    #: (folding, invariance, loading-time evaluation) and leaves the record
+    #: dead; nested reads forward in the same run, so not itself
+    enables = (PartialEvaluation, DataflowFolding, LoopInvariantHoisting,
+               DeadCodeElimination, MemoryAllocationHoisting)
 
     def __init__(self, language: Language) -> None:
         super().__init__(language)

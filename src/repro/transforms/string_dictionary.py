@@ -49,6 +49,10 @@ _REWRITABLE = {"eq", "ne", "str_startswith", "str_in"}
 class StringDictionaries(Optimization):
     """Rewrite constant string comparisons into integer comparisons."""
 
+    #: every candidate is rewritten in one run and what it becomes compares
+    #: integer codes, which is not a candidate
+    enables = ()
+
     def __init__(self, language: Language = SCALITE_MAP_LIST) -> None:
         super().__init__(language)
         self.name = f"string-dictionaries[{language.name}]"

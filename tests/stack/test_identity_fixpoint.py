@@ -3,10 +3,12 @@
 *A pass that changes nothing returns its input.*  The one driver
 (:func:`repro.stack.transformation.apply_fixpoint`; the planner's
 :func:`repro.planner.rewrite.apply_rules_fixpoint` hands it a rule sweep as
-its single step) detects convergence by object identity and never prints a
-program, so the contract is what makes it terminate early — and the golden
-source digests are what show that finding the fixed point differently, or
-building the stacks from a table, did not move it.
+its single step) detects a change by object identity and never prints a
+program, and re-runs a pass only when a pass that declares it ``enables`` it
+changed the program — so the contract, and the declarations, are what let it
+stop early.  The golden source digests are what show that finding the fixed
+point differently, or building the stacks from a table, did not move it:
+a declaration that misses an edge would leave a program one rewrite short.
 """
 import hashlib
 
@@ -132,11 +134,58 @@ class TestPassContract:
             assert report.iterations == 1 and report.reached_fixpoint
 
 
+class TestDeclarations:
+    def test_every_listed_pass_states_what_it_enables(self):
+        """The nine passes the configurations list each carry a declaration
+        of their own; only folding's is the conservative "every step"."""
+        listed = {type(opt) for name in CONFIG_NAMES
+                  for opt in build_config(name).stack.optimizations}
+        assert len(listed) == 9
+        assert all("enables" in vars(cls) for cls in listed)
+        assert [cls.__name__ for cls in listed if cls.enables is None] \
+            == ["DataflowFolding"]
+        # one pass says more per change than its declaration
+        assert [cls.__name__ for cls in listed if "enables_after" in vars(cls)] \
+            == ["DeadCodeElimination"]
+        # a declared class is a pass some stack lists beside the declarer
+        assert all(enabled in listed for cls in listed
+                   for enabled in cls.enables or ())
+
+    def test_pass_runs_on_the_planned_queries_are_pinned(self, tpch_catalog):
+        """dblab-5, planner on, 22 queries: 8 steps each is 176 runs; folding
+        changes 3 programs and re-queues the two passes before it and itself
+        (9 more); no sweep of DCE's takes a reader from a branch, an
+        allocation or a write.  The round-robin made 317 runs for the same
+        60 changes."""
+        config = build_config("dblab-5", planner=True)
+        compiler = QueryCompiler(config.stack, config.flags)
+        runs = changed = requeued = 0
+        for query in QUERY_NAMES:
+            lowered = compiler.lower(build_query(query), tpch_catalog, query)
+            for phase in lowered.phases:
+                assert "bound" not in phase.detail
+                runs += phase.runs
+                changed += phase.changed
+                requeued += phase.requeued
+        assert (runs, changed, requeued) == (185, 60, 9)
+
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
+    def test_the_confirmation_holds_on_every_planned_query(
+            self, tpch_catalog, config_name):
+        """``verify=True`` runs every pass once more on each settled program
+        (and raises ``check="fixpoint"`` if one still changes it)."""
+        config = build_config(config_name, planner=True)
+        compiler = QueryCompiler(config.stack, config.flags, verify=True)
+        for query in QUERY_NAMES:
+            assert compiler.lower(build_query(query), tpch_catalog, query).program
+
+
 class TestDrivers:
     def test_report_separates_changers_from_runs(self):
         """``applied`` names the passes that changed the program, ``runs``
-        counts every pass run, and the no-op pass right after the last
-        changer is not run a second time."""
+        counts every pass run, and — undeclared steps re-queue every step —
+        the no-op pass still queued when the last changer ran is not run a
+        second time."""
         calls = []
 
         def noop(name):
@@ -162,8 +211,8 @@ class TestDrivers:
         _, report = apply_fixpoint(passes, start, CompilationContext())
         assert report.reached_fixpoint
         assert report.applied == ["fold"]
-        # round 1: a, fold (changes), b; round 2: a, fold — `b` already
-        # returned its input for this very program
+        # pass 1: a, fold (changes: re-queues a and itself), b; pass 2: a,
+        # fold — `b` already returned its input for this very program
         assert calls == ["a", "fold", "b", "a", "fold"]
         assert report.runs == 5 and report.iterations == 2
 

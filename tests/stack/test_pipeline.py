@@ -1,6 +1,7 @@
 """Unit tests for the DSL stack pipeline and its principle checks."""
 import pytest
 
+from repro.analysis import VerificationError
 from repro.ir import IRBuilder, make_program
 from repro.ir.nodes import Const, Program
 from repro.ir.traversal import count_ops, rewrite_program
@@ -94,6 +95,186 @@ class TestFixpoint:
         result, report = apply_fixpoint([], program, CompilationContext())
         assert result is program
         assert report.reached_fixpoint
+
+
+def round_robin(steps, program, context):
+    """The driver as it was before the worklist: whole rounds, until every
+    step in a row has returned its input.  Returns ``(program, runs)``."""
+    unchanged, runs = 0, 0
+    while True:
+        for step in steps:
+            before, program = program, step.run(program, context)
+            runs += 1
+            unchanged = unchanged + 1 if program is before else 0
+            if unchanged == len(steps):
+                return program, runs
+
+
+class _Grow(Optimization):
+    """Appends ``mark`` to a tuple program while its length has ``parity``
+    and is below 5 — so two of them hand each other work, ping-pong."""
+
+    def __init__(self, mark, parity, calls):
+        super().__init__(SCALITE)
+        self.name = self.mark = mark
+        self.parity, self.calls = parity, calls
+
+    def run(self, program, context):
+        self.calls.append(self.mark)
+        if len(program) < 5 and len(program) % 2 == self.parity:
+            return program + (self.mark,)
+        return program
+
+
+class TestWorklist:
+    def test_undeclared_steps_reproduce_the_round_robin(self):
+        """A enables B enables A, nothing declared: the conservative default
+        re-queues everyone, which is the old driver run for run."""
+        old_calls, new_calls = [], []
+        expected, old_runs = round_robin(
+            [_Grow("a", 1, old_calls), _Grow("b", 0, old_calls)], ("x",), None)
+        steps = [_Grow("a", 1, new_calls), _Grow("b", 0, new_calls)]
+        assert all(step.enables is None for step in steps)
+        result, report = apply_fixpoint(steps, ("x",), CompilationContext())
+        assert result == expected == ("x", "a", "b", "a", "b")
+        assert new_calls == old_calls == ["a", "b"] * 3
+        assert report.runs == old_runs == 6 and report.iterations == 3
+        assert report.applied == ["a", "b", "a", "b"]
+        assert report.reached_fixpoint
+
+    def test_a_declared_ping_pong_skips_the_runs_nobody_asked_for(self):
+        class Ping(_Grow):
+            pass
+
+        class Pong(_Grow):
+            enables = (Ping,)
+
+        Ping.enables = (Pong,)
+        calls = []
+        result, report = apply_fixpoint(
+            [Ping("a", 1, calls), Pong("b", 0, calls)], ("x",),
+            CompilationContext())
+        assert result == ("x", "a", "b", "a", "b")
+        # the last change was b's: it owes a run to a, and to nobody else
+        assert calls == ["a", "b", "a", "b", "a"]
+        assert report.runs == 5 and report.requeued == 3
+
+    def test_a_step_may_name_fewer_classes_for_one_change(self):
+        """``enables_after(before)`` is asked instead of ``enables`` when the
+        step changed ``before``; the default answers ``enables``."""
+        class Ping(_Grow):
+            pass
+
+        class Pong(_Grow):
+            enables = (Ping,)
+
+            def enables_after(self, before):
+                return () if len(before) == 4 else self.enables
+
+        Ping.enables = (Pong,)
+        assert Ping("a", 1, []).enables_after(("x",)) == (Pong,)
+        calls = []
+        result, report = apply_fixpoint(
+            [Ping("a", 1, calls), Pong("b", 0, calls)], ("x",),
+            CompilationContext())
+        assert result == ("x", "a", "b", "a", "b")
+        # b's last change (of a 4-tuple) owed nobody a run
+        assert calls == ["a", "b", "a", "b"]
+        assert report.runs == 4 and report.requeued == 2
+
+    def test_a_step_that_enables_nothing_is_followed_by_no_rerun(self):
+        class Settles(_Grow):
+            enables = ()
+
+        calls = []
+        result, report = apply_fixpoint(
+            [_Grow("never", 0, calls), Settles("once", 1, calls)], ("x",),
+            CompilationContext())
+        assert result == ("x", "once")
+        assert calls == ["never", "once"]
+        assert (report.runs, report.iterations, report.requeued) == (2, 1, 0)
+        assert report.applied == ["once"] and report.reached_fixpoint
+
+
+class SubToAdd(Optimization):
+    """``sub(a, b)`` over constants becomes ``add(a, -b)``: work for
+    :class:`ConstantFolding`, whatever this pass declares."""
+
+    name = "sub-to-add"
+
+    def run(self, program, context):
+        def rewrite(stmt, rw):
+            args = stmt.expr.args
+            if stmt.expr.op == "sub" and all(isinstance(a, Const) for a in args):
+                return rw.emit("add", [args[0], Const(-args[1].value)])
+            return None
+        return rewrite_program(program, rewrite, language=program.language)
+
+
+class SilentSubToAdd(SubToAdd):
+    #: deliberately wrong: it creates a foldable ``add``
+    enables = ()
+
+
+def sub_program():
+    builder = IRBuilder()
+    x = builder.emit("sub", [5, 2])
+    return make_program(builder.finish(builder.emit("mul", [x, 3])), [], "ScaLite")
+
+
+class TestFixpointConfirmation:
+    def _stack(self, *optimizations):
+        return DslStack("two", [SCALITE, C_PY], [RenamingLowering(SCALITE, C_PY)],
+                        list(optimizations))
+
+    def test_an_honest_declaration_verifies(self):
+        class HonestSubToAdd(SubToAdd):
+            enables = (ConstantFolding,)
+
+        for rewrite in (SubToAdd(SCALITE), HonestSubToAdd(SCALITE)):
+            stack = self._stack(ConstantFolding(SCALITE), rewrite)
+            result = stack.compile(sub_program(), SCALITE, verify=True)
+            assert count_ops(result.program) == {}
+            phase = result.phases[0]
+            assert phase.detail.endswith(": constant-folding, sub-to-add")
+            # folding declares nothing, so it re-queued the rewrite (and itself)
+            assert (phase.runs, phase.changed, phase.requeued) == (5, 2, 3)
+
+    def test_a_wrong_declaration_passes_unverified_and_fails_verified(self):
+        stack = self._stack(ConstantFolding(SCALITE), SilentSubToAdd(SCALITE))
+        weaker = stack.compile(sub_program(), SCALITE)
+        assert weaker.phases[0].detail == "2 run(s) in 1 iteration(s): sub-to-add"
+        assert (weaker.phases[0].runs, weaker.phases[0].requeued) == (2, 0)
+        assert count_ops(weaker.program) == {"add": 1, "mul": 1}   # unfolded
+        with pytest.raises(VerificationError) as err:
+            stack.compile(sub_program(), SCALITE, verify=True)
+        assert err.value.check == "fixpoint"
+        assert err.value.phase == "constant-folding"        # who was owed a run
+        assert "sub-to-add" in err.value.detail             # by whom
+        assert "ConstantFolding" in err.value.detail
+
+    def test_hitting_the_bound_is_reported_and_fails_verified(self):
+        """``DslStack.compile`` used to drop ``reached_fixpoint``."""
+        class Flip(Optimization):
+            name = "flip"
+
+            def run(self, program, context):
+                def swap(stmt, rw):
+                    if stmt.expr.op == "mul" and len(stmt.expr.args) == 2:
+                        return rw.emit("mul", reversed(stmt.expr.args))
+                    return None
+                return rewrite_program(program, swap, language=program.language)
+
+        stack = self._stack(Flip(SCALITE))
+        phase = stack.compile(simple_program(), SCALITE).phases[0]
+        assert phase.detail == ("8 run(s) in 8 iteration(s), stopped at the "
+                                "bound with steps still queued: flip")
+        with pytest.raises(VerificationError) as err:
+            stack.compile(simple_program(), SCALITE, verify=True)
+        assert err.value.check == "fixpoint" and "no fixed point" in err.value.detail
+        settled = self._stack(ConstantFolding(SCALITE)).compile(
+            simple_program(), SCALITE)
+        assert "bound" not in settled.phases[0].detail
 
 
 class TestStackValidation:

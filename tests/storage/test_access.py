@@ -394,6 +394,17 @@ class TestStatisticsZoneMaps:
         assert stats.zone_map.maxs == [2047, 4095, 4999]
         assert stats.sorted_ascending
 
+    def test_nulls_are_counted_only_where_the_distinct_set_holds_one(self):
+        from repro.storage.statistics import compute_column_statistics
+        assert compute_column_statistics("c", [3, 1, 2, 1]).num_nulls == 0
+        nulls = compute_column_statistics("c", [None, "a", None, "b", None])
+        assert nulls.num_nulls == 3 and nulls.num_distinct == 3
+        assert nulls.zone_map is None       # None among strings: no order
+        assert compute_column_statistics("c", [None, None]).num_nulls == 2
+        # 0 / 0.0 / False / "" are values, not NULLs
+        assert compute_column_statistics("c", [0, 0.0, False]).num_nulls == 0
+        assert compute_column_statistics("c", ["", "x"]).num_nulls == 0
+
     def test_columns_by_name_merges_tables(self):
         catalog = _catalog()
         merged = catalog.statistics.columns_by_name()

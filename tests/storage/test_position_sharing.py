@@ -19,11 +19,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.robustness.fallback import HardenedExecutor
+from repro.storage import access
 from repro.storage.access import (DictIndex, DirectArray, PartitionIndex,
                                   SortedColumn, _Bounds)
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
-from repro.storage.schema import TableSchema, int_column
+from repro.storage.schema import (TableSchema, float_column, int_column,
+                                  string_column)
 from repro.tpch.dbgen import generate_catalog
 from repro.tpch.queries import QUERY_NAMES, build_query
 
@@ -300,6 +302,87 @@ class TestSliceBoundsNeedNoSortedCopy:
             assert (start, stop) == _values_list_bisect(ordered, bounds)
             assert [index.source[i] for i in index.permutation[start:stop]] \
                 == ordered[start:stop]
+
+
+# ---------------------------------------------------------------------------
+# (d') the bucketed permutation is the comparison sort's permutation
+# ---------------------------------------------------------------------------
+def _one_column_catalog(make_column, values):
+    catalog = Catalog()
+    catalog.register(ColumnarTable(
+        TableSchema("T", [int_column("t_id"), make_column("t_c")],
+                    primary_key=("t_id",)),
+        {"t_id": list(range(len(values))), "t_c": list(values)}))
+    return catalog
+
+
+#: (column constructor, values drawn from a pool of ``num_distinct``): the
+#: pool size against the row count puts a column on either side of
+#: ``_BUCKET_ROWS_PER_VALUE``
+_DUPLICATED_COLUMNS = st.integers(1, 40).flatmap(lambda num_distinct: st.one_of(
+    st.tuples(st.just(int_column),
+              st.lists(st.integers(-num_distinct, num_distinct // 2),
+                       min_size=2, max_size=120)),
+    st.tuples(st.just(float_column),
+              st.lists(st.integers(0, num_distinct).map(lambda n: n / 4 - 2.0),
+                       min_size=2, max_size=120)),
+    st.tuples(st.just(string_column),
+              st.lists(st.integers(0, num_distinct).map(lambda n: f"w{n % 7}{n}"),
+                       min_size=2, max_size=120))))
+
+
+class TestBucketedPermutation:
+    @SETTINGS
+    @given(_DUPLICATED_COLUMNS)
+    def test_equals_the_stable_sort_on_both_sides_of_the_break_even(self, drawn):
+        make_column, values = drawn
+        catalog = _one_column_catalog(make_column, values)
+        layer = catalog.access_layer()
+        index = layer.sorted_column("T", "t_c")
+        expected = sorted(range(len(values)), key=values.__getitem__)
+        # the bucket build itself, whichever builder the layer chose below
+        bucketed = list(range(len(values)))
+        access._bucket_sort(bucketed, values)
+        assert bucketed == expected
+        if index.identity:
+            assert expected == list(range(len(values)))
+            return
+        assert index.permutation == expected
+        assert all(map(operator.is_, index.permutation,
+                       map(layer._positions.__getitem__, index.permutation)))
+
+    @pytest.mark.parametrize("rows_per_value, bucketed", [
+        (access._BUCKET_ROWS_PER_VALUE - 1, False),
+        (access._BUCKET_ROWS_PER_VALUE, True)])
+    def test_the_choice_reads_rows_per_distinct_value(self, monkeypatch,
+                                                      rows_per_value, bucketed):
+        """An observed property of the column picks the builder: the same 10
+        values repeated below / at the break-even."""
+        values = [(7 * i) % 10 for i in range(10 * rows_per_value)]
+        catalog = _one_column_catalog(int_column, values)
+        sorts = []
+        real_sorted = sorted
+
+        def spy(iterable, **kwargs):
+            result = real_sorted(iterable, **kwargs)
+            sorts.append(len(result))
+            return result
+
+        monkeypatch.setattr(access, "sorted", spy, raising=False)
+        index = catalog.access_layer().sorted_column("T", "t_c")
+        # only the bucketed build sorts anything through ``sorted``: its keys
+        assert sorts == ([10] if bucketed else [])
+        assert index.permutation == real_sorted(range(len(values)),
+                                                key=values.__getitem__)
+
+    def test_tpch_columns_on_both_sides(self, warm_catalog):
+        layer = warm_catalog.access_layer()
+        for table, column in (("lineitem", "l_returnflag"), ("lineitem", "l_shipdate"),
+                              ("lineitem", "l_discount"), ("orders", "o_orderdate"),
+                              ("orders", "o_totalprice"), ("customer", "c_acctbal")):
+            values = warm_catalog.column(table, column)
+            assert layer.sorted_column(table, column).permutation == \
+                sorted(range(len(values)), key=values.__getitem__), column
 
 
 # ---------------------------------------------------------------------------
