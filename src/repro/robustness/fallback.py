@@ -45,6 +45,7 @@ from ..engine.volcano import VolcanoEngine
 from ..planner import Planner, PlannerOptions
 from ..storage.access import AccessError, AccessLayer
 from ..storage.catalog import Catalog
+from ..storage.derived import repeat_traffic
 from .faults import DataCorruptionFault, TransientFault, fault_point
 from .governor import BudgetExceeded, QueryBudget, governed
 from .incidents import DEFAULT_INCIDENTS, IncidentLog
@@ -363,10 +364,13 @@ class HardenedExecutor:
         (populating the catalog's derived cache) and runs ``prepare`` so the
         catalog-resident access structures the query needs are built before
         traffic arrives.  Returns the compile seconds spent (0.0 on a cache
-        hit).  Used by the serving front door's warm-up.
+        hit).  Used by the serving front door's warm-up, which declares its
+        queries repeat traffic: the planned tree and the compiled entry go
+        to the protected segments, where one-shot plans cannot evict them.
         """
-        compiled = self._compilers["access"].compile(
-            self._plan(plan, "access"), self.catalog, query_name)
+        with repeat_traffic():
+            compiled = self._compilers["access"].compile(
+                self._plan(plan, "access"), self.catalog, query_name)
         compiled.prepare(self.catalog)
         return 0.0 if compiled.cache_hit else compiled.compile_seconds
 

@@ -60,10 +60,10 @@ class TestSeededMutations:
         report = mutate(
             DERIVED,
             """            self._invalidations += 1
-            self._entries.clear()""",
+            self._probation.clear()""",
             """            self._invalidations += 1
             self.layer.invalidate_table("lineitem")
-            self._entries.clear()""")
+            self._probation.clear()""")
         assert matching(report, "lock-order-cycle")
 
     def test_blocking_fault_action_moved_under_the_plan_lock(self):
@@ -149,3 +149,28 @@ class TestSeededMutations:
     def _trim(self, kind: str) -> None:""",
             """    def _trim(self, kind: str) -> None:""")
         assert matching(report, "unguarded-access", "DerivedCache._trim")
+
+    def test_promotion_moved_outside_the_cache_lock(self):
+        """A probation hit promoted after the lookup's lock block (a race
+        with a concurrent invalidation could re-insert a dropped entry) →
+        unguarded-access on both segments."""
+        report = mutate(
+            DERIVED,
+            """            if key in probation:
+                value = protected[key] = probation.pop(key)
+                self._trim(kind)
+                self.stats[kind].hits += 1
+                return value, True
+            started_at = self._invalidations
+""",
+            """            promote = key in probation
+            started_at = self._invalidations
+        if promote:
+            value = self._protected[kind][key] = self._probation[kind].pop(key)
+            with self._lock:
+                self._trim(kind)
+                self.stats[kind].hits += 1
+            return value, True
+""")
+        assert matching(report, "unguarded-access", "DerivedCache._protected")
+        assert matching(report, "unguarded-access", "DerivedCache._probation")

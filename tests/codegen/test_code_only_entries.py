@@ -53,8 +53,10 @@ def test_warm_cache_entries_reach_no_ir():
     executor = HardenedExecutor(catalog)
     for name in QUERY_NAMES:
         executor.warm(build_query(name), name)
-    entries = list(catalog.access_layer().derived._entries[COMPILED].values())
-    assert len(entries) == len(QUERY_NAMES)
+    derived = catalog.access_layer().derived
+    # warmed entries are declared repeat traffic: all of them protected
+    entries = list(derived._protected[COMPILED].values())
+    assert len(entries) == derived.entry_count(COMPILED) == len(QUERY_NAMES)
     assert all(isinstance(entry, CompiledQuery) for entry in entries)
 
     reached = reachable_instances(entries, exclude=[catalog])

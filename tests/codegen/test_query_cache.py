@@ -7,7 +7,9 @@ import pytest
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
+from repro.dsl.qmonad import QueryMonad, to_qplan
 from repro.stack.configs import build_config
+from repro.storage.derived import PROBATION
 from repro.tpch.dbgen import generate_catalog
 
 
@@ -150,6 +152,52 @@ class TestCompiledQueryCache:
         assert QueryCompiler.cache_stats.misses == 0
 
 
+def _chain():
+    """The QMonad spelling of :func:`_plan`."""
+    return (QueryMonad.table("R").filter(col("r_name") == "R1")
+            .hashJoin(QueryMonad.table("S"), col("r_sid"), col("s_rid"))
+            .fold([Q.AggSpec("count", None, "n")]))
+
+
+class TestQMonadChains:
+    """A chain is keyed by the fingerprint of the QPlan tree shortcut fusion
+    lowers it through, tagged with its front end."""
+
+    def _compiler(self, verify=False):
+        config = build_config("dblab-5")
+        return QueryCompiler(config.stack, config.flags, verify=verify)
+
+    def test_second_compile_of_a_chain_is_a_hit(self, tiny_catalog):
+        compiler = self._compiler()
+        first = compiler.compile(_chain(), tiny_catalog, "chain")
+        second = compiler.compile(_chain(), tiny_catalog, "chain")
+        assert not first.cache_hit and second.cache_hit
+        assert compiler.is_cached(_chain(), tiny_catalog, "chain")
+        assert second.source == first.source
+        assert second.run(tiny_catalog) == first.run(tiny_catalog)
+        assert (QueryCompiler.cache_stats.hits,
+                QueryCompiler.cache_stats.misses) == (1, 1)
+
+    def test_a_chain_and_its_qplan_tree_are_separate_entries(self, tiny_catalog):
+        compiler = self._compiler()
+        tree = to_qplan(_chain())
+        compiler.compile(tree, tiny_catalog, "q")
+        assert not compiler.compile(_chain(), tiny_catalog, "q").cache_hit
+        assert compiler.compile(tree, tiny_catalog, "q").cache_hit
+        assert QueryCompiler.cache_len() == 2
+
+    def test_verify_bypasses_the_cache_in_both_directions(self, tiny_catalog):
+        plain, checked = self._compiler(), self._compiler(verify=True)
+        plain.compile(_chain(), tiny_catalog, "chain")
+        # a cached unverified compile does not satisfy a verifying one ...
+        assert not checked.compile(_chain(), tiny_catalog, "chain").cache_hit
+        assert not checked.is_cached(_chain(), tiny_catalog, "chain")
+        # ... and a verifying compile stores nothing
+        checked.compile(_chain(), tiny_catalog, "other")
+        assert QueryCompiler.cache_len() == 1
+        assert not plain.compile(_chain(), tiny_catalog, "other").cache_hit
+
+
 class TestAccessLayerGeneration:
     """Re-registering a table must invalidate memoized compiled queries.
 
@@ -230,8 +278,9 @@ def bounded_capacity():
 
 
 class TestCacheBounds:
-    """The compiled-query cache is a bounded LRU: a long-lived process must
-    not grow it without limit, and recency must decide who gets evicted."""
+    """The compiled-query cache is a bounded, segmented LRU: a long-lived
+    process must not grow it without limit, a compile stays resident only if
+    it repeats, and recency decides who goes within each segment."""
 
     def _compiler(self):
         config = build_config("dblab-5")
@@ -242,26 +291,27 @@ class TestCacheBounds:
         with pytest.raises(CompilerError, match="positive"):
             QueryCompiler.set_cache_capacity(0)
 
-    def test_inserts_beyond_capacity_evict_lru_first(self, tiny_catalog,
-                                                     bounded_capacity):
-        QueryCompiler.set_cache_capacity(2)
+    def test_one_shot_compiles_beyond_probation_evict_oldest_first(
+            self, tiny_catalog, bounded_capacity):
         compiler = self._compiler()
-        for n in range(3):
+        for n in range(PROBATION + 1):
             compiler.compile(_distinct_plan(n), tiny_catalog, "q")
-        assert QueryCompiler.cache_len() == 2
+        assert QueryCompiler.cache_len() == PROBATION
         assert QueryCompiler.cache_stats.evictions == 1
-        # plan 0 was least recently used: recompiling it misses
+        # plan 0 was the oldest never-hit compile: recompiling it misses
         assert not compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
-        # plan 2 survived the plan-0 reinsert (which evicted plan 1)
-        assert compiler.compile(_distinct_plan(2), tiny_catalog, "q").cache_hit
+        # the newest survived the plan-0 reinsert (which evicted plan 1)
+        assert compiler.compile(_distinct_plan(PROBATION), tiny_catalog,
+                                "q").cache_hit
+        assert not compiler.is_cached(_distinct_plan(1), tiny_catalog, "q")
 
-    def test_cache_hits_refresh_recency(self, tiny_catalog, bounded_capacity):
-        QueryCompiler.set_cache_capacity(2)
+    def test_a_cache_hit_outlasts_a_burst_of_one_shot_compiles(
+            self, tiny_catalog, bounded_capacity):
         compiler = self._compiler()
         compiler.compile(_distinct_plan(0), tiny_catalog, "q")
-        compiler.compile(_distinct_plan(1), tiny_catalog, "q")
         assert compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
-        compiler.compile(_distinct_plan(2), tiny_catalog, "q")  # evicts plan 1
+        for n in range(1, PROBATION + 2):  # evicts plan 1
+            compiler.compile(_distinct_plan(n), tiny_catalog, "q")
         assert compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
         assert not compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
 
@@ -271,11 +321,12 @@ class TestCacheBounds:
         compiler = self._compiler()
         for n in range(4):
             compiler.compile(_distinct_plan(n), tiny_catalog, "q")
+        assert compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
         QueryCompiler.set_cache_capacity(1)
         assert QueryCompiler.cache_len() == 1
         assert QueryCompiler.cache_stats.evictions == 3
-        # the survivor is the most recently inserted plan
-        assert compiler.compile(_distinct_plan(3), tiny_catalog, "q").cache_hit
+        # the survivor is the plan that repeated, not the newest insert
+        assert compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
 
     def test_generation_bump_evicts_stale_entries(self, tiny_catalog,
                                                   bounded_capacity):

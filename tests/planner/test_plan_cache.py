@@ -15,7 +15,7 @@ from repro.planner import Planner, PlannerOptions
 from repro.robustness.fallback import HardenedExecutor
 from repro.robustness.incidents import IncidentLog
 from repro.storage.access import AccessLayer
-from repro.storage.derived import PLANS
+from repro.storage.derived import PLANS, PROBATION
 from repro.storage.layouts import ColumnarTable
 
 
@@ -119,3 +119,17 @@ class TestPlannedTreesAreBounded:
             assert not any("plan" in name for name in vars(executor))
         finally:
             QueryCompiler.set_cache_capacity(saved)
+
+    def test_one_shot_planned_trees_stay_in_probation(self, tiny_catalog):
+        """At the default capacity, never-repeated plans keep at most
+        ``PROBATION`` planned trees, and a warmed plan outlasts them."""
+        executor = HardenedExecutor(tiny_catalog, tiers=("interpreter",),
+                                    incidents=IncidentLog())
+        warmed = Q.Select(Q.Scan("S"), col("s_val") > -1.0)
+        executor.warm(warmed, "warmed")
+        for n in range(PROBATION + 8):
+            plan = Q.Select(Q.Scan("S"), col("s_val") > float(n))
+            assert executor.execute(plan, f"b{n}").tier == "interpreter"
+        derived = AccessLayer.for_catalog(tiny_catalog).derived
+        assert derived.entry_count(PLANS) == PROBATION + 1
+        assert executor.is_warm(warmed, "warmed")

@@ -2,7 +2,7 @@
 
 The async front door executes queries on a thread pool, so the pieces it
 shares across workers — :class:`IncidentLog`, :class:`CircuitBreaker` and
-the process-wide compiled-query LRU — must hold up under concurrency.
+the process-wide compiled-query cache — must hold up under concurrency.
 These tests hammer each from many threads and assert *exact* counter
 arithmetic (lost updates are the failure mode locks exist to prevent), and
 pin the one genuinely subtle interleaving: a compile that started before a
@@ -22,6 +22,7 @@ from repro.robustness.faults import FaultPlan, FaultSpec, inject
 from repro.robustness.incidents import CATEGORIES, IncidentLog
 from repro.stack.configs import build_config
 from repro.storage.access import AccessLayer
+from repro.storage.derived import COMPILED, PROBATION
 
 THREADS = 8
 REPORTS_PER_THREAD = 200
@@ -158,12 +159,16 @@ def _scan_plan(threshold=0.0):
 
 
 class TestCompiledQueryCacheConcurrency:
-    def test_concurrent_hits_and_inserts_stay_bounded(self, tiny_catalog):
+    @pytest.mark.parametrize("capacity", [4, PROBATION + 2])
+    def test_concurrent_hits_and_inserts_stay_bounded(self, tiny_catalog,
+                                                      capacity):
+        """Concurrent misses, probation hits (promotions) and protected hits:
+        both segments stay within their share of the bound."""
         QueryCompiler.clear_cache()
-        QueryCompiler.set_cache_capacity(4)
+        QueryCompiler.set_cache_capacity(capacity)
         try:
             compiler = _compiler()
-            plans = [_scan_plan(i / 10.0) for i in range(8)]
+            plans = [_scan_plan(i / 10.0) for i in range(2 * capacity)]
             barrier = threading.Barrier(THREADS)
             errors = []
 
@@ -180,7 +185,12 @@ class TestCompiledQueryCacheConcurrency:
             with ThreadPoolExecutor(THREADS) as pool:
                 list(pool.map(hammer, range(THREADS)))
             assert errors == []
-            assert QueryCompiler.cache_len() <= 4
+            assert QueryCompiler.cache_len() <= capacity
+            derived = AccessLayer.for_catalog(tiny_catalog).derived
+            room = min(capacity, PROBATION)
+            assert len(derived._probation[COMPILED]) <= room
+            assert len(derived._protected[COMPILED]) <= capacity - room
+            assert QueryCompiler.cache_stats.hits > 0
         finally:
             QueryCompiler.set_cache_capacity(512)
             QueryCompiler.clear_cache()

@@ -289,6 +289,7 @@ class TestGoldenSource:
                                                        config_name):
         config = build_config(config_name)
         compiler = QueryCompiler(config.stack, config.flags)
+        QueryCompiler.clear_cache()  # chains are cached too
         reset_symbol_counter()
         if GOLDEN_QMONAD_SHA256[config_name] is None:
             with pytest.raises(StackValidationError):

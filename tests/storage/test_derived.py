@@ -1,19 +1,24 @@
-"""The derived cache: one bounded LRU class for generation-derived state.
+"""The derived cache: one bounded, segmented LRU class for generation-derived
+state.
 
-Unit tests of :class:`repro.storage.derived.DerivedCache` on its own, the
-invalidation contract through ``Catalog.register``, and a time-bounded
-stress test of the process-wide lock (lost counter updates, bound overruns
-and entries resurrected across an invalidation are what it would show).
+Unit tests of :class:`repro.storage.derived.DerivedCache` on its own (a
+build lands in probation, a hit promotes it, declared repeat traffic goes
+straight to protected, the capacity bounds both segments), the invalidation
+contract through ``Catalog.register``, and a time-bounded stress test of the
+process-wide lock (lost counter updates, bound overruns, promotions racing
+invalidations and entries resurrected across one are what it would show).
 """
 import gc
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro.storage.access import AccessLayer
-from repro.storage.derived import COMPILED, PLANS, DerivedCache
+from repro.storage.derived import (COMPILED, PLANS, PROBATION, DerivedCache,
+                                   repeat_traffic)
 
 
 @pytest.fixture(autouse=True)
@@ -55,38 +60,37 @@ class TestLookup:
         assert not cache.contains(PLANS, "k")
         assert DerivedCache.stats[PLANS].misses == 0
 
-    def test_contains_neither_counts_nor_refreshes_recency(self):
-        DerivedCache.set_capacity(2)
+    def test_contains_neither_counts_nor_promotes(self):
         cache = DerivedCache()
         cache.lookup(PLANS, "old", lambda: 1)
-        cache.lookup(PLANS, "new", lambda: 2)
         assert cache.contains(PLANS, "old")
-        cache.lookup(PLANS, "newer", lambda: 3)  # evicts "old" regardless
+        for n in range(PROBATION):  # one-shot builds push "old" out regardless
+            cache.lookup(PLANS, n, lambda n=n: n)
         assert not cache.contains(PLANS, "old")
         assert DerivedCache.stats[PLANS].hits == 0
 
 
 class TestBound:
-    def test_each_kind_is_bounded_on_its_own_lru_first(self):
-        DerivedCache.set_capacity(2)
+    def test_each_kind_keeps_at_most_probation_one_shot_entries_oldest_out(self):
         cache = DerivedCache()
-        for key in "abc":
-            cache.lookup(PLANS, key, lambda key=key: key)
-            cache.lookup(COMPILED, key, lambda key=key: key)
-        assert cache.entry_count(PLANS) == cache.entry_count(COMPILED) == 2
-        assert not cache.contains(PLANS, "a") and cache.contains(PLANS, "c")
+        for n in range(PROBATION + 1):
+            cache.lookup(PLANS, n, lambda n=n: n)
+            cache.lookup(COMPILED, n, lambda n=n: n)
+        assert cache.entry_count(PLANS) == cache.entry_count(COMPILED) == PROBATION
+        assert not cache.contains(PLANS, 0) and cache.contains(PLANS, PROBATION)
         assert DerivedCache.stats[PLANS].evictions == 1
         assert DerivedCache.stats[COMPILED].evictions == 1
 
-    def test_shrinking_trims_every_live_cache_immediately(self):
+    def test_shrinking_trims_every_live_cache_keeping_what_repeated(self):
         first, second = DerivedCache(), DerivedCache()
-        for n in range(3):
-            first.lookup(PLANS, n, lambda n=n: n)
-            second.lookup(PLANS, n, lambda n=n: n)
+        for cache in (first, second):
+            for n in range(3):
+                cache.lookup(PLANS, n, lambda n=n: n)
+            cache.lookup(PLANS, 0, _never)  # promoted
         assert DerivedCache.total(PLANS) == 6
         DerivedCache.set_capacity(1)
         assert first.entry_count(PLANS) == second.entry_count(PLANS) == 1
-        assert first.contains(PLANS, 2)
+        assert first.contains(PLANS, 0) and second.contains(PLANS, 0)
         assert DerivedCache.stats[PLANS].evictions == 4
 
     def test_a_dead_cache_leaves_the_process_wide_view(self):
@@ -96,6 +100,86 @@ class TestBound:
         del cache
         gc.collect()
         assert DerivedCache.total(PLANS) == 0
+
+
+def _segments(cache, kind=PLANS):
+    """``(probation keys, protected keys)``, oldest first."""
+    return list(cache._probation[kind]), list(cache._protected[kind])
+
+
+class TestSegments:
+    def test_a_hit_in_probation_promotes_the_entry(self):
+        cache = DerivedCache()
+        cache.lookup(PLANS, "k", lambda: "v")
+        assert _segments(cache) == (["k"], [])
+        assert cache.lookup(PLANS, "k", _never) == ("v", True)
+        assert _segments(cache) == ([], ["k"])
+        for n in range(PROBATION + 1):  # a one-shot burst cannot evict it
+            cache.lookup(PLANS, n, lambda n=n: n)
+        assert cache.lookup(PLANS, "k", _never) == ("v", True)
+        assert DerivedCache.stats[PLANS].hits == 2
+
+    def test_a_warm_up_entry_is_protected_without_counting_a_hit(self):
+        cache = DerivedCache()
+        with repeat_traffic():
+            assert cache.lookup(COMPILED, "warm", lambda: "code") == ("code", False)
+        assert _segments(cache, COMPILED) == ([], ["warm"])
+        stats = DerivedCache.stats[COMPILED]
+        assert (stats.hits, stats.misses) == (0, 1)
+        cache.lookup(COMPILED, "after", lambda: "one-shot")  # the scope ended
+        assert _segments(cache, COMPILED) == (["after"], ["warm"])
+
+    def test_invalidate_empties_both_segments(self):
+        cache = DerivedCache()
+        cache.lookup(PLANS, "promoted", lambda: 1)
+        cache.lookup(PLANS, "promoted", _never)
+        cache.lookup(PLANS, "one-shot", lambda: 2)
+        assert _segments(cache) == (["one-shot"], ["promoted"])
+        cache.invalidate()
+        assert cache.entry_count(PLANS) == 0 and _segments(cache) == ([], [])
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_a_build_straddling_an_invalidation_is_stored_in_neither(
+            self, declared):
+        cache = DerivedCache()
+
+        def build_across_a_reload():
+            cache.invalidate()
+            return "stale"
+
+        with repeat_traffic() if declared else nullcontext():
+            assert cache.lookup(PLANS, "k", build_across_a_reload) == \
+                ("stale", False)
+        assert _segments(cache) == ([], [])
+
+    def test_set_capacity_2_trims_both_segments(self):
+        cache = DerivedCache()
+        for key in "abc":
+            cache.lookup(PLANS, key, lambda key=key: key)
+            cache.lookup(PLANS, key, _never)  # promoted
+        for key in "xyz":
+            cache.lookup(PLANS, key, lambda key=key: key)
+        assert _segments(cache) == (list("xyz"), list("abc"))
+        DerivedCache.set_capacity(2)
+        # protected entries past their share (none at capacity <= PROBATION)
+        # go back to probation as its newest, so what repeated is kept longest
+        assert _segments(cache) == (list("bc"), [])
+        assert DerivedCache.stats[PLANS].evictions == 4
+
+    def test_capacity_bounds_both_segments_together(self):
+        DerivedCache.set_capacity(PROBATION + 2)
+        cache = DerivedCache()
+        for key in "abc":
+            cache.lookup(PLANS, key, lambda key=key: key)
+            cache.lookup(PLANS, key, _never)
+        # protected holds capacity - PROBATION: the oldest promoted entry was
+        # demoted to probation, not dropped
+        assert _segments(cache) == (["a"], ["b", "c"])
+        for n in range(PROBATION):
+            cache.lookup(PLANS, n, lambda n=n: n)
+        assert cache.entry_count(PLANS) == PROBATION + 2
+        assert not cache.contains(PLANS, "a")
+        assert DerivedCache.stats[PLANS].evictions == 1
 
 
 class TestInvalidation:
@@ -133,32 +217,43 @@ class TestInvalidation:
 
 @pytest.mark.timeout(60)
 class TestStress:
-    def test_lookups_invalidations_and_rebounds_from_many_threads(self):
+    def test_lookups_promotions_invalidations_and_rebounds_from_many_threads(
+            self):
         """More threads than cores, a short switch interval: every lookup is
-        counted exactly once, no cache ever exceeds the bound, and nothing
-        built before an invalidation is served after it."""
-        threads, rounds, keys = 8, 400, 12
+        counted exactly once, neither segment ever exceeds its share of the
+        bound, promotions race invalidations, and nothing built before an
+        invalidation is served after it."""
+        threads, rounds, keys = 16, 400, PROBATION + 16
+        small, large = PROBATION + 4, PROBATION + 8
         # the bound the workers assert must hold before the first of them
         # runs, not from the disturber's first ``set_capacity`` on: until
-        # then the capacity is what the last test left (512), and a disturber
-        # descheduled for a few hundred microseconds let 12 keys into a cache
-        DerivedCache.set_capacity(8)
+        # then the capacity is what the last test left (512)
+        DerivedCache.set_capacity(large)
         caches = [DerivedCache(), DerivedCache()]
         epoch = [0]  # bumped *before* each invalidation
         errors = []
+        most_protected = [0]
         done = threading.Event()
 
         def worker(index):
             cache = caches[index % 2]
             try:
                 for n in range(rounds):
-                    key = (index * 7 + n) % keys
+                    # every fourth lookup is one hot key: a promotion each
+                    # time an invalidation dropped it
+                    key = "hot" if n % 4 == 0 else (index * 7 + n) % keys
                     seen = epoch[0]
                     built_at, _ = cache.lookup(PLANS, key, lambda: epoch[0])
                     # a value older than the epoch read before the lookup
                     # was built before an invalidation that had finished
                     assert built_at >= seen - 1, (built_at, seen)
-                    assert cache.entry_count(PLANS) <= 8
+                    with DerivedCache._lock:
+                        probation, protected = (len(segment) for segment in
+                                                _segments(cache))
+                        room = min(DerivedCache.capacity, PROBATION)
+                        assert probation <= room
+                        assert protected <= DerivedCache.capacity - room
+                        most_protected[0] = max(most_protected[0], protected)
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -166,7 +261,7 @@ class TestStress:
             n = 0
             while not done.is_set():
                 n += 1
-                DerivedCache.set_capacity(4 if n % 2 else 8)
+                DerivedCache.set_capacity(small if n % 2 else large)
                 epoch[0] += 1
                 for cache in caches:
                     cache.invalidate()
@@ -191,4 +286,5 @@ class TestStress:
         assert errors == []
         stats = DerivedCache.stats[PLANS]
         assert stats.hits + stats.misses == threads * rounds
-        assert all(cache.entry_count(PLANS) <= 8 for cache in caches)
+        assert stats.evictions > 0 and most_protected[0] > 0
+        assert all(cache.entry_count(PLANS) <= large for cache in caches)
