@@ -9,9 +9,10 @@ answer.  This package is that safety net, four cooperating verifiers:
 * :mod:`repro.analysis.scope` — def-use discipline of ANF programs: every
   symbol defined before use, bound exactly once, never referenced outside
   the scope that binds it.
-* :mod:`repro.analysis.typecheck` — per-op signatures (arity, required
-  static attributes, nested-block shapes) and type-consistency rules checked
-  against :mod:`repro.ir.types`.
+* :mod:`repro.analysis.typecheck` — each op's shape as its
+  :mod:`repro.ir.ops` row states it (arity, required static attributes,
+  nested-block shapes) and type-consistency rules checked against
+  :mod:`repro.ir.types`.
 * :mod:`repro.analysis.effects_audit` — each op's declared
   :mod:`repro.ir.effects` summary against its actual use, plus
   before/after legality of optimizations (DCE removed only

@@ -21,11 +21,10 @@ the same depth, so a loop inside a top-level conditional is still depth-0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ...ir.nodes import Block, Program, Stmt, Sym
-from ...ir.ops import effect_of, merge_strategy
-from ..signatures import signature_of
+from ...ir.ops import REGISTRY
 from .framework import CACHE, LOOP_OPS
 
 #: the attribute the annotator stamps onto loop exprs
@@ -98,7 +97,8 @@ def _classify(stmt: Stmt) -> LoopClassification:
     reasons: List[str] = []
 
     for inner, _depth in _walk_body(body):
-        effect = effect_of(inner.expr.op)
+        row = REGISTRY.get(inner.expr.op)
+        effect = row.effect
         if effect.io:
             reasons.append(f"performs I/O ({inner.expr.op})")
             continue
@@ -112,7 +112,7 @@ def _classify(stmt: Stmt) -> LoopClassification:
                 if isinstance(arg, Sym) and arg.id not in local:
                     other_uses.add(arg.id)
             continue
-        mutated = _mutated_arg(inner.expr.op)
+        mutated = row.mutated
         if effect.writes and mutated is None:
             reasons.append(f"untracked write ({inner.expr.op})")
             continue
@@ -120,7 +120,7 @@ def _classify(stmt: Stmt) -> LoopClassification:
             if not isinstance(arg, Sym) or arg.id in local:
                 continue
             if effect.writes and position == mutated:
-                strategy = merge_strategy(inner.expr.op)
+                strategy = row.merge
                 if strategy is None:
                     reasons.append(
                         f"order-dependent write to {arg.hint or arg.name} "
@@ -165,13 +165,6 @@ def _bound_in(body: Block) -> Set[int]:
         for nested in stmt.expr.blocks:
             bound.update(param.id for param in nested.params)
     return bound
-
-
-def _mutated_arg(op: str) -> Optional[int]:
-    try:
-        return signature_of(op).mutated_arg
-    except KeyError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from typing import (Any, Callable, Dict, Iterator, Optional, Protocol, Tuple,
                     TypeVar)
 
 from ...ir.nodes import Block, Program, Stmt, Sym
+from ...ir.ops import REGISTRY
 
 F = TypeVar("F")
 
@@ -69,12 +70,7 @@ class Lattice(Protocol[F]):
 Visit = Tuple[Stmt, Block, int]
 
 #: control ops whose nested blocks re-execute per iteration
-LOOP_OPS = frozenset({"for_range", "while_", "list_foreach",
-                      "hashmap_agg_foreach", "dense_agg_foreach"})
-
-
-def _is_loop(op: str) -> bool:
-    return op in LOOP_OPS
+LOOP_OPS = REGISTRY.select(lambda op: op.loop)
 
 
 def walk_forward(program: Program) -> Iterator[Visit]:
@@ -94,7 +90,7 @@ def _walk_block(block: Block, depth: int, reverse: bool) -> Iterator[Visit]:
     for stmt in stmts:
         if not reverse:
             yield stmt, block, depth
-        inner = depth + 1 if _is_loop(stmt.expr.op) else depth
+        inner = depth + 1 if stmt.expr.op in LOOP_OPS else depth
         for nested in (reversed(stmt.expr.blocks) if reverse
                        else stmt.expr.blocks):
             yield from _walk_block(nested, inner, reverse)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set
 
 from ...ir.nodes import Program, Sym
-from ...ir.ops import effect_of
-from ..signatures import signature_of
+from ...ir.ops import REGISTRY
 from .framework import CACHE, walk_forward
 
 
@@ -66,11 +65,12 @@ def _compute(program: Program) -> PurityFacts:
             use_counts[root.result.id] = use_counts.get(root.result.id, 0) + 1
 
     for stmt, _block, _depth in walk_forward(program):
-        effect = effect_of(stmt.expr.op)
+        row = REGISTRY.get(stmt.expr.op)
+        effect = row.effect
         if effect.allocates and not stmt.expr.blocks:
             allocs.add(stmt.sym.id)
             writes.setdefault(stmt.sym.id, [])
-        mutated = signature_of(stmt.expr.op).mutated_arg if _has_signature(stmt.expr.op) else None
+        mutated = row.mutated
         unit_write = (effect.writes and not effect.reads and not effect.control
                       and mutated is not None
                       and use_counts.get(stmt.sym.id, 0) == 0)
@@ -99,11 +99,3 @@ def _compute(program: Program) -> PurityFacts:
     return PurityFacts(escaping=frozenset(escaping & allocs),
                        removable_objects=frozenset(removable),
                        dead_writes=frozenset(dead_writes))
-
-
-def _has_signature(op: str) -> bool:
-    try:
-        signature_of(op)
-        return True
-    except KeyError:
-        return False

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.analysis.dataflow report [--sf 0.001] [--seed 20160626]
-        [--configs dblab-5,tpch-compliant] [--queries Q1,Q6,...]
+        [--configs dblab-5,tpch-compliant] (default: all six) [--queries Q1,Q6,...]
         [--out BENCH_parallel_safety.json] [--no-planner]
 
 Every (config, query) pair is lowered (``QueryCompiler.lower``) with the full
@@ -22,7 +22,9 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-DEFAULT_CONFIGS = "dblab-5,tpch-compliant"
+from ...stack.configs import CONFIG_NAMES
+
+DEFAULT_CONFIGS = ",".join(CONFIG_NAMES)
 
 
 def build_report(scale_factor: float, seed: int, config_names: List[str],

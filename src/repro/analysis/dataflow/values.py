@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ...ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
+from ...ir.ops import REGISTRY
+from ...ir.types import BOOL
 from .framework import CACHE, use_def
 from .lattices import Interval, Nullability, ValueFact
-
-_COMPARISONS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
-_BOOL_RESULT_OPS = frozenset({"str_contains", "str_startswith", "str_endswith",
-                              "str_like", "str_in"})
 
 
 @dataclass(frozen=True)
@@ -84,17 +82,18 @@ class _ValueAnalysis:
     def _transfer(self, stmt: Stmt) -> None:
         expr = stmt.expr
         op = expr.op
+        row = REGISTRY.get(op)
         fact = ValueFact.top()
 
         if op in ("add", "sub", "mul", "neg"):
             fact = self._arithmetic(op, expr)
         elif op in ("div", "year_of_date"):
             fact = self._conversion(op, expr)
-        elif op in _COMPARISONS:
+        elif row.family == "compare":
             fact = self._comparison(op, expr)
-        elif op in ("and_", "or_", "not_", "band", "bor"):
+        elif row.family == "logic":
             fact = self._logical(op, expr)
-        elif op in _BOOL_RESULT_OPS:
+        elif row.result is BOOL:
             fact = ValueFact(Interval.boolean(), Nullability.NON_NULL)
         elif op == "array_get":
             fact = self._array_get(expr)

@@ -34,13 +34,6 @@ from ..ir.effects import Effect
 from ..ir.nodes import Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import iter_program_stmts
 from .errors import VerificationError
-from .signatures import signature_of
-
-#: ops whose mutated argument may legitimately be a fresh *parameter* of an
-#: enclosing block (foreach callbacks hand the accumulator in as a param)
-_ALLOCATING_OPS = frozenset(
-    name for name in ir_ops.REGISTRY.names()
-    if ir_ops.effect_of(name).allocates)
 
 
 def _err(message: str,
@@ -72,7 +65,7 @@ def effective_effect(expr: Expr) -> Effect:
 # ---------------------------------------------------------------------------
 def _shared_bindings(program: Program) -> Set[int]:
     """Bindings holding (a part of) a catalog-resident, read-only structure:
-    the result of a ``shared_result`` op, an element read out of one (an
+    the result of a ``shared`` op, an element read out of one (an
     element of a shared structure is as shared as the structure), or an
     ``if_`` either arm of which hands one out (a guarded probe)."""
     shared: Set[int] = set()
@@ -84,7 +77,7 @@ def _shared_bindings(program: Program) -> Set[int]:
                 visit(nested)  # arms first: an if_ is judged by their results
             if not ir_ops.is_registered(expr.op):
                 continue  # reported by the audit proper
-            if signature_of(expr.op).shared_result:
+            if ir_ops.REGISTRY.get(expr.op).shared:
                 derived = True
             elif expr.op == "array_get":
                 derived = isinstance(expr.args[0], Sym) \
@@ -111,7 +104,8 @@ def audit_effects(program: Program) -> None:
         if not ir_ops.is_registered(expr.op):
             raise _err(f"op {expr.op!r} has no registered effect",
                        binding=stmt.sym.name)
-        effect = ir_ops.effect_of(expr.op)
+        op = ir_ops.REGISTRY.get(expr.op)
+        effect = op.effect
         if expr.blocks and not effect.control:
             raise _err(
                 f"op {expr.op} carries nested blocks but its declared "
@@ -121,10 +115,8 @@ def audit_effects(program: Program) -> None:
             raise _err(
                 f"control op {expr.op} has no nested blocks",
                 binding=stmt.sym.name)
-        signature = signature_of(expr.op)
-        if signature.mutated_arg is not None:
-            _check_mutation_target(stmt, signature.mutated_arg, allocated,
-                                   shared)
+        if op.mutated is not None:
+            _check_mutation_target(stmt, op.mutated, allocated, shared)
         if effect.allocates:
             allocated.add(stmt.sym.id)
         for block in expr.blocks:
@@ -238,10 +230,7 @@ def _is_dead_object_write(stmt: Stmt, before_index: Dict[int, Stmt],
     escape-refined DCE does — so a removed write is legal when the binding
     it mutates was itself a removed binding of the same program.
     """
-    try:
-        mutated = signature_of(stmt.expr.op).mutated_arg
-    except KeyError:
-        return False
+    mutated = ir_ops.REGISTRY.get(stmt.expr.op).mutated
     if mutated is None or mutated >= len(stmt.expr.args):
         return False
     target = stmt.expr.args[mutated]

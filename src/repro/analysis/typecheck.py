@@ -1,6 +1,6 @@
 """Op-signature and type checking of ANF programs.
 
-Two layers of checking, both driven by :mod:`repro.analysis.signatures`:
+Two layers of checking, both driven by the op rows of :mod:`repro.ir.ops`:
 
 * **structural** — every op is registered, applied with the declared arity,
   carries the static attributes its emission rule reads, and has the
@@ -18,19 +18,18 @@ Two layers of checking, both driven by :mod:`repro.analysis.signatures`:
   constructed, a ``tuple_get`` past the end of its tuple.
 
 When a catalog is supplied, table/column attributes (``table_column``,
-``table_size``, the ``access_*`` and ``index_build_*``/``strdict`` ops) are
+``table_size``, the ``access_*`` and ``strdict_*`` ops) are
 additionally resolved against the schema — the check that catches a field
 removal or access-path rewrite baking in a column that does not exist.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..ir import ops as ir_ops
 from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
 from ..ir.types import (BOOL, DATE, FLOAT, INT, STRING, Type, UNIT, UNKNOWN)
 from .errors import VerificationError
-from .signatures import OpSignature, signature_of
 
 #: types that support arithmetic / ordering against numbers
 _NUMERIC = (INT, FLOAT, DATE, BOOL)
@@ -88,46 +87,43 @@ class TypeChecker:
         expr = stmt.expr
         if expr.op not in ir_ops.REGISTRY:
             raise _err(f"unregistered op {expr.op!r}", binding=stmt.sym.name)
-        signature = signature_of(expr.op)
-        self._check_shape(stmt, signature)
-        self._check_types(stmt, signature)
-        self._check_schema_refs(stmt, signature)
+        op = ir_ops.REGISTRY.get(expr.op)
+        self._check_shape(stmt, op)
+        self._check_types(stmt, op)
+        self._check_schema_refs(stmt, op)
         for nested in expr.blocks:
             self._check_block(nested)
-        self._types[stmt.sym.id] = self._result_type(expr, signature)
+        self._types[stmt.sym.id] = self._result_type(expr, op)
         self._defs[stmt.sym.id] = expr
 
     # ------------------------------------------------------------------
     # Structural checks
     # ------------------------------------------------------------------
-    def _check_shape(self, stmt: Stmt, signature: OpSignature) -> None:
+    def _check_shape(self, stmt: Stmt, op: ir_ops.OpDef) -> None:
         expr = stmt.expr
         name = stmt.sym.name
-        if signature.n_args is not None and len(expr.args) != signature.n_args:
+        if op.variadic and len(expr.args) < op.arity:
             raise _err(
-                f"{expr.op} expects {signature.n_args} argument(s), "
-                f"got {len(expr.args)}", binding=name)
-        if signature.n_args is None and len(expr.args) < signature.min_args:
-            raise _err(
-                f"{expr.op} expects at least {signature.min_args} "
+                f"{expr.op} expects at least {op.arity} "
                 f"argument(s), got {len(expr.args)}", binding=name)
-        for attr in signature.required_attrs:
+        if not op.variadic and len(expr.args) != op.arity:
+            raise _err(
+                f"{expr.op} expects {op.arity} argument(s), "
+                f"got {len(expr.args)}", binding=name)
+        for attr in op.attrs:
             if attr not in expr.attrs:
                 raise _err(f"{expr.op} is missing required attribute "
                            f"{attr!r}", binding=name)
-        opdef = ir_ops.REGISTRY.get(expr.op)
-        if opdef.n_blocks is not None and len(expr.blocks) != opdef.n_blocks:
+        if len(expr.blocks) != len(op.blocks):
             raise _err(
-                f"{expr.op} expects {opdef.n_blocks} nested block(s), "
+                f"{expr.op} expects {len(op.blocks)} nested block(s), "
                 f"got {len(expr.blocks)}", binding=name)
-        if signature.block_params is not None:
-            for i, (nested, expected) in enumerate(
-                    zip(expr.blocks, signature.block_params)):
-                if len(nested.params) != expected:
-                    raise _err(
-                        f"{expr.op} block[{i}] expects {expected} "
-                        f"parameter(s), got {len(nested.params)}",
-                        binding=name)
+        for i, (nested, expected) in enumerate(zip(expr.blocks, op.blocks)):
+            if len(nested.params) != expected:
+                raise _err(
+                    f"{expr.op} block[{i}] expects {expected} "
+                    f"parameter(s), got {len(nested.params)}",
+                    binding=name)
         for arg in expr.args:
             if not isinstance(arg, (Sym, Const)):
                 raise _err(f"{expr.op} applied to a non-atom argument "
@@ -142,19 +138,19 @@ class TypeChecker:
             return _const_type(atom)
         return self._types.get(atom.id, UNKNOWN)
 
-    def _check_types(self, stmt: Stmt, signature: OpSignature) -> None:
+    def _check_types(self, stmt: Stmt, op: ir_ops.OpDef) -> None:
         expr = stmt.expr
         name = stmt.sym.name
-        category = signature.category
+        family = op.family
         types = [self._type_of(a) for a in expr.args]
 
-        if category == "arith":
+        if family == "arith":
             for atom, tpe in zip(expr.args, types):
                 if tpe in (STRING, UNIT):
                     raise _err(
                         f"arithmetic op {expr.op} applied to a {tpe!r} "
                         f"operand {atom!r}", binding=name)
-        elif category == "compare":
+        elif family == "compare":
             left, right = types
             if expr.op in ("lt", "le", "gt", "ge"):
                 for atom, tpe in zip(expr.args, types):
@@ -167,13 +163,13 @@ class TypeChecker:
                 raise _err(
                     f"comparison {expr.op} mixes a string and a numeric "
                     f"operand ({left!r} vs {right!r})", binding=name)
-        elif category == "logic":
+        elif family == "logic":
             for atom, tpe in zip(expr.args, types):
                 if tpe in (STRING, UNIT):
                     raise _err(
                         f"boolean op {expr.op} applied to a {tpe!r} "
                         f"operand {atom!r}", binding=name)
-        elif category == "string":
+        elif family == "string":
             subject = types[0]
             if subject in (INT, FLOAT, DATE, BOOL, UNIT):
                 raise _err(
@@ -194,7 +190,7 @@ class TypeChecker:
                 if not isinstance(length, int) or length < 0:
                     raise _err(f"str_substr length must be a non-negative "
                                f"int, got {length!r}", binding=name)
-        elif category == "control":
+        elif family == "control":
             if expr.op == "for_range":
                 for atom, tpe in zip(expr.args, types):
                     if tpe in (STRING, FLOAT, UNIT):
@@ -204,9 +200,9 @@ class TypeChecker:
             if expr.op == "if_" and types and types[0] in (STRING, UNIT):
                 raise _err(f"if_ condition has type {types[0]!r}",
                            binding=name)
-        elif category == "record":
+        elif family == "record":
             self._check_record(stmt)
-        elif category == "tuple":
+        elif family == "tuple":
             self._check_tuple(stmt)
         elif expr.op in ("array_get", "array_set"):
             index_type = types[1]
@@ -270,11 +266,7 @@ class TypeChecker:
     # ------------------------------------------------------------------
     # Schema resolution of table/column attributes
     # ------------------------------------------------------------------
-    _TABLE_COLUMN_OPS: Tuple[str, ...] = (
-        "table_column", "access_partition", "access_strdict",
-        "access_strdict_codes")
-
-    def _check_schema_refs(self, stmt: Stmt, signature: OpSignature) -> None:
+    def _check_schema_refs(self, stmt: Stmt, op: ir_ops.OpDef) -> None:
         if self.catalog is None:
             return
         schema = getattr(self.catalog, "schema", None)
@@ -282,14 +274,13 @@ class TypeChecker:
             return
         expr = stmt.expr
         table = expr.attrs.get("table")
-        if table is None or signature.category not in ("db", "access",
-                                                       "strdict"):
+        if table is None or op.family not in ("db", "access", "strdict"):
             return
         if not schema.has_table(table):
             raise _err(f"{expr.op} references unknown table {table!r}",
                        binding=stmt.sym.name)
         column = expr.attrs.get("column")
-        if expr.op in self._TABLE_COLUMN_OPS and column is not None \
+        if "column" in op.attrs and column is not None \
                 and not schema.table(table).has_column(column):
             raise _err(
                 f"{expr.op} references unknown column {table}.{column}",
@@ -307,28 +298,19 @@ class TypeChecker:
     # ------------------------------------------------------------------
     # Result-type inference
     # ------------------------------------------------------------------
-    def _result_type(self, expr: Expr, signature: OpSignature) -> Type:
-        op = expr.op
-        if signature.category == "compare" or op in (
-                "and_", "or_", "not_", "str_contains", "str_startswith",
-                "str_endswith", "str_like", "str_in"):
-            return BOOL
-        if op in ("table_size", "year_of_date", "strdict_code"):
-            return INT
-        if op in ("str_substr",):
-            return STRING
-        if signature.category == "arith":
+    def _result_type(self, expr: Expr, op: ir_ops.OpDef) -> Type:
+        if op.result is not None:
+            return op.result
+        if op.family == "arith":
             types = [self._type_of(a) for a in expr.args]
-            if op == "div":
+            if expr.op == "div":
                 return FLOAT if all(t in _NUMERIC for t in types) else UNKNOWN
             if any(t is UNKNOWN for t in types):
                 return UNKNOWN
             if all(t in _NUMERIC for t in types):
                 return FLOAT if FLOAT in types else INT
             return UNKNOWN
-        if op == "var_new":
-            # conservatively UNKNOWN: var_write may later change the type
-            return UNKNOWN
+        # conservatively UNKNOWN (a var_new's type may change by var_write)
         return UNKNOWN
 
 

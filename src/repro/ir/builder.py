@@ -64,9 +64,9 @@ class IRBuilder:
         re-emitted; the previously bound symbol is returned instead.
         """
         opdef = op_registry.REGISTRY.get(op)
-        if opdef.n_blocks is not None and len(blocks) != opdef.n_blocks:
+        if len(blocks) != len(opdef.blocks):
             raise ValueError(
-                f"op {op!r} expects {opdef.n_blocks} nested block(s), got {len(blocks)}")
+                f"op {op!r} expects {len(opdef.blocks)} nested block(s), got {len(blocks)}")
         expr = Expr(op, tuple(self.as_atom(a) for a in args), dict(attrs or {}),
                     tuple(blocks), tpe)
 

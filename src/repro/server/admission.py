@@ -12,8 +12,9 @@ Three cooperating pieces, all synchronous and individually testable:
   policy: ``full`` ladder under normal load, ``cached_only`` (compiled tier
   only for queries whose compiled plan is already cached — no fresh
   compiles under pressure) when the queue passes ``elevated_fraction``, and
-  ``interpreter_only`` (no compilation, most-predictable tier) past
-  ``severe_fraction``.  Downgrading is the step *before* rejection.
+  ``no_compile`` (the vectorized engine, then the interpreter: never a
+  compile, and the fastest tier that needs none) past ``severe_fraction``.
+  Downgrading is the step *before* rejection.
 * :class:`AdmissionController` — the bounded priority queue.  ``offer``
   either enqueues or raises a typed rejection
   (:class:`~repro.server.responses.Overloaded` /
@@ -37,15 +38,14 @@ from .responses import DeadlineExceeded, Overloaded
 
 #: admission tier policies, cheapest-last; ``cached_only`` is resolved per
 #: request at dispatch time (compiled tier only with a warm plan cache)
-TIER_POLICIES = ("full", "cached_only", "interpreter_only")
+TIER_POLICIES = ("full", "cached_only", "no_compile")
 
-#: the engine-tier ladder each policy admits at (``cached_only`` picks one
-#: of its two ladders per request, depending on plan-cache warmth)
+#: the engine-tier ladder each policy admits at (``cached_only`` takes the
+#: ``no_compile`` ladder for a plan whose compiled entry is not cached)
 POLICY_TIERS: Dict[str, Tuple[str, ...]] = {
     "full": ("compiled", "vectorized", "interpreter"),
     "cached_only": ("compiled", "vectorized", "interpreter"),
-    "cached_only_cold": ("vectorized", "interpreter"),
-    "interpreter_only": ("interpreter",),
+    "no_compile": ("vectorized", "interpreter"),
 }
 
 
@@ -116,7 +116,7 @@ class SheddingPolicy:
 
     def tier_policy(self, occupancy: float) -> str:
         if occupancy >= self.severe_fraction:
-            return "interpreter_only"
+            return "no_compile"
         if occupancy >= self.elevated_fraction:
             return "cached_only"
         return "full"

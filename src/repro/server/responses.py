@@ -59,7 +59,7 @@ class QueryResponse:
     ``queue_seconds`` is admission→dispatch wait; ``execute_seconds`` covers
     the executor call (all ladder attempts).  ``tier_policy`` records the
     admission tier set the shedding policy chose (``"full"``,
-    ``"cached_only"`` or ``"interpreter_only"``); ``attempts`` counts failed
+    ``"cached_only"`` or ``"no_compile"``); ``attempts`` counts failed
     ladder attempts before the answer, so ``attempts > 0`` or a non-default
     policy marks a degraded-path response.
     """

@@ -473,12 +473,11 @@ class QueryServer:
         policy = request.tier_policy
         if policy == "full":
             return None  # the executor's configured ladder
-        if policy == "interpreter_only":
-            return POLICY_TIERS["interpreter_only"]
         # cached_only: the compiled tier is only worth its admission cost if
         # the plan's compiled entry is in the cache right now
-        warm = self.executor.is_warm(request.plan, request.name)
-        return POLICY_TIERS["cached_only" if warm else "cached_only_cold"]
+        if policy == "cached_only" and self.executor.is_warm(request.plan, request.name):
+            return POLICY_TIERS["cached_only"]
+        return POLICY_TIERS["no_compile"]
 
 
 async def serve_one_shot(

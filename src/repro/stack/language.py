@@ -95,40 +95,21 @@ class Language:
 
 
 # ---------------------------------------------------------------------------
-# Op groups used to assemble the concrete languages.
+# Op families (``OpDef.family`` in repro.ir.ops) the languages are unions of.
 # ---------------------------------------------------------------------------
-_SCALAR_OPS = set(ir_ops.ARITHMETIC_OPS + ir_ops.COMPARISON_OPS + ir_ops.LOGICAL_OPS
-                  + ir_ops.CONVERSION_OPS + ir_ops.STRING_OPS + ir_ops.TUPLE_OPS)
-_CONTROL_OPS = {"if_", "for_range", "while_"}
-_VAR_OPS = {"var_new", "var_read", "var_write"}
-_RECORD_OPS = {"record_new", "record_get"}
-_ARRAY_OPS = {"array_new", "array_get", "array_set"}
-_LIST_OPS = {"list_new", "list_append", "list_foreach", "list_sort_by_fields",
-             "list_take"}
-_MAP_OPS = {"mmap_new", "mmap_add", "mmap_get",
-            "hashmap_agg_new", "hashmap_agg_update", "hashmap_agg_foreach"}
-_DB_OPS = {"table_size", "table_column"}
-_SPECIALIZED_OPS = {"dense_agg_new", "dense_agg_update", "dense_agg_foreach"}
-#: String-dictionary structures.  Unlike the dense specialisation
-#: (introduced by the HashMap lowering at level 30), these are emitted by the
-#: StringDictionaries *optimization*, which the stack declares at
-#: ScaLite[Map, List] — and an optimization must stay within its own language
-#: (transformation cohesion), so the strdict vocabulary starts at level 40.
-#: The static verifier caught the earlier version of this table, which only
-#: introduced them at level 30 while the optimization ran one level higher.
-_STRDICT_OPS = {"strdict_build", "strdict_encode_column",
-                "strdict_code", "strdict_prefix_range"}
-#: Reads of the catalog-resident physical access layer (resident partitions
-#: — a primary-key one is the unique-key index — partition pruning, load-time
-#: string dictionaries).  Available at every imperative level: they are
-#: database accessors like table_column, not specialised structures
-#: introduced by a lowering.
-_ACCESS_OPS = set(ir_ops.ACCESS_OPS)
-_OUTPUT_OPS = {"print_"}
-
-#: The imperative core shared by every ScaLite variant (and C.Py).
-SCALITE_CORE = (_SCALAR_OPS | _CONTROL_OPS | _VAR_OPS | _RECORD_OPS | _ARRAY_OPS
-                | _DB_OPS | _ACCESS_OPS | _OUTPUT_OPS)
+#: The imperative core shared by every ScaLite variant (and C.Py).  It holds
+#: the reads of the catalog-resident physical access layer (resident
+#: partitions — a primary-key one is the unique-key index — partition
+#: pruning, load-time string dictionaries): they are database accessors like
+#: table_column, not specialised structures introduced by a lowering.
+_CORE = ("arith", "compare", "logic", "convert", "string", "tuple", "control",
+         "var", "record", "array", "db", "access", "output")
+#: String dictionaries are emitted by the StringDictionaries *optimization*,
+#: which the stack declares at ScaLite[Map, List] — and an optimization must
+#: stay within its own language (transformation cohesion), so "strdict"
+#: starts at level 40, while the "dense" aggregation arrays only appear once
+#: the HashMap lowering into level 30 introduces them.
+_family = ir_ops.REGISTRY.family
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +125,7 @@ QMONAD = Language(
 
 SCALITE_MAP_LIST = Language(
     name="ScaLite[Map, List]", level=40, kind="anf",
-    ops=frozenset(SCALITE_CORE | _LIST_OPS | _MAP_OPS | _STRDICT_OPS),
+    ops=_family(*_CORE, "list", "map", "strdict"),
     description="Imperative core extended with HashMap, MultiMap and List; "
                 "no nested mutability inside hash tables")
 
@@ -153,14 +134,12 @@ SCALITE_LIST = Language(
     # MultiMaps are lowered to arrays of lists here, so generic map ops are
     # still allowed only in their role as GLib-style fallback containers; the
     # specialised dense aggregation arrays become available.
-    ops=frozenset(SCALITE_CORE | _LIST_OPS | _MAP_OPS | _SPECIALIZED_OPS
-                  | _STRDICT_OPS),
+    ops=_family(*_CORE, "list", "map", "dense", "strdict"),
     description="Imperative core + lists and specialised (dense) structures")
 
 SCALITE = Language(
     name="ScaLite", level=20, kind="anf",
-    ops=frozenset(SCALITE_CORE | _LIST_OPS | _MAP_OPS | _SPECIALIZED_OPS
-                  | _STRDICT_OPS),
+    ops=_family(*_CORE, "list", "map", "dense", "strdict"),
     description="Imperative core: bounded loops, records, fixed/dynamic arrays; "
                 "memory handled by the host runtime")
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.nodes import Atom, Const, Program, Stmt
+from ..ir.ops import REGISTRY
 from ..ir.traversal import BlockRewriter, rewrite_program
+from ..ir.types import BOOL
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
 from .analysis import definition_map
-
-#: ops that are known to produce booleans
-_BOOLEAN_OPS = {"eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_", "band", "bor",
-                "str_contains", "str_startswith", "str_endswith", "str_like", "str_in"}
 
 
 class BranchlessBooleans(Optimization):
@@ -37,7 +35,11 @@ class BranchlessBooleans(Optimization):
             if isinstance(atom, Const):
                 return isinstance(atom.value, bool)
             stmt = defs.get(atom.id)
-            return stmt is not None and stmt.expr.op in _BOOLEAN_OPS
+            if stmt is None:
+                return False
+            # band/bor too: this pass only emits them over boolean operands
+            row = REGISTRY.get(stmt.expr.op)
+            return row.result is BOOL or row.family == "logic"
 
         def rewrite(stmt: Stmt, rewriter: BlockRewriter) -> Optional[Atom]:
             if stmt.expr.op not in ("and_", "or_"):

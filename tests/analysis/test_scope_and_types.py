@@ -3,9 +3,9 @@ import pytest
 
 from repro.analysis import VerificationError, verify_program
 from repro.analysis.scope import check_scopes
-from repro.analysis.signatures import signature_of, undeclared_ops
 from repro.analysis.typecheck import check_types
 from repro.ir import IRBuilder, make_program
+from repro.ir.ops import REGISTRY
 from repro.ir.nodes import Block, Const, Expr, Stmt, Sym
 from repro.ir.types import INT, STRING
 
@@ -19,20 +19,18 @@ def simple_program():
 
 
 class TestSignatureTable:
-    def test_every_registered_op_has_a_signature(self):
-        """Adding an op without declaring its shape is itself a failure."""
-        assert undeclared_ops() == ()
+    """The shape the checker enforces is the op's registry row."""
 
     def test_signatures_record_unparser_requirements(self):
-        assert signature_of("str_like").required_attrs == ("pattern",)
-        assert signature_of("record_new").required_attrs == ("fields",)
-        assert signature_of("for_range").block_params == (1,)
-        assert signature_of("hashmap_agg_foreach").block_params == (2,)
-        assert signature_of("var_write").mutated_arg == 0
+        assert REGISTRY.get("str_like").attrs == ("pattern",)
+        assert REGISTRY.get("record_new").attrs == ("fields",)
+        assert REGISTRY.get("for_range").blocks == (1,)
+        assert REGISTRY.get("hashmap_agg_foreach").blocks == (2,)
+        assert REGISTRY.get("var_write").mutated == 0
 
     def test_unknown_op_raises(self):
         with pytest.raises(KeyError):
-            signature_of("not_an_op")
+            REGISTRY.get("not_an_op")
 
 
 class TestScopeChecker:

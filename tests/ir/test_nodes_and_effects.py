@@ -3,7 +3,7 @@ import pytest
 
 from repro.ir import Const, Expr, Sym, effect_of, is_registered
 from repro.ir.effects import ALLOC, CONTROL, IO, PURE, READ, WRITE
-from repro.ir.ops import REGISTRY
+from repro.ir.ops import REGISTRY, OpRegistry
 
 
 class TestEffects:
@@ -55,12 +55,29 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            REGISTRY.register("add")
+            REGISTRY.register("add", "arith", arity=2)
 
     def test_block_arity_recorded(self):
-        assert REGISTRY.get("if_").n_blocks == 2
-        assert REGISTRY.get("for_range").n_blocks == 1
-        assert REGISTRY.get("add").n_blocks == 0
+        assert REGISTRY.get("if_").blocks == (0, 0)
+        assert REGISTRY.get("for_range").blocks == (1,)
+        assert REGISTRY.get("add").blocks == ()
+
+    def test_mutated_argument_on_a_non_writing_op_rejected(self):
+        with pytest.raises(ValueError, match="does not write"):
+            OpRegistry().register("peek", "list", READ, arity=1, mutated=0)
+
+    def test_loop_on_a_non_control_op_rejected(self):
+        with pytest.raises(ValueError, match="not a control op"):
+            OpRegistry().register("spin", "list", WRITE, arity=1, mutated=0,
+                                  loop=True)
+
+    def test_blocks_on_a_non_control_op_rejected(self):
+        with pytest.raises(ValueError, match="not a control op"):
+            OpRegistry().register("apply", "list", READ, arity=1, blocks=(1,))
+
+    def test_control_op_without_blocks_rejected(self):
+        with pytest.raises(ValueError, match="without nested blocks"):
+            OpRegistry().register("jump", "control", CONTROL, arity=1)
 
 
 class TestNodes:

@@ -76,8 +76,8 @@ class TestSheddingPolicy:
         assert policy.tier_policy(0.49) == "full"
         assert policy.tier_policy(0.5) == "cached_only"
         assert policy.tier_policy(0.84) == "cached_only"
-        assert policy.tier_policy(0.85) == "interpreter_only"
-        assert policy.tier_policy(1.0) == "interpreter_only"
+        assert policy.tier_policy(0.85) == "no_compile"
+        assert policy.tier_policy(1.0) == "no_compile"
 
     def test_every_policy_is_known(self):
         policy = SheddingPolicy()
@@ -94,9 +94,10 @@ class TestSheddingPolicy:
         from repro.robustness.fallback import ENGINE_TIERS
         for tiers in POLICY_TIERS.values():
             assert set(tiers) <= set(ENGINE_TIERS)
-        assert POLICY_TIERS["interpreter_only"] == ("interpreter",)
-        # the cold variant never compiles
-        assert "compiled" not in POLICY_TIERS["cached_only_cold"]
+        assert len(POLICY_TIERS) == 3
+        # the severe rung never compiles, and starts at the fastest engine
+        # that needs no compile
+        assert POLICY_TIERS["no_compile"] == ("vectorized", "interpreter")
 
 
 class TestAdmittedRequest:
@@ -186,11 +187,11 @@ class TestAdmissionController:
         assert policies == ["full", "full", "cached_only", "cached_only"]
         assert controller.snapshot()["downgraded"] == 2
 
-    def test_severe_occupancy_forces_interpreter(self):
+    def test_severe_occupancy_forbids_compiling(self):
         controller = AdmissionController(max_depth=8, clock=FakeClock())
         policies = [controller.offer(f"q{n}", plan=None).tier_policy
                     for n in range(8)]
-        assert policies[-1] == "interpreter_only"  # arrived at 7/8 = 0.875
+        assert policies[-1] == "no_compile"  # arrived at 7/8 = 0.875
         assert policies[4] == "cached_only"
 
     def test_rejects_bad_depth(self):

@@ -320,10 +320,11 @@ class TestLoadShedding:
     def test_occupancy_downgrades_then_rejects(self, tiny_catalog):
         """Ten concurrent submissions against a depth-8 queue: the offers
         all land before the dispatcher runs, so occupancy ramps 0/8..7/8 and
-        the tail sees cached_only, then interpreter_only, then queue_full."""
+        the tail sees cached_only, then no_compile, then queue_full."""
         plan_s = _scan_plan()
         plan_r = Q.Scan("R")  # cold plan: never compiled during the test
         reference_r = VolcanoEngine(tiny_catalog).execute(plan_r)
+        reference_s = VolcanoEngine(tiny_catalog).execute(plan_s)
 
         async def scenario():
             server = QueryServer(tiny_catalog, max_queue_depth=8,
@@ -331,7 +332,7 @@ class TestLoadShedding:
             await server.start()
             submits = [server.submit(plan_s, f"s{n}") for n in range(4)] + \
                       [server.submit(plan_r, f"r{n}") for n in range(3)] + \
-                      [server.submit(plan_s, "tail-interp"),
+                      [server.submit(plan_s, "tail-no-compile"),
                        server.submit(plan_s, "shed-1"),
                        server.submit(plan_s, "shed-2")]
             responses = await asyncio.gather(*submits)
@@ -348,10 +349,11 @@ class TestLoadShedding:
             assert response.ok
             assert response.tier == "vectorized"
             assert response.rows == reference_r
-        # offer 7 at occupancy 7/8: interpreter only
-        assert responses[7].tier_policy == "interpreter_only"
+        # offer 7 at occupancy 7/8: no compile, the vectorized engine answers
+        assert responses[7].tier_policy == "no_compile"
         assert responses[7].ok
-        assert responses[7].tier == "interpreter"
+        assert responses[7].tier == "vectorized"
+        assert responses[7].rows == reference_s
         # offers 8-9: bounded queue full — typed rejection, never executed
         for response in responses[8:]:
             assert response.status == "overloaded"
