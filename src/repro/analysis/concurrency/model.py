@@ -85,10 +85,6 @@ class LockDecl:
     reentrant: bool
     line: int
 
-    @property
-    def lock_id(self) -> LockId:
-        return (self.cls, self.name)
-
 
 @dataclass
 class SharedAttr:

@@ -1,8 +1,8 @@
 """Lattice-based dataflow analyses over ANF programs.
 
 A small abstract-interpretation framework (:mod:`.framework`: block
-walkers, a :class:`~repro.analysis.dataflow.framework.Lattice` protocol,
-per-program memoization) plus four analyses the optimizer and verifier
+walkers and per-program memoization; :mod:`.lattices`: intervals,
+nullability and their product) plus four analyses the optimizer and verifier
 consume:
 
 * :mod:`.liveness` — backward liveness; drives dead-code elimination.

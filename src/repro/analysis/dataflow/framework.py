@@ -1,11 +1,8 @@
 """Lattice-based abstract-interpretation framework over ANF programs.
 
-Three things live here, shared by every concrete analysis of the package:
-
-* the :class:`Lattice` protocol — ``bottom``/``top`` elements plus
-  ``join``/``widen``/``leq``.  Forward analyses join facts where control flow
-  merges (the two arms of an ``if_``); ``widen`` bounds chains for lattices of
-  unbounded height (intervals).
+Two things live here, shared by every concrete analysis of the package
+(the lattice elements themselves, each with its own ``join``/``widen``/``leq``,
+are in :mod:`.lattices`):
 
 * block walkers — :func:`walk_forward` / :func:`walk_backward` visit every
   statement of a program in (reverse) execution order, descending into the
@@ -30,37 +27,10 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterator, Optional, Protocol, Tuple,
-                    TypeVar)
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ...ir.nodes import Block, Program, Stmt, Sym
 from ...ir.ops import REGISTRY
-
-F = TypeVar("F")
-
-
-class Lattice(Protocol[F]):
-    """The algebra a dataflow analysis computes over."""
-
-    def bottom(self) -> F:
-        """The least element (no execution reaches this point yet)."""
-        ...
-
-    def top(self) -> F:
-        """The greatest element (nothing is known)."""
-        ...
-
-    def join(self, a: F, b: F) -> F:
-        """Least upper bound of two facts (control-flow merge)."""
-        ...
-
-    def widen(self, a: F, b: F) -> F:
-        """Widening: like join but guaranteed to terminate ascending chains."""
-        ...
-
-    def leq(self, a: F, b: F) -> bool:
-        """Partial order: ``a`` is at least as precise as ``b``."""
-        ...
 
 
 # ---------------------------------------------------------------------------

@@ -208,24 +208,3 @@ class ValueFact:
     def leq(self, other: "ValueFact") -> bool:
         return (self.interval.leq(other.interval)
                 and self.nullability.leq(other.nullability))
-
-
-class ValueLattice:
-    """:class:`ValueFact` as a :class:`~.framework.Lattice` instance."""
-
-    def bottom(self) -> ValueFact:
-        # ANF bindings are defined before use, so the analysis never needs a
-        # genuine bottom; top doubles as the safe initial element.
-        return ValueFact.top()
-
-    def top(self) -> ValueFact:
-        return ValueFact.top()
-
-    def join(self, a: ValueFact, b: ValueFact) -> ValueFact:
-        return a.join(b)
-
-    def widen(self, a: ValueFact, b: ValueFact) -> ValueFact:
-        return a.widen(b)
-
-    def leq(self, a: ValueFact, b: ValueFact) -> bool:
-        return a.leq(b)

@@ -27,9 +27,6 @@ class LivenessFacts:
     #: (writes, I/O, control) regardless of whether their value is used
     rooted: FrozenSet[int]
 
-    def is_dead(self, sym_id: int) -> bool:
-        return sym_id not in self.live and sym_id not in self.rooted
-
 
 def liveness(program: Program) -> LivenessFacts:
     """Memoized liveness facts of ``program``."""

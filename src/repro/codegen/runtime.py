@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+# generated code tests ``LIKE`` through ``_rt.like``: the one matcher, not a copy
+from ..dsl.expr import matches_like as like  # noqa: F401
 from ..robustness.governor import current_governor
 
 
@@ -333,18 +335,3 @@ def governed_iter(obj):
         return obj
     return governor.guard_rows(obj)
 
-
-def like(value: str, pattern: str) -> bool:
-    """General LIKE matching for patterns with multiple ``%`` wildcards."""
-    parts = [p for p in pattern.split("%") if p]
-    position = 0
-    for part in parts:
-        index = value.find(part, position)
-        if index < 0:
-            return False
-        position = index + len(part)
-    if parts and not pattern.startswith("%") and not value.startswith(parts[0]):
-        return False
-    if parts and not pattern.endswith("%") and not value.endswith(parts[-1]):
-        return False
-    return True

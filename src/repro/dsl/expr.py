@@ -13,7 +13,8 @@ Python operator overloading makes plan construction readable::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import dates
 
@@ -169,28 +170,41 @@ class Like(Expr):
         return "equals", pattern
 
     def matches(self, value: str) -> bool:
-        kind, needle = self.kind()
-        if "%" in needle:
-            # multi-wildcard patterns like '%special%requests%'
-            parts = [p for p in self.pattern.split("%") if p]
-            position = 0
-            for part in parts:
-                index = value.find(part, position)
-                if index < 0:
-                    return False
-                position = index + len(part)
-            if not self.pattern.startswith("%") and not value.startswith(parts[0]):
+        return matches_like(value, self.pattern)
+
+
+def matches_like(value: str, pattern: str) -> bool:
+    """SQL ``value LIKE pattern`` with ``%`` wildcards.
+
+    The one LIKE matcher: the interpreters call it through
+    :meth:`Like.matches` and generated code as ``_rt.like``.  The pattern is
+    split once, not once per row.
+    """
+    return _like_test(pattern)(value)
+
+
+@lru_cache(maxsize=256)
+def _like_test(pattern: str) -> Callable[[str], bool]:
+    if "%" not in pattern:
+        return lambda value: value == pattern
+    first, *inner, last = pattern.split("%")
+    middle = [part for part in inner if part]
+    shortest, start = len(first) + len(last), len(first)
+    stop = -len(last) or None  # the inner parts may not reach into the suffix
+
+    def test(value: str) -> bool:
+        # the two anchored ends may not overlap: 'ab%ab' needs four characters
+        if shortest and (len(value) < shortest or not value.startswith(first)
+                         or not value.endswith(last)):
+            return False
+        position = start
+        for part in middle:
+            index = value.find(part, position, stop)
+            if index < 0:
                 return False
-            if not self.pattern.endswith("%") and not value.endswith(parts[-1]):
-                return False
-            return True
-        if kind == "contains":
-            return needle in value
-        if kind == "prefix":
-            return value.startswith(needle)
-        if kind == "suffix":
-            return value.endswith(needle)
-        return value == needle
+            position = index + len(part)
+        return True
+    return test
 
 
 @dataclass(eq=False, slots=True)

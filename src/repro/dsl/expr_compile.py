@@ -177,10 +177,6 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def cache_size() -> int:
-    return len(_CACHE)
-
-
 # ---------------------------------------------------------------------------
 # Row-at-a-time forms
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 """The ANF intermediate representation shared by every imperative DSL level."""
-from .annotations import AnnotationTable
 from .builder import IRBuilder, make_program
 from .effects import Effect, PURE, READ, WRITE, ALLOC, IO, CONTROL
 from .nodes import Atom, Block, Const, Expr, Program, Stmt, Sym, reset_symbol_counter
@@ -8,7 +7,7 @@ from .pretty import block_to_str, fingerprint, program_to_str
 from . import types
 
 __all__ = [
-    "AnnotationTable", "IRBuilder", "make_program",
+    "IRBuilder", "make_program",
     "Effect", "PURE", "READ", "WRITE", "ALLOC", "IO", "CONTROL",
     "Atom", "Block", "Const", "Expr", "Program", "Stmt", "Sym", "reset_symbol_counter",
     "REGISTRY", "effect_of", "is_registered",

@@ -84,16 +84,6 @@ class IRBuilder:
                 self._current.cse[key] = sym
         return sym
 
-    def emit_stmt(self, stmt: Stmt) -> Sym:
-        """Append an existing statement verbatim (used by block rewriters)."""
-        self._current.block.stmts.append(stmt)
-        opdef = op_registry.REGISTRY.get(stmt.expr.op)
-        if opdef.effect.pure:
-            key = stmt.expr.cse_key()
-            if key is not None and key not in self._current.cse:
-                self._current.cse[key] = stmt.sym
-        return stmt.sym
-
     # ------------------------------------------------------------------
     # Scope management
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .types import Type, UNKNOWN
 
@@ -97,9 +97,6 @@ class Block:
     def bound_syms(self) -> List[Sym]:
         return [stmt.sym for stmt in self.stmts]
 
-    def copy_shallow(self) -> "Block":
-        return Block(list(self.stmts), self.result, self.params)
-
 
 @dataclass
 class Expr:
@@ -140,9 +137,6 @@ class Expr:
         except TypeError:
             return None
         return (self.op, arg_key, attr_key)
-
-    def with_args(self, args: Iterable[Atom]) -> "Expr":
-        return Expr(self.op, tuple(args), dict(self.attrs), self.blocks, self.type)
 
     def __repr__(self) -> str:
         parts = [repr(a) for a in self.args]

@@ -150,10 +150,6 @@ class BlockRewriter:
         self._out_stack[-1].append(Stmt(sym, expr))
         return sym
 
-    def emit_stmt(self, stmt: Stmt) -> Sym:
-        self._out_stack[-1].append(stmt)
-        return stmt.sym
-
     def rewrite_nested(self, block: Block) -> Block:
         """Rewrite a nested block with the same callback (used for control flow)."""
         return self._rewrite_block(block)

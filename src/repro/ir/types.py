@@ -1,17 +1,18 @@
-"""Type system shared by all DSL levels of the stack.
+"""The types an IR symbol carries: seven scalar singletons.
 
 The paper's DSLs (QPlan, QMonad, ScaLite[Map, List], ScaLite[List], ScaLite,
-C.Scala) are statically typed Scala-embedded DSLs.  This module provides the
-equivalent vocabulary of types for the Python embedding: scalar types, dates,
-strings, records, arrays, lists, hash tables and pointers.
+C.Scala) are statically typed Scala-embedded DSLs.  The Python embedding types
+only scalars — int, float, bool, string, date, unit and ``UNKNOWN`` — because
+no symbol of any level carries more: records, lists and hash tables are told
+apart by the op that made them (``ir/ops.py``), not by a type, and the record
+layout is an attribute the lowering chooses (``transforms/pipelining.py``).
 
 Types are immutable value objects: two structurally equal types compare and
 hash equal, which is what the ANF builder relies on for hash-consing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 
 class Type:
@@ -40,115 +41,3 @@ STRING = ScalarType("string")
 DATE = ScalarType("date")
 UNIT = ScalarType("unit")
 UNKNOWN = ScalarType("unknown")
-
-
-@dataclass(frozen=True)
-class RecordType(Type):
-    """A named record (struct) with ordered, typed fields."""
-
-    name: str
-    fields: Tuple[Tuple[str, Type], ...] = field(default=())
-
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.fields)
-
-    def field_type(self, name: str) -> Type:
-        for fname, ftype in self.fields:
-            if fname == name:
-                return ftype
-        raise KeyError(f"record {self.name!r} has no field {name!r}")
-
-    def has_field(self, name: str) -> bool:
-        return any(fname == name for fname, _ in self.fields)
-
-    def without_fields(self, removed: frozenset) -> "RecordType":
-        """Return a copy of this record type with ``removed`` fields dropped."""
-        kept = tuple((n, t) for n, t in self.fields if n not in removed)
-        return RecordType(self.name, kept)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n}: {t!r}" for n, t in self.fields)
-        return f"{self.name}{{{inner}}}"
-
-
-@dataclass(frozen=True)
-class ArrayType(Type):
-    """A fixed-size (or dynamically grown) array of elements."""
-
-    element: Type
-
-    def __repr__(self) -> str:
-        return f"Array[{self.element!r}]"
-
-
-@dataclass(frozen=True)
-class ListType(Type):
-    """A (mutable) list of elements — available down to ScaLite[List]."""
-
-    element: Type
-
-    def __repr__(self) -> str:
-        return f"List[{self.element!r}]"
-
-
-@dataclass(frozen=True)
-class MapType(Type):
-    """A HashMap associating each key with a single value (aggregations)."""
-
-    key: Type
-    value: Type
-
-    def __repr__(self) -> str:
-        return f"HashMap[{self.key!r}, {self.value!r}]"
-
-
-@dataclass(frozen=True)
-class MultiMapType(Type):
-    """A MultiMap associating each key with a collection of values (hash joins)."""
-
-    key: Type
-    value: Type
-
-    def __repr__(self) -> str:
-        return f"MultiMap[{self.key!r}, {self.value!r}]"
-
-
-@dataclass(frozen=True)
-class PointerType(Type):
-    """An explicit pointer/reference — only available at the C.Py level."""
-
-    target: Type
-
-    def __repr__(self) -> str:
-        return f"Pointer[{self.target!r}]"
-
-
-@dataclass(frozen=True)
-class FunctionType(Type):
-    """Type of a lambda abstraction / staged function."""
-
-    params: Tuple[Type, ...]
-    result: Type
-
-    def __repr__(self) -> str:
-        params = ", ".join(repr(p) for p in self.params)
-        return f"({params}) => {self.result!r}"
-
-
-def is_numeric(tpe: Type) -> bool:
-    """True for types supporting arithmetic (+, -, *, /)."""
-    return tpe in (INT, FLOAT, DATE)
-
-
-def is_comparable(tpe: Type) -> bool:
-    """True for types supporting ordering comparisons."""
-    return isinstance(tpe, ScalarType) and tpe is not UNIT
-
-
-def common_numeric(left: Type, right: Type) -> Type:
-    """Result type of a binary arithmetic operation between two numeric types."""
-    if FLOAT in (left, right):
-        return FLOAT
-    if left is DATE or right is DATE:
-        return INT
-    return INT

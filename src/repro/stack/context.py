@@ -2,18 +2,19 @@
 
 The context carries everything a transformation may consult besides the
 program itself: the schema catalog with primary/foreign-key annotations, data
-statistics used for worst-case size analysis (Section D.1), the annotation
-side-table (Section 3.3), and the three options a caller sets independently
-of the stack.  *Which transformations run* is not an option: a configuration
-is its stack (Section 7, Table 3), so the pass list of the
-:class:`~repro.stack.pipeline.DslStack` decides that.
+statistics used for worst-case size analysis (Section D.1), and the three
+options a caller sets independently of the stack.  The facts Section 3.3
+keeps per symbol are not here: ANF gives each statement one symbol, so a
+lowering attaches them to that statement as ``attrs`` (key ranges and
+uniqueness on ``mmap_new`` / ``hashmap_agg_new``, see
+``transforms/pipelining.py``).  *Which transformations run* is not an
+option: a configuration is its stack (Section 7, Table 3), so the pass list
+of the :class:`~repro.stack.pipeline.DslStack` decides that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional
-
-from ..ir.annotations import AnnotationTable
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class CompilationContext:
         catalog: the schema catalog (``repro.storage.catalog.Catalog``);
             optional so that pure IR-level tests can run without a database.
         flags: the caller-set options of the active configuration.
-        annotations: symbol annotation table (guided from higher levels).
         query_name: human readable name used in generated code and reports.
         info: free-form scratch space for transformations that need to hand
             facts to later phases (e.g. string-dictionary columns chosen).
@@ -61,7 +61,6 @@ class CompilationContext:
 
     catalog: Optional[Any] = None
     flags: OptimizationFlags = field(default_factory=OptimizationFlags)
-    annotations: AnnotationTable = field(default_factory=AnnotationTable)
     query_name: str = "query"
     info: Dict[str, Any] = field(default_factory=dict)
 

@@ -55,10 +55,6 @@ class Transformation:
     def is_lowering(self) -> bool:
         return self.source.level > self.target.level
 
-    @property
-    def is_optimization(self) -> bool:
-        return self.source is self.target or self.source.level == self.target.level
-
     def validate_declaration(self) -> None:
         """Check the declaration against the expressibility principle.
 

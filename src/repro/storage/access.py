@@ -73,7 +73,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..concurrency import guarded_by
 from ..dsl import expr as E
-from ..dsl import qplan as Q
 from ..robustness.faults import fault_point
 from .derived import DerivedCache
 
@@ -83,10 +82,6 @@ _PREFIX_CEILING = "\U0010ffff"
 
 #: suffix appended to a column name for its dictionary-code companion column
 DICT_CODE_SUFFIX = "#dict"
-
-#: operators a zone filter may carry (``prefix`` covers ``LIKE 'p%'``);
-#: defined by the plan node that carries the filters
-ZONE_FILTER_OPS = Q.PrunedScan.FILTER_OPS
 
 #: string dictionaries are only built while they stay small: an almost-unique
 #: column (comments) would cost more to encode than it could ever save

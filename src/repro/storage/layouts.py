@@ -1,12 +1,11 @@
-"""In-memory table layouts: columnar, row and boxed (Figure 3 of the paper).
+"""The in-memory table layout: columnar (Figure 3 of the paper).
 
 The storage engine keeps loaded relations in a **columnar** layout (one Python
-list per attribute), which is what the generated code reads directly when the
-column-store transformer is active.  The row and boxed layouts exist both as
-conversion targets (the layout transformation of Section 4.2 chooses between
-them for intermediate data) and as the representation used by the naive
-engines (the Volcano interpreter and the stack configurations without the
-data-layout optimization pass boxed rows around).
+list per attribute), which is what the generated code reads directly.  The
+row and boxed layouts of Section 4.2 are a choice of the lowering, not of
+storage: ``transforms/pipelining.py`` picks row tuples or boxed dictionaries
+for the intermediate records it materialises (``record_layout``), and the
+Volcano interpreter boxes each row it scans into a dictionary.
 """
 from __future__ import annotations
 
@@ -56,12 +55,8 @@ class ColumnarTable:
             raise LayoutError(f"table {self.name!r} has no column {name!r}") from None
 
     def row_dict(self, index: int) -> Dict[str, Any]:
-        """The boxed representation of one row (used by the interpreter)."""
+        """The boxed representation of one row."""
         return {name: values[index] for name, values in self.columns.items()}
-
-    def row_tuple(self, index: int, fields: Sequence[str]) -> tuple:
-        """The row-layout representation restricted to ``fields``."""
-        return tuple(self.columns[name][index] for name in fields)
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
         for i in range(self.num_rows):
@@ -74,63 +69,3 @@ class ColumnarTable:
             for name in columns:
                 columns[name].append(row[name])
         return cls(schema, columns)
-
-
-@dataclass
-class RowTable:
-    """Row layout: a list of tuples plus the field order (array-of-structs)."""
-
-    schema: TableSchema
-    fields: Sequence[str]
-    rows: List[tuple] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        # name -> position, computed once: field_index sits on per-row access
-        # paths and must not rebuild (and linearly search) the field list on
-        # every call.
-        self._field_positions = {name: i for i, name in enumerate(self.fields)}
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    def field_index(self, name: str) -> int:
-        try:
-            return self._field_positions[name]
-        except KeyError:
-            raise LayoutError(
-                f"row table {self.schema.name!r} has no field {name!r}; "
-                f"fields: {list(self.fields)}") from None
-
-    @classmethod
-    def from_columnar(cls, table: ColumnarTable, fields: Sequence[str] = ()) -> "RowTable":
-        fields = list(fields) or table.schema.column_names()
-        rows = [table.row_tuple(i, fields) for i in range(table.num_rows)]
-        return cls(table.schema, fields, rows)
-
-
-@dataclass
-class BoxedTable:
-    """Boxed layout: a list of per-row dictionaries (array of pointers to structs)."""
-
-    schema: TableSchema
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_columnar(cls, table: ColumnarTable) -> "BoxedTable":
-        return cls(table.schema, [table.row_dict(i) for i in range(table.num_rows)])
-
-
-def to_layout(table: ColumnarTable, layout: str):
-    """Convert a columnar table into the requested layout name."""
-    if layout == "columnar":
-        return table
-    if layout == "row":
-        return RowTable.from_columnar(table)
-    if layout == "boxed":
-        return BoxedTable.from_columnar(table)
-    raise LayoutError(f"unknown layout {layout!r}")

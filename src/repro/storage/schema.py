@@ -38,10 +38,6 @@ class Column:
     def is_string(self) -> bool:
         return self.type is STRING
 
-    @property
-    def is_date(self) -> bool:
-        return self.type is DATE
-
 
 @dataclass
 class TableSchema:

@@ -65,6 +65,13 @@ class PipeliningError(Exception):
     pass
 
 
+def _scanned_table(side: Optional[Q.Operator]) -> Optional[str]:
+    """The base table a bare or filtered scan reads, else ``None``."""
+    if isinstance(side, Q.Select):
+        side = side.child
+    return side.table if isinstance(side, Q.Scan) else None
+
+
 class PushPipelineLowering(Lowering):
     """Lower a QPlan operator tree into an imperative ANF program."""
 
@@ -304,11 +311,21 @@ class _PushCompiler:
             return (column.foreign_key.table, column.foreign_key.column)
         return (table, key_expr.name)
 
+    def _holds_null(self, key_expr: E.Expr, source_table: Optional[str]) -> bool:
+        """Whether the base column a key reads holds a ``None``: such a key
+        indexes no slot of a dense array, so its map stays generic."""
+        if not isinstance(key_expr, E.Col):
+            return False
+        table = source_table or self.catalog.schema.table_of_column(key_expr.name)
+        statistics = self.catalog.statistics
+        return (table is not None and statistics.has_column(table, key_expr.name)
+                and statistics.column(table, key_expr.name).num_nulls > 0)
+
     def _mmap_attrs(self, key_expr: E.Expr, build_table: Optional[str]) -> Dict:
         """Key-range / uniqueness annotations for a hash-table build (Section 3.3)."""
         attrs: Dict = {}
         domain = self._key_domain(key_expr, build_table)
-        if domain is None:
+        if domain is None or self._holds_null(key_expr, build_table):
             return attrs
         domain_table, domain_column = domain
         if not self.catalog.statistics.has_table(domain_table):
@@ -362,12 +379,10 @@ class _PushCompiler:
         """
         fields = Q.output_fields(side, self.catalog)
         partition = self._partition_info(side, key_expr)
-        build_table = None
-        if isinstance(side, Q.Scan):
-            build_table = side.table
-        elif isinstance(side, Q.Select) and isinstance(side.child, Q.Scan):
-            build_table = side.child.table
+        build_table, probe_table = _scanned_table(side), _scanned_table(probe_side)
         attrs = self._mmap_attrs(key_expr, build_table)
+        if probe_key_expr is not None and self._holds_null(probe_key_expr, probe_table):
+            attrs = {}
         if attrs:
             # Dense-array specialization pre-allocates one bucket per key of
             # the domain; that is only worthwhile when the build side is a
@@ -375,11 +390,6 @@ class _PushCompiler:
             # also the condition Section 5.2 imposes for materialisation.
             attrs["build_is_base"] = build_table is not None
         if attrs and probe_key_expr is not None:
-            probe_table = None
-            if isinstance(probe_side, Q.Scan):
-                probe_table = probe_side.table
-            elif isinstance(probe_side, Q.Select) and isinstance(probe_side.child, Q.Scan):
-                probe_table = probe_side.child.table
             probe_domain = self._key_domain(probe_key_expr, probe_table)
             # When both keys draw their values from the same primary-key
             # domain, foreign-key integrity guarantees that every probe key

@@ -106,9 +106,6 @@ class RowVals:
             values[name] = other.get(name)
         return RowVals(values)
 
-    def restricted(self, fields: Sequence[str]) -> "RowVals":
-        return RowVals({name: self.get(name) for name in fields})
-
     # ------------------------------------------------------------------
     # Materialisation
     # ------------------------------------------------------------------

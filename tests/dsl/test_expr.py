@@ -1,9 +1,13 @@
 """Unit tests for the scalar expression DSL."""
+import re
+
 import pytest
 
+from repro.codegen import runtime
 from repro.dsl.expr import (BinOp, Col, ExprError, Like, UnaryOp, and_all, case, col,
                             columns_used, date, evaluate, in_list, is_null, like, lit,
                             substr, wrap, year)
+from repro.dsl.expr_compile import compile_row
 
 
 ROW = {"a": 10, "b": 3, "name": "PROMO BRUSHED STEEL", "flag": True,
@@ -116,6 +120,57 @@ class TestEvaluation:
     def test_is_null(self):
         assert evaluate(is_null(col("null_col")), ROW)
         assert not evaluate(is_null(col("a")), ROW)
+
+
+#: (value, pattern, LIKE answer): the TPC-H multi-wildcard patterns (Q13,
+#: Q16), a two-part pattern, anchored ends that may not overlap, and patterns
+#: with no wildcard, which must span the whole value.
+LIKE_CASES = [
+    ("pending special deposits; requests", "%special%requests%", True),
+    ("requests are special", "%special%requests%", False),
+    ("specialrequests", "%special%requests%", True),
+    ("Customer ... Complaints about", "%Customer%Complaints%", True),
+    ("Complaints of a Customer", "%Customer%Complaints%", False),
+    ("ab", "a%b", True),
+    ("axxb", "a%b", True),
+    ("abc", "a%b", False),
+    ("ba", "a%b", False),
+    ("ab", "ab%ab", False),
+    ("aba", "ab%ab", False),
+    ("abab", "ab%ab", True),
+    ("ab-ab", "ab%ab", True),
+    ("abc", "abc", True),
+    ("abcabc", "abc", False),
+    ("xabc", "abc", False),
+    ("", "", True),
+    ("x", "", False),
+    ("", "%", True),
+    ("anything", "%", True),
+    ("a-b", "a%%b", True),
+    ("PROMO BRUSHED", "PROMO%", True),
+    ("LARGE BRASS", "%BRASS", True),
+    ("dark green", "%green%", True),
+    ("forest", "forest%", True),
+]
+
+
+def _reference(value, pattern):
+    return re.fullmatch(".*".join(map(re.escape, pattern.split("%"))), value,
+                        re.DOTALL) is not None
+
+
+class TestLikeParity:
+    """One LIKE matcher: the interpreter, the compiled row form and generated
+    code (``_rt.like``) agree with each other and with a regex reference."""
+
+    @pytest.mark.parametrize("value, pattern, expected", LIKE_CASES)
+    def test_every_route_gives_the_like_answer(self, value, pattern, expected):
+        assert _reference(value, pattern) is expected
+        predicate = like(col("s"), pattern)
+        assert predicate.matches(value) is expected
+        assert evaluate(predicate, {"s": value}) is expected
+        assert compile_row(predicate)({"s": value}) is expected
+        assert runtime.like(value, pattern) is expected
 
 
 class TestAnalysis:

@@ -2,6 +2,8 @@
 
 * compiled plans agree with the interpreter on randomly generated filters,
   projections and aggregations over randomly generated tables,
+* one join of every kind between two random tables, under every aggregate
+  kind, agrees with the interpreter on every engine, planner off and on,
 * the ANF builder's hash-consing and DCE never change the value a straight-line
   arithmetic program computes,
 * string dictionaries preserve equality and lexicographic prefix semantics,
@@ -10,9 +12,10 @@
 import string
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import dates
+from repro.bench.harness import BenchmarkHarness, rows_equivalent
 from repro.codegen import runtime
 from repro.codegen.compiler import QueryCompiler
 from repro.codegen.unparser import PythonUnparser
@@ -21,8 +24,9 @@ from repro.dsl.expr import col
 from repro.engine.volcano import execute
 from repro.ir import IRBuilder, make_program
 from repro.ir.nodes import Sym
+from repro.planner import sort_contract
 from repro.stack import CompilationContext, OptimizationFlags, SCALITE
-from repro.stack.configs import build_config
+from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, float_column, int_column, string_column
@@ -93,6 +97,124 @@ class TestCompiledVsInterpreter:
         config = build_config("dblab-5")
         compiled = QueryCompiler(config.stack, config.flags).compile(plan, catalog, "prop")
         assert canon(compiled.run(catalog)) == canon(execute(plan, catalog))
+
+
+# ---------------------------------------------------------------------------
+# Two tables, one join, every aggregate kind: every engine vs the interpreter
+# ---------------------------------------------------------------------------
+#: join keys repeat and may be NULL
+keys = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+left_rows = st.lists(st.tuples(keys, st.sampled_from("xyz"), st.integers(-9, 9)),
+                     max_size=10)
+right_rows = st.lists(st.tuples(keys, st.integers(-9, 9)), max_size=10)
+JOIN_ENGINES = ("vectorized",) + CONFIG_NAMES
+
+
+def make_join_catalog(left, right) -> Catalog:
+    catalog = Catalog()
+    catalog.register(ColumnarTable(
+        TableSchema("a", [int_column("ak"), string_column("ag"), int_column("av")]),
+        {"ak": [r[0] for r in left], "ag": [r[1] for r in left],
+         "av": [r[2] for r in left]}))
+    catalog.register(ColumnarTable(
+        TableSchema("b", [int_column("bk"), int_column("bv")]),
+        {"bk": [r[0] for r in right], "bv": [r[1] for r in right]}))
+    return catalog
+
+
+def join_aggregate(kind, residual, grouped):
+    """``kind`` join of ``a`` and ``b`` under every aggregate kind; grouped
+    plans are sorted on the group key, so the contract has a key to check."""
+    join = Q.HashJoin(Q.Scan("a"), Q.Scan("b"), col("ak"), col("bk"), kind,
+                      col("av") <= col("bv") if residual else None)
+    # semi and anti joins emit left rows only; inner and outer see ``b`` too
+    value = col("bv") if kind in ("inner", "leftouter") else col("av")
+    specs = [Q.AggSpec("sum", value, "total"), Q.AggSpec("count", col("ak"), "keyed"),
+             Q.AggSpec("count", None, "n"), Q.AggSpec("avg", value, "mean"),
+             Q.AggSpec("min", col("av"), "low"), Q.AggSpec("max", value, "high"),
+             Q.AggSpec("count_distinct", value, "kinds")]
+    assert {spec.kind for spec in specs} == set(Q.AGG_KINDS)
+    if not grouped:
+        return Q.Agg(join, [], specs)
+    return Q.Sort(Q.Agg(join, [("ag", col("ag"))], specs), [(col("ag"), "asc")])
+
+
+class TestTwoTableDifferential:
+    @settings(SETTINGS, max_examples=60)
+    @given(left=left_rows, right=right_rows, kind=st.sampled_from(Q.JOIN_KINDS),
+           residual=st.booleans(), grouped=st.booleans())
+    # a NULL probe key against a dense build key — after the planner swaps the
+    # build side, on the right input, under a semi join: the compiled stacks
+    # indexed the dense array with it
+    @example(left=[(0, "y", 7), (None, "x", -8)], right=[(1, -5)], kind="inner",
+             residual=False, grouped=False)
+    @example(left=[(0, "z", -6)], right=[(None, -5), (1, 3)], kind="inner",
+             residual=False, grouped=False)
+    @example(left=[(None, "x", 0)], right=[(0, 0)], kind="leftsemi",
+             residual=False, grouped=True)
+    def test_join_under_every_aggregate_matches_volcano(self, left, right, kind,
+                                                        residual, grouped):
+        catalog = make_join_catalog(left, right)
+        plan = join_aggregate(kind, residual, grouped)
+        expected = execute(plan, catalog)
+        contract = sort_contract(plan)
+        harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
+        for planned in (plan, harness.planner.optimize(plan)):
+            for engine in JOIN_ENGINES:
+                rows = harness.run_once("join", engine, planned)
+                assert rows_equivalent(expected, rows, sort_keys=contract), \
+                    (engine, planned is not plan, expected, rows)
+
+    @pytest.mark.parametrize("shape", ["build", "probe", "group"])
+    def test_a_foreign_key_holding_null_keeps_the_generic_map(self, shape):
+        """The key's domain (the primary key) is dense, but a NULL in the
+        foreign-key column indexes no slot: build, probe and grouping key."""
+        catalog = Catalog()
+        catalog.register(ColumnarTable(
+            TableSchema("a", [int_column("ak"), int_column("av")], primary_key=("ak",)),
+            {"ak": [0, 1, 2], "av": [5, 6, 7]}))
+        catalog.register(ColumnarTable(
+            TableSchema("b", [int_column("bk", references=("a", "ak")),
+                              int_column("bv")]),
+            {"bk": [1, None, 2, 1], "bv": [1, 2, 3, 4]}))
+        specs = [Q.AggSpec("count", None, "n"), Q.AggSpec("sum", col("bv"), "s")]
+        plan = {
+            "build": Q.Agg(Q.HashJoin(Q.Scan("b"), Q.Scan("a"), col("bk"), col("ak")),
+                           [], specs),
+            "probe": Q.Agg(Q.HashJoin(Q.Scan("a"), Q.Scan("b"), col("ak"), col("bk")),
+                           [], specs),
+            "group": Q.Agg(Q.Scan("b"), [("bk", col("bk"))], specs),
+        }[shape]
+        expected = execute(plan, catalog)
+        harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
+        for planned in (plan, harness.planner.optimize(plan)):
+            for engine in JOIN_ENGINES:
+                assert rows_equivalent(expected, harness.run_once(shape, engine, planned)), \
+                    (engine, planned is not plan)
+
+    @pytest.mark.xfail(strict=True, raises=TypeError,
+                       reason="the lowering reads key nullability from base-column "
+                              "statistics only; a left outer join below the probe "
+                              "pads the key with None and the dense array is "
+                              "indexed with it")
+    def test_a_probe_key_padded_by_an_outer_join_below(self):
+        catalog = Catalog()
+        catalog.register(ColumnarTable(
+            TableSchema("a", [int_column("ak")], primary_key=("ak",)), {"ak": [0, 1, 2]}))
+        catalog.register(ColumnarTable(
+            TableSchema("b", [int_column("bk", references=("a", "ak")),
+                              int_column("bc")]),
+            {"bk": [1, 2], "bc": [10, 11]}))
+        catalog.register(ColumnarTable(TableSchema("c", [int_column("ck")]),
+                                       {"ck": [10, 12]}))
+        padded = Q.HashJoin(Q.Scan("c"), Q.Scan("b"), col("ck"), col("bc"),
+                            kind="leftouter")
+        plan = Q.Agg(Q.HashJoin(Q.Scan("a"), padded, col("ak"), col("bk")), [],
+                     [Q.AggSpec("count", None, "n")])
+        expected = execute(plan, catalog)
+        harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
+        for engine in JOIN_ENGINES:
+            assert rows_equivalent(expected, harness.run_once("padded", engine, plan)), engine
 
 
 # ---------------------------------------------------------------------------

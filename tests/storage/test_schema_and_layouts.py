@@ -3,8 +3,7 @@ import pytest
 
 from repro.ir.types import FLOAT, STRING
 from repro.storage.catalog import Catalog, CatalogError
-from repro.storage.layouts import (BoxedTable, ColumnarTable, LayoutError, RowTable,
-                                   to_layout)
+from repro.storage.layouts import ColumnarTable, LayoutError
 from repro.storage.schema import (ForeignKey, Schema, SchemaError, TableSchema,
                                   float_column, int_column, string_column)
 from repro.storage.statistics import compute_table_statistics
@@ -79,7 +78,6 @@ class TestLayouts:
         table = sample_table()
         assert table.num_rows == 3
         assert table.row_dict(1) == {"id": 2, "name": "bob", "salary": 20.0, "dept_id": 7}
-        assert table.row_tuple(0, ["name", "salary"]) == ("ann", 10.0)
 
     def test_columnar_rejects_ragged_columns(self):
         with pytest.raises(LayoutError):
@@ -94,24 +92,6 @@ class TestLayouts:
         table = sample_table()
         rebuilt = ColumnarTable.from_rows(sample_schema(), list(table.iter_rows()))
         assert rebuilt.columns == table.columns
-
-    def test_row_layout_conversion(self):
-        row_table = RowTable.from_columnar(sample_table(), ["id", "salary"])
-        assert row_table.rows[2] == (3, 30.0)
-        assert row_table.field_index("salary") == 1
-
-    def test_boxed_layout_conversion(self):
-        boxed = BoxedTable.from_columnar(sample_table())
-        assert boxed.num_rows == 3
-        assert boxed.rows[0]["name"] == "ann"
-
-    def test_to_layout_dispatch(self):
-        table = sample_table()
-        assert to_layout(table, "columnar") is table
-        assert isinstance(to_layout(table, "row"), RowTable)
-        assert isinstance(to_layout(table, "boxed"), BoxedTable)
-        with pytest.raises(LayoutError):
-            to_layout(table, "holographic")
 
 
 class TestStatistics:
