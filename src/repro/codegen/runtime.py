@@ -227,15 +227,10 @@ def catalog_partition(db, table: str, column: str, lo: int, size: int,
     probe bakes in ``lo`` and ``size``; a catalog whose structure covers
     another key range fails loudly here instead of indexing out of range.
     """
-    from ..storage.access import AccessError, AccessLayer, DirectArray
+    from ..storage.access import AccessError, AccessLayer
 
     layer = AccessLayer.for_catalog(db)
-    if single:
-        index = layer.key_index(table, column)
-        if not isinstance(index, DirectArray):
-            index = None
-    else:
-        index = layer.partition(table, column)
+    index = layer.key_index(table, column) if single else layer.partition(table, column)
     if index is None or index.offset != lo or len(index.slots) != size:
         raise AccessError(
             f"no partition of {table}.{column} over keys "

@@ -20,7 +20,7 @@ A QPlan tree is consumed by two kinds of client:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .expr import Expr, columns_used, columns_used_with_sides, wrap
 
@@ -215,24 +215,26 @@ class HashJoin(Operator):
 
 @dataclass(repr=False, slots=True)
 class IndexJoin(HashJoin):
-    """A hash join served by a catalog-resident unique-key index.
+    """A hash join whose build is a catalog-resident primary-key array.
 
-    ``index_table.index_column`` names a dense (or at least unique)
-    single-column key — in practice an annotated primary key — for which the
-    access layer (:mod:`repro.storage.access`) holds a load-time direct
-    array.  The build side must be a bare ``Scan`` of that table, optionally
-    under one filter (``Select`` / ``PrunedScan``), with ``left_key`` exactly
-    the key column: engines then probe the memoized index instead of building
-    a per-query hash table, fetch the matching build row by position, and
-    apply the build filter (and residual) per candidate.
+    ``index_table.index_column`` names a unique, dense single-column primary
+    key, for which the access layer (:mod:`repro.storage.access`) holds a
+    load-time direct array.  The build side is a bare ``Scan`` of that table
+    with ``left_key`` exactly the key column, so the array *is* the hash
+    join's build: every engine probes it instead of building a per-query
+    hash table and reads a matching build row by position from the base
+    columns.
 
     Because the key is unique, every bucket of the hash join this node
-    replaces holds at most one row, and the index execution reproduces the
-    hash join's emission order *exactly* — the rewrite is order- and
-    value-preserving.  ``IndexJoin`` *is a* ``HashJoin``: any consumer that
-    does not know the subtype (the compiled DSL stacks' lowering, the
-    fallback paths of the engines) executes it as the plain hash join it
-    replaces.
+    replaces holds at most one row, and a bare scan's bucket order is its
+    base order: the index build reproduces the hash join's emission order
+    *exactly* — the rewrite is order- and value-preserving.  ``IndexJoin``
+    *is a* ``HashJoin``, and every consumer runs it as one: the direct
+    engines through the same per-kind probes with the array as the build,
+    the compiled stacks' lowering as the hash join over the resident
+    partition.  What the node adds is the statement that the plan reads a
+    catalog structure, which the hardening ladder's ``no_access`` mode
+    plans away.
     """
 
     index_table: str = ""
@@ -242,16 +244,6 @@ class IndexJoin(HashJoin):
         HashJoin.__post_init__(self)
         if not self.index_table or not self.index_column:
             raise PlanError("IndexJoin requires index_table and index_column")
-
-    def build_parts(self) -> Optional[Tuple["Scan", Optional[Expr]]]:
-        """The build side decomposed as ``(scan, filter predicate)``, or
-        ``None`` when it does not have the required shape."""
-        node = self.left
-        if isinstance(node, Select) and isinstance(node.child, Scan):
-            return node.child, node.predicate
-        if isinstance(node, Scan):
-            return node, None
-        return None
 
     def with_children(self, children: Sequence[Operator]) -> "IndexJoin":
         return IndexJoin(children[0], children[1], self.left_key, self.right_key,
@@ -468,6 +460,34 @@ def _output_fields(plan: Operator, catalog,
     raise PlanError(f"unknown operator {type(plan).__name__}")
 
 
+def padded_fields(plan: Operator, catalog) -> FrozenSet[str]:
+    """Output fields of a plan that an outer join in it may pad with ``None``.
+
+    These are the right input's fields of every ``leftouter`` hash or
+    nested-loop join, carried up through ``Project`` (an output that reads a
+    padded field, a rename included) and ``Agg`` group keys.  A base column
+    that stores ``None`` is not here: that is what the load-time statistics
+    count.
+    """
+    if isinstance(plan, Scan):
+        return frozenset()
+    if isinstance(plan, (Select, Limit, Sort, TopK)):
+        return padded_fields(plan.child, catalog)
+    if isinstance(plan, (Project, Agg)):
+        padded = padded_fields(plan.child, catalog)
+        outputs = plan.projections if isinstance(plan, Project) else plan.group_keys
+        return frozenset(name for name, expr in outputs
+                         if padded.intersection(columns_used(expr)))
+    if isinstance(plan, (HashJoin, NestedLoopJoin)):
+        padded = padded_fields(plan.left, catalog)
+        if plan.kind == "leftouter":
+            return padded.union(output_fields(plan.right, catalog))
+        if plan.kind == "inner":
+            return padded | padded_fields(plan.right, catalog)
+        return padded
+    raise PlanError(f"unknown operator {type(plan).__name__}")
+
+
 def shared_subplan_fingerprints(plan: Operator) -> Dict[int, str]:
     """Repeated subplans of a plan: ``id(node) -> structural key``.
 
@@ -603,15 +623,13 @@ def validate(plan: Operator, catalog) -> None:
             zone_columns = [column for column, _, _ in node.zone_filters]
             _require(zone_columns, child_fields, node)
         if isinstance(node, IndexJoin):
-            parts = node.build_parts()
-            if parts is None:
+            if not isinstance(node.left, Scan):
                 raise PlanError(
-                    f"{node.describe()}: build side must be a (optionally "
-                    "filtered) scan of the indexed table")
-            scan, _ = parts
-            if scan.table != node.index_table:
+                    f"{node.describe()}: build side must be a bare scan of "
+                    "the indexed table")
+            if node.left.table != node.index_table:
                 raise PlanError(
-                    f"{node.describe()}: build side scans {scan.table!r}, "
+                    f"{node.describe()}: build side scans {node.left.table!r}, "
                     f"not the indexed table {node.index_table!r}")
             if not catalog.schema.has_table(node.index_table):
                 raise PlanError(

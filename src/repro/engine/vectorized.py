@@ -26,7 +26,7 @@ from ..dsl.expr_compile import (compile_columnar, compile_columnar_pair,
                                 compile_columnar_predicate, compile_row)
 from ..robustness.faults import fault_point
 from ..robustness.governor import current_governor
-from ..storage.access import AccessLayer, rewrite_string_predicates
+from ..storage.access import AccessLayer, DirectArray, rewrite_string_predicates
 from ..storage.catalog import Catalog
 from .sharing import SubplanSharing
 from .sortkeys import pass_keys, topk_indices
@@ -127,8 +127,6 @@ class VectorizedEngine(SubplanSharing):
             return self._select(plan)
         if isinstance(plan, qplan.Project):
             return self._project(plan)
-        if isinstance(plan, qplan.IndexJoin):
-            return self._index_join(plan)
         if isinstance(plan, qplan.HashJoin):
             return self._hash_join(plan)
         if isinstance(plan, qplan.NestedLoopJoin):
@@ -244,300 +242,82 @@ class VectorizedEngine(SubplanSharing):
             yield ColumnBatch(columns, None, len(indices))
 
     def _hash_join(self, plan: qplan.HashJoin) -> Iterator[ColumnBatch]:
+        """An equi join (``IndexJoin`` included): one build, one probe per kind.
+
+        The build is the primary key's direct array when the plan is an
+        ``IndexJoin`` and the catalog holds one (:class:`_KeyBuild`), else
+        buckets over the materialised left input (:class:`_HashBuild`).  A
+        unique key gives buckets of at most one row and a bare scan's bucket
+        order is its base order, so both builds emit the same rows in the
+        same order.
+        """
         left_fields = qplan.output_fields(plan.left, self.catalog)
         right_fields = qplan.output_fields(plan.right, self.catalog)
-
-        # Build phase: key column over the materialized left input.
-        left_columns, left_count = self._materialize(plan.left)
-        left_keys = compile_columnar(plan.left_key)(left_columns, range(left_count))
-        buckets: Dict[Any, List[int]] = {}
-        for j in range(left_count):
-            buckets.setdefault(left_keys[j], []).append(j)
-
+        build = self._build(plan, left_fields)
         right_key = compile_columnar(plan.right_key)
         residual_binder = None
         if plan.residual is not None:
             residual_binder = compile_columnar_pair(plan.residual, left_fields, right_fields)
+        probes = self._probe(plan, build, right_key, residual_binder)
 
         if plan.kind == "inner":
-            yield from self._probe_inner(plan, buckets, left_columns, left_fields,
-                                         right_fields, right_key, residual_binder)
-        elif plan.kind == "leftouter":
-            yield from self._probe_outer(plan, buckets, left_columns, left_fields,
-                                         right_fields, right_key, residual_binder)
-        elif plan.kind in ("leftsemi", "leftanti"):
-            yield from self._probe_semi_anti(plan, buckets, left_columns, left_fields,
-                                             right_key, residual_binder)
-        else:  # pragma: no cover - guarded by the QPlan constructor
-            raise VectorizedError(f"unknown join kind {plan.kind!r}")
-
-    def _index_join(self, plan: qplan.IndexJoin) -> Iterator[ColumnBatch]:
-        """Hash join served by the catalog's load-time unique-key index.
-
-        The build side is never executed: probe keys index the memoized
-        direct array, the build filter runs only on candidate rows, and the
-        build columns are gathered zero-copy from the catalog.  With unique
-        keys the emission orders below are exactly those of
-        :meth:`_hash_join` (probe-major for inner, base order for semi/anti).
-        """
-        index = AccessLayer.for_catalog(self.catalog).key_index(
-            plan.index_table, plan.index_column)
-        parts = plan.build_parts()
-        if index is None or parts is None:
-            yield from self._hash_join(plan)
-            return
-        scan, build_predicate = parts
-        table = self.catalog.table(scan.table)
-        left_fields = scan.fields if scan.fields is not None \
-            else table.schema.column_names()
-        base_columns = {name: table.column(name) for name in left_fields}
-        right_fields = qplan.output_fields(plan.right, self.catalog)
-
-        from ..storage.access import DirectArray
-        build_pass = (compile_columnar(build_predicate)
-                      if build_predicate is not None else None)
-        right_key = compile_columnar(plan.right_key)
-        residual_binder = None
-        if plan.residual is not None:
-            residual_binder = compile_columnar_pair(plan.residual, left_fields,
-                                                    right_fields)
-        lookup = index.lookup
-        # dense-array fast path bound to locals: the probe loops below index
-        # `slots` inline instead of paying a method call per probe row
-        if isinstance(index, DirectArray):
-            slots, offset, size = index.slots, index.offset, len(index.slots)
-        else:
-            slots, offset, size = None, 0, 0
-        # per-position build-filter verdicts, shared across probe batches and
-        # evaluated in one compiled-columnar call per batch of new positions
-        verdicts: Dict[int, bool] = {}
-
-        def resolve(keys: List[Any]) -> List[Optional[int]]:
-            """Key column -> build positions (the two-pass filtered path)."""
-            if slots is not None:
-                positions: List[Optional[int]] = []
-                append = positions.append
-                for key in keys:
-                    if type(key) is int:
-                        slot = key - offset
-                        append(slots[slot] if 0 <= slot < size else None)
-                    else:
-                        append(lookup(key))
-                return positions
-            return [lookup(key) for key in keys]
-
-        def screen(positions: List[Optional[int]]) -> None:
-            """Fill ``verdicts`` for every not-yet-screened position."""
-            fresh = [j for j in set(positions)
-                     if j is not None and j not in verdicts]
-            if fresh:
-                for j, verdict in zip(fresh, build_pass(base_columns, fresh)):
-                    verdicts[j] = bool(verdict)
-
-        if plan.kind == "inner":
-            for batch in self.execute_batches(plan.right):
-                indices = batch.indices()
-                keys = right_key(batch.columns, indices)
-                residual = (residual_binder(base_columns, batch.columns)
-                            if residual_binder is not None else None)
-                left_idx: List[int] = []
-                right_idx: List[int] = []
-                if build_pass is None:
-                    # single fused pass: lookup, residual, pair emission
-                    for pos, i in enumerate(indices):
-                        key = keys[pos]
-                        if slots is not None and type(key) is int:
-                            slot = key - offset
-                            j = slots[slot] if 0 <= slot < size else None
-                        else:
-                            j = lookup(key)
-                        if j is None:
-                            continue
-                        if residual is None or residual(j, i):
-                            left_idx.append(j)
-                            right_idx.append(i)
-                else:
-                    positions = resolve(keys)
-                    screen(positions)
-                    for pos, i in enumerate(indices):
-                        j = positions[pos]
-                        if j is None or not verdicts[j]:
-                            continue
-                        if residual is None or residual(j, i):
-                            left_idx.append(j)
-                            right_idx.append(i)
-                columns: Dict[str, List[Any]] = {}
-                for name in left_fields:
-                    source = base_columns[name]
-                    columns[name] = [source[j] for j in left_idx]
-                for name in right_fields:
-                    source = batch.columns[name]
-                    columns[name] = [source[i] for i in right_idx]
+            for batch, left_idx, right_idx in probes:
+                columns = _gather(build.columns, left_fields, left_idx)
+                columns.update(_gather(batch.columns, right_fields, right_idx))
                 yield ColumnBatch(columns, None, len(left_idx))
             return
 
-        if plan.kind == "leftouter":
-            # Matched pairs gather in probe order; probe misses contribute
-            # nothing.  The filter-surviving build rows that never matched
-            # follow null-padded in base (= bucket) order — the same
-            # matched-pairs-then-padding emission as :meth:`_probe_outer`.
-            matched: set = set()
-            left_idx: List[int] = []
-            right_values: Dict[str, List[Any]] = {name: [] for name in right_fields}
-            for batch in self.execute_batches(plan.right):
-                indices = batch.indices()
-                keys = right_key(batch.columns, indices)
-                residual = (residual_binder(base_columns, batch.columns)
-                            if residual_binder is not None else None)
-                positions = resolve(keys)
-                if build_pass is not None:
-                    screen(positions)
-                batch_columns = [batch.columns[name] for name in right_fields]
-                outputs = [right_values[name] for name in right_fields]
-                for pos, i in enumerate(indices):
-                    j = positions[pos]
-                    if j is None:
-                        continue
-                    if build_pass is not None and not verdicts[j]:
-                        continue
-                    if residual is None or residual(j, i):
-                        matched.add(j)
-                        left_idx.append(j)
-                        for source, out in zip(batch_columns, outputs):
-                            out.append(source[i])
-            columns: Dict[str, List[Any]] = {}
-            for name in left_fields:
-                source = base_columns[name]
-                columns[name] = [source[j] for j in left_idx]
-            columns.update(right_values)
-            yield ColumnBatch(columns, None, len(left_idx))
-
-            if build_pass is not None:
-                surviving = compile_columnar_predicate(
-                    build_predicate)(base_columns, range(table.num_rows))
-            else:
-                surviving = range(table.num_rows)
-            unmatched = [j for j in surviving if j not in matched]
-            columns = {}
-            for name in left_fields:
-                source = base_columns[name]
-                columns[name] = [source[j] for j in unmatched]
-            for name in right_fields:
-                columns[name] = [None] * len(unmatched)
-            yield ColumnBatch(columns, None, len(unmatched))
+        matched: set = set()
+        if plan.kind in ("leftsemi", "leftanti"):
+            for _, left_idx, _ in probes:
+                matched.update(left_idx)
+            want_match = plan.kind == "leftsemi"
+            keep = [j for j in build.rows() if (j in matched) == want_match]
+            yield ColumnBatch(build.columns, keep, build.length)
             return
 
-        # leftsemi / leftanti: mark matched build positions, then emit the
-        # filter-surviving base rows (zero-copy, ascending = bucket order).
-        matched: set = set()
-        for batch in self.execute_batches(plan.right):
-            indices = batch.indices()
-            keys = right_key(batch.columns, indices)
-            residual = (residual_binder(base_columns, batch.columns)
-                        if residual_binder is not None else None)
-            positions = resolve(keys)
-            if build_pass is not None:
-                screen(positions)
-            for pos, i in enumerate(indices):
-                j = positions[pos]
-                if j is None or j in matched:
-                    continue
-                if build_pass is not None and not verdicts[j]:
-                    continue
-                if residual is None or residual(j, i):
-                    matched.add(j)
-        if build_pass is not None:
-            surviving: Sequence[int] = compile_columnar_predicate(
-                build_predicate)(base_columns, range(table.num_rows))
-        else:
-            surviving = range(table.num_rows)
-        want_match = plan.kind == "leftsemi"
-        keep = [j for j in surviving if (j in matched) == want_match]
-        yield ColumnBatch(base_columns, keep, table.num_rows)
-
-    def _probe_inner(self, plan, buckets, left_columns, left_fields, right_fields,
-                     right_key, residual_binder) -> Iterator[ColumnBatch]:
-        for batch in self.execute_batches(plan.right):
-            indices = batch.indices()
-            keys = right_key(batch.columns, indices)
-            residual = (residual_binder(left_columns, batch.columns)
-                        if residual_binder is not None else None)
-            left_idx: List[int] = []
-            right_idx: List[int] = []
-            for pos, i in enumerate(indices):
-                matches = buckets.get(keys[pos])
-                if not matches:
-                    continue
-                for j in matches:
-                    if residual is None or residual(j, i):
-                        left_idx.append(j)
-                        right_idx.append(i)
-            columns: Dict[str, List[Any]] = {}
-            for name in left_fields:
-                source = left_columns[name]
-                columns[name] = [source[j] for j in left_idx]
-            for name in right_fields:
-                source = batch.columns[name]
-                columns[name] = [source[i] for i in right_idx]
-            yield ColumnBatch(columns, None, len(left_idx))
-
-    def _probe_outer(self, plan, buckets, left_columns, left_fields, right_fields,
-                     right_key, residual_binder) -> Iterator[ColumnBatch]:
-        """Left outer join: matched pairs first (probe order), then unmatched
-        left rows null-padded — the interpreter's emission order."""
-        matched: set = set()
-        left_idx: List[int] = []
+        # left outer: matched pairs first (probe order), then the unmatched
+        # build rows null-padded (bucket order) — the interpreter's order
+        left_all: List[int] = []
         right_values: Dict[str, List[Any]] = {name: [] for name in right_fields}
-        for batch in self.execute_batches(plan.right):
-            indices = batch.indices()
-            keys = right_key(batch.columns, indices)
-            residual = (residual_binder(left_columns, batch.columns)
-                        if residual_binder is not None else None)
-            batch_columns = [batch.columns[name] for name in right_fields]
-            outputs = [right_values[name] for name in right_fields]
-            for pos, i in enumerate(indices):
-                for j in buckets.get(keys[pos], ()):
-                    if residual is None or residual(j, i):
-                        matched.add(j)
-                        left_idx.append(j)
-                        for source, out in zip(batch_columns, outputs):
-                            out.append(source[i])
-        columns: Dict[str, List[Any]] = {}
-        for name in left_fields:
-            source = left_columns[name]
-            columns[name] = [source[j] for j in left_idx]
+        for batch, left_idx, right_idx in probes:
+            matched.update(left_idx)
+            left_all.extend(left_idx)
+            for name, values in _gather(batch.columns, right_fields, right_idx).items():
+                right_values[name].extend(values)
+        columns = _gather(build.columns, left_fields, left_all)
         columns.update(right_values)
-        yield ColumnBatch(columns, None, len(left_idx))
+        yield ColumnBatch(columns, None, len(left_all))
 
-        unmatched = [j for rows in buckets.values() for j in rows if j not in matched]
-        columns = {}
-        for name in left_fields:
-            source = left_columns[name]
-            columns[name] = [source[j] for j in unmatched]
+        unmatched = [j for j in build.rows() if j not in matched]
+        columns = _gather(build.columns, left_fields, unmatched)
         for name in right_fields:
             columns[name] = [None] * len(unmatched)
         yield ColumnBatch(columns, None, len(unmatched))
 
-    def _probe_semi_anti(self, plan, buckets, left_columns, left_fields,
-                         right_key, residual_binder) -> Iterator[ColumnBatch]:
-        matched: set = set()
+    def _build(self, plan: qplan.HashJoin, left_fields: List[str]):
+        if isinstance(plan, qplan.IndexJoin) and isinstance(plan.left, qplan.Scan):
+            index = AccessLayer.for_catalog(self.catalog).key_index(
+                plan.index_table, plan.index_column)
+            if index is not None:
+                table = self.catalog.table(plan.left.table)
+                columns = {name: table.column(name) for name in left_fields}
+                return _KeyBuild(columns, table.num_rows, index)
+        columns, count = self._materialize(plan.left)
+        keys = compile_columnar(plan.left_key)(columns, range(count))
+        return _HashBuild(columns, count, keys)
+
+    def _probe(self, plan, build, right_key, residual_binder
+               ) -> Iterator[Tuple[ColumnBatch, List[int], List[int]]]:
+        """``(batch, left_idx, right_idx)`` per probe batch: the batch's
+        matching pairs in probe order, residual applied."""
         for batch in self.execute_batches(plan.right):
             indices = batch.indices()
-            keys = right_key(batch.columns, indices)
-            residual = (residual_binder(left_columns, batch.columns)
+            residual = (residual_binder(build.columns, batch.columns)
                         if residual_binder is not None else None)
-            for pos, i in enumerate(indices):
-                for j in buckets.get(keys[pos], ()):
-                    if j not in matched and (residual is None or residual(j, i)):
-                        matched.add(j)
-        want_match = plan.kind == "leftsemi"
-        keep = [j for rows in buckets.values() for j in rows
-                if (j in matched) == want_match]
-        columns = {}
-        for name in left_fields:
-            source = left_columns[name]
-            columns[name] = [source[j] for j in keep]
-        yield ColumnBatch(columns, None, len(keep))
+            left_idx, right_idx = build.pairs(right_key(batch.columns, indices),
+                                              indices, residual)
+            yield batch, left_idx, right_idx
 
     def _nested_loop_join(self, plan: qplan.NestedLoopJoin) -> Iterator[ColumnBatch]:
         left_fields = qplan.output_fields(plan.left, self.catalog)
@@ -693,6 +473,87 @@ class VectorizedEngine(SubplanSharing):
                 remaining = 0
             if remaining <= 0:
                 return
+
+
+def _gather(columns: Dict[str, Sequence[Any]], fields: Sequence[str],
+            positions: Sequence[int]) -> Dict[str, List[Any]]:
+    """The ``fields`` columns at ``positions``, in that order."""
+    gathered: Dict[str, List[Any]] = {}
+    for name in fields:
+        source = columns[name]
+        gathered[name] = [source[j] for j in positions]
+    return gathered
+
+
+# ---------------------------------------------------------------------------
+# Join builds.  A build has the left input's ``columns`` (``length`` rows),
+# the matching ``(left_idx, right_idx)`` pairs of a probe batch in probe
+# order with the residual applied, and its rows in bucket order, which
+# left-outer padding and semi/anti emission walk.
+# ---------------------------------------------------------------------------
+class _HashBuild:
+    """The per-query build: the materialised left input bucketed by key."""
+
+    def __init__(self, columns: Dict[str, Sequence[Any]], length: int,
+                 keys: Sequence[Any]) -> None:
+        self.columns = columns
+        self.length = length
+        buckets: Dict[Any, List[int]] = {}
+        for j in range(length):
+            buckets.setdefault(keys[j], []).append(j)
+        self.buckets = buckets
+
+    def pairs(self, keys, indices, residual) -> Tuple[List[int], List[int]]:
+        buckets = self.buckets
+        left_idx: List[int] = []
+        right_idx: List[int] = []
+        for pos, i in enumerate(indices):
+            matches = buckets.get(keys[pos])
+            if not matches:
+                continue
+            for j in matches:
+                if residual is None or residual(j, i):
+                    left_idx.append(j)
+                    right_idx.append(i)
+        return left_idx, right_idx
+
+    def rows(self) -> List[int]:
+        return [j for rows in self.buckets.values() for j in rows]
+
+
+class _KeyBuild:
+    """The build of a bare-scan join on a dense primary key: the key's
+    load-time :class:`~repro.storage.access.DirectArray` over the base
+    columns, so nothing is built per query."""
+
+    def __init__(self, columns: Dict[str, Sequence[Any]], length: int,
+                 index: DirectArray) -> None:
+        self.columns = columns
+        self.length = length
+        self.index = index
+
+    def pairs(self, keys, indices, residual) -> Tuple[List[int], List[int]]:
+        # one fused pass (lookup, residual, pair emission); an ``int`` key
+        # indexes the slots inline, any other goes through ``lookup``, which
+        # matches 3.0 and True as a dict would
+        slots, offset, lookup = self.index.slots, self.index.offset, self.index.lookup
+        size = len(slots)
+        left_idx: List[int] = []
+        right_idx: List[int] = []
+        for pos, i in enumerate(indices):
+            key = keys[pos]
+            if type(key) is int:
+                slot = key - offset
+                j = slots[slot] if 0 <= slot < size else None
+            else:
+                j = lookup(key)
+            if j is not None and (residual is None or residual(j, i)):
+                left_idx.append(j)
+                right_idx.append(i)
+        return left_idx, right_idx
+
+    def rows(self) -> range:
+        return range(self.length)
 
 
 def _final_value(agg: qplan.AggSpec, row_count: int, values: Optional[List[Any]]) -> Any:

@@ -18,13 +18,13 @@ The interpreter plays two roles in this repository:
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..dsl import qplan
 from ..dsl.expr_compile import compile_pair, compile_row
 from ..robustness.faults import fault_point
 from ..robustness.governor import current_governor
-from ..storage.access import AccessLayer, rewrite_string_predicates
+from ..storage.access import AccessLayer, DirectArray, rewrite_string_predicates
 from ..storage.catalog import Catalog
 from .sharing import SubplanSharing
 from .sortkeys import pass_keys, topk_rows
@@ -83,8 +83,6 @@ class VolcanoEngine(SubplanSharing):
             return self._select(plan)
         if isinstance(plan, qplan.Project):
             return self._project(plan)
-        if isinstance(plan, qplan.IndexJoin):
-            return self._index_join(plan)
         if isinstance(plan, qplan.HashJoin):
             return self._hash_join(plan)
         if isinstance(plan, qplan.NestedLoopJoin):
@@ -165,169 +163,68 @@ class VolcanoEngine(SubplanSharing):
                     del row[extra]
                 yield row
 
-    def _index_join(self, plan: qplan.IndexJoin) -> Iterator[Row]:
-        """Hash join served by the catalog's load-time unique-key index.
-
-        No build phase: each probe key is looked up in the memoized index and
-        the (at most one) matching build row is constructed on demand from
-        the base columns, with the build filter applied per fetched row.
-        Unique keys make every hash bucket at most one row, so every emission
-        order below replicates :meth:`_hash_join` exactly.
-        """
-        index = AccessLayer.for_catalog(self.catalog).key_index(
-            plan.index_table, plan.index_column)
-        parts = plan.build_parts()
-        if index is None or parts is None:
-            yield from self._hash_join(plan)
-            return
-        scan, build_predicate = parts
-        table = self.catalog.table(scan.table)
-        fields = scan.fields if scan.fields is not None else table.schema.column_names()
-        columns = [table.column(name) for name in fields]
-        predicate = compile_row(build_predicate) if build_predicate is not None else None
-        right_key = compile_row(plan.right_key)
-        residual = compile_pair(plan.residual) if plan.residual is not None else None
-        lookup = index.lookup
-
-        # build rows fetched so far: position -> row dict (None = filtered out)
-        fetched: Dict[int, Optional[Row]] = {}
-
-        def build_row(position: int) -> Optional[Row]:
-            row = fetched.get(position, False)
-            if row is False:
-                row = {name: column[position]
-                       for name, column in zip(fields, columns)}
-                if predicate is not None and not predicate(row):
-                    row = None
-                fetched[position] = row
-            return row
-
-        if plan.kind == "inner":
-            for right_row in self.iterate(plan.right):
-                position = lookup(right_key(right_row))
-                if position is None:
-                    continue
-                left_row = build_row(position)
-                if left_row is None:
-                    continue
-                if residual is None or residual(left_row, right_row):
-                    yield {**left_row, **right_row}
-            return
-
-        if plan.kind == "leftouter":
-            # Probe misses contribute nothing; matched pairs stream out in
-            # probe order, then the filter-surviving build rows that never
-            # matched are emitted null-padded in base (= bucket) order —
-            # exactly :meth:`_probe_outer`'s matched-pairs-then-padding order.
-            right_fields = qplan.output_fields(plan.right, self.catalog)
-            null_pad = {name: None for name in right_fields}
-            matched_positions: set = set()
-            for right_row in self.iterate(plan.right):
-                position = lookup(right_key(right_row))
-                if position is None:
-                    continue
-                left_row = build_row(position)
-                if left_row is None:
-                    continue
-                if residual is None or residual(left_row, right_row):
-                    matched_positions.add(position)
-                    yield {**left_row, **right_row}
-            for position in range(table.num_rows):
-                if position in matched_positions:
-                    continue
-                left_row = build_row(position)
-                if left_row is not None:
-                    yield {**left_row, **null_pad}
-            return
-
-        # leftsemi / leftanti: collect matched build positions while probing,
-        # then emit the filter-surviving build rows in base (= bucket) order.
-        matched: set = set()
-        for right_row in self.iterate(plan.right):
-            position = lookup(right_key(right_row))
-            if position is None or position in matched:
-                continue
-            left_row = build_row(position)
-            if left_row is None:
-                continue
-            if residual is None or residual(left_row, right_row):
-                matched.add(position)
-        want_match = plan.kind == "leftsemi"
-        for position in range(table.num_rows):
-            left_row = build_row(position)
-            if left_row is not None and (position in matched) == want_match:
-                yield left_row
-
     def _project(self, plan: qplan.Project) -> Iterator[Row]:
         projections = [(name, compile_row(expr)) for name, expr in plan.projections]
         for row in self.iterate(plan.child):
             yield {name: fn(row) for name, fn in projections}
 
     def _hash_join(self, plan: qplan.HashJoin) -> Iterator[Row]:
-        # Build phase: hash the left input on its key.
-        left_key = compile_row(plan.left_key)
-        buckets: Dict[Any, List[Row]] = {}
-        for row in self.iterate(plan.left):
-            buckets.setdefault(left_key(row), []).append(row)
+        """An equi join (``IndexJoin`` included): one build, one probe per kind.
 
+        The build is the primary key's direct array when the plan is an
+        ``IndexJoin`` and the catalog holds one (:class:`_KeyBuild`), else
+        the left input hashed on its key (:class:`_HashBuild`).  A unique key
+        gives buckets of at most one row and a bare scan's bucket order is its
+        base order, so both builds emit the same rows in the same order.
+        """
+        build = self._build(plan)
+        matches = build.matches
         right_key = compile_row(plan.right_key)
         residual = compile_pair(plan.residual) if plan.residual is not None else None
 
         if plan.kind == "inner":
-            yield from self._probe_inner(plan, buckets, right_key, residual)
-        elif plan.kind == "leftouter":
-            yield from self._probe_outer(plan, buckets, right_key, residual)
-        elif plan.kind in ("leftsemi", "leftanti"):
-            yield from self._probe_semi_anti(plan, buckets, right_key, residual)
-        else:  # pragma: no cover - guarded by the QPlan constructor
-            raise VolcanoError(f"unknown join kind {plan.kind!r}")
+            for right_row in self.iterate(plan.right):
+                for left_row in matches(right_key(right_row)) or ():
+                    if residual is None or residual(left_row, right_row):
+                        yield {**left_row, **right_row}
+            return
 
-    def _probe_inner(self, plan: qplan.HashJoin, buckets: Dict[Any, List[Row]],
-                     right_key: Callable[[Row], Any],
-                     residual: Optional[Callable[[Row, Row], Any]]) -> Iterator[Row]:
+        # the other kinds are with respect to the left (build) rows: probe
+        # first — a left outer join streams its matched pairs meanwhile —
+        # then walk the build in bucket order
+        outer = plan.kind == "leftouter"
+        matched: set = set()
         for right_row in self.iterate(plan.right):
-            for left_row in buckets.get(right_key(right_row), ()):
+            for left_row in matches(right_key(right_row)) or ():
                 if residual is None or residual(left_row, right_row):
-                    yield {**left_row, **right_row}
-
-    def _probe_outer(self, plan: qplan.HashJoin, buckets: Dict[Any, List[Row]],
-                     right_key: Callable[[Row], Any],
-                     residual: Optional[Callable[[Row, Row], Any]]) -> Iterator[Row]:
-        """Left outer join: every left row appears; unmatched ones are null-padded.
-
-        The probe side is the right input, so matches are gathered per left
-        row first, then unmatched left rows are emitted with ``None`` columns.
-        """
-        right_fields = qplan.output_fields(plan.right, self.catalog)
-        matched: Dict[int, bool] = {}
-        left_rows: List[Row] = [row for rows in buckets.values() for row in rows]
-        matched_pairs: List[Tuple[Row, Row]] = []
-        for right_row in self.iterate(plan.right):
-            for left_row in buckets.get(right_key(right_row), ()):
-                if residual is None or residual(left_row, right_row):
-                    matched[id(left_row)] = True
-                    matched_pairs.append((left_row, right_row))
-        for left_row, right_row in matched_pairs:
-            yield {**left_row, **right_row}
-        null_pad = {name: None for name in right_fields}
-        for left_row in left_rows:
-            if id(left_row) not in matched:
-                yield {**left_row, **null_pad}
-
-    def _probe_semi_anti(self, plan: qplan.HashJoin, buckets: Dict[Any, List[Row]],
-                         right_key: Callable[[Row], Any],
-                         residual: Optional[Callable[[Row, Row], Any]]) -> Iterator[Row]:
-        """Semi/anti join: emit left rows with (without) at least one match."""
-        matched: Dict[int, bool] = {}
-        for right_row in self.iterate(plan.right):
-            for left_row in buckets.get(right_key(right_row), ()):
-                if residual is None or residual(left_row, right_row):
-                    matched[id(left_row)] = True
+                    matched.add(id(left_row))
+                    if outer:
+                        yield {**left_row, **right_row}
+        if outer:
+            null_pad = {name: None
+                        for name in qplan.output_fields(plan.right, self.catalog)}
+            for left_row in build.rows():
+                if id(left_row) not in matched:
+                    yield {**left_row, **null_pad}
+            return
         want_match = plan.kind == "leftsemi"
-        for rows in buckets.values():
-            for left_row in rows:
-                if (id(left_row) in matched) == want_match:
-                    yield left_row
+        for left_row in build.rows():
+            if (id(left_row) in matched) == want_match:
+                yield left_row
+
+    def _build(self, plan: qplan.HashJoin):
+        if isinstance(plan, qplan.IndexJoin) and isinstance(plan.left, qplan.Scan):
+            index = AccessLayer.for_catalog(self.catalog).key_index(
+                plan.index_table, plan.index_column)
+            if index is not None:
+                table = self.catalog.table(plan.left.table)
+                return _KeyBuild(table, qplan.output_fields(plan.left, self.catalog),
+                                 index)
+        left_key = compile_row(plan.left_key)
+        buckets: Dict[Any, List[Row]] = {}
+        for row in self.iterate(plan.left):
+            buckets.setdefault(left_key(row), []).append(row)
+        return _HashBuild(buckets)
 
     def _nested_loop_join(self, plan: qplan.NestedLoopJoin) -> Iterator[Row]:
         right_rows = list(self.iterate(plan.right))
@@ -423,6 +320,60 @@ class VolcanoEngine(SubplanSharing):
             count += 1
             if count >= plan.count:
                 break
+
+
+# ---------------------------------------------------------------------------
+# Join builds.  A build has ``matches(key)`` — the build rows a probe key
+# matches, or a falsy value when there are none — and ``rows()``, every build
+# row in bucket order, which left-outer padding and semi/anti emission walk.
+# A build row is one object throughout, so the probes track it by ``id``.
+# ---------------------------------------------------------------------------
+class _HashBuild:
+    """The per-query build: the left input's rows bucketed by key."""
+
+    def __init__(self, buckets: Dict[Any, List[Row]]) -> None:
+        self.buckets = buckets
+        self.matches = buckets.get
+
+    def rows(self) -> List[Row]:
+        return [row for rows in self.buckets.values() for row in rows]
+
+
+class _KeyBuild:
+    """The build of a bare-scan join on a dense primary key: the key's
+    load-time :class:`~repro.storage.access.DirectArray` over the base
+    columns.  The one-row bucket of a position is made from the base columns
+    the first time it is reached."""
+
+    def __init__(self, table, fields: List[str], index: DirectArray) -> None:
+        self.fields = fields
+        self.columns = [table.column(name) for name in fields]
+        self.length = table.num_rows
+        self.slots, self.offset, self.lookup = index.slots, index.offset, index.lookup
+        #: position -> its bucket, a 1-tuple (truthy, so ``get(...) or``)
+        self.buckets: Dict[int, Tuple[Row]] = {}
+
+    def _fetch(self, position: int) -> Tuple[Row]:
+        bucket = self.buckets[position] = (
+            {name: column[position] for name, column in zip(self.fields, self.columns)},)
+        return bucket
+
+    def matches(self, key: Any) -> Optional[Tuple[Row]]:
+        # an ``int`` key indexes the slots inline, any other goes through
+        # ``lookup``, which matches 3.0 and True as a dict would
+        if type(key) is int:
+            slot = key - self.offset
+            position = self.slots[slot] if 0 <= slot < len(self.slots) else None
+        else:
+            position = self.lookup(key)
+        if position is None:
+            return None
+        return self.buckets.get(position) or self._fetch(position)
+
+    def rows(self) -> List[Row]:
+        buckets, fetch = self.buckets, self._fetch
+        return [(buckets.get(position) or fetch(position))[0]
+                for position in range(self.length)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ physical counterparts (:mod:`repro.storage.access`):
   :class:`~repro.dsl.qplan.PrunedScan` carrying the predicate's prunable
   conjuncts as zone filters, so engines can skip chunks (zone maps) or jump
   to a candidate row slice (sorted-column partition pruning).
-* **IndexJoinSelection** — a hash join whose build side is a (possibly
-  filtered) scan of a table keyed on its dense/unique single-column primary
-  key becomes an :class:`~repro.dsl.qplan.IndexJoin`, probing the catalog's
-  load-time key index instead of building a per-query hash table.
+* **IndexJoinSelection** — a hash join whose build side is a bare scan keyed
+  on the scanned table's unique, dense single-column primary key becomes an
+  :class:`~repro.dsl.qplan.IndexJoin`: its build is the key's load-time
+  direct array instead of a per-query hash table.
 
 Both rewrites are order- and value-preserving (the executed access path
 reproduces the parent operator's emission order exactly — unique keys mean
@@ -29,41 +29,25 @@ from ..storage.access import extract_zone_filters
 from .rewrite import PlanRule, PlannerContext
 
 
-def index_eligible_build(join: Q.HashJoin, catalog,
-                         estimator=None) -> Optional[Tuple[str, str]]:
+def index_eligible_build(join: Q.HashJoin, catalog) -> Optional[Tuple[str, str]]:
     """``(table, key_column)`` when a join's build side can be index-served.
 
-    Requires: a join kind whose index execution is order-identical (inner,
-    left semi, left anti, left outer); a build side that is a bare scan — or,
-    for inner joins, one filter over a scan; a build key that is exactly the
-    scanned table's single-column primary key; and statistics confirming the
-    key is unique in the loaded data.
-
-    A bare-scan build side is always worth index-serving: the per-query hash
-    build it replaces is a full pass over the table, the index probe costs
-    nothing extra.  A *filtered* build side is different — the index path
-    must re-screen the build filter per probed key, so it only wins when the
-    probe side is no larger than the filtered build it saves; with an
-    ``estimator`` that cost gate is applied (semi/anti and outer joins
-    additionally re-enumerate every build row at emission, so filtered
-    builds stay on the pruned-scan hash build there).  Also consulted by the
-    cost-based build-side swap: an index-served build side costs nothing to
-    "build", so it must never be swapped away.
+    Requires a join kind every engine runs over an index build (inner, left
+    semi, left anti, left outer); a build side that is a bare ``Scan``; a
+    build key that is exactly the scanned table's single-column primary key;
+    and statistics confirming the key is unique and dense in the loaded data
+    (``ColumnStatistics.is_dense_key``), so the access layer holds its direct
+    array.  A bare-scan build is always worth index-serving: the per-query
+    hash build it replaces is a full pass over the table, and the probe costs
+    nothing extra.  Also consulted by the cost-based build-side swap: an
+    index-served build side costs nothing to "build", so it must never be
+    swapped away.
     """
     if join.kind not in ("inner", "leftsemi", "leftanti", "leftouter"):
         return None
-    build = join.left
-    filtered = False
-    if isinstance(build, Q.Select) and join.kind == "inner":
-        if not isinstance(build.child, Q.Scan):
-            return None
-        scan = build.child
-        filtered = True
-    elif isinstance(build, Q.Scan):
-        scan = build
-    else:
+    scan, key = join.left, join.left_key
+    if not isinstance(scan, Q.Scan):
         return None
-    key = join.left_key
     if not (isinstance(key, E.Col) and key.side is None):
         return None
     if not catalog.is_primary_key(scan.table, key.name):
@@ -71,11 +55,9 @@ def index_eligible_build(join: Q.HashJoin, catalog,
     statistics = getattr(catalog, "statistics", None)
     if statistics is None or not statistics.has_column(scan.table, key.name):
         return None
-    if not statistics.column(scan.table, key.name).is_unique:
+    stats = statistics.column(scan.table, key.name)
+    if not (stats.is_unique and stats.is_dense_key()):
         return None
-    if filtered and estimator is not None:
-        if estimator.estimate_rows(join.right) > estimator.estimate_rows(build):
-            return None
     return scan.table, key.name
 
 
@@ -84,14 +66,10 @@ class IndexJoinSelection(PlanRule):
 
     name = "index-join"
 
-    def __init__(self, estimator=None) -> None:
-        #: optional cardinality estimator for the filtered-build cost gate
-        self.estimator = estimator
-
     def apply(self, node: Q.Operator, context: PlannerContext) -> Optional[Q.Operator]:
         if not isinstance(node, Q.HashJoin) or isinstance(node, Q.IndexJoin):
             return None
-        eligible = index_eligible_build(node, context.catalog, self.estimator)
+        eligible = index_eligible_build(node, context.catalog)
         if eligible is None:
             return None
         table, column = eligible

@@ -77,7 +77,7 @@ class CardinalityEstimator:
         if isinstance(plan, Q.Project):
             return self.estimate_rows(plan.child)
         if isinstance(plan, Q.IndexJoin):
-            return self._estimate_index_join(plan)
+            return self._estimate_pk_join(plan)
         if isinstance(plan, Q.HashJoin):
             return self._estimate_hash_join(plan)
         if isinstance(plan, Q.NestedLoopJoin):
@@ -104,16 +104,13 @@ class CardinalityEstimator:
             estimate = max(estimate, left)
         return max(1.0, estimate)
 
-    def _estimate_index_join(self, plan: Q.IndexJoin) -> float:
+    def _estimate_pk_join(self, plan: Q.IndexJoin) -> float:
         """Unique-key joins match each probe row with at most one build row,
-        so the inner output is bounded by the probe side times the build
-        filter's selectivity — tighter than the generic ``|L|·|R| / V``."""
+        so the inner output is bounded by the probe side — tighter than the
+        generic ``|L|·|R| / V``."""
         if plan.kind in ("leftsemi", "leftanti"):
             return max(1.0, self.estimate_rows(plan.left) * _SEMI_SELECTIVITY)
         estimate = self.estimate_rows(plan.right)
-        parts = plan.build_parts()
-        if parts is not None and parts[1] is not None:
-            estimate *= self.selectivity(parts[1])
         if plan.residual is not None:
             estimate *= self.selectivity(plan.residual)
         return max(1.0, estimate)

@@ -197,9 +197,9 @@ class Planner:
         # otherwise rewrite an invalid plan into a valid-but-different one.
         Q.validate(plan, self.catalog)
         context = PlannerContext(catalog=self.catalog, options=self.options)
-        estimator = self.estimator
         plan, report = apply_rules_fixpoint(plan, self._rules(), context)
         if self.options.join_strategy:
+            estimator = self.estimator
             plan = reorder_join_chains(plan, context, estimator)
             plan, swap_report = apply_rules_fixpoint(
                 plan, [BuildSideSwap(estimator)], context)
@@ -217,7 +217,7 @@ class Planner:
             # order and values exactly.
             plan, access_report = apply_rules_fixpoint(
                 plan,
-                [PrunedScanSelection(), IndexJoinSelection(estimator)], context)
+                [PrunedScanSelection(), IndexJoinSelection()], context)
             report.applied.extend(access_report.applied)
         # An optimizer bug must surface here, not as a wrong answer later.
         Q.validate(plan, self.catalog)

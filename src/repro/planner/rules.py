@@ -368,8 +368,7 @@ class BuildSideSwap(PlanRule):
         # would only destroy the cheaper plan the access-path rules select.
         options = context.options
         if (options is None or getattr(options, "access_paths", True)) and \
-                index_eligible_build(node, context.catalog,
-                                     self.estimator) is not None:
+                index_eligible_build(node, context.catalog) is not None:
             return None
         build = self.estimator.estimate_rows(node.left)
         probe = self.estimator.estimate_rows(node.right)

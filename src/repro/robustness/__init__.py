@@ -9,7 +9,7 @@ stacks) is wrapped by three cooperating layers:
   a trip raises a typed :class:`BudgetExceeded` carrying progress stats.
 * :mod:`repro.robustness.fallback` — :class:`HardenedExecutor`, the
   degradation ladder: compiled stack → vectorized → Volcano, access-path
-  plan → no-access plan → raw plan, with a per-fingerprint circuit breaker,
+  plan → no-access plan, with a per-fingerprint circuit breaker,
   exponential-backoff retry for transient faults, and a structured incident
   log (:mod:`repro.robustness.incidents`).
 * :mod:`repro.robustness.faults` — a seeded, deterministic fault-injection

@@ -7,12 +7,13 @@ this repository already has, degrading on failure along two axes:
   non-budget engine failure moves to the next tier; a compile-time budget
   trip does too (the whole point of the direct engines is that they need no
   compilation).
-* **plan mode** — access-path plan → re-planned without ``access_rules`` →
-  raw (unoptimized, validated) plan.  Access-layer failures (missing index,
-  corrupted zone map — :class:`~repro.storage.access.AccessError` and
+* **plan mode** — access-path plan → re-planned without ``access_rules``.
+  Access-layer failures (missing index, corrupted zone map —
+  :class:`~repro.storage.access.AccessError` and
   :class:`~repro.robustness.faults.DataCorruptionFault`) degrade the plan
   instead of the engine: the same tier retries on a plan that no longer
-  touches the broken structure.
+  touches the broken structure.  A failure that survives that is not the
+  plan's, and moves to the next tier.
 
 Transient faults (:class:`~repro.robustness.faults.TransientFault`) are
 retried in place with exponential backoff.  A per-(fingerprint, tier)
@@ -51,7 +52,7 @@ from .governor import BudgetExceeded, QueryBudget, governed
 from .incidents import DEFAULT_INCIDENTS, IncidentLog
 
 ENGINE_TIERS = ("compiled", "vectorized", "interpreter")
-PLAN_MODES = ("access", "no_access", "raw")
+PLAN_MODES = ("access", "no_access")
 
 #: errors that indicate a broken physical access structure: degrade the plan
 #: (drop access paths), not the engine
@@ -198,11 +199,8 @@ class HardenedExecutor:
     # Planning
     # ------------------------------------------------------------------
     def _plan(self, plan: Q.Operator, mode: str) -> Q.Operator:
-        """The tree the tiers run in ``mode``: planned through the catalog's
-        cached planner, or — in ``raw`` mode — the validated plan itself."""
-        if mode == "raw":
-            Q.validate(plan, self.catalog)
-            return plan
+        """The tree the tiers run in ``mode``, planned through the catalog's
+        cached planner."""
         options = PlannerOptions.all_rules() if mode == "access" \
             else PlannerOptions.no_access_paths()
         return Planner.for_catalog(self.catalog, options).optimize(plan)

@@ -6,11 +6,11 @@ join structures, and string dictionaries.  The compiled DSL stacks reproduce
 those at the IR level; this module gives the *direct* engines (Volcano,
 vectorized) the same load-time structures:
 
-* **PK direct arrays / join indices** (:meth:`AccessLayer.key_index`) — for a
-  dense single-column key (``ColumnStatistics.is_dense_key``), a plain list
-  mapping ``value - offset`` to the row position, so an FK→PK join probes by
-  array indexing instead of building a per-query hash table.  Sparse unique
-  keys fall back to a prebuilt dict.
+* **PK direct arrays** (:meth:`AccessLayer.key_index`) — for a unique, dense
+  single-column key (``ColumnStatistics.is_dense_key``), a plain list mapping
+  ``value - offset`` to the row position: the build of an FK→PK join, so the
+  join probes by array indexing instead of building a per-query hash table.
+  Any other key has none, and its joins build per query in every engine.
 * **Partition indices** (:meth:`AccessLayer.partition`) — for a dense
   *multi-valued* key (a foreign key, typically), ``slots[value - offset]`` is
   the ascending list of row positions holding that value: the hash-join
@@ -173,18 +173,6 @@ class PartitionIndex:
     column: str
     offset: int
     slots: List[Sequence[int]]
-
-
-@dataclass
-class DictIndex:
-    """A unique-key index over a sparse (or non-integer) key column."""
-
-    table: str
-    column: str
-    positions: Dict[Any, int]
-
-    def lookup(self, value: Any) -> Optional[int]:
-        return self.positions.get(value)
 
 
 @dataclass
@@ -616,43 +604,32 @@ class AccessLayer:
         return pool
 
     # ------------------------------------------------------------------
-    # PK direct arrays / join indices
+    # PK direct arrays
     # ------------------------------------------------------------------
-    def key_index(self, table: str, column: str):
-        """The unique-key index of ``table.column``, or ``None``.
-
-        A :class:`DirectArray` when the key is dense
-        (``ColumnStatistics.is_dense_key``), a :class:`DictIndex` when it is
-        merely unique, ``None`` when the data is not unique after all (the
-        engines then fall back to the plain hash join).
-        """
+    def key_index(self, table: str, column: str) -> Optional[DirectArray]:
+        """The :class:`DirectArray` of ``table.column``, or ``None`` unless
+        the key is unique and dense (``ColumnStatistics.is_dense_key``); the
+        engines then run the per-query hash build."""
         fault_point("access.key_index", table=table, column=column)
         with self._lock:
             return self._structure("key_index", table, column,
                                    self._build_key_index)
 
     @guarded_by("_lock")
-    def _build_key_index(self, table: str, column: str):
+    def _build_key_index(self, table: str, column: str) -> Optional[DirectArray]:
         stats = self._column_stats(table, column)
-        if stats is None or not stats.is_unique:
+        if stats is None or not (stats.is_unique and stats.is_dense_key()):
             return None
         values = self.catalog.column(table, column)
         self._count_build("key_index", table, column)
-        if stats.is_dense_key():
-            offset = stats.min_value
-            slots: List[Optional[int]] = [None] * (stats.max_value - offset + 1)
-            for position, value in zip(self._pool(len(values)), values):
-                slot = value - offset
-                if slots[slot] is not None:
-                    return None  # statistics lied: duplicate key
-                slots[slot] = position
-            return DirectArray(table, column, offset, slots)
-        positions: Dict[Any, int] = {}
+        offset = stats.min_value
+        slots: List[Optional[int]] = [None] * (stats.max_value - offset + 1)
         for position, value in zip(self._pool(len(values)), values):
-            if value in positions:
-                return None
-            positions[value] = position
-        return DictIndex(table, column, positions)
+            slot = value - offset
+            if slots[slot] is not None:
+                return None  # statistics lied: duplicate key
+            slots[slot] = position
+        return DirectArray(table, column, offset, slots)
 
     # ------------------------------------------------------------------
     # Partition indices (catalog-resident hash-join builds)

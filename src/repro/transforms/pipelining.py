@@ -30,13 +30,17 @@ the target decides:
   hoisted block otherwise.
 
 There is one join lowering per join shape.  The planner's ``IndexJoin`` (a
-hash join whose build side is a base table with a load-time unique-key index)
-is lowered as the ``HashJoin`` it subclasses: its build is a base-table build
-over a dense integer key, so with the access layer on it becomes the resident
-partition like any other, and the list-level specialization claims a
-primary-key partition as ``single`` — slots served by the unique-key index
-itself, read by inline indexing.  A merely-unique key (sparse or non-integer)
-gets the per-query hash build; only the direct engines probe a ``DictIndex``.
+hash join whose build side is a bare scan keyed on a unique, dense primary
+key) is lowered as the ``HashJoin`` it subclasses: its build is a base-table
+build over a dense integer key, so with the access layer on it becomes the
+resident partition like any other, and the list-level specialization claims
+a primary-key partition as ``single`` — slots served by the key's direct
+array itself, read by inline indexing.  The direct engines do the same with
+that array as their build.
+
+A key that can be ``None`` — its base column holds one, or an outer join
+below pads it (:func:`repro.dsl.qplan.padded_fields`) — indexes no slot of a
+dense array, so its build, probe or grouping map stays generic.
 
 Key-range and uniqueness facts about hash-table keys are attached to the
 ``mmap_new`` / ``hashmap_agg_new`` statements as attributes — the annotation
@@ -311,21 +315,28 @@ class _PushCompiler:
             return (column.foreign_key.table, column.foreign_key.column)
         return (table, key_expr.name)
 
-    def _holds_null(self, key_expr: E.Expr, source_table: Optional[str]) -> bool:
-        """Whether the base column a key reads holds a ``None``: such a key
-        indexes no slot of a dense array, so its map stays generic."""
+    def _holds_null(self, key_expr: E.Expr, source: Q.Operator) -> bool:
+        """Whether a key read from the output of ``source`` can be ``None``:
+        its base column holds one, or an outer join in ``source`` pads it.
+        Such a key indexes no slot of a dense array, so its map stays
+        generic."""
         if not isinstance(key_expr, E.Col):
             return False
-        table = source_table or self.catalog.schema.table_of_column(key_expr.name)
+        name = key_expr.name
+        table = _scanned_table(source) or self.catalog.schema.table_of_column(name)
         statistics = self.catalog.statistics
-        return (table is not None and statistics.has_column(table, key_expr.name)
-                and statistics.column(table, key_expr.name).num_nulls > 0)
+        if (table is not None and statistics.has_column(table, name)
+                and statistics.column(table, name).num_nulls > 0):
+            return True
+        return name in Q.padded_fields(source, self.catalog)
 
-    def _mmap_attrs(self, key_expr: E.Expr, build_table: Optional[str]) -> Dict:
-        """Key-range / uniqueness annotations for a hash-table build (Section 3.3)."""
+    def _mmap_attrs(self, key_expr: E.Expr, build_table: Optional[str],
+                    source: Q.Operator) -> Dict:
+        """Key-range / uniqueness annotations for a hash-table build (Section
+        3.3) keyed by ``key_expr`` over the output of ``source``."""
         attrs: Dict = {}
         domain = self._key_domain(key_expr, build_table)
-        if domain is None or self._holds_null(key_expr, build_table):
+        if domain is None or self._holds_null(key_expr, source):
             return attrs
         domain_table, domain_column = domain
         if not self.catalog.statistics.has_table(domain_table):
@@ -380,8 +391,8 @@ class _PushCompiler:
         fields = Q.output_fields(side, self.catalog)
         partition = self._partition_info(side, key_expr)
         build_table, probe_table = _scanned_table(side), _scanned_table(probe_side)
-        attrs = self._mmap_attrs(key_expr, build_table)
-        if probe_key_expr is not None and self._holds_null(probe_key_expr, probe_table):
+        attrs = self._mmap_attrs(key_expr, build_table, side)
+        if probe_key_expr is not None and self._holds_null(probe_key_expr, probe_side):
             attrs = {}
         if attrs:
             # Dense-array specialization pre-allocates one bucket per key of
@@ -649,7 +660,7 @@ class _PushCompiler:
         agg_kinds = tuple(spec.kind for spec in node.aggregates)
         attrs: Dict = {"aggs": agg_kinds}
         if len(node.group_keys) == 1:
-            attrs.update(self._mmap_attrs(node.group_keys[0][1], None))
+            attrs.update(self._mmap_attrs(node.group_keys[0][1], None, node.child))
         table = b.emit("hashmap_agg_new", [], attrs=attrs, hint="agg")
 
         if not node.group_keys:

@@ -91,6 +91,9 @@ class TestIndexJoinKinds:
 
     @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti"])
     def test_filtered_build_kinds(self, tpch_catalog, kind):
+        """The node is narrowed to a bare-scan build: a filtered one fails
+        validation (so no stack compiles it), and a direct engine handed one
+        anyway builds per query."""
         predicate = col("c_custkey") <= 40
         hash_plan = Q.HashJoin(
             Q.Select(Q.Scan("customer"), predicate), Q.Scan("orders"),
@@ -99,10 +102,13 @@ class TestIndexJoinKinds:
             Q.Select(Q.Scan("customer"), predicate), Q.Scan("orders"),
             col("c_custkey"), col("o_custkey"), kind=kind,
             index_table="customer", index_column="c_custkey")
+        with pytest.raises(Q.PlanError, match="bare scan"):
+            Q.validate(index_plan, tpch_catalog)
+        with pytest.raises(Q.PlanError, match="bare scan"):
+            expand(index_plan, tpch_catalog)
         for engine in (VolcanoEngine(tpch_catalog),
                        VectorizedEngine(tpch_catalog)):
             assert engine.execute(index_plan) == engine.execute(hash_plan)
-        assert expand(index_plan, tpch_catalog) == expand(hash_plan, tpch_catalog)
 
     def test_residual_predicate(self, tpch_catalog):
         residual = col("o_orderdate") < date("1995-01-01")
@@ -112,8 +118,49 @@ class TestIndexJoinKinds:
             assert engine.execute(index_plan) == engine.execute(hash_plan)
 
 
+class TestIndexJoinIsItsHashJoin:
+    """On every direct engine an ``IndexJoin`` returns the row list of the
+    ``HashJoin`` it replaces, order included, whatever the probe keys hold:
+    repeats, keys outside the key range or in a hole of it, ``None``, and
+    ``3.0`` / ``True`` against integer keys (a dict matches both)."""
+
+    def _catalog(self):
+        catalog = Catalog()
+        catalog.register(ColumnarTable(
+            TableSchema("dim", [int_column("d_key"), string_column("d_name"),
+                                int_column("d_val")], primary_key=("d_key",)),
+            {"d_key": [2, 0, 3, 6, 1, 5], "d_name": ["c", "a", "d", "g", "b", "f"],
+             "d_val": [4, 1, 7, 3, 2, 9]}))
+        catalog.register(ColumnarTable(
+            TableSchema("probe", [int_column("p_key"), int_column("p_val")]),
+            {"p_key": [2, 99, None, 3.0, True, 2, 4, -1, 0, 5, 3],
+             "p_val": [5, 0, 3, 9, 1, 2, 8, 4, 0, 10, 6]}))
+        return catalog
+
+    @pytest.mark.parametrize("residual", [None, col("d_val") <= col("p_val")],
+                             ids=["no_residual", "residual"])
+    @pytest.mark.parametrize("kind", Q.JOIN_KINDS)
+    def test_rows_equal_the_hash_join_in_order(self, kind, residual):
+        from repro.storage.access import DirectArray
+        catalog = self._catalog()
+        assert isinstance(catalog.access_layer().key_index("dim", "d_key"),
+                          DirectArray)
+        hash_plan = Q.HashJoin(Q.Scan("dim"), Q.Scan("probe"), col("d_key"),
+                               col("p_key"), kind, residual)
+        index_plan = Q.IndexJoin(Q.Scan("dim"), Q.Scan("probe"), col("d_key"),
+                                 col("p_key"), kind, residual,
+                                 index_table="dim", index_column="d_key")
+        Q.validate(index_plan, catalog)
+        for engine in (VolcanoEngine(catalog), VectorizedEngine(catalog),
+                       VectorizedEngine(catalog, batch_size=3)):
+            expected = engine.execute(hash_plan)
+            assert expected, "every kind keeps some rows of this catalog"
+            assert engine.execute(index_plan) == expected, type(engine).__name__
+
+
 class TestSparseUniqueKeys:
-    """A unique-but-sparse key is served by the dict-backed index."""
+    """A unique-but-sparse key has no index: its joins build per query in
+    every engine, and the planner leaves them hash joins."""
 
     def _catalog(self):
         catalog = Catalog()
@@ -131,13 +178,13 @@ class TestSparseUniqueKeys:
         }))
         return catalog
 
-    def test_dict_index_join_matches_hash_join(self):
+    def test_sparse_key_joins_build_per_query(self):
         catalog = self._catalog()
-        from repro.storage.access import DictIndex
-        assert isinstance(catalog.access_layer().key_index("dim", "d_id"),
-                          DictIndex)
+        assert catalog.access_layer().key_index("dim", "d_id") is None
         hash_plan = Q.HashJoin(Q.Scan("dim"), Q.Scan("fact"),
                                col("d_id"), col("f_did"))
+        assert not any(isinstance(node, Q.IndexJoin)
+                       for node in Q.walk(Planner(catalog).optimize(hash_plan)))
         index_plan = Q.IndexJoin(Q.Scan("dim"), Q.Scan("fact"),
                                  col("d_id"), col("f_did"),
                                  index_table="dim", index_column="d_id")

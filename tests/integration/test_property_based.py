@@ -192,12 +192,11 @@ class TestTwoTableDifferential:
                 assert rows_equivalent(expected, harness.run_once(shape, engine, planned)), \
                     (engine, planned is not plan)
 
-    @pytest.mark.xfail(strict=True, raises=TypeError,
-                       reason="the lowering reads key nullability from base-column "
-                              "statistics only; a left outer join below the probe "
-                              "pads the key with None and the dense array is "
-                              "indexed with it")
-    def test_a_probe_key_padded_by_an_outer_join_below(self):
+    @pytest.mark.parametrize("shape", ["probe", "build", "group"])
+    def test_a_key_padded_by_an_outer_join_below(self, shape):
+        """``b.bk`` has no NULL in its base column and draws from a dense
+        primary key, but the left outer join ``c ⟕ b`` below pads it with
+        ``None``: probe, build and grouping key keep the generic map."""
         catalog = Catalog()
         catalog.register(ColumnarTable(
             TableSchema("a", [int_column("ak")], primary_key=("ak",)), {"ak": [0, 1, 2]}))
@@ -209,12 +208,20 @@ class TestTwoTableDifferential:
                                        {"ck": [10, 12]}))
         padded = Q.HashJoin(Q.Scan("c"), Q.Scan("b"), col("ck"), col("bc"),
                             kind="leftouter")
-        plan = Q.Agg(Q.HashJoin(Q.Scan("a"), padded, col("ak"), col("bk")), [],
-                     [Q.AggSpec("count", None, "n")])
+        count = [Q.AggSpec("count", None, "n")]
+        plan = {
+            "probe": Q.Agg(Q.HashJoin(Q.Scan("a"), padded, col("ak"), col("bk")),
+                           [], count),
+            "build": Q.Agg(Q.HashJoin(padded, Q.Scan("a"), col("bk"), col("ak")),
+                           [], count),
+            "group": Q.Agg(padded, [("bk", col("bk"))], count),
+        }[shape]
         expected = execute(plan, catalog)
         harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
-        for engine in JOIN_ENGINES:
-            assert rows_equivalent(expected, harness.run_once("padded", engine, plan)), engine
+        for planned in (plan, harness.planner.optimize(plan)):
+            for engine in JOIN_ENGINES:
+                assert rows_equivalent(expected, harness.run_once(shape, engine, planned)), \
+                    (engine, planned is not plan)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ from repro.engine.volcano import VolcanoEngine
 from repro.planner import (IndexJoinSelection, Planner, PlannerOptions,
                            PrunedScanSelection, index_eligible_build)
 from repro.planner.rewrite import PlannerContext
+from repro.storage.catalog import Catalog
+from repro.storage.layouts import ColumnarTable
+from repro.storage.schema import TableSchema, int_column
 from repro.tpch.queries import build_query
 
 
@@ -89,22 +92,26 @@ class TestIndexJoinSelection:
             kind="leftsemi")
         assert rule.apply(filtered, _context(tpch_catalog)) is None
 
-    def test_cost_gate_on_filtered_builds(self, tpch_catalog):
-        estimator = Planner(tpch_catalog).estimator
-        rule = IndexJoinSelection(estimator)
-        # a highly selective build filter probed by a whole big table: the
-        # saved hash build is tiny, the per-key screening is not — keep hash
-        selective_build = Q.HashJoin(
-            Q.Select(Q.Scan("customer"), col("c_custkey") == 7),
-            Q.Scan("orders"), col("c_custkey"), col("o_custkey"))
-        assert rule.apply(selective_build, _context(tpch_catalog)) is None
-        # a small probe against a lightly filtered build: index join wins
-        light_build = Q.HashJoin(
-            Q.Select(Q.Scan("orders"), col("o_orderkey") > 0),
-            Q.Select(Q.Scan("lineitem"), col("l_orderkey") == 7),
-            col("o_orderkey"), col("l_orderkey"))
-        assert isinstance(rule.apply(light_build, _context(tpch_catalog)),
-                          Q.IndexJoin)
+    def test_inner_join_requires_a_bare_scan_build(self, tpch_catalog):
+        rule = IndexJoinSelection()
+        # however small the probe, a filtered build stays a hash join
+        for build in (Q.Select(Q.Scan("orders"), col("o_orderkey") > 0),
+                      Q.PrunedScan(Q.Scan("orders"), col("o_orderkey") > 0)):
+            filtered = Q.HashJoin(
+                build, Q.Select(Q.Scan("lineitem"), col("l_orderkey") == 7),
+                col("o_orderkey"), col("l_orderkey"))
+            assert rule.apply(filtered, _context(tpch_catalog)) is None
+
+    def test_unique_key_must_also_be_dense(self):
+        catalog = Catalog()
+        catalog.register(ColumnarTable(
+            TableSchema("dim", [int_column("d_id")], primary_key=("d_id",)),
+            {"d_id": [5, 700000, 31]}))
+        catalog.register(ColumnarTable(
+            TableSchema("fact", [int_column("f_did")]), {"f_did": [31, 5]}))
+        join = Q.HashJoin(Q.Scan("dim"), Q.Scan("fact"), col("d_id"), col("f_did"))
+        assert catalog.statistics.column("dim", "d_id").is_unique
+        assert index_eligible_build(join, catalog) is None
 
     def test_eligibility_requires_loaded_statistics(self, tpch_catalog):
         join = Q.HashJoin(Q.Scan("orders"), Q.Scan("lineitem"),

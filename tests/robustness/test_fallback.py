@@ -179,8 +179,8 @@ class TestPlanDegradation:
             with pytest.raises(LadderExhausted) as info:
                 executor.execute(_select_plan(), "corrupt_q")
         assert [a["plan_mode"] for a in info.value.attempts] == \
-            ["access", "no_access", "raw"]
-        assert len(executor.incidents.records(category="plan_degraded")) == 2
+            ["access", "no_access"]
+        assert len(executor.incidents.records(category="plan_degraded")) == 1
         assert len(executor.incidents.records(category="tier_failure")) == 1
 
 

@@ -21,7 +21,8 @@ from repro.dsl.qmonad import QueryMonad
 from repro.ir import IRBuilder, make_program
 from repro.ir import pretty
 from repro.ir.nodes import reset_symbol_counter
-from repro.planner import Planner, PlannerContext, apply_rules_fixpoint
+from repro.planner import (Planner, PlannerContext, PlannerOptions,
+                           apply_rules_fixpoint)
 from repro.planner import rewrite
 from repro.planner.rules import PredicatePushdown
 from repro.stack import (CompilationContext, FixpointReport, FunctionOptimization,
@@ -53,6 +54,14 @@ GOLDEN_SOURCE_SHA256 = {
         "tpch-compliant": "8357e72bfffcda913fa3489b7aca9c89411f805bd84647f8c17098417ee2a61c",
     },
 }
+
+#: sha256 over ``f"{options}/{query}\n" + plan_fingerprint(planned)`` for
+#: QUERY_NAMES planned on the same catalog under ``PlannerOptions.all_rules()``
+#: then ``exact_order()``, computed on the last commit whose direct engines
+#: had an index join of their own (21077fa).  The source digests cannot see
+#: which joins are ``IndexJoin``: the stacks lower it as the ``HashJoin`` it
+#: subclasses.
+GOLDEN_PLAN_SHA256 = "e8168f80b55519b4e69b0b13036dae3a31daea2485378209ec74ec29bed7dc49"
 
 #: sha256 of the source each configuration generates for
 #: :func:`fusable_chain` (same catalog, after ``reset_symbol_counter()``),
@@ -283,6 +292,16 @@ class TestGoldenSource:
         digest = hashlib.sha256()
         self._feed(digest, config_name, True, tpch_catalog)
         assert digest.hexdigest() == GOLDEN_SOURCE_SHA256[True][config_name]
+
+    def test_planned_trees_are_identical(self, tpch_catalog):
+        digest = hashlib.sha256()
+        for options_name in ("all_rules", "exact_order"):
+            options = getattr(PlannerOptions, options_name)()
+            for query in QUERY_NAMES:
+                planned = Planner(tpch_catalog, options).optimize(build_query(query))
+                digest.update(f"{options_name}/{query}\n".encode())
+                digest.update(Q.plan_fingerprint(planned).encode())
+        assert digest.hexdigest() == GOLDEN_PLAN_SHA256
 
     @pytest.mark.parametrize("config_name", CONFIG_NAMES)
     def test_generated_qmonad_source_is_byte_identical(self, tpch_catalog,

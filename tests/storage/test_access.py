@@ -4,7 +4,7 @@ import threading
 from repro.codegen.runtime import catalog_pruned_indices
 from repro.dsl.expr import col, date, in_list, like, lit
 from repro.dsl.expr_compile import compile_columnar_predicate, compile_row
-from repro.storage.access import (AccessLayer, DictIndex, DirectArray,
+from repro.storage.access import (AccessLayer, DirectArray,
                                   PartitionIndex, extract_zone_filters,
                                   rewrite_string_predicates)
 from repro.storage.catalog import Catalog
@@ -51,12 +51,11 @@ class TestKeyIndex:
         assert index.lookup(12.5) is None
         assert index.lookup("12") is None
 
-    def test_sparse_unique_key_gets_a_dict_index(self):
+    def test_sparse_unique_key_has_no_index(self):
         catalog = _catalog()
-        index = catalog.access_layer().key_index("S", "s_id")
-        assert isinstance(index, DictIndex)
-        assert index.lookup(900000) == 1
-        assert index.lookup(8) is None
+        layer = catalog.access_layer()
+        assert layer.key_index("S", "s_id") is None
+        assert ("key_index", "S", "s_id") not in layer.build_counts
 
     def test_non_unique_column_has_no_index(self):
         catalog = _catalog()
@@ -325,7 +324,8 @@ class TestWarmLoading:
         warm_access_paths(catalog)
         layer = catalog.access_layer()
         assert layer.build_counts[("key_index", "R", "r_id")] == 1
-        assert layer.build_counts[("key_index", "S", "s_id")] == 1
+        # S's key is unique but sparse: no direct array, nothing built
+        assert ("key_index", "S", "s_id") not in layer.build_counts
         assert layer.build_counts[("dictionary", "R", "r_tag")] == 1
         # warming twice never rebuilds
         warm_access_paths(catalog)
@@ -353,7 +353,9 @@ class TestReloadInvalidation:
         assert index.lookup(20) == 0
         assert set(layer.pruned_indices("R", (("r_val", ">", 3.5),))) == {0}
         # untouched tables keep their memoized structures
-        assert layer.key_index("S", "s_id") is layer.key_index("S", "s_id")
+        stale_dictionary = layer.dictionary("R", "r_tag")
+        catalog.register(catalog.table("S"))
+        assert layer.dictionary("R", "r_tag") is stale_dictionary
 
     def test_index_join_sees_reloaded_data(self):
         from repro.dsl.qplan import HashJoin, IndexJoin, Scan

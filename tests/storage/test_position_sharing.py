@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.robustness.fallback import HardenedExecutor
 from repro.storage import access
-from repro.storage.access import (DictIndex, DirectArray, PartitionIndex,
-                                  SortedColumn, _Bounds)
+from repro.storage.access import (DirectArray, PartitionIndex, SortedColumn,
+                                  _Bounds)
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
@@ -52,8 +52,6 @@ def position_sequences(layer):
     for key, structure in layer._structures.items():
         if isinstance(structure, DirectArray):
             yield key, [slot for slot in structure.slots if slot is not None]
-        elif isinstance(structure, DictIndex):
-            yield key, list(structure.positions.values())
         elif isinstance(structure, PartitionIndex):
             for slot in structure.slots:
                 yield key, [slot.start, slot.stop] \
