@@ -1,158 +1,23 @@
 """The small runtime library targeted by generated code.
 
 The C code generated by DBLAB/LB links against GLib (generic hash tables and
-lists) plus a handful of support routines (string dictionaries).
-Our generated Python plays the same game: the *generic* data-structure paths
-call into the helpers below, while the *specialised* paths (dense arrays,
-integer-coded strings) are emitted inline by the unparser, exactly as the
-paper lowers hash tables to native arrays and inlines their operations.
+lists) plus a handful of support routines (string dictionaries).  Our
+generated Python's GLib is the host's own ``dict``, ``list`` and ``set``,
+used inline by the unparser; what remains here is support that is not
+per-row work: string dictionaries, fetches of the catalog-resident access
+layer, sorting, ``LIKE``, and the governor hooks at the head of each
+top-level loop.  No aggregation lives here: an aggregate's fold and
+finalisation are statements the pipelining lowering emits over the group's
+accumulator record, so every pass below it sees them.
 """
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 # generated code tests ``LIKE`` through ``_rt.like``: the one matcher, not a copy
 from ..dsl.expr import matches_like as like  # noqa: F401
 from ..robustness.governor import current_governor
-
-
-# ---------------------------------------------------------------------------
-# Aggregation tables.  Both keep one accumulator per aggregate per group, the
-# shapes of the direct engines' ``initial_accumulator`` / ``fold_value`` /
-# ``finalise_accumulator``: a running number, a ``(total, count)`` pair for
-# ``avg``, the ``set`` of seen values for ``count_distinct``.  Group creation
-# and finalisation run once per group and are shared; the per-row folds stay
-# inline in each ``update`` (they are the hot loop of every aggregating query).
-# ---------------------------------------------------------------------------
-def _new_accumulators(specs: Sequence[str]) -> list:
-    """The neutral accumulators of one group."""
-    accumulators: list = []
-    for spec in specs:
-        if spec in ("sum", "count"):
-            accumulators.append(0)
-        elif spec == "avg":
-            accumulators.append((0.0, 0))
-        elif spec == "count_distinct":
-            accumulators.append(set())
-        else:  # min / max
-            accumulators.append(None)
-    return accumulators
-
-
-def _finalised_values(specs: Sequence[str], accumulators: list) -> Tuple:
-    """One group's result values: averages divided out, sets counted."""
-    values = []
-    for spec, accumulator in zip(specs, accumulators):
-        if spec == "avg":
-            total, count = accumulator
-            values.append(total / count if count else None)
-        elif spec == "count_distinct":
-            values.append(len(accumulator))
-        else:
-            values.append(accumulator)
-    return tuple(values)
-
-
-class AggTable:
-    """A HashMap-based aggregation table (the GLib-hash-table substitute):
-    key -> list of accumulators.
-
-    ``specs`` is a sequence of aggregate kinds (``"sum"``, ``"count"``,
-    ``"avg"``, ``"min"``, ``"max"``, ``"count_distinct"``).  ``update`` folds
-    one row's values into the accumulators of its group; ``finalised`` yields
-    ``(key, values)`` pairs.
-    """
-
-    __slots__ = ("specs", "groups")
-
-    def __init__(self, specs: Sequence[str]) -> None:
-        self.specs = tuple(specs)
-        self.groups: Dict[Any, list] = {}
-
-    def update(self, key: Any, values: Sequence[Any]) -> None:
-        accumulators = self.groups.get(key)
-        if accumulators is None:
-            accumulators = self.groups[key] = _new_accumulators(self.specs)
-        for i, (spec, value) in enumerate(zip(self.specs, values)):
-            if spec == "count":
-                if value is not None:
-                    accumulators[i] += 1
-                continue
-            if value is None:
-                continue
-            if spec == "sum":
-                accumulators[i] += value
-            elif spec == "avg":
-                total, count = accumulators[i]
-                accumulators[i] = (total + value, count + 1)
-            elif spec == "min":
-                if accumulators[i] is None or value < accumulators[i]:
-                    accumulators[i] = value
-            elif spec == "max":
-                if accumulators[i] is None or value > accumulators[i]:
-                    accumulators[i] = value
-            elif spec == "count_distinct":
-                accumulators[i].add(value)
-
-    def finalised(self) -> Iterator[Tuple[Any, Tuple]]:
-        for key, accumulators in self.groups.items():
-            yield key, _finalised_values(self.specs, accumulators)
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
-class DenseAggTable:
-    """Aggregation specialised to a dense integer key range [0, size).
-
-    This is what the hash-table specialization lowers :class:`AggTable` to
-    when the grouping key is a dense integer column with a statically known
-    range; initialisation is hoisted to loading time (Section D.2).
-    """
-
-    __slots__ = ("specs", "size", "slots", "touched")
-
-    def __init__(self, specs: Sequence[str], size: int) -> None:
-        self.specs = tuple(specs)
-        self.size = size
-        self.slots: List[Optional[list]] = [None] * size
-        self.touched: List[int] = []
-
-    def update(self, index: int, values: Sequence[Any]) -> None:
-        slot = self.slots[index]
-        if slot is None:
-            slot = self.slots[index] = _new_accumulators(self.specs)
-            self.touched.append(index)
-        for i, (spec, value) in enumerate(zip(self.specs, values)):
-            if spec == "count":
-                if value is not None:
-                    slot[i] += 1
-                continue
-            if value is None:
-                continue
-            if spec == "sum":
-                slot[i] += value
-            elif spec == "avg":
-                total, count = slot[i]
-                slot[i] = (total + value, count + 1)
-            elif spec == "min":
-                if slot[i] is None or value < slot[i]:
-                    slot[i] = value
-            elif spec == "max":
-                if slot[i] is None or value > slot[i]:
-                    slot[i] = value
-            elif spec == "count_distinct":
-                slot[i].add(value)
-
-    def finalised(self) -> Iterator[Tuple[int, Tuple]]:
-        for index in self.touched:
-            yield index, _finalised_values(self.specs, self.slots[index])
-
-    def reset(self) -> None:
-        for index in self.touched:
-            self.slots[index] = None
-        self.touched.clear()
 
 
 # ---------------------------------------------------------------------------

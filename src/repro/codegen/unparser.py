@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
+from ..ir.ops import ACCUMULATOR_SLOTS
 from ..ir.traversal import used_syms
 
 _INDENT = "    "
@@ -351,49 +352,66 @@ class PythonUnparser:
         return self._assign(stmt, f"{table}.get({key}, ())")
 
     def _op_hashmap_agg_new(self, stmt):
-        aggs = tuple(stmt.expr.attrs["aggs"])
-        return self._assign(stmt, f"_rt.AggTable({aggs!r})")
+        return self._assign(stmt, "{}")
 
-    def _op_hashmap_agg_update(self, stmt):
-        table = _atom(stmt.expr.args[0])
-        key = _atom(stmt.expr.args[1])
-        values = ", ".join(_atom(a) for a in stmt.expr.args[2:])
-        suffix = "," if len(stmt.expr.args) == 3 else ""
-        return [f"{table}.update({key}, ({values}{suffix}))"]
+    def _op_hashmap_agg_group(self, stmt):
+        table, key = (_atom(a) for a in stmt.expr.args)
+        return self._group(stmt, f"{table}.get({key})", f"{table}[{key}]")
 
     def _op_hashmap_agg_foreach(self, stmt):
         body = stmt.expr.blocks[0]
-        key, values = (_name(p) for p in body.params)
-        source = f"{_atom(stmt.expr.args[0])}.finalised()"
+        key, record = (_name(p) for p in body.params)
+        source = f"{_atom(stmt.expr.args[0])}.items()"
         if self._loop_depth == 0:
             source = f"_rt.governed_iter({source})"
-        lines = [f"for {key}, {values} in {source}:"]
+        lines = [f"for {key}, {record} in {source}:"]
         lines.extend(_INDENT + line for line in self._loop_body(body))
         return lines
 
     # ------------------------------------------------------------------
-    # Dense / specialised structures
+    # Dense aggregation: a list of ``size`` record slots, then the list of
+    # the slot indexes in first-use order
     # ------------------------------------------------------------------
     def _op_dense_agg_new(self, stmt):
-        aggs = tuple(stmt.expr.attrs["aggs"])
-        return self._assign(stmt, f"_rt.DenseAggTable({aggs!r}, {_atom(stmt.expr.args[0])})")
+        return self._assign(stmt, f"[None] * {_atom(stmt.expr.args[0])} + [[]]")
 
-    def _op_dense_agg_update(self, stmt):
-        table = _atom(stmt.expr.args[0])
-        index = _atom(stmt.expr.args[1])
-        values = ", ".join(_atom(a) for a in stmt.expr.args[2:])
-        suffix = "," if len(stmt.expr.args) == 3 else ""
-        return [f"{table}.update({index}, ({values}{suffix}))"]
+    def _op_dense_agg_group(self, stmt):
+        table, index = (_atom(a) for a in stmt.expr.args)
+        return self._group(stmt, f"{table}[{index}]", f"{table}[{index}]",
+                           f"{table}[-1].append({index})")
 
     def _op_dense_agg_foreach(self, stmt):
         body = stmt.expr.blocks[0]
-        key, values = (_name(p) for p in body.params)
-        source = f"{_atom(stmt.expr.args[0])}.finalised()"
+        index, record = (_name(p) for p in body.params)
+        table = _atom(stmt.expr.args[0])
+        source = f"{table}[-1]"
         if self._loop_depth == 0:
             source = f"_rt.governed_iter({source})"
-        lines = [f"for {key}, {values} in {source}:"]
+        lines = [f"for {index} in {source}:", f"{_INDENT}{record} = {table}[{index}]"]
         lines.extend(_INDENT + line for line in self._loop_body(body))
         return lines
+
+    @staticmethod
+    def _group(stmt: Stmt, lookup: str, entry: str, *created: str) -> List[str]:
+        """Get-or-create of a group's accumulator record, inline."""
+        record = _name(stmt.sym)
+        starts = ", ".join("set()" if start is set else repr(start)
+                           for kind in stmt.expr.attrs["aggs"]
+                           for start in ACCUMULATOR_SLOTS[kind])
+        return [f"{record} = {lookup}",
+                f"if {record} is None:",
+                f"{_INDENT}{record} = {entry} = [{starts}]",
+                *(_INDENT + line for line in created)]
+
+    # ------------------------------------------------------------------
+    # Sets
+    # ------------------------------------------------------------------
+    def _op_set_add(self, stmt):
+        target, value = (_atom(a) for a in stmt.expr.args)
+        return [f"{target}.add({value})"]
+
+    def _op_set_size(self, stmt):
+        return self._assign(stmt, f"len({_atom(stmt.expr.args[0])})")
 
     # ------------------------------------------------------------------
     # String dictionaries

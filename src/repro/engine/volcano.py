@@ -377,12 +377,15 @@ class _KeyBuild:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate accumulators (row-at-a-time folding).
+# Aggregate accumulators (row-at-a-time folding): the reference semantics.
 #
-# The vectorized engine folds whole gathered value columns instead
-# (`repro.engine.vectorized._final_value`); the two must stay value-identical
-# — the all-22-query parity tests run both engines against each other, so a
-# semantic change here must be mirrored there (and vice versa).
+# Two copies must stay value-identical with these: the vectorized engine's
+# fold over whole gathered value columns (`repro.engine.vectorized._final_value`)
+# and the compiled stacks' folds, which the pipelining lowering emits as
+# statements over a group's accumulator record
+# (`repro.transforms.pipelining._PushCompiler._fold` / `_finalise`).  The
+# parity suites run all three against each other, so a semantic change here
+# must be mirrored there (and vice versa).
 # ---------------------------------------------------------------------------
 def initial_accumulator(agg: qplan.AggSpec):
     if agg.kind in ("sum", "count"):

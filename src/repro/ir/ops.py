@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
-from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, WRITE
+from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, READ_WRITE, WRITE
 from .types import BOOL, INT, STRING, Type
 
 
@@ -207,15 +207,29 @@ _r("mmap_new", "map", ALLOC, "MultiMap: key -> list of values (hash joins)")
 _r("mmap_add", "map", WRITE, "append a value to the bucket of a key",
    arity=3, mutated=0, merge="bucket-concat")
 _r("mmap_get", "map", READ, "return the bucket list of a key (empty list if absent)", arity=2)
-_r("hashmap_agg_new", "map", ALLOC,
-   "HashMap keyed aggregation table; attrs: aggs=[('sum'|'count'|'min'|'max'|'avg'), ...]",
-   attrs=("aggs",))
-_r("hashmap_agg_update", "map", WRITE,
-   "get-or-initialise the accumulator row of a key and fold the given values into it",
-   arity=2, variadic=True, mutated=0, merge="reduce")
+_r("hashmap_agg_new", "map", ALLOC, "HashMap from a group key to its accumulator record")
+_r("hashmap_agg_group", "map", READ_WRITE,
+   "the accumulator record of a key, created the first time the key is seen; "
+   "attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
+   arity=2, attrs=("aggs",), mutated=0, merge="reduce")
 _r("hashmap_agg_foreach", "map", CONTROL,
-   "iterate (key, accumulator-values) pairs of an aggregation table",
+   "iterate (key, accumulator record) pairs of an aggregation table",
    arity=1, blocks=(2,), loop=True)
+
+#: The slots one aggregate of each kind takes in a group's accumulator record
+#: (an array), as their starting values; ``set`` stands for a fresh empty set.
+#: The folds over them are ordinary statements the pipelining lowering emits,
+#: mirroring :func:`repro.engine.volcano.fold_value`.
+ACCUMULATOR_SLOTS: Dict[str, Tuple[Any, ...]] = {
+    "sum": (0,), "count": (0,), "avg": (0.0, 0), "min": (None,), "max": (None,),
+    "count_distinct": (set,),
+}
+
+# ---------------------------------------------------------------------------
+# Sets: a count_distinct accumulator.
+# ---------------------------------------------------------------------------
+_r("set_add", "set", WRITE, "add a value to a set", arity=2, mutated=0, merge="reduce")
+_r("set_size", "set", READ, "the number of values in a set", arity=1, result=INT)
 
 # ---------------------------------------------------------------------------
 # Database access (the loaded catalog is a parameter of every program).
@@ -226,14 +240,20 @@ _r("table_column", "db", READ, "column array of a table; attrs: table=<name>, co
    arity=1, attrs=("table", "column"), shared=True)
 
 # ---------------------------------------------------------------------------
-# Dense aggregation arrays, introduced by the hash-table specialization at
-# ScaLite[List]: the *result* of lowering the Map abstraction.
+# Dense aggregation, introduced by the hash-table specialization at
+# ScaLite[List]: the *result* of lowering the Map abstraction.  The table is
+# an array of accumulator record slots indexed by ``key - lo``, which also
+# remembers the order its slots were first used in.
 # ---------------------------------------------------------------------------
-_r("dense_agg_new", "dense", ALLOC,
-   "dense aggregation array over a known key range; attrs: aggs=[...], size known at prepare time",
-   arity=1, attrs=("aggs",))
-_r("dense_agg_update", "dense", WRITE, arity=2, variadic=True, mutated=0, merge="reduce")
-_r("dense_agg_foreach", "dense", CONTROL, arity=1, blocks=(2,), loop=True)
+_r("dense_agg_new", "dense", ALLOC, "dense aggregation table of a given slot count",
+   arity=1)
+_r("dense_agg_group", "dense", READ_WRITE,
+   "the accumulator record in slot index, created the first time the slot "
+   "is reached; attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
+   arity=2, attrs=("aggs",), mutated=0, merge="reduce")
+_r("dense_agg_foreach", "dense", CONTROL,
+   "iterate (slot index, accumulator record) pairs in first-use order",
+   arity=1, blocks=(2,), loop=True)
 
 # ---------------------------------------------------------------------------
 # Per-query string dictionaries (the string-dictionary optimization).

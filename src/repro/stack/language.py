@@ -101,14 +101,17 @@ class Language:
 #: the reads of the catalog-resident physical access layer (resident
 #: partitions — a primary-key one is the unique-key index — partition
 #: pruning, load-time string dictionaries): they are database accessors like
-#: table_column, not specialised structures introduced by a lowering.
+#: table_column, not specialised structures introduced by a lowering.  It
+#: also holds what an aggregate's folds are written in: an accumulator record
+#: is an array, and a count_distinct accumulator a set.
 _CORE = ("arith", "compare", "logic", "convert", "string", "tuple", "control",
-         "var", "record", "array", "db", "access", "output")
+         "var", "record", "array", "set", "db", "access", "output")
 #: String dictionaries are emitted by the StringDictionaries *optimization*,
 #: which the stack declares at ScaLite[Map, List] — and an optimization must
 #: stay within its own language (transformation cohesion), so "strdict"
-#: starts at level 40, while the "dense" aggregation arrays only appear once
-#: the HashMap lowering into level 30 introduces them.
+#: starts at level 40, while the "dense" family — the group lookup over an
+#: array of accumulator records — only appears once the HashMap lowering into
+#: level 30 introduces it.
 _family = ir_ops.REGISTRY.family
 
 

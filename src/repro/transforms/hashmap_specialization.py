@@ -14,8 +14,11 @@ Specialisations applied here:
   A build the pipelining lowering already replaced by the catalog's resident
   partition (``access_partition``) is that array as it stands — only the
   probes are lowered.
-* **HashMap aggregation with a dense integer key** → a dense accumulator
-  array (``DenseAggTable``), removing key hashing on the aggregation path.
+* **HashMap aggregation with a dense integer key** → an array of accumulator
+  records indexed by ``key - lo`` (``dense_agg_group`` creates a slot's record
+  on first use), walked in first-use order like the HashMap it replaces: no
+  key hashing on the aggregation path.  The folds over each record are
+  untouched.
 * everything else stays on the generic (GLib-substitute) containers, which
   remain legal at every lower level.
 
@@ -76,8 +79,8 @@ class _Specializer:
             return self._mmap_get(stmt, rw)
         if op == "hashmap_agg_new":
             return self._agg_new(stmt, rw)
-        if op == "hashmap_agg_update":
-            return self._agg_update(stmt, rw)
+        if op == "hashmap_agg_group":
+            return self._agg_group(stmt, rw)
         if op == "hashmap_agg_foreach":
             return self._agg_foreach(stmt, rw)
         return None
@@ -167,23 +170,17 @@ class _Specializer:
         if key_range is None:
             return None
         lo, hi = key_range
-        size = hi - lo + 1
-        dense = rw.emit("dense_agg_new", [Const(size)],
-                        attrs={"aggs": tuple(stmt.expr.attrs["aggs"])}, hint="dense")
+        dense = rw.emit("dense_agg_new", [Const(hi - lo + 1)], hint="dense")
         self.dense_aggs[dense.id] = lo
         return dense
 
-    def _agg_update(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
+    def _agg_group(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
         target = stmt.expr.args[0]
         if not isinstance(target, Sym) or target.id not in self.dense_aggs:
             return None
-        lo = self.dense_aggs[target.id]
-        key = stmt.expr.args[1]
-        values = list(stmt.expr.args[2:])
-        index = self._offset(rw, key, lo)
-        rw.emit("dense_agg_update", [target, index] + values,
-                attrs=dict(stmt.expr.attrs))
-        return Const(None)
+        index = self._offset(rw, stmt.expr.args[1], self.dense_aggs[target.id])
+        return rw.emit("dense_agg_group", [target, index], attrs=dict(stmt.expr.attrs),
+                       hint="acc")
 
     def _agg_foreach(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
         target = stmt.expr.args[0]
@@ -191,17 +188,12 @@ class _Specializer:
             return None
         lo = self.dense_aggs[target.id]
         body = stmt.expr.blocks[0]
-        old_key, old_values = body.params
-        new_index = Sym("gidx", INT)
-        new_values = Sym("gvals")
-        real_key = Sym("gkey", INT)
-        substituted = substitute_block(body, {old_key: real_key, old_values: new_values})
-        rewritten_inner = rw.rewrite_nested(substituted)
-        stmts = [Stmt(real_key, Expr("add", (new_index, Const(lo)), {}, (), INT))]
-        stmts.extend(rewritten_inner.stmts)
-        new_body = Block(stmts, rewritten_inner.result, (new_index, new_values))
-        rw.emit("dense_agg_foreach", [target], attrs=dict(stmt.expr.attrs),
-                blocks=(new_body,))
+        old_key, old_record = body.params
+        index, record, key = Sym("gidx", INT), Sym("acc"), Sym("gkey", INT)
+        inner = rw.rewrite_nested(substitute_block(body, {old_key: key, old_record: record}))
+        stmts = [Stmt(key, Expr("add", (index, Const(lo)), {}, (), INT))] + inner.stmts
+        rw.emit("dense_agg_foreach", [target],
+                blocks=(Block(stmts, inner.result, (index, record)),))
         return Const(None)
 
     # ------------------------------------------------------------------

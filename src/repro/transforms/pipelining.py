@@ -49,12 +49,14 @@ specialization lowering.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
+from ..ir.ops import ACCUMULATOR_SLOTS
 from ..stack.context import CompilationContext
 from ..stack.language import C_PY, Language, QPLAN, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
@@ -656,23 +658,26 @@ class _PushCompiler:
     # Aggregation
     # ------------------------------------------------------------------
     def _aggregate(self, node: Q.Agg, consume: Consumer) -> None:
+        """Group records in a HashMap; each aggregate's fold and finalisation
+        are statements over the group's accumulator record (one array slot
+        per accumulator, :data:`repro.ir.ops.ACCUMULATOR_SLOTS`)."""
         b = self.b
-        agg_kinds = tuple(spec.kind for spec in node.aggregates)
-        attrs: Dict = {"aggs": agg_kinds}
-        if len(node.group_keys) == 1:
-            attrs.update(self._mmap_attrs(node.group_keys[0][1], None, node.child))
+        group_attrs = {"aggs": tuple(spec.kind for spec in node.aggregates)}
+        attrs = self._mmap_attrs(node.group_keys[0][1], None, node.child) \
+            if len(node.group_keys) == 1 else {}
         table = b.emit("hashmap_agg_new", [], attrs=attrs, hint="agg")
+        starts = list(accumulate((len(ACCUMULATOR_SLOTS[kind]) for kind in group_attrs["aggs"]),
+                                 initial=0))
 
         if not node.group_keys:
-            # Seed the single group of a global fold before any input row is
-            # consumed: an all-``None`` update creates the group's neutral
-            # accumulators without contributing to any aggregate, so an empty
-            # input still finalises to one row (count=0, sum=0, others None).
-            seed = [Const(None) for _ in node.aggregates]
-            b.emit("hashmap_agg_update", [table, Const(0)] + seed,
-                   attrs={"aggs": agg_kinds})
+            # The single group of a global fold exists before any input row
+            # is consumed, so an empty input still finalises to one row
+            # (count=0, sum=0, others None).  Each row still looks the record
+            # up inside the loop: folds into a record bound outside it would
+            # be writes to an outer object, which pin the loop sequential.
+            b.emit("hashmap_agg_group", [table, Const(0)], attrs=group_attrs)
 
-        def update(row: RowVals) -> None:
+        def fold(row: RowVals) -> None:
             if not node.group_keys:
                 key: Atom = Const(0)
             elif len(node.group_keys) == 1:
@@ -680,17 +685,17 @@ class _PushCompiler:
             else:
                 key_atoms = [self.scalars.compile(expr, row) for _, expr in node.group_keys]
                 key = self.b.emit("tuple_new", key_atoms, hint="key")
-            values = []
-            for spec in node.aggregates:
-                if spec.expr is None:
-                    values.append(Const(1))
-                else:
-                    values.append(self.scalars.compile(spec.expr, row))
-            self.b.emit("hashmap_agg_update", [table, key] + values, attrs={"aggs": agg_kinds})
+            # ``count(*)`` counts the constant 1, which is never NULL
+            values = [Const(1) if spec.expr is None else self.scalars.compile(spec.expr, row)
+                      for spec in node.aggregates]
+            record = self.b.emit("hashmap_agg_group", [table, key], attrs=group_attrs,
+                                 hint="acc")
+            for spec, start, value in zip(node.aggregates, starts, values):
+                self._fold(spec.kind, record, start, value)
 
-        self.produce(node.child, update)
+        self.produce(node.child, fold)
 
-        with b.new_block(params=2, hints=["gk", "gv"]) as (group_block, (key_sym, values_sym)):
+        with b.new_block(params=2, hints=["gk", "acc"]) as (group_block, (key_sym, record)):
             row_values: Dict[str, Atom] = {}
             if len(node.group_keys) == 1:
                 row_values[node.group_keys[0][0]] = key_sym
@@ -698,16 +703,68 @@ class _PushCompiler:
                 for index, (name, _) in enumerate(node.group_keys):
                     row_values[name] = b.emit("tuple_get", [key_sym], attrs={"index": index},
                                               hint=name[:10])
-            for index, spec in enumerate(node.aggregates):
-                row_values[spec.name] = b.emit("tuple_get", [values_sym],
-                                               attrs={"index": index}, hint=spec.name[:10])
+            for spec, start in zip(node.aggregates, starts):
+                row_values[spec.name] = self._finalise(spec.kind, record, start,
+                                                       spec.name[:10])
             out_row = RowVals.scalars(row_values)
             if node.having is not None:
                 cond = self.scalars.compile(node.having, out_row)
                 b.if_(cond, lambda: consume(out_row))
             else:
                 consume(out_row)
-        b.emit("hashmap_agg_foreach", [table], attrs={"aggs": agg_kinds}, blocks=[group_block])
+        b.emit("hashmap_agg_foreach", [table], blocks=[group_block])
+
+    def _fold(self, kind: str, record: Sym, start: int, value: Atom) -> None:
+        """Fold one value into the accumulator at ``record[start]``: the
+        lowered :func:`repro.engine.volcano.fold_value`, which it mirrors.  A
+        value that may be NULL is folded under a ``value is not None`` guard,
+        which folding drops where the column's statistics show no NULL."""
+        b = self.b
+
+        def read(offset: int = 0) -> Sym:
+            return b.emit("array_get", [record, Const(start + offset)])
+
+        def write(new: Atom, offset: int = 0) -> None:
+            b.emit("array_set", [record, Const(start + offset), new])
+
+        def add(amount: Atom, offset: int = 0) -> None:
+            write(b.emit("add", [read(offset), amount]), offset)
+
+        def update() -> None:
+            if kind == "count":
+                add(Const(1))
+            elif kind in ("sum", "avg"):
+                add(value)
+                if kind == "avg":
+                    add(Const(1), offset=1)
+            elif kind == "count_distinct":
+                b.emit("set_add", [read(), value])
+            else:  # min / max
+                current = read()
+
+                def compare() -> None:
+                    better = b.emit("lt" if kind == "min" else "gt", [value, current])
+                    b.if_(better, lambda: write(value))
+
+                # a None accumulator is replaced without evaluating ``v < None``
+                b.if_(b.emit("eq", [current, Const(None)]), lambda: write(value), compare)
+
+        if isinstance(value, Const) and value.value is not None:
+            update()
+        else:
+            b.if_(b.emit("ne", [value, Const(None)]), update)
+
+    def _finalise(self, kind: str, record: Sym, start: int, hint: str) -> Atom:
+        """One group's value of an aggregate: ``avg`` divided out (``None``
+        over no value), ``count_distinct`` the size of its set."""
+        b = self.b
+        value = b.emit("array_get", [record, Const(start)], hint=hint)
+        if kind == "count_distinct":
+            return b.emit("set_size", [value], hint=hint)
+        if kind == "avg":
+            count = b.emit("array_get", [record, Const(start + 1)], hint="count")
+            return b.if_(count, lambda: b.emit("div", [value, count]))
+        return value
 
     # ------------------------------------------------------------------
     # Sort and limit (pipeline breakers over materialised lists)

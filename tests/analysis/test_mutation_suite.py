@@ -62,6 +62,45 @@ class TestMutationSuite:
         assert exc.value.check == "scope"
         assert exc.value.phase == f"broken-dce[{LEVEL}]"
 
+    @pytest.mark.parametrize("query, op, check", [
+        # the lookup of the record the folds write: a write, and used
+        ("Q1", "hashmap_agg_group", "effects"),
+        ("Q17", "dense_agg_group", "effects"),
+        # a count_distinct's finalised value: a removable read, but used
+        ("Q16", "set_size", "scope"),
+    ])
+    def test_dropped_aggregate_binding_rejected(self, tpch_catalog, query, op, check):
+        """DCE variant that drops the first ``op`` binding, wherever it is
+        nested: the effect audit refuses a dropped write, the scope check
+        the dangling uses of a dropped read."""
+
+        def drop(block):
+            for i, stmt in enumerate(block.stmts):
+                if stmt.expr.op == op:
+                    return Block(block.stmts[:i] + block.stmts[i + 1:],
+                                 block.result, block.params), True
+                for k, nested in enumerate(stmt.expr.blocks):
+                    new_nested, done = drop(nested)
+                    if done:
+                        blocks = list(stmt.expr.blocks)
+                        blocks[k] = new_nested
+                        stmts = list(block.stmts)
+                        stmts[i] = Stmt(stmt.sym, Expr(
+                            stmt.expr.op, stmt.expr.args, dict(stmt.expr.attrs),
+                            tuple(blocks), stmt.expr.type))
+                        return Block(stmts, block.result, block.params), True
+            return block, False
+
+        def mutate(program, context):
+            body, done = drop(program.body)
+            assert done, f"{query} no longer emits {op}"
+            return _rebuild(program, body)
+
+        with pytest.raises(VerificationError) as exc:
+            compile_mutated(tpch_catalog, mutate, "broken-dce", query=query)
+        assert exc.value.check == check
+        assert exc.value.phase == f"broken-dce[{LEVEL}]"
+
     def test_duplicate_binding_rejected(self, tpch_catalog):
         """CSE variant that binds the same symbol twice."""
 
@@ -79,17 +118,19 @@ class TestMutationSuite:
         assert exc.value.check == "scope"
         assert "single-assignment" in str(exc.value)
 
-    def test_effectful_dce_rejected(self, tpch_catalog):
-        """DCE variant that removes a *writing* statement (output/agg update).
+    @pytest.mark.parametrize("query, op", [("Q1", "array_set"), ("Q16", "set_add")])
+    def test_effectful_dce_rejected(self, tpch_catalog, query, op):
+        """DCE variant that removes a *writing* statement: a fold into a
+        group's accumulator record.
 
         The dangling-use checks cannot see this — a write's result is
-        usually unused — so only the effect-legality audit catches it.
+        unused — so only the effect-legality audit catches it.  (Dropping
+        the group lookup instead would leave the folds' uses dangling.)
         """
 
         def drop_write(block):
             for i, stmt in enumerate(block.stmts):
-                if stmt.expr.op in ("hashmap_agg_update",
-                                    "dense_agg_update", "list_append"):
+                if stmt.expr.op == op:
                     return Block(block.stmts[:i] + block.stmts[i + 1:],
                                  block.result, block.params), True
                 for k, nested in enumerate(stmt.expr.blocks):
@@ -108,10 +149,11 @@ class TestMutationSuite:
 
         def mutate(program, context):
             body, done = drop_write(program.body)
-            return _rebuild(program, body) if done else program
+            assert done, f"{query} no longer emits {op}"
+            return _rebuild(program, body)
 
         with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, mutate, "effectful-dce")
+            compile_mutated(tpch_catalog, mutate, "effectful-dce", query=query)
         assert exc.value.check == "effects"
         assert "removable" in str(exc.value)
         assert exc.value.phase == f"effectful-dce[{LEVEL}]"
@@ -241,8 +283,7 @@ class TestMutationSuite:
             body = program.body
             if any(stmt.expr.op == "dense_agg_new" for stmt in body.stmts):
                 return program
-            stmt = Stmt(Sym("dense"), Expr("dense_agg_new", (Const(4),),
-                                           {"aggs": ("sum",)}))
+            stmt = Stmt(Sym("dense"), Expr("dense_agg_new", (Const(4),)))
             return _rebuild(program, Block([stmt] + list(body.stmts),
                                            body.result, body.params))
 

@@ -26,6 +26,7 @@ class TestSignatureTable:
         assert REGISTRY.get("record_new").attrs == ("fields",)
         assert REGISTRY.get("for_range").blocks == (1,)
         assert REGISTRY.get("hashmap_agg_foreach").blocks == (2,)
+        assert REGISTRY.get("hashmap_agg_group").attrs == ("aggs",)
         assert REGISTRY.get("var_write").mutated == 0
 
     def test_unknown_op_raises(self):

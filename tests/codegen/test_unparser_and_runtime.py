@@ -86,6 +86,28 @@ class TestUnparser:
         result, _ = unparse_and_run(program)
         assert result == (["a", "b"], ())
 
+    def test_group_records_are_created_once_per_key_and_slot(self):
+        """The group lookups unparse inline: the first lookup of a key (or a
+        slot) creates its record from the kinds' starting values, later ones
+        return that record."""
+        db = Sym("db")
+        b = IRBuilder()
+        table = b.emit("hashmap_agg_new", [])
+        slots = b.emit("dense_agg_new", [3])
+        for key in ("a", "b", "a"):
+            record = b.emit("hashmap_agg_group", [table, key],
+                            attrs={"aggs": ("avg", "count_distinct")})
+            b.emit("set_add", [b.emit("array_get", [record, 2]), key])
+            dense = b.emit("dense_agg_group", [slots, 1], attrs={"aggs": ("max",)})
+            b.emit("array_set", [dense, 0, key])
+        size = b.emit("set_size", [b.emit("array_get", [record, 2])])
+        program = make_program(b.finish(b.emit("tuple_new", [table, slots, size])),
+                               [db], "C.Py")
+        result, source = unparse_and_run(program)
+        assert result == ({"a": [0.0, 0, {"a"}], "b": [0.0, 0, {"b"}]},
+                          [None, ["a"], None, [1]], 1)
+        assert "_rt." not in source
+
     def test_hoisted_block_becomes_prepare(self, tiny_catalog):
         db = Sym("db")
         hoisted = IRBuilder()
@@ -127,35 +149,6 @@ class TestUnparser:
 
 
 class TestRuntime:
-    @pytest.mark.parametrize("make", [
-        runtime.AggTable, lambda kinds: runtime.DenseAggTable(kinds, size=10)],
-        ids=["hash", "dense"])
-    def test_agg_tables_fold_all_kinds(self, make):
-        table = make(("sum", "count", "min", "max", "avg", "count_distinct"))
-        table.update(3, (1.0, 1, 5, 5, 10.0, "a"))
-        table.update(3, (2.0, None, 3, 7, 20.0, "b"))
-        table.update(3, (None, 1, None, None, None, "a"))
-        rows = dict(table.finalised())
-        assert rows[3] == (3.0, 2, 3, 7, 15.0, 2)
-
-    def test_agg_table_multiple_groups(self):
-        table = runtime.AggTable(("sum",))
-        table.update(1, (10,))
-        table.update(2, (20,))
-        table.update(1, (5,))
-        assert dict(table.finalised()) == {1: (15,), 2: (20,)}
-
-    def test_dense_agg_table(self):
-        table = runtime.DenseAggTable(("sum", "count"), size=10)
-        table.update(3, (2.5, 1))
-        table.update(3, (1.5, 1))
-        table.update(7, (1.0, 1))
-        rows = dict(table.finalised())
-        assert rows[3] == (4.0, 2)
-        assert rows[7] == (1.0, 1)
-        table.reset()
-        assert dict(table.finalised()) == {}
-
     def test_string_dictionary_round_trip(self):
         dictionary = runtime.StringDictionary.build(["b", "a", "c", "a"], ordered=True)
         assert dictionary.code("a") == 0

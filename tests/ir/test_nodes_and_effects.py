@@ -37,8 +37,9 @@ class TestEffects:
 class TestRegistry:
     def test_core_ops_registered(self):
         for op in ("add", "mul", "eq", "if_", "for_range", "list_append",
-                   "mmap_add", "hashmap_agg_update", "table_column",
-                   "access_partition", "strdict_code", "dense_agg_update"):
+                   "mmap_add", "hashmap_agg_group", "table_column",
+                   "access_partition", "strdict_code", "dense_agg_group",
+                   "set_add", "set_size"):
             assert is_registered(op), op
 
     def test_effects_of_key_ops(self):

@@ -29,12 +29,6 @@ def _record_read_back(catalog):
     return make_program(b.finish(b.emit("mul", [field, 2])), [], "ScaLite")
 
 
-def _constant_arithmetic(catalog):
-    b = IRBuilder()
-    return make_program(b.finish(b.emit("mul", [b.emit("add", [2, 3]), 4])), [],
-                        "ScaLite")
-
-
 def _unplanned_query(catalog):
     """Q6 as written: the planner's own pruning is what leaves nothing over."""
     return build_query("Q6")
@@ -45,7 +39,6 @@ def _unplanned_query(catalog):
 UNFIRED = {
     "scalar-replacement[ScaLite]": ("a record built and read in one block",
                                     _record_read_back),
-    "partial-evaluation[ScaLite]": ("arithmetic over constants", _constant_arithmetic),
     "unused-field-removal[QPlan]": ("a plan the planner has not pruned",
                                     _unplanned_query),
     "monad-fusion[QMonad]": ("a QMonad chain (the 22 queries are QPlan)",

@@ -35,23 +35,20 @@ from repro.transforms.fusion import MonadFusionRules
 #: sha256 over ``f"{config}/{query}\n" + source`` for QUERY_NAMES (in that
 #: order) at sf 0.001 / seed 20160626, each compile after
 #: ``reset_symbol_counter()``.  Planner off: one digest over CONFIG_NAMES x
-#: QUERY_NAMES, computed on the commit before the change-driven drivers
-#: (dbc3525).  Planner on: one digest per configuration, computed on the last
-#: commit with an ``IndexJoin`` lowering of its own (1a23808) — except
-#: dblab-4 / dblab-5, the two stacks that took it, re-pinned when a compiled
-#: ``IndexJoin`` became the hash join it subclasses.  Against 1a23808 their
-#: source differs on exactly the queries whose planned tree holds an inner or
-#: semi ``IndexJoin`` (Q7, Q10, Q12, Q14, Q15, Q18, Q19, Q20); Q13's
-#: (leftouter) was the hash lowering already.
+#: QUERY_NAMES; planner on: one digest per configuration.  All were re-pinned
+#: when an aggregate's folds became generated statements over its group's
+#: accumulator record instead of calls into runtime tables: every TPC-H query
+#: aggregates, so the source of all 22 changed under every configuration,
+#: planner off and on.
 GOLDEN_SOURCE_SHA256 = {
-    False: "7e6a4b2adf04b05973e1acd7c59e59750bb97778ce26c962f5a1e6e33bf68a10",
+    False: "074bc7426e6228c33fe30a026fca8e6b9f6ef29d52ae9276e94d8a513d639caa",
     True: {
-        "template-expander": "208f7e9ad8e48573befbb7f63594f0d7adf0cca6f58693c3ded10b6dfd43e30b",
-        "dblab-2": "5c6276cce4521201634f9b8f68ca867f178b475e26fab95545de0b6e6529ff9d",
-        "dblab-3": "875c6a8450fc309fdcbc77a0b5e6e559fa229928d640ba1e420db69f84ecf0aa",
-        "dblab-4": "f27718cb0cb44a9ea7f40ad5eff18cfd979dc2216120f1649b04942904f55e20",
-        "dblab-5": "c62b07d29de5e4c0dddda8f8b07d2abc982d08e1f83dae1851269f2b68244cb1",
-        "tpch-compliant": "8357e72bfffcda913fa3489b7aca9c89411f805bd84647f8c17098417ee2a61c",
+        "template-expander": "d582dd1c89a17043b4585436c614c9083d53c4097600db448c3a3b425c88a45c",
+        "dblab-2": "058ebe724a6355e8aa226d988d14bf6c6e068bf0c1b81eed0fabcb829bdd6e90",
+        "dblab-3": "244410e54e0f46025e6e84111808882b37fcbbbc216c8fb122efd04cf84961ea",
+        "dblab-4": "e880db20f7075b81e49fe34ffaf274b9c97ab885da6538ffdfd73ce1f5afcf7d",
+        "dblab-5": "dd2f916f11c5fcb49980f0ebd90659611b2b30b11901d2c562646ef1a4a66605",
+        "tpch-compliant": "47f3ac0c3c1adb4e121e5947cfd04da7f5639d01ac7413d30bd9352e7286d89a",
     },
 }
 
@@ -65,18 +62,18 @@ GOLDEN_PLAN_SHA256 = "e8168f80b55519b4e69b0b13036dae3a31daea2485378209ec74ec29be
 
 #: sha256 of the source each configuration generates for
 #: :func:`fusable_chain` (same catalog, after ``reset_symbol_counter()``),
-#: computed on the last commit that gated passes by flag (326b160).  The
+#: re-pinned with the source digests above (the chain ends in a fold).  The
 #: digests above compile QPlan only and cannot see a QMonad pass land in the
 #: wrong stack: fusion runs in dblab-5 / tpch-compliant and nowhere else
 #: (with it, dblab-3 would generate tpch-compliant's source and dblab-4
 #: dblab-5's).  ``None``: the one-lowering stack has no QMonad front end.
 GOLDEN_QMONAD_SHA256 = {
     "template-expander": None,
-    "dblab-2": "a93ab574b9523481a0134b5352aa308e584fb23832bcc210820f4baa8062d736",
-    "dblab-3": "9bd1c16849c6b54bbc3660a854eb8e2ca276a1ea7e9f7873a3f741f56eca74dd",
-    "dblab-4": "24398e3cfe889eccd3ce4ff3667c6d6d4a97a7a74f1652c76977a5db2ce7a0f2",
-    "dblab-5": "c7490fbf29ebdeecaabae030cb9ff9d93271c0ebbd9a85bac5d1334bce4b573b",
-    "tpch-compliant": "94a3af79c651209d52ea8fd7f633b43d69fae470846348001474a25f83680806",
+    "dblab-2": "7b9b3bab54c5e29285f0efe03a594691880ef7dfaa994dd24136d8711f31510f",
+    "dblab-3": "cac9cbccd093a4133b09488ae51b4690b80b6a5e3b0e1fe9330faebbdb9725fe",
+    "dblab-4": "f9fe201eb298c707f1b1931428cd7ebd2f41e916ab4ed1abf07092d2576ed080",
+    "dblab-5": "b039d461b96795668cdcbcded204376444fdef3633339a60b180e715d805557b",
+    "tpch-compliant": "c27eedfbda64de0553c070a72664b5cee58e3b3e44e2f22d843e115e9962f584",
 }
 
 
@@ -162,10 +159,10 @@ class TestDeclarations:
 
     def test_pass_runs_on_the_planned_queries_are_pinned(self, tpch_catalog):
         """dblab-5, planner on, 22 queries: 8 steps each is 176 runs; folding
-        changes 3 programs and re-queues the two passes before it and itself
-        (9 more); no sweep of DCE's takes a reader from a branch, an
-        allocation or a write.  The round-robin made 317 runs for the same
-        60 changes."""
+        changes 16 programs — mostly by dropping the NULL guards of folds
+        over columns with no NULL — and re-queues the two passes before it
+        and itself (48 more); no sweep of DCE's takes a reader from a branch,
+        an allocation or a write."""
         config = build_config("dblab-5", planner=True)
         compiler = QueryCompiler(config.stack, config.flags)
         runs = changed = requeued = 0
@@ -176,7 +173,7 @@ class TestDeclarations:
                 runs += phase.runs
                 changed += phase.changed
                 requeued += phase.requeued
-        assert (runs, changed, requeued) == (185, 60, 9)
+        assert (runs, changed, requeued) == (224, 74, 48)
 
     @pytest.mark.parametrize("config_name", CONFIG_NAMES)
     def test_the_confirmation_holds_on_every_planned_query(

@@ -30,9 +30,16 @@ class TestLanguageDefinitions:
 
     def test_specialized_structures_not_in_map_list_level(self):
         """Dense structures only appear below ScaLite[Map, List]."""
-        for op in ("dense_agg_new", "dense_agg_update"):
+        for op in ("dense_agg_new", "dense_agg_group"):
             assert not SCALITE_MAP_LIST.allows_op(op)
             assert SCALITE_LIST.allows_op(op)
+
+    def test_folds_are_core_statements_at_every_level(self):
+        """An aggregate folds into its accumulator record (an array, and a set
+        for count_distinct) in the core every imperative level shares."""
+        for lang in (SCALITE_MAP_LIST, SCALITE_LIST, SCALITE, C_PY):
+            for op in ("array_get", "array_set", "set_add", "set_size"):
+                assert lang.allows_op(op), (lang, op)
 
     def test_strdict_ops_available_where_the_optimization_runs(self):
         """StringDictionaries is declared at ScaLite[Map, List]; cohesion says

@@ -230,9 +230,18 @@ class TestStress:
         # then the capacity is what the last test left (512)
         DerivedCache.set_capacity(large)
         caches = [DerivedCache(), DerivedCache()]
+        # Eviction and promotion are proved here, on one thread: whether the
+        # threaded phase overflows probation depends on how often the
+        # disturber empties it first, which is a schedule, not a property.
+        for n in range(PROBATION + 1):
+            caches[0].lookup(PLANS, ("overflow", n), lambda: 0)
+        caches[0].lookup(PLANS, ("overflow", PROBATION), _never)
+        stats = DerivedCache.stats[PLANS]
+        assert (stats.misses, stats.hits, stats.evictions) == (PROBATION + 1, 1, 1)
+        assert _segments(caches[0])[1] == [("overflow", PROBATION)]
+        warm_up = stats.hits + stats.misses
         epoch = [0]  # bumped *before* each invalidation
         errors = []
-        most_protected = [0]
         done = threading.Event()
 
         def worker(index):
@@ -253,7 +262,6 @@ class TestStress:
                         room = min(DerivedCache.capacity, PROBATION)
                         assert probation <= room
                         assert protected <= DerivedCache.capacity - room
-                        most_protected[0] = max(most_protected[0], protected)
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -284,7 +292,5 @@ class TestStress:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers) and not chaos.is_alive()
         assert errors == []
-        stats = DerivedCache.stats[PLANS]
-        assert stats.hits + stats.misses == threads * rounds
-        assert stats.evictions > 0 and most_protected[0] > 0
+        assert stats.hits + stats.misses == warm_up + threads * rounds
         assert all(cache.entry_count(PLANS) <= large for cache in caches)

@@ -86,7 +86,9 @@ class TestLoweringStructure:
                      [Q.AggSpec("sum", col("s_val"), "total")])
         program, _ = lower(plan, tiny_catalog)
         used = ops_used(program)
-        assert {"hashmap_agg_new", "hashmap_agg_update", "hashmap_agg_foreach"} <= used
+        assert {"hashmap_agg_new", "hashmap_agg_group", "hashmap_agg_foreach"} <= used
+        # the fold is a core statement over the group's record
+        assert {"array_get", "add", "array_set"} <= used
 
     def test_sort_key_must_be_plain_column(self, tiny_catalog):
         plan = Q.Sort(Q.Scan("S"), [(col("s_val") * 2, "asc")])
