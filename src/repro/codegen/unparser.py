@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
-from ..ir.ops import ACCUMULATOR_SLOTS
+from ..ir.ops import ACCUMULATOR_SLOTS, held_in_slot
 from ..ir.traversal import used_syms
 
 _INDENT = "    "
@@ -356,7 +356,14 @@ class PythonUnparser:
 
     def _op_hashmap_agg_group(self, stmt):
         table, key = (_atom(a) for a in stmt.expr.args)
-        return self._group(stmt, f"{table}.get({key})", f"{table}[{key}]")
+        starts = self._starts(stmt)
+        if held_in_slot(stmt.expr.attrs["aggs"]):
+            return self._assign(stmt, f"{table}.setdefault({key}, {starts})")
+        return self._group(stmt, f"{table}.get({key})", "None", f"{table}[{key}]",
+                           f"[{starts}]")
+
+    def _op_hashmap_agg_set(self, stmt):
+        return self._op_array_set(stmt)
 
     def _op_hashmap_agg_foreach(self, stmt):
         body = stmt.expr.blocks[0]
@@ -369,16 +376,23 @@ class PythonUnparser:
         return lines
 
     # ------------------------------------------------------------------
-    # Dense aggregation: a list of ``size`` record slots, then the list of
-    # the slot indexes in first-use order
+    # Dense aggregation: a list of ``size`` slots, then the list of the slot
+    # indexes in first-use order.  A slot no key has reached holds ``...``,
+    # which no group can hold: ``None`` is a min or max slot's start.
     # ------------------------------------------------------------------
     def _op_dense_agg_new(self, stmt):
-        return self._assign(stmt, f"[None] * {_atom(stmt.expr.args[0])} + [[]]")
+        return self._assign(stmt, f"[...] * {_atom(stmt.expr.args[0])} + [[]]")
 
     def _op_dense_agg_group(self, stmt):
         table, index = (_atom(a) for a in stmt.expr.args)
-        return self._group(stmt, f"{table}[{index}]", f"{table}[{index}]",
-                           f"{table}[-1].append({index})")
+        starts = self._starts(stmt)
+        if not held_in_slot(stmt.expr.attrs["aggs"]):
+            starts = f"[{starts}]"
+        return self._group(stmt, f"{table}[{index}]", "...", f"{table}[{index}]",
+                           starts, f"{table}[-1].append({index})")
+
+    def _op_dense_agg_set(self, stmt):
+        return self._op_array_set(stmt)
 
     def _op_dense_agg_foreach(self, stmt):
         body = stmt.expr.blocks[0]
@@ -392,15 +406,20 @@ class PythonUnparser:
         return lines
 
     @staticmethod
-    def _group(stmt: Stmt, lookup: str, entry: str, *created: str) -> List[str]:
-        """Get-or-create of a group's accumulator record, inline."""
-        record = _name(stmt.sym)
-        starts = ", ".join("set()" if start is set else repr(start)
-                           for kind in stmt.expr.attrs["aggs"]
-                           for start in ACCUMULATOR_SLOTS[kind])
-        return [f"{record} = {lookup}",
-                f"if {record} is None:",
-                f"{_INDENT}{record} = {entry} = [{starts}]",
+    def _starts(stmt: Stmt) -> str:
+        """The starting values of a group's accumulator slots."""
+        return ", ".join("set()" if start is set else repr(start)
+                         for kind in stmt.expr.attrs["aggs"]
+                         for start in ACCUMULATOR_SLOTS[kind])
+
+    @staticmethod
+    def _group(stmt: Stmt, lookup: str, unseen: str, entry: str, start: str,
+               *created: str) -> List[str]:
+        """Get-or-create of a group's accumulator record or slot, inline."""
+        group = _name(stmt.sym)
+        return [f"{group} = {lookup}",
+                f"if {group} is {unseen}:",
+                f"{_INDENT}{group} = {entry} = {start}",
                 *(_INDENT + line for line in created)]
 
     # ------------------------------------------------------------------

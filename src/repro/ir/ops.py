@@ -23,7 +23,7 @@ point the paper makes for choosing ANF as the IR (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, READ_WRITE, WRITE
 from .types import BOOL, INT, STRING, Type
@@ -207,23 +207,40 @@ _r("mmap_new", "map", ALLOC, "MultiMap: key -> list of values (hash joins)")
 _r("mmap_add", "map", WRITE, "append a value to the bucket of a key",
    arity=3, mutated=0, merge="bucket-concat")
 _r("mmap_get", "map", READ, "return the bucket list of a key (empty list if absent)", arity=2)
-_r("hashmap_agg_new", "map", ALLOC, "HashMap from a group key to its accumulator record")
+_r("hashmap_agg_new", "map", ALLOC,
+   "HashMap from a group key to its accumulator record, or to its one "
+   "accumulator value when the group holds it in the table slot (held_in_slot)")
 _r("hashmap_agg_group", "map", READ_WRITE,
-   "the accumulator record of a key, created the first time the key is seen; "
+   "the group of a key, created the first time the key is seen: its "
+   "accumulator record, or the accumulator value held in the slot; "
    "attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
    arity=2, attrs=("aggs",), mutated=0, merge="reduce")
+_r("hashmap_agg_set", "map", WRITE,
+   "write a folded accumulator value back into the table slot of its key",
+   arity=3, mutated=0, merge="reduce")
 _r("hashmap_agg_foreach", "map", CONTROL,
-   "iterate (key, accumulator record) pairs of an aggregation table",
+   "iterate (key, accumulator record or slot value) pairs of an aggregation table",
    arity=1, blocks=(2,), loop=True)
 
 #: The slots one aggregate of each kind takes in a group's accumulator record
 #: (an array), as their starting values; ``set`` stands for a fresh empty set.
-#: The folds over them are ordinary statements the pipelining lowering emits,
-#: mirroring :func:`repro.engine.volcano.fold_value`.
+#: A group that is one slot of an immutable value (held_in_slot) has no
+#: record: the table slot holds the value, from the same start.  The folds
+#: are ordinary statements the pipelining lowering emits, mirroring
+#: :func:`repro.engine.volcano.fold_value`.
 ACCUMULATOR_SLOTS: Dict[str, Tuple[Any, ...]] = {
     "sum": (0,), "count": (0,), "avg": (0.0, 0), "min": (None,), "max": (None,),
     "count_distinct": (set,),
 }
+
+
+def held_in_slot(aggs: Sequence[str]) -> bool:
+    """Whether a group of these aggregates keeps its accumulator in the table
+    slot itself, with no record: one aggregate whose accumulator is a single
+    immutable value.  The fold reads the slot and writes the new value back
+    (``hashmap_agg_set`` / ``dense_agg_set``)."""
+    return len(aggs) == 1 and aggs[0] in ("sum", "count", "min", "max")
+
 
 # ---------------------------------------------------------------------------
 # Sets: a count_distinct accumulator.
@@ -242,17 +259,22 @@ _r("table_column", "db", READ, "column array of a table; attrs: table=<name>, co
 # ---------------------------------------------------------------------------
 # Dense aggregation, introduced by the hash-table specialization at
 # ScaLite[List]: the *result* of lowering the Map abstraction.  The table is
-# an array of accumulator record slots indexed by ``key - lo``, which also
-# remembers the order its slots were first used in.
+# an array indexed by ``key - lo`` whose slots hold what the HashMap's values
+# were — accumulator records, or accumulator values (held_in_slot) — and
+# which also remembers the order its slots were first used in.
 # ---------------------------------------------------------------------------
 _r("dense_agg_new", "dense", ALLOC, "dense aggregation table of a given slot count",
    arity=1)
 _r("dense_agg_group", "dense", READ_WRITE,
-   "the accumulator record in slot index, created the first time the slot "
-   "is reached; attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
+   "the group in slot index, created the first time the slot is reached: "
+   "its accumulator record, or the accumulator value held in the slot; "
+   "attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
    arity=2, attrs=("aggs",), mutated=0, merge="reduce")
+_r("dense_agg_set", "dense", WRITE,
+   "write a folded accumulator value back into slot index",
+   arity=3, mutated=0, merge="reduce")
 _r("dense_agg_foreach", "dense", CONTROL,
-   "iterate (slot index, accumulator record) pairs in first-use order",
+   "iterate (slot index, accumulator record or slot value) pairs in first-use order",
    arity=1, blocks=(2,), loop=True)
 
 # ---------------------------------------------------------------------------

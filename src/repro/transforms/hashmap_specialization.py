@@ -14,11 +14,12 @@ Specialisations applied here:
   A build the pipelining lowering already replaced by the catalog's resident
   partition (``access_partition``) is that array as it stands — only the
   probes are lowered.
-* **HashMap aggregation with a dense integer key** → an array of accumulator
-  records indexed by ``key - lo`` (``dense_agg_group`` creates a slot's record
-  on first use), walked in first-use order like the HashMap it replaces: no
-  key hashing on the aggregation path.  The folds over each record are
-  untouched.
+* **HashMap aggregation with a dense integer key** → an array indexed by
+  ``key - lo`` whose slots hold what the HashMap's values were: accumulator
+  records, or the accumulator value itself for a one-slot group
+  (``dense_agg_group`` creates a slot's group on first use; ``dense_agg_set``
+  writes a folded value back), walked in first-use order like the HashMap it
+  replaces: no key hashing on the aggregation path.  The folds are untouched.
 * everything else stays on the generic (GLib-substitute) containers, which
   remain legal at every lower level.
 
@@ -65,6 +66,9 @@ class _Specializer:
         self.arrays: Dict[int, Tuple[Sym, int, int, Sym, bool]] = {}
         #: dense aggregation table sym id -> lo offset
         self.dense_aggs: Dict[int, int] = {}
+        #: (dense table sym id, group key sym id) -> the slot index its group
+        #: lookup computed, which the fold's write-back reuses
+        self.slot_indexes: Dict[Tuple[int, int], Atom] = {}
 
     # ------------------------------------------------------------------
     def rewrite(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
@@ -81,6 +85,8 @@ class _Specializer:
             return self._agg_new(stmt, rw)
         if op == "hashmap_agg_group":
             return self._agg_group(stmt, rw)
+        if op == "hashmap_agg_set":
+            return self._agg_set(stmt, rw)
         if op == "hashmap_agg_foreach":
             return self._agg_foreach(stmt, rw)
         return None
@@ -178,9 +184,23 @@ class _Specializer:
         target = stmt.expr.args[0]
         if not isinstance(target, Sym) or target.id not in self.dense_aggs:
             return None
-        index = self._offset(rw, stmt.expr.args[1], self.dense_aggs[target.id])
+        key = stmt.expr.args[1]
+        index = self._offset(rw, key, self.dense_aggs[target.id])
+        if isinstance(key, Sym):
+            self.slot_indexes[target.id, key.id] = index
         return rw.emit("dense_agg_group", [target, index], attrs=dict(stmt.expr.attrs),
                        hint="acc")
+
+    def _agg_set(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
+        target, key, value = stmt.expr.args
+        if not isinstance(target, Sym) or target.id not in self.dense_aggs:
+            return None
+        # the write-back follows its group lookup in the same fold
+        index = self.slot_indexes.get((target.id, key.id)) if isinstance(key, Sym) else None
+        if index is None:
+            index = self._offset(rw, key, self.dense_aggs[target.id])
+        rw.emit("dense_agg_set", [target, index, value])
+        return Const(None)
 
     def _agg_foreach(self, stmt: Stmt, rw: BlockRewriter) -> Optional[Atom]:
         target = stmt.expr.args[0]

@@ -9,7 +9,18 @@ materialised between pipeline-breaking operators.
 This module implements that lowering for QPlan.  Each operator method receives
 a ``consume`` callback and emits, into the current ANF block, the code that
 feeds rows to it.  Pipeline breakers (hash-join builds, aggregations, sorts)
-are the only places where records are materialised into data structures.
+are the only places where rows are stored in data structures, and a build or
+a group stores the least its readers need:
+
+* a hash build stores a build row's *position* when every field its probes
+  read is a base column at that position, directly or through a unique key's
+  lookup from it (:class:`~repro.transforms.rowvals.Origin`) — the probe reads
+  the fields back from the columns; otherwise a tuple of just the fields its
+  probes read, and only a marker when they read none;
+* a group of one ``sum``, ``count``, ``min`` or ``max`` keeps its accumulator
+  value in the table slot (:func:`repro.ir.ops.held_in_slot`); any other group
+  has an accumulator record;
+* sort and limit buffers hold whole rows.
 
 The same lowering serves every stack configuration; the target language is a
 constructor parameter (C.Py for the naive two-level stack, ScaLite for the
@@ -50,17 +61,17 @@ specialization lowering.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
-from ..ir.ops import ACCUMULATOR_SLOTS
+from ..ir.ops import ACCUMULATOR_SLOTS, held_in_slot
 from ..stack.context import CompilationContext
 from ..stack.language import C_PY, Language, QPLAN, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
-from .rowvals import RowVals
+from .rowvals import Origin, RowVals
 from .scalar_compiler import ScalarCompiler
 from .subplan_sharing import SharedSubplanMaterializer
 
@@ -76,6 +87,27 @@ def _scanned_table(side: Optional[Q.Operator]) -> Optional[str]:
     if isinstance(side, Q.Select):
         side = side.child
     return side.table if isinstance(side, Q.Scan) else None
+
+
+def _columns(expr: Optional[E.Expr]) -> Set[str]:
+    return set(E.columns_used(expr)) if expr is not None else set()
+
+
+class _HashBuild(NamedTuple):
+    """A hash table over one side of a join, as the join's probes see it."""
+
+    table: Sym
+    #: the build side's output fields (what an outer join pads with NULLs)
+    fields: List[str]
+    #: the fields the probes read of a build row
+    reads: List[str]
+    #: the build side's filter, applied by the probe (a partitioned build)
+    probe_filter: Optional[E.Expr]
+    #: ``each_row(element, consume)`` emits the build row a bucket element
+    #: stands for and hands it to ``consume``
+    each_row: Callable[[Sym, Consumer], None]
+    #: at most one build row per key
+    unique: bool
 
 
 class PushPipelineLowering(Lowering):
@@ -128,6 +160,8 @@ class _PushCompiler:
         #: decision rides on the fetch, so probes share one only when they
         #: agree on it)
         self._partitions: Dict[Tuple[str, str, bool], Sym] = {}
+        #: ``id(node) ->`` the fields its consumers read (armed in :meth:`compile`)
+        self._consumed: Dict[int, Set[str]] = {}
 
     # ------------------------------------------------------------------
     # Builder management
@@ -149,6 +183,7 @@ class _PushCompiler:
     # ------------------------------------------------------------------
     def compile(self, plan: Q.Operator) -> Program:
         self.sharing = SharedSubplanMaterializer(plan, self.flags)
+        self._consumed = self._consumed_fields(plan)
         result_fields = Q.output_fields(plan, self.catalog)
         result = self.b.emit("list_new", [], hint="result")
 
@@ -161,6 +196,44 @@ class _PushCompiler:
         hoisted_block = self.hoisted.finish()
         return Program(body=body_block, params=(self.db,), language=self.target.name,
                        hoisted=hoisted_block)
+
+    def _consumed_fields(self, plan: Q.Operator) -> Dict[int, Set[str]]:
+        """``id(node) ->`` the fields of ``node``'s rows that the code
+        consuming them reads, as the operators below lower: a sort or limit
+        buffer, a nested-loop join's inner side, a shared subplan and the
+        result take whole rows."""
+        memo: Dict[int, List[str]] = {}
+        consumed: Dict[int, Set[str]] = {}
+
+        def fields(node: Q.Operator) -> Set[str]:
+            return set(Q.output_fields(node, self.catalog, memo))
+
+        work = [(plan, fields(plan))]
+        while work:
+            node, needed = work.pop()
+            if self.sharing.materializes(node):
+                needed = fields(node)
+            consumed.setdefault(id(node), set()).update(needed)
+            if isinstance(node, Q.Select):
+                work.append((node.child, needed | _columns(node.predicate)))
+            elif isinstance(node, Q.Project):
+                work.append((node.child, set().union(
+                    *(_columns(expr) for _, expr in node.projections))))
+            elif isinstance(node, Q.Agg):
+                work.append((node.child, set().union(
+                    *(_columns(expr) for _, expr in node.group_keys),
+                    *(_columns(spec.expr) for spec in node.aggregates))))
+            elif isinstance(node, Q.HashJoin):
+                for side, key in ((node.left, node.left_key), (node.right, node.right_key)):
+                    work.append((side, (needed | _columns(key) | _columns(node.residual))
+                                 & fields(side)))
+            elif isinstance(node, Q.NestedLoopJoin):
+                work.append((node.left, (needed | _columns(node.predicate))
+                             & fields(node.left)))
+                work.append((node.right, fields(node.right)))
+            elif isinstance(node, (Q.Sort, Q.TopK, Q.Limit)):
+                work.append((node.child, fields(node.child)))
+        return consumed
 
     # ------------------------------------------------------------------
     # Produce/consume dispatch
@@ -238,7 +311,8 @@ class _PushCompiler:
             return RowVals.scalars({name: b.emit("array_get",
                                                  [columns[name], index],
                                                  hint=name[:10])
-                                    for name in fields})
+                                    for name in fields},
+                                   origins=[self._base_origin(columns, fields, index)])
         # Naive (two-level) behaviour: build one boxed record per row and
         # pass it down the pipeline.
         values = [b.emit("array_get", [columns[name], index]) for name in fields]
@@ -246,6 +320,18 @@ class _PushCompiler:
                         attrs={"fields": tuple(fields), "layout": "boxed"},
                         hint="rec")
         return RowVals.record_backed(b, record, fields, layout="boxed")
+
+    def _base_row(self, columns: Dict[str, Sym], fields: Sequence[str],
+                  position: Atom) -> RowVals:
+        """The base-table row at ``position``, read column by column on demand."""
+        return RowVals.column_backed(self.b, columns, position, fields,
+                                     origins=[self._base_origin(columns, fields, position)])
+
+    def _base_origin(self, columns: Dict[str, Sym], fields: Sequence[str],
+                     position: Atom) -> Origin:
+        def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
+            consume(self._base_row(columns, wanted, stored))
+        return Origin(position, frozenset(fields), reread)
 
     def _pruned_scan(self, node: Q.PrunedScan, consume: Consumer) -> None:
         """``Select(Scan)`` served by the catalog's partition pruning.
@@ -280,11 +366,30 @@ class _PushCompiler:
         b.foreach(candidates, body, hint="ri")
 
     def _project(self, node: Q.Project, consume: Consumer) -> None:
+        renames = {name: expr.name for name, expr in node.projections
+                   if isinstance(expr, E.Col)}
+
         def projected(row: RowVals) -> None:
             values = {name: self.scalars.compile(expr, row) for name, expr in node.projections}
-            consume(RowVals.scalars(values))
+            origins = [self._renamed(origin, renames) for origin in row.origins]
+            consume(RowVals.scalars(values, origins=[o for o in origins if o is not None]))
 
         self.produce(node.child, projected)
+
+    def _renamed(self, origin: Origin, renames: Dict[str, str]) -> Optional[Origin]:
+        """``origin`` seen through a projection: the outputs that copy one of
+        its fields (``renames``: output name -> input name)."""
+        sources = {name: source for name, source in renames.items()
+                   if source in origin.fields}
+        if not sources:
+            return None
+
+        def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
+            inputs = list(dict.fromkeys(sources[name] for name in wanted))
+            origin.reread(stored, inputs, lambda row: consume(
+                RowVals.scalars({name: row.get(sources[name]) for name in wanted})))
+
+        return Origin(origin.position, frozenset(sources), reread)
 
     # ------------------------------------------------------------------
     # Hash joins
@@ -379,17 +484,12 @@ class _PushCompiler:
             return None
         return candidate, probe_filter
 
-    def _build_hash_table(self, side: Q.Operator, key_expr: E.Expr,
+    def _build_hash_table(self, side: Q.Operator, key_expr: E.Expr, needed: Set[str],
                           probe_key_expr: Optional[E.Expr] = None,
-                          probe_side: Optional[Q.Operator] = None
-                          ) -> Tuple[Sym, List[str], Optional[E.Expr],
-                                     Callable[[Sym], RowVals]]:
-        """Build (possibly at loading time) a MultiMap over ``side`` keyed by ``key_expr``.
-
-        Returns ``(mmap_sym, stored_fields, probe_filter, bucket_rows)``;
-        ``bucket_rows(element)`` is the build row a bucket element stands
-        for (a stored record, or a base-table row position).
-        """
+                          probe_side: Optional[Q.Operator] = None) -> _HashBuild:
+        """Build (possibly at loading time) a MultiMap over ``side`` keyed by
+        ``key_expr``, whose probes read the ``needed`` fields of a build row
+        (those of ``side`` among them)."""
         fields = Q.output_fields(side, self.catalog)
         partition = self._partition_info(side, key_expr)
         build_table, probe_table = _scanned_table(side), _scanned_table(probe_side)
@@ -409,27 +509,27 @@ class _PushCompiler:
             # falls inside the array's index range, so the bounds check can
             # be elided in the specialised code.
             attrs["probe_in_range"] = probe_domain == attrs.get("key_domain")
+        probe_filter = partition[1] if partition is not None else None
+        wanted = needed | _columns(probe_filter)
+        reads = [name for name in fields if name in wanted]
+        unique = bool(attrs.get("unique"))
 
-        def stored_row(element: Sym) -> RowVals:
-            return self._bucket_rows(element, fields)
-
-        if partition is not None:
-            scan, probe_filter = partition
-            attrs["partitioned"] = True
-            if self._has_resident_partition(scan.table, key_expr.name, attrs):
-                return self._resident_partition(scan, key_expr.name, attrs,
-                                                probe_filter)
+        if partition is None:
+            table = self.b.emit("mmap_new", [], attrs=attrs, hint="hm")
+            each_row = self._emit_build_loop(side, key_expr, table, reads)
+            return _HashBuild(table, fields, reads, None, each_row, unique)
+        scan = partition[0]
+        attrs["partitioned"] = True
+        if self._has_resident_partition(scan.table, key_expr.name, attrs):
+            table, each_row = self._resident_partition(scan, key_expr.name, attrs, reads)
+        else:
             self._use_builder(self.hoisted)
             try:
-                hash_table = self.b.emit("mmap_new", [], attrs=attrs, hint="part")
-                self._emit_build_loop(scan, key_expr, hash_table, fields)
+                table = self.b.emit("mmap_new", [], attrs=attrs, hint="part")
+                each_row = self._emit_build_loop(scan, key_expr, table, reads)
             finally:
                 self._pop_builder()
-            return hash_table, fields, probe_filter, stored_row
-
-        hash_table = self.b.emit("mmap_new", [], attrs=attrs, hint="hm")
-        self._emit_build_loop(side, key_expr, hash_table, fields)
-        return hash_table, fields, None, stored_row
+        return _HashBuild(table, fields, reads, probe_filter, each_row, unique)
 
     def _has_resident_partition(self, table: str, column: str, attrs: Dict) -> bool:
         """Whether a partitioned build can be the catalog's own partition.
@@ -445,7 +545,7 @@ class _PushCompiler:
             table, column) == (attrs["key_lo"], attrs["key_hi"])
 
     def _resident_partition(self, scan: Q.Scan, column: str, attrs: Dict,
-                            probe_filter: Optional[E.Expr]):
+                            reads: Sequence[str]):
         """A partitioned build served by the catalog's partition of row
         positions (one per ``(table, column)``, shared by every query,
         request and thread): no build loop at all, and the probe reads the
@@ -461,39 +561,118 @@ class _PushCompiler:
                     hint="part")
             finally:
                 self._pop_builder()
-        fields, columns = self._scan_columns(scan)
+        _, columns = self._scan_columns(scan)
 
-        def row_at(position: Sym) -> RowVals:
-            return RowVals.column_backed(self.b, columns, position, fields)
+        def each_row(position: Sym, consume: Consumer) -> None:
+            consume(self._base_row(columns, reads, position))
 
-        return partition, fields, probe_filter, row_at
+        return partition, each_row
 
     def _emit_build_loop(self, side: Q.Operator, key_expr: E.Expr, hash_table: Sym,
-                         fields: List[str]) -> None:
+                         reads: List[str]) -> Callable[[Sym, Consumer], None]:
+        """Fill ``hash_table`` from the rows of ``side``; returns how a bucket
+        element gives its build row back.
+
+        A build row is stored as the least its probes need: a marker when
+        they read no field, the row position when every field they read is
+        a base column at it (an :class:`Origin` of the row), else the record
+        the row is already read from, or a new one of just those fields.
+        """
+        #: per call site, what it stored: ``()`` (a marker), the origin whose
+        #: position it stored, or the fields of the record it stored
+        stored: List[object] = []
+
         def build(row: RowVals) -> None:
             key = self.scalars.compile(key_expr, row)
-            record, _ = row.materialize(self.b, self.record_layout, fields)
-            self.b.emit("mmap_add", [hash_table, key, record])
+            origin = next((origin for origin in row.origins
+                           if origin.fields.issuperset(reads)), None)
+            if not reads:
+                value: Atom = Const(True)
+                stored.append(())
+            elif origin is not None:
+                value = origin.position
+                stored.append(origin)
+            else:
+                value, kept = (row.backing(self.record_layout, reads)
+                               or row.materialize(self.b, self.record_layout, reads))
+                stored.append(kept)
+            self.b.emit("mmap_add", [hash_table, key, value])
 
         self.produce(side, build)
+        ways = {how.reread if isinstance(how, Origin) else how for how in stored}
+        if len(ways) != 1:
+            raise PipeliningError(
+                f"the build over {type(side).__name__} stores its rows in "
+                f"{len(ways)} ways; its probes need one way to read them back")
+        how = stored[0]
+        if isinstance(how, Origin):
+            def each_row(element: Sym, consume: Consumer) -> None:
+                def rooted(row: RowVals) -> None:
+                    row.origins = (Origin(element, frozenset(reads), how.reread),)
+                    consume(row)
+                how.reread(element, reads, rooted)
+            return each_row
+        if how:
+            return lambda element, consume: consume(self._bucket_rows(element, how))
+        return lambda element, consume: consume(RowVals({}))
 
     def _bucket_rows(self, element: Sym, fields: Sequence[str]) -> RowVals:
         return RowVals.record_backed(self.b, element, fields, layout=self.record_layout)
 
+    def _probe_reads(self, node: Q.HashJoin) -> Set[str]:
+        """The fields a join's probe reads of a build row: its residual's,
+        and what the join's consumers read unless it is a semi or anti join
+        (which passes its probe rows on alone)."""
+        reads = _columns(node.residual)
+        if node.kind not in ("leftsemi", "leftanti"):
+            reads |= self._consumed[id(node)]
+        return reads
+
+    def _through(self, origin: Origin, key_expr: E.Expr,
+                 build: _HashBuild) -> Optional[Origin]:
+        """A probe row's ``origin`` extended with the build row its key
+        finds, when the key is unique: a later build stores the probe row's
+        position alone, and its probe looks the build row up again.  The row
+        was joined after passing the join's filters, and no other row has
+        its key, so the lookup applies none of them."""
+        key_columns = E.columns_used(key_expr)
+        if not build.unique or not origin.fields.issuperset(key_columns):
+            return None
+
+        def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
+            own = [name for name in wanted if name in origin.fields]
+            if len(own) == len(wanted):
+                origin.reread(stored, own, consume)
+                return
+
+            def look_up(row: RowVals) -> None:
+                b = self.b
+                key = self.scalars.compile(key_expr, row)
+                bucket = b.emit("mmap_get", [build.table, key], hint="bucket")
+                b.foreach(bucket, lambda element: build.each_row(
+                    element, lambda found: consume(found.merge(row, b))), hint="e")
+
+            origin.reread(stored, own + [name for name in key_columns if name not in own],
+                          look_up)
+
+        return Origin(origin.position, origin.fields | frozenset(build.reads), reread)
+
     def _hash_join_inner(self, node: Q.HashJoin, consume: Consumer) -> None:
-        hash_table, build_fields, probe_filter, bucket_rows = self._build_hash_table(
-            node.left, node.left_key, node.right_key, node.right)
+        build = self._build_hash_table(node.left, node.left_key, self._probe_reads(node),
+                                       node.right_key, node.right)
 
         def probe(right_row: RowVals) -> None:
             b = self.b
             key = self.scalars.compile(node.right_key, right_row)
-            bucket = b.emit("mmap_get", [hash_table, key], hint="bucket")
+            bucket = b.emit("mmap_get", [build.table, key], hint="bucket")
+            origins = [self._through(origin, node.right_key, build)
+                       for origin in right_row.origins]
+            through = tuple(origin for origin in origins if origin is not None)
 
-            def per_match(element: Sym) -> None:
-                left_row = bucket_rows(element)
-
+            def per_match(left_row: RowVals) -> None:
                 def emit_match() -> None:
                     combined = left_row.merge(right_row, b)
+                    combined.origins = left_row.origins + right_row.origins + through
                     if node.residual is not None:
                         cond = self.scalars.compile(node.residual, combined,
                                                     left=left_row, right=right_row)
@@ -501,34 +680,33 @@ class _PushCompiler:
                     else:
                         consume(combined)
 
-                if probe_filter is not None:
-                    cond = self.scalars.compile(probe_filter, left_row)
+                if build.probe_filter is not None:
+                    cond = self.scalars.compile(build.probe_filter, left_row)
                     b.if_(cond, emit_match)
                 else:
                     emit_match()
 
-            b.foreach(bucket, per_match, hint="e")
+            b.foreach(bucket, lambda element: build.each_row(element, per_match), hint="e")
 
         self.produce(node.right, probe)
 
     def _hash_join_left(self, node: Q.HashJoin, consume: Consumer) -> None:
         """Semi, anti and outer joins: hash the right side, stream the left side."""
-        hash_table, build_fields, probe_filter, bucket_rows = self._build_hash_table(
-            node.right, node.right_key, node.left_key, node.left)
+        build = self._build_hash_table(node.right, node.right_key, self._probe_reads(node),
+                                       node.left_key, node.left)
 
         def probe(left_row: RowVals) -> None:
             b = self.b
             key = self.scalars.compile(node.left_key, left_row)
-            bucket = b.emit("mmap_get", [hash_table, key], hint="bucket")
+            bucket = b.emit("mmap_get", [build.table, key], hint="bucket")
 
             if node.kind in ("leftsemi", "leftanti"):
                 found = b.emit("var_new", [Const(False)], hint="found")
 
-                def per_match(element: Sym) -> None:
-                    right_row = bucket_rows(element)
+                def per_match(right_row: RowVals) -> None:
                     conds = []
-                    if probe_filter is not None:
-                        conds.append(self.scalars.compile(probe_filter, right_row))
+                    if build.probe_filter is not None:
+                        conds.append(self.scalars.compile(build.probe_filter, right_row))
                     if node.residual is not None:
                         combined = left_row.merge(right_row, b)
                         conds.append(self.scalars.compile(node.residual, combined,
@@ -543,7 +721,8 @@ class _PushCompiler:
                     else:
                         mark()
 
-                b.foreach(bucket, per_match, hint="e")
+                b.foreach(bucket, lambda element: build.each_row(element, per_match),
+                          hint="e")
                 matched = b.emit("var_read", [found])
                 condition = matched if node.kind == "leftsemi" else b.emit("not_", [matched])
                 b.if_(condition, lambda: consume(left_row))
@@ -552,16 +731,16 @@ class _PushCompiler:
             # left outer join
             matched = b.emit("var_new", [Const(False)], hint="matched")
 
-            def per_match(element: Sym) -> None:
-                right_row = bucket_rows(element)
-
+            def per_match(right_row: RowVals) -> None:
                 def emit_match() -> None:
                     b.emit("var_write", [matched, Const(True)])
-                    consume(left_row.merge(right_row, b))
+                    combined = left_row.merge(right_row, b)
+                    combined.origins = left_row.origins
+                    consume(combined)
 
                 conds = []
-                if probe_filter is not None:
-                    conds.append(self.scalars.compile(probe_filter, right_row))
+                if build.probe_filter is not None:
+                    conds.append(self.scalars.compile(build.probe_filter, right_row))
                 if node.residual is not None:
                     combined = left_row.merge(right_row, b)
                     conds.append(self.scalars.compile(node.residual, combined,
@@ -574,10 +753,15 @@ class _PushCompiler:
                 else:
                     emit_match()
 
-            b.foreach(bucket, per_match, hint="e")
+            b.foreach(bucket, lambda element: build.each_row(element, per_match), hint="e")
             was_matched = b.emit("var_read", [matched])
-            b.if_(b.emit("not_", [was_matched]),
-                  lambda: consume(left_row.merge(RowVals.nulls(build_fields), b)))
+
+            def emit_padded() -> None:
+                padded = left_row.merge(RowVals.nulls(build.fields), b)
+                padded.origins = left_row.origins
+                consume(padded)
+
+            b.if_(b.emit("not_", [was_matched]), emit_padded)
 
         self.produce(node.left, probe)
 
@@ -658,21 +842,26 @@ class _PushCompiler:
     # Aggregation
     # ------------------------------------------------------------------
     def _aggregate(self, node: Q.Agg, consume: Consumer) -> None:
-        """Group records in a HashMap; each aggregate's fold and finalisation
+        """Group rows in a HashMap; each aggregate's fold and finalisation
         are statements over the group's accumulator record (one array slot
-        per accumulator, :data:`repro.ir.ops.ACCUMULATOR_SLOTS`)."""
+        per accumulator, :data:`repro.ir.ops.ACCUMULATOR_SLOTS`) — or, for a
+        group of one accumulator value (:func:`repro.ir.ops.held_in_slot`),
+        over the table slot itself: the fold reads the slot and writes the
+        new value back, and no record is allocated per group."""
         b = self.b
-        group_attrs = {"aggs": tuple(spec.kind for spec in node.aggregates)}
+        kinds = tuple(spec.kind for spec in node.aggregates)
+        group_attrs = {"aggs": kinds}
+        in_slot = held_in_slot(kinds)
         attrs = self._mmap_attrs(node.group_keys[0][1], None, node.child) \
             if len(node.group_keys) == 1 else {}
         table = b.emit("hashmap_agg_new", [], attrs=attrs, hint="agg")
-        starts = list(accumulate((len(ACCUMULATOR_SLOTS[kind]) for kind in group_attrs["aggs"]),
+        starts = list(accumulate((len(ACCUMULATOR_SLOTS[kind]) for kind in kinds),
                                  initial=0))
 
         if not node.group_keys:
             # The single group of a global fold exists before any input row
             # is consumed, so an empty input still finalises to one row
-            # (count=0, sum=0, others None).  Each row still looks the record
+            # (count=0, sum=0, others None).  Each row still looks the group
             # up inside the loop: folds into a record bound outside it would
             # be writes to an outer object, which pin the loop sequential.
             b.emit("hashmap_agg_group", [table, Const(0)], attrs=group_attrs)
@@ -688,14 +877,15 @@ class _PushCompiler:
             # ``count(*)`` counts the constant 1, which is never NULL
             values = [Const(1) if spec.expr is None else self.scalars.compile(spec.expr, row)
                       for spec in node.aggregates]
-            record = self.b.emit("hashmap_agg_group", [table, key], attrs=group_attrs,
-                                 hint="acc")
+            group = self.b.emit("hashmap_agg_group", [table, key], attrs=group_attrs,
+                                hint="acc")
+            slot = (table, key) if in_slot else None
             for spec, start, value in zip(node.aggregates, starts, values):
-                self._fold(spec.kind, record, start, value)
+                self._fold(spec.kind, value, group, start, slot)
 
         self.produce(node.child, fold)
 
-        with b.new_block(params=2, hints=["gk", "acc"]) as (group_block, (key_sym, record)):
+        with b.new_block(params=2, hints=["gk", "acc"]) as (group_block, (key_sym, group)):
             row_values: Dict[str, Atom] = {}
             if len(node.group_keys) == 1:
                 row_values[node.group_keys[0][0]] = key_sym
@@ -704,8 +894,8 @@ class _PushCompiler:
                     row_values[name] = b.emit("tuple_get", [key_sym], attrs={"index": index},
                                               hint=name[:10])
             for spec, start in zip(node.aggregates, starts):
-                row_values[spec.name] = self._finalise(spec.kind, record, start,
-                                                       spec.name[:10])
+                row_values[spec.name] = group if in_slot else \
+                    self._finalise(spec.kind, group, start, spec.name[:10])
             out_row = RowVals.scalars(row_values)
             if node.having is not None:
                 cond = self.scalars.compile(node.having, out_row)
@@ -714,18 +904,26 @@ class _PushCompiler:
                 consume(out_row)
         b.emit("hashmap_agg_foreach", [table], blocks=[group_block])
 
-    def _fold(self, kind: str, record: Sym, start: int, value: Atom) -> None:
-        """Fold one value into the accumulator at ``record[start]``: the
-        lowered :func:`repro.engine.volcano.fold_value`, which it mirrors.  A
-        value that may be NULL is folded under a ``value is not None`` guard,
-        which folding drops where the column's statistics show no NULL."""
+    def _fold(self, kind: str, value: Atom, group: Sym, start: int,
+              slot: Optional[Tuple[Sym, Atom]] = None) -> None:
+        """Fold one value into the accumulator at ``group[start]`` — or, with
+        ``slot=(table, key)``, into the accumulator value ``group`` that the
+        table slot holds, writing the new value back there: the lowered
+        :func:`repro.engine.volcano.fold_value`, which it mirrors.  A value
+        that may be NULL is folded under a ``value is not None`` guard, which
+        folding drops where the column's statistics show no NULL."""
         b = self.b
 
-        def read(offset: int = 0) -> Sym:
-            return b.emit("array_get", [record, Const(start + offset)])
+        def read(offset: int = 0) -> Atom:
+            if slot is not None:
+                return group
+            return b.emit("array_get", [group, Const(start + offset)])
 
         def write(new: Atom, offset: int = 0) -> None:
-            b.emit("array_set", [record, Const(start + offset), new])
+            if slot is not None:
+                b.emit("hashmap_agg_set", [*slot, new])
+            else:
+                b.emit("array_set", [group, Const(start + offset), new])
 
         def add(amount: Atom, offset: int = 0) -> None:
             write(b.emit("add", [read(offset), amount]), offset)

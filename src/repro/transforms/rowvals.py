@@ -16,14 +16,34 @@ their values.  Rows come in three flavours:
 Materialising a row produces a record value that can be stored in data
 structures (hash-table buckets, sort buffers, the result list); the layout of
 that record ("boxed" dictionaries vs "row" tuples) is the data-layout choice
-of Section 4.2.
+of Section 4.2.  A row carries an :class:`Origin` for each base-row
+position some of its fields are read at; a hash build whose probes read only
+fields of one origin stores that position instead of a record, and its
+probes read the fields back from the columns.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const
+
+
+@dataclass(frozen=True)
+class Origin:
+    """Where fields of a row live: every one of ``fields`` is a base column
+    read at ``position``, directly or through unique-key lookups from it.
+
+    ``reread(stored, wanted, consume)`` emits, wherever the builder stands,
+    the row of the ``wanted`` fields at a stored position and hands it to
+    ``consume`` (a lookup through a unique key opens the bucket walk
+    ``consume`` runs in).
+    """
+
+    position: Atom
+    fields: FrozenSet[str]
+    reread: Callable[[Atom, Sequence[str], Callable[["RowVals"], None]], None]
 
 
 class RowVals:
@@ -33,7 +53,8 @@ class RowVals:
                  record: Optional[Atom] = None,
                  record_fields: Tuple[str, ...] = (),
                  layout: str = "boxed",
-                 read: Optional[Callable[[str], Atom]] = None) -> None:
+                 read: Optional[Callable[[str], Atom]] = None,
+                 origins: Sequence[Origin] = ()) -> None:
         self._values = dict(values)
         self._record = record
         #: the columns read on demand through ``read`` (backed rows only)
@@ -41,13 +62,16 @@ class RowVals:
         self._layout = layout
         #: emits the read of one of ``record_fields`` and returns its atom
         self._read = read
+        #: base-row positions fields of this row can be read back from
+        self.origins = tuple(origins)
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def scalars(cls, values: Dict[str, Atom]) -> "RowVals":
-        return cls(values)
+    def scalars(cls, values: Dict[str, Atom],
+                origins: Sequence[Origin] = ()) -> "RowVals":
+        return cls(values, origins=origins)
 
     @classmethod
     def record_backed(cls, builder: IRBuilder, record: Atom, fields: Sequence[str],
@@ -64,12 +88,13 @@ class RowVals:
 
     @classmethod
     def column_backed(cls, builder: IRBuilder, columns: Dict[str, Atom],
-                      index: Atom, fields: Sequence[str]) -> "RowVals":
+                      index: Atom, fields: Sequence[str],
+                      origins: Sequence[Origin] = ()) -> "RowVals":
         """The base-table row at position ``index``, read column by column."""
         def read(name: str) -> Atom:
             return builder.emit("array_get", [columns[name], index],
                                 hint=name[:10])
-        return cls({}, record_fields=tuple(fields), read=read)
+        return cls({}, record_fields=tuple(fields), read=read, origins=origins)
 
     @classmethod
     def nulls(cls, fields: Sequence[str]) -> "RowVals":
@@ -109,6 +134,15 @@ class RowVals:
     # ------------------------------------------------------------------
     # Materialisation
     # ------------------------------------------------------------------
+    def backing(self, layout: str,
+                fields: Sequence[str]) -> Optional[Tuple[Atom, Tuple[str, ...]]]:
+        """``(record, its fields)`` when this row is read from a record of
+        ``layout`` that holds every one of ``fields``."""
+        if (self._record is not None and self._layout == layout and not self._values
+                and set(fields) <= set(self._record_fields)):
+            return self._record, self._record_fields
+        return None
+
     def materialize(self, builder: IRBuilder, layout: str,
                     fields: Optional[Sequence[str]] = None) -> Tuple[Atom, Tuple[str, ...]]:
         """Build a record holding this row's columns; returns ``(record, fields)``.

@@ -87,17 +87,16 @@ class ScalarCompiler:
             return b.emit("str_contains", [operand, b.const(needle)], tpe=BOOL)
         return b.emit("eq", [operand, b.const(needle)], tpe=BOOL)
 
-    def _compile_case(self, node: E.Case, row, left, right) -> Atom:
-        b = self.builder
-
-        def build(index: int) -> Atom:
-            if index >= len(node.whens):
-                return self.compile(node.otherwise, row, left, right)
-            cond_expr, value_expr = node.whens[index]
-            cond = self.compile(cond_expr, row, left, right)
-            return b.if_(cond,
-                         lambda: self.compile(value_expr, row, left, right),
-                         lambda: build(index + 1),
-                         tpe=FLOAT)
-
-        return build(0)
+    def _compile_case(self, node: E.Case, row, left, right, index: int = 0) -> Atom:
+        # a method, not a recursive closure: a closure that calls itself is a
+        # reference cycle, which would keep ``row`` (and what its origins
+        # reach, the catalog among it) alive until a gc pass
+        if index >= len(node.whens):
+            return self.compile(node.otherwise, row, left, right)
+        cond_expr, value_expr = node.whens[index]
+        cond = self.compile(cond_expr, row, left, right)
+        return self.builder.if_(
+            cond,
+            lambda: self.compile(value_expr, row, left, right),
+            lambda: self._compile_case(node, row, left, right, index + 1),
+            tpe=FLOAT)

@@ -64,6 +64,10 @@ class SharedSubplanMaterializer:
     def active(self) -> bool:
         return bool(self._shared)
 
+    def materializes(self, node) -> bool:
+        """Whether ``node`` is produced once into a binding of whole rows."""
+        return id(node) in self._shared
+
     def try_produce(self, compiler, node, consume) -> bool:
         """Serve ``node`` from a shared binding; ``False`` when not shared."""
         key = self._shared.get(id(node))

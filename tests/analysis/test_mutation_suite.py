@@ -66,6 +66,9 @@ class TestMutationSuite:
         # the lookup of the record the folds write: a write, and used
         ("Q1", "hashmap_agg_group", "effects"),
         ("Q17", "dense_agg_group", "effects"),
+        # the lookup of a value its table slot holds: a write too
+        ("Q6", "hashmap_agg_group", "effects"),
+        ("Q18", "dense_agg_group", "effects"),
         # a count_distinct's finalised value: a removable read, but used
         ("Q16", "set_size", "scope"),
     ])
@@ -118,10 +121,14 @@ class TestMutationSuite:
         assert exc.value.check == "scope"
         assert "single-assignment" in str(exc.value)
 
-    @pytest.mark.parametrize("query, op", [("Q1", "array_set"), ("Q16", "set_add")])
+    @pytest.mark.parametrize("query, op", [
+        ("Q1", "array_set"), ("Q16", "set_add"),
+        # the write-back of a fold into the value a table slot holds
+        ("Q6", "hashmap_agg_set"), ("Q18", "dense_agg_set"),
+    ])
     def test_effectful_dce_rejected(self, tpch_catalog, query, op):
         """DCE variant that removes a *writing* statement: a fold into a
-        group's accumulator record.
+        group's accumulator record or table slot.
 
         The dangling-use checks cannot see this — a write's result is
         unused — so only the effect-legality audit catches it.  (Dropping

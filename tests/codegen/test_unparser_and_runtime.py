@@ -86,26 +86,33 @@ class TestUnparser:
         result, _ = unparse_and_run(program)
         assert result == (["a", "b"], ())
 
-    def test_group_records_are_created_once_per_key_and_slot(self):
+    def test_groups_are_created_once_per_key_and_slot(self):
         """The group lookups unparse inline: the first lookup of a key (or a
-        slot) creates its record from the kinds' starting values, later ones
-        return that record."""
+        slot) creates its group from the kinds' starting values — a record,
+        or the value itself for a lone sum, count, min or max, which its
+        table slot holds and a write puts back — and later ones return it.
+        A dense slot still holding ``None`` (a max over NULLs so far) is a
+        group already, listed once in first-use order."""
         db = Sym("db")
         b = IRBuilder()
         table = b.emit("hashmap_agg_new", [])
+        sums = b.emit("hashmap_agg_new", [])
         slots = b.emit("dense_agg_new", [3])
         for key in ("a", "b", "a"):
             record = b.emit("hashmap_agg_group", [table, key],
                             attrs={"aggs": ("avg", "count_distinct")})
             b.emit("set_add", [b.emit("array_get", [record, 2]), key])
-            dense = b.emit("dense_agg_group", [slots, 1], attrs={"aggs": ("max",)})
-            b.emit("array_set", [dense, 0, key])
+            total = b.emit("hashmap_agg_group", [sums, key], attrs={"aggs": ("sum",)})
+            b.emit("hashmap_agg_set", [sums, key, b.emit("add", [total, 1])])
+            b.emit("dense_agg_group", [slots, 1], attrs={"aggs": ("max",)})
+        b.emit("dense_agg_group", [slots, 2], attrs={"aggs": ("max",)})
+        b.emit("dense_agg_set", [slots, 2, "z"])
         size = b.emit("set_size", [b.emit("array_get", [record, 2])])
-        program = make_program(b.finish(b.emit("tuple_new", [table, slots, size])),
+        program = make_program(b.finish(b.emit("tuple_new", [table, sums, slots, size])),
                                [db], "C.Py")
         result, source = unparse_and_run(program)
         assert result == ({"a": [0.0, 0, {"a"}], "b": [0.0, 0, {"b"}]},
-                          [None, ["a"], None, [1]], 1)
+                          {"a": 2, "b": 1}, [..., None, "z", [1, 2]], 1)
         assert "_rt." not in source
 
     def test_hoisted_block_becomes_prepare(self, tiny_catalog):

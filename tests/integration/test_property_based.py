@@ -3,10 +3,14 @@
 * compiled plans agree with the interpreter on randomly generated filters,
   projections and aggregations over randomly generated tables,
 * one join of every kind between two random tables, under every aggregate
-  kind, agrees with the interpreter on every engine, planner off and on,
+  kind, agrees with the interpreter on every engine, planner off and on —
+  also when the rows a build holds reach a third table through its primary
+  key, and when the build side is empty,
 * every aggregate kind over nullable columns, grouped by a dense int, a
   string, a composite key or nothing, agrees with the interpreter on every
-  configuration, planner off and on, empty inputs included,
+  configuration, planner off and on, empty inputs included — all kinds at
+  once, or one sum / count / min / max alone, which a group keeps in its
+  table slot (a group that folds only NULLs included),
 * the ANF builder's hash-consing and DCE never change the value a straight-line
   arithmetic program computes,
 * string dictionaries preserve equality and lexicographic prefix semantics,
@@ -122,19 +126,30 @@ def make_join_catalog(left, right) -> Catalog:
     catalog.register(ColumnarTable(
         TableSchema("b", [int_column("bk"), int_column("bv")]),
         {"bk": [r[0] for r in right], "bv": [r[1] for r in right]}))
+    # a dense primary key over the join keys' values
+    catalog.register(ColumnarTable(
+        TableSchema("k", [int_column("kk"), int_column("kv")], primary_key=("kk",)),
+        {"kk": [0, 1, 2, 3], "kv": [40, -30, 20, -10]}))
     return catalog
 
 
-def join_aggregate(kind, residual, grouped):
+def join_aggregate(kind, residual, grouped, through=False):
     """``kind`` join of ``a`` and ``b`` under every aggregate kind; grouped
-    plans are sorted on the group key, so the contract has a key to check."""
-    join = Q.HashJoin(Q.Scan("a"), Q.Scan("b"), col("ak"), col("bk"), kind,
+    plans are sorted on the group key, so the contract has a key to check.
+    ``through``: ``a``'s rows first reach ``k``'s through its primary key,
+    and an aggregate reads ``k`` — Q7's lineitem build, which reaches
+    supplier through ``l_suppkey``."""
+    left = Q.Scan("a")
+    if through:
+        left = Q.HashJoin(Q.Scan("k"), left, col("kk"), col("ak"))
+    join = Q.HashJoin(left, Q.Scan("b"), col("ak"), col("bk"), kind,
                       col("av") <= col("bv") if residual else None)
     # semi and anti joins emit left rows only; inner and outer see ``b`` too
     value = col("bv") if kind in ("inner", "leftouter") else col("av")
     specs = [Q.AggSpec("sum", value, "total"), Q.AggSpec("count", col("ak"), "keyed"),
              Q.AggSpec("count", None, "n"), Q.AggSpec("avg", value, "mean"),
-             Q.AggSpec("min", col("av"), "low"), Q.AggSpec("max", value, "high"),
+             Q.AggSpec("min", col("kv" if through else "av"), "low"),
+             Q.AggSpec("max", value, "high"),
              Q.AggSpec("count_distinct", value, "kinds")]
     assert {spec.kind for spec in specs} == set(Q.AGG_KINDS)
     if not grouped:
@@ -145,20 +160,36 @@ def join_aggregate(kind, residual, grouped):
 class TestTwoTableDifferential:
     @settings(SETTINGS, max_examples=60)
     @given(left=left_rows, right=right_rows, kind=st.sampled_from(Q.JOIN_KINDS),
-           residual=st.booleans(), grouped=st.booleans())
+           residual=st.booleans(), grouped=st.booleans(), through=st.booleans())
     # a NULL probe key against a dense build key — after the planner swaps the
     # build side, on the right input, under a semi join: the compiled stacks
     # indexed the dense array with it
     @example(left=[(0, "y", 7), (None, "x", -8)], right=[(1, -5)], kind="inner",
-             residual=False, grouped=False)
+             residual=False, grouped=False, through=False)
     @example(left=[(0, "z", -6)], right=[(None, -5), (1, 3)], kind="inner",
-             residual=False, grouped=False)
+             residual=False, grouped=False, through=False)
     @example(left=[(None, "x", 0)], right=[(0, 0)], kind="leftsemi",
-             residual=False, grouped=True)
+             residual=False, grouped=True, through=False)
+    # Q7's shape: the build stores a's row position, and its probe reaches
+    # k's row through the primary key again, with and without a residual
+    @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
+             kind="inner", residual=False, grouped=True, through=True)
+    @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
+             kind="inner", residual=True, grouped=False, through=True)
+    # an empty build side: each kind builds from one side, the planner may
+    # swap it
+    @example(left=[], right=[(1, 3)], kind="inner", residual=False, grouped=False,
+             through=True)
+    @example(left=[(1, "x", 2)], right=[], kind="leftouter", residual=False,
+             grouped=True, through=False)
+    @example(left=[(1, "x", 2)], right=[], kind="leftsemi", residual=False,
+             grouped=False, through=False)
+    @example(left=[(1, "x", 2)], right=[], kind="leftanti", residual=True,
+             grouped=False, through=True)
     def test_join_under_every_aggregate_matches_volcano(self, left, right, kind,
-                                                        residual, grouped):
+                                                        residual, grouped, through):
         catalog = make_join_catalog(left, right)
-        plan = join_aggregate(kind, residual, grouped)
+        plan = join_aggregate(kind, residual, grouped, through)
         expected = execute(plan, catalog)
         contract = sort_contract(plan)
         harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
@@ -252,6 +283,10 @@ AGG_SPECS = [Q.AggSpec("sum", col("f"), "sf"), Q.AggSpec("sum", col("i"), "si"),
 #: every kind folds a NULL in the middle of a group, next to a second group
 FOLD_ALL_KINDS = [(3, 5, 1.0, "a"), (3, 3, 2.0, "b"), (3, None, None, "a"),
                   (1, 10, None, None), (3, 7, 4.5, None)]
+#: group 2 folds nothing but NULLs, around a group that folds values
+NULL_GROUP = [(2, None, None, None), (4, 1, 2.5, "c"), (2, None, None, None)]
+#: the aggregates a group keeps in its table slot when one is folded alone
+ONE_SLOT = [spec.name for spec in AGG_SPECS if spec.kind in ("sum", "count", "min", "max")]
 
 
 def make_agg_catalog(rows) -> Catalog:
@@ -266,25 +301,38 @@ def make_agg_catalog(rows) -> Catalog:
 class TestAggregateDifferential:
     @settings(SETTINGS, max_examples=30)
     @given(rows=agg_rows, keys=st.sampled_from(sorted(AGG_KEYS)),
-           threshold=st.integers(0, 7))
-    @example(rows=FOLD_ALL_KINDS, keys="dense", threshold=0)
-    @example(rows=FOLD_ALL_KINDS, keys="none", threshold=0)
-    @example(rows=[], keys="none", threshold=0)
-    @example(rows=[], keys="dense", threshold=0)
-    @example(rows=FOLD_ALL_KINDS, keys="none", threshold=7)   # filtered empty
-    @example(rows=FOLD_ALL_KINDS, keys="composite", threshold=7)
-    def test_every_kind_under_every_key_matches_volcano(self, rows, keys, threshold):
+           threshold=st.integers(0, 7), alone=st.sampled_from([None] + ONE_SLOT))
+    @example(rows=FOLD_ALL_KINDS, keys="dense", threshold=0, alone=None)
+    @example(rows=FOLD_ALL_KINDS, keys="none", threshold=0, alone=None)
+    @example(rows=[], keys="none", threshold=0, alone=None)
+    @example(rows=[], keys="dense", threshold=0, alone=None)
+    @example(rows=FOLD_ALL_KINDS, keys="none", threshold=7, alone=None)   # filtered empty
+    @example(rows=FOLD_ALL_KINDS, keys="composite", threshold=7, alone=None)
+    # one sum, count, min or max lives in its table slot: a group folding only
+    # NULLs still exists (sum 0, count 0, min / max None), in a dense slot
+    # array and in a hashed table
+    @example(rows=NULL_GROUP, keys="dense", threshold=0, alone="sf")
+    @example(rows=NULL_GROUP, keys="dense", threshold=0, alone="cf")
+    @example(rows=NULL_GROUP, keys="dense", threshold=0, alone="lo")
+    @example(rows=NULL_GROUP, keys="dense", threshold=0, alone="hi")
+    @example(rows=NULL_GROUP, keys="composite", threshold=0, alone="si")
+    @example(rows=NULL_GROUP, keys="string", threshold=0, alone="last")
+    @example(rows=NULL_GROUP, keys="none", threshold=0, alone="first")
+    @example(rows=[], keys="none", threshold=0, alone="hi")
+    def test_every_kind_under_every_key_matches_volcano(self, rows, keys, threshold,
+                                                        alone):
         """Each configuration, planner off and on, run twice from one
         ``prepare`` (so no group state survives a run), agrees with Volcano;
-        an empty input folds to one row globally and to none when grouped."""
+        an empty input folds to one row globally and to none when grouped.
+        ``alone`` folds that one aggregate instead of all of them."""
         catalog = make_agg_catalog(rows)
-        plan = Q.Agg(Q.Select(Q.Scan("t"), col("d") >= threshold), AGG_KEYS[keys],
-                     AGG_SPECS)
+        specs = [spec for spec in AGG_SPECS if alone in (None, spec.name)]
+        plan = Q.Agg(Q.Select(Q.Scan("t"), col("d") >= threshold), AGG_KEYS[keys], specs)
         expected = execute(plan, catalog)
         if not any(row[0] >= threshold for row in rows):
-            assert expected == ([] if AGG_KEYS[keys] else [dict(
-                {spec.name: None for spec in AGG_SPECS},
-                sf=0, si=0, cf=0, n=0, ds=0, di=0)])
+            zero = {"sum": 0, "count": 0, "count_distinct": 0}
+            assert expected == ([] if AGG_KEYS[keys] else [
+                {spec.name: zero.get(spec.kind) for spec in specs}])
         harness = BenchmarkHarness(catalog, engines=CONFIG_NAMES)
         for planned in (plan, harness.planner.optimize(plan)):
             for engine in CONFIG_NAMES:

@@ -16,7 +16,7 @@ from repro.codegen.compiler import QueryCompiler
 from repro.codegen.unparser import PythonUnparser
 from repro.dsl import expr as E
 from repro.dsl import qplan as Q
-from repro.dsl.expr import col, like
+from repro.dsl.expr import col
 from repro.ir import IRBuilder, make_program
 from repro.ir.ops import REGISTRY
 from repro.ir.traversal import ops_used
@@ -46,11 +46,6 @@ def _branchless(catalog):
     return ops_used(BranchlessBooleans(C_PY).run(program, CompilationContext()))
 
 
-def _per_query_prefix_dictionary(catalog):
-    plan = Q.Select(Q.Scan("part"), like(col("p_type"), "PROMO%"))
-    return _lowered_ops(plan, catalog, access=False)
-
-
 def _while_loop(catalog):
     b = IRBuilder()
     b.while_(lambda: b.const(False), lambda: None)
@@ -65,9 +60,6 @@ UNREACHED = {
     "neg": ("ScalarCompiler on a unary minus", _unary_minus),
     "band": ("BranchlessBooleans over and_", _branchless),
     "bor": ("BranchlessBooleans over or_", _branchless),
-    "strdict_prefix_range": ("StringDictionaries on a prefix predicate with "
-                             "the access layer off",
-                             _per_query_prefix_dictionary),
     "while_": ("IRBuilder.while_", _while_loop),
     "print_": ("no producer: the IO witness", None),
 }

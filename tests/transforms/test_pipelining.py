@@ -87,8 +87,19 @@ class TestLoweringStructure:
         program, _ = lower(plan, tiny_catalog)
         used = ops_used(program)
         assert {"hashmap_agg_new", "hashmap_agg_group", "hashmap_agg_foreach"} <= used
-        # the fold is a core statement over the group's record
+        # a lone sum lives in its table slot: the fold is a core statement
+        # over the slot's value, written back with no record per group
+        assert {"add", "hashmap_agg_set"} <= used
+        assert "array_set" not in used
+
+    def test_aggregate_of_several_kinds_folds_into_a_record(self, tiny_catalog):
+        plan = Q.Agg(Q.Scan("S"), [("s_rid", col("s_rid"))],
+                     [Q.AggSpec("sum", col("s_val"), "total"),
+                      Q.AggSpec("count", None, "n")])
+        program, _ = lower(plan, tiny_catalog)
+        used = ops_used(program)
         assert {"array_get", "add", "array_set"} <= used
+        assert "hashmap_agg_set" not in used
 
     def test_sort_key_must_be_plain_column(self, tiny_catalog):
         plan = Q.Sort(Q.Scan("S"), [(col("s_val") * 2, "asc")])

@@ -185,9 +185,11 @@ class TestHashTableSpecialization:
         program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
         specialized = HashTableSpecialization(SCALITE).run(program, context)
         used = ops_used(specialized)
-        # the folds into each group's record are untouched
-        assert {"dense_agg_new", "dense_agg_group", "dense_agg_foreach", "array_set"} <= used
-        assert not {"hashmap_agg_new", "hashmap_agg_group", "hashmap_agg_foreach"} & used
+        # the fold into each slot is untouched; its write-back indexes the slot
+        assert {"dense_agg_new", "dense_agg_group", "dense_agg_foreach", "dense_agg_set",
+                "add"} <= used
+        assert not {"hashmap_agg_new", "hashmap_agg_group", "hashmap_agg_foreach",
+                    "hashmap_agg_set"} & used
 
     @pytest.mark.parametrize("access", [True, False])
     def test_unique_maps_deferred_for_five_level_stack(self, tiny_catalog, access):
