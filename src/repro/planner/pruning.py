@@ -9,7 +9,9 @@ share one implementation:
   mode (its historical behaviour; listed by the stacks of three levels and
   up, except the TPC-H compliant one), and
 * the logical planner calls it with projection and aggregate pruning enabled
-  as the final pass of :meth:`repro.planner.planner.Planner.optimize`.
+  as the final pass of :meth:`repro.planner.planner.Planner.optimize`, and
+* the push-engine lowering asks :func:`consumed_fields` which fields of each
+  operator's rows its consumers read, to store no more at a hash build.
 
 Pruning never changes which rows flow through the plan — only which columns
 are materialized — so it is trivially order- and value-preserving.  Nodes
@@ -28,7 +30,7 @@ consumers' columns.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
@@ -63,12 +65,26 @@ def prune_plan(plan: Q.Operator, catalog,
     return pruner.prune(plan, set(required))
 
 
+def consumed_fields(plan: Q.Operator, catalog,
+                    whole_rows: AbstractSet[int]) -> Dict[int, Set[str]]:
+    """``id(node) ->`` the fields of ``node``'s rows that its consumers read,
+    by the rules pruning narrows a plan with — except that the consumer of
+    a node whose id is in ``whole_rows`` reads its whole row (it stores the
+    rows as they are), and so does the plan's result."""
+    memo: Dict[int, List[str]] = {}
+    recorder = _Pruner(catalog, False, False, memo, consumed={}, whole_rows=whole_rows)
+    recorder.prune(plan, set(recorder.fields_of(plan)))
+    return recorder.consumed
+
+
 class _Pruner:
     def __init__(self, catalog, prune_projections: bool, prune_aggregates: bool,
                  memo: Dict[int, List[str]],
                  shared_ids: Optional[Dict[int, str]] = None,
                  recording: Optional[Dict[str, Set[str]]] = None,
-                 shared_needs: Optional[Dict[str, Set[str]]] = None) -> None:
+                 shared_needs: Optional[Dict[str, Set[str]]] = None,
+                 consumed: Optional[Dict[int, Set[str]]] = None,
+                 whole_rows: AbstractSet[int] = frozenset()) -> None:
         self.catalog = catalog
         self.prune_projections = prune_projections
         self.prune_aggregates = prune_aggregates
@@ -76,11 +92,18 @@ class _Pruner:
         self.shared_ids = shared_ids or {}
         self.recording = recording
         self.shared_needs = shared_needs
+        #: ``id(node) ->`` the union of the needs it was pruned with
+        self.consumed = consumed
+        self.whole_rows = whole_rows
 
     def fields_of(self, node: Q.Operator) -> List[str]:
         return Q.output_fields(node, self.catalog, self.memo)
 
     def prune(self, node: Q.Operator, needed: Set[str]) -> Q.Operator:
+        if self.consumed is not None:
+            if id(node) in self.whole_rows:
+                needed = set(self.fields_of(node))
+            self.consumed.setdefault(id(node), set()).update(needed)
         key = self.shared_ids.get(id(node))
         if key is not None:
             if self.recording is not None:

@@ -61,17 +61,19 @@ specialization lowering.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
 from ..ir.ops import ACCUMULATOR_SLOTS, held_in_slot
+from ..planner.pruning import consumed_fields
 from ..stack.context import CompilationContext
 from ..stack.language import C_PY, Language, QPLAN, SCALITE_MAP_LIST
 from ..stack.transformation import Lowering
-from .rowvals import Origin, RowVals
+from .rowvals import Origin, Reread, RowVals
 from .scalar_compiler import ScalarCompiler
 from .subplan_sharing import SharedSubplanMaterializer
 
@@ -91,6 +93,17 @@ def _scanned_table(side: Optional[Q.Operator]) -> Optional[str]:
 
 def _columns(expr: Optional[E.Expr]) -> Set[str]:
     return set(E.columns_used(expr)) if expr is not None else set()
+
+
+def _derived(origin: Origin, fields: FrozenSet[str], reread: Reread,
+             rereads: Dict[Tuple[Reread, FrozenSet[str]], Reread]) -> Origin:
+    """The origin an operator derives from ``origin``: the same position,
+    its ``fields`` read back by ``reread`` — or by the reread the operator
+    already made for ``origin`` (``rereads``).  An outer join below reaches
+    the operator from two call sites, and a build above needs them to
+    store their rows one way: it compares their rereads by identity."""
+    reread = rereads.setdefault((origin.reread, origin.fields), reread)
+    return Origin(origin.position, fields, reread)
 
 
 class _HashBuild(NamedTuple):
@@ -199,41 +212,18 @@ class _PushCompiler:
 
     def _consumed_fields(self, plan: Q.Operator) -> Dict[int, Set[str]]:
         """``id(node) ->`` the fields of ``node``'s rows that the code
-        consuming them reads, as the operators below lower: a sort or limit
-        buffer, a nested-loop join's inner side, a shared subplan and the
-        result take whole rows."""
-        memo: Dict[int, List[str]] = {}
-        consumed: Dict[int, Set[str]] = {}
-
-        def fields(node: Q.Operator) -> Set[str]:
-            return set(Q.output_fields(node, self.catalog, memo))
-
-        work = [(plan, fields(plan))]
-        while work:
-            node, needed = work.pop()
+        consuming them reads: what pruning would keep, except where the
+        lowering stores whole rows — a sort or limit buffer, a nested-loop
+        join's inner side and a shared subplan."""
+        whole_rows: Set[int] = set()
+        for node in Q.walk(plan):
             if self.sharing.materializes(node):
-                needed = fields(node)
-            consumed.setdefault(id(node), set()).update(needed)
-            if isinstance(node, Q.Select):
-                work.append((node.child, needed | _columns(node.predicate)))
-            elif isinstance(node, Q.Project):
-                work.append((node.child, set().union(
-                    *(_columns(expr) for _, expr in node.projections))))
-            elif isinstance(node, Q.Agg):
-                work.append((node.child, set().union(
-                    *(_columns(expr) for _, expr in node.group_keys),
-                    *(_columns(spec.expr) for spec in node.aggregates))))
-            elif isinstance(node, Q.HashJoin):
-                for side, key in ((node.left, node.left_key), (node.right, node.right_key)):
-                    work.append((side, (needed | _columns(key) | _columns(node.residual))
-                                 & fields(side)))
+                whole_rows.add(id(node))
+            if isinstance(node, (Q.Sort, Q.TopK, Q.Limit)):
+                whole_rows.add(id(node.child))
             elif isinstance(node, Q.NestedLoopJoin):
-                work.append((node.left, (needed | _columns(node.predicate))
-                             & fields(node.left)))
-                work.append((node.right, fields(node.right)))
-            elif isinstance(node, (Q.Sort, Q.TopK, Q.Limit)):
-                work.append((node.child, fields(node.child)))
-        return consumed
+                whole_rows.add(id(node.right))
+        return consumed_fields(plan, self.catalog, whole_rows)
 
     # ------------------------------------------------------------------
     # Produce/consume dispatch
@@ -312,7 +302,8 @@ class _PushCompiler:
                                                  [columns[name], index],
                                                  hint=name[:10])
                                     for name in fields},
-                                   origins=[self._base_origin(columns, fields, index)])
+                                   origins=[Origin(index, frozenset(fields),
+                                                   self._column_reread(columns))])
         # Naive (two-level) behaviour: build one boxed record per row and
         # pass it down the pipeline.
         values = [b.emit("array_get", [columns[name], index]) for name in fields]
@@ -321,17 +312,12 @@ class _PushCompiler:
                         hint="rec")
         return RowVals.record_backed(b, record, fields, layout="boxed")
 
-    def _base_row(self, columns: Dict[str, Sym], fields: Sequence[str],
-                  position: Atom) -> RowVals:
-        """The base-table row at ``position``, read column by column on demand."""
-        return RowVals.column_backed(self.b, columns, position, fields,
-                                     origins=[self._base_origin(columns, fields, position)])
-
-    def _base_origin(self, columns: Dict[str, Sym], fields: Sequence[str],
-                     position: Atom) -> Origin:
+    def _column_reread(self, columns: Dict[str, Sym]) -> Reread:
+        """How a stored position of a row of ``columns`` reads its fields
+        back: column by column, on demand."""
         def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
-            consume(self._base_row(columns, wanted, stored))
-        return Origin(position, frozenset(fields), reread)
+            consume(RowVals.column_backed(self.b, columns, stored, wanted))
+        return reread
 
     def _pruned_scan(self, node: Q.PrunedScan, consume: Consumer) -> None:
         """``Select(Scan)`` served by the catalog's partition pruning.
@@ -368,28 +354,31 @@ class _PushCompiler:
     def _project(self, node: Q.Project, consume: Consumer) -> None:
         renames = {name: expr.name for name, expr in node.projections
                    if isinstance(expr, E.Col)}
+        rereads: Dict[Tuple[Reread, FrozenSet[str]], Reread] = {}
 
         def projected(row: RowVals) -> None:
             values = {name: self.scalars.compile(expr, row) for name, expr in node.projections}
-            origins = [self._renamed(origin, renames) for origin in row.origins]
+            origins = [self._renamed(origin, renames, rereads) for origin in row.origins]
             consume(RowVals.scalars(values, origins=[o for o in origins if o is not None]))
 
         self.produce(node.child, projected)
 
-    def _renamed(self, origin: Origin, renames: Dict[str, str]) -> Optional[Origin]:
+    def _renamed(self, origin: Origin, renames: Dict[str, str],
+                 rereads: Dict[Tuple[Reread, FrozenSet[str]], Reread]) -> Optional[Origin]:
         """``origin`` seen through a projection: the outputs that copy one of
         its fields (``renames``: output name -> input name)."""
         sources = {name: source for name, source in renames.items()
                    if source in origin.fields}
         if not sources:
             return None
+        parent = origin.reread
 
         def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
             inputs = list(dict.fromkeys(sources[name] for name in wanted))
-            origin.reread(stored, inputs, lambda row: consume(
+            parent(stored, inputs, lambda row: consume(
                 RowVals.scalars({name: row.get(sources[name]) for name in wanted})))
 
-        return Origin(origin.position, frozenset(sources), reread)
+        return _derived(origin, frozenset(sources), reread, rereads)
 
     # ------------------------------------------------------------------
     # Hash joins
@@ -562,9 +551,11 @@ class _PushCompiler:
             finally:
                 self._pop_builder()
         _, columns = self._scan_columns(scan)
+        reread = self._column_reread(columns)
 
         def each_row(position: Sym, consume: Consumer) -> None:
-            consume(self._base_row(columns, reads, position))
+            consume(RowVals.column_backed(self.b, columns, position, reads,
+                                          origins=[Origin(position, frozenset(reads), reread)]))
 
         return partition, each_row
 
@@ -628,8 +619,8 @@ class _PushCompiler:
             reads |= self._consumed[id(node)]
         return reads
 
-    def _through(self, origin: Origin, key_expr: E.Expr,
-                 build: _HashBuild) -> Optional[Origin]:
+    def _through(self, origin: Origin, key_expr: E.Expr, build: _HashBuild,
+                 rereads: Dict[Tuple[Reread, FrozenSet[str]], Reread]) -> Optional[Origin]:
         """A probe row's ``origin`` extended with the build row its key
         finds, when the key is unique: a later build stores the probe row's
         position alone, and its probe looks the build row up again.  The row
@@ -638,11 +629,12 @@ class _PushCompiler:
         key_columns = E.columns_used(key_expr)
         if not build.unique or not origin.fields.issuperset(key_columns):
             return None
+        parent, fields = origin.reread, origin.fields
 
         def reread(stored: Atom, wanted: Sequence[str], consume: Consumer) -> None:
-            own = [name for name in wanted if name in origin.fields]
+            own = [name for name in wanted if name in fields]
             if len(own) == len(wanted):
-                origin.reread(stored, own, consume)
+                parent(stored, own, consume)
                 return
 
             def look_up(row: RowVals) -> None:
@@ -652,20 +644,20 @@ class _PushCompiler:
                 b.foreach(bucket, lambda element: build.each_row(
                     element, lambda found: consume(found.merge(row, b))), hint="e")
 
-            origin.reread(stored, own + [name for name in key_columns if name not in own],
-                          look_up)
+            parent(stored, own + [name for name in key_columns if name not in own], look_up)
 
-        return Origin(origin.position, origin.fields | frozenset(build.reads), reread)
+        return _derived(origin, fields | frozenset(build.reads), reread, rereads)
 
     def _hash_join_inner(self, node: Q.HashJoin, consume: Consumer) -> None:
         build = self._build_hash_table(node.left, node.left_key, self._probe_reads(node),
                                        node.right_key, node.right)
+        rereads: Dict[Tuple[Reread, FrozenSet[str]], Reread] = {}
 
         def probe(right_row: RowVals) -> None:
             b = self.b
             key = self.scalars.compile(node.right_key, right_row)
             bucket = b.emit("mmap_get", [build.table, key], hint="bucket")
-            origins = [self._through(origin, node.right_key, build)
+            origins = [self._through(origin, node.right_key, build, rereads)
                        for origin in right_row.origins]
             through = tuple(origin for origin in origins if origin is not None)
 

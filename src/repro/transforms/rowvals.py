@@ -30,6 +30,10 @@ from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const
 
 
+#: ``reread(stored, wanted, consume)``: see :class:`Origin`
+Reread = Callable[[Atom, Sequence[str], Callable[["RowVals"], None]], None]
+
+
 @dataclass(frozen=True)
 class Origin:
     """Where fields of a row live: every one of ``fields`` is a base column
@@ -38,12 +42,13 @@ class Origin:
     ``reread(stored, wanted, consume)`` emits, wherever the builder stands,
     the row of the ``wanted`` fields at a stored position and hands it to
     ``consume`` (a lookup through a unique key opens the bucket walk
-    ``consume`` runs in).
+    ``consume`` runs in).  Origins with one reread read a stored position
+    back the same way, whatever their ``position``.
     """
 
     position: Atom
     fields: FrozenSet[str]
-    reread: Callable[[Atom, Sequence[str], Callable[["RowVals"], None]], None]
+    reread: Reread
 
 
 class RowVals:

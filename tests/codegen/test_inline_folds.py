@@ -170,14 +170,18 @@ def test_no_build_over_one_base_row_stores_a_tuple(tpch_catalog):
 #: (sf 0.001), with one-element accumulator records and build tuples:
 #: Q7 279 464 bytes, Q18 198 320, Q20 154 216.
 PARENT_PEAK_BYTES = {"Q7": 279_464, "Q18": 198_320, "Q20": 154_216}
-#: the share of that a run may still take: Q20's peak is now its
-#: ``(l_partkey, l_suppkey)``-keyed aggregate, whose tuple keys and float
-#: sums stay (composite keys are another change); it reads 72 % here and
-#: 64 % at sf 0.01, Q7 29 % and Q18 52 %
-PEAK_SHARE = {"Q7": 0.6, "Q18": 0.6, "Q20": 0.75}
+#: the share of that a run may still take; Q7 reads 29 % and Q18 52 %
+PEAK_SHARE = 0.6
 
 
-@pytest.mark.parametrize("query", sorted(PARENT_PEAK_BYTES))
+@pytest.mark.parametrize("query", [
+    "Q7", "Q18",
+    # 72 % here, 64 % at sf 0.01: Q20's peak is now its
+    # ``(l_partkey, l_suppkey)``-keyed aggregate — tuple keys, the dict and
+    # float sums (43, 36 and 18 KB), none of them a record — until
+    # composite keys get dictionary codes
+    pytest.param("Q20", marks=pytest.mark.xfail(
+        reason="the peak is a composite-keyed aggregate's tuple keys", strict=False))])
 def test_one_run_allocates_less_than_the_record_layout(tpch_catalog, query):
     compiled = _compiled(tpch_catalog, query, planner=True)
     aux = compiled.prepare(tpch_catalog)
@@ -191,4 +195,4 @@ def test_one_run_allocates_less_than_the_record_layout(tpch_catalog, query):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= PEAK_SHARE[query] * PARENT_PEAK_BYTES[query], peak
+    assert peak <= PEAK_SHARE * PARENT_PEAK_BYTES[query], peak

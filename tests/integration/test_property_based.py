@@ -5,7 +5,7 @@
 * one join of every kind between two random tables, under every aggregate
   kind, agrees with the interpreter on every engine, planner off and on —
   also when the rows a build holds reach a third table through its primary
-  key, and when the build side is empty,
+  key or come out of a left outer join, and when the build side is empty,
 * every aggregate kind over nullable columns, grouped by a dense int, a
   string, a composite key or nothing, agrees with the interpreter on every
   configuration, planner off and on, empty inputs included — all kinds at
@@ -133,13 +133,18 @@ def make_join_catalog(left, right) -> Catalog:
     return catalog
 
 
-def join_aggregate(kind, residual, grouped, through=False):
+def join_aggregate(kind, residual, grouped, through=False, padded=False):
     """``kind`` join of ``a`` and ``b`` under every aggregate kind; grouped
     plans are sorted on the group key, so the contract has a key to check.
     ``through``: ``a``'s rows first reach ``k``'s through its primary key,
     and an aggregate reads ``k`` — Q7's lineitem build, which reaches
-    supplier through ``l_suppkey``."""
+    supplier through ``l_suppkey``.  ``padded``: ``a``'s rows first come
+    out of a left outer join with ``k``, projected back to ``a``'s columns,
+    so each reaches what is above from two places, matched and padded."""
     left = Q.Scan("a")
+    if padded:
+        left = Q.Project(Q.HashJoin(left, Q.Scan("k"), col("ak"), col("kk"), "leftouter"),
+                         [(name, col(name)) for name in ("ak", "ag", "av")])
     if through:
         left = Q.HashJoin(Q.Scan("k"), left, col("kk"), col("ak"))
     join = Q.HashJoin(left, Q.Scan("b"), col("ak"), col("bk"), kind,
@@ -160,36 +165,44 @@ def join_aggregate(kind, residual, grouped, through=False):
 class TestTwoTableDifferential:
     @settings(SETTINGS, max_examples=60)
     @given(left=left_rows, right=right_rows, kind=st.sampled_from(Q.JOIN_KINDS),
-           residual=st.booleans(), grouped=st.booleans(), through=st.booleans())
+           residual=st.booleans(), grouped=st.booleans(), through=st.booleans(),
+           padded=st.booleans())
     # a NULL probe key against a dense build key — after the planner swaps the
     # build side, on the right input, under a semi join: the compiled stacks
     # indexed the dense array with it
     @example(left=[(0, "y", 7), (None, "x", -8)], right=[(1, -5)], kind="inner",
-             residual=False, grouped=False, through=False)
+             residual=False, grouped=False, through=False, padded=False)
     @example(left=[(0, "z", -6)], right=[(None, -5), (1, 3)], kind="inner",
-             residual=False, grouped=False, through=False)
+             residual=False, grouped=False, through=False, padded=False)
     @example(left=[(None, "x", 0)], right=[(0, 0)], kind="leftsemi",
-             residual=False, grouped=True, through=False)
+             residual=False, grouped=True, through=False, padded=False)
     # Q7's shape: the build stores a's row position, and its probe reaches
     # k's row through the primary key again, with and without a residual
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=False, grouped=True, through=True)
+             kind="inner", residual=False, grouped=True, through=True, padded=False)
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=True, grouped=False, through=True)
+             kind="inner", residual=True, grouped=False, through=True, padded=False)
     # an empty build side: each kind builds from one side, the planner may
     # swap it
     @example(left=[], right=[(1, 3)], kind="inner", residual=False, grouped=False,
-             through=True)
+             through=True, padded=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftouter", residual=False,
-             grouped=True, through=False)
+             grouped=True, through=False, padded=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftsemi", residual=False,
-             grouped=False, through=False)
+             grouped=False, through=False, padded=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftanti", residual=True,
-             grouped=False, through=True)
+             grouped=False, through=True, padded=False)
+    # a build over a projection of an outer join, and over a primary-key
+    # lookup from one: both call sites, matched and padded, store a's
+    # position, and store it one way
+    @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
+             kind="inner", residual=False, grouped=True, through=False, padded=True)
+    @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
+             kind="inner", residual=True, grouped=False, through=True, padded=True)
     def test_join_under_every_aggregate_matches_volcano(self, left, right, kind,
-                                                        residual, grouped, through):
+                                                        residual, grouped, through, padded):
         catalog = make_join_catalog(left, right)
-        plan = join_aggregate(kind, residual, grouped, through)
+        plan = join_aggregate(kind, residual, grouped, through, padded)
         expected = execute(plan, catalog)
         contract = sort_contract(plan)
         harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)
