@@ -64,15 +64,8 @@ def load_table_file(schema: TableSchema, path: str) -> ColumnarTable:
 
 def load_directory(schema: Schema, directory: str,
                    tables: Optional[Iterable[str]] = None,
-                   extension: str = ".tbl",
-                   warm_access: bool = False) -> Catalog:
-    """Load every ``<table><extension>`` file found in ``directory``.
-
-    ``warm_access=True`` additionally builds the physical access structures
-    (PK direct arrays for annotated single-column primary keys, string
-    dictionaries) eagerly as part of loading, paying the paper's
-    "moved to loading time" cost up front instead of on first query.
-    """
+                   extension: str = ".tbl") -> Catalog:
+    """Load every ``<table><extension>`` file found in ``directory``."""
     catalog = Catalog()
     names = list(tables) if tables is not None else schema.table_names()
     for name in names:
@@ -80,28 +73,25 @@ def load_directory(schema: Schema, directory: str,
         if not os.path.exists(path):
             raise LoaderError(f"missing data file for table {name!r}: {path}")
         catalog.register(load_table_file(schema.table(name), path))
-    if warm_access:
-        warm_access_paths(catalog)
     return catalog
 
 
 def warm_access_paths(catalog: Catalog) -> None:
-    """Eagerly build every schema-derivable access structure of a catalog.
+    """Build the direct array of every single-column primary key that gets
+    one (unique and dense), paying that part of the paper's "moved to loading
+    time" cost up front instead of on the first query that probes it.
 
-    Primary-key indices for single-column keys, and dictionaries for every
-    string column the access layer deems worth encoding.  Lazy construction
-    (the default) reaches the same memoized state after the first query that
-    needs each structure; this just front-loads the work to loading time.
+    Nothing else is built here: every other structure of the access layer,
+    string dictionaries included, is built on the first request that reads
+    it — at compile time, at ``prepare`` or by a direct engine — and
+    memoized from then on.  A structure built eagerly that no plan reads is
+    resident memory for nothing.
     """
     layer = catalog.access_layer()
     for name in catalog.table_names():
-        table_schema = catalog.schema.table(name)
-        key = table_schema.single_column_primary_key
+        key = catalog.schema.table(name).single_column_primary_key
         if key is not None:
             layer.key_index(name, key)
-        for column in table_schema.columns:
-            if column.is_string:
-                layer.dictionary(name, column.name)
 
 
 def dump_table_file(table: ColumnarTable, path: str) -> None:

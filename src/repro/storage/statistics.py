@@ -4,9 +4,11 @@ The memory-allocation hoisting and data-structure initialisation hoisting
 transformations need, at compile time, worst-case estimates of cardinalities
 and key ranges: how large to pre-allocate pools, whether a key column is dense
 enough to be backed by a direct array, how many distinct groups an aggregation
-may produce.  These statistics are gathered once at data-loading time
-(:meth:`repro.storage.catalog.Catalog.register` calls
-:func:`compute_table_statistics` for every loaded table).
+may produce.  :meth:`repro.storage.catalog.Catalog.register` calls
+:func:`compute_table_statistics` for every loaded table: one pass per column
+takes everything but the distinct count, which needs a set as large as the
+column's distinct values and is taken on its first read instead — only the
+columns a plan touches are ever asked (:attr:`ColumnStatistics.num_distinct`).
 
 Beyond the scalar summaries, every column also gets a **zone map**
 (:class:`ColumnZoneMap`): per-chunk minima and maxima over fixed-size row
@@ -18,8 +20,8 @@ instead of each consumer re-deriving its own summaries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .layouts import ColumnarTable
 
@@ -27,6 +29,9 @@ from .layouts import ColumnarTable
 #: meaningful fractions at test scale factors, large enough that the per-chunk
 #: bookkeeping stays negligible against the rows it summarises
 ZONE_CHUNK_ROWS = 2048
+
+#: distinct values per row above which a column counts as near-unique
+NEAR_UNIQUE_SHARE = 0.8
 
 
 @dataclass
@@ -52,24 +57,69 @@ class ColumnZoneMap:
         return start, min(start + self.chunk_rows, num_rows)
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class ColumnStatistics:
-    """Statistics of one column."""
+    """Statistics of one column.
+
+    Computed from a column (``values``), everything but the distinct count
+    comes out of the load pass; ``num_distinct`` is counted on its first read
+    and the reference to the column dropped then, so the statistics of a
+    replaced table never keep its columns alive.  Built without ``values``,
+    the statistics are the numbers passed in.
+    """
 
     name: str
-    num_rows: int = 0
-    num_distinct: int = 0
+    num_rows: int
     #: number of ``None`` values; the nullability analysis proves a column
     #: read NON_NULL exactly when this is zero
-    num_nulls: int = 0
-    min_value: Optional[Any] = None
-    max_value: Optional[Any] = None
+    num_nulls: int
+    min_value: Optional[Any]
+    max_value: Optional[Any]
     #: whether the stored values are non-decreasing in row order (a clustered
     #: column); sorted columns let range predicates prune to one contiguous
     #: row range without consulting the per-chunk zone map
-    sorted_ascending: bool = False
+    sorted_ascending: bool
     #: per-chunk min/max summaries (``None`` for incomparable value mixes)
-    zone_map: Optional[ColumnZoneMap] = None
+    zone_map: Optional[ColumnZoneMap]
+
+    def __init__(self, name: str, num_rows: int = 0, num_distinct: int = 0,
+                 num_nulls: int = 0, min_value: Optional[Any] = None,
+                 max_value: Optional[Any] = None, sorted_ascending: bool = False,
+                 zone_map: Optional[ColumnZoneMap] = None,
+                 values: Optional[Sequence[Any]] = None) -> None:
+        self.name = name
+        self.num_rows = num_rows
+        self.num_nulls = num_nulls
+        self.min_value = min_value
+        self.max_value = max_value
+        self.sorted_ascending = sorted_ascending
+        self.zone_map = zone_map
+        self._num_distinct = num_distinct
+        #: the column ``num_distinct`` is still to be counted from
+        self._values = values
+
+    @property
+    def num_distinct(self) -> int:
+        """Number of distinct values (``None`` is one of them).
+
+        An idempotent memo that serving threads read without a lock: racing
+        first reads may each count, and each stores the same number.  The
+        column is dropped only after the count is stored, so a reader that
+        finds the column gone finds the count.
+        """
+        values = self._values
+        if values is not None:
+            self._num_distinct = len(set(values))
+            self._values = None
+        return self._num_distinct
+
+    def __eq__(self, other: object) -> bool:
+        """Equal statistics: every field and the distinct count."""
+        if not isinstance(other, ColumnStatistics):
+            return NotImplemented
+        return self.num_distinct == other.num_distinct and all(
+            getattr(self, each.name) == getattr(other, each.name)
+            for each in fields(self))
 
     @property
     def value_range(self) -> Optional[int]:
@@ -94,6 +144,14 @@ class ColumnStatistics:
     def is_unique(self) -> bool:
         """Every row carries a different value (candidate-key property)."""
         return self.num_rows > 0 and self.num_distinct == self.num_rows
+
+    @property
+    def is_near_unique(self) -> bool:
+        """More than :data:`NEAR_UNIQUE_SHARE` of the rows carry different
+        values: a string dictionary over the column would cost more than it
+        could ever save (Section 5.3)."""
+        return self.num_rows > 0 and \
+            self.num_distinct > NEAR_UNIQUE_SHARE * self.num_rows
 
 
 @dataclass
@@ -154,16 +212,12 @@ class Statistics:
 
 def compute_column_statistics(name: str, values,
                               chunk_rows: int = ZONE_CHUNK_ROWS) -> ColumnStatistics:
-    """One load-time pass: min/max, distinct count, sortedness and zone map."""
-    stats = ColumnStatistics(name=name, num_rows=len(values))
+    """One load-time pass: min/max, NULL count, sortedness and zone map; the
+    distinct count is left to its first read."""
+    stats = ColumnStatistics(name=name, num_rows=len(values), values=values)
     if len(values) == 0:
         return stats
-    distinct = set(values)
-    stats.num_distinct = len(distinct)
-    nullable = None in distinct
-    del distinct  # the pass's largest temporary: gone before the chunk slices
-    if nullable:
-        stats.num_nulls = sum(1 for value in values if value is None)
+    stats.num_nulls = values.count(None)
     mins: List[Any] = []
     maxs: List[Any] = []
     sorted_ascending = True

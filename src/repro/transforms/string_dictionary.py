@@ -222,8 +222,7 @@ class StringDictionaries(Optimization):
                     continue
                 # String dictionaries hurt for near-unique attributes (Section
                 # 5.3): skip columns whose values are (almost) all distinct.
-                stats = catalog.statistics.column(table, column)
-                if stats.num_rows > 0 and stats.num_distinct > 0.8 * stats.num_rows:
+                if catalog.statistics.column(table, column).is_near_unique:
                     continue
             candidates.append(((table, column), stmt))
         return candidates

@@ -1,5 +1,6 @@
 """Unit tests for the physical access layer (repro.storage.access)."""
 import threading
+from itertools import chain
 
 from repro.codegen.runtime import catalog_pruned_indices
 from repro.dsl.expr import col, date, in_list, like, lit
@@ -318,7 +319,7 @@ class TestDictionaryRewrite:
 
 
 class TestWarmLoading:
-    def test_warm_access_paths_builds_pk_indices_and_dictionaries(self):
+    def test_warm_access_paths_builds_pk_indices_only(self):
         from repro.storage.loader import warm_access_paths
         catalog = _catalog()
         warm_access_paths(catalog)
@@ -326,10 +327,43 @@ class TestWarmLoading:
         assert layer.build_counts[("key_index", "R", "r_id")] == 1
         # S's key is unique but sparse: no direct array, nothing built
         assert ("key_index", "S", "s_id") not in layer.build_counts
-        assert layer.build_counts[("dictionary", "R", "r_tag")] == 1
+        # a dictionary waits for the first request that reads it
+        assert list(layer.build_counts) == [("key_index", "R", "r_id")]
+        assert layer.dictionary("R", "r_tag") is not None
         # warming twice never rebuilds
         warm_access_paths(catalog)
         assert layer.build_counts[("key_index", "R", "r_id")] == 1
+        assert layer.build_counts[("dictionary", "R", "r_tag")] == 1
+
+
+class TestNearUniqueColumns:
+    """One rule decides that a string column is too close to unique for a
+    dictionary: the access layer and the compiled stacks' dictionary pass
+    both ask ``ColumnStatistics.is_near_unique``."""
+
+    def _catalog(self, tags):
+        catalog = Catalog()
+        schema = TableSchema("T", [int_column("t_id"), string_column("t_tag")],
+                             primary_key=("t_id",))
+        catalog.register(ColumnarTable(schema, {
+            "t_id": list(range(len(tags))), "t_tag": list(tags)}))
+        return catalog
+
+    def test_more_than_four_in_five_distinct_gets_no_dictionary(self):
+        # 9 of 10 distinct: below unique, above the near-unique share
+        catalog = self._catalog([f"v{i}" for i in range(9)] + ["v0"])
+        assert catalog.statistics.column("T", "t_tag").is_near_unique
+        assert catalog.access_layer().dictionary("T", "t_tag") is None
+        assert ("dictionary", "T", "t_tag") not in \
+            catalog.access_layer().build_counts
+
+    def test_four_in_five_distinct_still_gets_one(self):
+        catalog = self._catalog([f"v{i}" for i in range(8)] + ["v0", "v1"])
+        assert not catalog.statistics.column("T", "t_tag").is_near_unique
+        assert catalog.access_layer().dictionary("T", "t_tag") is not None
+
+    def test_an_empty_column_is_not_near_unique(self):
+        assert not self._catalog([]).statistics.column("T", "t_tag").is_near_unique
 
 
 class TestReloadInvalidation:
@@ -396,7 +430,7 @@ class TestStatisticsZoneMaps:
         assert stats.zone_map.maxs == [2047, 4095, 4999]
         assert stats.sorted_ascending
 
-    def test_nulls_are_counted_only_where_the_distinct_set_holds_one(self):
+    def test_nulls_are_counted_in_the_load_pass(self):
         from repro.storage.statistics import compute_column_statistics
         assert compute_column_statistics("c", [3, 1, 2, 1]).num_nulls == 0
         nulls = compute_column_statistics("c", [None, "a", None, "b", None])
@@ -524,52 +558,114 @@ class TestMultiColumnIntersection:
         assert both[0][1] - both[0][0] < sum(b - a for a, b in down_chunks)
 
 
+#: rows of the table the candidate-memo tests prune
+B_ROWS = 1000
+
+
+def _b_catalog():
+    catalog = Catalog()
+    schema = TableSchema("B", [int_column("b_id"), int_column("b_val")],
+                         primary_key=("b_id",))
+    catalog.register(ColumnarTable(schema, {
+        "b_id": list(range(B_ROWS)),                       # clustered
+        "b_val": [(i * 37) % B_ROWS for i in range(B_ROWS)],
+    }))
+    return catalog
+
+
+def _b_positions_held(layer):
+    lists = layer._candidates["B"]
+    return sum(len(candidates) for candidates in chain(
+        lists.probation.values(), lists.resident.values())
+        if not isinstance(candidates, range))
+
+
 class TestCandidateBudget:
     """The candidate memo is bounded by the positions it holds — a multiple
     of the table's row count — and sheds its oldest entries, never all."""
 
-    ROWS = 1000
-
-    def _catalog(self):
-        catalog = Catalog()
-        schema = TableSchema("B", [int_column("b_id"), int_column("b_val")],
-                             primary_key=("b_id",))
-        catalog.register(ColumnarTable(schema, {
-            "b_id": list(range(self.ROWS)),                       # clustered
-            "b_val": [(i * 37) % self.ROWS for i in range(self.ROWS)],
-        }))
-        return catalog
-
-    def _held(self, layer):
-        return sum(len(candidates) for candidates in layer._candidates["B"].values()
-                   if not isinstance(candidates, range))
-
-    def test_never_repeated_literals_stay_within_the_budget(self):
-        catalog = self._catalog()
+    def test_repeated_lists_stay_within_the_budget(self):
+        catalog = _b_catalog()
         layer = catalog.access_layer()
-        budget = AccessLayer._CANDIDATE_POSITION_BUDGET * self.ROWS
+        budget = AccessLayer._CANDIDATE_POSITION_BUDGET * B_ROWS
         keys = [(("b_val", "<", bound),) for bound in range(100, 500, 10)]
         for made, key in enumerate(keys, 1):
             newest = layer.pruned_indices("B", key)
             assert len(newest) == key[0][2]
-            assert self._held(layer) <= budget
-            # the entry just made is served, not shed
+            assert _b_positions_held(layer) <= budget
+            # the list just made is served, not shed, and its second ask
+            # makes it resident
             assert layer.pruned_indices("B", key) is newest
+            resident = layer._candidates["B"].resident
             # and what is kept is the newest run of what was asked for
-            assert list(layer._candidates["B"]) == \
-                keys[made - len(layer._candidates["B"]):made]
+            assert list(resident) == keys[made - len(resident):made]
+        resident = layer._candidates["B"].resident
         assert 100 + 110 + 120 < budget < sum(key[0][2] for key in keys)
-        assert keys[0] not in layer._candidates["B"]
-        assert len(layer._candidates["B"]) > 1   # shed from the old end, not cleared
+        assert keys[0] not in resident
+        assert len(resident) > 1   # shed from the old end, not cleared
 
     def test_a_range_holds_no_positions(self):
-        catalog = self._catalog()
+        catalog = _b_catalog()
         layer = catalog.access_layer()
-        kept = layer.pruned_indices("B", (("b_val", "<", 400),))
-        for bound in range(1, 300):
-            assert type(layer.pruned_indices("B", (("b_id", "<", bound),))) is range
-        assert layer.pruned_indices("B", (("b_val", "<", 400),)) is kept
-        assert len(layer._candidates["B"]) == 300
+        keys = [(("b_val", "<", 400),)] + \
+            [(("b_id", "<", bound),) for bound in range(1, 300)]
+        kept = []
+        for key in keys:   # each asked for twice: the second ask promotes
+            kept.append(layer.pruned_indices("B", key))
+            assert layer.pruned_indices("B", key) is kept[-1]
+        assert all(type(candidates) is range for candidates in kept[1:])
+        assert layer.pruned_indices("B", keys[0]) is kept[0]
+        assert len(layer._candidates["B"].resident) == 300
+
+
+class TestCandidateProbation:
+    """A candidate list earns residence by being asked for twice: a list a
+    plan asks for once waits in a bounded probation segment and is shed
+    from there, never from the lists that repeat."""
+
+    def test_a_second_ask_promotes_without_recomputing(self):
+        catalog = _b_catalog()
+        layer = catalog.access_layer()
+        key = (("b_val", "<", 300),)
+        first = layer.pruned_indices("B", key)
+        lists = layer._candidates["B"]
+        assert key in lists.probation and not lists.resident
+        assert layer.pruned_indices("B", key) is first
+        assert key in lists.resident and not lists.probation
+        assert layer.pruned_indices("B", key) is first
+
+    def test_one_shot_lists_are_never_promoted_and_never_shed_residents(self):
+        from repro.storage.derived import PROBATION
+        catalog = _b_catalog()
+        layer = catalog.access_layer()
+        warm = (("b_val", "<", 400),)
+        kept = layer.pruned_indices("B", warm)
+        layer.pruned_indices("B", warm)
+        lists = layer._candidates["B"]
+        # small one-shots: probation is bounded by its count
+        for bound in range(1, 1 + 3 * PROBATION):
+            layer.pruned_indices("B", (("b_val", "<", bound),))
+        assert len(lists.probation) == PROBATION
+        assert list(lists.probation)[0] == (("b_val", "<", 1 + 2 * PROBATION),)
+        # large one-shots: probation gives way to the position budget
+        for bound in range(450, 500):
+            layer.pruned_indices("B", (("b_val", "<", bound),))
+        assert list(lists.probation)[-1] == (("b_val", "<", 499),)
+        assert list(lists.resident) == [warm] and lists.resident[warm] is kept
+        assert _b_positions_held(layer) <= \
+            AccessLayer._CANDIDATE_POSITION_BUDGET * B_ROWS
+
+    def test_a_warm_query_computes_its_lists_once(self):
+        from repro.robustness.fallback import HardenedExecutor
+        from repro.tpch.dbgen import generate_catalog
+        from repro.tpch.queries import build_query
+        catalog = generate_catalog(scale_factor=0.001, seed=3)
+        executor = HardenedExecutor(catalog)
+        executor.warm(build_query("Q6"), "Q6")       # first ask: prepare
+        lists = catalog.access_layer()._candidates["lineitem"]
+        (key, first), = lists.probation.items()
+        executor.execute(build_query("Q6"), "Q6")    # the first request
+        assert lists.resident == {key: first} and not lists.probation
 
 
 class TestThunderingHerd:

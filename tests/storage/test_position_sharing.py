@@ -18,7 +18,6 @@ from itertools import chain
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.robustness.fallback import HardenedExecutor
 from repro.storage import access
 from repro.storage.access import (DirectArray, PartitionIndex, SortedColumn,
                                   _Bounds)
@@ -27,23 +26,12 @@ from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
                                   string_column)
 from repro.tpch.dbgen import generate_catalog
-from repro.tpch.queries import QUERY_NAMES, build_query
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 #: below this CPython hands out one cached object per value anyway
 SMALL_INT_CACHE = 257
-
-
-@pytest.fixture(scope="module")
-def warm_catalog():
-    """sf 0.01 with every structure the 22 queries use resident."""
-    catalog = generate_catalog(scale_factor=0.01, seed=20160626)
-    executor = HardenedExecutor(catalog)
-    for name in QUERY_NAMES:
-        executor.warm(build_query(name), name)
-    return catalog
 
 
 def position_sequences(layer):
@@ -58,8 +46,9 @@ def position_sequences(layer):
                     if isinstance(slot, range) else slot
         elif isinstance(structure, SortedColumn) and not structure.identity:
             yield key, structure.permutation
-    for table, memo in layer._candidates.items():
-        for filters, candidates in memo.items():
+    for table, lists in layer._candidates.items():
+        for filters, candidates in chain(lists.probation.items(),
+                                         lists.resident.items()):
             if not isinstance(candidates, range):
                 yield ("candidates", table, filters), candidates
 
