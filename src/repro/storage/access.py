@@ -18,12 +18,15 @@ vectorized) the same load-time structures:
   request.  Positions, not copied records, so one index per ``(table,
   column)`` serves every payload set of every query; the compiled stacks
   fetch it in ``prepare`` and read payload columns through it.
-* **Zone maps + sorted-column partition pruning**
+* **Zone maps + candidate lists**
   (:meth:`AccessLayer.chunk_ranges`, :meth:`AccessLayer.prune_candidates`) —
   range predicates on a column skip whole chunks via the load-time zone maps
-  (:class:`repro.storage.statistics.ColumnZoneMap`), and a value-sorted
-  permutation of the column turns a selective range into a small candidate
-  row set even when the data is not clustered.
+  (:class:`repro.storage.statistics.ColumnZoneMap`), a column stored sorted
+  clips the row range by bisection, and a selective filter on an unclustered
+  column becomes a candidate list by one filtered pass over the admitted
+  chunks.  Only the list is kept (memoized by
+  :meth:`AccessLayer.pruned_indices`); no sorted copy or permutation of a
+  column is.
 * **Dictionary-encoded strings** (:meth:`AccessLayer.dictionary`,
   :func:`rewrite_string_predicates`) — a sorted dictionary plus a per-row
   code column; string equality, ``IN`` lists and ``LIKE 'prefix%'`` become
@@ -42,17 +45,13 @@ to what they add to the catalog:
 * **Positions are pooled.**  A row position is table-agnostic and immutable,
   so the layer holds one ``int`` object per position (``pool[i] is i``, grown
   to the largest table built so far) and every builder draws from it: a
-  direct array, a partition slot, a permutation and a memoized candidate
-  list that mention row 40 000 all point at the same object, and a mention
-  costs one 8-byte pointer instead of a boxed ``int``.
+  direct array, a partition slot and a memoized candidate list that mention
+  row 40 000 all point at the same object, and a mention costs one 8-byte
+  pointer instead of a boxed ``int``.
 * **Clustered partitions are ranges.**  Over a column stored in ascending
   order the rows of one key are contiguous, so its slots are immutable
   ``range`` objects found by one bisect per key; consumers only iterate,
   ``len()`` and truth-test a slot, which a ``range`` and a ``list`` do alike.
-* **A sorted column is a permutation.**  The sorted *values* are not copied:
-  a range predicate bisects the permutation keyed by the catalog's own
-  column (or the column itself when it is stored sorted).
-
 Everything stays a plain ``list`` or ``range``; no typed buffer is involved.
 
 The catalog owns the layer and the layer points back only weakly, so the
@@ -88,39 +87,19 @@ DICT_CODE_SUFFIX = "#dict"
 #: ``ColumnStatistics.is_near_unique``)
 _MAX_DICTIONARY_SIZE = 4096
 
-#: partition pruning via the sorted permutation only pays off when the range
-#: keeps at most this fraction of the table (gathering + re-sorting candidate
-#: indices must stay cheaper than the predicate evaluations it avoids)
+#: a candidate list only pays off when the filters keep at most this fraction
+#: of the table (gathering candidate positions must stay cheaper than the
+#: predicate evaluations it avoids)
 _MAX_PRUNE_FRACTION = 0.5
 
-#: a sorted permutation is bucketed by value instead of comparison-sorted
-#: from this many rows per distinct value on (measured break-even at sf 0.01:
-#: ``o_orderdate``, 6.7 rows per value; a near-unique column bucketed is
-#: 3–5x slower than sorted, a 3-value one twice as fast)
-_BUCKET_ROWS_PER_VALUE = 8
+#: the gate reads every ``_SAMPLE_STRIDE``-th row of the span before any list
+#: is built, so an unselective filter costs a 1/32 sample, not a thrown-away
+#: pass; a span too short for ``_SAMPLE_STRIDE`` samples is passed whole
+_SAMPLE_STRIDE = 32
 
 
 class AccessError(Exception):
     pass
-
-
-def _bucket_sort(positions: List[int], values: Sequence[Any]) -> None:
-    """``positions.sort(key=values.__getitem__)`` for ascending ``positions``
-    over few distinct values: one pass files each position under its value
-    and the buckets are laid end to end in key order — the stable sort's
-    permutation at half its cost.  Written back in place: a list grown by
-    appends would keep its spare capacity resident."""
-    buckets: Dict[Any, List[int]] = {}
-    for position, value in zip(positions, values):
-        try:
-            buckets[value].append(position)
-        except KeyError:
-            buckets[value] = [position]
-    start = 0
-    for value in sorted(buckets):
-        bucket = buckets[value]
-        positions[start:start + len(bucket)] = bucket
-        start += len(bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -198,40 +177,6 @@ class StringDictionary:
         lo = bisect_left(self.values, prefix)
         hi = bisect_right(self.values, prefix + _PREFIX_CEILING)
         return lo, hi
-
-
-@dataclass
-class SortedColumn:
-    """A value-sorted permutation of one column (the partition index).
-
-    ``permutation[k]`` is the base-row position of the ``k``-th smallest
-    value of ``source``, the catalog's own column (not a copy); a range
-    predicate bisects into one contiguous slice of candidates.  ``identity``
-    marks columns that are already stored sorted, where the permutation is
-    ``range(len(source))`` and the slice *is* a base-row range.
-    """
-
-    table: str
-    column: str
-    source: List[Any] = field(repr=False)
-    permutation: Sequence[int] = field(repr=False)
-    identity: bool = False
-
-    def slice_bounds(self, bounds: "_Bounds") -> Tuple[int, int]:
-        # the identity case bisects the column itself; otherwise the
-        # permutation, seen through the column, *is* the sorted values
-        ordered, key = (self.source, None) if self.identity else \
-            (self.permutation, self.source.__getitem__)
-        start, stop = 0, len(ordered)
-        if bounds.lo is not None:
-            value, strict = bounds.lo
-            start = (bisect_right if strict else bisect_left)(
-                ordered, value, key=key)
-        if bounds.hi is not None:
-            value, strict = bounds.hi
-            stop = (bisect_left if strict else bisect_right)(
-                ordered, value, key=key)
-        return start, max(start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +295,54 @@ def _bounds_per_column(filters: Sequence[ZoneFilter]) -> Dict[str, _Bounds]:
     for column, op, value in filters:
         per_column.setdefault(column, _Bounds()).tighten(op, value)
     return per_column
+
+
+def _clip(values: Sequence[Any], bounds: _Bounds) -> Tuple[int, int]:
+    """The row range ``bounds`` keeps of a column stored in ascending order."""
+    start, stop = 0, len(values)
+    if bounds.lo is not None:
+        value, strict = bounds.lo
+        start = (bisect_right if strict else bisect_left)(values, value)
+    if bounds.hi is not None:
+        value, strict = bounds.hi
+        stop = (bisect_left if strict else bisect_right)(values, value)
+    return start, max(start, stop)
+
+
+#: ``(values, low, high, strict_low, strict_high)``: a row passes when
+#: ``low < values[row] < high``, a non-strict side reading ``<=``
+_RowTest = Tuple[Sequence[Any], Any, Any, bool, bool]
+
+
+def _row_test(values: Sequence[Any], bounds: _Bounds, stats) -> Optional[_RowTest]:
+    """The test of one zoned column, or ``None`` when no row can pass.  A side
+    the filters leave open is closed by the column's own min or max, so every
+    test is one chained comparison (an equality, one ``==``).  Raises
+    ``TypeError`` for a literal the column's values cannot be compared with."""
+    low, strict_low = bounds.lo or (stats.min_value, False)
+    high, strict_high = bounds.hi or (stats.max_value, False)
+    # ``|`` compares both literals with a column value, where ``or`` would
+    # leave an incomparable upper bound to raise halfway through a pass
+    if (low > stats.max_value) | (high < stats.min_value):
+        return None
+    return values, low, high, strict_low, strict_high
+
+
+def _passing(positions: Iterable[int], tests: Sequence[_RowTest]) -> List[int]:
+    """The ``positions`` whose row passes every test, in order: one plain
+    comparison comprehension per test, each over the survivors of the last."""
+    for values, low, high, strict_low, strict_high in tests:
+        if strict_low and strict_high:
+            positions = [p for p in positions if low < values[p] < high]
+        elif strict_low:
+            positions = [p for p in positions if low < values[p] <= high]
+        elif strict_high:
+            positions = [p for p in positions if low <= values[p] < high]
+        elif low == high:  # an equality: one comparison, not two
+            positions = [p for p in positions if values[p] == low]
+        else:
+            positions = [p for p in positions if low <= values[p] <= high]
+    return positions  # a list: ``tests`` is never empty
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +495,8 @@ class AccessLayer:
         #: guards every memo below: pool workers share one layer per catalog,
         #: and the check-build-store sequences must be atomic or a thundering
         #: herd builds the same index many times (and tears dict state).
-        #: Reentrant because pruned_indices computes through sorted_column.
-        self._lock = threading.RLock()
+        #: Not reentrant: no method that holds it calls one that takes it
+        self._lock = threading.Lock()
         #: the position pool: ``_positions[i] is`` the one ``int`` object for
         #: row position ``i`` that every structure below mentions.  Grown to
         #: the largest table built so far and never invalidated — a position
@@ -560,8 +553,8 @@ class AccessLayer:
         """Drop every memoized structure of one table.
 
         Called by :meth:`repro.storage.catalog.Catalog.register` when a
-        table's data is (re)loaded: indices, dictionaries, sorted columns and
-        cached candidate lists built against the old columns would otherwise
+        table's data is (re)loaded: indices, dictionaries and cached
+        candidate lists built against the old columns would otherwise
         silently serve stale row positions.  ``build_counts`` is kept — it
         counts constructions, and a legitimate rebuild after a reload is
         exactly what it should record.  The generation counter is bumped
@@ -722,9 +715,12 @@ class AccessLayer:
             return None
         if stats.num_distinct > _MAX_DICTIONARY_SIZE or stats.is_near_unique:
             return None
-        values = self.catalog.column(table, column)
-        if not all(isinstance(value, str) for value in values):
+        # the load pass answered this: min() over a column raises for a None
+        # or a mix of types, leaving no zone map, so a str minimum means
+        # every value is a str
+        if stats.zone_map is None or not isinstance(stats.min_value, str):
             return None
+        values = self.catalog.column(table, column)
         self._count_build("dictionary", table, column)
         ordered = sorted(set(values))
         code_of = {value: code for code, value in enumerate(ordered)}
@@ -732,79 +728,69 @@ class AccessLayer:
         return StringDictionary(table, column, ordered, codes, code_of)
 
     # ------------------------------------------------------------------
-    # Sorted-column partition indices
-    # ------------------------------------------------------------------
-    def sorted_column(self, table: str, column: str) -> Optional[SortedColumn]:
-        with self._lock:
-            return self._structure("sorted_column", table, column,
-                                   self._build_sorted_column)
-
-    @guarded_by("_lock")
-    def _build_sorted_column(self, table: str, column: str) -> Optional[SortedColumn]:
-        stats = self._column_stats(table, column)
-        if stats is None or stats.zone_map is None or stats.num_rows == 0:
-            return None  # no zone map means the values are not comparable
-        values = self.catalog.column(table, column)
-        self._count_build("sorted_column", table, column)
-        if stats.sorted_ascending:
-            return SortedColumn(table, column, values, range(len(values)),
-                                identity=True)
-        permutation = self._pool(len(values))[:len(values)]
-        if stats.num_rows < _BUCKET_ROWS_PER_VALUE * stats.num_distinct:
-            permutation.sort(key=values.__getitem__)
-        else:
-            _bucket_sort(permutation, values)
-        return SortedColumn(table, column, values, permutation)
-
-    # ------------------------------------------------------------------
     # Partition pruning
     # ------------------------------------------------------------------
     def prune_candidates(self, table: str, filters: Sequence[ZoneFilter],
                          max_fraction: float = _MAX_PRUNE_FRACTION):
         """Candidate base-row positions under ``filters``, in ascending row
-        order, or ``None`` when no sorted column prunes well enough.
+        order, or ``None`` when the zoned columns do not prune well enough.
 
-        Every filter column with a sorted permutation contributes a candidate
-        slice, and conjunctive filters **intersect** their slices: a row
-        survives only when every slice keeps it.  The smallest slice drives
-        the ``max_fraction`` gate (intersection can only shrink further); the
-        caller still evaluates the full predicate on the survivors, so the
-        result is a superset for every conjunct the slices do not cover.
+        Exactly the rows that pass the filters of every zoned column (one
+        whose values are mutually comparable; a literal they cannot be
+        compared with is skipped): a column stored sorted clips the row
+        range by bisection, and the rows left in it, read only in the chunks
+        the zone maps admit, get one filtered pass over the other columns.
+        A ``range`` when nothing but the clip prunes, else a list drawn from
+        the position pool.  The ``max_fraction`` gate is read off a sample of
+        the same test before any list is built; the caller still evaluates
+        the full predicate on the survivors.
         """
+        with self._lock:
+            return self._prune_candidates(table, filters, max_fraction)
+
+    @guarded_by("_lock")
+    def _prune_candidates(self, table: str, filters: Sequence[ZoneFilter],
+                          max_fraction: float):
         num_rows = self.catalog.size(table)
         if num_rows == 0:
             return None
-        slices: List[Tuple[int, SortedColumn, int, int]] = []
+        lo, hi, zoned = 0, num_rows, []
+        tests: List[_RowTest] = []
         for column, bounds in _bounds_per_column(filters).items():
-            index = self.sorted_column(table, column)
-            if index is None:
-                continue
+            stats = self._column_stats(table, column)
+            if stats is None or stats.zone_map is None:
+                continue  # no zone map means the values are not comparable
+            values = self.catalog.column(table, column)
             try:
-                start, stop = index.slice_bounds(bounds)
+                if stats.sorted_ascending:
+                    start, stop = _clip(values, bounds)
+                    lo, hi = max(lo, start), min(hi, stop)
+                else:
+                    test = _row_test(values, bounds, stats)
+                    if test is None:
+                        return []
+                    tests.append(test)
             except TypeError:
                 continue  # filter literal not comparable to the column values
-            slices.append((stop - start, index, start, stop))
-        if not slices:
+            zoned.append(column)
+        if not zoned:
             return None
-        slices.sort(key=lambda entry: entry[0])
-        if slices[0][0] > max_fraction * num_rows:
+        span = max(0, hi - lo)
+        if not tests:
+            return None if span > max_fraction * num_rows else range(lo, lo + span)
+        pool = self._pool(num_rows)
+        # drawn from the pool, so a span passed whole is already the list
+        stride = _SAMPLE_STRIDE if span >= _SAMPLE_STRIDE ** 2 else 1
+        sample = pool[lo:lo + span:stride]
+        passing = _passing(sample, tests)
+        if len(passing) * span > max_fraction * num_rows * len(sample):
             return None
-        # a slice of a clustered column is a row range: it clips the result
-        # and never has to be materialised
-        lo, hi = 0, num_rows
-        listed: List[List[int]] = []
-        for size, index, start, stop in slices:
-            if index.identity:
-                lo, hi = max(lo, start), min(hi, stop)
-            elif size < num_rows:  # an all-rows slice cannot shrink the intersection
-                listed.append(index.permutation[start:stop])
-        if not listed:
-            return range(lo, max(lo, hi))
-        surviving: Iterable[int] = listed[0] if len(listed) == 1 else \
-            set(listed[0]).intersection(*listed[1:])
-        if (lo, hi) != (0, num_rows):
-            surviving = [position for position in surviving if lo <= position < hi]
-        return sorted(surviving)
+        if stride > 1:
+            admitted = self.chunk_ranges(
+                table, [entry for entry in filters if entry[0] in zoned])
+            passing = _passing(chain.from_iterable(
+                pool[max(start, lo):min(stop, hi)] for start, stop in admitted), tests)
+        return range(lo, lo + span) if len(passing) == span else passing
 
     def chunk_ranges(self, table: str,
                      filters: Sequence[ZoneFilter]) -> List[Tuple[int, int]]:
@@ -842,11 +828,11 @@ class AccessLayer:
 
     def pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
         """The best available candidate-row sequence for a pruned scan:
-        the sorted-column slice when selective, else the zone-map-surviving
+        the candidate list when selective, else the zone-map-surviving
         chunk ranges, else every row — ascending and reiterable.
 
         Memoized per ``(table, filters)`` once asked for twice, so the
-        repeated-query regime pays the slice-and-sort once and a plan that
+        repeated-query regime pays the filtered pass once and a plan that
         never repeats leaves no list resident: a first ask's list waits in
         probation (:data:`~repro.storage.derived.PROBATION` lists per table,
         oldest out first) and the second ask promotes it.  A warm query asks
@@ -884,23 +870,15 @@ class AccessLayer:
 
     @guarded_by("_lock")
     def _compute_pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
+        candidates = self._prune_candidates(table, filters, _MAX_PRUNE_FRACTION)
+        if candidates is not None:
+            return candidates
         num_rows = self.catalog.size(table)
         ranges = self.chunk_ranges(table, filters)
-        unpruned = len(ranges) == 1 and ranges[0] == (0, num_rows)
-        candidates = self.prune_candidates(table, filters)
-        if unpruned:
-            return range(num_rows) if candidates is None else candidates
-        if candidates is None:
-            kept = ranges
-        elif isinstance(candidates, range):
-            kept = [(max(start, candidates.start), min(stop, candidates.stop))
-                    for start, stop in ranges]
-        else:
-            # Zone maps of columns *without* a sorted permutation can still
-            # reject whole chunks the sorted slices kept: intersect.
-            return _restrict_to_ranges(candidates, ranges)
+        if ranges == [(0, num_rows)]:
+            return range(num_rows)
         pool = self._pool(num_rows)
-        return list(chain.from_iterable(pool[start:stop] for start, stop in kept))
+        return list(chain.from_iterable(pool[start:stop] for start, stop in ranges))
 
 
 @dataclass
@@ -918,21 +896,3 @@ def _positions_held(candidates: Sequence[int]) -> int:
     the positions it holds (a ``range`` holds none), and at least one so
     that the number of entries is bounded too."""
     return 1 if isinstance(candidates, range) else max(1, len(candidates))
-
-
-def _restrict_to_ranges(candidates: List[int], ranges: Sequence[Tuple[int, int]]):
-    """Keep the (ascending) candidates that fall inside the sorted,
-    non-overlapping row ranges — one merge walk over both sequences."""
-    kept: List[int] = []
-    append = kept.append
-    iterator = iter(ranges)
-    start, stop = next(iterator, (0, 0))
-    for position in candidates:
-        while position >= stop:
-            entry = next(iterator, None)
-            if entry is None:
-                return kept
-            start, stop = entry
-        if position >= start:
-            append(position)
-    return kept

@@ -2,9 +2,12 @@
 import threading
 from itertools import chain
 
+import pytest
+
 from repro.codegen.runtime import catalog_pruned_indices
 from repro.dsl.expr import col, date, in_list, like, lit
 from repro.dsl.expr_compile import compile_columnar_predicate, compile_row
+from repro.storage import access
 from repro.storage.access import (AccessLayer, DirectArray,
                                   PartitionIndex, extract_zone_filters,
                                   rewrite_string_predicates)
@@ -12,6 +15,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
                                   string_column)
+from repro.storage.statistics import ZONE_CHUNK_ROWS
 
 
 def _catalog(rows=None):
@@ -187,24 +191,113 @@ class TestStringDictionary:
     def test_non_string_column_is_not_encoded(self):
         catalog = _catalog()
         assert catalog.access_layer().dictionary("R", "r_val") is None
+        # a string column holding a None (or any other non-string) is not
+        # encoded either; the same column without it is
+        schema = TableSchema("T", [int_column("t_id"), string_column("t_s")],
+                             primary_key=("t_id",))
+        words = ["a", "b", "a", "b", "a", "b", "a", "b"]
+        for column, encoded in ((words, True), (words[:3] + [None] + words[4:], False),
+                                (words[:3] + [7] + words[4:], False)):
+            catalog.register(ColumnarTable(schema, {
+                "t_id": list(range(len(column))), "t_s": column}))
+            dictionary = catalog.access_layer().dictionary("T", "t_s")
+            assert (dictionary is not None) == encoded, column
 
 
-class TestSortedColumn:
-    def test_unsorted_column_gets_a_permutation(self):
+class TestCandidateLists:
+    def test_unsorted_column_gets_a_list_from_the_pool(self):
         catalog = _catalog()
-        index = catalog.access_layer().sorted_column("R", "r_val")
-        # no sorted copy: the permutation, read through the column, is it
-        assert index.source is catalog.column("R", "r_val")
-        assert [index.source[i] for i in index.permutation] == \
-            [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert list(index.permutation) == [1, 3, 2, 4, 0]
-        assert not index.identity
+        layer = catalog.access_layer()
+        candidates = layer.prune_candidates("R", [("r_val", "<=", 2.0)])
+        assert candidates == [1, 3]                      # 1.0 and 2.0
+        assert all(c is layer._positions[c] for c in candidates)
+        assert layer.build_counts == {}                  # nothing resident built
 
-    def test_sorted_column_is_identity(self):
+    def test_sorted_column_clips_to_a_range(self):
         catalog = _catalog()
-        index = catalog.access_layer().sorted_column("R", "r_id")
-        assert index.identity
-        assert list(index.permutation) == [0, 1, 2, 3, 4]
+        layer = catalog.access_layer()
+        assert layer.prune_candidates("R", [("r_id", ">", 12)]) == range(3, 5)
+        # a second filter that keeps every clipped row leaves the range a range
+        assert layer.prune_candidates(
+            "R", [("r_id", ">", 12), ("r_val", "<", 9.0)]) == range(3, 5)
+        assert layer.prune_candidates(
+            "R", [("r_id", ">", 12), ("r_val", "<", 3.0)]) == [3]
+
+    def test_a_column_with_an_incomparable_literal_is_left_out(self):
+        catalog = _catalog()
+        layer = catalog.access_layer()
+        # the lower bound alone would keep no row; the string upper bound
+        # makes the whole column unusable, so nothing prunes
+        assert layer.prune_candidates(
+            "R", [("r_val", ">", 100.0), ("r_val", "<", "z")]) is None
+
+    def _long_catalog(self):
+        n = 8192
+        catalog = Catalog()
+        schema = TableSchema("L", [int_column("l_id"), int_column("l_mod"),
+                                   int_column("l_down")], primary_key=("l_id",))
+        catalog.register(ColumnarTable(schema, {
+            "l_id": list(range(n)),                  # clustered
+            "l_mod": [i % 10 for i in range(n)],     # no chunk can be skipped
+            "l_down": list(range(n, 0, -1)),         # unclustered, zoned by chunk
+        }))
+        return catalog, n
+
+    def test_the_pass_stays_inside_the_clustered_range(self):
+        catalog, n = self._long_catalog()
+        candidates = catalog.access_layer().prune_candidates(
+            "L", [("l_id", ">=", 3000), ("l_mod", "==", 0)])
+        assert candidates == list(range(3000, n, 10))
+
+    def test_only_the_used_columns_zone_maps_skip_chunks(self):
+        """``l_down``'s lower bound alone admits chunk 0 only, but its other
+        literal leaves the column out: every chunk is passed."""
+        catalog, n = self._long_catalog()
+        candidates = catalog.access_layer().prune_candidates(
+            "L", [("l_mod", "==", 0), ("l_down", ">", n - 2048), ("l_down", "<", "z")])
+        assert candidates == list(range(0, n, 10))
+
+    @staticmethod
+    def _rows_read(monkeypatch):
+        """Count the positions the filtered passes read."""
+        read = []
+
+        def counting(positions, tests):
+            positions = list(positions)
+            read.append(len(positions))
+            return passing(positions, tests)
+        passing = access._passing
+        monkeypatch.setattr(access, "_passing", counting)
+        return read
+
+    @pytest.mark.parametrize("filters, span", [
+        ([("l_mod", "<", 9)], 8192),                         # 90 % of the rows
+        ([("l_down", ">", 1000)], 8192),                     # 88 %
+        ([("l_id", ">=", 2048), ("l_mod", "<", 9)], 6144),   # 90 % of the clip
+    ])
+    def test_an_unselective_filter_costs_a_sample_not_a_pass(self, monkeypatch,
+                                                             filters, span):
+        catalog, n = self._long_catalog()
+        read = self._rows_read(monkeypatch)
+        assert catalog.access_layer().prune_candidates("L", filters) is None
+        assert read == [span // access._SAMPLE_STRIDE]
+
+    def test_a_selective_filter_passes_the_admitted_chunks_after_the_sample(
+            self, monkeypatch):
+        catalog, n = self._long_catalog()
+        read = self._rows_read(monkeypatch)
+        candidates = catalog.access_layer().prune_candidates(
+            "L", [("l_down", ">", n - 100)])
+        assert candidates == list(range(100))
+        # the sample, then chunk 0 only: the other chunks' zone maps exclude it
+        assert read == [n // access._SAMPLE_STRIDE, ZONE_CHUNK_ROWS]
+
+    def test_a_clustered_filter_alone_is_bisected_without_a_pass(self, monkeypatch):
+        catalog, n = self._long_catalog()
+        read = self._rows_read(monkeypatch)
+        assert catalog.access_layer().prune_candidates(
+            "L", [("l_id", "<", 1000)]) == range(1000)
+        assert read == []
 
 
 class TestZoneFilterExtraction:

@@ -3,24 +3,22 @@
 The layer's memory contract (``repro.storage.access`` module docstring):
 every structure and memoized candidate list draws its positions from one
 layer-wide pool, a partition over a clustered key is a list of ``range``
-slots, and a sorted column is a permutation over the catalog's own column.
-These tests pin the identity (by ``is``), the resident bytes it buys, and
-that neither the ``range`` slots nor the copy-free bisect changed an answer.
+slots, and a candidate list comes from one filtered pass over the catalog's
+own columns, with nothing but the list kept.  These tests pin the identity
+(by ``is``), the resident bytes it buys, and that neither the ``range``
+slots nor the filtered pass changed an answer.
 """
 import dataclasses
 import gc
 import operator
 import sys
 import threading
-from bisect import bisect_left, bisect_right
 from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.storage import access
-from repro.storage.access import (DirectArray, PartitionIndex, SortedColumn,
-                                  _Bounds)
+from repro.storage.access import DirectArray, PartitionIndex, _bounds_per_column
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
@@ -44,8 +42,6 @@ def position_sequences(layer):
             for slot in structure.slots:
                 yield key, [slot.start, slot.stop] \
                     if isinstance(slot, range) else slot
-        elif isinstance(structure, SortedColumn) and not structure.identity:
-            yield key, structure.permutation
     for table, lists in layer._candidates.items():
         for filters, candidates in chain(lists.probation.items(),
                                          lists.resident.items()):
@@ -103,9 +99,8 @@ class TestEveryPositionIsThePoolsObject:
                 1 for position in positions if position >= SMALL_INT_CACHE)
         # every kind of holder was walked, and overwhelmingly at positions
         # the interpreter does not share by itself
-        assert owners == {"key_index", "partition", "sorted_column",
-                          "candidates"}
-        assert beyond_the_small_ints > 5 * warm_catalog.size("lineitem")
+        assert owners == {"key_index", "partition", "candidates"}
+        assert beyond_the_small_ints > 2 * warm_catalog.size("lineitem")
 
     def test_pool_covers_the_largest_table_and_no_more_than_its_end(self, warm_catalog):
         pool = warm_catalog.access_layer()._positions
@@ -119,37 +114,42 @@ class TestEveryPositionIsThePoolsObject:
 # (b) what that buys: resident bytes
 # ---------------------------------------------------------------------------
 class TestResidentBytes:
-    def test_everything_under_the_memos_fits_in_11_mb(self, warm_catalog,
-                                                      catalog_object_ids):
+    def test_everything_under_the_memos_fits_in_7_mb(self, warm_catalog,
+                                                     catalog_object_ids):
         """25.7 MB before positions were pooled (six 2.65 MB lineitem sorted
-        columns, a 3.3 MB partition of lineitem.l_orderkey)."""
+        columns, a 3.3 MB partition of lineitem.l_orderkey); 9.1 MB while a
+        sorted permutation of every filtered column stayed resident."""
         layer = warm_catalog.access_layer()
         seen = set(catalog_object_ids)
         resident = sum(deep_sizeof(memo, seen) for memo in
                        (layer._structures, layer._candidates, layer._positions))
-        assert resident <= 11e6, f"{resident / 1e6:.2f} MB"
+        assert resident <= 7e6, f"{resident / 1e6:.2f} MB"
 
     def test_a_structure_adds_pointers_not_boxes(self, warm_catalog,
                                                  catalog_object_ids):
-        """Beyond the pool and the catalog, a permutation costs one pointer a
-        row (2.65 MB -> 0.48 MB on lineitem) and a clustered partition one
-        pointer and one ``range`` header a key (3.3 MB -> 0.84 MB).  Checked
-        where the fixed cost of the structure object is noise."""
+        """Beyond the pool and the catalog, a candidate list costs one pointer
+        a position (and the spare capacity a comprehension leaves) and a
+        clustered partition one pointer and one ``range`` header a key
+        (3.3 MB -> 0.84 MB).  Checked where the fixed cost of the object is
+        noise."""
         layer = warm_catalog.access_layer()
         shared = catalog_object_ids | set(map(id, layer._positions))
-        permutations = clustered = 0
+        clustered = listed = 0
         for (kind, table, column), structure in layer._structures.items():
             if structure is None or warm_catalog.size(table) < 4096:
                 continue
-            added = deep_sizeof(structure, set(shared))
-            if kind == "sorted_column" and not structure.identity:
-                permutations += 1
-                assert structure.source is warm_catalog.column(table, column)
-                assert added <= 8.5 * len(structure.source), (table, column)
-            elif kind == "partition" and type(structure.slots[0]) is range:
+            if kind == "partition" and type(structure.slots[0]) is range:
                 clustered += 1
+                added = deep_sizeof(structure, set(shared))
                 assert added <= 64 * len(structure.slots), (table, column)
-        assert permutations >= 6 and clustered >= 1
+        for table, lists in layer._candidates.items():
+            for filters, candidates in chain(lists.probation.items(),
+                                             lists.resident.items()):
+                if isinstance(candidates, list) and len(candidates) >= 4096:
+                    listed += 1
+                    added = deep_sizeof(candidates, set(shared))
+                    assert added <= 10 * len(candidates), filters
+        assert clustered >= 1 and listed >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -221,167 +221,157 @@ class TestRangeSlotsAgreeWithListSlots:
 
 
 # ---------------------------------------------------------------------------
-# (d) bisecting the permutation equals bisecting a sorted copy
+# (d) a candidate list is exactly the rows the zone filters keep
 # ---------------------------------------------------------------------------
-def _values_list_bisect(ordered, bounds):
-    """``SortedColumn.slice_bounds`` as it was over a sorted copy."""
-    start, stop = 0, len(ordered)
-    if bounds.lo is not None:
-        value, strict = bounds.lo
-        start = bisect_right(ordered, value) if strict else \
-            bisect_left(ordered, value)
-    if bounds.hi is not None:
-        value, strict = bounds.hi
-        stop = bisect_left(ordered, value) if strict else \
-            bisect_right(ordered, value)
-    return start, max(start, stop)
-
-
-def _outcome(function, *args):
-    try:
-        return function(*args)
-    except TypeError:
-        return TypeError
-
-
 _NUMBERS = st.one_of(st.integers(-20, 20),
                      st.floats(-20, 20, allow_nan=False).map(lambda x: round(x, 1)))
 _WORDS = st.text(alphabet="abc", max_size=3)
 _COLUMNS = st.one_of(st.lists(_NUMBERS, min_size=1, max_size=30),
                      st.lists(_WORDS, min_size=1, max_size=30))
-#: comparable and incomparable literals alike: a string bound on a numeric
-#: column must fail the same way (``prune_candidates`` skips the column)
-_FILTERS = st.lists(
-    st.one_of(st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=="]),
-                        st.one_of(_NUMBERS, _WORDS)),
-              st.tuples(st.just("prefix"), _WORDS)),
-    min_size=1, max_size=3)
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq}
+
+#: below this many rows the gate is the exact count, not a sample
+EXACT_GATE_ROWS = 1024
 
 
-class TestSliceBoundsNeedNoSortedCopy:
-    @SETTINGS
-    @given(_COLUMNS, _FILTERS)
-    def test_permutation_and_identity_bisects_equal_the_values_list_bisect(
-            self, values, filters):
-        bounds = _Bounds()
-        try:
-            for op, literal in filters:
-                bounds.tighten(op, literal)
-        except TypeError:
-            return  # two incomparable literals on one column never get this far
-        ordered = sorted(values)
-        expected = _outcome(_values_list_bisect, ordered, bounds)
-        permutation = sorted(range(len(values)), key=values.__getitem__)
-        index = SortedColumn("T", "c", values, permutation)
-        assert _outcome(index.slice_bounds, bounds) == expected
-        identity = SortedColumn("T", "c", ordered, range(len(ordered)),
-                                identity=True)
-        assert _outcome(identity.slice_bounds, bounds) == expected
+@st.composite
+def _cases(draw):
+    """Two columns of up to 30 rows or of more than one 2048-row zone chunk
+    (a drawn pattern tiled, stored ascending — clustered — or descending, so
+    that the zone maps skip chunks), a ``None`` in a fifth of them, and 1-4
+    filters over both whose literals are mostly stored values.  Comparable and
+    incomparable literals alike: a string bound on a numeric column must be
+    skipped (``prune_candidates`` leaves the column out)."""
+    length = draw(st.one_of(st.integers(1, 30), st.integers(2049, 5000)))
+    columns = {}
+    for name in ("t_a", "t_b"):
+        pattern = draw(_COLUMNS)
+        values = (pattern * (length // len(pattern) + 1))[:length]
+        layout = draw(st.sampled_from(["tiled", "ascending", "descending"]))
+        if layout != "tiled":
+            values.sort(reverse=layout == "descending")
+        if draw(st.sampled_from([False] * 4 + [True])):
+            values[draw(st.integers(0, length - 1))] = None
+        columns[name] = values
+    filters = []
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(sorted(columns)))
+        stored = [value for value in columns[name] if value is not None]
+        own, other = (_WORDS, _NUMBERS) if stored and isinstance(stored[0], str) \
+            else (_NUMBERS, _WORDS)
+        source = draw(st.sampled_from(["stored"] * 3 + ["fresh", "incomparable"]))
+        if source == "stored" and stored:
+            literal = draw(st.sampled_from(stored))
+        else:
+            literal = draw(other if source == "incomparable" else own)
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=="]
+                                  + ["prefix"] * isinstance(literal, str)))
+        if op == "prefix":
+            literal = literal[:draw(st.integers(0, len(literal)))]
+        filters.append((name, op, literal))
+    return columns, filters
 
-    def test_through_the_layer_on_a_tpch_column(self, warm_catalog):
-        index = warm_catalog.access_layer().sorted_column("lineitem",
-                                                          "l_quantity")
-        ordered = sorted(index.source)
-        for lo, hi in ((None, None), ((24, True), None), (None, (24, False)),
-                       ((10, False), (10, False)), ((60, False), None)):
-            bounds = _Bounds(lo, hi)
-            start, stop = index.slice_bounds(bounds)
-            assert (start, stop) == _values_list_bisect(ordered, bounds)
-            assert [index.source[i] for i in index.permutation[start:stop]] \
-                == ordered[start:stop]
 
-
-# ---------------------------------------------------------------------------
-# (d') the bucketed permutation is the comparison sort's permutation
-# ---------------------------------------------------------------------------
-def _one_column_catalog(make_column, values):
+def _two_column_catalog(a, b):
+    def column(name, values):
+        words = any(isinstance(value, str) for value in values)
+        return (string_column if words else float_column)(name)
     catalog = Catalog()
     catalog.register(ColumnarTable(
-        TableSchema("T", [int_column("t_id"), make_column("t_c")],
+        TableSchema("T", [int_column("t_id"), column("t_a", a), column("t_b", b)],
                     primary_key=("t_id",)),
-        {"t_id": list(range(len(values))), "t_c": list(values)}))
+        {"t_id": list(range(len(a))), "t_a": a, "t_b": b}))
     return catalog
 
 
-#: (column constructor, values drawn from a pool of ``num_distinct``): the
-#: pool size against the row count puts a column on either side of
-#: ``_BUCKET_ROWS_PER_VALUE``
-_DUPLICATED_COLUMNS = st.integers(1, 40).flatmap(lambda num_distinct: st.one_of(
-    st.tuples(st.just(int_column),
-              st.lists(st.integers(-num_distinct, num_distinct // 2),
-                       min_size=2, max_size=120)),
-    st.tuples(st.just(float_column),
-              st.lists(st.integers(0, num_distinct).map(lambda n: n / 4 - 2.0),
-                       min_size=2, max_size=120)),
-    st.tuples(st.just(string_column),
-              st.lists(st.integers(0, num_distinct).map(lambda n: f"w{n % 7}{n}"),
-                       min_size=2, max_size=120))))
+def _matching(catalog, table, filters, incomparable_fails=False):
+    """The rows passing every filter on a column without ``None`` whose values
+    its literals compare with, written out filter by filter; ``None`` when no
+    filter is on such a column.  With ``incomparable_fails`` a literal the
+    values do not compare with keeps no row instead of being skipped."""
+    rows, counted = range(catalog.size(table)), False
+    for column in dict.fromkeys(name for name, _, _ in filters):
+        values = catalog.column(table, column)
+        own = [(op, literal) for name, op, literal in filters if name == column]
+        if None in values:
+            continue
+        if any(isinstance(literal, str) != isinstance(values[0], str)
+               for _, literal in own):
+            if incomparable_fails:
+                rows = []
+            continue
+        counted = True
+        rows = [row for row in rows if all(
+            values[row].startswith(literal) if op == "prefix"
+            else _COMPARE[op](values[row], literal) for op, literal in own)]
+    return list(rows) if counted else None
 
 
-class TestBucketedPermutation:
-    @SETTINGS
-    @given(_DUPLICATED_COLUMNS)
-    def test_equals_the_stable_sort_on_both_sides_of_the_break_even(self, drawn):
-        make_column, values = drawn
-        catalog = _one_column_catalog(make_column, values)
+def _from_the_pool(layer, positions):
+    return isinstance(positions, range) or all(
+        map(operator.is_, positions, map(layer._positions.__getitem__, positions)))
+
+
+class TestCandidatesAreTheMatchingRows:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cases())
+    def test_prune_candidates_and_pruned_indices_against_a_full_scan(self, case):
+        columns, filters = case
+        length = len(columns["t_a"])
+        catalog = _two_column_catalog(columns["t_a"], columns["t_b"])
+        try:
+            _bounds_per_column(filters)
+        except TypeError:
+            return  # two incomparable literals on one column never get this far
         layer = catalog.access_layer()
-        index = layer.sorted_column("T", "t_c")
-        expected = sorted(range(len(values)), key=values.__getitem__)
-        # the bucket build itself, whichever builder the layer chose below
-        bucketed = list(range(len(values)))
-        access._bucket_sort(bucketed, values)
-        assert bucketed == expected
-        if index.identity:
-            assert expected == list(range(len(values)))
-            return
-        assert index.permutation == expected
-        assert all(map(operator.is_, index.permutation,
-                       map(layer._positions.__getitem__, index.permutation)))
+        expected = _matching(catalog, "T", filters)
+        candidates = layer.prune_candidates("T", filters)
+        if expected is None:
+            assert candidates is None
+        elif candidates is not None:
+            assert type(candidates) in (list, range)
+            assert list(candidates) == expected
+            assert _from_the_pool(layer, candidates)
+        if expected is not None and length < EXACT_GATE_ROWS:
+            assert (candidates is None) == (len(expected) > length / 2)
+        indices = layer.pruned_indices("T", tuple(filters))
+        assert _from_the_pool(layer, indices)
+        if candidates is not None:
+            assert list(indices) == expected
+        else:   # the chunks the zone maps admit, every row when they admit all
+            assert list(indices) == list(chain.from_iterable(
+                range(start, stop) for start, stop in layer.chunk_ranges("T", filters)))
+            assert set(_matching(catalog, "T", filters, incomparable_fails=True)
+                       or ()) <= set(indices)
 
-    @pytest.mark.parametrize("rows_per_value, bucketed", [
-        (access._BUCKET_ROWS_PER_VALUE - 1, False),
-        (access._BUCKET_ROWS_PER_VALUE, True)])
-    def test_the_choice_reads_rows_per_distinct_value(self, monkeypatch,
-                                                      rows_per_value, bucketed):
-        """An observed property of the column picks the builder: the same 10
-        values repeated below / at the break-even."""
-        values = [(7 * i) % 10 for i in range(10 * rows_per_value)]
-        catalog = _one_column_catalog(int_column, values)
-        sorts = []
-        real_sorted = sorted
-
-        def spy(iterable, **kwargs):
-            result = real_sorted(iterable, **kwargs)
-            sorts.append(len(result))
-            return result
-
-        monkeypatch.setattr(access, "sorted", spy, raising=False)
-        index = catalog.access_layer().sorted_column("T", "t_c")
-        # only the bucketed build sorts anything through ``sorted``: its keys
-        assert sorts == ([10] if bucketed else [])
-        assert index.permutation == real_sorted(range(len(values)),
-                                                key=values.__getitem__)
-
-    def test_tpch_columns_on_both_sides(self, warm_catalog):
+    def test_every_warmed_list_is_its_matching_rows(self, warm_catalog):
         layer = warm_catalog.access_layer()
-        for table, column in (("lineitem", "l_returnflag"), ("lineitem", "l_shipdate"),
-                              ("lineitem", "l_discount"), ("orders", "o_orderdate"),
-                              ("orders", "o_totalprice"), ("customer", "c_acctbal")):
-            values = warm_catalog.column(table, column)
-            assert layer.sorted_column(table, column).permutation == \
-                sorted(range(len(values)), key=values.__getitem__), column
+        pruned = 0
+        for table, lists in layer._candidates.items():
+            for filters, candidates in chain(lists.probation.items(),
+                                             lists.resident.items()):
+                if candidates == range(warm_catalog.size(table)):
+                    continue  # unpruned
+                assert list(candidates) == _matching(warm_catalog, table, filters)
+                assert _from_the_pool(layer, candidates)
+                pruned += 1
+        assert pruned >= 10
 
 
 # ---------------------------------------------------------------------------
 # (e) the pool's lifetime: the catalog's, through reloads and races
 # ---------------------------------------------------------------------------
+SHIPPED_IN_1994 = (("l_shipdate", ">=", 19940101), ("l_shipdate", "<", 19950101))
+
 FIRST_REQUESTS = [
-    lambda layer: layer.sorted_column("lineitem", "l_shipdate"),
+    lambda layer: layer.pruned_indices("lineitem", SHIPPED_IN_1994),
     lambda layer: layer.partition("lineitem", "l_orderkey"),
     lambda layer: layer.key_index("orders", "o_orderkey"),
     lambda layer: layer.key_index("customer", "c_custkey"),
     lambda layer: layer.partition("orders", "o_custkey"),
-    lambda layer: layer.sorted_column("orders", "o_totalprice"),
+    lambda layer: layer.pruned_indices("orders", (("o_totalprice", "<", 50000.0),)),
     lambda layer: layer.pruned_indices(
         "lineitem", (("l_quantity", "<", 3), ("l_discount", ">=", 0.05))),
     lambda layer: layer.key_index("nation", "n_nationkey"),
@@ -392,14 +382,15 @@ class TestPoolLifetime:
     def test_pool_survives_invalidate_table(self):
         catalog = generate_catalog(scale_factor=0.001, seed=3)
         layer = catalog.access_layer()
-        before = layer.sorted_column("lineitem", "l_quantity")
+        filters = (("l_quantity", "<", 10.0),)
+        before = layer.pruned_indices("lineitem", filters)
         pooled = list(layer._positions)
         catalog.register(catalog.table("lineitem"))
-        after = layer.sorted_column("lineitem", "l_quantity")
-        assert after is not before
+        after = layer.pruned_indices("lineitem", filters)
+        assert after is not before and after == before
+        assert isinstance(after, list)
         assert all(map(operator.is_, layer._positions, pooled))
-        assert all(map(operator.is_, after.permutation,
-                       map(pooled.__getitem__, after.permutation)))
+        assert all(map(operator.is_, after, map(pooled.__getitem__, after)))
 
     @pytest.mark.timeout(60)
     def test_first_request_race_grows_one_pool_monotonically(self):
@@ -454,10 +445,11 @@ class TestPoolLifetime:
             layer = catalog.access_layer()
             for request in FIRST_REQUESTS:
                 request(layer)
-            position = layer._positions[-2]          # the last lineitem row
+            # the last lineitem row shipped in 1994
+            position = layer.pruned_indices("lineitem", SHIPPED_IN_1994)[-1]
             assert position >= SMALL_INT_CACHE
-            # the pool and every structure over lineitem mention it
-            assert sys.getrefcount(position) > 4
+            # the pool, the candidate list, this frame and the argument
+            assert sys.getrefcount(position) == 4
             del layer, catalog
             # this frame and getrefcount's argument: nothing else is left
             assert sys.getrefcount(position) == 2
