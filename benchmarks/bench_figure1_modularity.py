@@ -17,7 +17,7 @@ from repro.dsl import qplan
 from repro.stack.configs import build_config
 
 #: case counts: how many syntactic cases each transformation distinguishes
-PIPELINING_CASES = 8          # one per QPlan operator
+PIPELINING_CASES = 7          # one per QPlan operator
 DATA_STRUCTURE_CASES = 6      # mmap new/add/get + agg new/update/foreach
 LAYOUT_CASES = 3              # boxed / row / columnar (Figure 3)
 
@@ -51,7 +51,7 @@ def test_operator_coverage_is_uniform_across_levels(benchmark):
     lowering — no per-combination templates anywhere in the stack."""
     def count():
         operators = [qplan.Scan, qplan.Select, qplan.Project, qplan.HashJoin,
-                     qplan.NestedLoopJoin, qplan.Agg, qplan.Sort, qplan.Limit]
+                     qplan.Agg, qplan.Sort, qplan.Limit]
         return len(operators)
 
     assert benchmark(count) == PIPELINING_CASES

@@ -78,8 +78,7 @@ def test_table3_shape_topk_fusion_vectorized():
 
     catalog = generate_catalog(scale_factor=0.01, seed=20160626)
     fusion_only = PlannerOptions(
-        constant_folding=False, predicate_pushdown=False,
-        equi_join_conversion=False, field_pruning=False,
+        constant_folding=False, predicate_pushdown=False, field_pruning=False,
         join_strategy=False, topk_fusion=True)
     harness = BenchmarkHarness(catalog, repetitions=3,
                                planner_options=fusion_only)

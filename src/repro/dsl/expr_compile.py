@@ -12,7 +12,7 @@ Four forms are produced, all semantically identical to ``evaluate``:
 * :func:`compile_row` — ``fn(row) -> value`` over a boxed row dictionary
   (used by the Volcano select/project/agg/sort hot paths),
 * :func:`compile_pair` — ``fn(left_row, right_row) -> value`` for join
-  residuals and nested-loop predicates with sided column references,
+  residuals with sided column references,
 * :func:`compile_columnar` — ``fn(columns, sel) -> list`` evaluating the
   expression at every selected index of a column batch,
 * :func:`compile_columnar_predicate` — ``fn(columns, sel) -> selection`` that

@@ -4,8 +4,9 @@ QPlan programs are plain operator trees — the paper notes that an AST is a
 sufficient IR for algebraic languages without variable bindings.  The operator
 vocabulary covers what commercial engines provide and what the 22 TPC-H
 queries need: scans, selections, projections, hash joins (inner, semi, anti,
-outer), nested-loop joins, group-by aggregation, sorting, limits and bounded
-top-k (the planner's fusion of ``Limit`` over ``Sort``).
+outer; a constant key makes one a theta join or a cross product), group-by
+aggregation, sorting, limits and bounded top-k (the planner's fusion of
+``Limit`` over ``Sort``).
 
 A QPlan tree is consumed by two kinds of client:
 
@@ -189,6 +190,9 @@ class HashJoin(Operator):
     join flavour (inner / leftsemi / leftanti / leftouter, all with respect to
     the **left** input).  ``residual`` is an extra predicate evaluated on the
     pair of matching rows (with sided column references when names collide).
+    With a constant key on both sides (``lit(0)``) every left row matches
+    every right row, so the join is a theta join on ``residual`` — or, with
+    no residual, a cross product.
     """
 
     left: Operator
@@ -253,29 +257,6 @@ class IndexJoin(HashJoin):
     def describe(self) -> str:
         return (f"IndexJoin[{self.kind}]({self.left_key!r} = {self.right_key!r}; "
                 f"index={self.index_table}.{self.index_column})")
-
-
-@dataclass(repr=False, slots=True)
-class NestedLoopJoin(Operator):
-    """Nested-loop join for non-equi predicates (and cross products)."""
-
-    left: Operator
-    right: Operator
-    predicate: Optional[Expr] = None
-    kind: str = "inner"
-
-    def __post_init__(self) -> None:
-        if self.kind not in JOIN_KINDS:
-            raise PlanError(f"unknown join kind {self.kind!r}")
-
-    def children(self) -> Tuple[Operator, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[Operator]) -> "NestedLoopJoin":
-        return NestedLoopJoin(children[0], children[1], self.predicate, self.kind)
-
-    def describe(self) -> str:
-        return f"NestedLoopJoin[{self.kind}]({self.predicate!r})"
 
 
 @dataclass(repr=False, slots=True)
@@ -444,7 +425,7 @@ def _output_fields(plan: Operator, catalog,
         return output_fields(plan.child, catalog, memo)
     if isinstance(plan, Project):
         return [name for name, _ in plan.projections]
-    if isinstance(plan, (HashJoin, NestedLoopJoin)):
+    if isinstance(plan, HashJoin):
         left = output_fields(plan.left, catalog, memo)
         if plan.kind in ("leftsemi", "leftanti"):
             return left
@@ -463,11 +444,10 @@ def _output_fields(plan: Operator, catalog,
 def padded_fields(plan: Operator, catalog) -> FrozenSet[str]:
     """Output fields of a plan that an outer join in it may pad with ``None``.
 
-    These are the right input's fields of every ``leftouter`` hash or
-    nested-loop join, carried up through ``Project`` (an output that reads a
-    padded field, a rename included) and ``Agg`` group keys.  A base column
-    that stores ``None`` is not here: that is what the load-time statistics
-    count.
+    These are the right input's fields of every ``leftouter`` join, carried
+    up through ``Project`` (an output that reads a padded field, a rename
+    included) and ``Agg`` group keys.  A base column that stores ``None`` is
+    not here: that is what the load-time statistics count.
     """
     if isinstance(plan, Scan):
         return frozenset()
@@ -478,7 +458,7 @@ def padded_fields(plan: Operator, catalog) -> FrozenSet[str]:
         outputs = plan.projections if isinstance(plan, Project) else plan.group_keys
         return frozenset(name for name, expr in outputs
                          if padded.intersection(columns_used(expr)))
-    if isinstance(plan, (HashJoin, NestedLoopJoin)):
+    if isinstance(plan, HashJoin):
         padded = padded_fields(plan.left, catalog)
         if plan.kind == "leftouter":
             return padded.union(output_fields(plan.right, catalog))
@@ -576,9 +556,6 @@ def _canonicalize(plan: Operator, sub: Callable[[Operator], str]) -> str:
         return (f"HashJoin({plan.kind};{efp(plan.left_key)};{efp(plan.right_key)};"
                 f"{opt(plan.residual)};{sub(plan.left)};"
                 f"{sub(plan.right)})")
-    if isinstance(plan, NestedLoopJoin):
-        return (f"NestedLoopJoin({plan.kind};{opt(plan.predicate)};"
-                f"{sub(plan.left)};{sub(plan.right)})")
     if isinstance(plan, Agg):
         keys = ",".join(f"{name}={efp(expr)}" for name, expr in plan.group_keys)
         aggs = ",".join(f"{a.name}={a.kind}({opt(a.expr)})" for a in plan.aggregates)
@@ -598,9 +575,9 @@ def _canonicalize(plan: Operator, sub: Callable[[Operator], str]) -> str:
 def validate(plan: Operator, catalog) -> None:
     """Check that every expression only references columns available to it.
 
-    Join predicates that see both inputs — ``HashJoin.residual`` and
-    ``NestedLoopJoin.predicate`` — are checked against the combined left+right
-    fields, with sided column references resolved against the matching input.
+    A join's ``residual``, which sees both inputs, is checked against the
+    combined left+right fields, with sided column references resolved against
+    the matching input.
     Child field lists are memoized per node for the duration of the pass, so
     validation is linear in the size of the plan.
     """
@@ -657,10 +634,6 @@ def validate(plan: Operator, catalog) -> None:
             _require(columns_used(node.right_key), right_fields, node)
             if node.residual is not None:
                 _require_sided(node.residual, left_fields, right_fields, node)
-        if isinstance(node, NestedLoopJoin):
-            if node.predicate is not None:
-                _require_sided(node.predicate, fields_of(node.left),
-                               fields_of(node.right), node)
         if isinstance(node, Agg):
             child_fields = fields_of(node.child)
             for _, expr in node.group_keys:

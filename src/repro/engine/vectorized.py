@@ -129,8 +129,6 @@ class VectorizedEngine(SubplanSharing):
             return self._project(plan)
         if isinstance(plan, qplan.HashJoin):
             return self._hash_join(plan)
-        if isinstance(plan, qplan.NestedLoopJoin):
-            return self._nested_loop_join(plan)
         if isinstance(plan, qplan.Agg):
             return self._aggregate(plan)
         if isinstance(plan, qplan.Sort):
@@ -318,53 +316,6 @@ class VectorizedEngine(SubplanSharing):
             left_idx, right_idx = build.pairs(right_key(batch.columns, indices),
                                               indices, residual)
             yield batch, left_idx, right_idx
-
-    def _nested_loop_join(self, plan: qplan.NestedLoopJoin) -> Iterator[ColumnBatch]:
-        left_fields = qplan.output_fields(plan.left, self.catalog)
-        right_fields = qplan.output_fields(plan.right, self.catalog)
-        left_columns, left_count = self._materialize(plan.left)
-        right_columns, right_count = self._materialize(plan.right)
-        predicate = None
-        if plan.predicate is not None:
-            predicate = compile_columnar_pair(plan.predicate, left_fields, right_fields)(
-                left_columns, right_columns)
-
-        # pairs of (left index, right index or None for an outer null pad)
-        pairs: List[Tuple[int, Optional[int]]] = []
-        if plan.kind == "inner":
-            for j in range(left_count):
-                for i in range(right_count):
-                    if predicate is None or predicate(j, i):
-                        pairs.append((j, i))
-        elif plan.kind in ("leftsemi", "leftanti"):
-            want_match = plan.kind == "leftsemi"
-            for j in range(left_count):
-                has_match = any(predicate is None or predicate(j, i)
-                                for i in range(right_count))
-                if has_match == want_match:
-                    pairs.append((j, None))
-            columns = {name: [left_columns[name][j] for j, _ in pairs]
-                       for name in left_fields}
-            yield ColumnBatch(columns, None, len(pairs))
-            return
-        elif plan.kind == "leftouter":
-            for j in range(left_count):
-                found = False
-                for i in range(right_count):
-                    if predicate is None or predicate(j, i):
-                        found = True
-                        pairs.append((j, i))
-                if not found:
-                    pairs.append((j, None))
-        else:  # pragma: no cover
-            raise VectorizedError(f"unknown join kind {plan.kind!r}")
-
-        columns = {name: [left_columns[name][j] for j, _ in pairs]
-                   for name in left_fields}
-        for name in right_fields:
-            source = right_columns[name]
-            columns[name] = [None if i is None else source[i] for _, i in pairs]
-        yield ColumnBatch(columns, None, len(pairs))
 
     def _aggregate(self, plan: qplan.Agg) -> Iterator[ColumnBatch]:
         aggs = plan.aggregates

@@ -85,8 +85,6 @@ class VolcanoEngine(SubplanSharing):
             return self._project(plan)
         if isinstance(plan, qplan.HashJoin):
             return self._hash_join(plan)
-        if isinstance(plan, qplan.NestedLoopJoin):
-            return self._nested_loop_join(plan)
         if isinstance(plan, qplan.Agg):
             return self._aggregate(plan)
         if isinstance(plan, qplan.Sort):
@@ -225,38 +223,6 @@ class VolcanoEngine(SubplanSharing):
         for row in self.iterate(plan.left):
             buckets.setdefault(left_key(row), []).append(row)
         return _HashBuild(buckets)
-
-    def _nested_loop_join(self, plan: qplan.NestedLoopJoin) -> Iterator[Row]:
-        right_rows = list(self.iterate(plan.right))
-        predicate = compile_pair(plan.predicate) if plan.predicate is not None else None
-
-        def matches(left_row: Row, right_row: Row) -> bool:
-            return predicate is None or bool(predicate(left_row, right_row))
-
-        if plan.kind == "inner":
-            for left_row in self.iterate(plan.left):
-                for right_row in right_rows:
-                    if matches(left_row, right_row):
-                        yield {**left_row, **right_row}
-        elif plan.kind in ("leftsemi", "leftanti"):
-            want_match = plan.kind == "leftsemi"
-            for left_row in self.iterate(plan.left):
-                has_match = any(matches(left_row, right_row) for right_row in right_rows)
-                if has_match == want_match:
-                    yield left_row
-        elif plan.kind == "leftouter":
-            right_fields = qplan.output_fields(plan.right, self.catalog)
-            null_pad = {name: None for name in right_fields}
-            for left_row in self.iterate(plan.left):
-                found = False
-                for right_row in right_rows:
-                    if matches(left_row, right_row):
-                        found = True
-                        yield {**left_row, **right_row}
-                if not found:
-                    yield {**left_row, **null_pad}
-        else:  # pragma: no cover
-            raise VolcanoError(f"unknown join kind {plan.kind!r}")
 
     def _aggregate(self, plan: qplan.Agg) -> Iterator[Row]:
         aggs = plan.aggregates

@@ -2,9 +2,9 @@
 
 A rule-based rewrite framework over :mod:`repro.dsl.qplan` operator trees,
 mirroring the fixpoint organization of the DSL stack one level up: predicate
-pushdown, field pruning, constant folding, nested-loop-to-hash-join
-conversion, top-k fusion and statistics-driven join-strategy selection
-(build-side swap, greedy join reordering) — all on by default.
+pushdown, field pruning, constant folding, top-k fusion and
+statistics-driven join-strategy selection (build-side swap, greedy join
+reordering) — all on by default.
 
 Entry points:
 
@@ -24,8 +24,7 @@ from .ordering import SortContract, sort_contract
 from .planner import Planner, PlannerOptions, PlanReport, optimize_plan
 from .pruning import prune_plan
 from .rewrite import PlannerContext, PlannerError, PlanRule, apply_rules_fixpoint
-from .rules import (BuildSideSwap, ConstantFolding, EquiJoinConversion,
-                    PredicatePushdown, TopKFusion)
+from .rules import BuildSideSwap, ConstantFolding, PredicatePushdown, TopKFusion
 
 __all__ = [
     "BuildSideSwap",
@@ -34,7 +33,6 @@ __all__ = [
     "index_eligible_build",
     "CardinalityEstimator",
     "ConstantFolding",
-    "EquiJoinConversion",
     "Planner",
     "PlannerContext",
     "PlannerError",

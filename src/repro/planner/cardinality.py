@@ -80,8 +80,6 @@ class CardinalityEstimator:
             return self._estimate_pk_join(plan)
         if isinstance(plan, Q.HashJoin):
             return self._estimate_hash_join(plan)
-        if isinstance(plan, Q.NestedLoopJoin):
-            return self._estimate_nested_loop(plan)
         if isinstance(plan, Q.Agg):
             return self._estimate_agg(plan)
         if isinstance(plan, Q.Sort):
@@ -113,18 +111,6 @@ class CardinalityEstimator:
         estimate = self.estimate_rows(plan.right)
         if plan.residual is not None:
             estimate *= self.selectivity(plan.residual)
-        return max(1.0, estimate)
-
-    def _estimate_nested_loop(self, plan: Q.NestedLoopJoin) -> float:
-        left = self.estimate_rows(plan.left)
-        right = self.estimate_rows(plan.right)
-        if plan.kind in ("leftsemi", "leftanti"):
-            return max(1.0, left * _SEMI_SELECTIVITY)
-        estimate = left * right
-        if plan.predicate is not None:
-            estimate *= self.selectivity(plan.predicate)
-        if plan.kind == "leftouter":
-            estimate = max(estimate, left)
         return max(1.0, estimate)
 
     def _estimate_agg(self, plan: Q.Agg) -> float:

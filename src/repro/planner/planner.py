@@ -11,18 +11,17 @@ Default rule set:
 
 1. constant folding over scalar expression trees,
 2. predicate pushdown with conjunct splitting,
-3. equi-predicate extraction (inner nested-loop join -> hash join),
-4. top-k fusion (``Limit`` over ``Sort`` -> bounded-heap ``TopK``),
-5. statistics-driven join strategy: build-side swap and greedy join-chain
+3. top-k fusion (``Limit`` over ``Sort`` -> bounded-heap ``TopK``),
+4. statistics-driven join strategy: build-side swap and greedy join-chain
    reordering,
-6. scan field / projection / aggregate pruning,
-7. physical access-path selection (:mod:`repro.planner.access_rules`):
+5. scan field / projection / aggregate pruning,
+6. physical access-path selection (:mod:`repro.planner.access_rules`):
    ``Select``-over-``Scan`` becomes a zone-filter-carrying ``PrunedScan`` and
    PK-build hash joins become ``IndexJoin`` over the catalog's load-time key
    indices.
 
-Rules 1-4, 6 and 7 are order- and value-preserving.  The ``join_strategy``
-rules (5) preserve the result multiset but not intermediate row order —
+Rules 1-3, 5 and 6 are order- and value-preserving.  The ``join_strategy``
+rules (4) preserve the result multiset but not intermediate row order —
 which also perturbs float accumulation order — and run by default under the
 planner's **order contract** (:mod:`repro.planner.ordering`): the output is
 still ordered by the plan's explicit sort keys, so results are compared
@@ -44,8 +43,7 @@ from .cardinality import CardinalityEstimator
 from .pruning import prune_plan
 from .reorder import reorder_join_chains
 from .rewrite import (PlannerContext, PlanRule, apply_rules_fixpoint)
-from .rules import (BuildSideSwap, ConstantFolding, EquiJoinConversion,
-                    PredicatePushdown, TopKFusion)
+from .rules import BuildSideSwap, ConstantFolding, PredicatePushdown, TopKFusion
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class PlannerOptions:
 
     constant_folding: bool = True
     predicate_pushdown: bool = True
-    equi_join_conversion: bool = True
     field_pruning: bool = True
     topk_fusion: bool = True
     join_strategy: bool = True
@@ -92,8 +89,8 @@ class PlannerOptions:
     @classmethod
     def none(cls) -> "PlannerOptions":
         return cls(constant_folding=False, predicate_pushdown=False,
-                   equi_join_conversion=False, field_pruning=False,
-                   topk_fusion=False, join_strategy=False, access_paths=False)
+                   field_pruning=False, topk_fusion=False, join_strategy=False,
+                   access_paths=False)
 
 
 @dataclass
@@ -186,8 +183,6 @@ class Planner:
             rules.append(ConstantFolding())
         if self.options.predicate_pushdown:
             rules.append(PredicatePushdown())
-        if self.options.equi_join_conversion:
-            rules.append(EquiJoinConversion())
         if self.options.topk_fusion:
             rules.append(TopKFusion())
         return rules

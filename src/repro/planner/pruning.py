@@ -123,7 +123,7 @@ class _Pruner:
             return node if child is node.child else node.with_children([child])
         if isinstance(node, Q.Project):
             return self._prune_project(node, needed)
-        if isinstance(node, (Q.HashJoin, Q.NestedLoopJoin)):
+        if isinstance(node, Q.HashJoin):
             return self._prune_join(node, needed)
         if isinstance(node, Q.Agg):
             return self._prune_agg(node, needed)
@@ -167,16 +167,13 @@ class _Pruner:
             return node
         return Q.Project(child, projections)
 
-    def _prune_join(self, node, needed: Set[str]):
+    def _prune_join(self, node: Q.HashJoin, needed: Set[str]) -> Q.Operator:
         left_fields = set(self.fields_of(node.left))
         right_fields = set(self.fields_of(node.right))
-        if isinstance(node, Q.HashJoin):
-            # residual columns may resolve against either side; requiring them
-            # on both only ever keeps more than strictly necessary
-            extra_left = _expr_columns(node.left_key) | _expr_columns(node.residual)
-            extra_right = _expr_columns(node.right_key) | _expr_columns(node.residual)
-        else:
-            extra_left = extra_right = _expr_columns(node.predicate)
+        # residual columns may resolve against either side; requiring them
+        # on both only ever keeps more than strictly necessary
+        extra_left = _expr_columns(node.left_key) | _expr_columns(node.residual)
+        extra_right = _expr_columns(node.right_key) | _expr_columns(node.residual)
         left = self.prune(node.left, (needed | extra_left) & left_fields)
         right = self.prune(node.right, (needed | extra_right) & right_fields)
         if left is node.left and right is node.right:

@@ -10,9 +10,6 @@ plans with plain ``==`` on the result lists:
 * **PredicatePushdown** moves conjuncts to positions where the engines filter
   the same tuples earlier, in ways proven not to change the surviving-row
   order (see the per-case notes in the class docstring).
-* **EquiJoinConversion** replaces an inner nested-loop join by a hash join
-  whose build/probe orientation reproduces the nested loop's left-major
-  emission order exactly.
 * **TopKFusion** fuses ``Limit`` over ``Sort`` into the bounded-heap ``TopK``
   operator; heap selection is stable with input-order tie-breaking, so the
   fused plan returns exactly the rows (and order) of the sort-then-limit.
@@ -24,7 +21,7 @@ plans with plain ``==`` on the result lists:
 """
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
@@ -78,16 +75,6 @@ class ConstantFolding(PlanRule):
                 return None
             return Q.HashJoin(node.left, node.right, left_key, right_key,
                               node.kind, residual)
-        if isinstance(node, Q.NestedLoopJoin):
-            predicate = node.predicate
-            if predicate is None:
-                return None
-            predicate = simplify_predicate(predicate)
-            if is_literal_true(predicate):
-                predicate = None
-            if predicate is node.predicate:
-                return None
-            return Q.NestedLoopJoin(node.left, node.right, predicate, node.kind)
         if isinstance(node, Q.Agg):
             group_keys = tuple((name, fold_constants(expr))
                                for name, expr in node.group_keys)
@@ -140,10 +127,8 @@ class PredicatePushdown(PlanRule):
       evaluate per candidate pair with the same merged-row column resolution.
       Semi/anti/outer hash joins are skipped: their left-row emission order
       follows bucket (key-first-seen) order, which an upstream filter can
-      permute.
-    * **Select/NestedLoopJoin**: left-side conjuncts push down for every join
-      kind (nested-loop emission is left-major on every engine); right-side
-      and two-sided conjuncts push only for inner joins.
+      permute.  A theta join is a hash join on a constant key, so a filter
+      above a semi, anti or outer theta join stays there too.
     * **Select/Agg**: a conjunct over group-key *names* filters whole groups,
       so it can run below the aggregation with the key names substituted by
       their expressions; surviving groups keep their contents, encounter
@@ -168,8 +153,6 @@ class PredicatePushdown(PlanRule):
             return Q.Project(Q.Select(child.child, pushed), child.projections)
         if isinstance(child, Q.HashJoin):
             return self._push_into_hash_join(node, child, context)
-        if isinstance(child, Q.NestedLoopJoin):
-            return self._push_into_nested_loop(node, child, context)
         if isinstance(child, Q.Agg):
             return self._push_into_agg(node, child)
         if isinstance(child, Q.Sort):
@@ -209,40 +192,6 @@ class PredicatePushdown(PlanRule):
         leftover = conjoin(keep)
         return rebuilt if leftover is None else Q.Select(rebuilt, leftover)
 
-    def _push_into_nested_loop(self, node: Q.Select, join: Q.NestedLoopJoin,
-                               context: PlannerContext) -> Optional[Q.Operator]:
-        left_fields = context.fields_of(join.left)
-        # A filter above a semi/anti join only sees the left fields — even a
-        # name that also exists on the right refers to the left input there.
-        right_fields: List[str] = [] if join.kind in ("leftsemi", "leftanti") \
-            else context.fields_of(join.right)
-        inner = join.kind == "inner"
-        to_left: List[E.Expr] = []
-        to_right: List[E.Expr] = []
-        to_predicate: List[E.Expr] = []
-        keep: List[E.Expr] = []
-        for conjunct in split_conjuncts(node.predicate):
-            side = classify_columns(conjunct, left_fields, right_fields)
-            if side == "left":
-                to_left.append(strip_sides(conjunct))
-            elif side == "right" and inner:
-                to_right.append(strip_sides(conjunct))
-            elif side == "both" and inner:
-                to_predicate.append(conjunct)
-            else:
-                keep.append(conjunct)
-        if not (to_left or to_right or to_predicate):
-            return None
-        new_left = Q.Select(join.left, conjoin(to_left)) if to_left else join.left
-        new_right = Q.Select(join.right, conjoin(to_right)) if to_right else join.right
-        predicate = join.predicate
-        if to_predicate:
-            existing = split_conjuncts(predicate) if predicate is not None else []
-            predicate = conjoin(existing + to_predicate)
-        rebuilt = Q.NestedLoopJoin(new_left, new_right, predicate, join.kind)
-        leftover = conjoin(keep)
-        return rebuilt if leftover is None else Q.Select(rebuilt, leftover)
-
     def _push_into_agg(self, node: Q.Select, agg: Q.Agg) -> Optional[Q.Operator]:
         key_names = {name for name, _ in agg.group_keys}
         mapping = {name: expr for name, expr in agg.group_keys}
@@ -261,47 +210,6 @@ class PredicatePushdown(PlanRule):
         rebuilt = Q.Agg(new_child, agg.group_keys, agg.aggregates, agg.having)
         leftover = conjoin(keep)
         return rebuilt if leftover is None else Q.Select(rebuilt, leftover)
-
-
-class EquiJoinConversion(PlanRule):
-    """Turn an inner nested-loop join with an equi conjunct into a hash join.
-
-    The nested loop emits pairs left-major: for every left row, every
-    matching right row in right order.  The replacement therefore *builds* on
-    the nested loop's right input and *probes* with its left input — probe
-    (= original left) rows drive emission and bucket lists hold right rows in
-    input order, reproducing the nested loop's pair order exactly.  Remaining
-    conjuncts become the hash join's residual with their side annotations
-    flipped to match the swapped inputs.
-    """
-
-    name = "equi-join-conversion"
-
-    def apply(self, node: Q.Operator, context: PlannerContext) -> Optional[Q.Operator]:
-        if not isinstance(node, Q.NestedLoopJoin):
-            return None
-        if node.kind != "inner" or node.predicate is None:
-            return None
-        left_fields = context.fields_of(node.left)
-        right_fields = context.fields_of(node.right)
-        conjuncts = split_conjuncts(node.predicate)
-        chosen: Optional[Tuple[int, E.Expr, E.Expr]] = None
-        for index, conjunct in enumerate(conjuncts):
-            if not isinstance(conjunct, E.BinOp) or conjunct.op != "==":
-                continue
-            lhs_side = classify_columns(conjunct.left, left_fields, right_fields)
-            rhs_side = classify_columns(conjunct.right, left_fields, right_fields)
-            if {lhs_side, rhs_side} == {"left", "right"}:
-                probe_expr, build_expr = (conjunct.left, conjunct.right) \
-                    if lhs_side == "left" else (conjunct.right, conjunct.left)
-                chosen = (index, strip_sides(probe_expr), strip_sides(build_expr))
-                break
-        if chosen is None:
-            return None
-        index, probe_key, build_key = chosen
-        rest = [flip_sides(c) for i, c in enumerate(conjuncts) if i != index]
-        return Q.HashJoin(node.right, node.left, build_key, probe_key,
-                          "inner", conjoin(rest))
 
 
 class TopKFusion(PlanRule):

@@ -14,9 +14,9 @@ configuration          stack
 ``dblab-2``            QPlan → C.Py.  Pipelining (push engine) only; boxed
                        records, generic containers.
 ``dblab-3``            QPlan → ScaLite → C.Py.  Adds data layout (row tuples /
-                       scalar fields), scalar replacement, DCE, partial
-                       evaluation, dataflow folding, loop-invariant hoisting,
-                       allocation hoisting, unused-field removal.
+                       scalar fields), DCE, partial evaluation, dataflow
+                       folding, loop-invariant hoisting, allocation hoisting,
+                       unused-field removal.
 ``dblab-4``            QPlan → ScaLite[Map, List] → ScaLite → C.Py.  Adds string
                        dictionaries, hash-table specialization, automatic index
                        inference and data-structure partitioning.
@@ -29,11 +29,16 @@ configuration          stack
 =====================  ==========================================================
 
 Every ``dblab-N`` also takes QMonad chains (a second front end over the same
-levels).  :class:`~repro.transforms.control_flow.BranchlessBooleans`
-(``x && y`` → ``x & y``, Appendix E) is a tested library pass that no
-configuration lists: under CPython the bitwise operators dispatch through
-``__and__`` and are slower than the short-circuit jumps they replace, the
-opposite of compiled C.
+levels).  Two tested library passes are listed by no configuration:
+
+* :class:`~repro.transforms.control_flow.BranchlessBooleans` (``x && y`` →
+  ``x & y``, Appendix E): under CPython the bitwise operators dispatch
+  through ``__and__`` and are slower than the short-circuit jumps they
+  replace, the opposite of compiled C.
+* :class:`~repro.transforms.scalar_replacement.ScalarReplacement` (Appendix
+  C): the lowering keeps a row's fields as scalars and builds a record only
+  to store it, reading fields back from the stored element, so the pass
+  changes no program the stacks produce.
 """
 from __future__ import annotations
 
@@ -51,7 +56,6 @@ from ..transforms.lower_to_cpy import ScaLiteToCPy
 from ..transforms.memory_hoisting import MemoryAllocationHoisting
 from ..transforms.partial_eval import PartialEvaluation
 from ..transforms.pipelining import PushPipelineLowering
-from ..transforms.scalar_replacement import ScalarReplacement
 from ..transforms.string_dictionary import StringDictionaries
 from .context import OptimizationFlags
 from .language import (C_PY, Language, QMONAD, QPLAN, SCALITE, SCALITE_LIST,
@@ -105,8 +109,8 @@ _LOWERING_OUT_OF = {
 #: the optimizations each level below the front ends hosts, in run order
 _LEVEL_PASSES = {
     SCALITE_MAP_LIST: (StringDictionaries,),
-    SCALITE: (ScalarReplacement, PartialEvaluation, DataflowFolding,
-              LoopInvariantHoisting, DeadCodeElimination, MemoryAllocationHoisting),
+    SCALITE: (PartialEvaluation, DataflowFolding, LoopInvariantHoisting,
+              DeadCodeElimination, MemoryAllocationHoisting),
 }
 
 
@@ -156,8 +160,9 @@ def build_config(name: str, planner: bool = False) -> StackConfig:
 
     ``planner=True`` enables the QPlan-level logical optimizer
     (:mod:`repro.planner`) as a pre-pass of the query compiler: predicate
-    pushdown, field pruning, constant folding and nested-loop-to-hash-join
-    conversion run before the stack lowers the plan.  The compiled-query
+    pushdown, field pruning, constant folding, top-k fusion, join-strategy
+    selection and access-path selection run before the stack lowers the
+    plan.  The compiled-query
     cache is then keyed on the optimized plan's fingerprint.
     """
     if name not in _ROWS:

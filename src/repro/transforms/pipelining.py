@@ -213,16 +213,14 @@ class _PushCompiler:
     def _consumed_fields(self, plan: Q.Operator) -> Dict[int, Set[str]]:
         """``id(node) ->`` the fields of ``node``'s rows that the code
         consuming them reads: what pruning would keep, except where the
-        lowering stores whole rows — a sort or limit buffer, a nested-loop
-        join's inner side and a shared subplan."""
+        lowering stores whole rows — a sort or limit buffer and a shared
+        subplan."""
         whole_rows: Set[int] = set()
         for node in Q.walk(plan):
             if self.sharing.materializes(node):
                 whole_rows.add(id(node))
             if isinstance(node, (Q.Sort, Q.TopK, Q.Limit)):
                 whole_rows.add(id(node.child))
-            elif isinstance(node, Q.NestedLoopJoin):
-                whole_rows.add(id(node.right))
         return consumed_fields(plan, self.catalog, whole_rows)
 
     # ------------------------------------------------------------------
@@ -248,8 +246,6 @@ class _PushCompiler:
             # Q.IndexJoin included: it is lowered as the hash join it
             # subclasses (module docstring)
             self._hash_join(node, consume)
-        elif isinstance(node, Q.NestedLoopJoin):
-            self._nested_loop_join(node, consume)
         elif isinstance(node, Q.Agg):
             self._aggregate(node, consume)
         elif isinstance(node, Q.Sort):
@@ -687,6 +683,26 @@ class _PushCompiler:
         build = self._build_hash_table(node.right, node.right_key, self._probe_reads(node),
                                        node.left_key, node.left)
 
+        def if_matches(left_row: RowVals, right_row: RowVals,
+                       then: Callable[[], None]) -> None:
+            """Run ``then`` where the pair matches: the build's probe filter
+            and the join's residual, and-ed (unconditionally with neither)."""
+            b = self.b
+            conds = []
+            if build.probe_filter is not None:
+                conds.append(self.scalars.compile(build.probe_filter, right_row))
+            if node.residual is not None:
+                combined = left_row.merge(right_row, b)
+                conds.append(self.scalars.compile(node.residual, combined,
+                                                  left=left_row, right=right_row))
+            if not conds:
+                then()
+                return
+            cond = conds[0]
+            for extra in conds[1:]:
+                cond = b.emit("and_", [cond, extra])
+            b.if_(cond, then)
+
         def probe(left_row: RowVals) -> None:
             b = self.b
             key = self.scalars.compile(node.left_key, left_row)
@@ -696,22 +712,9 @@ class _PushCompiler:
                 found = b.emit("var_new", [Const(False)], hint="found")
 
                 def per_match(right_row: RowVals) -> None:
-                    conds = []
-                    if build.probe_filter is not None:
-                        conds.append(self.scalars.compile(build.probe_filter, right_row))
-                    if node.residual is not None:
-                        combined = left_row.merge(right_row, b)
-                        conds.append(self.scalars.compile(node.residual, combined,
-                                                          left=left_row, right=right_row))
                     def mark() -> None:
                         b.emit("var_write", [found, Const(True)])
-                    if conds:
-                        cond = conds[0]
-                        for extra in conds[1:]:
-                            cond = b.emit("and_", [cond, extra])
-                        b.if_(cond, mark)
-                    else:
-                        mark()
+                    if_matches(left_row, right_row, mark)
 
                 b.foreach(bucket, lambda element: build.each_row(element, per_match),
                           hint="e")
@@ -730,20 +733,7 @@ class _PushCompiler:
                     combined.origins = left_row.origins
                     consume(combined)
 
-                conds = []
-                if build.probe_filter is not None:
-                    conds.append(self.scalars.compile(build.probe_filter, right_row))
-                if node.residual is not None:
-                    combined = left_row.merge(right_row, b)
-                    conds.append(self.scalars.compile(node.residual, combined,
-                                                      left=left_row, right=right_row))
-                if conds:
-                    cond = conds[0]
-                    for extra in conds[1:]:
-                        cond = b.emit("and_", [cond, extra])
-                    b.if_(cond, emit_match)
-                else:
-                    emit_match()
+                if_matches(left_row, right_row, emit_match)
 
             b.foreach(bucket, lambda element: build.each_row(element, per_match), hint="e")
             was_matched = b.emit("var_read", [matched])
@@ -754,79 +744,6 @@ class _PushCompiler:
                 consume(padded)
 
             b.if_(b.emit("not_", [was_matched]), emit_padded)
-
-        self.produce(node.left, probe)
-
-    # ------------------------------------------------------------------
-    # Nested-loop joins (non-equi predicates, cross products)
-    # ------------------------------------------------------------------
-    def _nested_loop_join(self, node: Q.NestedLoopJoin, consume: Consumer) -> None:
-        b = self.b
-        right_fields = Q.output_fields(node.right, self.catalog)
-        # Materialise the right side once (block nested loop), then stream the left.
-        right_list = b.emit("list_new", [], hint="inner")
-
-        def collect(row: RowVals) -> None:
-            record, _ = row.materialize(self.b, self.record_layout, right_fields)
-            self.b.emit("list_append", [right_list, record])
-
-        self.produce(node.right, collect)
-
-        def probe(left_row: RowVals) -> None:
-            if node.kind == "inner":
-                def per_right(element: Sym) -> None:
-                    right_row = self._bucket_rows(element, right_fields)
-                    combined = left_row.merge(right_row, self.b)
-                    if node.predicate is not None:
-                        cond = self.scalars.compile(node.predicate, combined,
-                                                    left=left_row, right=right_row)
-                        self.b.if_(cond, lambda: consume(combined))
-                    else:
-                        consume(combined)
-                self.b.foreach(right_list, per_right, hint="e")
-                return
-
-            if node.kind in ("leftsemi", "leftanti"):
-                found = self.b.emit("var_new", [Const(False)], hint="found")
-
-                def per_right(element: Sym) -> None:
-                    right_row = self._bucket_rows(element, right_fields)
-                    if node.predicate is not None:
-                        combined = left_row.merge(right_row, self.b)
-                        cond = self.scalars.compile(node.predicate, combined,
-                                                    left=left_row, right=right_row)
-                        self.b.if_(cond, lambda: self.b.emit("var_write", [found, Const(True)]))
-                    else:
-                        self.b.emit("var_write", [found, Const(True)])
-
-                self.b.foreach(right_list, per_right, hint="e")
-                matched = self.b.emit("var_read", [found])
-                condition = matched if node.kind == "leftsemi" else self.b.emit("not_", [matched])
-                self.b.if_(condition, lambda: consume(left_row))
-                return
-
-            # left outer nested-loop join
-            matched = self.b.emit("var_new", [Const(False)], hint="matched")
-
-            def per_right(element: Sym) -> None:
-                right_row = self._bucket_rows(element, right_fields)
-                combined = left_row.merge(right_row, self.b)
-
-                def emit_match() -> None:
-                    self.b.emit("var_write", [matched, Const(True)])
-                    consume(combined)
-
-                if node.predicate is not None:
-                    cond = self.scalars.compile(node.predicate, combined,
-                                                left=left_row, right=right_row)
-                    self.b.if_(cond, emit_match)
-                else:
-                    emit_match()
-
-            self.b.foreach(right_list, per_right, hint="e")
-            was_matched = self.b.emit("var_read", [matched])
-            self.b.if_(self.b.emit("not_", [was_matched]),
-                       lambda: consume(left_row.merge(RowVals.nulls(right_fields), self.b)))
 
         self.produce(node.left, probe)
 

@@ -155,16 +155,6 @@ class TestAnalysis:
         with pytest.raises(qplan.PlanError, match="missing"):
             qplan.validate(bad, catalog)
 
-    def test_validate_checks_nested_loop_predicate(self, catalog):
-        """Regression: nested-loop predicates used to be skipped too."""
-        good = qplan.NestedLoopJoin(qplan.Scan("r"), qplan.Scan("s"),
-                                    col("r_sid") < col("s_id"))
-        qplan.validate(good, catalog)
-        bad = qplan.NestedLoopJoin(qplan.Scan("r"), qplan.Scan("s"),
-                                   col("r_sid") < col("nope"))
-        with pytest.raises(qplan.PlanError, match="nope"):
-            qplan.validate(bad, catalog)
-
     def test_output_fields_memo_reused_within_one_pass(self, catalog):
         scan = qplan.Scan("r")
         plan = qplan.Sort(qplan.Select(scan, col("r_id") > 1), [(col("r_id"), "asc")])

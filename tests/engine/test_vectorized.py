@@ -167,10 +167,10 @@ class TestOperatorParityOnSmallData:
             qplan.Scan("T"), qplan.Scan("T", fields=("t_key", "t_id")),
             col("t_key"), Col("t_key"), kind="leftanti",
             residual=Col("t_id", "left") != Col("t_id", "right")),
-        "nested-loop": lambda: qplan.NestedLoopJoin(
+        "theta": lambda: qplan.HashJoin(
             qplan.Scan("T", fields=("t_id", "t_key")),
-            qplan.Scan("T", fields=("t_val",)),
-            predicate=(Col("t_id", "left") < Col("t_val", "right"))),
+            qplan.Scan("T", fields=("t_val",)), lit(0), lit(0),
+            residual=(Col("t_id", "left") < Col("t_val", "right"))),
         "sort-multi-key": lambda: qplan.Sort(
             qplan.Scan("T"), [(col("t_tag"), "asc"), (col("t_val"), "desc")]),
         "having": lambda: qplan.Agg(

@@ -125,28 +125,33 @@ class TestJoins:
         # rows whose s_rid value appears in another row: rid 10 (x2) and 30 (x2)
         assert sorted(r["s_id"] for r in rows) == [100, 101, 102, 104]
 
-    def test_nested_loop_join_inequality(self, catalog):
-        plan = qplan.NestedLoopJoin(
-            qplan.Scan("R"), qplan.Scan("S"),
-            predicate=(Col("r_sid", "left") < Col("s_rid", "right")))
+    def test_theta_join_inequality(self, catalog):
+        plan = qplan.HashJoin(
+            qplan.Scan("R"), qplan.Scan("S"), lit(0), lit(0),
+            residual=(Col("r_sid", "left") < Col("s_rid", "right")))
         rows = execute(plan, catalog)
+        assert len(rows) == 10
         assert all(r["r_sid"] < r["s_rid"] for r in rows)
 
-    def test_nested_loop_cross_product(self, catalog):
-        plan = qplan.NestedLoopJoin(qplan.Scan("R"), qplan.Scan("S", fields=("s_val",)))
+    def test_constant_key_cross_product(self, catalog):
+        plan = qplan.HashJoin(qplan.Scan("R"), qplan.Scan("S", fields=("s_val",)),
+                              lit(0), lit(0))
         rows = execute(plan, catalog)
         assert len(rows) == 20
 
-    def test_nested_loop_semi_and_outer(self, catalog):
-        semi = qplan.NestedLoopJoin(qplan.Scan("R"), qplan.Scan("S"),
-                                    predicate=(Col("r_sid", "left") == Col("s_rid", "right")),
-                                    kind="leftsemi")
-        assert sorted(r["r_id"] for r in execute(semi, catalog)) == [1, 3, 4]
-        outer = qplan.NestedLoopJoin(qplan.Scan("R"), qplan.Scan("S"),
-                                     predicate=(Col("r_sid", "left") == Col("s_rid", "right")),
-                                     kind="leftouter")
+    def test_theta_semi_and_outer(self, catalog):
+        greater = Col("r_sid", "left") > Col("s_rid", "right")
+        semi = qplan.HashJoin(qplan.Scan("R"), qplan.Scan("S"), lit(0), lit(0),
+                              kind="leftsemi", residual=greater)
+        assert [r["r_id"] for r in execute(semi, catalog)] == [2, 3]
+        anti = qplan.HashJoin(qplan.Scan("R"), qplan.Scan("S"), lit(0), lit(0),
+                              kind="leftanti", residual=greater)
+        assert [r["r_id"] for r in execute(anti, catalog)] == [1, 4]
+        outer = qplan.HashJoin(qplan.Scan("R"), qplan.Scan("S"), lit(0), lit(0),
+                               kind="leftouter", residual=greater)
         rows = execute(outer, catalog)
-        assert len(rows) == 7
+        assert len(rows) == 6
+        assert [r["r_id"] for r in rows if r["s_id"] is None] == [1, 4]
 
 
 class TestAggregation:

@@ -2,7 +2,8 @@
 
 * compiled plans agree with the interpreter on randomly generated filters,
   projections and aggregations over randomly generated tables,
-* one join of every kind between two random tables, under every aggregate
+* one join of every kind between two random tables — on equal keys, or on
+  a constant key (a theta join or a cross product) — under every aggregate
   kind, agrees with the interpreter on every engine, planner off and on —
   also when the rows a build holds reach a third table through its primary
   key or come out of a left outer join, and when the build side is empty,
@@ -27,7 +28,7 @@ from repro.codegen import runtime
 from repro.codegen.compiler import QueryCompiler
 from repro.codegen.unparser import PythonUnparser
 from repro.dsl import qplan as Q
-from repro.dsl.expr import col
+from repro.dsl.expr import col, lit
 from repro.engine.volcano import execute
 from repro.ir import IRBuilder, make_program
 from repro.ir.nodes import Sym
@@ -133,9 +134,11 @@ def make_join_catalog(left, right) -> Catalog:
     return catalog
 
 
-def join_aggregate(kind, residual, grouped, through=False, padded=False):
+def join_aggregate(kind, residual, grouped, through=False, padded=False, theta=False):
     """``kind`` join of ``a`` and ``b`` under every aggregate kind; grouped
     plans are sorted on the group key, so the contract has a key to check.
+    ``theta``: both keys are ``lit(0)``, so the join is a theta join on the
+    residual, or a cross product without one.
     ``through``: ``a``'s rows first reach ``k``'s through its primary key,
     and an aggregate reads ``k`` — Q7's lineitem build, which reaches
     supplier through ``l_suppkey``.  ``padded``: ``a``'s rows first come
@@ -147,7 +150,8 @@ def join_aggregate(kind, residual, grouped, through=False, padded=False):
                          [(name, col(name)) for name in ("ak", "ag", "av")])
     if through:
         left = Q.HashJoin(Q.Scan("k"), left, col("kk"), col("ak"))
-    join = Q.HashJoin(left, Q.Scan("b"), col("ak"), col("bk"), kind,
+    left_key, right_key = (lit(0), lit(0)) if theta else (col("ak"), col("bk"))
+    join = Q.HashJoin(left, Q.Scan("b"), left_key, right_key, kind,
                       col("av") <= col("bv") if residual else None)
     # semi and anti joins emit left rows only; inner and outer see ``b`` too
     value = col("bv") if kind in ("inner", "leftouter") else col("av")
@@ -166,43 +170,58 @@ class TestTwoTableDifferential:
     @settings(SETTINGS, max_examples=60)
     @given(left=left_rows, right=right_rows, kind=st.sampled_from(Q.JOIN_KINDS),
            residual=st.booleans(), grouped=st.booleans(), through=st.booleans(),
-           padded=st.booleans())
+           padded=st.booleans(), theta=st.booleans())
     # a NULL probe key against a dense build key — after the planner swaps the
     # build side, on the right input, under a semi join: the compiled stacks
     # indexed the dense array with it
     @example(left=[(0, "y", 7), (None, "x", -8)], right=[(1, -5)], kind="inner",
-             residual=False, grouped=False, through=False, padded=False)
+             residual=False, grouped=False, through=False, padded=False, theta=False)
     @example(left=[(0, "z", -6)], right=[(None, -5), (1, 3)], kind="inner",
-             residual=False, grouped=False, through=False, padded=False)
+             residual=False, grouped=False, through=False, padded=False, theta=False)
     @example(left=[(None, "x", 0)], right=[(0, 0)], kind="leftsemi",
-             residual=False, grouped=True, through=False, padded=False)
+             residual=False, grouped=True, through=False, padded=False, theta=False)
     # Q7's shape: the build stores a's row position, and its probe reaches
     # k's row through the primary key again, with and without a residual
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=False, grouped=True, through=True, padded=False)
+             kind="inner", residual=False, grouped=True, through=True, padded=False, theta=False)
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=True, grouped=False, through=True, padded=False)
+             kind="inner", residual=True, grouped=False, through=True, padded=False, theta=False)
     # an empty build side: each kind builds from one side, the planner may
     # swap it
     @example(left=[], right=[(1, 3)], kind="inner", residual=False, grouped=False,
-             through=True, padded=False)
+             through=True, padded=False, theta=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftouter", residual=False,
-             grouped=True, through=False, padded=False)
+             grouped=True, through=False, padded=False, theta=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftsemi", residual=False,
-             grouped=False, through=False, padded=False)
+             grouped=False, through=False, padded=False, theta=False)
     @example(left=[(1, "x", 2)], right=[], kind="leftanti", residual=True,
-             grouped=False, through=True, padded=False)
+             grouped=False, through=True, padded=False, theta=False)
     # a build over a projection of an outer join, and over a primary-key
     # lookup from one: both call sites, matched and padded, store a's
     # position, and store it one way
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=False, grouped=True, through=False, padded=True)
+             kind="inner", residual=False, grouped=True, through=False, padded=True, theta=False)
     @example(left=[(1, "x", 2), (3, "y", -4), (1, "z", 5)], right=[(1, 3), (3, -4), (1, 0)],
-             kind="inner", residual=True, grouped=False, through=True, padded=True)
-    def test_join_under_every_aggregate_matches_volcano(self, left, right, kind,
-                                                        residual, grouped, through, padded):
+             kind="inner", residual=True, grouped=False, through=True, padded=True, theta=False)
+    # theta joins and cross products: a constant key on both sides, one
+    # bucket holding every build row; and an empty build side
+    @example(left=[(1, "x", 2), (None, "y", -4), (1, "z", 5)], right=[(1, 3), (None, -4), (2, 0)],
+             kind="inner", residual=True, grouped=True, through=False, padded=False, theta=True)
+    @example(left=[(1, "x", 2), (None, "y", -4), (1, "z", 5)], right=[(1, 3), (None, -4), (2, 0)],
+             kind="leftsemi", residual=True, grouped=False, through=True, padded=False,
+             theta=True)
+    @example(left=[(1, "x", 2), (None, "y", -4), (1, "z", 5)], right=[(1, 3), (None, -4), (2, 0)],
+             kind="leftanti", residual=True, grouped=True, through=False, padded=True,
+             theta=True)
+    @example(left=[(1, "x", 2), (None, "y", -4), (1, "z", 5)], right=[(1, 3), (None, -4), (2, 0)],
+             kind="leftouter", residual=False, grouped=True, through=False, padded=False,
+             theta=True)
+    @example(left=[(1, "x", 2), (3, "y", -4)], right=[], kind="leftouter", residual=True,
+             grouped=False, through=False, padded=False, theta=True)
+    def test_join_under_every_aggregate_matches_volcano(self, left, right, kind, residual,
+                                                        grouped, through, padded, theta):
         catalog = make_join_catalog(left, right)
-        plan = join_aggregate(kind, residual, grouped, through, padded)
+        plan = join_aggregate(kind, residual, grouped, through, padded, theta)
         expected = execute(plan, catalog)
         contract = sort_contract(plan)
         harness = BenchmarkHarness(catalog, engines=JOIN_ENGINES)

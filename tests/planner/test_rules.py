@@ -112,15 +112,6 @@ class TestPredicatePushdownRule:
         assert isinstance(optimized, Q.Select)
         assert isinstance(optimized.child, Q.HashJoin)
 
-    def test_nested_loop_left_push_works_for_semi_joins(self, tiny_catalog):
-        join = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"),
-                                col("r_sid") == col("s_rid"), kind="leftsemi")
-        raw = Q.Select(join, col("r_name") == "R1")
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
-        # nested-loop emission is left-major, so the push is order-safe
-        assert isinstance(optimized, Q.NestedLoopJoin)
-        assert isinstance(optimized.left, Q.Select)
-
     def test_pushes_group_key_filter_below_aggregation(self, tiny_catalog):
         agg = Q.Agg(Q.Scan("R"), [("name", col("r_name"))],
                     [Q.AggSpec("count", None, "n")])
@@ -153,46 +144,6 @@ class TestPredicatePushdownRule:
         assert isinstance(optimized, Q.Sort)
         assert isinstance(optimized.child, Q.HashJoin)
         assert isinstance(optimized.child.left, Q.Select)
-
-
-class TestEquiJoinConversionRule:
-    def test_inner_nested_loop_becomes_hash_join(self, tiny_catalog):
-        raw = Q.NestedLoopJoin(
-            Q.Scan("R"), Q.Scan("S"),
-            (col("r_sid") == col("s_rid")) & (col("r_id") < col("s_id")))
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
-        assert isinstance(optimized, Q.HashJoin)
-        # build side is the nested loop's right input: pair order is preserved
-        assert isinstance(optimized.left, Q.Scan) and optimized.left.table == "S"
-        assert optimized.right.table == "R"
-        assert optimized.residual is not None
-
-    def test_sided_references_are_flipped_into_the_residual(self, tiny_catalog):
-        raw = Q.NestedLoopJoin(
-            Q.Scan("R"), Q.Scan("S"),
-            BinOp("and",
-                  BinOp("==", Col("r_sid", "left"), Col("s_rid", "right")),
-                  BinOp("<", Col("r_id", "left"), Col("s_id", "right"))))
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
-        assert isinstance(optimized, Q.HashJoin)
-        residual = optimized.residual
-        assert residual.left.side == "right"   # r_id now lives on the probe side
-        assert residual.right.side == "left"
-
-    def test_cross_product_and_non_equi_are_untouched(self, tiny_catalog):
-        cross = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"), None)
-        assert isinstance(Planner(tiny_catalog, STRUCTURE).optimize(cross),
-                          Q.NestedLoopJoin)
-        theta = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"),
-                                 col("r_sid") < col("s_rid"))
-        optimized = check_parity(theta, tiny_catalog, STRUCTURE)
-        assert isinstance(optimized, Q.NestedLoopJoin)
-
-    def test_semi_nested_loops_are_not_converted(self, tiny_catalog):
-        raw = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"),
-                               col("r_sid") == col("s_rid"), kind="leftsemi")
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
-        assert isinstance(optimized, Q.NestedLoopJoin)
 
 
 class TestJoinStrategyRules:

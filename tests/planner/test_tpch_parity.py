@@ -3,7 +3,7 @@
 Two suites:
 
 * **Exact parity** — ``PlannerOptions.exact_order()`` (pushdown, pruning,
-  folding, equi-join conversion, top-k fusion) is order- and value-preserving
+  folding, top-k fusion) is order- and value-preserving
   by construction, so optimized plans are compared against raw ones with
   plain ``==`` on the result lists — same rows, same values (bit-for-bit
   floats), same order — across every TPC-H query on the interpreter, the

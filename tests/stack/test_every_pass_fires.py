@@ -12,21 +12,11 @@ table can only shrink.
 import pytest
 
 from repro.codegen.compiler import QueryCompiler
-from repro.ir import Const, IRBuilder, make_program
 from repro.stack import CompilationContext, pipeline
 from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.stack.transformation import apply_fixpoint
 from repro.tpch.queries import QUERY_NAMES, build_query
 from test_identity_fixpoint import fusable_chain
-
-
-def _record_read_back(catalog):
-    """A field read out of a record built in the same block."""
-    b = IRBuilder()
-    record = b.emit("record_new", [b.emit("add", [1, 2]), Const(7)],
-                    attrs={"fields": ("x", "y"), "layout": "boxed"})
-    field = b.emit("record_get", [record], attrs={"field": "y"})
-    return make_program(b.finish(b.emit("mul", [field, 2])), [], "ScaLite")
 
 
 def _unplanned_query(catalog):
@@ -37,8 +27,6 @@ def _unplanned_query(catalog):
 #: listed passes no planned TPC-H lowering sees change a program ->
 #: (what makes them fire, a producer of that program).
 UNFIRED = {
-    "scalar-replacement[ScaLite]": ("a record built and read in one block",
-                                    _record_read_back),
     "unused-field-removal[QPlan]": ("a plan the planner has not pruned",
                                     _unplanned_query),
     "monad-fusion[QMonad]": ("a QMonad chain (the 22 queries are QPlan)",

@@ -3,27 +3,32 @@
 The worklist of :func:`repro.stack.transformation.apply_fixpoint` re-runs a
 pass only when a pass that declares it ``enables`` it changed the program, so
 a declaration that misses an edge leaves a program one rewrite short.  The 22
-queries exercise few of the edges (scalar replacement and partial evaluation
-change no planned TPC-H program; no sweep of DCE's gives anybody work there),
-so these tests build the programs that do: each edge by hand, compiled by the
-dblab-5 stack under ``verify=True`` (whose confirmation runs every pass once
-more on the settled program), and a few hundred random programs on which the
-worklist must settle exactly where the round-robin it replaced did.
+queries exercise few of the edges (partial evaluation changes no planned
+TPC-H program, scalar replacement is in no stack; no sweep of DCE's gives
+anybody work there), so these tests build the programs that do: each edge by
+hand, compiled by the dblab-5 stack plus scalar replacement under
+``verify=True`` (whose confirmation runs every pass once more on the settled
+program), and a few hundred random programs on which the worklist must
+settle exactly where the round-robin it replaced did.
 """
 import random
-
-import pytest
 
 from repro.analysis import VerificationError, confirm_fixpoint
 from repro.ir import Const, IRBuilder, make_program
 from repro.ir.nodes import reset_symbol_counter
 from repro.ir.traversal import count_ops
-from repro.stack import SCALITE, CompilationContext
+from repro.stack import SCALITE, CompilationContext, DslStack
 from repro.stack.configs import build_config
 from repro.stack.transformation import apply_fixpoint, program_fingerprint
 from repro.transforms.dce import DeadCodeElimination
+from repro.transforms.scalar_replacement import ScalarReplacement
 
-STACK = build_config("dblab-5").stack
+_DBLAB5 = build_config("dblab-5").stack
+#: dblab-5 with scalar replacement — a library pass no configuration lists —
+#: first among its ScaLite passes, so the pass's own edges stay held here
+STACK = DslStack("dblab-5+scalar-replacement", _DBLAB5.languages,
+                 _DBLAB5.lowerings,
+                 [ScalarReplacement(SCALITE)] + _DBLAB5.optimizations)
 STEPS = STACK.optimizations_for(SCALITE)
 REC = {"fields": ("x",), "layout": "boxed"}
 

@@ -3,12 +3,12 @@ import pytest
 
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
-from repro.dsl.expr import Col, col
+from repro.dsl.expr import Col, col, lit
 from repro.engine.volcano import execute
 from repro.ir.nodes import Program
 from repro.ir.traversal import count_ops, iter_program_stmts, ops_used
 from repro.stack import CompilationContext, QPLAN, SCALITE_MAP_LIST
-from repro.stack.configs import build_config
+from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.transforms.pipelining import PipeliningError, PushPipelineLowering
 
 
@@ -230,10 +230,11 @@ class TestLoweredSemantics:
         compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
-    @both_ends
-    def test_nested_loop_join(self, tiny_catalog, config_name):
-        plan = Q.NestedLoopJoin(Q.Scan("R"), Q.Scan("S"),
-                                predicate=Col("r_sid", "left") < Col("s_rid", "right"))
+    @pytest.mark.parametrize("config_name", CONFIG_NAMES)
+    @pytest.mark.parametrize("kind", ["inner", "leftsemi", "leftanti", "leftouter"])
+    def test_theta_join(self, tiny_catalog, config_name, kind):
+        plan = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), lit(0), lit(0), kind=kind,
+                          residual=Col("r_sid", "left") < Col("s_rid", "right"))
         compiled = compile_and_run(plan, tiny_catalog, config_name)
         assert canon(compiled.run(tiny_catalog)) == canon(execute(plan, tiny_catalog))
 
