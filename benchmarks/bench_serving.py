@@ -12,8 +12,8 @@ offered concurrency through ``--levels``: at each level it fires
 ``--requests-per-level`` submissions in concurrent waves of ``level`` and
 records per-request wall latency and the typed outcome.  Per level it
 reports queries-per-second, p50/p95/p99 latency over completed requests,
-and the shed/downgrade counts — the measured shape of the front door's
-degradation (AIMD window, queue rejections, deadline drops) as load passes
+and the shed counts — the measured shape of the front door's response to
+pressure (AIMD window, queue rejections, deadline drops) as load passes
 capacity.  The final JSON also carries the server's own accounting (queue
 counters, limiter state, incident snapshot), so the artifact reconciles:
 every submitted request appears exactly once in ``responses_by_status``.

@@ -354,7 +354,8 @@ def columns_used_with_sides(expr: Expr) -> List[Tuple[str, Optional[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# Row-at-a-time evaluation (used by the Volcano interpreter)
+# Row-at-a-time reference evaluation: the semantics the engines' compiled
+# closures (``expr_compile.compile_row``) match and constant folding runs
 # ---------------------------------------------------------------------------
 def evaluate(expr: Expr, row: Dict[str, Any],
              left: Optional[Dict[str, Any]] = None,

@@ -5,35 +5,18 @@ conjunct splitting for predicate pushdown, column substitution for pushing
 filters through projections and aggregations, side flipping for join-input
 swaps, and compile-time constant folding.
 
-Folding shares its semantics with the IR-level
-:class:`repro.transforms.partial_eval.PartialEvaluation` pass: only folds
-whose result is guaranteed identical to runtime evaluation are performed, a
-division (or modulo) by a constant zero is *skipped* rather than raised, and
-``TypeError`` / ``ZeroDivisionError`` / ``OverflowError`` during folding
-abandon the fold instead of failing compilation.
+Folding runs the reference evaluator :func:`repro.dsl.expr.evaluate` on a
+node whose operands are all literals, so a fold is value-identical to
+runtime evaluation by construction.  A division by a constant zero is
+*skipped* rather than raised, and ``TypeError`` / ``ZeroDivisionError`` /
+``OverflowError`` during folding abandon the fold instead of failing
+compilation.
 """
 from __future__ import annotations
 
-import operator
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import dates
 from ..dsl import expr as E
-
-#: binary operators folded when both operands are literals, mirroring the
-#: ``_FOLDABLE`` table of :mod:`repro.transforms.partial_eval`.
-_FOLDABLE_BINOPS: Dict[str, Callable] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 _FOLD_ERRORS = (TypeError, ZeroDivisionError, OverflowError)
 
@@ -189,54 +172,26 @@ def fold_constants(expr: E.Expr) -> E.Expr:
 
 
 def _fold_node(node: E.Expr) -> Optional[E.Expr]:
-    if isinstance(node, E.BinOp):
-        left, right = node.left, node.right
-        if node.op in ("and", "or"):
-            if isinstance(left, E.Lit) and isinstance(right, E.Lit):
-                if node.op == "and":
-                    return E.Lit(bool(left.value) and bool(right.value))
-                return E.Lit(bool(left.value) or bool(right.value))
-            return None
-        if isinstance(left, E.Lit) and isinstance(right, E.Lit):
-            if node.op == "/" and right.value in (0, 0.0):
-                return None  # keep the runtime division-by-zero behaviour
-            try:
-                return E.Lit(_FOLDABLE_BINOPS[node.op](left.value, right.value))
-            except _FOLD_ERRORS:
-                return None
-        return None
-    if isinstance(node, E.UnaryOp) and isinstance(node.operand, E.Lit):
-        if node.op == "not":
-            return E.Lit(not node.operand.value)
-        try:
-            return E.Lit(-node.operand.value)
-        except _FOLD_ERRORS:
-            return None
-    if isinstance(node, E.Like) and isinstance(node.operand, E.Lit):
-        try:
-            return E.Lit(node.matches(node.operand.value))
-        except _FOLD_ERRORS:
-            return None
-    if isinstance(node, E.InList) and isinstance(node.operand, E.Lit):
-        try:
-            return E.Lit(node.operand.value in node.values)
-        except _FOLD_ERRORS:
-            return None
-    if isinstance(node, E.Substr) and isinstance(node.operand, E.Lit):
-        try:
-            start = node.start - 1
-            return E.Lit(node.operand.value[start:start + node.length])
-        except _FOLD_ERRORS:
-            return None
-    if isinstance(node, E.YearOf) and isinstance(node.operand, E.Lit):
-        if isinstance(node.operand.value, int):
-            return E.Lit(dates.year_of(node.operand.value))
-        return None
-    if isinstance(node, E.IsNull) and isinstance(node.operand, E.Lit):
-        return E.Lit(node.operand.value is None)
     if isinstance(node, E.Case):
         return _fold_case(node)
-    return None
+    if isinstance(node, E.BinOp):
+        operands = (node.left, node.right)
+    elif isinstance(node, (E.UnaryOp, E.Like, E.InList, E.Substr, E.YearOf,
+                           E.IsNull)):
+        operands = (node.operand,)
+    else:
+        return None  # a leaf
+    values = [operand.value for operand in operands if isinstance(operand, E.Lit)]
+    if len(values) < len(operands):
+        return None
+    if isinstance(node, E.BinOp) and node.op == "/" and values[1] in (0, 0.0):
+        return None  # keep the runtime division-by-zero behaviour
+    if isinstance(node, E.YearOf) and not isinstance(values[0], int):
+        return None  # only the integer date encoding has a year
+    try:
+        return E.Lit(E.evaluate(node, {}))
+    except _FOLD_ERRORS:
+        return None
 
 
 def _fold_case(node: E.Case) -> Optional[E.Expr]:

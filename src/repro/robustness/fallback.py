@@ -59,16 +59,6 @@ PLAN_MODES = ("access", "no_access")
 ACCESS_ERRORS = (AccessError, DataCorruptionFault)
 
 
-def _checked_tiers(tiers: Sequence[str]) -> Tuple[str, ...]:
-    """``tiers`` as a ladder: non-empty, every name a known engine tier."""
-    unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
-    if unknown:
-        raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
-    if not tiers:
-        raise ValueError("at least one tier is required")
-    return tuple(tiers)
-
-
 class LadderExhausted(RuntimeError):
     """Every configured tier failed; ``attempts`` records each failure."""
 
@@ -170,8 +160,13 @@ class HardenedExecutor:
                  max_retries: int = 2,
                  backoff_seconds: float = 0.01,
                  sleep: Callable[[float], None] = time.sleep) -> None:
+        unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
+        if unknown:
+            raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
+        if not tiers:
+            raise ValueError("at least one tier is required")
         self.catalog = catalog
-        self.tiers = _checked_tiers(tiers)
+        self.tiers = tuple(tiers)
         self.compiled_config = compiled_config
         self.budget = budget
         self.incidents = incidents if incidents is not None else DEFAULT_INCIDENTS
@@ -221,28 +216,19 @@ class HardenedExecutor:
     # The ladder
     # ------------------------------------------------------------------
     def execute(self, plan: Q.Operator, query_name: str = "query",
-                budget: Optional[QueryBudget] = None,
-                tiers: Optional[Sequence[str]] = None) -> ExecutionReport:
+                budget: Optional[QueryBudget] = None) -> ExecutionReport:
         """Run ``plan`` through the ladder; raises :class:`BudgetExceeded`
         on a final budget trip, :class:`LadderExhausted` when every tier
-        fails.
-
-        ``tiers`` overrides the executor's configured ladder for this one
-        execution — the serving front door uses it to admit requests at a
-        cheaper tier set under load (e.g. skipping the compiled tier for
-        queries with no cached plan, or dropping straight to the
-        interpreter).
-        """
+        fails."""
         budget = budget if budget is not None else self.budget
-        active_tiers = self.tiers if tiers is None else _checked_tiers(tiers)
         fingerprint = Q.plan_fingerprint(plan)
         attempts: List[dict] = []
         mode_index = 0
         tier_index = 0
         retries = 0
 
-        while tier_index < len(active_tiers):
-            tier = active_tiers[tier_index]
+        while tier_index < len(self.tiers):
+            tier = self.tiers[tier_index]
             mode = PLAN_MODES[mode_index]
             breaker_key = (fingerprint, tier)
             if not self.breaker.allow(breaker_key):
@@ -264,7 +250,7 @@ class HardenedExecutor:
                     cause=f"budget:{error.kind}", message=str(error),
                     elapsed_seconds=elapsed, plan_mode=mode,
                     stats=error.stats.as_dict())
-                if error.kind == "compile" and tier_index + 1 < len(active_tiers):
+                if error.kind == "compile" and tier_index + 1 < len(self.tiers):
                     # compile-time blowup: the direct tiers need no compile
                     attempts.append(self._attempt_record(tier, mode, error, elapsed))
                     self._degrade_tier(query_name, tier, error, elapsed, mode)
@@ -371,12 +357,6 @@ class HardenedExecutor:
                 self._plan(plan, "access"), self.catalog, query_name)
         compiled.prepare(self.catalog)
         return 0.0 if compiled.cache_hit else compiled.compile_seconds
-
-    def is_warm(self, plan: Q.Operator, query_name: str = "query") -> bool:
-        """Whether the compiled tier would run ``plan`` without compiling:
-        its entry is in the cache *now* (a reload or an eviction undoes it)."""
-        return self._compilers["access"].is_cached(
-            self._plan(plan, "access"), self.catalog, query_name)
 
     def _attempt_record(self, tier: str, mode: str, error: BaseException,
                         elapsed: float) -> dict:

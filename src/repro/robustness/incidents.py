@@ -4,8 +4,8 @@ Every degradation the :class:`~repro.robustness.fallback.HardenedExecutor`
 performs — a tier falling over, a plan losing its access paths, a transient
 retry, a circuit breaker opening — is recorded as one :class:`Incident`.
 The query-serving front door (:mod:`repro.server`) records every
-admission-time degradation: load-shed rejections, tier downgrades under
-pressure, and requests dropped because their deadline expired in the queue.
+admission-time refusal: load-shed rejections and requests dropped because
+their deadline expired in the queue.
 
 The log is an in-process ring buffer (bounded, oldest-first eviction) so a
 long-lived serving process cannot grow it without limit.  Per-category
@@ -41,7 +41,6 @@ CATEGORIES = (
     "generation_skew",     # access-layer generation moved between plan and run
     "budget_trip",         # governor raised BudgetExceeded
     "admission_reject",    # front door shed a request (queue full / draining)
-    "admission_downgrade", # front door admitted at a cheaper tier policy
     "deadline_expired",    # request deadline expired before execution started
 )
 

@@ -4,8 +4,9 @@ This package is the serving layer ROADMAP item 1 calls for: an asyncio
 front door (:class:`QueryServer`) over the PR-6 execution-hardening
 substrate, with bounded-queue admission control, AIMD adaptive concurrency,
 deadline propagation into :class:`~repro.robustness.governor.QueryBudget`,
-occupancy-driven load shedding (tier downgrades before rejection), and a
-drain-style lifecycle with health/readiness probes.
+one fallback ladder for every admitted request (a full queue rejects, it
+does not downgrade), and a drain-style lifecycle with health/readiness
+probes.
 
 Everything a caller needs is re-exported here::
 
@@ -18,7 +19,7 @@ Everything a caller needs is re-exported here::
     await server.drain()
 """
 from .admission import (AdaptiveLimiter, AdmissionController,  # noqa: F401
-                        AdmittedRequest, SheddingPolicy, TIER_POLICIES)
+                        AdmittedRequest)
 from .responses import (STATUS_DEADLINE_EXCEEDED, STATUS_FAILED,  # noqa: F401
                         STATUS_OK, STATUS_OVERLOADED, STATUSES,
                         DeadlineExceeded, Overloaded, QueryResponse,
@@ -27,7 +28,6 @@ from .server import QueryServer, serve_one_shot  # noqa: F401
 
 __all__ = [
     "AdaptiveLimiter", "AdmissionController", "AdmittedRequest",
-    "SheddingPolicy", "TIER_POLICIES",
     "STATUS_OK", "STATUS_OVERLOADED", "STATUS_DEADLINE_EXCEEDED",
     "STATUS_FAILED", "STATUSES",
     "DeadlineExceeded", "Overloaded", "QueryResponse", "Rejection",

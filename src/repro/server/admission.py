@@ -1,6 +1,6 @@
 """Admission control for the serving front door.
 
-Three cooperating pieces, all synchronous and individually testable:
+Two cooperating pieces, all synchronous and individually testable:
 
 * :class:`AdaptiveLimiter` — an AIMD concurrency limiter.  Successes probe
   capacity *up* additively (classic congestion avoidance: one extra slot per
@@ -8,19 +8,14 @@ Three cooperating pieces, all synchronous and individually testable:
   multiplicatively.  The serving loop dispatches at most ``limit`` queries
   concurrently, so sustained overload shrinks the window instead of piling
   work onto an already-saturated executor.
-* :class:`SheddingPolicy` — maps queue occupancy to an admission tier
-  policy: ``full`` ladder under normal load, ``cached_only`` (compiled tier
-  only for queries whose compiled plan is already cached — no fresh
-  compiles under pressure) when the queue passes ``elevated_fraction``, and
-  ``no_compile`` (the vectorized engine, then the interpreter: never a
-  compile, and the fastest tier that needs none) past ``severe_fraction``.
-  Downgrading is the step *before* rejection.
 * :class:`AdmissionController` — the bounded priority queue.  ``offer``
   either enqueues or raises a typed rejection
   (:class:`~repro.server.responses.Overloaded` /
   :class:`~repro.server.responses.DeadlineExceeded`) — there is no
   unbounded queueing and no silent drop.  Entries pop lowest
-  ``(priority, seq)`` first, so equal-priority requests stay FIFO.
+  ``(priority, seq)`` first, so equal-priority requests stay FIFO.  An
+  admitted request runs on the executor's configured ladder whatever the
+  occupancy; the queue bound is the only answer to pressure.
 
 All state is lock-guarded; the event loop and stats readers may touch it
 concurrently.
@@ -32,21 +27,9 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .responses import DeadlineExceeded, Overloaded
-
-#: admission tier policies, cheapest-last; ``cached_only`` is resolved per
-#: request at dispatch time (compiled tier only with a warm plan cache)
-TIER_POLICIES = ("full", "cached_only", "no_compile")
-
-#: the engine-tier ladder each policy admits at (``cached_only`` takes the
-#: ``no_compile`` ladder for a plan whose compiled entry is not cached)
-POLICY_TIERS: Dict[str, Tuple[str, ...]] = {
-    "full": ("compiled", "vectorized", "interpreter"),
-    "cached_only": ("compiled", "vectorized", "interpreter"),
-    "no_compile": ("vectorized", "interpreter"),
-}
 
 
 class AdaptiveLimiter:
@@ -102,26 +85,6 @@ class AdaptiveLimiter:
             }
 
 
-@dataclass(frozen=True)
-class SheddingPolicy:
-    """Occupancy thresholds → admission tier policy (degrade before reject)."""
-
-    elevated_fraction: float = 0.5
-    severe_fraction: float = 0.85
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.elevated_fraction <= self.severe_fraction <= 1.0):
-            raise ValueError(
-                "need 0 < elevated_fraction <= severe_fraction <= 1")
-
-    def tier_policy(self, occupancy: float) -> str:
-        if occupancy >= self.severe_fraction:
-            return "no_compile"
-        if occupancy >= self.elevated_fraction:
-            return "cached_only"
-        return "full"
-
-
 _REQUEST_SEQ = itertools.count(1)
 
 
@@ -135,7 +98,6 @@ class AdmittedRequest:
     #: absolute monotonic deadline, or ``None`` for no deadline
     deadline: Optional[float]
     enqueued_at: float
-    tier_policy: str
     #: resolved by the server with exactly one QueryResponse
     future: Any = None
     seq: int = field(default_factory=lambda: next(_REQUEST_SEQ))
@@ -160,12 +122,10 @@ class AdmissionController:
     """
 
     def __init__(self, max_depth: int = 64,
-                 shedding: Optional[SheddingPolicy] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
-        self.shedding = shedding if shedding is not None else SheddingPolicy()
         self._clock = clock
         self._lock = threading.Lock()
         self._heap: List[Tuple[int, int, AdmittedRequest]] = []
@@ -176,17 +136,11 @@ class AdmissionController:
         self.rejected_queue_full = 0
         self.rejected_not_accepting = 0
         self.rejected_dead_on_arrival = 0
-        self.downgraded = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
-
-    @property
-    def occupancy(self) -> float:
-        with self._lock:
-            return len(self._heap) / self.max_depth
 
     @property
     def accepting(self) -> bool:
@@ -201,12 +155,7 @@ class AdmissionController:
 
     def offer(self, name: str, plan: Any, *, priority: int = 0,
               deadline: Optional[float] = None) -> AdmittedRequest:
-        """Admit or reject; returns the queued request on admission.
-
-        The request's tier policy is decided here, from the occupancy the
-        request observes on arrival — admission under pressure is admission
-        to a cheaper ladder, and the caller records the downgrade incident.
-        """
+        """Admit or reject; returns the queued request on admission."""
         now = self._clock()
         with self._lock:
             if not self._accepting:
@@ -223,14 +172,10 @@ class AdmissionController:
                 raise Overloaded(
                     "queue_full",
                     f"{name}: admission queue at capacity ({self.max_depth})")
-            policy = self.shedding.tier_policy(len(self._heap) / self.max_depth)
             request = AdmittedRequest(name=name, plan=plan, priority=priority,
-                                      deadline=deadline, enqueued_at=now,
-                                      tier_policy=policy)
+                                      deadline=deadline, enqueued_at=now)
             heapq.heappush(self._heap, (priority, request.seq, request))
             self.accepted += 1
-            if policy != "full":
-                self.downgraded += 1
             return request
 
     def pop(self) -> Optional[AdmittedRequest]:
@@ -258,5 +203,4 @@ class AdmissionController:
                 "rejected_queue_full": self.rejected_queue_full,
                 "rejected_not_accepting": self.rejected_not_accepting,
                 "rejected_dead_on_arrival": self.rejected_dead_on_arrival,
-                "downgraded": self.downgraded,
             }

@@ -57,11 +57,12 @@ class QueryResponse:
     """The outcome of one submitted request.
 
     ``queue_seconds`` is admission→dispatch wait; ``execute_seconds`` covers
-    the executor call (all ladder attempts).  ``tier_policy`` records the
-    admission tier set the shedding policy chose (``"full"``,
-    ``"cached_only"`` or ``"no_compile"``); ``attempts`` counts failed
-    ladder attempts before the answer, so ``attempts > 0`` or a non-default
-    policy marks a degraded-path response.
+    the executor call (all ladder attempts).  ``attempts`` counts failed
+    ladder attempts before the answer, so ``attempts > 0`` marks a
+    degraded-path response.  ``tier_policy`` is always ``"full"``: every
+    admitted request runs on the executor's configured ladder, and nothing
+    sets the field.  It stays because the serving benchmark copies it into
+    its ``server.downgrade_count`` metric, which therefore reads 0.
     """
 
     query: str

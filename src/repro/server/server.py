@@ -15,12 +15,10 @@ pool, and refuses to melt down when demand exceeds capacity:
   governor, so a query admitted late runs with a tighter budget, and
   requests whose deadline expired in the queue are dropped (typed
   ``deadline_exceeded``, never executed).
-* **Graceful degradation** — before rejecting outright, the shedding policy
-  admits requests at cheaper tiers of the fallback ladder: past the
-  elevated-occupancy threshold only queries with an already-cached compiled
-  plan may use the compiled tier (no fresh compiles under pressure), and
-  past the severe threshold everything runs on the interpreter.  Every
-  downgrade and every rejection is recorded in the incident log.
+* **One ladder** — every admitted request runs on the executor's configured
+  fallback ladder, whatever the queue occupancy; pressure is answered by
+  the queue bound alone, and every rejection is recorded in the incident
+  log.
 * **Lifecycle** — :meth:`health` / :meth:`readiness` probes, a warm-up that
   pre-builds the catalog's access structures and pre-compiles a configured
   query set, and a draining shutdown (:meth:`drain`) that completes every
@@ -49,8 +47,7 @@ from ..storage.access import AccessLayer
 from ..storage.catalog import Catalog
 from ..storage.derived import COMPILED
 from ..storage.loader import warm_access_paths
-from .admission import (POLICY_TIERS, AdaptiveLimiter, AdmissionController,
-                        AdmittedRequest, SheddingPolicy)
+from .admission import AdaptiveLimiter, AdmissionController, AdmittedRequest
 from .responses import (STATUS_FAILED, STATUS_OK, DeadlineExceeded,
                         Overloaded, QueryResponse, Rejection)
 
@@ -76,8 +73,6 @@ class QueryServer:
                  max_concurrency: int = 32,
                  default_timeout_seconds: Optional[float] = None,
                  base_budget: Optional[QueryBudget] = None,
-                 shedding: Optional[SheddingPolicy] = None,
-                 dispatch_margin_seconds: float = 0.0,
                  worker_threads: Optional[int] = None) -> None:
         self.catalog = catalog
         self.executor = executor if executor is not None else \
@@ -91,13 +86,9 @@ class QueryServer:
         self.default_timeout_seconds = default_timeout_seconds
         self.base_budget = base_budget if base_budget is not None \
             else QueryBudget.unlimited()
-        #: requests whose remaining deadline at dispatch is below this are
-        #: dropped instead of dispatched with a hopeless budget
-        self.dispatch_margin_seconds = dispatch_margin_seconds
         self._clock = time.monotonic
         # concurrency: synchronized
-        self._admission = AdmissionController(max_queue_depth, shedding,
-                                              clock=self._clock)
+        self._admission = AdmissionController(max_queue_depth, clock=self._clock)
         # concurrency: synchronized
         self._limiter = AdaptiveLimiter(initial=initial_concurrency,
                                         min_limit=min_concurrency,
@@ -203,8 +194,7 @@ class QueryServer:
                 self._resolve(request, QueryResponse(
                     query=request.name, status=Overloaded.status,
                     reason="shutdown", error_type="Overloaded",
-                    message="server shut down before dispatch",
-                    tier_policy=request.tier_policy))
+                    message="server shut down before dispatch"))
             # in-flight work still resolves its futures on the loop; wait
             # for the pool without blocking the event loop thread
             pool, loop = self._pool, self._loop
@@ -291,13 +281,6 @@ class QueryServer:
             return self._count(QueryResponse(
                 query=name, status=error.status, reason=error.reason,
                 error_type=type(error).__name__, message=str(error)))
-        if request.tier_policy != "full":
-            self.incidents.report(
-                "admission_downgrade", query=name, cause="queue_pressure",
-                message=(f"{name}: admitted at tier policy "
-                         f"{request.tier_policy!r}"),
-                tier_policy=request.tier_policy,
-                occupancy=self._admission.occupancy)
         # submit() and the dispatcher both run on the event loop, so the
         # future is attached before the request can possibly be popped
         loop, wake, idle = self._loop, self._wake, self._idle
@@ -339,7 +322,6 @@ class QueryServer:
                         reason="expired_in_queue",
                         error_type="DeadlineExceeded",
                         message="deadline expired while queued",
-                        tier_policy=request.tier_policy,
                         queue_seconds=self._clock() - request.enqueued_at))
                     self._limiter.on_overload()
                     continue
@@ -357,8 +339,7 @@ class QueryServer:
             response = QueryResponse(
                 query=request.name, status=STATUS_FAILED,
                 reason="internal_error", error_type=type(error).__name__,
-                message=str(error), tier_policy=request.tier_policy,
-                queue_seconds=queue_seconds)
+                message=str(error), queue_seconds=queue_seconds)
         finally:
             self._in_flight -= 1
             if self._wake is not None:
@@ -398,7 +379,7 @@ class QueryServer:
             # injected deadline skew: the translated budget is tighter than
             # the real remaining deadline (a conservatively-skewed clock)
             remaining -= fault_value("server.deadline_skew", 0.0)
-            if remaining <= self.dispatch_margin_seconds:
+            if remaining <= 0.0:
                 self.incidents.report(
                     "deadline_expired", query=request.name,
                     cause="expired_before_execute",
@@ -410,14 +391,12 @@ class QueryServer:
                     reason="expired_before_execute",
                     error_type="DeadlineExceeded",
                     message="deadline expired before execution started",
-                    tier_policy=request.tier_policy,
                     queue_seconds=queue_seconds)
         budget = self._budget_for(remaining)
-        tiers = self._tiers_for(request)
         started = time.perf_counter()
         try:
             report = self.executor.execute(request.plan, request.name,
-                                           budget=budget, tiers=tiers)
+                                           budget=budget)
         except BudgetExceeded as error:
             elapsed = time.perf_counter() - started
             if error.kind == "timeout":
@@ -426,35 +405,33 @@ class QueryServer:
                 return QueryResponse(
                     query=request.name, status=DeadlineExceeded.status,
                     reason="budget_timeout", error_type="BudgetExceeded",
-                    message=str(error), tier_policy=request.tier_policy,
+                    message=str(error),
                     queue_seconds=queue_seconds, execute_seconds=elapsed,
                     detail={"stats": error.stats.as_dict()})
             return QueryResponse(
                 query=request.name, status=STATUS_FAILED,
                 reason=f"budget_{error.kind}", error_type="BudgetExceeded",
-                message=str(error), tier_policy=request.tier_policy,
+                message=str(error),
                 queue_seconds=queue_seconds, execute_seconds=elapsed,
                 detail={"stats": error.stats.as_dict()})
         except LadderExhausted as error:
             return QueryResponse(
                 query=request.name, status=STATUS_FAILED,
                 reason="ladder_exhausted", error_type="LadderExhausted",
-                message=str(error), tier_policy=request.tier_policy,
-                queue_seconds=queue_seconds,
+                message=str(error), queue_seconds=queue_seconds,
                 execute_seconds=time.perf_counter() - started,
                 detail={"attempts": list(error.attempts)})
         except Exception as error:  # noqa: BLE001 - typed response, not a raise
             return QueryResponse(
                 query=request.name, status=STATUS_FAILED,
                 reason="internal_error", error_type=type(error).__name__,
-                message=str(error), tier_policy=request.tier_policy,
-                queue_seconds=queue_seconds,
+                message=str(error), queue_seconds=queue_seconds,
                 execute_seconds=time.perf_counter() - started)
         elapsed = time.perf_counter() - started
         return QueryResponse(
             query=request.name, status=STATUS_OK, rows=report.rows,
             tier=report.tier, plan_mode=report.plan_mode,
-            tier_policy=request.tier_policy, attempts=len(report.attempts),
+            attempts=len(report.attempts),
             queue_seconds=queue_seconds, execute_seconds=elapsed)
 
     def _budget_for(self, remaining: Optional[float]) -> Optional[QueryBudget]:
@@ -468,16 +445,6 @@ class QueryServer:
         timeout = remaining if base.timeout_seconds is None \
             else min(base.timeout_seconds, remaining)
         return replace(base, timeout_seconds=timeout)
-
-    def _tiers_for(self, request: AdmittedRequest) -> Optional[Sequence[str]]:
-        policy = request.tier_policy
-        if policy == "full":
-            return None  # the executor's configured ladder
-        # cached_only: the compiled tier is only worth its admission cost if
-        # the plan's compiled entry is in the cache right now
-        if policy == "cached_only" and self.executor.is_warm(request.plan, request.name):
-            return POLICY_TIERS["cached_only"]
-        return POLICY_TIERS["no_compile"]
 
 
 async def serve_one_shot(

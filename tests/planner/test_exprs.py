@@ -1,7 +1,8 @@
 """Unit tests for the planner's expression analysis and rewriting helpers."""
+import pytest
 
 from repro.dsl.expr import (BinOp, Col, Lit, UnaryOp, case, col, columns_used,
-                            evaluate, in_list, like, lit, substr, year)
+                            evaluate, in_list, is_null, like, lit, substr, year)
 from repro.planner.exprs import (classify_columns, conjoin, flip_sides,
                                  fold_constants, is_literal_true,
                                  simplify_predicate, split_conjuncts,
@@ -78,8 +79,15 @@ class TestConstantFolding:
         expr = BinOp("/", lit(1), lit(0))
         assert fold_constants(expr) is expr
 
-    def test_skips_type_mismatches(self):
-        expr = BinOp("-", lit("text"), lit(3))
+    @pytest.mark.parametrize("expr", [
+        BinOp("-", lit("text"), lit(3)),
+        UnaryOp("-", lit("a")),
+        BinOp("<", lit("a"), lit(1)),
+        year(lit(None)),
+        substr(lit(None), 1, 2),
+        BinOp("/", lit(1), lit(0.0)),
+    ], ids=repr)
+    def test_skips_what_would_raise_or_is_not_a_date(self, expr):
         assert fold_constants(expr) is expr
 
     def test_folds_inside_larger_trees(self):
@@ -88,20 +96,28 @@ class TestConstantFolding:
         assert isinstance(folded.right, Lit) and folded.right.value == 5
         assert folded.left.name == "x"
 
-    def test_folding_matches_evaluate(self):
-        cases = [
-            BinOp("and", lit(True), lit(0)),
-            BinOp("or", lit(0), lit(3)),
-            UnaryOp("not", lit(0)),
-            like(lit("PROMO BRASS"), "PROMO%"),
-            in_list(lit(3), [1, 2, 3]),
-            substr(lit("abcdef"), 2, 3),
-            year(lit(19980902)),
-        ]
-        for expr in cases:
-            folded = fold_constants(expr)
-            assert isinstance(folded, Lit)
-            assert folded.value == evaluate(expr, {})
+    @pytest.mark.parametrize("expr", [
+        BinOp("and", lit(True), lit(0)),
+        BinOp("or", lit(0), lit(3)),
+        BinOp("+", lit(1.5), lit(2)),
+        BinOp("/", lit(7), lit(2)),
+        BinOp("==", lit("a"), lit("a")),
+        BinOp("!=", lit(1), lit(2)),
+        BinOp(">=", lit(2.0), lit(2)),
+        UnaryOp("not", lit(0)),
+        UnaryOp("-", lit(4)),
+        like(lit("PROMO BRASS"), "PROMO%"),
+        in_list(lit(3), [1, 2, 3]),
+        substr(lit("abcdef"), 2, 3),
+        year(lit(19980902)),
+        is_null(lit(None)),
+        is_null(lit(0)),
+    ], ids=repr)
+    def test_folding_matches_evaluate(self, expr):
+        folded = fold_constants(expr)
+        assert isinstance(folded, Lit)
+        assert folded.value == evaluate(expr, {})
+        assert type(folded.value) is type(evaluate(expr, {}))
 
     def test_untouched_trees_keep_identity(self):
         expr = (col("a") > 1) & (col("b") < 2)

@@ -132,4 +132,4 @@ class TestPlannedTreesAreBounded:
             assert executor.execute(plan, f"b{n}").tier == "interpreter"
         derived = AccessLayer.for_catalog(tiny_catalog).derived
         assert derived.entry_count(PLANS) == PROBATION + 1
-        assert executor.is_warm(warmed, "warmed")
+        assert executor.warm(warmed, "warmed") == 0.0

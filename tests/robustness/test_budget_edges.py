@@ -102,11 +102,11 @@ class TestHardenedExecutorDeadlineEdges:
 
     @pytest.mark.parametrize("tier", ENGINE_TIERS)
     def test_timeout_is_final_with_populated_stats(self, tiny_catalog, tier):
-        executor = HardenedExecutor(tiny_catalog, incidents=IncidentLog())
+        executor = HardenedExecutor(tiny_catalog, tiers=(tier,),
+                                    incidents=IncidentLog())
         budget = QueryBudget(timeout_seconds=0.0, check_interval=1)
         with pytest.raises(BudgetExceeded) as info:
-            executor.execute(_scan_plan(), f"edge-{tier}", budget=budget,
-                             tiers=(tier,))
+            executor.execute(_scan_plan(), f"edge-{tier}", budget=budget)
         _assert_populated(info.value)
 
     def test_zero_timeout_never_falls_through_the_ladder(self, tiny_catalog):
@@ -121,8 +121,3 @@ class TestHardenedExecutorDeadlineEdges:
         trips = incidents.records(category="budget_trip")
         assert len(trips) == 1
         assert incidents.count("tier_failure") == 0
-
-    def test_invalid_tier_subset_rejected(self, tiny_catalog):
-        executor = HardenedExecutor(tiny_catalog, incidents=IncidentLog())
-        with pytest.raises(ValueError):
-            executor.execute(_scan_plan(), "edge-bad", tiers=("warp-drive",))

@@ -101,11 +101,6 @@ class TestCleanExecution:
             HardenedExecutor(tiny_catalog, tiers=("template",))
         with pytest.raises(ValueError, match="at least one tier"):
             HardenedExecutor(tiny_catalog, tiers=())
-        executor = _executor(tiny_catalog)
-        with pytest.raises(ValueError, match="unknown tiers"):
-            executor.execute(_select_plan(), "bad_q", tiers=("template",))
-        with pytest.raises(ValueError, match="at least one tier"):
-            executor.execute(_select_plan(), "bad_q", tiers=())
 
 
 class TestTierDegradation:

@@ -135,14 +135,13 @@ class TestSnapshot:
         import json
 
         log = IncidentLog(capacity=4)
-        log.report("admission_downgrade", query="q9", tier="interpreter")
+        log.report("tier_failure", query="q9", tier="interpreter")
         payload = json.loads(log.to_json(include_records=True, indent=2))
         assert len(payload["records"]) == 1
         record = payload["records"][0]
-        assert record["category"] == "admission_downgrade"
+        assert record["category"] == "tier_failure"
         assert record["query"] == "q9"
 
     def test_serving_categories_exist(self):
-        for category in ("admission_reject", "admission_downgrade",
-                         "deadline_expired"):
+        for category in ("admission_reject", "deadline_expired"):
             assert category in CATEGORIES

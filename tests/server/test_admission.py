@@ -1,12 +1,11 @@
-"""Unit tests for the admission-control pieces: the AIMD limiter, the
-occupancy-driven shedding policy, and the bounded priority queue with its
-typed rejections.  Everything here is synchronous — these are the parts of
-the front door that must be reasoned about without an event loop."""
+"""Unit tests for the admission-control pieces: the AIMD limiter and the
+bounded priority queue with its typed rejections.  Everything here is
+synchronous — these are the parts of the front door that must be reasoned
+about without an event loop."""
 import pytest
 
-from repro.server.admission import (POLICY_TIERS, TIER_POLICIES,
-                                    AdaptiveLimiter, AdmissionController,
-                                    AdmittedRequest, SheddingPolicy)
+from repro.server.admission import (AdaptiveLimiter, AdmissionController,
+                                    AdmittedRequest)
 from repro.server.responses import DeadlineExceeded, Overloaded
 
 
@@ -69,50 +68,17 @@ class TestAdaptiveLimiter:
         assert limiter.limit == 5
 
 
-class TestSheddingPolicy:
-    def test_thresholds(self):
-        policy = SheddingPolicy()
-        assert policy.tier_policy(0.0) == "full"
-        assert policy.tier_policy(0.49) == "full"
-        assert policy.tier_policy(0.5) == "cached_only"
-        assert policy.tier_policy(0.84) == "cached_only"
-        assert policy.tier_policy(0.85) == "no_compile"
-        assert policy.tier_policy(1.0) == "no_compile"
-
-    def test_every_policy_is_known(self):
-        policy = SheddingPolicy()
-        for occupancy in (0.0, 0.5, 0.9):
-            assert policy.tier_policy(occupancy) in TIER_POLICIES
-
-    def test_rejects_inverted_thresholds(self):
-        with pytest.raises(ValueError):
-            SheddingPolicy(elevated_fraction=0.9, severe_fraction=0.5)
-        with pytest.raises(ValueError):
-            SheddingPolicy(elevated_fraction=0.0)
-
-    def test_policy_ladders_are_subsets_of_the_engine_ladder(self):
-        from repro.robustness.fallback import ENGINE_TIERS
-        for tiers in POLICY_TIERS.values():
-            assert set(tiers) <= set(ENGINE_TIERS)
-        assert len(POLICY_TIERS) == 3
-        # the severe rung never compiles, and starts at the fastest engine
-        # that needs no compile
-        assert POLICY_TIERS["no_compile"] == ("vectorized", "interpreter")
-
-
 class TestAdmittedRequest:
     def test_remaining_and_expiry(self):
         request = AdmittedRequest(name="q", plan=None, priority=0,
-                                  deadline=110.0, enqueued_at=100.0,
-                                  tier_policy="full")
+                                  deadline=110.0, enqueued_at=100.0)
         assert request.remaining(104.0) == pytest.approx(6.0)
         assert not request.expired(109.9)
         assert request.expired(110.0)
 
     def test_no_deadline_never_expires(self):
         request = AdmittedRequest(name="q", plan=None, priority=0,
-                                  deadline=None, enqueued_at=100.0,
-                                  tier_policy="full")
+                                  deadline=None, enqueued_at=100.0)
         assert request.remaining(1e9) is None
         assert not request.expired(1e9)
 
@@ -178,21 +144,6 @@ class TestAdmissionController:
         drained = controller.drain_queue()
         assert sorted(request.name for request in drained) == ["a", "b"]
         assert len(controller) == 0
-
-    def test_occupancy_drives_tier_policy(self):
-        controller = AdmissionController(max_depth=4, clock=FakeClock())
-        policies = [controller.offer(f"q{n}", plan=None).tier_policy
-                    for n in range(4)]
-        # occupancy seen at arrival: 0/4, 1/4, 2/4 (elevated), 3/4
-        assert policies == ["full", "full", "cached_only", "cached_only"]
-        assert controller.snapshot()["downgraded"] == 2
-
-    def test_severe_occupancy_forbids_compiling(self):
-        controller = AdmissionController(max_depth=8, clock=FakeClock())
-        policies = [controller.offer(f"q{n}", plan=None).tier_policy
-                    for n in range(8)]
-        assert policies[-1] == "no_compile"  # arrived at 7/8 = 0.875
-        assert policies[4] == "cached_only"
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):

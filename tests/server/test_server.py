@@ -4,7 +4,7 @@ No pytest-asyncio in the image: each test drives its own event loop with
 ``asyncio.run``.  Determinism notes: coroutines submitted together via
 ``gather`` run their synchronous prefix (including ``offer``) in creation
 order before the dispatcher task resumes, so queue occupancy at each offer
-— and therefore which requests get downgraded — is exact.
+— and therefore which requests the bounded queue rejects — is exact.
 """
 import asyncio
 
@@ -259,37 +259,23 @@ class TestDeadlinePropagation:
 
 
 class TestLoadShedding:
-    def test_tiers_for_cached_only_depends_on_warmth(self, tiny_catalog):
-        server = QueryServer(tiny_catalog)
-        plan = _scan_plan()
-        request = AdmittedRequest(name="w", plan=plan, priority=0,
-                                  deadline=None, enqueued_at=0.0,
-                                  tier_policy="cached_only")
-        assert server._tiers_for(request) == ("vectorized", "interpreter")
-        server.executor.warm(plan, "w")
-        assert server._tiers_for(request) == \
-            ("compiled", "vectorized", "interpreter")
-
-    def test_cached_only_warmth_is_truthful(self):
+    def test_warm_plans_is_truthful(self):
         """Warm means "the compiled entry exists now".  A re-registration or
-        an LRU eviction makes a warmed query cold again: under
-        ``cached_only`` it must take the cold ladder instead of compiling."""
+        an LRU eviction makes a warmed query cold again, and its next
+        request compiles afresh and still answers on the compiled tier."""
         catalog = generate_catalog(scale_factor=0.0005, seed=5)
         queries = {name: build_query(name) for name in ("Q6", "Q14")}
 
-        def request(name):
-            return AdmittedRequest(name=name, plan=queries[name], priority=0,
-                                   deadline=None, enqueued_at=0.0,
-                                   tier_policy="cached_only")
-
-        def served_cold(server, name):
-            """Run one cached_only request on this thread, as a worker
-            would: the cold ladder answers and nothing compiles."""
+        def compiles(server, name):
+            """Run one request on this thread, as a worker would; the
+            compiled tier answers.  Returns the compile-cache misses."""
             misses = QueryCompiler.cache_stats.misses
-            response = server._execute(request(name), 0.0)
-            assert response.ok and response.tier_policy == "cached_only"
-            assert QueryCompiler.cache_stats.misses == misses
-            return response.tier == "vectorized"
+            response = server._execute(AdmittedRequest(
+                name=name, plan=queries[name], priority=0, deadline=None,
+                enqueued_at=0.0), 0.0)
+            assert response.ok and response.tier == "compiled"
+            assert response.tier_policy == "full"
+            return QueryCompiler.cache_stats.misses - misses
 
         async def scenario():
             server = QueryServer(catalog, queries=queries,
@@ -297,19 +283,20 @@ class TestLoadShedding:
             await server.start()
             try:
                 assert server.stats()["warm_plans"] == 2
-                assert not served_cold(server, "Q6")
+                assert compiles(server, "Q6") == 0
 
                 catalog.register(catalog.table("lineitem"))
                 assert server.stats()["warm_plans"] == 0
-                assert served_cold(server, "Q6")
+                assert compiles(server, "Q6") > 0
+                assert server.stats()["warm_plans"] == 1
 
                 for name in queries:  # Q14 is now the most recently used
                     server.executor.warm(queries[name], name)
                 assert server.stats()["warm_plans"] == 2
                 QueryCompiler.set_cache_capacity(1)
                 assert server.stats()["warm_plans"] == 1
-                assert served_cold(server, "Q6")
-                assert not served_cold(server, "Q14")
+                assert compiles(server, "Q14") == 0
+                assert compiles(server, "Q6") > 0
             finally:
                 QueryCompiler.set_cache_capacity(saved)
                 await server.drain()
@@ -317,12 +304,13 @@ class TestLoadShedding:
         saved = QueryCompiler.cache_capacity
         _run(scenario())
 
-    def test_occupancy_downgrades_then_rejects(self, tiny_catalog):
+    def test_one_ladder_at_any_occupancy_then_rejects(self, tiny_catalog):
         """Ten concurrent submissions against a depth-8 queue: the offers
-        all land before the dispatcher runs, so occupancy ramps 0/8..7/8 and
-        the tail sees cached_only, then no_compile, then queue_full."""
+        all land before the dispatcher runs, so occupancy ramps 0/8..7/8.
+        Every admitted request runs on the configured ladder, cold plans at
+        high occupancy included; only the queue bound answers pressure."""
         plan_s = _scan_plan()
-        plan_r = Q.Scan("R")  # cold plan: never compiled during the test
+        plan_r = Q.Scan("R")  # cold plan: first compiled at occupancy >= 0.5
         reference_r = VolcanoEngine(tiny_catalog).execute(plan_r)
         reference_s = VolcanoEngine(tiny_catalog).execute(plan_s)
 
@@ -332,7 +320,7 @@ class TestLoadShedding:
             await server.start()
             submits = [server.submit(plan_s, f"s{n}") for n in range(4)] + \
                       [server.submit(plan_r, f"r{n}") for n in range(3)] + \
-                      [server.submit(plan_s, "tail-no-compile"),
+                      [server.submit(plan_s, "tail"),
                        server.submit(plan_s, "shed-1"),
                        server.submit(plan_s, "shed-2")]
             responses = await asyncio.gather(*submits)
@@ -340,20 +328,13 @@ class TestLoadShedding:
             return server, responses
 
         server, responses = _run(scenario())
-        # offers 0-3 at occupancy < 0.5: full ladder
-        assert [r.tier_policy for r in responses[:4]] == ["full"] * 4
-        # offers 4-6 at occupancy 0.5-0.75: cached_only; the plan is cold,
-        # so the compiled tier is withheld and the vectorized engine answers
-        for response in responses[4:7]:
-            assert response.tier_policy == "cached_only"
-            assert response.ok
-            assert response.tier == "vectorized"
-            assert response.rows == reference_r
-        # offer 7 at occupancy 7/8: no compile, the vectorized engine answers
-        assert responses[7].tier_policy == "no_compile"
-        assert responses[7].ok
-        assert responses[7].tier == "vectorized"
-        assert responses[7].rows == reference_s
+        # offers 0-7, at every occupancy from 0/8 to 7/8: the compiled tier
+        for n, response in enumerate(responses[:8]):
+            assert response.ok, response
+            assert response.tier == "compiled"
+            assert response.tier_policy == "full"
+            assert response.attempts == 0
+            assert response.rows == (reference_r if 4 <= n < 7 else reference_s)
         # offers 8-9: bounded queue full — typed rejection, never executed
         for response in responses[8:]:
             assert response.status == "overloaded"
@@ -361,10 +342,9 @@ class TestLoadShedding:
             assert response.rows is None
         queue = server.stats()["queue"]
         assert queue["accepted"] == 8
-        assert queue["downgraded"] == 4
         assert queue["rejected_queue_full"] == 2
-        assert server.incidents.count("admission_downgrade") == 4
-        assert server.incidents.count("admission_reject") == 2
+        assert server.incidents.snapshot()["by_category"] == \
+            {"admission_reject": 2}
 
 
 class TestServeOneShot:
