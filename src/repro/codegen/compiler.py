@@ -6,8 +6,8 @@
 final IR; ``compile`` goes on to a :class:`CompiledQuery` — code only — exposing:
 
 * ``prepare(db)`` — run the hoisted (data-loading time) section and return
-  its bindings (``aux``): lookups of catalog-resident structures when the
-  access layer is on, private builds otherwise,
+  its bindings (``aux``): column lookups and, when the access layer is on,
+  lookups of catalog-resident structures — never a build,
 * ``run(db, aux)`` — execute the query body and return its rows (``run(db)``
   prepares first),
 * ``source`` — the generated Python source (for inspection / debugging),
@@ -70,16 +70,15 @@ class CompiledQuery:
     def prepare(self, db: Catalog) -> Dict[str, Any]:
         """Run the data-loading-time section and return its bindings (``aux``).
 
-        With the catalog access layer on (dblab-4/5) that section is a
-        handful of lookups: column arrays, and the structures resident on
-        ``db`` — unique-key indices, partitions of row positions, candidate
-        lists, dictionaries — each built once per loaded table by the
-        :class:`~repro.storage.access.AccessLayer`, shared by every query,
-        request and thread, and dropped by a reload of its table.  Calling
-        this per request therefore costs microseconds and ``aux`` owns
-        nothing worth keeping.  Without the flag (dblab-2/3, tpch-compliant,
-        the ladder's ``no_access`` mode) hash-join builds over base tables
-        are loops in this section and ``aux`` holds their private copies.
+        That section is a handful of lookups and never a loop: column
+        arrays and, with the catalog access layer on (dblab-4/5), the
+        structures resident on ``db`` — unique-key indices, partitions of
+        row positions, candidate lists, dictionaries — each built once per
+        loaded table by the :class:`~repro.storage.access.AccessLayer`,
+        shared by every query, request and thread, and dropped by a reload
+        of its table.  Calling this per request therefore costs microseconds
+        and ``aux`` owns nothing worth keeping.  Without the flag every hash
+        build is the ordinary per-query build in the body.
         """
         return self._prepare_fn(db, runtime)
 
@@ -89,8 +88,7 @@ class CompiledQuery:
         ``aux`` is what :meth:`prepare` returned; without it the query
         prepares afresh.  Nothing prepared is kept here: the structures
         ``aux`` names live on the catalog for the catalog's lifetime (see
-        :meth:`prepare`), and what a flag-off ``prepare`` built privately
-        lives exactly as long as the caller keeps ``aux``.
+        :meth:`prepare`).
         A query compiled before the catalog's last table reload is stale —
         its code and any ``aux`` built for it assume the replaced data — so
         it hands the run to a fresh compile against the live data.

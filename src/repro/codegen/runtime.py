@@ -4,16 +4,15 @@ The C code generated by DBLAB/LB links against GLib (generic hash tables and
 lists) plus a handful of support routines (string dictionaries).  Our
 generated Python's GLib is the host's own ``dict``, ``list`` and ``set``,
 used inline by the unparser; what remains here is support that is not
-per-row work: string dictionaries, fetches of the catalog-resident access
-layer, sorting, ``LIKE``, and the governor hooks at the head of each
-top-level loop.  No aggregation lives here: an aggregate's fold and
-finalisation are statements the pipelining lowering emits over the group's
-accumulator record, so every pass below it sees them.
+per-row work: fetches of the catalog-resident access layer (its string
+dictionaries among them), sorting, ``LIKE``, and the governor hooks at the
+head of each top-level loop.  No aggregation lives here: an aggregate's fold
+and finalisation are statements the pipelining lowering emits over the
+group's accumulator record, so every pass below it sees them.
 """
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 # generated code tests ``LIKE`` through ``_rt.like``: the one matcher, not a copy
 from ..dsl.expr import matches_like as like  # noqa: F401
@@ -21,65 +20,13 @@ from ..robustness.governor import current_governor
 
 
 # ---------------------------------------------------------------------------
-# String dictionaries (Section 5.3).
-# ---------------------------------------------------------------------------
-class StringDictionary:
-    """Maps the distinct strings of a column to integer codes.
-
-    Codes are assigned in lexicographic order, so range (prefix) predicates
-    can be answered with two integer comparisons (Table 2 of the paper);
-    ``ordered`` only says whether the query relies on that (it gates
-    :meth:`prefix_range`).
-    """
-
-    __slots__ = ("ordered", "codes", "sorted_values")
-
-    def __init__(self, ordered: bool = False) -> None:
-        self.ordered = ordered
-        self.codes: Dict[str, int] = {}
-        self.sorted_values: List[str] = []
-
-    @classmethod
-    def build(cls, values: Iterable[str], ordered: bool = False) -> "StringDictionary":
-        dictionary = cls(ordered)
-        dictionary.sorted_values = sorted(set(values))
-        dictionary.codes = {value: i for i, value in enumerate(dictionary.sorted_values)}
-        return dictionary
-
-    def code(self, value: str) -> int:
-        """Integer code of ``value`` (-1 when the string never occurs)."""
-        return self.codes.get(value, -1)
-
-    def encode_column(self, values: Sequence[str]) -> List[int]:
-        codes = self.codes
-        return [codes[value] for value in values]
-
-    def prefix_range(self, prefix: str) -> Tuple[int, int]:
-        """[start, end] code range of values starting with ``prefix``.
-
-        Returns an empty range (1, 0) when no value matches, so that
-        ``start <= code <= end`` is never satisfied.
-        """
-        if not self.ordered:
-            raise ValueError("prefix_range requires an order-preserving dictionary")
-        lo = bisect.bisect_left(self.sorted_values, prefix)
-        hi = bisect.bisect_left(self.sorted_values, prefix + "￿")
-        if lo >= hi:
-            return (1, 0)
-        return (lo, hi - 1)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
-# ---------------------------------------------------------------------------
 # Catalog-resident access layer (repro.storage.access).  These helpers back
 # the ``access_*`` IR ops: compiled queries fetch the *shared* load-time
-# structures of the catalog instead of rebuilding their own in the hoisted
-# block.  The pipelining lowering only emits the ops after verifying, against
-# the compile-time catalog, that the structure exists; a prepare() against a
-# catalog whose data breaks that assumption fails loudly instead of running a
-# wrong plan.
+# structures of the catalog; no compiled query builds one of its own.  The
+# pipelining lowering only emits the ops after verifying, against the
+# compile-time catalog, that the structure exists; a prepare() against a
+# catalog whose data breaks that assumption fails loudly instead of running
+# a wrong plan.
 # ---------------------------------------------------------------------------
 def catalog_partition(db, table: str, column: str, lo: int, size: int,
                       single: bool):

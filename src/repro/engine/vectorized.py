@@ -19,6 +19,8 @@ enforce over all 22 TPC-H queries.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dsl import qplan
@@ -511,10 +513,12 @@ def _final_value(agg: qplan.AggSpec, row_count: int, values: Optional[List[Any]]
     """Fold a whole gathered value column into one aggregate result.
 
     Value-identical to folding :func:`repro.engine.volcano.fold_value` row by
-    row: ``sum`` starts from 0 and adds non-null values left to right, nulls
-    never contribute, an all-null (or empty) group yields ``None`` for
-    min/max/avg.  Any semantic change to the volcano fold must be mirrored
-    here — the TPC-H parity tests compare the two engines directly.
+    row: ``sum`` starts from 0 (``avg``'s total from 0.0) and adds non-null
+    values left to right, nulls never contribute, an all-null (or empty)
+    group yields ``None`` for min/max/avg.  The adds are a plain left fold,
+    not builtin ``sum``, which compensates float rounding since CPython 3.12.
+    Any semantic change to the volcano fold must be mirrored here — the
+    TPC-H parity tests compare the two engines directly.
     """
     kind = agg.kind
     if kind == "count":
@@ -522,10 +526,10 @@ def _final_value(agg: qplan.AggSpec, row_count: int, values: Optional[List[Any]]
             return row_count
         return sum(1 for v in values if v is not None)
     if kind == "sum":
-        return sum(v for v in values if v is not None)
+        return reduce(add, (v for v in values if v is not None), 0)
     if kind == "avg":
         present = [v for v in values if v is not None]
-        return sum(present) / len(present) if present else None
+        return reduce(add, present, 0.0) / len(present) if present else None
     if kind == "min":
         present = [v for v in values if v is not None]
         return min(present) if present else None

@@ -345,10 +345,13 @@ class _KeyBuild:
 # ---------------------------------------------------------------------------
 # Aggregate accumulators (row-at-a-time folding): the reference semantics.
 #
-# Two copies must stay value-identical with these: the vectorized engine's
-# fold over whole gathered value columns (`repro.engine.vectorized._final_value`)
-# and the compiled stacks' folds, which the pipelining lowering emits as
-# statements over a group's accumulator record
+# Two copies must stay value-identical with these — the same starts, the
+# same adds in the same left-to-right order, on every supported Python: the
+# vectorized engine's fold over whole gathered value columns
+# (`repro.engine.vectorized._final_value`, a left fold rather than builtin
+# `sum`, which compensates float rounding since CPython 3.12) and the
+# compiled stacks' folds, which the pipelining lowering emits as statements
+# over a group's accumulator record
 # (`repro.transforms.pipelining._PushCompiler._fold` / `_finalise`).  The
 # parity suites run all three against each other, so a semantic change here
 # must be mirrored there (and vice versa).

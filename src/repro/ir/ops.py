@@ -278,25 +278,18 @@ _r("dense_agg_foreach", "dense", CONTROL,
    arity=1, blocks=(2,), loop=True)
 
 # ---------------------------------------------------------------------------
-# Per-query string dictionaries (the string-dictionary optimization).
+# String dictionaries (the string-dictionary optimization).
 # ---------------------------------------------------------------------------
-_r("strdict_build", "strdict", ALLOC,
-   "build a string dictionary over a column; attrs: table, column, ordered=bool", arity=1)
-_r("strdict_encode_column", "strdict", ALLOC, "integer-encoded copy of a string column",
-   arity=2)
-_r("strdict_code", "strdict", READ, "dictionary code of a constant string (-1 when absent)",
+_r("strdict_code", "strdict", READ,
+   "dictionary code of a constant string (None when absent)",
    arity=2, result=INT)
-_r("strdict_prefix_range", "strdict", READ,
-   "[start, end] code range of the strings with a given prefix (ordered dictionaries only)",
-   arity=2)
 
 # ---------------------------------------------------------------------------
-# Catalog-resident access structures (repro.storage.access).  Unlike the
-# strdict_build op above — which constructs a per-query structure in the
-# hoisted block — these ops *fetch* structures that live on the catalog
-# itself and are built lazily once per loaded database, so every compiled
-# query (and every direct engine) shares the same physical access layer.
-# They are reads of catalog state, never allocations.
+# Catalog-resident access structures (repro.storage.access).  These ops
+# *fetch* structures that live on the catalog itself and are built lazily
+# once per loaded database, so every compiled query (and every direct
+# engine) shares the same physical access layer.  They are reads of catalog
+# state, never allocations.
 # ---------------------------------------------------------------------------
 _r("access_pruned_indices", "access", READ,
    "candidate base-row positions of a pruned scan (ascending, memoized); "

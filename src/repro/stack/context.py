@@ -30,8 +30,9 @@ class OptimizationFlags:
     #: compiled pipelines consume the *catalog-resident* physical access layer
     #: (repro.storage.access): PrunedScan candidate slices, resident
     #: partitions for base-table hash builds (an IndexJoin's is the load-time
-    #: PK index), and the shared sorted string dictionaries — instead of
-    #: rebuilding per-query structures in the hoisted block.
+    #: PK index), and the shared sorted string dictionaries.  It is the only
+    #: source of loading-time structures: off, string comparisons stay string
+    #: comparisons and every hash build is the ordinary per-query build.
     catalog_access_layer: bool = True
     #: repeated subplans (qplan.shared_subplan_fingerprints) are materialised
     #: once behind a binding in the generated program and replayed for every

@@ -97,10 +97,8 @@ def _substitute(expression: E.Expr, bindings: Dict[str, E.Expr]) -> E.Expr:
 class QMonadShortcutFusionLowering(Lowering):
     """Lower a QMonad chain to imperative code through the build/foreach encoding."""
 
-    def __init__(self, target: Language, name: str = "qmonad-shortcut-fusion",
-                 partition_base_builds: bool = True) -> None:
+    def __init__(self, target: Language, name: str = "qmonad-shortcut-fusion") -> None:
         self.name = name
-        self.partition_base_builds = partition_base_builds
         super().__init__(QMONAD, target)
 
     def run(self, query: M.QueryMonad, context: CompilationContext):
@@ -108,5 +106,5 @@ class QMonadShortcutFusionLowering(Lowering):
             raise M.QMonadError("shortcut fusion requires a catalog in the context")
         plan = M.to_qplan(query)
         Q.validate(plan, context.catalog)
-        compiler = _PushCompiler(context, self.target, self.partition_base_builds)
+        compiler = _PushCompiler(context, self.target)
         return compiler.compile(plan)

@@ -3,7 +3,7 @@
 Section 5.2 / Appendix B.2 of the paper: the generic MultiMap and HashMap
 abstractions are specialised according to how they are used.  The key facts
 needed for the decision — is the key an integer with a known dense range, is
-it a primary key, was the build partitioned to loading time — were attached to
+it a primary key, is the build side a base relation — were attached to
 the ``mmap_new`` / ``hashmap_agg_new`` statements as annotations by the
 pipelining lowering (the Section 3.3 annotation mechanism).
 
@@ -106,7 +106,7 @@ class _Specializer:
         key_range = self._dense_range(stmt.expr.attrs)
         if key_range is None:
             return None
-        if not (stmt.expr.attrs.get("build_is_base") or stmt.expr.attrs.get("partitioned")):
+        if not stmt.expr.attrs.get("build_is_base"):
             # Intermediate relations keep the generic container: pre-allocating
             # one bucket per key of the whole domain only pays off when the
             # build covers (a filtered subset of) a base relation.

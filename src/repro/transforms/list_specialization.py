@@ -70,7 +70,7 @@ class _UniqueKeySpecializer:
         attrs = stmt.expr.attrs
         if not attrs.get("unique") or "key_lo" not in attrs:
             return None
-        if not (attrs.get("build_is_base") or attrs.get("partitioned")):
+        if not attrs.get("build_is_base"):
             return None
         lo, hi = int(attrs["key_lo"]), int(attrs["key_hi"])
         array = rw.emit("array_new", [Const(hi - lo + 1)], attrs={"init": None},

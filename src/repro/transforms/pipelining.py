@@ -35,10 +35,10 @@ the target decides:
 * whether hash-table builds over base relations are *partitioned at loading
   time* (automatic index inference + data-structure partitioning, Section
   B.1), which needs the hash-table specialization below ScaLite[Map, List]
-  and is the one thing the TPC-H compliant stack turns off
-  (``partition_base_builds``): a lookup of the catalog's resident partition
-  of row positions when the catalog access layer is on, a build loop in the
-  hoisted block otherwise.
+  and the catalog access layer: the build is a lookup of the catalog's
+  resident partition of row positions.  Where no resident partition serves
+  — the layer off, or a key range it does not cover — the build is the
+  ordinary per-query build of the (filtered) side.
 
 There is one join lowering per join shape.  The planner's ``IndexJoin`` (a
 hash join whose build side is a bare scan keyed on a unique, dense primary
@@ -114,7 +114,7 @@ class _HashBuild(NamedTuple):
     fields: List[str]
     #: the fields the probes read of a build row
     reads: List[str]
-    #: the build side's filter, applied by the probe (a partitioned build)
+    #: the build side's filter, applied by the probe (a resident partition)
     probe_filter: Optional[E.Expr]
     #: ``each_row(element, consume)`` emits the build row a bucket element
     #: stands for and hands it to ``consume``
@@ -126,24 +126,21 @@ class _HashBuild(NamedTuple):
 class PushPipelineLowering(Lowering):
     """Lower a QPlan operator tree into an imperative ANF program."""
 
-    def __init__(self, target: Language, name: str = "pipelining",
-                 partition_base_builds: bool = True) -> None:
+    def __init__(self, target: Language, name: str = "pipelining") -> None:
         self.name = name
-        self.partition_base_builds = partition_base_builds
         super().__init__(QPLAN, target)
 
     def run(self, plan: Q.Operator, context: CompilationContext) -> Program:
         if context.catalog is None:
             raise PipeliningError("pipelining requires a catalog in the compilation context")
-        compiler = _PushCompiler(context, self.target, self.partition_base_builds)
+        compiler = _PushCompiler(context, self.target)
         return compiler.compile(plan)
 
 
 class _PushCompiler:
     """One compilation run of the push engine."""
 
-    def __init__(self, context: CompilationContext, target: Language,
-                 partition_base_builds: bool) -> None:
+    def __init__(self, context: CompilationContext, target: Language) -> None:
         self.context = context
         self.catalog = context.catalog
         self.flags = context.flags
@@ -158,14 +155,14 @@ class _PushCompiler:
         self.scalar_rows = target is not C_PY
         #: record layout used for materialised intermediate rows
         self.record_layout = "row" if self.scalar_rows else "boxed"
-        #: whether hash builds over base relations move to loading time: only
-        #: a stack that lowers MultiMaps can index the partitions
-        self.partition_base_builds = (partition_base_builds
-                                      and target is SCALITE_MAP_LIST)
         #: whether pipelines consume the catalog-resident access layer
         self.catalog_access = bool(self.flags.catalog_access_layer
                                    and getattr(self.catalog, "statistics", None)
                                    is not None)
+        #: whether hash builds over base relations can be the catalog's
+        #: resident partitions: only a stack that lowers MultiMaps can index
+        #: them
+        self.resident_partitions = self.catalog_access and target is SCALITE_MAP_LIST
         #: shared-subplan bindings (armed per plan in :meth:`compile`)
         self.sharing: Optional[SharedSubplanMaterializer] = None
         #: catalog-resident partitions already fetched in the hoisted block:
@@ -444,15 +441,18 @@ class _PushCompiler:
                                and self.catalog.is_primary_key(build_table, key_expr.name))
         return attrs
 
-    def _partition_info(self, side: Q.Operator, key_expr: E.Expr):
-        """Decide whether a hash build over ``side`` can move to loading time.
+    def _partition_info(self, side: Q.Operator, key_expr: E.Expr, attrs: Dict):
+        """Decide whether a hash build over ``side`` is the catalog's resident
+        partition, specialised by the ``attrs`` :meth:`_mmap_attrs` gave it.
 
         Returns ``(scan, probe_filter)`` when the side is a base relation
-        (possibly filtered) whose key column has a dense integer range, or
-        ``None`` otherwise.  The filter, if any, is re-applied in the probe
-        loop (Figure 7c of the paper).
+        (possibly filtered) and the catalog's partition of its key column
+        covers exactly the key range the specialised probe will bake in, or
+        ``None`` otherwise.  Decided from statistics: nothing is built at
+        compile time.  The filter, if any, is re-applied in the probe loop
+        (Figure 7c of the paper).
         """
-        if not self.partition_base_builds:
+        if not (self.resident_partitions and "key_lo" in attrs):
             return None
         probe_filter = None
         candidate = side
@@ -461,22 +461,20 @@ class _PushCompiler:
             candidate = candidate.child
         if not isinstance(candidate, Q.Scan) or not isinstance(key_expr, E.Col):
             return None
-        table = candidate.table
-        if not self.catalog.schema.table(table).has_column(key_expr.name):
-            return None
-        stats = self.catalog.statistics.column(table, key_expr.name)
-        if not stats.is_dense_key():
+        from ..storage.access import AccessLayer
+        domain = AccessLayer.for_catalog(self.catalog).partition_domain(
+            candidate.table, key_expr.name)
+        if domain != (attrs["key_lo"], attrs["key_hi"]):
             return None
         return candidate, probe_filter
 
     def _build_hash_table(self, side: Q.Operator, key_expr: E.Expr, needed: Set[str],
                           probe_key_expr: Optional[E.Expr] = None,
                           probe_side: Optional[Q.Operator] = None) -> _HashBuild:
-        """Build (possibly at loading time) a MultiMap over ``side`` keyed by
-        ``key_expr``, whose probes read the ``needed`` fields of a build row
-        (those of ``side`` among them)."""
+        """Build a MultiMap over ``side`` keyed by ``key_expr`` — or fetch the
+        catalog's resident partition standing for it — whose probes read the
+        ``needed`` fields of a build row (those of ``side`` among them)."""
         fields = Q.output_fields(side, self.catalog)
-        partition = self._partition_info(side, key_expr)
         build_table, probe_table = _scanned_table(side), _scanned_table(probe_side)
         attrs = self._mmap_attrs(key_expr, build_table, side)
         if probe_key_expr is not None and self._holds_null(probe_key_expr, probe_side):
@@ -484,8 +482,8 @@ class _PushCompiler:
         if attrs:
             # Dense-array specialization pre-allocates one bucket per key of
             # the domain; that is only worthwhile when the build side is a
-            # base relation (or the build happens at loading time), which is
-            # also the condition Section 5.2 imposes for materialisation.
+            # base relation, which is also the condition Section 5.2 imposes
+            # for materialisation.
             attrs["build_is_base"] = build_table is not None
         if attrs and probe_key_expr is not None:
             probe_domain = self._key_domain(probe_key_expr, probe_table)
@@ -494,6 +492,7 @@ class _PushCompiler:
             # falls inside the array's index range, so the bounds check can
             # be elided in the specialised code.
             attrs["probe_in_range"] = probe_domain == attrs.get("key_domain")
+        partition = self._partition_info(side, key_expr, attrs)
         probe_filter = partition[1] if partition is not None else None
         wanted = needed | _columns(probe_filter)
         reads = [name for name in fields if name in wanted]
@@ -503,38 +502,15 @@ class _PushCompiler:
             table = self.b.emit("mmap_new", [], attrs=attrs, hint="hm")
             each_row = self._emit_build_loop(side, key_expr, table, reads)
             return _HashBuild(table, fields, reads, None, each_row, unique)
-        scan = partition[0]
-        attrs["partitioned"] = True
-        if self._has_resident_partition(scan.table, key_expr.name, attrs):
-            table, each_row = self._resident_partition(scan, key_expr.name, attrs, reads)
-        else:
-            self._use_builder(self.hoisted)
-            try:
-                table = self.b.emit("mmap_new", [], attrs=attrs, hint="part")
-                each_row = self._emit_build_loop(scan, key_expr, table, reads)
-            finally:
-                self._pop_builder()
+        table, each_row = self._resident_partition(partition[0], key_expr.name, attrs, reads)
         return _HashBuild(table, fields, reads, probe_filter, each_row, unique)
-
-    def _has_resident_partition(self, table: str, column: str, attrs: Dict) -> bool:
-        """Whether a partitioned build can be the catalog's own partition.
-
-        The catalog's partition must cover exactly the key range the
-        specialised probe will bake in.  Decided from statistics: nothing is
-        built at compile time.
-        """
-        if not (self.catalog_access and "key_lo" in attrs):
-            return False
-        from ..storage.access import AccessLayer
-        return AccessLayer.for_catalog(self.catalog).partition_domain(
-            table, column) == (attrs["key_lo"], attrs["key_hi"])
 
     def _resident_partition(self, scan: Q.Scan, column: str, attrs: Dict,
                             reads: Sequence[str]):
-        """A partitioned build served by the catalog's partition of row
-        positions (one per ``(table, column)``, shared by every query,
-        request and thread): no build loop at all, and the probe reads the
-        payload columns of a matching position from the base table."""
+        """A build served by the catalog's partition of row positions (one
+        per ``(table, column)``, shared by every query, request and thread):
+        no build loop at all, and the probe reads the payload columns of a
+        matching position from the base table."""
         key = (scan.table, column, bool(attrs.get("probe_in_range")))
         partition = self._partitions.get(key)
         if partition is None:

@@ -2,9 +2,10 @@
 
 String comparisons are among the most expensive per-tuple operations of a
 query.  This optimization, applied at the ScaLite[Map, List] level, detects
-comparisons between a base-table string column and constant strings, builds a
-dictionary for that column at data-loading time, integer-encodes the column
-once, and rewrites the comparisons into integer comparisons:
+comparisons between a base-table string column and constant strings, reads
+the dictionary of that column and the column's integer encoding — both built
+once at data-loading time — and rewrites the comparisons into integer
+comparisons:
 
 ==============  ===========================  =========================
 operation       before                       after
@@ -17,22 +18,20 @@ IN (v1, .. vn)  n string comparisons          n integer comparisons
 
 ``startsWith`` requires an *order-preserving* dictionary so that the strings
 with a given prefix form a contiguous code range.  Dictionary building and
-column encoding are charged to data loading (the hoisted block), which is why
-this optimization is not TPC-H compliant.
+column encoding are data-loading work, which is why this optimization is not
+TPC-H compliant.
 
-With the ``catalog_access_layer`` flag the hoisted section does not build and
-encode anything per query: it fetches the **catalog-resident** sorted
-dictionary and its shared per-row code column from the physical access layer
-(:meth:`repro.storage.access.AccessLayer.dictionary`) — the same structures
-the vectorized engine's predicate rewrite uses — so a whole workload of
-compiled queries encodes each column exactly once per loaded database.
-Catalog dictionaries are always sorted, hence always order-preserving; the
-per-query path remains the fallback for columns the access layer declines
-(near-unique or non-string data).
+The dictionaries are the **catalog-resident** ones of the physical access
+layer (:meth:`repro.storage.access.AccessLayer.dictionary`), built once per
+loaded table and shared with the vectorized engine's predicate rewrite; the
+hoisted block only fetches a dictionary and its per-row code column.  Catalog
+dictionaries are always sorted, hence always order-preserving.  A column the
+layer declines (near-unique or non-string data) — and every column when the
+``catalog_access_layer`` flag is off — keeps its string comparisons.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import BlockRewriter, iter_stmts
@@ -63,41 +62,22 @@ class StringDictionaries(Optimization):
         candidates = self._find_candidates(program, defs, context)
         if not candidates:
             return program
-
-        # Which columns need an order-preserving dictionary?
-        ordered_columns: Set[Tuple[str, str]] = {
-            column for column, stmt in candidates if stmt.expr.op == "str_startswith"}
         columns = {column for column, _ in candidates}
 
-        # Build (or, with the catalog access layer, fetch) dictionaries and
-        # encoded columns in the hoisted block.
-        catalog_backed = self._catalog_backed_columns(columns, context)
+        # Fetch the catalog's sorted dictionaries and their shared code
+        # columns in the hoisted block: nothing is encoded per query, and
+        # every compiled query (and the vectorized engine) reads the same
+        # structures.
         hoisted_stmts = list(program.hoisted.stmts)
         dictionaries: Dict[Tuple[str, str], Tuple[Sym, Sym]] = {}
         db = program.params[0]
         for table, column in sorted(columns):
             dictionary = Sym("sdict")
             encoded = Sym("enccol")
-            if (table, column) in catalog_backed:
-                # The catalog's sorted dictionary and its shared code column:
-                # nothing is re-encoded per query, and every compiled query
-                # (and the vectorized engine) reads the same structures.
-                hoisted_stmts.append(Stmt(dictionary, Expr(
-                    "access_strdict", (db,),
-                    {"table": table, "column": column})))
-                hoisted_stmts.append(Stmt(encoded, Expr(
-                    "access_strdict_codes", (db,),
-                    {"table": table, "column": column})))
-            else:
-                raw = Sym("sdcol", type=INT)
-                hoisted_stmts.append(Stmt(raw, Expr("table_column", (db,),
-                                                    {"table": table, "column": column})))
-                hoisted_stmts.append(Stmt(dictionary, Expr(
-                    "strdict_build", (raw,),
-                    {"table": table, "column": column,
-                     "ordered": (table, column) in ordered_columns})))
-                hoisted_stmts.append(Stmt(encoded, Expr("strdict_encode_column",
-                                                        (dictionary, raw), {})))
+            hoisted_stmts.append(Stmt(dictionary, Expr(
+                "access_strdict", (db,), {"table": table, "column": column})))
+            hoisted_stmts.append(Stmt(encoded, Expr(
+                "access_strdict_codes", (db,), {"table": table, "column": column})))
             dictionaries[(table, column)] = (dictionary, encoded)
 
         # Pre-compute constant codes / prefix ranges in the hoisted block.
@@ -110,12 +90,9 @@ class StringDictionaries(Optimization):
                     continue
                 if kind == "prefix":
                     rng = Sym("sdrange")
-                    # both range ops share the inclusive [lo, hi] contract of
-                    # the ge/le comparisons emitted below
-                    range_op = ("access_prefix_range"
-                                if (table, column) in catalog_backed
-                                else "strdict_prefix_range")
-                    hoisted_stmts.append(Stmt(rng, Expr(range_op,
+                    # the inclusive [lo, hi] range of the ge/le comparisons
+                    # emitted below
+                    hoisted_stmts.append(Stmt(rng, Expr("access_prefix_range",
                                                         (dictionary, Const(text)), {})))
                     lo = Sym("sdlo", type=INT)
                     hoisted_stmts.append(Stmt(lo, Expr("tuple_get", (rng,), {"index": 0})))
@@ -170,35 +147,24 @@ class StringDictionaries(Optimization):
                                      program.hoisted.params))
 
     # ------------------------------------------------------------------
-    # Catalog-backed dictionaries
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _catalog_backed_columns(columns: Set[Tuple[str, str]],
-                                context: CompilationContext
-                                ) -> Set[Tuple[str, str]]:
-        """The columns whose dictionary the catalog's access layer serves.
-
-        Consulted at compile time against the compilation catalog: the access
-        layer builds lazily and memoizes on the catalog, so asking here *is*
-        the load-time construction — every later query (compiled or direct)
-        reuses the same object.  Columns the layer declines (near-unique,
-        non-string values) keep the per-query hoisted build.
-        """
-        if not context.flags.catalog_access_layer:
-            return set()
-        catalog = context.catalog
-        if catalog is None or not hasattr(catalog, "access_layer"):
-            return set()
-        layer = catalog.access_layer()
-        return {(table, column) for table, column in columns
-                if layer.dictionary(table, column) is not None}
-
-    # ------------------------------------------------------------------
     # Candidate discovery
     # ------------------------------------------------------------------
-    def _find_candidates(self, program: Program, defs, context
+    def _find_candidates(self, program: Program, defs, context: CompilationContext
                          ) -> List[Tuple[Tuple[str, str], Stmt]]:
+        """The comparisons over a column whose dictionary the catalog's
+        access layer serves.
+
+        Asked at compile time against the compilation catalog: the layer
+        builds lazily and memoizes on the catalog, so asking here *is* the
+        load-time construction — every later query (compiled or direct)
+        reuses the same object.  The layer declines non-string columns and
+        near-unique ones, where a dictionary hurts (Section 5.3).
+        """
         catalog = context.catalog
+        if catalog is None or not (context.flags.catalog_access_layer
+                                   and hasattr(catalog, "access_layer")):
+            return []
+        layer = catalog.access_layer()
         candidates: List[Tuple[Tuple[str, str], Stmt]] = []
         for stmt, _ in iter_stmts(program.body):
             if stmt.expr.op not in _REWRITABLE:
@@ -212,19 +178,8 @@ class StringDictionaries(Optimization):
             if definition is None or definition.expr.op != "array_get":
                 continue
             traced = trace_to_table_column(operand, defs)
-            if traced is None:
-                continue
-            table, column = traced
-            if catalog is not None:
-                column_type = catalog.schema.table(table).column_type(column)
-                from ..ir.types import STRING
-                if column_type is not STRING:
-                    continue
-                # String dictionaries hurt for near-unique attributes (Section
-                # 5.3): skip columns whose values are (almost) all distinct.
-                if catalog.statistics.column(table, column).is_near_unique:
-                    continue
-            candidates.append(((table, column), stmt))
+            if traced is not None and layer.dictionary(*traced) is not None:
+                candidates.append((traced, stmt))
         return candidates
 
     @staticmethod

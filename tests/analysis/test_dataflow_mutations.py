@@ -55,9 +55,11 @@ class TestDataflowMutations:
     def test_parallelizable_stamp_on_loop_carried_write_rejected(self, tpch_catalog):
         """A loop the dependence analysis proves sequential (order-dependent
         array_set into a shared slots array) stamped ``parallelizable``.
-        Only the hoisted build loop of a primary-key map is sequential, and
-        with the catalog access layer on there is no such loop (the slots are
-        the catalog's own index), so this compiles the ``no_access`` mode."""
+        Only the per-query build loop of a primary-key map in the body is
+        sequential — Q16's filtered supplier and part scans, each writing one
+        row position per key into its slots — and with the catalog access
+        layer on there is no such loop (the slots are the catalog's own
+        index), so this compiles the ``no_access`` mode."""
 
         def stamp(program, context):
             for verdict in classify_loops(program):
@@ -187,8 +189,9 @@ class TestDataflowMutations:
             return _rebuild(program, hoisted=hoisted) if done else program
 
         with pytest.raises(VerificationError) as exc:
-            # the sequential loop is the hoisted primary-key build, which only
-            # the no_access mode still emits (see the stamp test above)
+            # the sequential loop is a per-query primary-key build in the
+            # body, which only the no_access mode emits (see the stamp test
+            # above)
             compile_mutated(tpch_catalog, flip, "broken-retarget", "Q16",
                             catalog_access_layer=False)
         assert exc.value.check == "parallel-safety"

@@ -5,6 +5,9 @@ from repro.codegen import runtime
 from repro.codegen.unparser import PythonUnparser, UnparserError
 from repro.ir import IRBuilder, Const, make_program
 from repro.ir.nodes import Block, Expr, Program, Stmt, Sym
+from repro.storage.catalog import Catalog
+from repro.storage.layouts import ColumnarTable
+from repro.storage.schema import TableSchema, string_column
 
 
 def unparse_and_run(program, db=None):
@@ -13,6 +16,16 @@ def unparse_and_run(program, db=None):
     exec(compile(source, "<test>", "exec"), namespace)
     aux = namespace["prepare"](db, runtime)
     return namespace["query"](db, runtime, aux), source
+
+
+def catalog_dictionary(values):
+    """A catalog whose ``T.t_s`` holds ``values`` five times over (so the
+    column is not near-unique), and the access layer's dictionary of it; keep
+    the catalog, the layer points at it weakly."""
+    catalog = Catalog()
+    catalog.register(ColumnarTable(TableSchema("T", [string_column("t_s")]),
+                                   {"t_s": list(values) * 5}))
+    return catalog, catalog.access_layer().dictionary("T", "t_s")
 
 
 class TestUnparser:
@@ -157,29 +170,26 @@ class TestUnparser:
 
 class TestRuntime:
     def test_string_dictionary_round_trip(self):
-        dictionary = runtime.StringDictionary.build(["b", "a", "c", "a"], ordered=True)
+        catalog, dictionary = catalog_dictionary(["b", "a", "c", "a"])
         assert dictionary.code("a") == 0
-        assert dictionary.code("missing") == -1
-        assert dictionary.encode_column(["c", "a"]) == [2, 0]
+        assert dictionary.code("missing") is None
+        assert dictionary.codes[:4] == [1, 0, 2, 0]
+        column = catalog.column("T", "t_s")
+        assert [dictionary.values[code] for code in dictionary.codes] == column
 
     def test_string_dictionary_prefix_range(self):
         values = ["PROMO TIN", "PROMO STEEL", "ECONOMY BRASS", "STANDARD COPPER"]
-        dictionary = runtime.StringDictionary.build(values, ordered=True)
-        lo, hi = dictionary.prefix_range("PROMO")
+        _catalog, dictionary = catalog_dictionary(values)
+        lo, hi = runtime.catalog_prefix_range(dictionary, "PROMO")
         codes = [dictionary.code(v) for v in values if v.startswith("PROMO")]
         assert all(lo <= c <= hi for c in codes)
         other = [dictionary.code(v) for v in values if not v.startswith("PROMO")]
         assert all(c < lo or c > hi for c in other)
 
     def test_string_dictionary_empty_prefix_range(self):
-        dictionary = runtime.StringDictionary.build(["alpha", "beta"], ordered=True)
-        lo, hi = dictionary.prefix_range("zzz")
+        _catalog, dictionary = catalog_dictionary(["alpha", "beta"])
+        lo, hi = runtime.catalog_prefix_range(dictionary, "zzz")
         assert lo > hi
-
-    def test_prefix_range_requires_ordered(self):
-        dictionary = runtime.StringDictionary.build(["a"], ordered=False)
-        with pytest.raises(ValueError):
-            dictionary.prefix_range("a")
 
     def test_sort_records_boxed_and_row(self):
         boxed = [{"a": 2, "b": "x"}, {"a": 1, "b": "y"}, {"a": 2, "b": "a"}]

@@ -135,7 +135,7 @@ class TestBrokenKeyIndex:
 class TestBrokenPartition:
     """A broken partition index costs the access paths, not the tier: the
     compiled stack retries in ``no_access`` mode, where the build is the
-    per-query hoisted loop again."""
+    ordinary per-query build in the body."""
 
     @pytest.mark.parametrize("name", QUERY_NAMES)
     def test_plan_degrades_only_where_a_partition_is_used(self, tpch_catalog,

@@ -6,7 +6,7 @@ level.  This suite proves the closed architecture loop end to end: every
 TPC-H query, planner-optimized and pushed through ``dblab-5`` and
 ``tpch-compliant`` with subplan sharing enabled and the access layer on
 (builds over base tables are the catalog's resident partitions) and off (the
-hoisted build loops of the ``no_access`` ladder mode), returns rows
+ordinary per-query builds of the ``no_access`` ladder mode), returns rows
 equivalent (under the raw plan's sort contract) to the Volcano reference
 executing the raw plan — and the whole 22-query run builds every access
 structure exactly once.
@@ -19,10 +19,13 @@ from repro.bench.harness import (ENGINE_NAMES, BenchmarkHarness,
                                  assert_rows_equivalent)
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
-from repro.dsl.expr import col
-from repro.engine.volcano import VolcanoEngine
+from repro.dsl.expr import col, like
+from repro.engine.volcano import VolcanoEngine, execute
 from repro.planner import Planner, sort_contract
 from repro.stack.configs import build_config
+from repro.storage.catalog import Catalog
+from repro.storage.layouts import ColumnarTable
+from repro.storage.schema import TableSchema, int_column, string_column
 from repro.tpch.queries import QUERY_NAMES, build_query
 
 CONFIGS = ("dblab-5", "tpch-compliant")
@@ -119,3 +122,23 @@ def test_every_aggregate_kind_on_every_key_shape(tpch_catalog, shape, engine):
     rows = BenchmarkHarness(tpch_catalog).run_once(f"agg_{shape}", engine, plan)
     assert_rows_equivalent(VolcanoEngine(tpch_catalog).execute(plan), rows,
                            context=f"{engine}/{shape}")
+
+
+@pytest.mark.parametrize("access", [True, False], ids=["access", "no_access"])
+def test_a_prefix_keeps_characters_outside_the_bmp(access):
+    """``LIKE 'a%'`` over ``['ab', 'a\U0001f600', 'b'] x 3`` keeps all six
+    rows that start with ``a`` on dblab-5, access layer on and off: a second,
+    per-query dictionary whose prefix ceiling was U+FFFF once dropped the
+    three ``a\U0001f600`` rows in the ``no_access`` mode."""
+    catalog = Catalog()
+    catalog.register(ColumnarTable(
+        TableSchema("t", [int_column("t_id"), string_column("t_s")],
+                    primary_key=("t_id",)),
+        {"t_id": list(range(9)), "t_s": ["ab", "a\U0001f600", "b"] * 3}))
+    plan = Q.Select(Q.Scan("t"), like(col("t_s"), "a%"))
+    config = build_config("dblab-5")
+    compiled = QueryCompiler(config.stack, config.flags.copy_with(
+        catalog_access_layer=access)).compile(plan, catalog, "prefix")
+    expected = execute(plan, catalog)
+    assert len(expected) == 6
+    assert_rows_equivalent(expected, compiled.run(catalog), context="LIKE 'a%'")

@@ -13,7 +13,8 @@ holds the three things that buys and the two it must not cost:
   number of queries, requests and threads — and rebuilt only for the table a
   reload replaced;
 * ``prepare`` of every generated dblab-5 query free of loops (the CI gate
-  that needs no stopwatch);
+  that needs no stopwatch) — and of dblab-4/5 in the ladder's ``no_access``
+  mode, where no resident partition serves and the build stays per-query;
 * a dropped catalog freed at once, by reference counting alone.
 """
 import ast
@@ -29,6 +30,7 @@ from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.volcano import execute
+from repro.planner import Planner, PlannerOptions
 from repro.robustness.faults import (DataCorruptionFault, FaultPlan,
                                      FaultSpec, inject)
 from repro.robustness.fallback import HardenedExecutor
@@ -225,6 +227,11 @@ _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
           ast.DictComp, ast.GeneratorExp)
 
 
+def _loops_in_prepare(source):
+    return [type(node).__name__ for node in ast.walk(_prepare_of(source))
+            if isinstance(node, _LOOPS)]
+
+
 class TestPrepareIsLoopFree:
     @pytest.mark.parametrize("planner", [True, False], ids=["planned", "raw"])
     @pytest.mark.parametrize("query_name", QUERY_NAMES)
@@ -233,18 +240,34 @@ class TestPrepareIsLoopFree:
         assert config.flags.catalog_access_layer
         compiled = QueryCompiler(config.stack, config.flags).compile(
             build_query(query_name), tpch_catalog, query_name)
-        loops = [type(node).__name__
-                 for node in ast.walk(_prepare_of(compiled.source))
-                 if isinstance(node, _LOOPS)]
-        assert loops == [], compiled.source
+        assert _loops_in_prepare(compiled.source) == [], compiled.source
 
-    def test_the_gate_sees_the_hoisted_build_it_guards_against(self, tpch_catalog):
-        config = build_config("dblab-5")
-        compiled = QueryCompiler(
-            config.stack, config.flags.copy_with(catalog_access_layer=False)
-        ).compile(build_query("Q4"), tpch_catalog, "Q4")
-        assert any(isinstance(node, _LOOPS)
-                   for node in ast.walk(_prepare_of(compiled.source)))
+    @pytest.mark.parametrize("planner", [True, False], ids=["planned", "raw"])
+    @pytest.mark.parametrize("query_name", QUERY_NAMES)
+    @pytest.mark.parametrize("config_name", ["dblab-4", "dblab-5"])
+    def test_no_access_prepare_has_no_loop(self, tpch_catalog, config_name,
+                                           query_name, planner):
+        """The ladder's ``no_access`` mode: planned without access paths,
+        compiled without the access layer.  Nothing serves a loading-time
+        structure, and nothing builds one per request either."""
+        config = build_config(config_name)
+        plan = build_query(query_name)
+        if planner:
+            plan = Planner.for_catalog(
+                tpch_catalog, PlannerOptions.no_access_paths()).optimize(plan)
+        compiled = QueryCompiler(config.stack, config.flags.copy_with(
+            catalog_access_layer=False)).compile(plan, tpch_catalog, query_name)
+        assert _loops_in_prepare(compiled.source) == [], compiled.source
+
+    def test_the_gate_sees_the_loop_it_guards_against(self):
+        """A ``prepare`` that builds its own structure is what the gate
+        exists to catch: a build loop, or a comprehension doing the same."""
+        for build in ("    for i in range(len(col)):\n        part.append(i)",
+                      "    part = [i for i in range(len(col))]"):
+            source = ("def prepare(db, _rt):\n    col = db.column('t', 'k')\n"
+                      "    part = []\n" + build + "\n    return {'part': part}\n\n"
+                      "def query(db, _rt, aux):\n    return []\n")
+            assert _loops_in_prepare(source), source
 
     def test_q21_prepare_names_one_lineitem_partition(self, tpch_catalog):
         """Q21 probes lineitem-by-order twice, with two payload sets."""

@@ -67,8 +67,9 @@ class TestAllQueriesAtFullStack:
     def test_config_matches_interpreter(self, tpch_catalog, reference_results,
                                         query_name, config_name, access):
         """dblab-5 with the catalog access layer on (hash builds over base
-        tables are the catalog's resident partitions) and off (hoisted build
-        loops); the template expander has no level that could use it."""
+        tables are the catalog's resident partitions) and off (ordinary
+        per-query builds); the template expander has no level that could
+        use it."""
         config = build_config(config_name)
         plan = build_query(query_name)
         flags = config.flags.copy_with(catalog_access_layer=access)

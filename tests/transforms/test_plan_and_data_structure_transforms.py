@@ -6,7 +6,7 @@ from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col, in_list, like
 from repro.engine.volcano import execute
-from repro.ir.traversal import ops_used
+from repro.ir.traversal import iter_stmts, ops_used
 from repro.stack import CompilationContext, SCALITE, SCALITE_MAP_LIST
 from repro.stack.configs import build_config
 from repro.transforms.field_removal import UnusedFieldRemoval
@@ -60,57 +60,66 @@ class TestUnusedFieldRemoval:
 
 
 class TestStringDictionaries:
-    def _lowered(self, tiny_catalog, plan, catalog_access=False):
+    def _lowered(self, tiny_catalog, plan, catalog_access=True):
         flags = build_config("dblab-4").flags.copy_with(
             catalog_access_layer=catalog_access)
         context = CompilationContext(catalog=tiny_catalog, flags=flags)
         program = PushPipelineLowering(SCALITE_MAP_LIST).run(plan, context)
-        return StringDictionaries().run(program, context), context
+        return program, StringDictionaries().run(program, context), context
 
     def test_equality_predicate_rewritten_to_codes(self, tiny_catalog):
         plan = Q.Select(Q.Scan("R"), col("r_name") == "R1")
-        program, context = self._lowered(tiny_catalog, plan)
-        hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
-        assert {"strdict_build", "strdict_encode_column", "strdict_code"} <= hoisted_ops
+        _, program, context = self._lowered(tiny_catalog, plan)
+        assert "strdict_code" in {s.expr.op for s in program.hoisted.stmts}
+        assert not any(getattr(arg, "value", None) == "R1"
+                       for stmt, _ in iter_stmts(program.body) for arg in stmt.expr.args)
         assert ("R", "r_name") in context.info["string_dictionary_columns"]
 
     def test_catalog_access_layer_serves_the_dictionary(self, tiny_catalog):
-        """With the access layer on, nothing is built or encoded per query:
-        the hoisted block fetches the catalog-resident dictionary and its
-        shared code column."""
+        """Nothing is built or encoded per query: the hoisted block fetches
+        the catalog-resident dictionary and its shared code column."""
         plan = Q.Select(Q.Scan("R"), col("r_name") == "R1")
-        program, context = self._lowered(tiny_catalog, plan, catalog_access=True)
+        _, program, context = self._lowered(tiny_catalog, plan)
         hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
         assert {"access_strdict", "access_strdict_codes", "strdict_code"} <= hoisted_ops
-        assert "strdict_build" not in hoisted_ops
-        assert "strdict_encode_column" not in hoisted_ops
         assert ("R", "r_name") in context.info["string_dictionary_columns"]
 
+    def test_without_the_access_layer_the_program_is_unchanged(self, tiny_catalog):
+        """The catalog is the only source of dictionaries: with its access
+        layer off the pass returns its input, string comparisons and all."""
+        for predicate in (col("r_name") == "R1", like(col("r_name"), "R%"),
+                          in_list(col("r_name"), ["R1", "R3"])):
+            lowered, program, context = self._lowered(
+                tiny_catalog, Q.Select(Q.Scan("R"), predicate), catalog_access=False)
+            assert program is lowered
+            assert "string_dictionary_columns" not in context.info
+
     def test_prefix_predicate_uses_ordered_dictionary_range(self, tiny_catalog):
+        """A prefix is a range of the catalog dictionary's (sorted) codes."""
         plan = Q.Select(Q.Scan("R"), like(col("r_name"), "R%"))
-        program, _ = self._lowered(tiny_catalog, plan)
-        hoisted = [s for s in program.hoisted.stmts if s.expr.op == "strdict_build"]
-        assert hoisted and hoisted[0].expr.attrs["ordered"] is True
-        assert any(s.expr.op == "strdict_prefix_range" for s in program.hoisted.stmts)
+        _, program, _ = self._lowered(tiny_catalog, plan)
+        used = ops_used(program)
+        assert {"ge", "le"} <= used
+        assert "str_startswith" not in used
 
     def test_prefix_predicate_on_the_catalog_dictionary(self, tiny_catalog):
-        """Catalog dictionaries are always sorted, so prefix predicates use
-        the access-layer range op (inclusive [lo, hi] contract)."""
+        """The range op reads the fetched dictionary (inclusive [lo, hi]
+        contract)."""
         plan = Q.Select(Q.Scan("R"), like(col("r_name"), "R%"))
-        program, _ = self._lowered(tiny_catalog, plan, catalog_access=True)
-        hoisted_ops = {s.expr.op for s in program.hoisted.stmts}
-        assert "access_prefix_range" in hoisted_ops
-        assert "strdict_prefix_range" not in hoisted_ops
+        _, program, _ = self._lowered(tiny_catalog, plan)
+        fetched = {s.sym for s in program.hoisted.stmts if s.expr.op == "access_strdict"}
+        ranges = [s for s in program.hoisted.stmts if s.expr.op == "access_prefix_range"]
+        assert ranges and all(s.expr.args[0] in fetched for s in ranges)
 
     def test_in_list_predicate_rewritten(self, tiny_catalog):
         plan = Q.Select(Q.Scan("R"), in_list(col("r_name"), ["R1", "R3"]))
-        program, _ = self._lowered(tiny_catalog, plan)
+        _, program, _ = self._lowered(tiny_catalog, plan)
         codes = [s for s in program.hoisted.stmts if s.expr.op == "strdict_code"]
         assert len(codes) == 2
 
     def test_numeric_predicates_untouched(self, tiny_catalog):
         plan = Q.Select(Q.Scan("R"), col("r_sid") == 10)
-        program, _ = self._lowered(tiny_catalog, plan)
+        _, program, _ = self._lowered(tiny_catalog, plan)
         assert not program.hoisted.stmts
 
     def test_results_preserved_end_to_end(self, tiny_catalog):
@@ -119,8 +128,7 @@ class TestStringDictionaries:
         config = build_config("dblab-4")
         compiled = QueryCompiler(config.stack, config.flags).compile(plan, tiny_catalog, "sd")
         assert compiled.run(tiny_catalog) == execute(plan, tiny_catalog)
-        assert ".build(" in compiled.source or \
-            "_rt.catalog_dictionary(" in compiled.source
+        assert "_rt.catalog_dictionary(" in compiled.source
 
     def test_absent_constant_still_correct(self, tiny_catalog):
         """Comparing against a string that never occurs yields an always-false code."""
