@@ -1,7 +1,7 @@
 """Cardinality estimation over QPlan trees, driven by loaded-data statistics.
 
-The storage layer already gathers per-table and per-column statistics at
-load time (:mod:`repro.storage.statistics`) for the worst-case size analysis
+The storage layer already keeps per-table and per-column statistics of the
+loaded data (:mod:`repro.storage.statistics`) for the worst-case size analysis
 of the memory-hoisting transformations.  The planner reuses the same numbers
 for *plan* decisions: which side of a hash join to build on, and in which
 order a greedy algorithm should join a chain of relations.
@@ -45,8 +45,8 @@ class CardinalityEstimator:
         """Column statistics indexed by (globally unique) column name.
 
         Delegates to :meth:`repro.storage.statistics.Statistics.columns_by_name`
-        — the summaries (min/max, distinct counts, zone maps) are computed
-        once at load time; the estimator only caches the name index.
+        — each column's summaries (min/max, distinct counts, zone maps) are
+        computed on their first read; the estimator only caches the name index.
         """
         if self._column_stats is None:
             self._column_stats = (self.statistics.columns_by_name()

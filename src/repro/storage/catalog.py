@@ -32,12 +32,12 @@ class Catalog:
     # Loading
     # ------------------------------------------------------------------
     def register(self, table: ColumnarTable) -> None:
-        """Add a loaded table and compute its statistics.
+        """Add a loaded table and its statistics, reading none of its rows.
 
-        Re-registering a table replaces its data: statistics are recomputed
-        and any access-layer structures built against the old columns
-        (key indices, sorted permutations, dictionaries) are invalidated so
-        they rebuild lazily from the new data.
+        Each column's statistics are taken on their first read.  Re-registering
+        a table replaces its data and statistics; access-layer structures built
+        against the old columns (key indices, partitions, dictionaries) are
+        invalidated so they rebuild lazily from the new data.
         """
         name = table.schema.name
         if not self.schema.has_table(name):
@@ -105,9 +105,6 @@ class Catalog:
         total = 0
         for table in self.tables.values():
             for values in table.columns.values():
-                total += sys.getsizeof(values)
-                if values and isinstance(values[0], str):
-                    total += sum(len(v) for v in values)
-                else:
-                    total += 8 * len(values)
+                total += sys.getsizeof(values) + sum(
+                    len(v) if isinstance(v, str) else 8 for v in values)
         return total

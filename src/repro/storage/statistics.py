@@ -5,22 +5,23 @@ transformations need, at compile time, worst-case estimates of cardinalities
 and key ranges: how large to pre-allocate pools, whether a key column is dense
 enough to be backed by a direct array, how many distinct groups an aggregation
 may produce.  :meth:`repro.storage.catalog.Catalog.register` calls
-:func:`compute_table_statistics` for every loaded table: one pass per column
-takes everything but the distinct count, which needs a set as large as the
-column's distinct values and is taken on its first read instead — only the
-columns a plan touches are ever asked (:attr:`ColumnStatistics.num_distinct`).
+:func:`compute_table_statistics` for every loaded table, which reads no row:
+a column's load pass (min/max, NULL count, sortedness, zone map) and its
+distinct count are each taken on their first read, so only the columns a plan
+touches are ever scanned (:class:`ColumnStatistics`).
 
 Beyond the scalar summaries, every column also gets a **zone map**
 (:class:`ColumnZoneMap`): per-chunk minima and maxima over fixed-size row
 chunks, plus a sortedness flag.  The physical access layer
 (:mod:`repro.storage.access`) consumes these to skip whole chunks under range
 predicates, and the planner's cardinality model reads the same min/max
-numbers for range-selectivity interpolation — one load-time pass feeds both,
-instead of each consumer re-deriving its own summaries.
+numbers for range-selectivity interpolation — one pass feeds both, instead
+of each consumer re-deriving its own summaries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import le
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .layouts import ColumnarTable
@@ -61,12 +62,20 @@ class ColumnZoneMap:
 class ColumnStatistics:
     """Statistics of one column.
 
-    Computed from a column (``values``), everything but the distinct count
-    comes out of the load pass; ``num_distinct`` is counted on its first read
-    and the reference to the column dropped then, so the statistics of a
+    Computed from a column (``values``), the statistics hold two lock-free
+    idempotent memos that serving threads fill on first read: the load-pass
+    fields (:attr:`LOAD_PASS_FIELDS`, filled together by :meth:`__getattr__`
+    on the first miss, instance attributes after) and ``num_distinct``.
+    Racing first reads may each compute, and each stores the same numbers.
+    The column is dropped once both memos are filled — after the store, so a
+    reader that finds it gone finds the numbers — and the statistics of a
     replaced table never keep its columns alive.  Built without ``values``,
     the statistics are the numbers passed in.
     """
+
+    #: the fields one load pass over a column fills (:func:`_load_pass`)
+    LOAD_PASS_FIELDS = ("num_nulls", "min_value", "max_value",
+                        "sorted_ascending", "zone_map")
 
     name: str
     num_rows: int
@@ -86,32 +95,48 @@ class ColumnStatistics:
                  num_nulls: int = 0, min_value: Optional[Any] = None,
                  max_value: Optional[Any] = None, sorted_ascending: bool = False,
                  zone_map: Optional[ColumnZoneMap] = None,
-                 values: Optional[Sequence[Any]] = None) -> None:
+                 values: Optional[Sequence[Any]] = None,
+                 chunk_rows: int = ZONE_CHUNK_ROWS) -> None:
         self.name = name
         self.num_rows = num_rows
-        self.num_nulls = num_nulls
-        self.min_value = min_value
-        self.max_value = max_value
-        self.sorted_ascending = sorted_ascending
-        self.zone_map = zone_map
-        self._num_distinct = num_distinct
-        #: the column ``num_distinct`` is still to be counted from
+        #: the column the memos are still to be filled from
         self._values = values
+        #: rows per zone-map chunk of the load pass still to run (``None``
+        #: once it ran), and the distinct count (``None`` until counted)
+        self._chunk_rows: Optional[int] = chunk_rows
+        self._num_distinct: Optional[int] = None
+        if values is None:
+            self._chunk_rows, self._num_distinct = None, num_distinct
+            self.num_nulls = num_nulls
+            self.min_value = min_value
+            self.max_value = max_value
+            self.sorted_ascending = sorted_ascending
+            self.zone_map = zone_map
+
+    def __getattr__(self, name: str) -> Any:
+        """Run the load pass on the first miss of any of its fields."""
+        if name not in self.LOAD_PASS_FIELDS:
+            raise AttributeError(name)
+        chunk_rows, values = self._chunk_rows, self._values
+        if chunk_rows is not None and values is not None:
+            for field_name, value in zip(self.LOAD_PASS_FIELDS,
+                                         _load_pass(values, chunk_rows)):
+                setattr(self, field_name, value)
+            self._chunk_rows = None
+            if self._num_distinct is not None:
+                self._values = None
+        return object.__getattribute__(self, name)
 
     @property
     def num_distinct(self) -> int:
-        """Number of distinct values (``None`` is one of them).
-
-        An idempotent memo that serving threads read without a lock: racing
-        first reads may each count, and each stores the same number.  The
-        column is dropped only after the count is stored, so a reader that
-        finds the column gone finds the count.
-        """
+        """Number of distinct values (``None`` is one of them)."""
         values = self._values
-        if values is not None:
-            self._num_distinct = len(set(values))
-            self._values = None
-        return self._num_distinct
+        count = self._num_distinct
+        if count is None:
+            count = self._num_distinct = len(set(values))
+            if self._chunk_rows is None:
+                self._values = None
+        return count
 
     def __eq__(self, other: object) -> bool:
         """Equal statistics: every field and the distinct count."""
@@ -212,12 +237,16 @@ class Statistics:
 
 def compute_column_statistics(name: str, values,
                               chunk_rows: int = ZONE_CHUNK_ROWS) -> ColumnStatistics:
-    """One load-time pass: min/max, NULL count, sortedness and zone map; the
-    distinct count is left to its first read."""
-    stats = ColumnStatistics(name=name, num_rows=len(values), values=values)
+    """The statistics of one column; no row is read until a field is."""
+    return ColumnStatistics(name=name, num_rows=len(values), values=values,
+                            chunk_rows=chunk_rows)
+
+
+def _load_pass(values, chunk_rows: int) -> Tuple[Any, ...]:
+    """One pass over a column: ``ColumnStatistics.LOAD_PASS_FIELDS``, in order."""
     if len(values) == 0:
-        return stats
-    stats.num_nulls = values.count(None)
+        return 0, None, None, False, None
+    num_nulls = sum(1 for value in values if value is None)
     mins: List[Any] = []
     maxs: List[Any] = []
     sorted_ascending = True
@@ -232,19 +261,13 @@ def compute_column_statistics(name: str, values,
                 if previous is not None and chunk[0] < previous:
                     sorted_ascending = False
                 else:
-                    sorted_ascending = all(a <= b for a, b in zip(chunk, chunk[1:]))
+                    sorted_ascending = all(map(le, chunk, chunk[1:]))
                 previous = chunk[-1]
-        stats.min_value = min(mins)
-        stats.max_value = max(maxs)
-        stats.sorted_ascending = sorted_ascending
-        stats.zone_map = ColumnZoneMap(chunk_rows, mins, maxs)
+        return (num_nulls, min(mins), max(maxs), sorted_ascending,
+                ColumnZoneMap(chunk_rows, mins, maxs))
     except TypeError:
         # incomparable value mix (e.g. None among ints): no order summaries
-        stats.min_value = None
-        stats.max_value = None
-        stats.sorted_ascending = False
-        stats.zone_map = None
-    return stats
+        return num_nulls, None, None, False, None
 
 
 def compute_table_statistics(table: ColumnarTable) -> TableStatistics:

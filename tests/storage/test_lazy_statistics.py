@@ -1,11 +1,13 @@
 """Load-time state is built for what a plan reads.
 
-A column's distinct count is taken on its first read, not in the load pass,
-and the load-time access paths are the primary-key direct arrays only: a
-string dictionary waits for the first request that reads it.  These tests
-pin that the lazily read statistics are the eager ones, that statistics
-never keep a replaced table's columns alive, and that warming the 22 planned
-queries leaves what no plan reads unbuilt.
+Registering a table reads none of its rows: a column's load pass (min/max,
+NULL count, sortedness, zone map) runs on the first read of any of those
+fields, and its distinct count on its own first read.  The load-time access
+paths are the primary-key direct arrays only: a string dictionary waits for
+the first request that reads it.  These tests pin that the lazily read
+statistics are the eager ones, that registering reads no row, that
+statistics never keep a replaced table's columns alive, and that warming the
+22 planned queries leaves what no plan reads unbuilt.
 """
 import sys
 import threading
@@ -21,6 +23,10 @@ from repro.storage.schema import TableSchema, int_column, string_column
 from repro.storage.statistics import (ZONE_CHUNK_ROWS, ColumnStatistics,
                                       ColumnZoneMap, compute_column_statistics,
                                       compute_table_statistics)
+
+#: the fields a column's load pass fills together on the first read of any
+LOAD_PASS = ("num_nulls", "min_value", "max_value", "sorted_ascending",
+             "zone_map")
 
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -94,22 +100,31 @@ class TestLazyEqualsEager:
         assert stats.is_dense_key() and stats.is_near_unique
 
     def test_racing_first_reads_agree(self):
-        """The count is a lock-free idempotent memo: however first reads
-        interleave, every reader of every column sees its one count."""
+        """The count and the load pass are lock-free idempotent memos:
+        however first reads interleave, every reader of every column sees
+        its one count and its one zone map, and the column is dropped."""
         columns = [list(range(size)) * 2 for size in range(1, 400)]
         stats = [compute_column_statistics("c", values) for values in columns]
         readers = 4
         barrier = threading.Barrier(readers)
         seen: List[List[Any]] = [[] for _ in range(readers)]
 
-        def read(out):
+        def read(out, distinct_first):
             barrier.wait(timeout=30)
-            out.extend(each.num_distinct for each in stats)
+            for each in stats:
+                if distinct_first:
+                    count, low, zones = \
+                        each.num_distinct, each.min_value, each.zone_map
+                else:
+                    zones, low, count = \
+                        each.zone_map, each.min_value, each.num_distinct
+                out.append((count, low, zones.mins))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+            threads = [threading.Thread(target=read, args=(out, index % 2 == 0))
+                       for index, out in enumerate(seen)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -117,8 +132,67 @@ class TestLazyEqualsEager:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert seen == [list(range(1, 400))] * readers
+        assert seen == [[(size, 0, [0]) for size in range(1, 400)]] * readers
         assert all(each._values is None for each in stats)
+
+
+class _CountingColumn(list):
+    """A column that counts the reads of its rows."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def count(self, value):
+        self.reads += 1
+        return super().count(value)
+
+
+def _counted_table() -> ColumnarTable:
+    schema = TableSchema("T", [int_column("t_id"), string_column("t_tag")],
+                         primary_key=("t_id",))
+    return ColumnarTable(schema, {"t_id": _CountingColumn(range(3000)),
+                                  "t_tag": _CountingColumn(["b", None, "a"] * 1000)})
+
+
+class TestRegisterReadsNoRows:
+    def test_at_set_up_and_at_a_reload(self):
+        catalog = Catalog()
+        first = _counted_table()
+        catalog.register(first)
+        catalog.access_layer()
+        second = _counted_table()
+        catalog.register(second)
+        assert [column.reads for table in (first, second)
+                for column in table.columns.values()] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("first", LOAD_PASS)
+    def test_rows_are_read_at_the_first_field_read(self, first):
+        catalog = Catalog()
+        table = _counted_table()
+        catalog.register(table)
+        column = table.columns["t_id"]
+        stats = catalog.statistics.column("T", "t_id")
+        assert column.reads == 0
+        getattr(stats, first)
+        one_pass = column.reads
+        assert one_pass > 0
+        # the other fields came with it, stored as plain attributes
+        assert all(name in vars(stats) for name in LOAD_PASS)
+        assert (stats.num_nulls, stats.min_value, stats.max_value,
+                stats.sorted_ascending, stats.zone_map.mins) == \
+            (0, 0, 2999, True, [0, 2048])
+        assert column.reads == one_pass and stats._values is column
+        assert stats.num_distinct == 3000 and stats._values is None
+        assert column.reads == one_pass + 1
+        assert table.columns["t_tag"].reads == 0
+
 
 class _Column(list):
     """A column that can be referenced weakly (a ``list`` cannot)."""
@@ -151,6 +225,8 @@ class TestWarmingBuildsWhatPlansRead:
     def test_l_comment_is_never_counted(self, warm_catalog):
         stats = warm_catalog.statistics.column("lineitem", "l_comment")
         assert stats._values is warm_catalog.column("lineitem", "l_comment")
+        # nor was its load pass run
+        assert not set(LOAD_PASS) & set(vars(stats))
 
     def test_l_linestatus_has_no_dictionary(self, warm_catalog):
         layer = warm_catalog.access_layer()

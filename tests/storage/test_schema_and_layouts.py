@@ -1,4 +1,6 @@
 """Unit tests for schema definitions, layouts, statistics and the catalog."""
+import sys
+
 import pytest
 
 from repro.ir.types import FLOAT, STRING
@@ -135,7 +137,22 @@ class TestCatalog:
         catalog.register_rows(sample_schema(), list(sample_table().iter_rows()))
         assert catalog.size("employee") == 3
 
-    def test_memory_footprint_positive(self):
+    @pytest.mark.parametrize("names, logical_bytes", [
+        (["ann", "bob", "cat"], 3 * 8 + 9 + 3 * 8 + 3 * 8),
+        # a NULL among strings is 8 B wherever it stands, and the strings
+        # are their characters whichever value comes first
+        (["x" * 100, None, "ab"], 3 * 8 + 110 + 3 * 8 + 3 * 8),
+        ([None, "x" * 100, "ab"], 3 * 8 + 110 + 3 * 8 + 3 * 8),
+    ], ids=["strings", "null_after_a_string", "null_first"])
+    def test_memory_footprint_positive(self, names, logical_bytes):
+        table = sample_table()
+        table.columns["name"] = names
         catalog = Catalog()
-        catalog.register(sample_table())
-        assert catalog.memory_footprint() > 0
+        catalog.register(table)
+        lists = sum(sys.getsizeof(values) for values in table.columns.values())
+        assert catalog.memory_footprint() == lists + logical_bytes > 0
+
+    def test_memory_footprint_of_a_tpch_catalog(self, tpch_catalog):
+        """``storage.catalog_bytes`` at sf 0.001 is the integer it was when
+        a column's first value decided string-ness: TPC-H has no NULLs."""
+        assert tpch_catalog.memory_footprint() == 2_178_806
