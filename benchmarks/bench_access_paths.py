@@ -16,11 +16,14 @@ zone-map/candidate-list pruning, ``IndexJoin`` over the load-time PK indices,
 dictionary-encoded string predicates) and once with
 ``PlannerOptions.no_access_paths()`` (every logical rule, no physical
 selection) — and times both on the same engine(s).  ``--engines`` accepts
-the direct engines and the compiled stack configurations
+the vectorized engine and the compiled stack configurations
 (``template-expander``, ``dblab-2..5``, ``tpch-compliant``): the compiled stacks
-now lower ``PrunedScan``/``IndexJoin`` onto the same catalog-resident
-structures, so the grid measures the access layer end to end across the
-whole lineup.  The catalog, and therefore the access layer, is shared across
+lower ``PrunedScan``/``IndexJoin`` onto the same catalog-resident structures,
+so the grid measures the access layer end to end across the lineup.  The
+``interpreter`` is accepted too, but it is the reference and reads no access
+structure: it runs a ``PrunedScan`` as its ``Select`` and an ``IndexJoin``
+as its ``HashJoin``, so its planned column measures the logical rewrites
+only.  The catalog, and therefore the access layer, is shared across
 all measurements: the run also asserts that the join indices are **built
 exactly once** and reused across repeated ``measure()`` calls (including
 every compiled prepare()), printing the access layer's build counters as

@@ -127,10 +127,12 @@ class PrunedScan(Select):
     Semantically identical to ``Select(Scan(table), predicate)`` — same rows,
     same values, same (scan) order — which is also how any consumer that only
     knows the parent operator executes it, since ``PrunedScan`` *is a*
-    ``Select``.  The direct engines additionally consult ``zone_filters``:
-    the conjuncts of the predicate that compare one scan column against a
-    literal, as ``(column, op, literal)`` triples with ``op`` drawn from
-    :data:`PrunedScan.FILTER_OPS` (``prefix`` encodes ``LIKE 'p%'``).  The
+    ``Select``; the Volcano interpreter, the reference, runs it exactly so.
+    The vectorized engine and the compiled stacks additionally consult
+    ``zone_filters``: the conjuncts of the predicate that compare one scan
+    column against a literal, as ``(column, op, literal)`` triples with
+    ``op`` drawn from :data:`PrunedScan.FILTER_OPS` (``prefix`` encodes
+    ``LIKE 'p%'``).  The
     catalog's access layer turns those into skipped chunks (zone maps) or a
     candidate row slice (sorted-column partition pruning); the full predicate
     is still evaluated on every surviving row, so the hints can only skip
@@ -225,17 +227,18 @@ class IndexJoin(HashJoin):
     key, for which the access layer (:mod:`repro.storage.access`) holds a
     load-time direct array.  The build side is a bare ``Scan`` of that table
     with ``left_key`` exactly the key column, so the array *is* the hash
-    join's build: every engine probes it instead of building a per-query
-    hash table and reads a matching build row by position from the base
-    columns.
+    join's build: the vectorized engine and the compiled stacks probe it
+    instead of building a per-query hash table and read a matching build row
+    by position from the base columns.
 
     Because the key is unique, every bucket of the hash join this node
     replaces holds at most one row, and a bare scan's bucket order is its
     base order: the index build reproduces the hash join's emission order
     *exactly* — the rewrite is order- and value-preserving.  ``IndexJoin``
-    *is a* ``HashJoin``, and every consumer runs it as one: the direct
-    engines through the same per-kind probes with the array as the build,
-    the compiled stacks' lowering as the hash join over the resident
+    *is a* ``HashJoin``, and every consumer runs it as one: the Volcano
+    interpreter, the reference, as the plain per-query hash join; the
+    vectorized engine through the same per-kind probes with the array as the
+    build; the compiled stacks' lowering as the hash join over the resident
     partition.  What the node adds is the statement that the plan reads a
     catalog structure, which the hardening ladder's ``no_access`` mode
     plans away.
@@ -474,11 +477,12 @@ def shared_subplan_fingerprints(plan: Operator) -> Dict[int, str]:
     A subtree is *shared* when its canonical structure occurs more than once
     in the plan — either as one Python object referenced from two parents
     (TPC-H Q15's revenue view) or as two structurally identical trees (Q11's
-    twice-built partsupp pipeline).  Engines consult this map to execute each
-    shared subtree once per query and serve later occurrences from a
-    materialised-subplan cache.  Bare scans are excluded: they are already
-    zero-copy reads of the catalog's columnar storage, so caching them would
-    only add a materialisation.
+    twice-built partsupp pipeline).  The vectorized engine and the compiled
+    stacks consult this map to execute each shared subtree once per query and
+    serve later occurrences from a materialised subplan; the Volcano
+    interpreter, the reference, does not.  Bare scans are excluded: they are
+    already zero-copy reads of the catalog's columnar storage, so caching
+    them would only add a materialisation.
 
     The returned keys are ``id()`` values of the plan's own nodes; the map is
     only valid while that plan object is alive (engines build it per

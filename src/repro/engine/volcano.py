@@ -15,18 +15,25 @@ The interpreter plays two roles in this repository:
 * it is the **interpreter baseline** of the benchmark harness, and
 * it is the **reference implementation**: every compiled configuration must
   produce exactly the same rows on every query (integration tests enforce it).
+
+To be a reference it runs the plan as written and reads values only: each
+node runs as its logical operator (a ``PrunedScan`` is the ``Select`` it
+subclasses, an ``IndexJoin`` the ``HashJoin``), a repeated subtree runs at
+each occurrence, and the only data it reads are the columns of
+``catalog.table(...)``.  No dictionary code, key array, candidate list or
+shared-subplan cache of the catalog's access layer is consulted, so a defect
+in one of those structures shows up as a difference from this engine rather
+than grading itself.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from ..dsl import qplan
 from ..dsl.expr_compile import compile_pair, compile_row
 from ..robustness.faults import fault_point
 from ..robustness.governor import current_governor
-from ..storage.access import AccessLayer, DirectArray, rewrite_string_predicates
 from ..storage.catalog import Catalog
-from .sharing import SubplanSharing
 from .sortkeys import pass_keys, topk_rows
 
 Row = Dict[str, Any]
@@ -36,28 +43,25 @@ class VolcanoError(Exception):
     pass
 
 
-class VolcanoEngine(SubplanSharing):
+class VolcanoEngine:
     """Pull-based interpreter over QPlan operator trees."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self._sharing_init()
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def execute(self, plan: qplan.Operator) -> List[Row]:
         """Run a plan to completion and return the list of output rows."""
-        with self._sharing_active(plan):
-            rows = list(self.iterate(plan))
+        rows = list(self.iterate(plan))
         governor = current_governor()
         if governor is not None:
             governor.note_output_rows(len(rows))
         return rows
 
     def iterate(self, plan: qplan.Operator) -> Iterator[Row]:
-        """The iterator-model pipeline for one operator (shared subplans are
-        executed once and replayed from the materialised cache).
+        """The iterator-model pipeline for one operator.
 
         This is the interpreter's cooperative cancellation point: with a
         governor installed, every operator's ``next()`` stream ticks the
@@ -66,19 +70,18 @@ class VolcanoEngine(SubplanSharing):
         unwrapped.
         """
         fault_point("engine.volcano.operator", operator=type(plan).__name__)
-        cached = self._sharing_replay(plan)
-        stream = cached if cached is not None else self._dispatch(plan)
+        stream = self._dispatch(plan)
         governor = current_governor()
         if governor is None:
             return stream
         return governor.guard_rows(stream)
 
     def _dispatch(self, plan: qplan.Operator) -> Iterator[Row]:
-        """The ``open/next/close`` pipeline for one operator."""
+        """The ``open/next/close`` pipeline for one operator.  A node runs as
+        its logical class: a ``PrunedScan`` is the ``Select`` it subclasses
+        and an ``IndexJoin`` the ``HashJoin``."""
         if isinstance(plan, qplan.Scan):
             return self._scan(plan)
-        if isinstance(plan, qplan.PrunedScan):
-            return self._pruned_scan(plan)
         if isinstance(plan, qplan.Select):
             return self._select(plan)
         if isinstance(plan, qplan.Project):
@@ -106,59 +109,9 @@ class VolcanoEngine(SubplanSharing):
             yield {name: column[i] for name, column in zip(fields, columns)}
 
     def _select(self, plan: qplan.Select) -> Iterator[Row]:
-        if isinstance(plan.child, qplan.Scan):
-            # Filter directly over a base-table scan: string predicates can
-            # then compare dictionary codes instead of raw values.
-            return self._filtered_scan(plan.child, plan.predicate, None)
         predicate = compile_row(plan.predicate)
-
-        def stream() -> Iterator[Row]:
-            for row in self.iterate(plan.child):
-                if predicate(row):
-                    yield row
-        return stream()
-
-    def _pruned_scan(self, plan: qplan.PrunedScan) -> Iterator[Row]:
-        """``Select(Scan(...))`` with partition pruning: the access layer
-        turns the zone filters into a candidate row iterable (ascending base
-        order, so emission matches the unpruned scan-then-filter exactly) and
-        only the candidates pay row construction and predicate evaluation."""
-        scan = plan.child
-        candidates = AccessLayer.for_catalog(self.catalog).pruned_indices(
-            scan.table, plan.zone_filters)
-        return self._filtered_scan(scan, plan.predicate, candidates)
-
-    def _filtered_scan(self, scan: qplan.Scan, predicate_expr,
-                       candidates) -> Iterator[Row]:
-        """A scan-then-filter pipeline with dictionary-code predicates.
-
-        String equality/``IN``/prefix-``LIKE`` comparisons over dictionary
-        columns are rewritten to integer code comparisons
-        (:func:`repro.storage.access.rewrite_string_predicates`); the code
-        columns ride along in the boxed row during evaluation and are
-        stripped before the row is emitted, so downstream operators see the
-        exact scan-then-filter rows."""
-        table = self.catalog.table(scan.table)
-        fields = scan.fields if scan.fields is not None else table.schema.column_names()
-        columns = {name: table.column(name) for name in fields}
-        layer = AccessLayer.for_catalog(self.catalog)
-        predicate, code_columns = rewrite_string_predicates(
-            predicate_expr, scan.table, table.schema.columns, layer)
-        compiled = compile_row(predicate)
-        if candidates is None:
-            candidates = range(table.num_rows)
-        if not code_columns:
-            for i in candidates:
-                row = {name: column[i] for name, column in columns.items()}
-                if compiled(row):
-                    yield row
-            return
-        evaluated = {**columns, **code_columns}
-        for i in candidates:
-            row = {name: column[i] for name, column in evaluated.items()}
-            if compiled(row):
-                for extra in code_columns:
-                    del row[extra]
+        for row in self.iterate(plan.child):
+            if predicate(row):
                 yield row
 
     def _project(self, plan: qplan.Project) -> Iterator[Row]:
@@ -167,22 +120,21 @@ class VolcanoEngine(SubplanSharing):
             yield {name: fn(row) for name, fn in projections}
 
     def _hash_join(self, plan: qplan.HashJoin) -> Iterator[Row]:
-        """An equi join (``IndexJoin`` included): one build, one probe per kind.
+        """An equi join: the left input bucketed by key, one probe per kind.
 
-        The build is the primary key's direct array when the plan is an
-        ``IndexJoin`` and the catalog holds one (:class:`_KeyBuild`), else
-        the left input hashed on its key (:class:`_HashBuild`).  A unique key
-        gives buckets of at most one row and a bare scan's bucket order is its
-        base order, so both builds emit the same rows in the same order.
-        """
-        build = self._build(plan)
-        matches = build.matches
+        A build row is one object throughout, so the probes of the outer,
+        semi and anti kinds track it by ``id``."""
+        left_key = compile_row(plan.left_key)
+        buckets: Dict[Any, List[Row]] = {}
+        for row in self.iterate(plan.left):
+            buckets.setdefault(left_key(row), []).append(row)
+        matches = buckets.get
         right_key = compile_row(plan.right_key)
         residual = compile_pair(plan.residual) if plan.residual is not None else None
 
         if plan.kind == "inner":
             for right_row in self.iterate(plan.right):
-                for left_row in matches(right_key(right_row)) or ():
+                for left_row in matches(right_key(right_row), ()):
                     if residual is None or residual(left_row, right_row):
                         yield {**left_row, **right_row}
             return
@@ -193,36 +145,23 @@ class VolcanoEngine(SubplanSharing):
         outer = plan.kind == "leftouter"
         matched: set = set()
         for right_row in self.iterate(plan.right):
-            for left_row in matches(right_key(right_row)) or ():
+            for left_row in matches(right_key(right_row), ()):
                 if residual is None or residual(left_row, right_row):
                     matched.add(id(left_row))
                     if outer:
                         yield {**left_row, **right_row}
+        build_rows = [row for rows in buckets.values() for row in rows]
         if outer:
             null_pad = {name: None
                         for name in qplan.output_fields(plan.right, self.catalog)}
-            for left_row in build.rows():
+            for left_row in build_rows:
                 if id(left_row) not in matched:
                     yield {**left_row, **null_pad}
             return
         want_match = plan.kind == "leftsemi"
-        for left_row in build.rows():
+        for left_row in build_rows:
             if (id(left_row) in matched) == want_match:
                 yield left_row
-
-    def _build(self, plan: qplan.HashJoin):
-        if isinstance(plan, qplan.IndexJoin) and isinstance(plan.left, qplan.Scan):
-            index = AccessLayer.for_catalog(self.catalog).key_index(
-                plan.index_table, plan.index_column)
-            if index is not None:
-                table = self.catalog.table(plan.left.table)
-                return _KeyBuild(table, qplan.output_fields(plan.left, self.catalog),
-                                 index)
-        left_key = compile_row(plan.left_key)
-        buckets: Dict[Any, List[Row]] = {}
-        for row in self.iterate(plan.left):
-            buckets.setdefault(left_key(row), []).append(row)
-        return _HashBuild(buckets)
 
     def _aggregate(self, plan: qplan.Agg) -> Iterator[Row]:
         aggs = plan.aggregates
@@ -286,60 +225,6 @@ class VolcanoEngine(SubplanSharing):
             count += 1
             if count >= plan.count:
                 break
-
-
-# ---------------------------------------------------------------------------
-# Join builds.  A build has ``matches(key)`` — the build rows a probe key
-# matches, or a falsy value when there are none — and ``rows()``, every build
-# row in bucket order, which left-outer padding and semi/anti emission walk.
-# A build row is one object throughout, so the probes track it by ``id``.
-# ---------------------------------------------------------------------------
-class _HashBuild:
-    """The per-query build: the left input's rows bucketed by key."""
-
-    def __init__(self, buckets: Dict[Any, List[Row]]) -> None:
-        self.buckets = buckets
-        self.matches = buckets.get
-
-    def rows(self) -> List[Row]:
-        return [row for rows in self.buckets.values() for row in rows]
-
-
-class _KeyBuild:
-    """The build of a bare-scan join on a dense primary key: the key's
-    load-time :class:`~repro.storage.access.DirectArray` over the base
-    columns.  The one-row bucket of a position is made from the base columns
-    the first time it is reached."""
-
-    def __init__(self, table, fields: List[str], index: DirectArray) -> None:
-        self.fields = fields
-        self.columns = [table.column(name) for name in fields]
-        self.length = table.num_rows
-        self.slots, self.offset, self.lookup = index.slots, index.offset, index.lookup
-        #: position -> its bucket, a 1-tuple (truthy, so ``get(...) or``)
-        self.buckets: Dict[int, Tuple[Row]] = {}
-
-    def _fetch(self, position: int) -> Tuple[Row]:
-        bucket = self.buckets[position] = (
-            {name: column[position] for name, column in zip(self.fields, self.columns)},)
-        return bucket
-
-    def matches(self, key: Any) -> Optional[Tuple[Row]]:
-        # an ``int`` key indexes the slots inline, any other goes through
-        # ``lookup``, which matches 3.0 and True as a dict would
-        if type(key) is int:
-            slot = key - self.offset
-            position = self.slots[slot] if 0 <= slot < len(self.slots) else None
-        else:
-            position = self.lookup(key)
-        if position is None:
-            return None
-        return self.buckets.get(position) or self._fetch(position)
-
-    def rows(self) -> List[Row]:
-        buckets, fetch = self.buckets, self._fetch
-        return [(buckets.get(position) or fetch(position))[0]
-                for position in range(self.length)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ fingerprints stable when there is nothing to prune.
 
 Pruning is additionally **sharing-preserving**: two occurrences of a repeated
 subtree (:func:`repro.dsl.qplan.shared_subplan_fingerprints` — what both the
-direct engines and the compiled stacks execute once per query) usually need
+vectorized engine and the compiled stacks execute once per query) usually need
 different column sets, and pruning each occurrence to its own needs would
 make the subtrees structurally different, silently destroying the sharing.
 A first recording pass therefore unions the needs of all occurrences of each

@@ -144,10 +144,10 @@ class HardenedExecutor:
 
     The executor is safe to share across the serving layer's thread pool and
     keeps no per-query state: a direct engine carries per-execution state
-    (subplan-sharing caches) and is constructed for the attempt that uses it,
-    planned trees and compiled queries live in the catalog's derived cache
-    (:class:`~repro.storage.derived.DerivedCache`), and the circuit breaker
-    and incident log are thread-safe themselves.
+    (the vectorized engine's subplan-sharing cache) and is constructed for
+    the attempt that uses it, planned trees and compiled queries live in the
+    catalog's derived cache (:class:`~repro.storage.derived.DerivedCache`),
+    and the circuit breaker and incident log are thread-safe themselves.
     """
 
     def __init__(self, catalog: Catalog, *,

@@ -36,8 +36,8 @@ class OptimizationFlags:
     catalog_access_layer: bool = True
     #: repeated subplans (qplan.shared_subplan_fingerprints) are materialised
     #: once behind a binding in the generated program and replayed for every
-    #: further occurrence — the IR-level counterpart of the direct engines'
-    #: common-subtree sharing.
+    #: further occurrence — the IR-level counterpart of the vectorized
+    #: engine's common-subtree sharing.
     subplan_sharing: bool = True
 
     def copy_with(self, **overrides: bool) -> "OptimizationFlags":

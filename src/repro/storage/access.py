@@ -3,8 +3,10 @@
 The paper's biggest TPC-H wins come from work "moved to loading time":
 primary-key arrays that turn hash probes into array indexing, partitioned
 join structures, and string dictionaries.  The compiled DSL stacks reproduce
-those at the IR level; this module gives the *direct* engines (Volcano,
-vectorized) the same load-time structures:
+those at the IR level; this module gives the vectorized engine the same
+load-time structures.  The Volcano interpreter reads none of them: it is the
+reference the other engines are graded against, so it runs every plan on
+column values only.  The structures:
 
 * **PK direct arrays** (:meth:`AccessLayer.key_index`) — for a unique, dense
   single-column key (``ColumnStatistics.is_dense_key``), a plain list mapping
@@ -75,9 +77,8 @@ from ..dsl import expr as E
 from ..robustness.faults import fault_point
 from .derived import PROBATION, DerivedCache
 
-#: sorts after every real string with a given prefix: the exclusive upper
-#: bound of the ``LIKE 'prefix%'`` value range
-_PREFIX_CEILING = "\U0010ffff"
+#: the largest code point: a prefix ending in it has no one-character successor
+_MAX_CHAR = "\U0010ffff"
 
 #: suffix appended to a column name for its dictionary-code companion column
 DICT_CODE_SUFFIX = "#dict"
@@ -175,8 +176,23 @@ class StringDictionary:
     def prefix_code_range(self, prefix: str) -> Tuple[int, int]:
         """Codes ``[lo, hi)`` whose strings start with ``prefix``."""
         lo = bisect_left(self.values, prefix)
-        hi = bisect_right(self.values, prefix + _PREFIX_CEILING)
+        successor = _prefix_successor(prefix)
+        hi = (len(self.values) if successor is None
+              else bisect_left(self.values, successor))
         return lo, hi
+
+
+def _prefix_successor(prefix: str) -> Optional[str]:
+    """The least string above every string that starts with ``prefix``: the
+    strict upper bound of the ``LIKE 'prefix%'`` value range, or ``None``
+    when there is none (``prefix`` is empty or all U+10FFFF).  Trailing
+    U+10FFFF characters are dropped and the last code point left is
+    incremented; a string starting with ``prefix`` shares the stripped
+    prefix up to that point and has the smaller character there."""
+    stripped = prefix.rstrip(_MAX_CHAR)
+    if not stripped:
+        return None
+    return stripped[:-1] + chr(ord(stripped[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +223,9 @@ class _Bounds:
             self.tighten("<=", value)
         elif op == "prefix":
             self.tighten(">=", value)
-            self.tighten("<=", value + _PREFIX_CEILING)
+            successor = _prefix_successor(value)
+            if successor is not None:
+                self.tighten("<", successor)
         else:  # pragma: no cover - guarded by extract_zone_filters
             raise AccessError(f"unknown zone-filter operator {op!r}")
 

@@ -83,7 +83,7 @@ def warm_access_paths(catalog: Catalog) -> None:
 
     Nothing else is built here: every other structure of the access layer,
     string dictionaries included, is built on the first request that reads
-    it — at compile time, at ``prepare`` or by a direct engine — and
+    it — at compile time, at ``prepare`` or by the vectorized engine — and
     memoized from then on.  A structure built eagerly that no plan reads is
     resident memory for nothing.
     """

@@ -46,8 +46,9 @@ key) is lowered as the ``HashJoin`` it subclasses: its build is a base-table
 build over a dense integer key, so with the access layer on it becomes the
 resident partition like any other, and the list-level specialization claims
 a primary-key partition as ``single`` — slots served by the key's direct
-array itself, read by inline indexing.  The direct engines do the same with
-that array as their build.
+array itself, read by inline indexing.  The vectorized engine does the same
+with that array as its build; the interpreter, the reference, hashes the
+scan.
 
 A key that can be ``None`` — its base column holds one, or an outer join
 below pads it (:func:`repro.dsl.qplan.padded_fields`) — indexes no slot of a

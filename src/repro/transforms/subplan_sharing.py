@@ -1,9 +1,11 @@
 """IR-level common-subplan sharing across pipeline breakers.
 
-PR 3 taught the direct engines to execute repeated subplans once per query
-(:mod:`repro.engine.sharing`): Q11 builds its partsupp pipeline twice, Q15
-joins against the revenue view it also aggregates, Q22 re-filters the same
-customer subset.  The compiled DSL stacks could not share those, because the
+The vectorized engine executes repeated subplans once per query through a
+runtime cache (``VectorizedEngine._sharing_active``): Q11 builds its
+partsupp pipeline twice, Q15 joins against the revenue view it also
+aggregates, Q22 re-filters the same customer subset.  The Volcano
+interpreter, the reference, deliberately runs a repeated subtree at each
+occurrence.  The compiled DSL stacks could not share those, because the
 push-engine lowering *fuses* a subplan into each of its consumers — the two
 copies of the code differ in their consume continuations, so no generic CSE
 over the finished program can merge them (the duplicated statements allocate
@@ -27,8 +29,8 @@ lifted from single expressions to whole pipeline-breaking regions:
   to sweep — and what DCE *does* still clean up afterwards are the
   per-duplicate column reads and key computations that became unused.
 
-Sharing is sound for the same reason the runtime caches of the direct engines
-are: QPlan operators are deterministic functions of the loaded catalog, the
+Sharing is sound for the same reason the vectorized engine's runtime cache
+is: QPlan operators are deterministic functions of the loaded catalog, the
 materialised list is written only by its production loop, and every statement
 the region emits either is pure, reads the catalog, or writes objects
 allocated inside the region (verifiable from the :mod:`repro.ir.effects`

@@ -196,7 +196,7 @@ class TestBuildOnce:
     def test_indices_are_reused_across_engines_and_executions(self, tpch_catalog):
         layer = tpch_catalog.access_layer()
         plan = Planner(tpch_catalog).optimize(build_query("Q12"))
-        VolcanoEngine(tpch_catalog).execute(plan)
+        VectorizedEngine(tpch_catalog).execute(plan)
         counts = dict(layer.build_counts)
         assert counts[("key_index", "orders", "o_orderkey")] == 1
         # more executions, a different engine, a fresh engine instance:

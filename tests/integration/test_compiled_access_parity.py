@@ -20,6 +20,7 @@ from repro.bench.harness import (ENGINE_NAMES, BenchmarkHarness,
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col, like
+from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import VolcanoEngine, execute
 from repro.planner import Planner, sort_contract
 from repro.stack.configs import build_config
@@ -126,19 +127,28 @@ def test_every_aggregate_kind_on_every_key_shape(tpch_catalog, shape, engine):
 
 @pytest.mark.parametrize("access", [True, False], ids=["access", "no_access"])
 def test_a_prefix_keeps_characters_outside_the_bmp(access):
-    """``LIKE 'a%'`` over ``['ab', 'a\U0001f600', 'b'] x 3`` keeps all six
-    rows that start with ``a`` on dblab-5, access layer on and off: a second,
-    per-query dictionary whose prefix ceiling was U+FFFF once dropped the
-    three ``a\U0001f600`` rows in the ``no_access`` mode."""
+    """``LIKE 'a%'`` over ``['ab', 'a\U0001f600', 'a\U0010ffffz', 'b'] x 3``
+    keeps all nine rows that start with ``a`` on the interpreter, the
+    vectorized engine and dblab-5 (access layer on and off), raw and planned.
+    A per-query dictionary whose prefix ceiling was U+FFFF once dropped the
+    ``a\U0001f600`` rows; a ceiling of ``prefix + U+10FFFF`` dropped the
+    ``a\U0010ffffz`` rows, which sort above it."""
+    values = ["ab", "a\U0001f600", "a\U0010ffffz", "b"] * 3
     catalog = Catalog()
     catalog.register(ColumnarTable(
         TableSchema("t", [int_column("t_id"), string_column("t_s")],
                     primary_key=("t_id",)),
-        {"t_id": list(range(9)), "t_s": ["ab", "a\U0001f600", "b"] * 3}))
-    plan = Q.Select(Q.Scan("t"), like(col("t_s"), "a%"))
+        {"t_id": list(range(len(values))), "t_s": values}))
+    expected = [{"t_id": i, "t_s": value} for i, value in enumerate(values)
+                if value.startswith("a")]
+    assert len(expected) == 9
+    raw = Q.Select(Q.Scan("t"), like(col("t_s"), "a%"))
     config = build_config("dblab-5")
-    compiled = QueryCompiler(config.stack, config.flags.copy_with(
-        catalog_access_layer=access)).compile(plan, catalog, "prefix")
-    expected = execute(plan, catalog)
-    assert len(expected) == 6
-    assert_rows_equivalent(expected, compiled.run(catalog), context="LIKE 'a%'")
+    compiler = QueryCompiler(config.stack, config.flags.copy_with(
+        catalog_access_layer=access))
+    for mode, plan in (("raw", raw), ("planned", Planner(catalog).optimize(raw))):
+        runs = {"interpreter": execute(plan, catalog),
+                "vectorized": VectorizedEngine(catalog).execute(plan),
+                "dblab-5": compiler.compile(plan, catalog, "prefix").run(catalog)}
+        for engine, rows in runs.items():
+            assert_rows_equivalent(expected, rows, context=f"{engine}/{mode}")

@@ -452,11 +452,14 @@ def catalog_dictionary(values):
 
 class TestRuntimeProperties:
     """The catalog's string dictionary, as generated code reads it.  The
-    alphabets hold a character outside the Basic Multilingual Plane: a prefix
-    ceiling below it once cut such strings out of a prefix range."""
+    alphabets hold a character outside the Basic Multilingual Plane and the
+    largest code point, U+10FFFF: a prefix ceiling of ``prefix + U+FFFF`` once
+    cut the first out of a prefix range, one of ``prefix + U+10FFFF`` the
+    strings that continue past the second."""
 
     @SETTINGS
-    @given(values=st.lists(st.text(alphabet=string.ascii_lowercase + "\U0001f600",
+    @given(values=st.lists(st.text(alphabet=string.ascii_lowercase
+                                   + "\U0001f600\U0010ffff",
                                    min_size=0, max_size=6),
                            min_size=1, max_size=50))
     def test_string_dictionary_preserves_equality_and_order(self, values):
@@ -467,10 +470,14 @@ class TestRuntimeProperties:
                 assert (dictionary.code(a) < dictionary.code(b)) == (a < b)
 
     @SETTINGS
-    @given(values=st.lists(st.text(alphabet="abcd\U0001f600", min_size=0, max_size=5),
+    @given(values=st.lists(st.text(alphabet="abcd\U0001f600\U0010ffff",
+                                   min_size=0, max_size=5),
                            min_size=1, max_size=30),
-           prefix=st.text(alphabet="abcd\U0001f600", min_size=1, max_size=3))
+           prefix=st.text(alphabet="abcd\U0001f600\U0010ffff", min_size=1, max_size=3))
     @example(values=["ab", "a\U0001f600", "b"], prefix="a")
+    @example(values=["ab", "a\U0010ffffz", "b"], prefix="a")
+    @example(values=["a\U0010ffff", "a\U0010ffffz", "b", "\U0010ffff"],
+             prefix="\U0010ffff")
     def test_prefix_range_equals_startswith(self, values, prefix):
         _catalog, dictionary = catalog_dictionary(values)
         lo, hi = runtime.catalog_prefix_range(dictionary, prefix)

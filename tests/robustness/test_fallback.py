@@ -337,16 +337,15 @@ def _shared_plan():
 
 
 class TestSharingCacheHygiene:
-    """Regressions for the shared-subplan cache: error paths and re-entrant
-    execute() must never leak one execution's materialisation into another."""
+    """Regressions for the vectorized engine's shared-subplan cache (the
+    interpreter has none): error paths and re-entrant execute() must never
+    leak one execution's materialisation into another."""
 
-    @pytest.mark.parametrize("engine_cls", [VolcanoEngine, VectorizedEngine])
+    @pytest.mark.parametrize("engine_cls", [VectorizedEngine])
     def test_failed_query_discards_shared_cache(self, tiny_catalog, engine_cls):
         engine = engine_cls(tiny_catalog)
-        site = ("engine.volcano.operator" if engine_cls is VolcanoEngine
-                else "engine.vectorized.batch")
-        faults = FaultPlan([FaultSpec(site=site, error=EngineFault,
-                                      fires_on=(2,))])
+        faults = FaultPlan([FaultSpec(site="engine.vectorized.batch",
+                                      error=EngineFault, fires_on=(2,))])
         with inject(faults):
             with pytest.raises(EngineFault):
                 engine.execute(_shared_plan())
@@ -357,7 +356,7 @@ class TestSharingCacheHygiene:
         assert_rows_equivalent(reference, engine.execute(_shared_plan()))
 
     def test_nested_execute_does_not_disarm_outer_context(self, tiny_catalog):
-        engine = VolcanoEngine(tiny_catalog)
+        engine = VectorizedEngine(tiny_catalog)
         plan = _shared_plan()
         with engine._sharing_active(plan):
             assert engine._shared_ids is not None  # the plan really shares

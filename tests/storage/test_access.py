@@ -178,6 +178,24 @@ class TestStringDictionary:
         assert (lo, hi) == (0, 1)
         assert dictionary.prefix_code_range("x") == (3, 3)
 
+    def test_a_prefix_keeps_strings_past_the_largest_code_point(self):
+        """The upper bound of ``LIKE 'a%'`` is the prefix's successor ``'b'``,
+        not ``'a' + U+10FFFF``, which ``'a\U0010ffffz'`` sorts above; a
+        prefix of U+10FFFF characters only has no upper bound."""
+        values = ["ab", "a\U0010ffffz", "b", "c", "d", "e"] * 3
+        catalog = Catalog()
+        catalog.register(ColumnarTable(
+            TableSchema("T", [int_column("t_id"), string_column("t_s")],
+                        primary_key=("t_id",)),
+            {"t_id": list(range(len(values))), "t_s": values}))
+        layer = catalog.access_layer()
+        dictionary = layer.dictionary("T", "t_s")
+        assert dictionary.prefix_code_range("a") == (0, 2)
+        assert dictionary.prefix_code_range("a\U0010ffff") == (1, 2)
+        assert dictionary.prefix_code_range("\U0010ffff") == (6, 6)
+        assert list(layer.pruned_indices("T", (("t_s", "prefix", "a"),))) == \
+            [i for i, value in enumerate(values) if value.startswith("a")]
+
     def test_almost_unique_column_is_not_encoded(self):
         catalog = Catalog()
         schema = TableSchema("T", [int_column("t_id"), string_column("t_s")],

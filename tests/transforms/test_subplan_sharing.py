@@ -1,7 +1,7 @@
 """IR-level common-subplan sharing in the compiled DSL stacks.
 
-The direct engines execute repeated subplans once per query through a runtime
-cache (:mod:`repro.engine.sharing`); the compiled stacks now get the same
+The vectorized engine executes repeated subplans once per query through a
+runtime cache (``VectorizedEngine._sharing_active``); the compiled stacks get the same
 behaviour at compile time: the pipelining lowering materialises each shared
 subtree once behind a list binding in the generated program and replays the
 binding for every occurrence (:mod:`repro.transforms.subplan_sharing`).
