@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..dsl.aggregates import AGGREGATES
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
-from ..ir.ops import ACCUMULATOR_SLOTS, held_in_slot
+from ..ir.ops import held_in_slot
 from ..ir.traversal import used_syms
 
 _INDENT = "    "
@@ -411,7 +412,7 @@ class PythonUnparser:
         """The starting values of a group's accumulator slots."""
         return ", ".join("set()" if start is set else repr(start)
                          for kind in stmt.expr.attrs["aggs"]
-                         for start in ACCUMULATOR_SLOTS[kind])
+                         for start in AGGREGATES[kind].slots)
 
     @staticmethod
     def _group(stmt: Stmt, lookup: str, unseen: str, entry: str, start: str,

@@ -1,4 +1,4 @@
 """Front-end DSLs: scalar expressions, the QPlan algebra and the QMonad collection DSL."""
-from . import expr, expr_compile, qmonad, qplan
+from . import aggregates, expr, expr_compile, qmonad, qplan
 
-__all__ = ["expr", "expr_compile", "qmonad", "qplan"]
+__all__ = ["aggregates", "expr", "expr_compile", "qmonad", "qplan"]

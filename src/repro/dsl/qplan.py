@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .aggregates import AGGREGATES
 from .expr import Expr, columns_used, columns_used_with_sides, wrap
 
 
@@ -33,8 +34,8 @@ class PlanError(Exception):
 #: Join kinds supported by the join operators.
 JOIN_KINDS = ("inner", "leftsemi", "leftanti", "leftouter")
 
-#: Aggregate kinds supported by AggSpec.
-AGG_KINDS = ("sum", "count", "avg", "min", "max", "count_distinct")
+#: Aggregate kinds supported by AggSpec: those :mod:`repro.dsl.aggregates` states.
+AGG_KINDS = tuple(AGGREGATES)
 
 
 @dataclass(frozen=True, slots=True)

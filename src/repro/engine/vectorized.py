@@ -4,8 +4,9 @@ MonetDB/X100-style execution for QPlan trees: operators consume and produce
 :class:`ColumnBatch` objects — a dictionary of column value lists plus a
 selection vector — instead of boxed per-row dictionaries.  A scan hands out
 the catalog's columnar storage **zero-copy**; selections only ever shrink the
-selection vector; joins and aggregations gather from columns directly; rows
-are materialized once, for the final result.
+selection vector; joins gather from columns directly and aggregations fold
+through the interpreter's kernel (:mod:`repro.dsl.aggregates`); rows are
+materialized once, for the final result.
 
 Scalar expressions are compiled once per operator into closures that run over
 whole column batches (:mod:`repro.dsl.expr_compile`), so neither per-row
@@ -20,11 +21,11 @@ enforce over all 22 TPC-H queries.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import reduce
-from operator import add
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..dsl import qplan
+from ..dsl.aggregates import AGGREGATES
 from ..dsl.expr_compile import (compile_columnar, compile_columnar_pair,
                                 compile_columnar_predicate, compile_row)
 from ..robustness.faults import fault_point
@@ -380,6 +381,7 @@ class VectorizedEngine:
 
     def _aggregate(self, plan: qplan.Agg) -> Iterator[ColumnBatch]:
         aggs = plan.aggregates
+        kernels = [AGGREGATES[agg.kind] for agg in aggs]
         key_names = [name for name, _ in plan.group_keys]
         key_fns = [compile_columnar(expr) for _, expr in plan.group_keys]
         value_fns = [compile_columnar(agg.expr) if agg.expr is not None else None
@@ -387,23 +389,22 @@ class VectorizedEngine:
         # HAVING runs over the handful of output groups; the row form is fine.
         having = compile_row(plan.having) if plan.having is not None else None
 
-        # Per group: element 0 is the row count, then one gathered value list
-        # per aggregate that takes an argument.  Values accumulate in global
-        # scan order, so the final fold below adds floats in exactly the
-        # interpreter's order regardless of batching.
-        value_slots = [a for a, fn in enumerate(value_fns) if fn is not None]
+        # One accumulator per (group, aggregate).  Each batch's values of a
+        # group are one run folded into it in scan order, so floats add in
+        # exactly the interpreter's order whatever the batching.
         groups: Dict[Any, List[Any]] = {}
         for batch in self.execute_batches(plan.child):
             indices = batch.indices()
             num = len(indices)
             if num == 0:
                 continue
-            value_columns = [value_fns[a](batch.columns, indices) for a in value_slots]
+            value_columns = [fn(batch.columns, indices) if fn is not None else None
+                             for fn in value_fns]
 
-            # Bucket batch positions by group key, then gather per group.
-            buckets: Dict[Any, List[int]]
+            # Bucket batch positions by group key, then fold per group.
+            buckets: Dict[Any, Sequence[int]]
             if not key_fns:
-                buckets = {(): list(range(num))}
+                buckets = {(): range(num)}
             else:
                 key_columns = [fn(batch.columns, indices) for fn in key_fns]
                 keys: Any = key_columns[0] if len(key_columns) == 1 \
@@ -419,28 +420,28 @@ class VectorizedEngine:
             for key, positions in buckets.items():
                 if single_key:
                     key = (key,)
-                entry = groups.get(key)
-                if entry is None:
-                    entry = groups[key] = [0] + [[] for _ in value_slots]
-                entry[0] += len(positions)
-                for slot, column in enumerate(value_columns, start=1):
-                    entry[slot].extend([column[p] for p in positions])
+                accumulators = groups.get(key)
+                if accumulators is None:
+                    accumulators = groups[key] = [kernel.start() for kernel in kernels]
+                for a, (kernel, column) in enumerate(zip(kernels, value_columns)):
+                    # count(*) folds the constant 1 once per row
+                    run = repeat(1, len(positions)) if column is None \
+                        else map(column.__getitem__, positions)
+                    accumulators[a] = kernel.fold(accumulators[a], run)
 
         # A global fold over an empty input still produces one row of neutral
         # aggregates (count=0, sum=0, avg/min/max None) — mirror volcano's
         # seeded-accumulator behaviour by registering one empty group.
         if not groups and not key_fns:
-            groups[()] = [0] + [[] for _ in value_slots]
+            groups[()] = [kernel.start() for kernel in kernels]
 
         out_names = key_names + [agg.name for agg in aggs]
         columns: Dict[str, List[Any]] = {name: [] for name in out_names}
         count = 0
-        slot_of = {a: slot for slot, a in enumerate(value_slots, start=1)}
-        for key, entry in groups.items():
+        for key, accumulators in groups.items():
             out = dict(zip(key_names, key))
-            for a, agg in enumerate(aggs):
-                values = entry[slot_of[a]] if a in slot_of else None
-                out[agg.name] = _final_value(agg, entry[0], values)
+            for agg, kernel, accumulator in zip(aggs, kernels, accumulators):
+                out[agg.name] = kernel.finish(accumulator)
             if having is None or having(out):
                 for name in out_names:
                     columns[name].append(out[name])
@@ -566,38 +567,6 @@ class _KeyBuild:
 
     def rows(self) -> range:
         return range(self.length)
-
-
-def _final_value(agg: qplan.AggSpec, row_count: int, values: Optional[List[Any]]) -> Any:
-    """Fold a whole gathered value column into one aggregate result.
-
-    Value-identical to folding :func:`repro.engine.volcano.fold_value` row by
-    row: ``sum`` starts from 0 (``avg``'s total from 0.0) and adds non-null
-    values left to right, nulls never contribute, an all-null (or empty)
-    group yields ``None`` for min/max/avg.  The adds are a plain left fold,
-    not builtin ``sum``, which compensates float rounding since CPython 3.12.
-    Any semantic change to the volcano fold must be mirrored here — the
-    TPC-H parity tests compare the two engines directly.
-    """
-    kind = agg.kind
-    if kind == "count":
-        if agg.expr is None:
-            return row_count
-        return sum(1 for v in values if v is not None)
-    if kind == "sum":
-        return reduce(add, (v for v in values if v is not None), 0)
-    if kind == "avg":
-        present = [v for v in values if v is not None]
-        return reduce(add, present, 0.0) / len(present) if present else None
-    if kind == "min":
-        present = [v for v in values if v is not None]
-        return min(present) if present else None
-    if kind == "max":
-        present = [v for v in values if v is not None]
-        return max(present) if present else None
-    if kind == "count_distinct":
-        return len({v for v in values if v is not None})
-    raise VectorizedError(f"unknown aggregate {kind!r}")
 
 
 def execute(plan: qplan.Operator, catalog: Catalog,

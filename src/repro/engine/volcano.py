@@ -8,7 +8,9 @@ every tuple.
 Scalar expressions are no longer tree-walked per row: each operator compiles
 its expressions once into Python closures (:mod:`repro.dsl.expr_compile`) and
 calls those per tuple.  The boxed-row shape of the interpreter — the thing the
-vectorized and compiled engines remove — is unchanged.
+vectorized and compiled engines remove — is unchanged.  An aggregate folds each
+row as a one-value run through :mod:`repro.dsl.aggregates`, the one statement
+of aggregate semantics every engine shares.
 
 The interpreter plays two roles in this repository:
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Tuple
 
 from ..dsl import qplan
+from ..dsl.aggregates import AGGREGATES
 from ..dsl.expr_compile import compile_pair, compile_row
 from ..robustness.faults import fault_point
 from ..robustness.governor import current_governor
@@ -164,11 +167,12 @@ class VolcanoEngine:
                 yield left_row
 
     def _aggregate(self, plan: qplan.Agg) -> Iterator[Row]:
-        aggs = plan.aggregates
+        kernels = [AGGREGATES[agg.kind] for agg in plan.aggregates]
         key_names = [name for name, _ in plan.group_keys]
         key_fns = [compile_row(expr) for _, expr in plan.group_keys]
-        agg_fns = [compile_row(agg.expr) if agg.expr is not None else None
-                   for agg in aggs]
+        # each row is a one-value run of each aggregate; count(*) folds 1
+        folds = [(kernel.fold, compile_row(agg.expr) if agg.expr is not None else None)
+                 for kernel, agg in zip(kernels, plan.aggregates)]
         having = compile_row(plan.having) if plan.having is not None else None
 
         groups: Dict[Tuple, List[Any]] = {}
@@ -176,23 +180,21 @@ class VolcanoEngine:
             key = tuple(fn(row) for fn in key_fns)
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = groups[key] = [initial_accumulator(a) for a in aggs]
-            for i, agg in enumerate(aggs):
-                fn = agg_fns[i]
-                accumulators[i] = fold_value(agg, accumulators[i],
-                                             fn(row) if fn is not None else None)
+                accumulators = groups[key] = [kernel.start() for kernel in kernels]
+            for i, (fold, fn) in enumerate(folds):
+                accumulators[i] = fold(accumulators[i], (1,) if fn is None else (fn(row),))
 
         # A global fold (no group keys) over an empty input is not an empty
         # result: it is one row of neutral aggregates — count=0, sum=0,
-        # avg/min/max None — exactly what finalising untouched accumulators
+        # avg/min/max None — exactly what finishing untouched accumulators
         # produces.  Seed the single group so that row is emitted.
         if not groups and not plan.group_keys:
-            groups[()] = [initial_accumulator(a) for a in aggs]
+            groups[()] = [kernel.start() for kernel in kernels]
 
         for key, accumulators in groups.items():
             out = dict(zip(key_names, key))
-            for agg, accumulator in zip(aggs, accumulators):
-                out[agg.name] = finalise_accumulator(agg, accumulator)
+            for agg, kernel, accumulator in zip(plan.aggregates, kernels, accumulators):
+                out[agg.name] = kernel.finish(accumulator)
             if having is None or having(out):
                 yield out
 
@@ -225,64 +227,6 @@ class VolcanoEngine:
             count += 1
             if count >= plan.count:
                 break
-
-
-# ---------------------------------------------------------------------------
-# Aggregate accumulators (row-at-a-time folding): the reference semantics.
-#
-# Two copies must stay value-identical with these — the same starts, the
-# same adds in the same left-to-right order, on every supported Python: the
-# vectorized engine's fold over whole gathered value columns
-# (`repro.engine.vectorized._final_value`, a left fold rather than builtin
-# `sum`, which compensates float rounding since CPython 3.12) and the
-# compiled stacks' folds, which the pipelining lowering emits as statements
-# over a group's accumulator record
-# (`repro.transforms.pipelining._PushCompiler._fold` / `_finalise`).  The
-# parity suites run all three against each other, so a semantic change here
-# must be mirrored there (and vice versa).
-# ---------------------------------------------------------------------------
-def initial_accumulator(agg: qplan.AggSpec):
-    if agg.kind in ("sum", "count"):
-        return 0
-    if agg.kind == "avg":
-        return (0.0, 0)
-    if agg.kind == "count_distinct":
-        return set()
-    return None  # min / max start undefined
-
-
-def fold_value(agg: qplan.AggSpec, accumulator, value):
-    """Fold one input value into an accumulator (``value`` is the evaluated
-    argument expression, or ``None`` for ``count(*)``)."""
-    kind = agg.kind
-    if kind == "count":
-        if agg.expr is None:
-            return accumulator + 1
-        return accumulator + (0 if value is None else 1)
-    if value is None:
-        return accumulator
-    if kind == "sum":
-        return accumulator + value
-    if kind == "avg":
-        total, count = accumulator
-        return (total + value, count + 1)
-    if kind == "min":
-        return value if accumulator is None or value < accumulator else accumulator
-    if kind == "max":
-        return value if accumulator is None or value > accumulator else accumulator
-    if kind == "count_distinct":
-        accumulator.add(value)
-        return accumulator
-    raise VolcanoError(f"unknown aggregate {kind!r}")
-
-
-def finalise_accumulator(agg: qplan.AggSpec, accumulator):
-    if agg.kind == "avg":
-        total, count = accumulator
-        return total / count if count else None
-    if agg.kind == "count_distinct":
-        return len(accumulator)
-    return accumulator
 
 
 def execute(plan: qplan.Operator, catalog: Catalog) -> List[Row]:

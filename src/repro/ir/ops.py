@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
+from ..dsl.aggregates import AGGREGATES
 from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, READ_WRITE, WRITE
 from .types import BOOL, INT, STRING, Type
 
@@ -213,7 +214,7 @@ _r("hashmap_agg_new", "map", ALLOC,
 _r("hashmap_agg_group", "map", READ_WRITE,
    "the group of a key, created the first time the key is seen: its "
    "accumulator record, or the accumulator value held in the slot; "
-   "attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
+   "attrs: aggs=(kind, ...), laid out by the slots of repro.dsl.aggregates",
    arity=2, attrs=("aggs",), mutated=0, merge="reduce")
 _r("hashmap_agg_set", "map", WRITE,
    "write a folded accumulator value back into the table slot of its key",
@@ -222,24 +223,14 @@ _r("hashmap_agg_foreach", "map", CONTROL,
    "iterate (key, accumulator record or slot value) pairs of an aggregation table",
    arity=1, blocks=(2,), loop=True)
 
-#: The slots one aggregate of each kind takes in a group's accumulator record
-#: (an array), as their starting values; ``set`` stands for a fresh empty set.
-#: A group that is one slot of an immutable value (held_in_slot) has no
-#: record: the table slot holds the value, from the same start.  The folds
-#: are ordinary statements the pipelining lowering emits, mirroring
-#: :func:`repro.engine.volcano.fold_value`.
-ACCUMULATOR_SLOTS: Dict[str, Tuple[Any, ...]] = {
-    "sum": (0,), "count": (0,), "avg": (0.0, 0), "min": (None,), "max": (None,),
-    "count_distinct": (set,),
-}
-
 
 def held_in_slot(aggs: Sequence[str]) -> bool:
     """Whether a group of these aggregates keeps its accumulator in the table
-    slot itself, with no record: one aggregate whose accumulator is a single
-    immutable value.  The fold reads the slot and writes the new value back
-    (``hashmap_agg_set`` / ``dense_agg_set``)."""
-    return len(aggs) == 1 and aggs[0] in ("sum", "count", "min", "max")
+    slot itself, with no record: their slots in :mod:`repro.dsl.aggregates`
+    are one immutable value (not a set).  The fold reads the slot and writes
+    the new value back (``hashmap_agg_set`` / ``dense_agg_set``)."""
+    slots = [slot for kind in aggs for slot in AGGREGATES[kind].slots]
+    return len(slots) == 1 and slots[0] is not set
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +259,7 @@ _r("dense_agg_new", "dense", ALLOC, "dense aggregation table of a given slot cou
 _r("dense_agg_group", "dense", READ_WRITE,
    "the group in slot index, created the first time the slot is reached: "
    "its accumulator record, or the accumulator value held in the slot; "
-   "attrs: aggs=(kind, ...), laid out by ACCUMULATOR_SLOTS",
+   "attrs: aggs=(kind, ...), laid out by the slots of repro.dsl.aggregates",
    arity=2, attrs=("aggs",), mutated=0, merge="reduce")
 _r("dense_agg_set", "dense", WRITE,
    "write a folded accumulator value back into slot index",

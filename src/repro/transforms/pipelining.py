@@ -67,9 +67,10 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Seque
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
+from ..dsl.aggregates import AGGREGATES
 from ..ir.builder import IRBuilder
 from ..ir.nodes import Atom, Const, Program, Sym
-from ..ir.ops import ACCUMULATOR_SLOTS, held_in_slot
+from ..ir.ops import held_in_slot
 from ..planner.pruning import consumed_fields
 from ..stack.context import CompilationContext
 from ..stack.language import C_PY, Language, QPLAN, SCALITE_MAP_LIST
@@ -728,10 +729,10 @@ class _PushCompiler:
     # Aggregation
     # ------------------------------------------------------------------
     def _aggregate(self, node: Q.Agg, consume: Consumer) -> None:
-        """Group rows in a HashMap; each aggregate's fold and finalisation
-        are statements over the group's accumulator record (one array slot
-        per accumulator, :data:`repro.ir.ops.ACCUMULATOR_SLOTS`) — or, for a
-        group of one accumulator value (:func:`repro.ir.ops.held_in_slot`),
+        """Group rows in a HashMap; each aggregate's fold and finish are
+        statements over the group's accumulator record, laid out from the
+        kinds' slots in :mod:`repro.dsl.aggregates` — or, for a group of one
+        accumulator value (:func:`repro.ir.ops.held_in_slot`),
         over the table slot itself: the fold reads the slot and writes the
         new value back, and no record is allocated per group."""
         b = self.b
@@ -741,7 +742,7 @@ class _PushCompiler:
         attrs = self._mmap_attrs(node.group_keys[0][1], None, node.child) \
             if len(node.group_keys) == 1 else {}
         table = b.emit("hashmap_agg_new", [], attrs=attrs, hint="agg")
-        starts = list(accumulate((len(ACCUMULATOR_SLOTS[kind]) for kind in kinds),
+        starts = list(accumulate((len(AGGREGATES[kind].slots) for kind in kinds),
                                  initial=0))
 
         if not node.group_keys:
@@ -794,10 +795,10 @@ class _PushCompiler:
               slot: Optional[Tuple[Sym, Atom]] = None) -> None:
         """Fold one value into the accumulator at ``group[start]`` — or, with
         ``slot=(table, key)``, into the accumulator value ``group`` that the
-        table slot holds, writing the new value back there: the lowered
-        :func:`repro.engine.volcano.fold_value`, which it mirrors.  A value
-        that may be NULL is folded under a ``value is not None`` guard, which
-        folding drops where the column's statistics show no NULL."""
+        table slot holds, writing the new value back there: the kind's fold
+        in :mod:`repro.dsl.aggregates` over a one-value run, as statements.
+        A value that may be NULL is folded under a ``value is not None``
+        guard, which folding drops where the column's statistics show no NULL."""
         b = self.b
 
         def read(offset: int = 0) -> Atom:
@@ -839,8 +840,9 @@ class _PushCompiler:
             b.if_(b.emit("ne", [value, Const(None)]), update)
 
     def _finalise(self, kind: str, record: Sym, start: int, hint: str) -> Atom:
-        """One group's value of an aggregate: ``avg`` divided out (``None``
-        over no value), ``count_distinct`` the size of its set."""
+        """One group's value of an aggregate, the kind's finish as statements:
+        ``avg`` divided out (``None`` over no value), ``count_distinct`` the
+        size of its set."""
         b = self.b
         value = b.emit("array_get", [record, Const(start)], hint=hint)
         if kind == "count_distinct":
