@@ -100,11 +100,6 @@ class Catalog:
         Figure 8 assumes — 8 B per non-string value, one per character of a
         string, plus the column lists — not what the Python objects occupy
         (shared objects are counted once per row here).  This is the value
-        the benchmark reports as ``storage.catalog_bytes``."""
-        import sys
-        total = 0
-        for table in self.tables.values():
-            for values in table.columns.values():
-                total += sys.getsizeof(values) + sum(
-                    len(v) if isinstance(v, str) else 8 for v in values)
-        return total
+        the benchmark reports as ``storage.catalog_bytes``.  It decodes no
+        text column (:meth:`ColumnarTable.footprint`)."""
+        return sum(table.footprint() for table in self.tables.values())

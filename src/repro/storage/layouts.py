@@ -6,11 +6,21 @@ row and boxed layouts of Section 4.2 are a choice of the lowering, not of
 storage: ``transforms/pipelining.py`` picks row tuples or boxed dictionaries
 for the intermediate records it materialises (``record_layout``), and the
 Volcano interpreter boxes each row it scans into a dictionary.
+
+A loader may hand over a text column as a :class:`TextColumn` — one byte per
+word, a code into a shared vocabulary — instead of a list of strings.
+:meth:`ColumnarTable.column` is the one way to read a column: it decodes a
+text column into the list of strings on its first read and stores that list
+in its place, so every reader sees a ``list`` and a text column no plan reads
+never costs a string per row.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Sequence
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Sequence, Union
 
 from .schema import TableSchema
 
@@ -19,12 +29,60 @@ class LayoutError(Exception):
     pass
 
 
+class TextColumn:
+    """A column of texts held as word codes until its first read.
+
+    Row ``i`` is the words ``codes[ends[i - 1]:ends[i]]`` (from 0 for row
+    0) of the vocabulary ``words``, joined by one space.  The vocabulary
+    is shared, so a row costs one byte per word plus four for its end instead
+    of a string.  Only this class and the writer that fills ``codes`` know
+    the format; everyone else reads the decoded list through
+    :meth:`ColumnarTable.column`.
+    """
+
+    __slots__ = ("words", "codes", "ends", "_decoded")
+
+    def __init__(self, words: Sequence[str], codes: bytearray,
+                 ends: "array[int]") -> None:
+        self.words = words
+        self.codes = codes
+        self.ends = ends
+        #: the decoded list under the key ``None``, stored by ``setdefault``
+        self._decoded: Dict[None, List[str]] = {}
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def decode(self) -> List[str]:
+        """The rows as strings.  A lock-free idempotent memo: racing first
+        reads may each decode, and every one returns the list stored first."""
+        decoded = self._decoded.get(None)
+        if decoded is None:
+            tokens = list(map(self.words.__getitem__, self.codes))
+            join, ends = " ".join, self.ends
+            decoded = self._decoded.setdefault(None, [
+                join(tokens[start:end]) for start, end in zip(chain((0,), ends), ends)])
+        return decoded
+
+    def footprint(self) -> int:
+        """:meth:`ColumnarTable.footprint` of the decoded column, from the
+        codes: the ``sys.getsizeof`` of the list :meth:`decode` builds (it
+        appends, as this one does) and one byte a character of every row —
+        its words and one space between two."""
+        ends, codes = self.ends, self.codes
+        lengths = [len(word) for word in self.words]
+        rows = sum(1 for start, end in zip(chain((0,), ends), ends) if end > start)
+        return (sys.getsizeof([None for _ in ends])
+                + sum(map(lengths.__getitem__, codes)) + len(codes) - rows)
+
+
 @dataclass
 class ColumnarTable:
-    """Columnar layout: a dict from column name to a list of values."""
+    """Columnar layout: a dict from column name to a list of values (or to a
+    :class:`TextColumn` not yet read)."""
 
     schema: TableSchema
-    columns: Dict[str, List[Any]] = field(default_factory=dict)
+    columns: Dict[str, Union[List[Any], TextColumn]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         expected = set(self.schema.column_names())
@@ -49,18 +107,38 @@ class ColumnarTable:
         return len(next(iter(self.columns.values())))
 
     def column(self, name: str) -> List[Any]:
+        """The values of one column; a :class:`TextColumn` is decoded on its
+        first read and the list stored in its place."""
         try:
-            return self.columns[name]
+            values = self.columns[name]
         except KeyError:
             raise LayoutError(f"table {self.name!r} has no column {name!r}") from None
+        if type(values) is TextColumn:
+            values = self.columns[name] = values.decode()
+        return values
+
+    def footprint(self) -> int:
+        """*Logical* size in bytes, the C layout of the paper's Figure 8:
+        8 B a non-string value, one a character of a string, plus each
+        column's list.  A text column not yet read is sized from its codes
+        and stays codes."""
+        total = 0
+        for values in self.columns.values():
+            if type(values) is TextColumn:
+                total += values.footprint()
+            else:
+                total += sys.getsizeof(values) + sum(
+                    len(v) if isinstance(v, str) else 8 for v in values)
+        return total
 
     def row_dict(self, index: int) -> Dict[str, Any]:
         """The boxed representation of one row."""
-        return {name: values[index] for name, values in self.columns.items()}
+        return {name: self.column(name)[index] for name in list(self.columns)}
 
     def iter_rows(self) -> Iterator[Dict[str, Any]]:
-        for i in range(self.num_rows):
-            yield self.row_dict(i)
+        names = list(self.columns)
+        for values in zip(*map(self.column, names)):
+            yield dict(zip(names, values))
 
     @classmethod
     def from_rows(cls, schema: TableSchema, rows: Sequence[Dict[str, Any]]) -> "ColumnarTable":

@@ -96,15 +96,10 @@ def warm_access_paths(catalog: Catalog) -> None:
 
 def dump_table_file(table: ColumnarTable, path: str) -> None:
     """Write a columnar table back out in dbgen ``.tbl`` format."""
-    names = table.schema.column_names()
-    types = [table.schema.column_type(name) for name in names]
+    schema = table.schema
+    columns = [map(dates.int_to_str, table.column(name))
+               if schema.column_type(name) is DATE else table.column(name)
+               for name in schema.column_names()]
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(table.num_rows):
-            parts = []
-            for name, ctype in zip(names, types):
-                value = table.columns[name][i]
-                if ctype is DATE:
-                    parts.append(dates.int_to_str(value))
-                else:
-                    parts.append(str(value))
-            handle.write("|".join(parts) + "|\n")
+        for row in zip(*columns):
+            handle.write("|".join(map(str, row)) + "|\n")

@@ -21,8 +21,9 @@ of each consumer re-deriving its own summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import le
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .layouts import ColumnarTable
 
@@ -62,15 +63,15 @@ class ColumnZoneMap:
 class ColumnStatistics:
     """Statistics of one column.
 
-    Computed from a column (``values``), the statistics hold two lock-free
-    idempotent memos that serving threads fill on first read: the load-pass
-    fields (:attr:`LOAD_PASS_FIELDS`, filled together by :meth:`__getattr__`
-    on the first miss, instance attributes after) and ``num_distinct``.
-    Racing first reads may each compute, and each stores the same numbers.
-    The column is dropped once both memos are filled — after the store, so a
-    reader that finds it gone finds the numbers — and the statistics of a
-    replaced table never keep its columns alive.  Built without ``values``,
-    the statistics are the numbers passed in.
+    Computed from a column (``read``, which returns it), the statistics hold
+    two lock-free idempotent memos that serving threads fill on first read:
+    the load-pass fields (:attr:`LOAD_PASS_FIELDS`, filled together by
+    :meth:`__getattr__` on the first miss, instance attributes after) and
+    ``num_distinct``.  Racing first reads may each compute, and each stores
+    the same numbers.  The reader is dropped once both memos are filled —
+    after the store, so a reader that finds it gone finds the numbers — and
+    the statistics of a replaced table never keep its columns alive.  Built
+    without ``read``, the statistics are the numbers passed in.
     """
 
     #: the fields one load pass over a column fills (:func:`_load_pass`)
@@ -95,17 +96,17 @@ class ColumnStatistics:
                  num_nulls: int = 0, min_value: Optional[Any] = None,
                  max_value: Optional[Any] = None, sorted_ascending: bool = False,
                  zone_map: Optional[ColumnZoneMap] = None,
-                 values: Optional[Sequence[Any]] = None,
+                 read: Optional[Callable[[], Sequence[Any]]] = None,
                  chunk_rows: int = ZONE_CHUNK_ROWS) -> None:
         self.name = name
         self.num_rows = num_rows
-        #: the column the memos are still to be filled from
-        self._values = values
+        #: returns the column the memos are still to be filled from
+        self._read = read
         #: rows per zone-map chunk of the load pass still to run (``None``
         #: once it ran), and the distinct count (``None`` until counted)
         self._chunk_rows: Optional[int] = chunk_rows
         self._num_distinct: Optional[int] = None
-        if values is None:
+        if read is None:
             self._chunk_rows, self._num_distinct = None, num_distinct
             self.num_nulls = num_nulls
             self.min_value = min_value
@@ -117,25 +118,25 @@ class ColumnStatistics:
         """Run the load pass on the first miss of any of its fields."""
         if name not in self.LOAD_PASS_FIELDS:
             raise AttributeError(name)
-        chunk_rows, values = self._chunk_rows, self._values
-        if chunk_rows is not None and values is not None:
+        chunk_rows, read = self._chunk_rows, self._read
+        if chunk_rows is not None and read is not None:
             for field_name, value in zip(self.LOAD_PASS_FIELDS,
-                                         _load_pass(values, chunk_rows)):
+                                         _load_pass(read(), chunk_rows)):
                 setattr(self, field_name, value)
             self._chunk_rows = None
             if self._num_distinct is not None:
-                self._values = None
+                self._read = None
         return object.__getattribute__(self, name)
 
     @property
     def num_distinct(self) -> int:
         """Number of distinct values (``None`` is one of them)."""
-        values = self._values
+        read = self._read
         count = self._num_distinct
         if count is None:
-            count = self._num_distinct = len(set(values))
+            count = self._num_distinct = len(set(read()))
             if self._chunk_rows is None:
-                self._values = None
+                self._read = None
         return count
 
     def __eq__(self, other: object) -> bool:
@@ -235,13 +236,6 @@ class Statistics:
         return merged
 
 
-def compute_column_statistics(name: str, values,
-                              chunk_rows: int = ZONE_CHUNK_ROWS) -> ColumnStatistics:
-    """The statistics of one column; no row is read until a field is."""
-    return ColumnStatistics(name=name, num_rows=len(values), values=values,
-                            chunk_rows=chunk_rows)
-
-
 def _load_pass(values, chunk_rows: int) -> Tuple[Any, ...]:
     """One pass over a column: ``ColumnStatistics.LOAD_PASS_FIELDS``, in order."""
     if len(values) == 0:
@@ -271,7 +265,11 @@ def _load_pass(values, chunk_rows: int) -> Tuple[Any, ...]:
 
 
 def compute_table_statistics(table: ColumnarTable) -> TableStatistics:
+    """The statistics of a table's columns, each read on its first use
+    through :meth:`ColumnarTable.column` (which decodes a text column)."""
     stats = TableStatistics(name=table.name, num_rows=table.num_rows)
-    for column_name, values in table.columns.items():
-        stats.columns[column_name] = compute_column_statistics(column_name, values)
+    for column_name in table.columns:
+        stats.columns[column_name] = ColumnStatistics(
+            name=column_name, num_rows=table.num_rows,
+            read=partial(table.column, column_name))
     return stats

@@ -13,15 +13,22 @@ Row counts scale linearly with the scale factor exactly as in TPC-H
 partsupp = 4·part, supplier = 10k·SF), so plan shapes and relative operator
 costs mirror the original benchmark even though absolute values differ.
 Generation is fully deterministic for a given ``(scale_factor, seed)``.
+
+As official dbgen draws its comments out of one shared text pool, every text
+column here (comments and addresses) is written as codes into one word list,
+:data:`VOCABULARY`: a :class:`~repro.storage.layouts.TextColumn` of one byte
+per word, decoded into strings by the first reader of the column.  A comment
+no query reads (``l_comment``, ``ps_comment``, ``p_comment``) stays codes.
 """
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from array import array
+from typing import Dict, List, Optional
 
 from .. import dates
 from ..storage.catalog import Catalog
-from ..storage.layouts import ColumnarTable
+from ..storage.layouts import ColumnarTable, TextColumn
 from .schema import tpch_schema
 
 # ---------------------------------------------------------------------------
@@ -88,6 +95,13 @@ _N_ADJECTIVES, _N_NOUNS, _N_VERBS = len(ADJECTIVES), len(NOUNS), len(VERBS)
 _K_ADJECTIVES, _K_NOUNS, _K_VERBS = (_N_ADJECTIVES.bit_length(), _N_NOUNS.bit_length(),
                                      _N_VERBS.bit_length())
 
+#: the words every text column is written in: a text holds one code (an
+#: index here) per word; the last three are the markers Q16 and Q13 look for
+VOCABULARY = tuple(ADJECTIVES + NOUNS + VERBS
+                   + ["Customer", "Complaints", "special packages requests"])
+_NOUN_CODE, _VERB_CODE = _N_ADJECTIVES, _N_ADJECTIVES + _N_NOUNS
+_CUSTOMER, _COMPLAINTS, _SPECIAL_REQUESTS = range(len(VOCABULARY) - 3, len(VOCABULARY))
+
 
 def draw_below(getrandbits):
     """``below(n)``: a uniform draw from ``range(n)``, ``n > 0``.
@@ -105,6 +119,23 @@ def draw_below(getrandbits):
             drawn = getrandbits(width)
         return drawn
     return below
+
+
+class _TextWriter:
+    """One text column being written in :class:`TextColumn`'s format: the
+    word codes of every row so far, and the end of every finished row."""
+
+    __slots__ = ("codes", "ends")
+
+    def __init__(self) -> None:
+        self.codes = bytearray()
+        self.ends = array("I")
+
+    def end_row(self) -> None:
+        self.ends.append(len(self.codes))
+
+    def finish(self) -> TextColumn:
+        return TextColumn(VOCABULARY, self.codes, self.ends)
 
 
 #: TPC-H base cardinalities at scale factor 1.
@@ -149,7 +180,9 @@ class TpchGenerator:
                      "partsupp", "orders", "lineitem"):
             # the loader's path: one place computes statistics and tells the
             # access layer (had one been created) that the table's data changed
-            catalog.register(ColumnarTable(catalog.schema.table(name), tables[name]))
+            schema, columns = catalog.schema.table(name), tables[name]
+            catalog.register(ColumnarTable(schema, {
+                column: columns[column] for column in schema.column_names()}))
         return catalog
 
     # ------------------------------------------------------------------
@@ -158,18 +191,20 @@ class TpchGenerator:
     def _count(self, table: str) -> int:
         return max(1, int(round(BASE_CARDINALITIES[table] * self.scale_factor)))
 
-    def _text(self, min_words: int = 4, max_words: int = 10,
-              inject: str = "", inject_probability: float = 0.0) -> str:
-        """Random prose; with ``inject``, a marker phrase at a random position.
+    def _text(self, column: _TextWriter, min_words: int, max_words: int,
+              inject_probability: Optional[float] = None) -> None:
+        """Append the word codes of one random text to ``column``'s open row;
+        with ``inject_probability``, Q13's marker phrase at a random position.
 
         Every word draws an adjective, a noun and a verb and then picks one
         of the three — four draws a word, two million of them at sf 0.01 —
         so the ``below`` loop is written out with the widths of the word
         lists precomputed.
         """
-        getrandbits = self._rng.getrandbits
-        words = []
-        for _ in range(min_words + self._below(max_words - min_words + 1)):
+        codes = column.codes
+        getrandbits, append, start = self._rng.getrandbits, codes.append, len(codes)
+        count = min_words + self._below(max_words - min_words + 1)
+        for _ in range(count):
             adjective = getrandbits(_K_ADJECTIVES)
             while adjective >= _N_ADJECTIVES:
                 adjective = getrandbits(_K_ADJECTIVES)
@@ -182,11 +217,18 @@ class TpchGenerator:
             pick = getrandbits(2)
             while pick >= 3:
                 pick = getrandbits(2)
-            words.append(ADJECTIVES[adjective] if pick == 0
-                         else NOUNS[noun] if pick == 1 else VERBS[verb])
-        if inject and self._rng.random() < inject_probability:
-            words.insert(self._below(len(words) + 1), inject)
-        return " ".join(words)
+            append(adjective if pick == 0
+                   else _NOUN_CODE + noun if pick == 1 else _VERB_CODE + verb)
+        if inject_probability is not None and self._rng.random() < inject_probability:
+            codes.insert(start + self._below(count + 1), _SPECIAL_REQUESTS)
+
+    def _texts(self, rows: int, min_words: int = 4, max_words: int = 10) -> TextColumn:
+        """A column of ``rows`` random texts drawn one after the other."""
+        column = _TextWriter()
+        for _ in range(rows):
+            self._text(column, min_words, max_words)
+            column.end_row()
+        return column.finish()
 
     def _phone(self, nation_key: int) -> str:
         below = self._below
@@ -201,7 +243,7 @@ class TpchGenerator:
         return {
             "r_regionkey": list(range(len(REGIONS))),
             "r_name": list(REGIONS),
-            "r_comment": [self._text() for _ in REGIONS],
+            "r_comment": self._texts(len(REGIONS)),
         }
 
     def _gen_nation(self) -> Dict[str, List]:
@@ -209,28 +251,32 @@ class TpchGenerator:
             "n_nationkey": list(range(len(NATIONS))),
             "n_name": [name for name, _ in NATIONS],
             "n_regionkey": [region for _, region in NATIONS],
-            "n_comment": [self._text() for _ in NATIONS],
+            "n_comment": self._texts(len(NATIONS)),
         }
 
     def _gen_supplier(self) -> Dict[str, List]:
-        rng = self._rng
+        rng, text = self._rng, self._text
         n = self._count("supplier")
         columns: Dict[str, List] = {name: [] for name in
-                                    ("s_suppkey", "s_name", "s_address", "s_nationkey",
-                                     "s_phone", "s_acctbal", "s_comment")}
+                                    ("s_suppkey", "s_name", "s_nationkey",
+                                     "s_phone", "s_acctbal")}
+        address, comment = _TextWriter(), _TextWriter()
         for key in range(1, n + 1):
             nation = rng.randrange(len(NATIONS))
             columns["s_suppkey"].append(key)
             columns["s_name"].append(f"Supplier#{key:09d}")
-            columns["s_address"].append(self._text(2, 4))
+            text(address, 2, 4)
+            address.end_row()
             columns["s_nationkey"].append(nation)
             columns["s_phone"].append(self._phone(nation))
             columns["s_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
             # ~8% of suppliers carry the "Customer ... Complaints" marker used by Q16.
-            comment = self._text(5, 10)
+            text(comment, 5, 10)
             if rng.random() < 0.08:
-                comment = comment + " Customer " + rng.choice(ADJECTIVES) + " Complaints"
-            columns["s_comment"].append(comment)
+                comment.codes += bytes((_CUSTOMER, self._below(_N_ADJECTIVES), _COMPLAINTS))
+            comment.end_row()
+        columns["s_address"] = address.finish()
+        columns["s_comment"] = comment.finish()
         return columns
 
     def _gen_part(self) -> Dict[str, List]:
@@ -238,7 +284,8 @@ class TpchGenerator:
         n = self._count("part")
         columns: Dict[str, List] = {name: [] for name in
                                     ("p_partkey", "p_name", "p_mfgr", "p_brand", "p_type",
-                                     "p_size", "p_container", "p_retailprice", "p_comment")}
+                                     "p_size", "p_container", "p_retailprice")}
+        comment = _TextWriter()
         for key in range(1, n + 1):
             manufacturer = rng.randint(1, 5)
             brand = manufacturer * 10 + rng.randint(1, 5)
@@ -255,15 +302,17 @@ class TpchGenerator:
                                                     rng.choice(CONTAINER_SYLLABLE_2)]))
             columns["p_retailprice"].append(
                 round(90000 + ((key // 10) % 20001) + 100 * (key % 1000), 2) / 100.0)
-            columns["p_comment"].append(self._text(2, 5))
+            self._text(comment, 2, 5)
+            comment.end_row()
+        columns["p_comment"] = comment.finish()
         return columns
 
     def _gen_partsupp(self, part: Dict[str, List], supplier: Dict[str, List]) -> Dict[str, List]:
         rng, below, text = self._rng, self._below, self._text
         n_supp = len(supplier["s_suppkey"])
         per_part = BASE_CARDINALITIES["partsupp_per_part"]
-        ps_partkey, ps_suppkey, ps_availqty, ps_supplycost, ps_comment = (
-            [] for _ in range(5))
+        ps_partkey, ps_suppkey, ps_availqty, ps_supplycost = ([] for _ in range(4))
+        ps_comment = _TextWriter()
         for partkey in part["p_partkey"]:
             suppliers = rng.sample(range(1, n_supp + 1), min(per_part, n_supp))
             for suppkey in suppliers:
@@ -271,29 +320,35 @@ class TpchGenerator:
                 ps_suppkey.append(suppkey)
                 ps_availqty.append(1 + below(9999))
                 ps_supplycost.append(round(rng.uniform(1.0, 1000.0), 2))
-                ps_comment.append(text(5, 12))
+                text(ps_comment, 5, 12)
+                ps_comment.end_row()
         return {"ps_partkey": ps_partkey, "ps_suppkey": ps_suppkey,
                 "ps_availqty": ps_availqty, "ps_supplycost": ps_supplycost,
-                "ps_comment": ps_comment}
+                "ps_comment": ps_comment.finish()}
 
     def _gen_customer(self) -> Dict[str, List]:
-        rng = self._rng
+        rng, text = self._rng, self._text
         n = self._count("customer")
         columns: Dict[str, List] = {name: [] for name in
-                                    ("c_custkey", "c_name", "c_address", "c_nationkey",
-                                     "c_phone", "c_acctbal", "c_mktsegment", "c_comment")}
+                                    ("c_custkey", "c_name", "c_nationkey",
+                                     "c_phone", "c_acctbal", "c_mktsegment")}
+        address, comment = _TextWriter(), _TextWriter()
         for key in range(1, n + 1):
             nation = rng.randrange(len(NATIONS))
             columns["c_custkey"].append(key)
             columns["c_name"].append(f"Customer#{key:09d}")
-            columns["c_address"].append(self._text(2, 4))
+            text(address, 2, 4)
+            address.end_row()
             columns["c_nationkey"].append(nation)
             columns["c_phone"].append(self._phone(nation))
             columns["c_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
             columns["c_mktsegment"].append(rng.choice(SEGMENTS))
             # ~10% of customer-facing order comments carry "special ... requests" (Q13);
             # customer comments themselves just need plausible text.
-            columns["c_comment"].append(self._text(6, 12))
+            text(comment, 6, 12)
+            comment.end_row()
+        columns["c_address"] = address.finish()
+        columns["c_comment"] = comment.finish()
         return columns
 
     def _gen_orders_and_lineitems(self, customer, part, supplier, partsupp):
@@ -310,11 +365,12 @@ class TpchGenerator:
         clerks = [f"Clerk#{number:09d}" for number in range(n_clerks + 1)]
 
         (o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate,
-         o_orderpriority, o_clerk, o_shippriority, o_comment) = ([] for _ in range(9))
+         o_orderpriority, o_clerk, o_shippriority) = ([] for _ in range(8))
         (l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,
          l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus,
-         l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct, l_shipmode,
-         l_comment) = ([] for _ in range(16))
+         l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct,
+         l_shipmode) = ([] for _ in range(15))
+        o_comment, l_comment = _TextWriter(), _TextWriter()
         lo_lines, hi_lines = BASE_CARDINALITIES["lineitems_per_order"]
         cutoff = dates.date_to_int("1995-06-17")
 
@@ -361,7 +417,8 @@ class TpchGenerator:
                 l_receiptdate.append(receiptdate)
                 l_shipinstruct.append(SHIP_INSTRUCTIONS[below(4)])
                 l_shipmode.append(SHIP_MODES[below(7)])
-                l_comment.append(text(3, 6))
+                text(l_comment, 3, 6)
+                l_comment.end_row()
 
             # an order has at least one line: it is filled unless one is open
             if not any_open:
@@ -376,14 +433,14 @@ class TpchGenerator:
             o_orderpriority.append(PRIORITIES[below(5)])
             o_clerk.append(clerks[1 + below(n_clerks)])
             o_shippriority.append(0)
-            o_comment.append(
-                text(5, 10, inject="special packages requests", inject_probability=0.05))
+            text(o_comment, 5, 10, inject_probability=0.05)
+            o_comment.end_row()
         orders = {
             "o_orderkey": o_orderkey, "o_custkey": o_custkey,
             "o_orderstatus": o_orderstatus, "o_totalprice": o_totalprice,
             "o_orderdate": o_orderdate, "o_orderpriority": o_orderpriority,
             "o_clerk": o_clerk, "o_shippriority": o_shippriority,
-            "o_comment": o_comment}
+            "o_comment": o_comment.finish()}
         lineitem = {
             "l_orderkey": l_orderkey, "l_partkey": l_partkey, "l_suppkey": l_suppkey,
             "l_linenumber": l_linenumber, "l_quantity": l_quantity,
@@ -392,7 +449,7 @@ class TpchGenerator:
             "l_linestatus": l_linestatus, "l_shipdate": l_shipdate,
             "l_commitdate": l_commitdate, "l_receiptdate": l_receiptdate,
             "l_shipinstruct": l_shipinstruct, "l_shipmode": l_shipmode,
-            "l_comment": l_comment}
+            "l_comment": l_comment.finish()}
         return orders, lineitem
 
 

@@ -15,7 +15,13 @@ from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
                                   string_column)
-from repro.storage.statistics import ZONE_CHUNK_ROWS
+from repro.storage.statistics import ZONE_CHUNK_ROWS, ColumnStatistics
+
+
+def _column_statistics(values, chunk_rows=ZONE_CHUNK_ROWS):
+    """The statistics of one column, read on the first field read."""
+    return ColumnStatistics("c", num_rows=len(values), read=lambda: values,
+                            chunk_rows=chunk_rows)
 
 
 def _catalog(rows=None):
@@ -534,23 +540,21 @@ class TestStatisticsZoneMaps:
         assert (val.min_value, val.max_value) == (1.0, 5.0)
 
     def test_chunked_zone_maps(self):
-        from repro.storage.statistics import compute_column_statistics
-        stats = compute_column_statistics("c", list(range(5000)), chunk_rows=2048)
+        stats = _column_statistics(list(range(5000)), chunk_rows=2048)
         assert stats.zone_map.num_chunks == 3
         assert stats.zone_map.mins == [0, 2048, 4096]
         assert stats.zone_map.maxs == [2047, 4095, 4999]
         assert stats.sorted_ascending
 
     def test_nulls_are_counted_in_the_load_pass(self):
-        from repro.storage.statistics import compute_column_statistics
-        assert compute_column_statistics("c", [3, 1, 2, 1]).num_nulls == 0
-        nulls = compute_column_statistics("c", [None, "a", None, "b", None])
+        assert _column_statistics([3, 1, 2, 1]).num_nulls == 0
+        nulls = _column_statistics([None, "a", None, "b", None])
         assert nulls.num_nulls == 3 and nulls.num_distinct == 3
         assert nulls.zone_map is None       # None among strings: no order
-        assert compute_column_statistics("c", [None, None]).num_nulls == 2
+        assert _column_statistics([None, None]).num_nulls == 2
         # 0 / 0.0 / False / "" are values, not NULLs
-        assert compute_column_statistics("c", [0, 0.0, False]).num_nulls == 0
-        assert compute_column_statistics("c", ["", "x"]).num_nulls == 0
+        assert _column_statistics([0, 0.0, False]).num_nulls == 0
+        assert _column_statistics(["", "x"]).num_nulls == 0
 
     def test_columns_by_name_merges_tables(self):
         catalog = _catalog()

@@ -7,22 +7,24 @@ paths are the primary-key direct arrays only: a string dictionary waits for
 the first request that reads it.  These tests pin that the lazily read
 statistics are the eager ones, that registering reads no row, that
 statistics never keep a replaced table's columns alive, and that warming the
-22 planned queries leaves what no plan reads unbuilt.
+22 planned queries leaves what no plan reads unbuilt — a generated text
+column no plan reads included, which stays word codes.
 """
 import sys
 import threading
 import weakref
+from array import array
 from typing import Any, List
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.catalog import Catalog
-from repro.storage.layouts import ColumnarTable
+from repro.storage.layouts import ColumnarTable, TextColumn
 from repro.storage.schema import TableSchema, int_column, string_column
 from repro.storage.statistics import (ZONE_CHUNK_ROWS, ColumnStatistics,
-                                      ColumnZoneMap, compute_column_statistics,
-                                      compute_table_statistics)
+                                      ColumnZoneMap, compute_table_statistics)
+from repro.tpch.dbgen import generate_catalog
 
 #: the fields a column's load pass fills together on the first read of any
 LOAD_PASS = ("num_nulls", "min_value", "max_value", "sorted_ascending",
@@ -56,6 +58,12 @@ def eager_statistics(name, values, chunk_rows):
     return stats
 
 
+def lazy_statistics(values, chunk_rows=ZONE_CHUNK_ROWS) -> ColumnStatistics:
+    """The statistics a loader registers for ``values``: nothing read yet."""
+    return ColumnStatistics("c", num_rows=len(values), read=lambda: values,
+                            chunk_rows=chunk_rows)
+
+
 def fields(stats: ColumnStatistics):
     zone_map = stats.zone_map
     return (stats.name, stats.num_rows, stats.num_distinct, stats.num_nulls,
@@ -82,15 +90,15 @@ class TestLazyEqualsEager:
     @SETTINGS
     @given(columns, st.integers(1, 12))
     def test_every_field(self, values, chunk_rows):
-        lazy = compute_column_statistics("c", values, chunk_rows=chunk_rows)
+        lazy = lazy_statistics(values, chunk_rows)
         assert fields(lazy) == fields(eager_statistics("c", values, chunk_rows))
 
     def test_every_column_of_a_tpch_catalog(self, tpch_catalog):
         for name in tpch_catalog.table_names():
             table = tpch_catalog.table(name)
             lazy = compute_table_statistics(table)
-            for column, values in table.columns.items():
-                eager = eager_statistics(column, values, ZONE_CHUNK_ROWS)
+            for column in table.schema.column_names():
+                eager = eager_statistics(column, table.column(column), ZONE_CHUNK_ROWS)
                 assert fields(lazy.column(column)) == fields(eager), column
 
     def test_explicit_statistics_are_the_numbers_given(self):
@@ -104,7 +112,7 @@ class TestLazyEqualsEager:
         however first reads interleave, every reader of every column sees
         its one count and its one zone map, and the column is dropped."""
         columns = [list(range(size)) * 2 for size in range(1, 400)]
-        stats = [compute_column_statistics("c", values) for values in columns]
+        stats = [lazy_statistics(values) for values in columns]
         readers = 4
         barrier = threading.Barrier(readers)
         seen: List[List[Any]] = [[] for _ in range(readers)]
@@ -133,7 +141,93 @@ class TestLazyEqualsEager:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert seen == [[(size, 0, [0]) for size in range(1, 400)]] * readers
-        assert all(each._values is None for each in stats)
+        assert all(each._read is None for each in stats)
+
+
+class TestTextColumnDecoding:
+    WORDS = ("alpha", "beta", "gamma", "delta")
+
+    def text_table(self, rows):
+        codes, ends = bytearray(), array("I")
+        for row in range(rows):
+            codes += bytes((row + word) % 4 for word in range(row % 5))
+            ends.append(len(codes))
+        schema = TableSchema("T", [int_column("t_id"), string_column("t_text")],
+                             primary_key=("t_id",))
+        return ColumnarTable(schema, {"t_id": list(range(rows)),
+                                      "t_text": TextColumn(self.WORDS, codes, ends)})
+
+    def test_a_first_read_decodes_and_stores_the_list(self):
+        table = self.text_table(6)
+        assert table.num_rows == 6
+        values = table.column("t_text")
+        assert values == ["", "beta", "gamma delta", "delta alpha beta",
+                          "alpha beta gamma delta", ""]
+        assert table.columns["t_text"] is values is table.column("t_text")
+        assert table.row_dict(3) == {"t_id": 3, "t_text": "delta alpha beta"}
+
+    def test_statistics_read_the_decoded_column(self):
+        catalog = Catalog()
+        table = self.text_table(100)
+        catalog.register(table)
+        assert type(table.columns["t_text"]) is TextColumn
+        stats = catalog.statistics.column("T", "t_text")
+        assert (stats.num_distinct, stats.min_value) == (17, "")
+        assert type(table.columns["t_text"]) is list
+
+    def test_footprint_is_the_decoded_columns(self):
+        table = self.text_table(40)
+        coded = table.footprint()
+        assert type(table.columns["t_text"]) is TextColumn
+        values = table.column("t_text")
+        assert "" in values
+        assert coded == table.footprint() == sum(
+            sys.getsizeof(column) + sum(len(v) if isinstance(v, str) else 8
+                                        for v in column)
+            for column in (values, table.column("t_id")))
+
+    def test_memory_footprint_of_a_tpch_catalog_decodes_nothing(self):
+        catalog = generate_catalog(scale_factor=0.001, seed=20160626)
+        text = {(name, column) for name in catalog.table_names()
+                for column, values in catalog.table(name).columns.items()
+                if type(values) is TextColumn}
+        assert ("lineitem", "l_comment") in text and len(text) == 10
+        assert catalog.memory_footprint() == 2_178_806
+        assert all(type(catalog.table(name).columns[column]) is TextColumn
+                   for name, column in text)
+        for name, column in text:
+            catalog.column(name, column)
+        assert catalog.memory_footprint() == 2_178_806
+
+    def test_racing_first_reads_agree(self):
+        """Every reader decodes or finds the list: all of them get one
+        list, and the table holds exactly that list."""
+        tables = [self.text_table(rows) for rows in range(1, 300)]
+        expected = [self.text_table(rows).column("t_text") for rows in range(1, 300)]
+        readers = 4
+        barrier = threading.Barrier(readers)
+        seen: List[List[Any]] = [[] for _ in range(readers)]
+
+        def read(out):
+            barrier.wait(timeout=30)
+            out.extend(table.column("t_text") for table in tables)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in seen)
+        for index, table in enumerate(tables):
+            stored = table.columns["t_text"]
+            assert type(stored) is list
+            assert all(out[index] is stored for out in seen)
 
 
 class _CountingColumn(list):
@@ -188,8 +282,8 @@ class TestRegisterReadsNoRows:
         assert (stats.num_nulls, stats.min_value, stats.max_value,
                 stats.sorted_ascending, stats.zone_map.mins) == \
             (0, 0, 2999, True, [0, 2048])
-        assert column.reads == one_pass and stats._values is column
-        assert stats.num_distinct == 3000 and stats._values is None
+        assert column.reads == one_pass and stats._read() is column
+        assert stats.num_distinct == 3000 and stats._read is None
         assert column.reads == one_pass + 1
         assert table.columns["t_tag"].reads == 0
 
@@ -222,11 +316,21 @@ class TestReplacedColumnsAreFreed:
 class TestWarmingBuildsWhatPlansRead:
     """sf 0.01 after ``warm_access_paths`` and the 22 planned queries."""
 
-    def test_l_comment_is_never_counted(self, warm_catalog):
-        stats = warm_catalog.statistics.column("lineitem", "l_comment")
-        assert stats._values is warm_catalog.column("lineitem", "l_comment")
+    @pytest.mark.parametrize("table,column", [("lineitem", "l_comment"),
+                                              ("partsupp", "ps_comment"),
+                                              ("part", "p_comment")])
+    def test_a_comment_no_plan_reads_is_never_decoded_nor_counted(
+            self, warm_catalog, table, column):
+        # looked up in the dict: ``column()`` would decode it
+        assert type(warm_catalog.table(table).columns[column]) is TextColumn
+        stats = warm_catalog.statistics.column(table, column)
+        assert stats._read is not None and stats._num_distinct is None
         # nor was its load pass run
         assert not set(LOAD_PASS) & set(vars(stats))
+
+    def test_a_comment_a_plan_reads_is_decoded(self, warm_catalog):
+        # Q13 filters on o_comment: warming it decoded the column in place
+        assert type(warm_catalog.table("orders").columns["o_comment"]) is list
 
     def test_l_linestatus_has_no_dictionary(self, warm_catalog):
         layer = warm_catalog.access_layer()
@@ -236,8 +340,18 @@ class TestWarmingBuildsWhatPlansRead:
 
     def test_near_unique_strings_get_no_dictionary(self, warm_catalog):
         layer = warm_catalog.access_layer()
-        for table, column in (("customer", "c_address"), ("part", "p_comment")):
-            stats = warm_catalog.statistics.column(table, column)
-            assert stats.is_near_unique and not stats.is_unique
-            assert layer.dictionary(table, column) is None
-            assert ("dictionary", table, column) not in layer.build_counts
+        stats = warm_catalog.statistics.column("customer", "c_address")
+        assert stats.is_near_unique and not stats.is_unique
+        assert layer.dictionary("customer", "c_address") is None
+        assert ("dictionary", "customer", "c_address") not in layer.build_counts
+
+
+def test_a_near_unique_comment_gets_no_dictionary():
+    """p_comment on a catalog of its own: asking for its dictionary counts
+    and so decodes it, which ``warm_catalog`` must never see."""
+    catalog = generate_catalog(scale_factor=0.01, seed=20160626)
+    layer = catalog.access_layer()
+    stats = catalog.statistics.column("part", "p_comment")
+    assert stats.is_near_unique and not stats.is_unique
+    assert layer.dictionary("part", "p_comment") is None
+    assert ("dictionary", "part", "p_comment") not in layer.build_counts

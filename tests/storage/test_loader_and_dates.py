@@ -126,13 +126,14 @@ class TestLoaderInterning:
     def test_generated_table_round_trips_with_values_and_types(self, tmp_path):
         from repro.tpch.dbgen import generate_catalog
         catalog = generate_catalog(scale_factor=0.001, seed=3)
-        for name in ("orders", "lineitem"):
+        assert len(catalog.table_names()) == 8
+        for name in catalog.table_names():
             original = catalog.table(name)
             path = tmp_path / f"{name}.tbl"
             dump_table_file(original, str(path))
             reloaded = load_table_file(original.schema, str(path))
-            for column, values in original.columns.items():
-                again = reloaded.column(column)
+            for column in original.schema.column_names():
+                values, again = original.column(column), reloaded.column(column)
                 assert again == values
                 assert [type(v) for v in again] == [type(v) for v in values]
                 assert len({id(v) for v in again}) == len(set(values))
