@@ -30,7 +30,7 @@ TABLE4_COMPONENTS: Tuple[Tuple[str, str], ...] = (
     ("Pipelining (push engine) for QPlan", "transforms/pipelining.py"),
     ("Pipelining (shortcut fusion) for QMonad", "transforms/fusion.py"),
     ("Scalar expression compilation", "transforms/scalar_compiler.py"),
-    ("Constant folding / partial evaluation", "transforms/partial_eval.py"),
+    ("Constant folding / partial evaluation", "transforms/folding.py"),
     ("Scalar replacement / struct flattening", "transforms/scalar_replacement.py"),
     ("Unused struct field removal", "transforms/field_removal.py"),
     ("Dead code elimination", "transforms/dce.py"),

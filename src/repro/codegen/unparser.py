@@ -20,14 +20,17 @@ optimizations.
 """
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..dsl.aggregates import AGGREGATES
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
-from ..ir.ops import held_in_slot
+from ..ir.ops import REGISTRY, held_in_slot
 from ..ir.traversal import used_syms
+from ..ir.types import BOOL
 
 _INDENT = "    "
+#: ops whose registry row says they always return a bool
+_BOOL_OPS = REGISTRY.select(lambda op: op.result is BOOL)
 
 
 class UnparserError(Exception):
@@ -55,6 +58,8 @@ class PythonUnparser:
         #: pipeline-breaker stages) get budget-governed heads, nested loops
         #: (per-probe bucket walks) stay raw so the hot paths keep their shape
         self._loop_depth = 0
+        #: ids of the symbols emitted so far that a ``_BOOL_OPS`` op defines
+        self._bools: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Entry point
@@ -63,6 +68,7 @@ class PythonUnparser:
         if len(program.params) != 1:
             raise UnparserError("expected exactly one program parameter (the database)")
         db = _name(program.params[0])
+        self._bools = set()
         used_in_body = used_syms(program.body)
         needed_from_hoisted = [stmt.sym for stmt in program.hoisted.stmts
                                if stmt.sym in used_in_body]
@@ -103,6 +109,8 @@ class PythonUnparser:
         handler = getattr(self, f"_op_{expr.op}", None)
         if handler is None:
             raise UnparserError(f"no Python emission rule for op {expr.op!r}")
+        if expr.op in _BOOL_OPS:
+            self._bools.add(stmt.sym.id)
         return handler(stmt)
 
     # ------------------------------------------------------------------
@@ -114,6 +122,18 @@ class PythonUnparser:
     def _binary(self, stmt: Stmt, operator: str) -> List[str]:
         left, right = (_atom(a) for a in stmt.expr.args)
         return self._assign(stmt, f"({left} {operator} {right})")
+
+    def _connective(self, stmt: Stmt, operator: str) -> List[str]:
+        """``and`` / ``or`` over operands made bools: Python's return an
+        operand, the connectives of every engine return ``True`` / ``False``."""
+        left, right = (self._truth(a) for a in stmt.expr.args)
+        return self._assign(stmt, f"({left} {operator} {right})")
+
+    def _truth(self, atom: Atom) -> str:
+        if (isinstance(atom, Const) and isinstance(atom.value, bool)) or \
+                (isinstance(atom, Sym) and atom.id in self._bools):
+            return _atom(atom)
+        return f"bool({_atom(atom)})"
 
     def _nested(self, block: Block, result_target: Optional[str] = None) -> List[str]:
         lines = self._block_body(block, result_target=result_target)
@@ -142,8 +162,8 @@ class PythonUnparser:
     def _op_le(self, stmt):   return self._binary(stmt, "<=")
     def _op_gt(self, stmt):   return self._binary(stmt, ">")
     def _op_ge(self, stmt):   return self._binary(stmt, ">=")
-    def _op_and_(self, stmt): return self._binary(stmt, "and")
-    def _op_or_(self, stmt):  return self._binary(stmt, "or")
+    def _op_and_(self, stmt): return self._connective(stmt, "and")
+    def _op_or_(self, stmt):  return self._connective(stmt, "or")
     def _op_band(self, stmt): return self._binary(stmt, "&")
     def _op_bor(self, stmt):  return self._binary(stmt, "|")
 

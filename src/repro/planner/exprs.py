@@ -10,10 +10,14 @@ node whose operands are all literals, so a fold is value-identical to
 runtime evaluation by construction.  A division by a constant zero is
 *skipped* rather than raised, and ``TypeError`` / ``ZeroDivisionError`` /
 ``OverflowError`` during folding abandon the fold instead of failing
-compilation.
+compilation, and so does a result that is a non-finite float (``inf`` and
+``nan`` have no literal in generated code).  The ScaLite
+:class:`~repro.transforms.folding.DataflowFolding` folds an IR op over
+literals through the same :func:`fold_node`.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl import expr as E
@@ -168,10 +172,12 @@ def fold_constants(expr: E.Expr) -> E.Expr:
     original subtree — including the ``bool()`` coercion of the logical
     connectives — so folding is safe in *any* expression position.
     """
-    return rewrite_expr(expr, _fold_node)
+    return rewrite_expr(expr, fold_node)
 
 
-def _fold_node(node: E.Expr) -> Optional[E.Expr]:
+def fold_node(node: E.Expr) -> Optional[E.Expr]:
+    """``node`` folded, its operands already folded: a literal, a ``Case``
+    without its dead arms, or ``None`` to keep ``node`` as it is."""
     if isinstance(node, E.Case):
         return _fold_case(node)
     if isinstance(node, E.BinOp):
@@ -189,9 +195,12 @@ def _fold_node(node: E.Expr) -> Optional[E.Expr]:
     if isinstance(node, E.YearOf) and not isinstance(values[0], int):
         return None  # only the integer date encoding has a year
     try:
-        return E.Lit(E.evaluate(node, {}))
+        value = E.evaluate(node, {})
     except _FOLD_ERRORS:
         return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return E.Lit(value)
 
 
 def _fold_case(node: E.Case) -> Optional[E.Expr]:

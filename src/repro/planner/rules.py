@@ -36,10 +36,11 @@ from .rewrite import PlanRule, PlannerContext
 class ConstantFolding(PlanRule):
     """Fold literal subexpressions in every operator of the plan.
 
-    Shares semantics with the IR-level partial evaluation
-    (:mod:`repro.transforms.partial_eval`): folds are value-identical, and a
-    fold that would raise (``mod``/``div`` by a constant zero, overflow, type
-    mismatch) is skipped rather than performed.  Predicate positions (Select,
+    Each fold is :func:`~repro.planner.exprs.fold_node`, the rule the IR-level
+    folding (:mod:`repro.transforms.folding`) applies to an op over literals
+    too: folds are value-identical to runtime evaluation, and a fold that
+    would raise (division by a constant zero, overflow, type mismatch) is
+    skipped rather than performed.  Predicate positions (Select,
     residuals, HAVING) additionally get truthiness-preserving boolean
     simplification; a predicate folded to literal ``True`` removes the Select
     (or residual) entirely.

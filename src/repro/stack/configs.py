@@ -14,8 +14,8 @@ configuration          stack
 ``dblab-2``            QPlan → C.Py.  Pipelining (push engine) only; boxed
                        records, generic containers.
 ``dblab-3``            QPlan → ScaLite → C.Py.  Adds data layout (row tuples /
-                       scalar fields), DCE, partial evaluation, dataflow
-                       folding, loop-invariant hoisting, allocation hoisting,
+                       scalar fields), DCE, constant and dataflow folding,
+                       loop-invariant hoisting, allocation hoisting,
                        unused-field removal.
 ``dblab-4``            QPlan → ScaLite[Map, List] → ScaLite → C.Py.  Adds string
                        dictionaries, hash-table specialization, automatic index
@@ -55,7 +55,6 @@ from ..transforms.licm import LoopInvariantHoisting
 from ..transforms.list_specialization import ListSpecialization
 from ..transforms.lower_to_cpy import ScaLiteToCPy
 from ..transforms.memory_hoisting import MemoryAllocationHoisting
-from ..transforms.partial_eval import PartialEvaluation
 from ..transforms.pipelining import PushPipelineLowering
 from ..transforms.string_dictionary import StringDictionaries
 from .context import OptimizationFlags
@@ -110,8 +109,8 @@ _LOWERING_OUT_OF = {
 #: the optimizations each level below the front ends hosts, in run order
 _LEVEL_PASSES = {
     SCALITE_MAP_LIST: (StringDictionaries,),
-    SCALITE: (PartialEvaluation, DataflowFolding, LoopInvariantHoisting,
-              DeadCodeElimination, MemoryAllocationHoisting),
+    SCALITE: (DataflowFolding, LoopInvariantHoisting, DeadCodeElimination,
+              MemoryAllocationHoisting),
 }
 
 

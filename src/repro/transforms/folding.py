@@ -1,13 +1,17 @@
-"""Analysis-driven predicate folding and dead-branch elimination.
+"""Constant folding and dead-branch elimination, driven by value facts.
 
-Where :mod:`repro.transforms.partial_eval` folds operations whose arguments
-are literal constants, this pass folds predicates whose *value facts* are
-provable from the interval + nullability analysis
-(:mod:`repro.analysis.dataflow.values`), which is seeded from the catalog's
-load-time statistics:
+This pass folds every pure scalar op it can decide at compile time:
 
+* an op whose arguments are all literals (``add``, ``sub``, ``mul``,
+  ``div``, ``neg``, the comparisons, ``and_`` / ``or_`` / ``not_`` and
+  ``year_of_date``) folds to its value by the planner's folding rule,
+  :func:`repro.planner.exprs.fold_node`, applied to the scalar node that
+  lowers to the op; an op that rule skips stays;
 * a comparison whose operand intervals do not overlap folds to its constant
-  verdict (``lt(year, 2050)`` with ``year`` inside the column's [min, max]);
+  verdict (``lt(year, 2050)`` with ``year`` inside the column's [min, max]),
+  by the interval + nullability analysis
+  (:mod:`repro.analysis.dataflow.values`), which is seeded from the catalog's
+  load-time statistics;
 * a null check against a column with zero nulls folds the same way;
 * an ``if_`` whose condition folded becomes its taken arm, spliced into the
   enclosing block — provided the dropped arm is effect-free, so removing it
@@ -24,11 +28,14 @@ from typing import Dict, List, Optional
 
 from ..analysis.dataflow.framework import use_def
 from ..analysis.dataflow.values import ValueFacts, value_facts
+from ..dsl import expr as E
 from ..ir.nodes import Atom, Block, Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import block_effect, same_objects
+from ..planner.exprs import fold_node
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
+from .scalar_compiler import literal_expr
 
 #: pure boolean-valued ops eligible for verdict folding
 _PREDICATE_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge",
@@ -105,7 +112,7 @@ class _Folder:
                         changed = True
                         continue
 
-            folded = self._fold_predicate(stmt, args)
+            folded = self._fold(stmt, args)
             if folded is not None:
                 self.mapping[stmt.sym.id] = folded
                 changed = True
@@ -138,11 +145,15 @@ class _Folder:
                 return False
         return None
 
-    def _fold_predicate(self, stmt: Stmt, args: tuple) -> Optional[Const]:
-        if stmt.expr.op not in _PREDICATE_OPS or stmt.expr.blocks:
+    def _fold(self, stmt: Stmt, args: tuple) -> Optional[Const]:
+        if stmt.expr.blocks:
             return None
         if all(isinstance(arg, Const) for arg in args):
-            return None  # literal folding is partial evaluation's job
+            node = literal_expr(stmt.expr.op, [arg.value for arg in args])
+            folded = None if node is None else fold_node(node)
+            return Const(folded.value) if isinstance(folded, E.Lit) else None
+        if stmt.expr.op not in _PREDICATE_OPS:
+            return None
         fact = self.facts.fact_of(stmt.sym.id)
         if fact.interval.known_true:
             return Const(True)

@@ -6,7 +6,7 @@ statements once, operating on the atoms of the current :class:`RowVals`.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from ..dsl import expr as E
 from ..ir.builder import IRBuilder
@@ -24,6 +24,24 @@ _BINOP_TO_IR = {
     "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
     "and": "and_", "or": "or_",
 }
+_UNARY_TO_IR = {"not": "not_", "-": "neg"}
+_IR_TO_BINOP = {ir_op: op for op, ir_op in _BINOP_TO_IR.items()}
+_IR_TO_UNARY = {ir_op: op for op, ir_op in _UNARY_TO_IR.items()}
+
+
+def literal_expr(op: str, values: Sequence[Any]) -> Optional[E.Expr]:
+    """The scalar node that :meth:`ScalarCompiler.compile` lowers to ``op``,
+    with ``values`` as its literal operands; ``None`` when no node lowers to
+    ``op`` alone.  What a pure op over literals computes is what
+    :func:`repro.dsl.expr.evaluate` says of this node."""
+    literals = [E.Lit(value) for value in values]
+    if op in _IR_TO_BINOP and len(literals) == 2:
+        return E.BinOp(_IR_TO_BINOP[op], literals[0], literals[1])
+    if op in _IR_TO_UNARY and len(literals) == 1:
+        return E.UnaryOp(_IR_TO_UNARY[op], literals[0])
+    if op == "year_of_date" and len(literals) == 1:
+        return E.YearOf(literals[0])
+    return None
 
 
 class ScalarCompiler:
@@ -50,7 +68,7 @@ class ScalarCompiler:
             return b.emit(_BINOP_TO_IR[node.op], [lhs, rhs])
         if isinstance(node, E.UnaryOp):
             operand = self.compile(node.operand, row, left, right)
-            return b.emit("not_" if node.op == "not" else "neg", [operand])
+            return b.emit(_UNARY_TO_IR[node.op], [operand])
         if isinstance(node, E.Like):
             return self._compile_like(node, row, left, right)
         if isinstance(node, E.InList):

@@ -20,7 +20,6 @@ from .dce import DeadCodeElimination
 from .folding import DataflowFolding
 from .licm import LoopInvariantHoisting
 from .memory_hoisting import MemoryAllocationHoisting
-from .partial_eval import PartialEvaluation
 
 
 class ScalarReplacement(Optimization):
@@ -29,8 +28,8 @@ class ScalarReplacement(Optimization):
     #: a forwarded field hands its consumers a constant or an outer symbol
     #: (folding, invariance, loading-time evaluation) and leaves the record
     #: dead; nested reads forward in the same run, so not itself
-    enables = (PartialEvaluation, DataflowFolding, LoopInvariantHoisting,
-               DeadCodeElimination, MemoryAllocationHoisting)
+    enables = (DataflowFolding, LoopInvariantHoisting, DeadCodeElimination,
+               MemoryAllocationHoisting)
 
     def __init__(self, language: Language) -> None:
         super().__init__(language)

@@ -13,8 +13,11 @@
   empty inputs and a cancelling float sum included — all kinds at once, or
   one sum / count / min / max alone, which a group keeps in its table slot
   (a group that folds only NULLs included),
+* ``and`` / ``or`` of non-bool operands give the interpreter's bools on every
+  engine,
 * the ANF builder's hash-consing and DCE never change the value a straight-line
-  arithmetic program computes,
+  arithmetic program computes, and folding an op over literals gives, value
+  and type, what the generated code computes,
 * the catalog's string dictionaries preserve equality and lexicographic
   prefix semantics,
 * the integer date encoding preserves ordering.
@@ -34,7 +37,8 @@ from repro.dsl.expr import col, lit
 from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import execute
 from repro.ir import IRBuilder, make_program
-from repro.ir.nodes import Sym
+from repro.ir.nodes import Const, Sym
+from repro.ir.traversal import count_ops
 from repro.planner import sort_contract
 from repro.stack import CompilationContext, OptimizationFlags, SCALITE
 from repro.stack.configs import CONFIG_NAMES, build_config
@@ -42,7 +46,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, float_column, int_column, string_column
 from repro.transforms.dce import DeadCodeElimination
-from repro.transforms.partial_eval import PartialEvaluation
+from repro.transforms.folding import DataflowFolding
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -391,8 +395,39 @@ class TestAggregateDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Logical connectives over non-bool operands: every engine
+# ---------------------------------------------------------------------------
+class TestConnectiveDifferential:
+    def test_and_or_of_non_bools_are_bools_on_every_engine(self):
+        """The interpreter's ``and`` / ``or`` coerce both operands to bool;
+        Python's return an operand (``None and True`` is ``None``)."""
+        catalog = Catalog()
+        catalog.register(ColumnarTable(TableSchema("t", [int_column("x")]),
+                                       {"x": [None, 0, 5]}))
+        plan = Q.Project(Q.Scan("t"), [
+            ("a", col("x") & lit(True)), ("o", lit(0) | lit(5)),
+            ("n", col("x") | col("x")), ("c", (col("x") == 5) & col("x"))])
+        expected = execute(plan, catalog)
+        assert [row["a"] for row in expected] == [False, False, True]
+        harness = BenchmarkHarness(catalog)
+        for engine in harness.engines:
+            rows = harness.run_once("connectives", engine, plan)
+            assert canon(rows) == canon(expected), (engine, rows)
+
+
+# ---------------------------------------------------------------------------
 # IR-level semantics preservation
 # ---------------------------------------------------------------------------
+#: the pure ops folding evaluates over literals, with their arity
+FOLDED_OPS = [(op, 2) for op in ("add", "sub", "mul", "div", "eq", "ne", "lt", "le",
+                                 "gt", "ge", "and_", "or_")] \
+    + [(op, 1) for op in ("neg", "not_", "year_of_date")]
+scalars = st.one_of(st.integers(-30000, 30000),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.booleans(), st.none(), st.text(max_size=3),
+                    st.sampled_from([0, 0.0]))
+
+
 def _build_straightline(values, operations):
     """Build an ANF program from a list of (op, operand-index) pairs."""
     builder = IRBuilder()
@@ -424,8 +459,34 @@ class TestIrInvariants:
         expected = _evaluate(program)
         context = CompilationContext(flags=OptimizationFlags())
         optimized = DeadCodeElimination(SCALITE).run(
-            PartialEvaluation(SCALITE).run(program, context), context)
+            DataflowFolding(SCALITE).run(program, context), context)
         assert _evaluate(optimized) == expected
+
+    @settings(SETTINGS, max_examples=300)
+    @given(op=st.sampled_from(FOLDED_OPS), values=st.lists(scalars, min_size=2, max_size=2))
+    @example(op=("and_", 2), values=[True, 5])
+    @example(op=("or_", 2), values=[0, 5])
+    @example(op=("div", 2), values=[1, 0.0])
+    @example(op=("mul", 2), values=[1e308, 10.0])
+    def test_folding_a_literal_op_equals_running_it(self, op, values):
+        """Folding keeps the op when running it raises, and otherwise folds
+        to what the generated code computes, value and type; the folded
+        program runs (``inf`` has no literal) and computes the same."""
+        op, arity = op
+        builder = IRBuilder()
+        result = builder.emit(op, [Const(value) for value in values[:arity]])
+        program = make_program(builder.finish(result), [Sym("db")], "ScaLite")
+        folded = DataflowFolding(SCALITE).run(program, CompilationContext())
+        try:
+            expected = _evaluate(program)
+        except (TypeError, ZeroDivisionError, OverflowError):
+            assert count_ops(folded) == {op: 1}
+            return
+        if isinstance(folded.body.result, Const):
+            value = folded.body.result.value
+            assert value == expected and type(value) is type(expected)
+        value = _evaluate(folded)
+        assert value == expected and type(value) is type(expected)
 
     @SETTINGS
     @given(values=st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=5),
@@ -434,15 +495,20 @@ class TestIrInvariants:
                          st.integers(min_value=0, max_value=30)),
                min_size=1, max_size=15))
     def test_cse_by_construction_is_sound(self, values, operations):
-        """Emitting the same op list twice yields the same single value."""
-        program_once = _build_straightline(values, operations)
-        program_twice = _build_straightline(values, operations + operations[-1:])
-        assert _evaluate(program_once) == _evaluate(program_twice) or True
-        # the real invariant: re-emitting an identical pure op adds no statement
+        """Emitting the same pure op twice in a scope returns the same symbol
+        and adds one statement at most: none when the scope held it."""
         builder = IRBuilder()
-        a = builder.emit("add", [1, 2])
-        before = len(builder.finish(a).stmts)
-        assert before == 1
+        with builder.new_block() as (block, _):
+            atoms = [builder.const(v) for v in values]
+            for op, index in operations:
+                args = [atoms[index % len(atoms)], atoms[(index + 1) % len(atoms)]]
+                held = len(block.stmts)
+                first = builder.emit(op, args)
+                assert builder.emit(op, args) is first
+                assert len(block.stmts) <= held + 1
+                atoms.append(first)
+        keys = [stmt.expr.cse_key() for stmt in block.stmts]
+        assert len(set(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ class TestConstantFolding:
         year(lit(None)),
         substr(lit(None), 1, 2),
         BinOp("/", lit(1), lit(0.0)),
+        # ``inf`` has no literal: generated code would raise NameError
+        BinOp("*", lit(1e308), lit(10.0)),
     ], ids=repr)
     def test_skips_what_would_raise_or_is_not_a_date(self, expr):
         assert fold_constants(expr) is expr

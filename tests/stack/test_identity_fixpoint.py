@@ -145,11 +145,11 @@ class TestPassContract:
 
 class TestDeclarations:
     def test_every_listed_pass_states_what_it_enables(self):
-        """The eight passes the configurations list each carry a declaration
+        """The seven passes the configurations list each carry a declaration
         of their own; only folding's is the conservative "every step"."""
         listed = {type(opt) for name in CONFIG_NAMES
                   for opt in build_config(name).stack.optimizations}
-        assert len(listed) == 8
+        assert len(listed) == 7
         assert all("enables" in vars(cls) for cls in listed)
         assert [cls.__name__ for cls in listed if cls.enables is None] \
             == ["DataflowFolding"]
@@ -161,11 +161,11 @@ class TestDeclarations:
                    for enabled in cls.enables or ())
 
     def test_pass_runs_on_the_planned_queries_are_pinned(self, tpch_catalog):
-        """dblab-5, planner on, 22 queries: 7 steps each is 154 runs; folding
+        """dblab-5, planner on, 22 queries: 6 steps each is 132 runs; folding
         changes 17 programs — mostly by dropping the NULL guards of folds
-        over columns with no NULL — and re-queues the pass before it and
-        itself (34 more); no sweep of DCE's takes a reader from a branch,
-        an allocation or a write."""
+        over columns with no NULL — and re-queues itself, the first ScaLite
+        pass (17 more); no sweep of DCE's takes a reader from a branch, an
+        allocation or a write."""
         config = build_config("dblab-5", planner=True)
         compiler = QueryCompiler(config.stack, config.flags)
         runs = changed = requeued = 0
@@ -176,7 +176,7 @@ class TestDeclarations:
                 runs += phase.runs
                 changed += phase.changed
                 requeued += phase.requeued
-        assert (runs, changed, requeued) == (188, 75, 34)
+        assert (runs, changed, requeued) == (149, 74, 17)
 
     @pytest.mark.parametrize("config_name", CONFIG_NAMES)
     def test_the_confirmation_holds_on_every_planned_query(

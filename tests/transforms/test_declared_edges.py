@@ -3,9 +3,8 @@
 The worklist of :func:`repro.stack.transformation.apply_fixpoint` re-runs a
 pass only when a pass that declares it ``enables`` it changed the program, so
 a declaration that misses an edge leaves a program one rewrite short.  The 22
-queries exercise few of the edges (partial evaluation changes no planned
-TPC-H program, scalar replacement is in no stack; no sweep of DCE's gives
-anybody work there), so these tests build the programs that do: each edge by
+queries exercise few of the edges (scalar replacement is in no stack; no
+sweep of DCE's gives anybody work there), so these tests build the programs that do: each edge by
 hand, compiled by the dblab-5 stack plus scalar replacement under
 ``verify=True`` (whose confirmation runs every pass once more on the settled
 program), and a few hundred random programs on which the worklist must
@@ -133,8 +132,8 @@ class TestDeadCodeEliminationEdges:
 class TestForwardingAndFolding:
     def test_records_and_constants_handed_out_by_an_unwrapped_branch(self):
         """Folding unwraps the branch, scalar replacement forwards both
-        nested reads in one run, partial evaluation folds the sum and the
-        comparison in one run, folding unwraps the branch that decided."""
+        nested reads in one run, folding then folds the sum and the
+        comparison and unwraps the branch that decided, in one run."""
         def build():
             b = IRBuilder()
 
@@ -154,9 +153,9 @@ class TestForwardingAndFolding:
         assert count_ops(program) == {"print_": 1}
         assert applied(phase) == [
             "dataflow-folding[ScaLite]", "dce[ScaLite]",
-            "partial-evaluation[ScaLite]", "scalar-replacement[ScaLite]"]
-        # folding twice, the three others once each
-        assert phase.changed == 5
+            "scalar-replacement[ScaLite]"]
+        # folding twice, the two others once each
+        assert phase.changed == 4
 
 
 def random_program(seed):

@@ -1,5 +1,5 @@
-"""Unit tests for the generic IR optimizations (DCE, folding, scalar replacement,
-allocation hoisting, branchless booleans)."""
+"""Unit tests for the generic IR optimizations (DCE, literal folding, scalar
+replacement, allocation hoisting, branchless booleans)."""
 
 from repro.ir import IRBuilder, Const, make_program
 from repro.ir.nodes import Sym
@@ -7,8 +7,8 @@ from repro.ir.traversal import count_ops
 from repro.stack import CompilationContext, OptimizationFlags, SCALITE, C_PY
 from repro.transforms.control_flow import BranchlessBooleans
 from repro.transforms.dce import DeadCodeElimination
+from repro.transforms.folding import DataflowFolding
 from repro.transforms.memory_hoisting import MemoryAllocationHoisting
-from repro.transforms.partial_eval import PartialEvaluation
 from repro.transforms.scalar_replacement import ScalarReplacement
 
 
@@ -72,31 +72,33 @@ class TestDeadCodeElimination:
         assert count_ops(cleaned)["var_write"] == 1
 
 
-class TestPartialEvaluation:
+class TestLiteralFolding:
+    """``DataflowFolding`` folds a pure op whose arguments are all literals;
+    chains of such ops fold in one run."""
+
     def test_folds_constant_arithmetic(self):
         b = IRBuilder()
         x = b.emit("add", [2, 3])
         y = b.emit("mul", [x, 4])
         program = make_program(b.finish(y), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
-        folded = PartialEvaluation(SCALITE).run(folded, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         assert count_ops(folded) == {}
         assert folded.body.result == Const(20)
+        assert DataflowFolding(SCALITE).run(folded, context()) is folded
 
     def test_folds_comparisons_and_logic(self):
         b = IRBuilder()
         c = b.emit("lt", [1, 2])
         d = b.emit("and_", [c, Const(True)])
         program = make_program(b.finish(d), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
-        folded = PartialEvaluation(SCALITE).run(folded, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         assert folded.body.result == Const(True)
 
     def test_division_by_zero_not_folded(self):
         b = IRBuilder()
         x = b.emit("div", [1, 0])
         program = make_program(b.finish(x), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         assert "div" in count_ops(folded)
 
     def test_mismatched_constant_types_not_folded(self):
@@ -105,7 +107,7 @@ class TestPartialEvaluation:
         y = b.emit("neg", [Const("text")])
         b.emit("add", [x, y])
         program = make_program(b.finish(Const(0)), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         counts = count_ops(folded)
         assert "div" in counts and "neg" in counts
 
@@ -114,14 +116,14 @@ class TestPartialEvaluation:
         v = b.emit("var_new", [1])
         x = b.emit("add", [b.emit("var_read", [v]), 2])
         program = make_program(b.finish(x), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         assert "add" in count_ops(folded)
 
     def test_year_of_date_folding(self):
         b = IRBuilder()
         x = b.emit("year_of_date", [19980902])
         program = make_program(b.finish(x), [], "ScaLite")
-        folded = PartialEvaluation(SCALITE).run(program, context())
+        folded = DataflowFolding(SCALITE).run(program, context())
         assert folded.body.result == Const(1998)
 
 
