@@ -20,17 +20,14 @@ optimizations.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..dsl.aggregates import AGGREGATES
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
-from ..ir.ops import REGISTRY, held_in_slot
+from ..ir.ops import held_in_slot, is_bool
 from ..ir.traversal import used_syms
-from ..ir.types import BOOL
 
 _INDENT = "    "
-#: ops whose registry row says they always return a bool
-_BOOL_OPS = REGISTRY.select(lambda op: op.result is BOOL)
 
 
 class UnparserError(Exception):
@@ -58,8 +55,8 @@ class PythonUnparser:
         #: pipeline-breaker stages) get budget-governed heads, nested loops
         #: (per-probe bucket walks) stay raw so the hot paths keep their shape
         self._loop_depth = 0
-        #: ids of the symbols emitted so far that a ``_BOOL_OPS`` op defines
-        self._bools: Set[int] = set()
+        #: the statement defining each symbol emitted so far, by symbol id
+        self._defs: Dict[int, Stmt] = {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -68,7 +65,7 @@ class PythonUnparser:
         if len(program.params) != 1:
             raise UnparserError("expected exactly one program parameter (the database)")
         db = _name(program.params[0])
-        self._bools = set()
+        self._defs = {}
         used_in_body = used_syms(program.body)
         needed_from_hoisted = [stmt.sym for stmt in program.hoisted.stmts
                                if stmt.sym in used_in_body]
@@ -109,8 +106,7 @@ class PythonUnparser:
         handler = getattr(self, f"_op_{expr.op}", None)
         if handler is None:
             raise UnparserError(f"no Python emission rule for op {expr.op!r}")
-        if expr.op in _BOOL_OPS:
-            self._bools.add(stmt.sym.id)
+        self._defs[stmt.sym.id] = stmt
         return handler(stmt)
 
     # ------------------------------------------------------------------
@@ -130,8 +126,7 @@ class PythonUnparser:
         return self._assign(stmt, f"({left} {operator} {right})")
 
     def _truth(self, atom: Atom) -> str:
-        if (isinstance(atom, Const) and isinstance(atom.value, bool)) or \
-                (isinstance(atom, Sym) and atom.id in self._bools):
+        if is_bool(atom, self._defs):
             return _atom(atom)
         return f"bool({_atom(atom)})"
 
@@ -167,17 +162,17 @@ class PythonUnparser:
     def _op_band(self, stmt): return self._binary(stmt, "&")
     def _op_bor(self, stmt):  return self._binary(stmt, "|")
 
-    def _op_eq(self, stmt):
-        left, right = (_atom(a) for a in stmt.expr.args)
-        if right == "None":
-            return self._assign(stmt, f"({left} is None)")
-        return self._assign(stmt, f"({left} == {right})")
+    def _op_eq(self, stmt):   return self._equality(stmt, "==", "is")
+    def _op_ne(self, stmt):   return self._equality(stmt, "!=", "is not")
 
-    def _op_ne(self, stmt):
-        left, right = (_atom(a) for a in stmt.expr.args)
-        if right == "None":
-            return self._assign(stmt, f"({left} is not None)")
-        return self._assign(stmt, f"({left} != {right})")
+    def _equality(self, stmt: Stmt, operator: str, identity: str) -> List[str]:
+        """A test against ``None`` is an identity test, unless a literal
+        other than ``None`` is on the left: ``5 is None`` is a SyntaxWarning."""
+        left, right = stmt.expr.args
+        if isinstance(right, Const) and right.value is None and not (
+                isinstance(left, Const) and left.value is not None):
+            operator = identity
+        return self._assign(stmt, f"({_atom(left)} {operator} {_atom(right)})")
 
     def _op_neg(self, stmt):
         return self._assign(stmt, f"(-{_atom(stmt.expr.args[0])})")

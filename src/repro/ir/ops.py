@@ -23,10 +23,11 @@ point the paper makes for choosing ANF as the IR (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from ..dsl.aggregates import AGGREGATES
 from .effects import ALLOC, CONTROL, Effect, IO, PURE, READ, READ_WRITE, WRITE
+from .nodes import Atom, Const, Stmt
 from .types import BOOL, INT, STRING, Type
 
 
@@ -319,3 +320,18 @@ def effect_of(op_name: str) -> Effect:
 
 def is_registered(op_name: str) -> bool:
     return op_name in REGISTRY
+
+
+def is_bool(atom: Atom, defs: Mapping[int, Stmt], logic: bool = False) -> bool:
+    """Whether an operand is already a bool: a ``True`` / ``False`` constant,
+    or a symbol whose defining statement (``defs[id]``; absent for a
+    parameter or a loop variable) applies an op that always returns one.
+    With ``logic``, ``band`` / ``bor`` count too: a pass that emits them only
+    over bools may say so."""
+    if isinstance(atom, Const):
+        return isinstance(atom.value, bool)
+    stmt = defs.get(atom.id)
+    if stmt is None:
+        return False
+    row = REGISTRY.get(stmt.expr.op)
+    return row.result is BOOL or (logic and row.family == "logic")

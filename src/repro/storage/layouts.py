@@ -7,12 +7,12 @@ storage: ``transforms/pipelining.py`` picks row tuples or boxed dictionaries
 for the intermediate records it materialises (``record_layout``), and the
 Volcano interpreter boxes each row it scans into a dictionary.
 
-A loader may hand over a text column as a :class:`TextColumn` — one byte per
-word, a code into a shared vocabulary — instead of a list of strings.
-:meth:`ColumnarTable.column` is the one way to read a column: it decodes a
-text column into the list of strings on its first read and stores that list
-in its place, so every reader sees a ``list`` and a text column no plan reads
-never costs a string per row.
+A loader may hand over a text column as a :class:`TextColumn` — a row count
+and a ``draw`` of one byte per word, a code into a shared vocabulary —
+instead of a list of strings.  :meth:`ColumnarTable.column` is the one way to
+read a column: it draws and decodes a text column into the list of strings on
+its first read and stores that list in its place, so every reader sees a
+``list`` and a text column no plan reads is never drawn.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
 from .schema import TableSchema
 
@@ -30,46 +30,58 @@ class LayoutError(Exception):
 
 
 class TextColumn:
-    """A column of texts held as word codes until its first read.
+    """A column of texts held as a row count and a ``draw`` until its first read.
 
-    Row ``i`` is the words ``codes[ends[i - 1]:ends[i]]`` (from 0 for row
-    0) of the vocabulary ``words``, joined by one space.  The vocabulary
-    is shared, so a row costs one byte per word plus four for its end instead
-    of a string.  Only this class and the writer that fills ``codes`` know
-    the format; everyone else reads the decoded list through
-    :meth:`ColumnarTable.column`.
+    ``draw()`` returns the column's word codes and the end of every row: row
+    ``i`` is the words ``codes[ends[i - 1]:ends[i]]`` (from 0 for row 0) of
+    the vocabulary ``words``, joined by one space.  The vocabulary is shared,
+    so a drawn row costs one byte per word plus four for its end instead of a
+    string, and a column nobody reads is never drawn.  Only this class and
+    the generator that draws know the format; everyone else reads the decoded
+    list through :meth:`ColumnarTable.column`.
     """
 
-    __slots__ = ("words", "codes", "ends", "_decoded")
+    __slots__ = ("words", "rows", "draw", "_memo")
 
-    def __init__(self, words: Sequence[str], codes: bytearray,
-                 ends: "array[int]") -> None:
+    def __init__(self, words: Sequence[str], rows: int,
+                 draw: Callable[[], Tuple[bytearray, "array[int]"]]) -> None:
         self.words = words
-        self.codes = codes
-        self.ends = ends
-        #: the decoded list under the key ``None``, stored by ``setdefault``
-        self._decoded: Dict[None, List[str]] = {}
+        self.rows = rows
+        self.draw = draw
+        #: the drawn ``(codes, ends)`` under ``"codes"`` and the decoded list
+        #: under ``"strings"``, each stored by ``setdefault``
+        self._memo: Dict[str, Any] = {}
 
     def __len__(self) -> int:
-        return len(self.ends)
+        return self.rows
+
+    def _stored(self, key: str, make: Callable[[], Any]) -> Any:
+        """A lock-free idempotent memo: racing first calls may each make the
+        value, and every one returns the value stored first."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, make())
+        return value
+
+    def coded(self) -> Tuple[bytearray, "array[int]"]:
+        """The codes and row ends, drawn on the first call."""
+        return self._stored("codes", self.draw)
 
     def decode(self) -> List[str]:
-        """The rows as strings.  A lock-free idempotent memo: racing first
-        reads may each decode, and every one returns the list stored first."""
-        decoded = self._decoded.get(None)
-        if decoded is None:
-            tokens = list(map(self.words.__getitem__, self.codes))
-            join, ends = " ".join, self.ends
-            decoded = self._decoded.setdefault(None, [
-                join(tokens[start:end]) for start, end in zip(chain((0,), ends), ends)])
-        return decoded
+        """The rows as strings."""
+        return self._stored("strings", self._decode)
+
+    def _decode(self) -> List[str]:
+        codes, ends = self.coded()
+        tokens, join = list(map(self.words.__getitem__, codes)), " ".join
+        return [join(tokens[start:end]) for start, end in zip(chain((0,), ends), ends)]
 
     def footprint(self) -> int:
         """:meth:`ColumnarTable.footprint` of the decoded column, from the
-        codes: the ``sys.getsizeof`` of the list :meth:`decode` builds (it
-        appends, as this one does) and one byte a character of every row —
-        its words and one space between two."""
-        ends, codes = self.ends, self.codes
+        codes (drawn if need be): the ``sys.getsizeof`` of the list
+        :meth:`decode` builds (it appends, as this one does) and one byte a
+        character of every row — its words and one space between two."""
+        codes, ends = self.coded()
         lengths = [len(word) for word in self.words]
         rows = sum(1 for start, end in zip(chain((0,), ends), ends) if end > start)
         return (sys.getsizeof([None for _ in ends])
@@ -120,8 +132,8 @@ class ColumnarTable:
     def footprint(self) -> int:
         """*Logical* size in bytes, the C layout of the paper's Figure 8:
         8 B a non-string value, one a character of a string, plus each
-        column's list.  A text column not yet read is sized from its codes
-        and stays codes."""
+        column's list.  A text column not yet read is sized from its codes,
+        drawn if need be, and is not decoded."""
         total = 0
         for values in self.columns.values():
             if type(values) is TextColumn:

@@ -17,14 +17,20 @@ Generation is fully deterministic for a given ``(scale_factor, seed)``.
 As official dbgen draws its comments out of one shared text pool, every text
 column here (comments and addresses) is written as codes into one word list,
 :data:`VOCABULARY`: a :class:`~repro.storage.layouts.TextColumn` of one byte
-per word, decoded into strings by the first reader of the column.  A comment
-no query reads (``l_comment``, ``ps_comment``, ``p_comment``) stays codes.
+per word.  As in official dbgen, each text column has its own seed stream,
+``random.Random(f"{seed}/{column}")`` (a str seed is hashed with sha512, the
+same in every process and CPython version), and every other column is drawn
+from the main stream ``random.Random(seed)``.  So a text column is drawn, then
+decoded, by its first reader, and set-up draws no word: a comment no query
+reads (``l_comment``, ``ps_comment``, ``p_comment``, ``r_comment``,
+``n_comment``) is never drawn, and reading text columns in any order changes
+no column.
 """
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import dates
 from ..storage.catalog import Catalog
@@ -121,21 +127,55 @@ def draw_below(getrandbits):
     return below
 
 
-class _TextWriter:
-    """One text column being written in :class:`TextColumn`'s format: the
-    word codes of every row so far, and the end of every finished row."""
+def draw_texts(rng: random.Random, rows: int, min_words: int, max_words: int,
+               marker: Optional[Callable[..., None]] = None
+               ) -> Tuple[bytearray, "array[int]"]:
+    """The word codes of ``rows`` random texts drawn from ``rng``, and the end
+    of every row: :class:`TextColumn`'s format.  ``marker(rng, below, codes,
+    start, count)`` may add a marker to a row of ``count`` words at ``start``.
 
-    __slots__ = ("codes", "ends")
+    Every word draws an adjective, a noun and a verb and then picks one of
+    the three — four draws a word — so the ``below`` loop is written out with
+    the widths of the word lists precomputed.
+    """
+    getrandbits = rng.getrandbits
+    below = draw_below(getrandbits)
+    codes, ends = bytearray(), array("I")
+    append = codes.append
+    for _ in range(rows):
+        start = len(codes)
+        count = min_words + below(max_words - min_words + 1)
+        for _ in range(count):
+            adjective = getrandbits(_K_ADJECTIVES)
+            while adjective >= _N_ADJECTIVES:
+                adjective = getrandbits(_K_ADJECTIVES)
+            noun = getrandbits(_K_NOUNS)
+            while noun >= _N_NOUNS:
+                noun = getrandbits(_K_NOUNS)
+            verb = getrandbits(_K_VERBS)
+            while verb >= _N_VERBS:
+                verb = getrandbits(_K_VERBS)
+            pick = getrandbits(2)
+            while pick >= 3:
+                pick = getrandbits(2)
+            append(adjective if pick == 0
+                   else _NOUN_CODE + noun if pick == 1 else _VERB_CODE + verb)
+        if marker is not None:
+            marker(rng, below, codes, start, count)
+        ends.append(len(codes))
+    return codes, ends
 
-    def __init__(self) -> None:
-        self.codes = bytearray()
-        self.ends = array("I")
 
-    def end_row(self) -> None:
-        self.ends.append(len(self.codes))
+def _complaints(rng, below, codes, start, count) -> None:
+    """~8% of supplier comments end in Q16's "Customer ... Complaints"."""
+    if rng.random() < 0.08:
+        codes += bytes((_CUSTOMER, below(_N_ADJECTIVES), _COMPLAINTS))
 
-    def finish(self) -> TextColumn:
-        return TextColumn(VOCABULARY, self.codes, self.ends)
+
+def _special_requests(rng, below, codes, start, count) -> None:
+    """~5% of order comments hold Q13's "special packages requests" phrase."""
+    if rng.random() < 0.05:
+        codes.insert(start + below(count + 1), _SPECIAL_REQUESTS)
 
 
 #: TPC-H base cardinalities at scale factor 1.
@@ -191,44 +231,13 @@ class TpchGenerator:
     def _count(self, table: str) -> int:
         return max(1, int(round(BASE_CARDINALITIES[table] * self.scale_factor)))
 
-    def _text(self, column: _TextWriter, min_words: int, max_words: int,
-              inject_probability: Optional[float] = None) -> None:
-        """Append the word codes of one random text to ``column``'s open row;
-        with ``inject_probability``, Q13's marker phrase at a random position.
-
-        Every word draws an adjective, a noun and a verb and then picks one
-        of the three — four draws a word, two million of them at sf 0.01 —
-        so the ``below`` loop is written out with the widths of the word
-        lists precomputed.
-        """
-        codes = column.codes
-        getrandbits, append, start = self._rng.getrandbits, codes.append, len(codes)
-        count = min_words + self._below(max_words - min_words + 1)
-        for _ in range(count):
-            adjective = getrandbits(_K_ADJECTIVES)
-            while adjective >= _N_ADJECTIVES:
-                adjective = getrandbits(_K_ADJECTIVES)
-            noun = getrandbits(_K_NOUNS)
-            while noun >= _N_NOUNS:
-                noun = getrandbits(_K_NOUNS)
-            verb = getrandbits(_K_VERBS)
-            while verb >= _N_VERBS:
-                verb = getrandbits(_K_VERBS)
-            pick = getrandbits(2)
-            while pick >= 3:
-                pick = getrandbits(2)
-            append(adjective if pick == 0
-                   else _NOUN_CODE + noun if pick == 1 else _VERB_CODE + verb)
-        if inject_probability is not None and self._rng.random() < inject_probability:
-            codes.insert(start + self._below(count + 1), _SPECIAL_REQUESTS)
-
-    def _texts(self, rows: int, min_words: int = 4, max_words: int = 10) -> TextColumn:
-        """A column of ``rows`` random texts drawn one after the other."""
-        column = _TextWriter()
-        for _ in range(rows):
-            self._text(column, min_words, max_words)
-            column.end_row()
-        return column.finish()
+    def _texts(self, column: str, rows: int, min_words: int = 4, max_words: int = 10,
+               marker: Optional[Callable[..., None]] = None) -> TextColumn:
+        """``column``: ``rows`` texts drawn by its first reader from the
+        column's own stream, so drawing it takes nothing from the main one."""
+        stream = f"{self.seed}/{column}"
+        return TextColumn(VOCABULARY, rows, lambda: draw_texts(
+            random.Random(stream), rows, min_words, max_words, marker))
 
     def _phone(self, nation_key: int) -> str:
         below = self._below
@@ -243,7 +252,7 @@ class TpchGenerator:
         return {
             "r_regionkey": list(range(len(REGIONS))),
             "r_name": list(REGIONS),
-            "r_comment": self._texts(len(REGIONS)),
+            "r_comment": self._texts("r_comment", len(REGIONS)),
         }
 
     def _gen_nation(self) -> Dict[str, List]:
@@ -251,32 +260,24 @@ class TpchGenerator:
             "n_nationkey": list(range(len(NATIONS))),
             "n_name": [name for name, _ in NATIONS],
             "n_regionkey": [region for _, region in NATIONS],
-            "n_comment": self._texts(len(NATIONS)),
+            "n_comment": self._texts("n_comment", len(NATIONS)),
         }
 
     def _gen_supplier(self) -> Dict[str, List]:
-        rng, text = self._rng, self._text
+        rng = self._rng
         n = self._count("supplier")
         columns: Dict[str, List] = {name: [] for name in
                                     ("s_suppkey", "s_name", "s_nationkey",
                                      "s_phone", "s_acctbal")}
-        address, comment = _TextWriter(), _TextWriter()
         for key in range(1, n + 1):
             nation = rng.randrange(len(NATIONS))
             columns["s_suppkey"].append(key)
             columns["s_name"].append(f"Supplier#{key:09d}")
-            text(address, 2, 4)
-            address.end_row()
             columns["s_nationkey"].append(nation)
             columns["s_phone"].append(self._phone(nation))
             columns["s_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
-            # ~8% of suppliers carry the "Customer ... Complaints" marker used by Q16.
-            text(comment, 5, 10)
-            if rng.random() < 0.08:
-                comment.codes += bytes((_CUSTOMER, self._below(_N_ADJECTIVES), _COMPLAINTS))
-            comment.end_row()
-        columns["s_address"] = address.finish()
-        columns["s_comment"] = comment.finish()
+        columns["s_address"] = self._texts("s_address", n, 2, 4)
+        columns["s_comment"] = self._texts("s_comment", n, 5, 10, _complaints)
         return columns
 
     def _gen_part(self) -> Dict[str, List]:
@@ -285,7 +286,6 @@ class TpchGenerator:
         columns: Dict[str, List] = {name: [] for name in
                                     ("p_partkey", "p_name", "p_mfgr", "p_brand", "p_type",
                                      "p_size", "p_container", "p_retailprice")}
-        comment = _TextWriter()
         for key in range(1, n + 1):
             manufacturer = rng.randint(1, 5)
             brand = manufacturer * 10 + rng.randint(1, 5)
@@ -302,17 +302,14 @@ class TpchGenerator:
                                                     rng.choice(CONTAINER_SYLLABLE_2)]))
             columns["p_retailprice"].append(
                 round(90000 + ((key // 10) % 20001) + 100 * (key % 1000), 2) / 100.0)
-            self._text(comment, 2, 5)
-            comment.end_row()
-        columns["p_comment"] = comment.finish()
+        columns["p_comment"] = self._texts("p_comment", n, 2, 5)
         return columns
 
     def _gen_partsupp(self, part: Dict[str, List], supplier: Dict[str, List]) -> Dict[str, List]:
-        rng, below, text = self._rng, self._below, self._text
+        rng, below = self._rng, self._below
         n_supp = len(supplier["s_suppkey"])
         per_part = BASE_CARDINALITIES["partsupp_per_part"]
         ps_partkey, ps_suppkey, ps_availqty, ps_supplycost = ([] for _ in range(4))
-        ps_comment = _TextWriter()
         for partkey in part["p_partkey"]:
             suppliers = rng.sample(range(1, n_supp + 1), min(per_part, n_supp))
             for suppkey in suppliers:
@@ -320,39 +317,30 @@ class TpchGenerator:
                 ps_suppkey.append(suppkey)
                 ps_availqty.append(1 + below(9999))
                 ps_supplycost.append(round(rng.uniform(1.0, 1000.0), 2))
-                text(ps_comment, 5, 12)
-                ps_comment.end_row()
         return {"ps_partkey": ps_partkey, "ps_suppkey": ps_suppkey,
                 "ps_availqty": ps_availqty, "ps_supplycost": ps_supplycost,
-                "ps_comment": ps_comment.finish()}
+                "ps_comment": self._texts("ps_comment", len(ps_partkey), 5, 12)}
 
     def _gen_customer(self) -> Dict[str, List]:
-        rng, text = self._rng, self._text
+        rng = self._rng
         n = self._count("customer")
         columns: Dict[str, List] = {name: [] for name in
                                     ("c_custkey", "c_name", "c_nationkey",
                                      "c_phone", "c_acctbal", "c_mktsegment")}
-        address, comment = _TextWriter(), _TextWriter()
         for key in range(1, n + 1):
             nation = rng.randrange(len(NATIONS))
             columns["c_custkey"].append(key)
             columns["c_name"].append(f"Customer#{key:09d}")
-            text(address, 2, 4)
-            address.end_row()
             columns["c_nationkey"].append(nation)
             columns["c_phone"].append(self._phone(nation))
             columns["c_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
             columns["c_mktsegment"].append(rng.choice(SEGMENTS))
-            # ~10% of customer-facing order comments carry "special ... requests" (Q13);
-            # customer comments themselves just need plausible text.
-            text(comment, 6, 12)
-            comment.end_row()
-        columns["c_address"] = address.finish()
-        columns["c_comment"] = comment.finish()
+        columns["c_address"] = self._texts("c_address", n, 2, 4)
+        columns["c_comment"] = self._texts("c_comment", n, 6, 12)
         return columns
 
     def _gen_orders_and_lineitems(self, customer, part, supplier, partsupp):
-        rng, below, text = self._rng, self._below, self._text
+        rng, below = self._rng, self._below
         n_orders = self._count("orders")
         # a foreign key is the referenced primary-key column's own int object
         custkeys = customer["c_custkey"]
@@ -370,7 +358,6 @@ class TpchGenerator:
          l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus,
          l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct,
          l_shipmode) = ([] for _ in range(15))
-        o_comment, l_comment = _TextWriter(), _TextWriter()
         lo_lines, hi_lines = BASE_CARDINALITIES["lineitems_per_order"]
         cutoff = dates.date_to_int("1995-06-17")
 
@@ -417,8 +404,6 @@ class TpchGenerator:
                 l_receiptdate.append(receiptdate)
                 l_shipinstruct.append(SHIP_INSTRUCTIONS[below(4)])
                 l_shipmode.append(SHIP_MODES[below(7)])
-                text(l_comment, 3, 6)
-                l_comment.end_row()
 
             # an order has at least one line: it is filled unless one is open
             if not any_open:
@@ -433,14 +418,12 @@ class TpchGenerator:
             o_orderpriority.append(PRIORITIES[below(5)])
             o_clerk.append(clerks[1 + below(n_clerks)])
             o_shippriority.append(0)
-            text(o_comment, 5, 10, inject_probability=0.05)
-            o_comment.end_row()
         orders = {
             "o_orderkey": o_orderkey, "o_custkey": o_custkey,
             "o_orderstatus": o_orderstatus, "o_totalprice": o_totalprice,
             "o_orderdate": o_orderdate, "o_orderpriority": o_orderpriority,
             "o_clerk": o_clerk, "o_shippriority": o_shippriority,
-            "o_comment": o_comment.finish()}
+            "o_comment": self._texts("o_comment", n_orders, 5, 10, _special_requests)}
         lineitem = {
             "l_orderkey": l_orderkey, "l_partkey": l_partkey, "l_suppkey": l_suppkey,
             "l_linenumber": l_linenumber, "l_quantity": l_quantity,
@@ -449,7 +432,7 @@ class TpchGenerator:
             "l_linestatus": l_linestatus, "l_shipdate": l_shipdate,
             "l_commitdate": l_commitdate, "l_receiptdate": l_receiptdate,
             "l_shipinstruct": l_shipinstruct, "l_shipmode": l_shipmode,
-            "l_comment": l_comment.finish()}
+            "l_comment": self._texts("l_comment", len(l_orderkey), 3, 6)}
         return orders, lineitem
 
 

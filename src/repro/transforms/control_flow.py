@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.nodes import Atom, Const, Program, Stmt
-from ..ir.ops import REGISTRY
+from ..ir.nodes import Atom, Program, Stmt
+from ..ir.ops import is_bool
 from ..ir.traversal import BlockRewriter, rewrite_program
-from ..ir.types import BOOL
 from ..stack.context import CompilationContext
 from ..stack.language import Language
 from ..stack.transformation import Optimization
@@ -31,20 +30,11 @@ class BranchlessBooleans(Optimization):
     def run(self, program: Program, context: CompilationContext) -> Program:
         defs = definition_map(program)
 
-        def is_boolean(atom: Atom) -> bool:
-            if isinstance(atom, Const):
-                return isinstance(atom.value, bool)
-            stmt = defs.get(atom.id)
-            if stmt is None:
-                return False
-            # band/bor too: this pass only emits them over boolean operands
-            row = REGISTRY.get(stmt.expr.op)
-            return row.result is BOOL or row.family == "logic"
-
         def rewrite(stmt: Stmt, rewriter: BlockRewriter) -> Optional[Atom]:
             if stmt.expr.op not in ("and_", "or_"):
                 return None
-            if not all(is_boolean(arg) for arg in stmt.expr.args):
+            # band/bor too: this pass only emits them over boolean operands
+            if not all(is_bool(arg, defs, logic=True) for arg in stmt.expr.args):
                 return None
             op = "band" if stmt.expr.op == "and_" else "bor"
             return rewriter.emit(op, list(stmt.expr.args), hint="flag")

@@ -1,12 +1,18 @@
 """Unit tests for the Python unparser and the generated-code runtime."""
+import warnings
+
 import pytest
 
 from repro.codegen import runtime
+from repro.codegen.compiler import QueryCompiler
 from repro.codegen.unparser import PythonUnparser, UnparserError
+from repro.dsl import qplan as Q
+from repro.dsl.expr import is_null, lit
 from repro.ir import IRBuilder, Const, make_program
 from repro.ir.nodes import Block, Expr, Program, Stmt, Sym
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
+from repro.stack.configs import build_config
 from repro.storage.schema import TableSchema, string_column
 
 
@@ -26,6 +32,23 @@ def catalog_dictionary(values):
     catalog.register(ColumnarTable(TableSchema("T", [string_column("t_s")]),
                                    {"t_s": list(values) * 5}))
     return catalog, catalog.access_layer().dictionary("T", "t_s")
+
+
+@pytest.mark.parametrize("config", ["dblab-2", "template-expander"])
+def test_a_literal_compared_with_none_compiles_without_a_warning(tiny_catalog, config):
+    """Neither configuration folds ``IsNull(Lit(5))`` or ``5 != None``, and
+    ``5 is None`` in generated source would be a SyntaxWarning: a literal
+    on the left keeps ``==`` / ``!=``."""
+    plan = Q.Project(Q.Scan("R"), [("null", is_null(lit(5))),
+                                   ("not_null", lit(5) != lit(None))])
+    stack = build_config(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        compiled = QueryCompiler(stack.stack, stack.flags).compile(
+            plan, tiny_catalog, "literal_none")
+        rows = compiled.run(tiny_catalog)
+    assert "(5 == None)" in compiled.source and "(5 != None)" in compiled.source
+    assert rows == [{"null": False, "not_null": True}] * 5
 
 
 class TestUnparser:

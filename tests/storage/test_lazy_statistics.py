@@ -148,19 +148,25 @@ class TestTextColumnDecoding:
     WORDS = ("alpha", "beta", "gamma", "delta")
 
     def text_table(self, rows):
-        codes, ends = bytearray(), array("I")
-        for row in range(rows):
-            codes += bytes((row + word) % 4 for word in range(row % 5))
-            ends.append(len(codes))
+        """A table whose text column draws fresh codes at every ``draw``."""
+        def draw():
+            codes, ends = bytearray(), array("I")
+            for row in range(rows):
+                codes += bytes((row + word) % 4 for word in range(row % 5))
+                ends.append(len(codes))
+            return codes, ends
+
         schema = TableSchema("T", [int_column("t_id"), string_column("t_text")],
                              primary_key=("t_id",))
         return ColumnarTable(schema, {"t_id": list(range(rows)),
-                                      "t_text": TextColumn(self.WORDS, codes, ends)})
+                                      "t_text": TextColumn(self.WORDS, rows, draw)})
 
-    def test_a_first_read_decodes_and_stores_the_list(self):
+    def test_a_first_read_draws_decodes_and_stores_the_list(self):
         table = self.text_table(6)
-        assert table.num_rows == 6
+        text = table.columns["t_text"]
+        assert table.num_rows == 6 and not text._memo
         values = table.column("t_text")
+        assert set(text._memo) == {"codes", "strings"}
         assert values == ["", "beta", "gamma delta", "delta alpha beta",
                           "alpha beta gamma delta", ""]
         assert table.columns["t_text"] is values is table.column("t_text")
@@ -179,6 +185,7 @@ class TestTextColumnDecoding:
         table = self.text_table(40)
         coded = table.footprint()
         assert type(table.columns["t_text"]) is TextColumn
+        assert set(table.columns["t_text"]._memo) == {"codes"}
         values = table.column("t_text")
         assert "" in values
         assert coded == table.footprint() == sum(
@@ -192,30 +199,40 @@ class TestTextColumnDecoding:
                 for column, values in catalog.table(name).columns.items()
                 if type(values) is TextColumn}
         assert ("lineitem", "l_comment") in text and len(text) == 10
-        assert catalog.memory_footprint() == 2_178_806
-        assert all(type(catalog.table(name).columns[column]) is TextColumn
+        assert not any(catalog.table(name).columns[column]._memo for name, column in text)
+        assert catalog.memory_footprint() == 2_178_169
+        assert all(set(catalog.table(name).columns[column]._memo) == {"codes"}
                    for name, column in text)
         for name, column in text:
             catalog.column(name, column)
-        assert catalog.memory_footprint() == 2_178_806
+        assert catalog.memory_footprint() == 2_178_169
 
     def test_racing_first_reads_agree(self):
-        """Every reader decodes or finds the list: all of them get one
-        list, and the table holds exactly that list."""
+        """Every reader of a column never drawn draws and decodes, or finds
+        the codes or the list: all of them get one list, the table holds
+        exactly that list, and its decoding read the one stored codes.  Half
+        the readers size the table first, which draws codes only."""
         tables = [self.text_table(rows) for rows in range(1, 300)]
+        texts = [table.columns["t_text"] for table in tables]
         expected = [self.text_table(rows).column("t_text") for rows in range(1, 300)]
         readers = 4
         barrier = threading.Barrier(readers)
         seen: List[List[Any]] = [[] for _ in range(readers)]
+        coded: List[List[Any]] = [[] for _ in range(readers)]
 
-        def read(out):
+        def read(out, codes, size_first):
             barrier.wait(timeout=30)
-            out.extend(table.column("t_text") for table in tables)
+            for table, text in zip(tables, texts):
+                if size_first:
+                    table.footprint()
+                codes.append(text.coded())
+                out.append(table.column("t_text"))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+            threads = [threading.Thread(target=read, args=(out, codes, index % 2 == 0))
+                       for index, (out, codes) in enumerate(zip(seen, coded))]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -228,6 +245,8 @@ class TestTextColumnDecoding:
             stored = table.columns["t_text"]
             assert type(stored) is list
             assert all(out[index] is stored for out in seen)
+            assert all(codes[index] is texts[index].coded() for codes in coded)
+            assert texts[index].decode() is stored
 
 
 class _CountingColumn(list):

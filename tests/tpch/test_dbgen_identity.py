@@ -1,14 +1,18 @@
 """The generator is pinned, and what it loads is one object per distinct value.
 
 ``GOLDEN`` holds a per-column digest — values, order *and* ``type`` — of
-``generate_catalog(0.001, 20160626)`` computed on the commit before dbgen
-started drawing from value tables (PR 15), so any rewrite of the generator is
-provably identity-only: it may change which *object* a row holds, never what
-the row reads.  ``GOLDEN_SF_0002`` is the same digest at sf 0.002 (computed
-before text columns were written as word codes): there part and customer
-keys leave CPython's small-int cache and a part key is a 9-bit draw, so a
-wrong width in the written-out draws of the order loop shows.  Both read
-every column through ``Catalog.column``, as every reader does.
+``generate_catalog(0.001, 20160626)``; ``GOLDEN_SF_0002`` is the same digest
+at sf 0.002, where part and customer keys leave CPython's small-int cache and
+a part key is a 9-bit draw, so a wrong width in the written-out draws of the
+order loop shows.  Both were computed when each text column (the comments
+and addresses) got its own seed stream, ``random.Random(f"{seed}/{column}")``,
+drawn by the column's first reader, and every other column the main stream
+``random.Random(seed)`` in table order — region, nation, supplier, part,
+partsupp, customer, orders with their lineitems — which no text draw
+touches.  Since then a rewrite of the generator has been provably
+identity-only: it may change which *object* a row holds, never what the row
+reads.  Both read every column through ``Catalog.column``, as every reader
+does.
 """
 import hashlib
 import sys
@@ -22,129 +26,129 @@ SEED = 20160626   # with sf 0.001: the session-wide ``tpch_catalog`` fixture
 GOLDEN = {
     "region.r_regionkey": "3eb2a85513260d09",
     "region.r_name": "0bed2a52a27aa17d",
-    "region.r_comment": "8609ff825b8b4153",
+    "region.r_comment": "4fbca0fff72d80ed",
     "nation.n_nationkey": "4f64dd5c90ed27f6",
     "nation.n_name": "1a0ff096197ead2d",
     "nation.n_regionkey": "9f86a262b94c0bd5",
-    "nation.n_comment": "9722bcdeeaca55f5",
+    "nation.n_comment": "26556850da65110d",
     "supplier.s_suppkey": "920a38ff3db926bf",
     "supplier.s_name": "b611fb24c8143805",
-    "supplier.s_address": "b9523f241fa11cf1",
-    "supplier.s_nationkey": "7972f4fd2771bc4d",
-    "supplier.s_phone": "cd0fbe190f1163ea",
-    "supplier.s_acctbal": "136987cef5bf7111",
-    "supplier.s_comment": "7c0242ce3fe6a735",
+    "supplier.s_address": "a4fb4836aac225c5",
+    "supplier.s_nationkey": "5c5760a0848504a7",
+    "supplier.s_phone": "d47501fb31e6f8b5",
+    "supplier.s_acctbal": "d39b75008ebcf932",
+    "supplier.s_comment": "9ffef0b46c8e9dbc",
     "customer.c_custkey": "95cb81036723962c",
     "customer.c_name": "298c71c7b01eec92",
-    "customer.c_address": "47874f5f25817b3e",
-    "customer.c_nationkey": "0847ab33ab07f9d3",
-    "customer.c_phone": "5e7784a7c3d0d162",
-    "customer.c_acctbal": "18649e54fc85a467",
-    "customer.c_mktsegment": "1ef24e6470d9ae32",
-    "customer.c_comment": "71c16b6efc22b090",
+    "customer.c_address": "8dfca5067e5cde22",
+    "customer.c_nationkey": "d515ea7cdcc86554",
+    "customer.c_phone": "44442be7cc4c2578",
+    "customer.c_acctbal": "0294577e6022e2c9",
+    "customer.c_mktsegment": "2eddb45df85e7729",
+    "customer.c_comment": "a6c6ed0f335eb44a",
     "part.p_partkey": "e4308a9c237e7022",
-    "part.p_name": "586cd0c93f580450",
-    "part.p_mfgr": "ab1b1bd0753de354",
-    "part.p_brand": "ffe5211f5596f285",
-    "part.p_type": "c00e02b1646731ef",
-    "part.p_size": "863911bb93d0f7c3",
-    "part.p_container": "78221b10c6bb51b0",
+    "part.p_name": "958d84f06a0c7630",
+    "part.p_mfgr": "3b14be8c7be361d5",
+    "part.p_brand": "72409ebe0db76fc6",
+    "part.p_type": "e7b3fdf71a269286",
+    "part.p_size": "dc6d84b97a80f1d3",
+    "part.p_container": "d85951b29eef21fb",
     "part.p_retailprice": "a2688630fed0420b",
-    "part.p_comment": "98b3f8e23c5f133d",
+    "part.p_comment": "a9dd320429c4a49e",
     "partsupp.ps_partkey": "0405be5b6e3c464c",
-    "partsupp.ps_suppkey": "3231512224276115",
-    "partsupp.ps_availqty": "eabb60049e72248c",
-    "partsupp.ps_supplycost": "d1445eec86cd2969",
-    "partsupp.ps_comment": "e85f714bd0c5ff01",
+    "partsupp.ps_suppkey": "840218a50b3d5580",
+    "partsupp.ps_availqty": "e04c2fdb97e6dd4d",
+    "partsupp.ps_supplycost": "1c1fcc697a8e835a",
+    "partsupp.ps_comment": "64f95637e2f7506f",
     "orders.o_orderkey": "9ffe21a4394db2e0",
-    "orders.o_custkey": "0ee38e3f8840490a",
-    "orders.o_orderstatus": "7018fecfa136bba7",
-    "orders.o_totalprice": "4683f947c6355c92",
-    "orders.o_orderdate": "ab699e8097117c6c",
-    "orders.o_orderpriority": "be45953c5c00e3d8",
-    "orders.o_clerk": "ea9bea7b10230e77",
+    "orders.o_custkey": "f62e5724ff6592c5",
+    "orders.o_orderstatus": "1af00f1d2acff833",
+    "orders.o_totalprice": "5a89e195a5ab51af",
+    "orders.o_orderdate": "187ce81f443f7089",
+    "orders.o_orderpriority": "263c8a07923dbdd3",
+    "orders.o_clerk": "56355f2de6fec188",
     "orders.o_shippriority": "d6114227b34f048f",
-    "orders.o_comment": "fce496344e1005b5",
-    "lineitem.l_orderkey": "c8f94de0fc9ff1ca",
-    "lineitem.l_partkey": "810dcee2a58fcab8",
-    "lineitem.l_suppkey": "c4f2aa04926fe327",
-    "lineitem.l_linenumber": "30deac654d555fc0",
-    "lineitem.l_quantity": "3ced2572ca35bd3b",
-    "lineitem.l_extendedprice": "2940ebe1a2247551",
-    "lineitem.l_discount": "d420b249258377dc",
-    "lineitem.l_tax": "68f6b069ac83acc1",
-    "lineitem.l_returnflag": "fe6c436a03770f4f",
-    "lineitem.l_linestatus": "1bdfdaab6937cb44",
-    "lineitem.l_shipdate": "aa65792cc02cb060",
-    "lineitem.l_commitdate": "84cefc039f4e06d7",
-    "lineitem.l_receiptdate": "2639db0759aea9be",
-    "lineitem.l_shipinstruct": "dd625876f6a63382",
-    "lineitem.l_shipmode": "913a26aef571a7da",
-    "lineitem.l_comment": "eac3bfdbc8686d01",
+    "orders.o_comment": "0eab4771d8108b16",
+    "lineitem.l_orderkey": "86ed81bdf430fadb",
+    "lineitem.l_partkey": "ff2e08f56f43e2f0",
+    "lineitem.l_suppkey": "82b8bb3b4a4e170c",
+    "lineitem.l_linenumber": "ab4f959ce878aa02",
+    "lineitem.l_quantity": "30e93bf5f58180f9",
+    "lineitem.l_extendedprice": "fea07e7c350ed33c",
+    "lineitem.l_discount": "b5bdce119f0b4854",
+    "lineitem.l_tax": "f7bac3913961b9d3",
+    "lineitem.l_returnflag": "42651d7d3405e208",
+    "lineitem.l_linestatus": "674f298577503e4f",
+    "lineitem.l_shipdate": "16c9f7afa7d78466",
+    "lineitem.l_commitdate": "c730435a51aa3a06",
+    "lineitem.l_receiptdate": "96b5f0dff6a0deed",
+    "lineitem.l_shipinstruct": "0d0843c52677375b",
+    "lineitem.l_shipmode": "b58dfb06cec9edaf",
+    "lineitem.l_comment": "4082732738960618",
 }
 
 GOLDEN_SF_0002 = {
     "region.r_regionkey": "3eb2a85513260d09",
     "region.r_name": "0bed2a52a27aa17d",
-    "region.r_comment": "8609ff825b8b4153",
+    "region.r_comment": "4fbca0fff72d80ed",
     "nation.n_nationkey": "4f64dd5c90ed27f6",
     "nation.n_name": "1a0ff096197ead2d",
     "nation.n_regionkey": "9f86a262b94c0bd5",
-    "nation.n_comment": "9722bcdeeaca55f5",
+    "nation.n_comment": "26556850da65110d",
     "supplier.s_suppkey": "5b492e577601fa33",
     "supplier.s_name": "fa65f3795dc54db6",
-    "supplier.s_address": "04409382c7233c44",
-    "supplier.s_nationkey": "a4a07c1badd9269d",
-    "supplier.s_phone": "2f7514de45be2ad7",
-    "supplier.s_acctbal": "2c28087ce001680f",
-    "supplier.s_comment": "a9f473a9b0555c46",
+    "supplier.s_address": "8b9bfed261e4729b",
+    "supplier.s_nationkey": "6dedbde330579f50",
+    "supplier.s_phone": "8238e4e7fc62a327",
+    "supplier.s_acctbal": "b5c3d3b489949b6a",
+    "supplier.s_comment": "f20ca65e23654500",
     "customer.c_custkey": "016826bf1e153e6a",
     "customer.c_name": "fcc7d1f1cdead4ef",
-    "customer.c_address": "e021604484193fd7",
-    "customer.c_nationkey": "1dc264733c2407fc",
-    "customer.c_phone": "cff30d3e157005f2",
-    "customer.c_acctbal": "6083492e60031fff",
-    "customer.c_mktsegment": "b9f50ead138a499d",
-    "customer.c_comment": "91120697020bae0c",
+    "customer.c_address": "014666f29f0b4238",
+    "customer.c_nationkey": "0f6c7fb0c6d3ec5f",
+    "customer.c_phone": "c5cbbab6d0993cb9",
+    "customer.c_acctbal": "f6130dda3e5e90cc",
+    "customer.c_mktsegment": "9cf9c6788eeb1547",
+    "customer.c_comment": "712bd78b56ea4330",
     "part.p_partkey": "64916202c544f550",
-    "part.p_name": "dfdd220c901eb628",
-    "part.p_mfgr": "5d91717fd184a012",
-    "part.p_brand": "15140c779a08b2eb",
-    "part.p_type": "ff9550578c0f12a5",
-    "part.p_size": "e573a20cb61953e9",
-    "part.p_container": "b934b7a584fe614e",
+    "part.p_name": "b0925d7e8a9781e2",
+    "part.p_mfgr": "8bb44be0dc7c9089",
+    "part.p_brand": "8b0b0e0d0080670e",
+    "part.p_type": "1c2574b81c567c36",
+    "part.p_size": "643e743cc3efeb1e",
+    "part.p_container": "2fe90998cdf4a8e3",
     "part.p_retailprice": "d6e3a8031c8d7300",
-    "part.p_comment": "fa6d46af4b1da013",
+    "part.p_comment": "686bb6c4a2935858",
     "partsupp.ps_partkey": "68509153ee5f6e55",
-    "partsupp.ps_suppkey": "157fc4e23702af73",
-    "partsupp.ps_availqty": "29f17d89ca708b7a",
-    "partsupp.ps_supplycost": "15dcc85594cc83e3",
-    "partsupp.ps_comment": "098aa37dde608b10",
+    "partsupp.ps_suppkey": "1a4fff957fd0b838",
+    "partsupp.ps_availqty": "0bd733b547e9758e",
+    "partsupp.ps_supplycost": "3bf93bd0bcf9449c",
+    "partsupp.ps_comment": "b2f1d98b5ef8e4b7",
     "orders.o_orderkey": "2e1683172033b104",
-    "orders.o_custkey": "4f9b567b2a3c6f8a",
-    "orders.o_orderstatus": "3311fa70a8c22169",
-    "orders.o_totalprice": "b02bf5c2b3e32b15",
-    "orders.o_orderdate": "3d51463bcf50841b",
-    "orders.o_orderpriority": "e39c2dda0b64b9bf",
-    "orders.o_clerk": "d347c09569333ae0",
+    "orders.o_custkey": "6634f3b95ec26b87",
+    "orders.o_orderstatus": "bb32694bbf7c6f4d",
+    "orders.o_totalprice": "5c55b080d7dd9518",
+    "orders.o_orderdate": "559ea358829fca85",
+    "orders.o_orderpriority": "59e6f143a56af46d",
+    "orders.o_clerk": "1be11c8dc09c1003",
     "orders.o_shippriority": "5284c1bea2c122a8",
-    "orders.o_comment": "e5d8f480b4c6dba2",
-    "lineitem.l_orderkey": "d1a2618878f4dac9",
-    "lineitem.l_partkey": "c362e628a9b8ce09",
-    "lineitem.l_suppkey": "c1a3de559f2ea509",
-    "lineitem.l_linenumber": "e8429c129dc51e16",
-    "lineitem.l_quantity": "51fd538d895e1399",
-    "lineitem.l_extendedprice": "6b841f3025476b85",
-    "lineitem.l_discount": "9dc05250b530b50b",
-    "lineitem.l_tax": "2b22de85ee6f3492",
-    "lineitem.l_returnflag": "bae27a63c491897c",
-    "lineitem.l_linestatus": "c0a5019567f7ae21",
-    "lineitem.l_shipdate": "a39433733cdf5299",
-    "lineitem.l_commitdate": "2d01a1ebb30c533a",
-    "lineitem.l_receiptdate": "b992e9c21c040267",
-    "lineitem.l_shipinstruct": "f79a7af7a672fe6e",
-    "lineitem.l_shipmode": "a997cc0445c9b6bc",
-    "lineitem.l_comment": "2ff4207a3781cc49",
+    "orders.o_comment": "e00f6111f2770f07",
+    "lineitem.l_orderkey": "280626e61ca766b5",
+    "lineitem.l_partkey": "eb6cc4457c601b4e",
+    "lineitem.l_suppkey": "c6e84c7733e45e5d",
+    "lineitem.l_linenumber": "ea45e2cfbfc37b3a",
+    "lineitem.l_quantity": "631008f4382135c2",
+    "lineitem.l_extendedprice": "5e12c00bc5df444b",
+    "lineitem.l_discount": "7925fa8fb4d07f62",
+    "lineitem.l_tax": "cbaff614f4614c93",
+    "lineitem.l_returnflag": "2b6af92173b6fc32",
+    "lineitem.l_linestatus": "babcf51a8601d004",
+    "lineitem.l_shipdate": "7158eb04b18c8cf0",
+    "lineitem.l_commitdate": "e8de4d78c558291b",
+    "lineitem.l_receiptdate": "a6e475b892b464ca",
+    "lineitem.l_shipinstruct": "5056def2b7197195",
+    "lineitem.l_shipmode": "a210dc338b6fb381",
+    "lineitem.l_comment": "de19117782614b36",
 }
 
 #: columns whose values the generator takes from a table (or from the
