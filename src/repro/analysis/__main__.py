@@ -1,12 +1,10 @@
 """The analysis umbrella CLI: ``python -m repro.analysis <tool> [...]``.
 
-One front door over the three analyzers, with shared exit-code semantics —
+One front door over the two analyzers, with shared exit-code semantics —
 0 clean, 1 findings, 2 usage error:
 
 * ``verify``      — IR verifier over every compilation phase
                     (:mod:`repro.analysis.verify`)
-* ``dataflow``    — dataflow/parallel-safety report
-                    (:mod:`repro.analysis.dataflow`, ``report`` subcommand)
 * ``concurrency`` — lock-discipline / deadlock-order / thread-affinity lint
                     (:mod:`repro.analysis.concurrency`)
 
@@ -23,7 +21,6 @@ usage: python -m repro.analysis <tool> [options]
 
 tools:
   verify       IR verifier (scope/type/effect checks per compilation phase)
-  dataflow     dataflow & parallel-safety report (expects 'report' options)
   concurrency  lock-discipline, deadlock-order and thread-affinity lint
 
 exit codes (all tools): 0 clean, 1 findings, 2 usage error
@@ -40,10 +37,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if tool == "verify":
         from .verify import main as verify_main
         return verify_main(rest)
-    if tool == "dataflow":
-        # accept both `dataflow report ...` and the shorthand `dataflow ...`
-        from .dataflow.report import main as dataflow_main
-        return dataflow_main(rest[1:] if rest[:1] == ["report"] else rest)
     if tool == "concurrency":
         from .concurrency.__main__ import main as concurrency_main
         return concurrency_main(rest)

@@ -2,18 +2,15 @@
 
 Two entry points, mirroring the effect auditor's split:
 
-* :func:`check_stamps` — single-program check: every analysis *claim* an
-  annotator or pass stamped into ``Expr.attrs`` (``parallel_safety``,
-  ``range``, ``non_null``) must be re-derivable from the analyses.  A stamp
-  the analysis cannot back is a miscompile waiting to be trusted by the
-  morsel scheduler, so it is rejected outright.
+* :func:`check_stamps` — single-program check: every analysis *claim* a
+  pass stamped into ``Expr.attrs`` (``range``, ``non_null``) must be
+  re-derivable from the analyses.  A stamp the analysis cannot back is a
+  miscompile waiting to be trusted, so it is rejected outright.
 
 * :func:`audit_dataflow_transition` — before/after check of one optimization
   pass: a pass may never *widen* a binding's inferred interval (a widened
-  interval means the pass changed what the binding computes), never flip a
-  loop from sequential to parallelizable unless it visibly rewrote the loop
-  body (removed a conflicting statement) or recorded a justification, and
-  never unwrap a control statement (splice an ``if_`` arm into its parent)
+  interval means the pass changed what the binding computes), and never
+  unwrap a control statement (splice an ``if_`` arm into its parent)
   without a recorded justification whose claim the analysis re-verifies.
 """
 from __future__ import annotations
@@ -23,13 +20,12 @@ from typing import Any, Dict, Mapping, Optional, Set
 from ...ir.nodes import Program, Stmt
 from ...ir.traversal import iter_program_stmts, iter_stmts
 from ..errors import VerificationError
-from .dependence import SAFETY_ATTR, classification_map
 from .framework import use_def
 from .lattices import Interval, Nullability
 from .values import value_facts
 
 #: attrs carrying analysis claims that check_stamps re-derives
-STAMP_ATTRS = (SAFETY_ATTR, "range", "non_null")
+STAMP_ATTRS = ("range", "non_null")
 
 
 def _has_stamps(program: Program) -> bool:
@@ -52,17 +48,11 @@ def check_stamps(program: Program, catalog: Optional[Any] = None,
 
 
 def _check_stamps(program: Program, catalog: Optional[Any]) -> None:
-    verdicts = None
     facts = None
     for stmt, _ in iter_program_stmts(program):
         attrs = stmt.expr.attrs
         if not attrs:
             continue
-        stamp = attrs.get(SAFETY_ATTR)
-        if stamp is not None:
-            if verdicts is None:
-                verdicts = classification_map(program)
-            _check_safety_stamp(stmt, stamp, verdicts)
         claimed_range = attrs.get("range")
         if claimed_range is not None:
             if facts is None:
@@ -77,28 +67,6 @@ def _check_stamps(program: Program, catalog: Optional[Any]) -> None:
                     "non_null but the nullability analysis cannot prove it "
                     "never holds NULL", check="nullability",
                     binding=stmt.sym.name)
-
-
-def _check_safety_stamp(stmt: Stmt, stamp: str, verdicts: Mapping[int, Any]) -> None:
-    if not isinstance(stamp, str) or \
-            not (stamp == "parallelizable" or stamp.startswith("sequential")):
-        raise VerificationError(
-            f"loop {stmt.sym.name} carries an unrecognised parallel_safety "
-            f"stamp {stamp!r}", check="parallel-safety", binding=stmt.sym.name)
-    if stamp != "parallelizable":
-        return  # downgrading to sequential is always safe
-    verdict = verdicts.get(stmt.sym.id)
-    if verdict is None:
-        raise VerificationError(
-            f"statement {stmt.sym.name} ({stmt.expr.op}) is stamped "
-            "parallelizable but is not a depth-0 loop the dependence "
-            "analysis classifies", check="parallel-safety",
-            binding=stmt.sym.name)
-    if not verdict.parallelizable:
-        raise VerificationError(
-            f"loop {stmt.sym.name} is stamped parallelizable but the "
-            f"dependence analysis proves it sequential: {verdict.reason}",
-            check="parallel-safety", binding=stmt.sym.name)
 
 
 def _check_range_stamp(stmt: Stmt, claimed_range: Any, facts: Any) -> None:
@@ -143,7 +111,6 @@ def _audit(before: Program, after: Program, catalog: Optional[Any],
                             before, catalog, justifications)
     _audit_intervals(before, after, before_defs, after_defs,
                      catalog, justifications)
-    _audit_loop_flips(before, after, before_defs, removed, justifications)
 
 
 def _audit_control_removals(before_defs: Mapping[int, Stmt],
@@ -200,32 +167,3 @@ def _audit_intervals(before: Program, after: Program,
                 f"{stmt.sym.name} ({stmt.expr.op}) from {old} to {new} — "
                 "a widened interval means the binding no longer computes "
                 "the same values", check="interval", binding=stmt.sym.name)
-
-
-def _audit_loop_flips(before: Program, after: Program,
-                      before_defs: Mapping[int, Stmt], removed: Set[int],
-                      justifications: Dict[int, str]) -> None:
-    """sequential -> parallelizable flips need visible cause or justification."""
-    before_verdicts = classification_map(before)
-    after_verdicts = classification_map(after)
-    for sym_id, after_verdict in after_verdicts.items():
-        before_verdict = before_verdicts.get(sym_id)
-        if before_verdict is None or before_verdict.parallelizable \
-                or not after_verdict.parallelizable:
-            continue
-        if sym_id in justifications:
-            continue
-        loop_stmt = before_defs[sym_id]
-        body_syms = {inner.sym.id
-                     for block in loop_stmt.expr.blocks
-                     for inner, _ in iter_stmts(block)}
-        if body_syms & removed:
-            continue  # the conflicting statement was (legally) removed
-        raise VerificationError(
-            f"optimization flipped loop {loop_stmt.sym.name} from "
-            f"sequential ({before_verdict.reason}) to parallelizable "
-            "without removing a conflicting statement or recording a "
-            "justification", check="parallel-safety",
-            binding=loop_stmt.sym.name)
-
-

@@ -20,6 +20,9 @@ Two responsibilities, both grounded in :mod:`repro.ir.effects`:
   - the surviving non-reorderable statements (writes and I/O) appear in the
     same relative order as before — hoisting and fusion may move pure code
     freely but must never swap two writes.
+  - a surviving write still writes the object it wrote before, unless the
+    pass removed that object's binding — a pass may fold away the ``if_``
+    that handed the object out, but never point the write somewhere else.
 
 The auditor deliberately knows nothing about individual transformations;
 it only trusts the effect declarations.  That is what makes it a check
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional, Set
 
 from ..ir import ops as ir_ops
 from ..ir.effects import Effect
-from ..ir.nodes import Const, Expr, Program, Stmt, Sym
+from ..ir.nodes import Atom, Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import iter_program_stmts
 from .errors import VerificationError
 
@@ -169,8 +172,8 @@ def audit_transition(before: Program, after: Program,
     """Prove one optimization pass legal under the effect system.
 
     Raises :class:`VerificationError` (attributed to ``phase``) when the
-    pass removed a non-removable binding or reordered two statements whose
-    effects pin their relative order.
+    pass removed a non-removable binding, reordered two statements whose
+    effects pin their relative order, or retargeted a surviving write.
     """
     try:
         _audit_transition(before, after)
@@ -220,6 +223,30 @@ def _audit_transition(before: Program, after: Program) -> None:
             "longer execute in their original relative order",
             binding=name)
 
+    for sym_id, stmt in after_index.items():
+        old = _write_target(before_index.get(sym_id))
+        if not isinstance(old, Sym) or \
+                (old.id in before_index and old.id not in after_index):
+            continue  # no write before, or its target's binding was removed
+        new = _write_target(stmt)
+        if not (isinstance(new, Sym) and new.id == old.id):
+            raise _err(
+                f"optimization retargeted the write {stmt.sym.name} "
+                f"({stmt.expr.op}) from {old.name} to "
+                f"{getattr(new, 'name', repr(new))} — a surviving write must keep "
+                "writing the object it wrote before", binding=stmt.sym.name)
+
+
+def _write_target(stmt: Optional[Stmt]) -> Optional[Atom]:
+    """The argument a writing statement mutates in place, if it has one (an
+    unregistered op is :func:`audit_effects`'s report, not a crash here)."""
+    if stmt is None or not ir_ops.is_registered(stmt.expr.op):
+        return None
+    mutated = ir_ops.REGISTRY.get(stmt.expr.op).mutated
+    if mutated is None or mutated >= len(stmt.expr.args):
+        return None
+    return stmt.expr.args[mutated]
+
 
 def _is_dead_object_write(stmt: Stmt, before_index: Dict[int, Stmt],
                           after_index: Dict[int, Stmt]) -> bool:
@@ -230,10 +257,7 @@ def _is_dead_object_write(stmt: Stmt, before_index: Dict[int, Stmt],
     escape-refined DCE does — so a removed write is legal when the binding
     it mutates was itself a removed binding of the same program.
     """
-    mutated = ir_ops.REGISTRY.get(stmt.expr.op).mutated
-    if mutated is None or mutated >= len(stmt.expr.args):
-        return False
-    target = stmt.expr.args[mutated]
+    target = _write_target(stmt)
     return (isinstance(target, Sym) and target.id in before_index
             and target.id not in after_index)
 

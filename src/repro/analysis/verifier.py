@@ -72,8 +72,8 @@ def audit_optimization(before: Any, after: Any,
 
     Tree-level passes (QPlan/QMonad rewrites) are validated by the planner;
     this audit applies only when both sides are ANF programs.  On top of the
-    effect-system transition audit, the dataflow cross-checks run: interval
-    non-widening, loop parallel-safety flips, and control-unwrap
+    effect-system transition audit (removals, write order, write targets),
+    the dataflow cross-checks run: interval non-widening and control-unwrap
     justifications (``justifications`` maps the sym id of a rewritten
     binding to the pass's recorded reason; ``catalog`` seeds the value
     analysis that re-verifies those claims).

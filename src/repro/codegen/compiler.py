@@ -223,9 +223,9 @@ class QueryCompiler:
     def lower(self, plan, catalog: Catalog,
               query_name: str = "query") -> CompilationResult:
         """Push a QPlan tree or a QMonad chain through the stack and stop at
-        the IR: the final ANF ``program``, the per-phase trace and (verifying
-        compilers only) ``loop_safety``.  This is where IR is inspected —
-        :meth:`compile` unparses this program and keeps only the code."""
+        the IR: the final ANF ``program`` and the per-phase trace.  This is
+        where IR is inspected — :meth:`compile` unparses this program and
+        keeps only the code."""
         plan, source = self._front_end(plan, catalog)
         return self._lower(plan, source, catalog, query_name)
 
@@ -259,16 +259,6 @@ class QueryCompiler:
             raise CompilerError(
                 f"stack {self.stack.name!r} did not produce an ANF program "
                 f"(got {type(program).__name__}); is the lowering chain complete?")
-        if self.verify:
-            # Stamp every depth-0 loop with its parallel-safety verdict and
-            # immediately re-prove the stamps: the annotate → check round
-            # trip guards against the annotator and the checker drifting
-            # apart.
-            from ..analysis.dataflow import annotate_parallel_safety
-            from ..analysis.dataflow.checks import check_stamps
-            result.loop_safety = list(annotate_parallel_safety(program))
-            check_stamps(program, catalog=catalog,
-                         phase=f"parallel-safety[{query_name}]")
         return result
 
     def _build(self, plan, source, catalog: Catalog,

@@ -8,7 +8,7 @@ row stating its family, effect and application shape, and everything else
 is derived from the rows — the language vocabularies of
 :mod:`repro.stack.language` are unions of families, the type checker and the
 effect auditor read the shape, the dataflow analyses read ``mutated``,
-``merge``, ``result`` and ``loop``.
+``result`` and ``loop``.
 
 An op is registered iff something in ``src/`` can emit it (``print_`` is the
 exception: the effect lattice's only ``IO`` witness).  Every op costs one row
@@ -56,19 +56,10 @@ class OpDef:
     result: Optional[Type] = None
     #: the nested blocks re-run on each iteration
     loop: bool = False
-    #: how per-worker partial states of this *writing* op combine when the
-    #: enclosing loop is split across morsels: ``"concat"`` (order-preserving
-    #: concatenation), ``"reduce"`` (commutative aggregate merge),
-    #: ``"bucket-concat"`` — or ``None`` when the write is order-dependent and
-    #: pins the loop to sequential execution.  The loop-dependence analysis
-    #: (repro.analysis.dataflow) is the consumer.
-    merge: Optional[str] = None
 
 
 def _inconsistency(op: OpDef) -> Optional[str]:
     effect = op.effect
-    if op.merge is not None and not effect.writes:
-        return "declares a merge strategy but does not write"
     if op.mutated is not None and (not effect.writes or effect.control):
         return "names a mutated argument but does not write"
     if op.mutated is not None and op.mutated >= op.arity:
@@ -191,7 +182,7 @@ _r("array_set", "array", WRITE, arity=3, mutated=0)
 # Lists (ScaLite[List] and below; also used for query results).
 # ---------------------------------------------------------------------------
 _r("list_new", "list", ALLOC)
-_r("list_append", "list", WRITE, arity=2, mutated=0, merge="concat")
+_r("list_append", "list", WRITE, arity=2, mutated=0)
 _r("list_foreach", "list", CONTROL, "iterate a list; one body block with one element parameter",
    arity=1, blocks=(1,), loop=True)
 _r("list_sort_by_fields", "list", Effect(reads=True, allocates=True),
@@ -207,7 +198,7 @@ _r("list_take", "list", Effect(reads=True, allocates=True), "first n elements of
 # ---------------------------------------------------------------------------
 _r("mmap_new", "map", ALLOC, "MultiMap: key -> list of values (hash joins)")
 _r("mmap_add", "map", WRITE, "append a value to the bucket of a key",
-   arity=3, mutated=0, merge="bucket-concat")
+   arity=3, mutated=0)
 _r("mmap_get", "map", READ, "return the bucket list of a key (empty list if absent)", arity=2)
 _r("hashmap_agg_new", "map", ALLOC,
    "HashMap from a group key to its accumulator record, or to its one "
@@ -216,10 +207,10 @@ _r("hashmap_agg_group", "map", READ_WRITE,
    "the group of a key, created the first time the key is seen: its "
    "accumulator record, or the accumulator value held in the slot; "
    "attrs: aggs=(kind, ...), laid out by the slots of repro.dsl.aggregates",
-   arity=2, attrs=("aggs",), mutated=0, merge="reduce")
+   arity=2, attrs=("aggs",), mutated=0)
 _r("hashmap_agg_set", "map", WRITE,
    "write a folded accumulator value back into the table slot of its key",
-   arity=3, mutated=0, merge="reduce")
+   arity=3, mutated=0)
 _r("hashmap_agg_foreach", "map", CONTROL,
    "iterate (key, accumulator record or slot value) pairs of an aggregation table",
    arity=1, blocks=(2,), loop=True)
@@ -237,7 +228,7 @@ def held_in_slot(aggs: Sequence[str]) -> bool:
 # ---------------------------------------------------------------------------
 # Sets: a count_distinct accumulator.
 # ---------------------------------------------------------------------------
-_r("set_add", "set", WRITE, "add a value to a set", arity=2, mutated=0, merge="reduce")
+_r("set_add", "set", WRITE, "add a value to a set", arity=2, mutated=0)
 _r("set_size", "set", READ, "the number of values in a set", arity=1, result=INT)
 
 # ---------------------------------------------------------------------------
@@ -261,10 +252,10 @@ _r("dense_agg_group", "dense", READ_WRITE,
    "the group in slot index, created the first time the slot is reached: "
    "its accumulator record, or the accumulator value held in the slot; "
    "attrs: aggs=(kind, ...), laid out by the slots of repro.dsl.aggregates",
-   arity=2, attrs=("aggs",), mutated=0, merge="reduce")
+   arity=2, attrs=("aggs",), mutated=0)
 _r("dense_agg_set", "dense", WRITE,
    "write a folded accumulator value back into slot index",
-   arity=3, mutated=0, merge="reduce")
+   arity=3, mutated=0)
 _r("dense_agg_foreach", "dense", CONTROL,
    "iterate (slot index, accumulator record or slot value) pairs in first-use order",
    arity=1, blocks=(2,), loop=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .context import CompilationContext
 from .language import Language
@@ -47,10 +47,6 @@ class CompilationResult:
     program: object
     language: Language
     phases: List[PhaseResult] = field(default_factory=list)
-    #: per-loop parallel-safety classifications, filled by a verifying
-    #: ``QueryCompiler.lower``: each depth-0 loop of ``program``, stamped
-    #: and re-proved.
-    loop_safety: List[Any] = field(default_factory=list)
 
     @property
     def total_seconds(self) -> float:

@@ -78,10 +78,11 @@ class TextColumn:
 
     def footprint(self) -> int:
         """:meth:`ColumnarTable.footprint` of the decoded column, from the
-        codes (drawn if need be): the ``sys.getsizeof`` of the list
-        :meth:`decode` builds (it appends, as this one does) and one byte a
-        character of every row — its words and one space between two."""
-        codes, ends = self.coded()
+        codes: the ``sys.getsizeof`` of the list :meth:`decode` builds (it
+        appends, as this one does) and one byte a character of every row —
+        its words and one space between two.  Codes nobody has read are
+        drawn for the count and not kept."""
+        codes, ends = self._memo.get("codes") or self.draw()
         lengths = [len(word) for word in self.words]
         rows = sum(1 for start, end in zip(chain((0,), ends), ends) if end > start)
         return (sys.getsizeof([None for _ in ends])
@@ -133,7 +134,7 @@ class ColumnarTable:
         """*Logical* size in bytes, the C layout of the paper's Figure 8:
         8 B a non-string value, one a character of a string, plus each
         column's list.  A text column not yet read is sized from its codes,
-        drawn if need be, and is not decoded."""
+        drawn if need be and not kept, and is not decoded."""
         total = 0
         for values in self.columns.values():
             if type(values) is TextColumn:

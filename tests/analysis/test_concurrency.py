@@ -388,6 +388,13 @@ class TestCommandLine:
         assert main(["no-such-tool"]) == 2
         err = capsys.readouterr().err
         assert "unknown analysis tool" in err
+        assert main(["dataflow"]) == 2
+        assert "'dataflow'" in capsys.readouterr().err
+        main(["--help"])
+        usage = capsys.readouterr().out
+        tools = usage.split("tools:\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split()[0] for line in tools.splitlines()] == \
+            ["verify", "concurrency"]
 
     def test_cli_writes_the_json_artifact(self, tmp_path, capsys):
         from repro.analysis.concurrency.__main__ import main

@@ -3,17 +3,15 @@
 Companion to ``test_mutation_suite.py`` for the dataflow layer: each test
 injects one deliberately-broken pass into a real dblab-5 compilation and
 asserts the verifier rejects it with the *right* check name
-(``parallel-safety`` / ``interval`` / ``nullability`` / ``dataflow``) and
-the offending phase.  These are the seeded violations proving the
-loop-dependence race detector and the interval/nullability audits detect
-miscompiles rather than merely blessing healthy programs.
+(``effects`` / ``interval`` / ``nullability`` / ``dataflow``) and the
+offending phase.  These are the seeded violations proving the
+interval/nullability audits and the transition audits detect miscompiles
+rather than merely blessing healthy programs.
 """
 import pytest
 
 from repro.analysis import VerificationError
-from repro.analysis.dataflow import classify_loops
-from repro.analysis.dataflow.dependence import SAFETY_ATTR
-from repro.analysis.dataflow.framework import use_def
+from repro.analysis.dataflow.framework import LOOP_OPS, use_def
 from repro.analysis.dataflow.lattices import Nullability
 from repro.analysis.dataflow.values import value_facts
 from repro.codegen.compiler import QueryCompiler
@@ -52,32 +50,6 @@ def build_query_cached(name):
 
 
 class TestDataflowMutations:
-    def test_parallelizable_stamp_on_loop_carried_write_rejected(self, tpch_catalog):
-        """A loop the dependence analysis proves sequential (order-dependent
-        array_set into a shared slots array) stamped ``parallelizable``.
-        Only the per-query build loop of a primary-key map in the body is
-        sequential — Q16's filtered supplier and part scans, each writing one
-        row position per key into its slots — and with the catalog access
-        layer on there is no such loop (the slots are the catalog's own
-        index), so this compiles the ``no_access`` mode."""
-
-        def stamp(program, context):
-            for verdict in classify_loops(program):
-                if verdict.parallelizable:
-                    continue
-                for stmt, _ in iter_program_stmts(program):
-                    if stmt.sym.id == verdict.sym_id:
-                        stmt.expr.attrs[SAFETY_ATTR] = "parallelizable"
-                        return _rebuild(program)
-            return program
-
-        with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, stamp, "broken-annotator", "Q16",
-                            catalog_access_layer=False)
-        assert exc.value.check == "parallel-safety"
-        assert exc.value.phase == f"broken-annotator[{LEVEL}]"
-        assert "sequential" in str(exc.value)
-
     def test_interval_widening_rejected(self, tpch_catalog):
         """Folding variant that rewrites a constant operand so the binding's
         inferred interval grows — the transition audit forbids widening."""
@@ -143,15 +115,15 @@ class TestDataflowMutations:
         assert exc.value.phase == f"broken-nullability[{LEVEL}]"
 
     def test_sequential_to_parallel_flip_rejected(self, tpch_catalog):
-        """Retargeting a loop-carried write to a fresh loop-local array flips
-        the classification to parallelizable without removing anything — the
-        loop no longer builds the shared structure it was meant to build."""
+        """Retargeting a loop's write from the shared slots array to a fresh
+        loop-local array removes nothing and reorders nothing — but the loop
+        no longer builds the structure it was meant to build.  Q16's
+        filtered supplier and part scans each write one row position per
+        key into the slots of a primary-key map; with the catalog access
+        layer on the slots are the catalog's own index and no such loop is
+        built, so this compiles the ``no_access`` mode."""
 
         def flip(program, context):
-            sequential = {
-                v.sym_id for v in classify_loops(program)
-                if not v.parallelizable and "order-dependent" in v.reason}
-
             def rewrite(block, inside_target):
                 for i, stmt in enumerate(block.stmts):
                     expr = stmt.expr
@@ -170,7 +142,7 @@ class TestDataflowMutations:
                                          block.params), True
                     for k, nested in enumerate(expr.blocks):
                         new_nested, done = rewrite(
-                            nested, inside_target or stmt.sym.id in sequential)
+                            nested, inside_target or expr.op in LOOP_OPS)
                         if done:
                             blocks = list(expr.blocks)
                             blocks[k] = new_nested
@@ -189,14 +161,11 @@ class TestDataflowMutations:
             return _rebuild(program, hoisted=hoisted) if done else program
 
         with pytest.raises(VerificationError) as exc:
-            # the sequential loop is a per-query primary-key build in the
-            # body, which only the no_access mode emits (see the stamp test
-            # above)
             compile_mutated(tpch_catalog, flip, "broken-retarget", "Q16",
                             catalog_access_layer=False)
-        assert exc.value.check == "parallel-safety"
+        assert exc.value.check == "effects"
         assert exc.value.phase == f"broken-retarget[{LEVEL}]"
-        assert "flipped" in str(exc.value)
+        assert "retargeted" in str(exc.value)
 
     def test_narrow_range_stamp_rejected(self, tpch_catalog):
         """A range stamp the interval analysis does not contain."""

@@ -199,3 +199,31 @@ class TestTransitionAudit:
         before = program_of([keep], keep.sym, [db])
         after = program_of([fresh, keep], keep.sym, [db])
         audit_transition(before, after, phase="scalar-replacement")
+
+    def test_retargeting_a_write_rejected(self):
+        """Straight-line code, no loop: the write survives and keeps its
+        place, but now fills a different object than the one returned."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        other = Stmt(Sym("other"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, Const(1))))
+        retargeted = Stmt(write.sym, Expr("list_append", (other.sym, Const(1))))
+        before = program_of([lst, other, write], lst.sym, [db])
+        after = program_of([lst, other, retargeted], lst.sym, [db])
+        with pytest.raises(VerificationError, match="retargeted") as exc:
+            audit_transition(before, after, phase="broken-retarget")
+        assert exc.value.check == "effects"
+        assert exc.value.phase == "broken-retarget"
+
+    def test_write_through_a_folded_if_is_legal(self):
+        """Folding the ``if_`` that handed the object out points the write at
+        the arm's object: the old target's binding is gone, so it may."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        pick = Stmt(Sym("pick"), Expr("if_", (Const(True),), blocks=(
+            Block([], lst.sym), Block([], lst.sym))))
+        write = Stmt(Sym("w"), Expr("list_append", (pick.sym, Const(1))))
+        folded = Stmt(write.sym, Expr("list_append", (lst.sym, Const(1))))
+        before = program_of([lst, pick, write], lst.sym, [db])
+        after = program_of([lst, folded], lst.sym, [db])
+        audit_transition(before, after, phase="dataflow-folding")

@@ -87,12 +87,3 @@ def test_lower_returns_the_program_compile_unparses(tpch_catalog, config_name):
         assert [p.name for p in lowered.phases] == \
             [p.name for p in compiled.phases]
         assert not hasattr(compiled, "program")
-
-
-def test_verifying_lower_classifies_every_loop(tpch_catalog):
-    config = build_config("dblab-5")
-    lowered = QueryCompiler(config.stack, config.flags, verify=True).lower(
-        build_query("Q3"), tpch_catalog, "Q3")
-    assert lowered.loop_safety
-    assert QueryCompiler(config.stack, config.flags).lower(
-        build_query("Q3"), tpch_catalog, "Q3").loop_safety == []
