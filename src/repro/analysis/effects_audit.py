@@ -230,11 +230,12 @@ def _audit_transition(before: Program, after: Program) -> None:
             continue  # no write before, or its target's binding was removed
         new = _write_target(stmt)
         if not (isinstance(new, Sym) and new.id == old.id):
+            to = "no target" if new is None else getattr(new, "name", repr(new))
             raise _err(
                 f"optimization retargeted the write {stmt.sym.name} "
-                f"({stmt.expr.op}) from {old.name} to "
-                f"{getattr(new, 'name', repr(new))} — a surviving write must keep "
-                "writing the object it wrote before", binding=stmt.sym.name)
+                f"({stmt.expr.op}) from {old.name} to {to} — a surviving "
+                "write must keep writing the object it wrote before",
+                binding=stmt.sym.name)
 
 
 def _write_target(stmt: Optional[Stmt]) -> Optional[Atom]:

@@ -227,3 +227,101 @@ class TestTransitionAudit:
         before = program_of([lst, pick, write], lst.sym, [db])
         after = program_of([lst, folded], lst.sym, [db])
         audit_transition(before, after, phase="dataflow-folding")
+
+    def test_retargeting_a_loop_write_to_a_loop_local_list_rejected(self):
+        """Q16's retarget in miniature: the loop's append now fills a list
+        allocated in the loop body, so the returned list stays empty."""
+        db, i = Sym("db"), Sym("i", INT)
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        local = Stmt(Sym("local"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, i)))
+        moved = Stmt(write.sym, Expr("list_append", (local.sym, i)))
+
+        def loop(body):
+            return Stmt(Sym("loop"), Expr("for_range", (Const(0), Const(9)),
+                                          blocks=(Block(body, params=(i,)),)))
+
+        before = program_of([lst, loop([write])], lst.sym, [db])
+        after = program_of([lst, loop([local, moved])], lst.sym, [db])
+        with pytest.raises(VerificationError, match=r"from lst\d* to local\d* ") as exc:
+            audit_transition(before, after, phase="broken-retarget")
+        assert exc.value.check == "effects"
+
+    def test_retargeting_a_var_write_in_a_while_body_rejected(self):
+        db = Sym("db")
+        flag = Stmt(Sym("flag"), Expr("var_new", (Const(True),)))
+        other = Stmt(Sym("other"), Expr("var_new", (Const(True),)))
+        read = Stmt(Sym("r"), Expr("var_read", (flag.sym,)))
+        write = Stmt(Sym("w"), Expr("var_write", (flag.sym, Const(False))))
+        moved = Stmt(write.sym, Expr("var_write", (other.sym, Const(False))))
+
+        def loop(body):
+            return Stmt(Sym("loop"), Expr("while_", (), blocks=(
+                Block([read], read.sym), Block(body))))
+
+        before = program_of([flag, other, loop([write])], Const(None), [db])
+        after = program_of([flag, other, loop([moved])], Const(None), [db])
+        with pytest.raises(VerificationError, match=r"from flag\d* to other\d* "):
+            audit_transition(before, after, phase="broken-retarget")
+
+    def test_retargeting_a_write_off_a_loop_element_rejected(self):
+        """A loop element has no binding of its own, so a pass can never
+        have removed it: the write must keep filling the element."""
+        db, elem = Sym("db"), Sym("e")
+        lists = Stmt(Sym("lists"), Expr("list_new", ()))
+        fresh = Stmt(Sym("fresh"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (elem, Const(1))))
+        moved = Stmt(write.sym, Expr("list_append", (fresh.sym, Const(1))))
+
+        def loop(body):
+            return Stmt(Sym("loop"), Expr("list_foreach", (lists.sym,),
+                                          blocks=(Block(body, params=(elem,)),)))
+
+        before = program_of([lists, fresh, loop([write])], lists.sym, [db])
+        after = program_of([lists, fresh, loop([moved])], lists.sym, [db])
+        with pytest.raises(VerificationError, match=r"from e\d* to fresh\d* "):
+            audit_transition(before, after, phase="broken-retarget")
+
+    def test_turning_a_write_into_a_read_rejected(self):
+        """The binding survives but no longer writes: the write is gone
+        without its binding being removed, which the removal check misses."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, Const(1))))
+        read = Stmt(write.sym, Expr("list_take", (lst.sym, Const(1))))
+        before = program_of([lst, write], lst.sym, [db])
+        after = program_of([lst, read], lst.sym, [db])
+        with pytest.raises(VerificationError, match=r"from lst\d* to no target "):
+            audit_transition(before, after, phase="broken-retarget")
+
+    def test_retargeting_a_write_to_a_constant_rejected(self):
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, Const(1))))
+        moved = Stmt(write.sym, Expr("list_append", (Const(None), Const(1))))
+        before = program_of([lst, write], lst.sym, [db])
+        after = program_of([lst, moved], lst.sym, [db])
+        with pytest.raises(VerificationError, match=r"from lst\d* to None "):
+            audit_transition(before, after, phase="broken-retarget")
+
+    def test_folding_the_written_value_is_legal(self):
+        """Only the target is pinned: a pass may rewrite what is written."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        value = Stmt(Sym("v", INT), Expr("add", (Const(1), Const(2))))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, value.sym)))
+        folded = Stmt(write.sym, Expr("list_append", (lst.sym, Const(3))))
+        before = program_of([lst, value, write], lst.sym, [db])
+        after = program_of([lst, folded], lst.sym, [db])
+        audit_transition(before, after, phase="dataflow-folding")
+
+    def test_deleting_an_object_with_all_its_writes_is_legal(self):
+        """Nothing read the list, so dropping it and its writes is
+        unobservable — the escape-refined DCE does exactly this."""
+        db = Sym("db")
+        keep = Stmt(Sym("keep", INT), Expr("add", (Const(1), Const(2))))
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        write = Stmt(Sym("w"), Expr("list_append", (lst.sym, Const(1))))
+        before = program_of([keep, lst, write], keep.sym, [db])
+        after = program_of([keep], keep.sym, [db])
+        audit_transition(before, after, phase="dce")

@@ -6,7 +6,7 @@ import repro.analysis
 from repro.analysis.verify import main as verify_main
 from repro.codegen.compiler import QueryCompiler
 from repro.stack.configs import build_config
-from repro.tpch.queries import build_query
+from repro.tpch.queries import QUERY_NAMES, build_query
 
 QUERIES = ("Q1", "Q3", "Q6", "Q10", "Q14", "Q19")
 
@@ -32,6 +32,21 @@ class TestVerifiedCompilation:
             verified = checked.compile(build_query(query_name), tpch_catalog,
                                        query_name=query_name).run(tpch_catalog)
             assert verified == expected, query_name
+
+    @pytest.mark.parametrize("query_name", QUERY_NAMES)
+    def test_no_access_queries_verify_clean_and_match_unverified(
+            self, tpch_catalog, query_name):
+        """With the catalog access layer off every primary-key map is built
+        in the query body, one write per key into a slots array: each pass
+        over those loops must keep every write on the object it wrote."""
+        config = build_config("dblab-5")
+        flags = config.flags.copy_with(catalog_access_layer=False)
+        plan = build_query(query_name)
+        expected = QueryCompiler(config.stack, flags).compile(
+            plan, tpch_catalog, query_name=query_name).run(tpch_catalog)
+        verified = QueryCompiler(config.stack, flags, verify=True).compile(
+            plan, tpch_catalog, query_name=query_name).run(tpch_catalog)
+        assert verified == expected
 
     def test_verify_mode_bypasses_the_query_cache(self, tpch_catalog):
         config = build_config("dblab-5")
