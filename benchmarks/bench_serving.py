@@ -13,9 +13,9 @@ offered concurrency through ``--levels``: at each level it fires
 records per-request wall latency and the typed outcome.  Per level it
 reports queries-per-second, p50/p95/p99 latency over completed requests,
 and the shed counts — the measured shape of the front door's response to
-pressure (AIMD window, queue rejections, deadline drops) as load passes
+pressure (fixed window, queue rejections, deadline drops) as load passes
 capacity.  The final JSON also carries the server's own accounting (queue
-counters, limiter state, incident snapshot), so the artifact reconciles:
+counters, window size, incident snapshot), so the artifact reconciles:
 every submitted request appears exactly once in ``responses_by_status``.
 
 ``--timeout`` attaches a per-request deadline (default: none) to exercise
@@ -88,7 +88,6 @@ async def _bench(args):
     server = QueryServer(
         catalog, queries=registry, warmup=tuple(args.queries),
         max_queue_depth=args.max_queue_depth,
-        initial_concurrency=args.initial_concurrency,
         max_concurrency=args.max_concurrency,
         base_budget=QueryBudget(check_interval=64),
         default_timeout_seconds=args.timeout)
@@ -121,7 +120,6 @@ def main(argv=None) -> int:
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-request deadline in seconds (default: none)")
     parser.add_argument("--max-queue-depth", type=int, default=64)
-    parser.add_argument("--initial-concurrency", type=int, default=4)
     parser.add_argument("--max-concurrency", type=int, default=16)
     parser.add_argument("--scale-factor", type=float,
                         default=float(os.environ.get("REPRO_BENCH_SF", "0.01")),
@@ -150,7 +148,6 @@ def main(argv=None) -> int:
                  "timeout_seconds": args.timeout,
                  "scale_factor": args.scale_factor, "seed": args.seed,
                  "max_queue_depth": args.max_queue_depth,
-                 "initial_concurrency": args.initial_concurrency,
                  "max_concurrency": args.max_concurrency},
         "levels": levels,
         "server": {

@@ -12,9 +12,9 @@ consume:
 * :mod:`.purity` — escape analysis for allocations whose every use is a
   write; lets DCE delete write-only objects together with their writes.
 
-:mod:`.checks` folds the facts back into the verifier: advisory stamps
-(``range``, ``non_null``) are re-proved, and optimization transitions may
-not widen intervals or unwrap branches without a recorded justification.
+:mod:`.checks` folds the facts back into the verifier: optimization
+transitions may not widen intervals or unwrap branches without a recorded
+justification.
 """
 from .framework import AnalysisCache, use_def, walk_backward, walk_forward
 from .lattices import Interval, Nullability, ValueFact

@@ -1,95 +1,22 @@
-"""Verifier cross-checks backed by the dataflow analyses.
+"""Verifier cross-check backed by the dataflow analyses.
 
-Two entry points, mirroring the effect auditor's split:
-
-* :func:`check_stamps` — single-program check: every analysis *claim* a
-  pass stamped into ``Expr.attrs`` (``range``, ``non_null``) must be
-  re-derivable from the analyses.  A stamp the analysis cannot back is a
-  miscompile waiting to be trusted, so it is rejected outright.
-
-* :func:`audit_dataflow_transition` — before/after check of one optimization
-  pass: a pass may never *widen* a binding's inferred interval (a widened
-  interval means the pass changed what the binding computes), and never
-  unwrap a control statement (splice an ``if_`` arm into its parent)
-  without a recorded justification whose claim the analysis re-verifies.
+:func:`audit_dataflow_transition` is a before/after check of one
+optimization pass: a pass may never *widen* a binding's inferred interval (a
+widened interval means the pass changed what the binding computes), and
+never unwrap a control statement (splice an ``if_`` arm into its parent)
+without a recorded justification whose claim the analysis re-verifies.
 """
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Set
 
 from ...ir.nodes import Program, Stmt
-from ...ir.traversal import iter_program_stmts, iter_stmts
+from ...ir.traversal import iter_stmts
 from ..errors import VerificationError
 from .framework import use_def
-from .lattices import Interval, Nullability
 from .values import value_facts
 
-#: attrs carrying analysis claims that check_stamps re-derives
-STAMP_ATTRS = ("range", "non_null")
 
-
-def _has_stamps(program: Program) -> bool:
-    for stmt, _ in iter_program_stmts(program):
-        attrs = stmt.expr.attrs
-        if attrs and any(key in attrs for key in STAMP_ATTRS):
-            return True
-    return False
-
-
-def check_stamps(program: Program, catalog: Optional[Any] = None,
-                 phase: Optional[str] = None) -> None:
-    """Reject analysis stamps the analyses cannot re-derive."""
-    if not _has_stamps(program):
-        return
-    try:
-        _check_stamps(program, catalog)
-    except VerificationError as exc:
-        raise exc.with_phase(phase) if phase else exc from None
-
-
-def _check_stamps(program: Program, catalog: Optional[Any]) -> None:
-    facts = None
-    for stmt, _ in iter_program_stmts(program):
-        attrs = stmt.expr.attrs
-        if not attrs:
-            continue
-        claimed_range = attrs.get("range")
-        if claimed_range is not None:
-            if facts is None:
-                facts = value_facts(program, catalog)
-            _check_range_stamp(stmt, claimed_range, facts)
-        if attrs.get("non_null"):
-            if facts is None:
-                facts = value_facts(program, catalog)
-            if facts.fact_of(stmt.sym.id).nullability is not Nullability.NON_NULL:
-                raise VerificationError(
-                    f"binding {stmt.sym.name} ({stmt.expr.op}) is stamped "
-                    "non_null but the nullability analysis cannot prove it "
-                    "never holds NULL", check="nullability",
-                    binding=stmt.sym.name)
-
-
-def _check_range_stamp(stmt: Stmt, claimed_range: Any, facts: Any) -> None:
-    try:
-        low, high = claimed_range
-    except (TypeError, ValueError):
-        raise VerificationError(
-            f"binding {stmt.sym.name} carries a malformed range stamp "
-            f"{claimed_range!r} (expected a (lo, hi) pair)",
-            check="interval", binding=stmt.sym.name) from None
-    claimed = Interval(low, high)
-    computed = facts.fact_of(stmt.sym.id).interval
-    if not computed.leq(claimed):
-        raise VerificationError(
-            f"binding {stmt.sym.name} ({stmt.expr.op}) is stamped with range "
-            f"{claimed} but the interval analysis infers {computed}, which "
-            "the stamp does not contain", check="interval",
-            binding=stmt.sym.name)
-
-
-# ---------------------------------------------------------------------------
-# Before/after transition audit
-# ---------------------------------------------------------------------------
 def audit_dataflow_transition(before: Program, after: Program,
                               catalog: Optional[Any] = None,
                               justifications: Optional[Mapping[int, str]] = None,

@@ -10,7 +10,7 @@ The interesting facts come from the catalog: a scan's ``array_get`` over a
 ``table_column`` is seeded from the column's load-time statistics (min/max
 feeding the interval, the null count feeding nullability), dictionary code
 columns from the dictionary size.  Those seeds are what the dataflow folding
-pass and the verifier's stamp checks consume.  (A read of an
+pass and the verifier's transition audit consume.  (A read of an
 ``access_partition`` slot — how a compiled ``IndexJoin`` reaches the
 unique-key index — is an ``array_get`` of no known column: its fact is top.)
 """

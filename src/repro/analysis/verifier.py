@@ -12,7 +12,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from ..ir.nodes import Program
 from .codelint import lint_source
-from .dataflow.checks import audit_dataflow_transition, check_stamps
+from .dataflow.checks import audit_dataflow_transition
 from .effects_audit import audit_effects, audit_transition
 from .errors import VerificationError
 from .scope import check_scopes
@@ -57,7 +57,6 @@ def verify_program(program: Program, *, language: Any = None,
         check_scopes(program)
         check_types(program, catalog)
         audit_effects(program)
-        check_stamps(program, catalog=catalog)
     except VerificationError as exc:
         raise _attributed(exc, phase) from None
     if language is not None and getattr(language, "kind", "anf") == "anf":

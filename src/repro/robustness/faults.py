@@ -37,8 +37,8 @@ site                             planted in
 ===============================  ================================================
 
 The three ``server.*`` sites drive the overload chaos suite: a stalled
-dispatcher burns queued requests' deadlines, a slow executor holds admission
-slots (pushing the AIMD limiter down), and deadline skew admits queries with
+dispatcher burns queued requests' deadlines, a slow executor holds window
+slots (so requests wait in the queue), and deadline skew admits queries with
 a tighter budget than their real remaining deadline.
 
 :class:`FaultPlan` is lock-guarded: the serving layer hits fault points from

@@ -4,11 +4,11 @@
 the PR-6 :class:`~repro.robustness.fallback.HardenedExecutor` on a thread
 pool, and refuses to melt down when demand exceeds capacity:
 
-* **Admission control** — a bounded priority queue
-  (:class:`~repro.server.admission.AdmissionController`) with an AIMD
-  concurrency window (:class:`~repro.server.admission.AdaptiveLimiter`).
-  Requests beyond the queue bound get a typed ``overloaded`` response
-  immediately; nothing queues without bound.
+* **Admission control** — a bounded FIFO queue
+  (:class:`~repro.server.admission.AdmissionController`) in front of a
+  fixed window of ``max_concurrency`` executing requests.  Requests beyond
+  the queue bound get a typed ``overloaded`` response immediately; nothing
+  queues without bound.
 * **Deadline propagation** — each request carries an absolute deadline.
   Whatever deadline is left when execution starts becomes the
   :class:`~repro.robustness.governor.QueryBudget` timeout handed to the
@@ -36,7 +36,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..dsl import qplan as Q
 from ..robustness.fallback import HardenedExecutor, LadderExhausted
@@ -47,7 +47,7 @@ from ..storage.access import AccessLayer
 from ..storage.catalog import Catalog
 from ..storage.derived import COMPILED
 from ..storage.loader import warm_access_paths
-from .admission import AdaptiveLimiter, AdmissionController, AdmittedRequest
+from .admission import AdmissionController, AdmittedRequest
 from .responses import (STATUS_FAILED, STATUS_OK, DeadlineExceeded,
                         Overloaded, QueryResponse, Rejection)
 
@@ -68,12 +68,11 @@ class QueryServer:
                  queries: Optional[Mapping[str, Q.Operator]] = None,
                  warmup: Sequence[str] = (),
                  max_queue_depth: int = 64,
-                 initial_concurrency: int = 4,
-                 min_concurrency: int = 1,
                  max_concurrency: int = 32,
                  default_timeout_seconds: Optional[float] = None,
-                 base_budget: Optional[QueryBudget] = None,
-                 worker_threads: Optional[int] = None) -> None:
+                 base_budget: Optional[QueryBudget] = None) -> None:
+        if max_concurrency < 1:
+            raise ValueError("max_concurrency must be >= 1")
         self.catalog = catalog
         self.executor = executor if executor is not None else \
             HardenedExecutor(catalog, incidents=IncidentLog())
@@ -89,12 +88,8 @@ class QueryServer:
         self._clock = time.monotonic
         # concurrency: synchronized
         self._admission = AdmissionController(max_queue_depth, clock=self._clock)
-        # concurrency: synchronized
-        self._limiter = AdaptiveLimiter(initial=initial_concurrency,
-                                        min_limit=min_concurrency,
-                                        max_limit=max_concurrency)
-        self._worker_threads = worker_threads if worker_threads is not None \
-            else max_concurrency
+        #: at most this many requests execute at once; it also sizes the pool
+        self.max_concurrency = max_concurrency
         # concurrency: confined(event-loop): lifecycle transitions happen on the loop
         self._state = "new"
         # concurrency: confined(event-loop): bound once by start(), on the loop
@@ -135,7 +130,7 @@ class QueryServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._pool = ThreadPoolExecutor(
-            max_workers=self._worker_threads,
+            max_workers=self.max_concurrency,
             thread_name_prefix="repro-serving")
         await self._loop.run_in_executor(self._pool, self._warm_up)
         self._dispatcher = self._loop.create_task(self._dispatch_loop())
@@ -220,14 +215,14 @@ class QueryServer:
                 "warmed_queries": len(self._warmup_report)}
 
     def stats(self) -> dict:
-        """The stats endpoint: queue, limiter, incident counters (via
+        """The stats endpoint: queue, window, incident counters (via
         :meth:`IncidentLog.snapshot` — the ring is not drained)."""
         return {
             "state": self._state,
             "in_flight": self._in_flight,
             "pending": self._pending,
             "queue": self._admission.snapshot(),
-            "limiter": self._limiter.snapshot(),
+            "limiter": {"limit": self.max_concurrency},
             "responses_by_status": dict(self._responses_by_status),
             "warm_plans": AccessLayer.for_catalog(self.catalog).derived.entry_count(
                 COMPILED),
@@ -239,14 +234,13 @@ class QueryServer:
     # Submission
     # ------------------------------------------------------------------
     async def submit(self, plan, query_name: Optional[str] = None, *,
-                     timeout_seconds: Optional[float] = None,
-                     priority: int = 0) -> QueryResponse:
+                     timeout_seconds: Optional[float] = None) -> QueryResponse:
         """Submit one query; resolves to exactly one typed response.
 
         ``plan`` is a QPlan operator tree, or the name of a registered query
         (the ``queries`` mapping given at construction).  ``timeout_seconds``
         (default: the server's ``default_timeout_seconds``) becomes the
-        request deadline; lower ``priority`` values dispatch first.
+        request deadline; requests dispatch in arrival order.
         """
         if isinstance(plan, str):
             query_name = plan if query_name is None else query_name
@@ -270,8 +264,7 @@ class QueryServer:
             else self.default_timeout_seconds
         deadline = None if timeout is None else self._clock() + timeout
         try:
-            request = self._admission.offer(name, plan, priority=priority,
-                                            deadline=deadline)
+            request = self._admission.offer(name, plan, deadline=deadline)
         except Rejection as error:
             category = "deadline_expired" \
                 if isinstance(error, DeadlineExceeded) else "admission_reject"
@@ -300,7 +293,7 @@ class QueryServer:
         while True:
             await wake.wait()
             wake.clear()
-            while self._in_flight < self._limiter.limit:
+            while self._in_flight < self.max_concurrency:
                 request = self._admission.pop()
                 if request is None:
                     break
@@ -323,7 +316,6 @@ class QueryServer:
                         error_type="DeadlineExceeded",
                         message="deadline expired while queued",
                         queue_seconds=self._clock() - request.enqueued_at))
-                    self._limiter.on_overload()
                     continue
                 self._in_flight += 1
                 loop.create_task(self._run_request(request))
@@ -344,10 +336,6 @@ class QueryServer:
             self._in_flight -= 1
             if self._wake is not None:
                 self._wake.set()
-        if response.status == STATUS_OK:
-            self._limiter.on_success()
-        elif response.status == DeadlineExceeded.status:
-            self._limiter.on_overload()
         self._resolve(request, response)
 
     # concurrency: runs-on(event-loop)
@@ -446,27 +434,3 @@ class QueryServer:
             else min(base.timeout_seconds, remaining)
         return replace(base, timeout_seconds=timeout)
 
-
-async def serve_one_shot(
-        catalog: Catalog, requests: Iterable[Any],
-        **server_kwargs: Any) -> Tuple[List[QueryResponse], "QueryServer"]:
-    """Convenience: start a server, run ``requests``, drain, return responses.
-
-    ``requests`` is an iterable of ``(plan_or_name, query_name, kwargs)``
-    triples or bare plans/names; used by the benchmark harness and handy in
-    tests.  All requests are submitted concurrently.
-    """
-    server = QueryServer(catalog, **server_kwargs)
-    await server.start()
-    tasks = []
-    for entry in requests:
-        if isinstance(entry, tuple):
-            plan, name, kwargs = entry
-            tasks.append(server.submit(plan, name, **kwargs))
-        else:
-            tasks.append(server.submit(entry))
-    try:
-        responses = await asyncio.gather(*tasks)
-    finally:
-        await server.drain()
-    return responses, server

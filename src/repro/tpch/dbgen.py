@@ -96,16 +96,17 @@ _CALENDAR = [dates.add_days(START_DATE, day) for day in range(_TOTAL_DAYS + 1)]
 _QUANTITIES = [float(quantity) for quantity in range(51)]
 _HUNDREDTHS = [percent / 100.0 for percent in range(11)]
 
-# Word-list sizes and the bit widths ``Random.choice`` draws them with.
-_N_ADJECTIVES, _N_NOUNS, _N_VERBS = len(ADJECTIVES), len(NOUNS), len(VERBS)
-_K_ADJECTIVES, _K_NOUNS, _K_VERBS = (_N_ADJECTIVES.bit_length(), _N_NOUNS.bit_length(),
-                                     _N_VERBS.bit_length())
+# Each word list as (its first code in VOCABULARY, its size, the bit width
+# ``Random.choice`` draws an index into it with).
+_N_ADJECTIVES = len(ADJECTIVES)
+_WORD_LISTS = ((0, _N_ADJECTIVES, _N_ADJECTIVES.bit_length()),
+               (_N_ADJECTIVES, len(NOUNS), len(NOUNS).bit_length()),
+               (_N_ADJECTIVES + len(NOUNS), len(VERBS), len(VERBS).bit_length()))
 
 #: the words every text column is written in: a text holds one code (an
 #: index here) per word; the last three are the markers Q16 and Q13 look for
 VOCABULARY = tuple(ADJECTIVES + NOUNS + VERBS
                    + ["Customer", "Complaints", "special packages requests"])
-_NOUN_CODE, _VERB_CODE = _N_ADJECTIVES, _N_ADJECTIVES + _N_NOUNS
 _CUSTOMER, _COMPLAINTS, _SPECIAL_REQUESTS = range(len(VOCABULARY) - 3, len(VOCABULARY))
 
 
@@ -134,9 +135,9 @@ def draw_texts(rng: random.Random, rows: int, min_words: int, max_words: int,
     of every row: :class:`TextColumn`'s format.  ``marker(rng, below, codes,
     start, count)`` may add a marker to a row of ``count`` words at ``start``.
 
-    Every word draws an adjective, a noun and a verb and then picks one of
-    the three — four draws a word — so the ``below`` loop is written out with
-    the widths of the word lists precomputed.
+    Every word picks one of the three word lists and then one word of that
+    list — two draws a word — so the ``below`` loop is written out with the
+    widths of the word lists precomputed.
     """
     getrandbits = rng.getrandbits
     below = draw_below(getrandbits)
@@ -146,20 +147,14 @@ def draw_texts(rng: random.Random, rows: int, min_words: int, max_words: int,
         start = len(codes)
         count = min_words + below(max_words - min_words + 1)
         for _ in range(count):
-            adjective = getrandbits(_K_ADJECTIVES)
-            while adjective >= _N_ADJECTIVES:
-                adjective = getrandbits(_K_ADJECTIVES)
-            noun = getrandbits(_K_NOUNS)
-            while noun >= _N_NOUNS:
-                noun = getrandbits(_K_NOUNS)
-            verb = getrandbits(_K_VERBS)
-            while verb >= _N_VERBS:
-                verb = getrandbits(_K_VERBS)
             pick = getrandbits(2)
             while pick >= 3:
                 pick = getrandbits(2)
-            append(adjective if pick == 0
-                   else _NOUN_CODE + noun if pick == 1 else _VERB_CODE + verb)
+            first, size, width = _WORD_LISTS[pick]
+            word = getrandbits(width)
+            while word >= size:
+                word = getrandbits(width)
+            append(first + word)
         if marker is not None:
             marker(rng, below, codes, start, count)
         ends.append(len(codes))

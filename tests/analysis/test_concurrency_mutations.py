@@ -127,18 +127,18 @@ class TestSeededMutations:
             """            response = self._execute(request, queue_seconds)""")
         assert matching(report, "async-blocking", "QueryServer._run_request")
 
-    def test_limiter_counter_moved_outside_the_lock(self):
-        """``successes`` bumped before acquiring the limiter lock →
+    def test_admission_counter_moved_outside_the_lock(self):
+        """``accepted`` bumped after leaving the admission lock →
         unguarded-access."""
         report = mutate(
             ADMISSION,
-            """        with self._lock:
-            self.successes += 1
-            self._limit = min(""",
-            """        self.successes += 1
-        with self._lock:
-            self._limit = min(""")
-        assert matching(report, "unguarded-access", "successes")
+            """            self._queue.append(request)
+            self.accepted += 1
+            return request""",
+            """            self._queue.append(request)
+        self.accepted += 1
+        return request""")
+        assert matching(report, "unguarded-access", "accepted")
 
     def test_stripped_guarded_by_decorator_on_cache_pruning(self):
         """Deleting ``@guarded_by("_lock")`` from ``DerivedCache._trim``

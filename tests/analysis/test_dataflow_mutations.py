@@ -3,16 +3,14 @@
 Companion to ``test_mutation_suite.py`` for the dataflow layer: each test
 injects one deliberately-broken pass into a real dblab-5 compilation and
 asserts the verifier rejects it with the *right* check name
-(``effects`` / ``interval`` / ``nullability`` / ``dataflow``) and the
-offending phase.  These are the seeded violations proving the
-interval/nullability audits and the transition audits detect miscompiles
+(``effects`` / ``interval`` / ``dataflow``) and the offending phase.  These
+are the seeded violations proving the transition audits detect miscompiles
 rather than merely blessing healthy programs.
 """
 import pytest
 
 from repro.analysis import VerificationError
 from repro.analysis.dataflow.framework import LOOP_OPS, use_def
-from repro.analysis.dataflow.lattices import Nullability
 from repro.analysis.dataflow.values import value_facts
 from repro.codegen.compiler import QueryCompiler
 from repro.ir import make_program
@@ -95,25 +93,6 @@ class TestDataflowMutations:
         assert exc.value.phase == f"broken-folding[{LEVEL}]"
         assert "widened" in str(exc.value)
 
-    def test_nullability_stamp_rejected(self, tpch_catalog):
-        """A binding the analysis cannot prove non-null stamped ``non_null``."""
-
-        def stamp(program, context):
-            facts = value_facts(program, context.catalog)
-            for stmt, _ in iter_program_stmts(program):
-                if stmt.expr.blocks:
-                    continue
-                fact = facts.fact_of(stmt.sym.id)
-                if fact.nullability is not Nullability.NON_NULL:
-                    stmt.expr.attrs["non_null"] = True
-                    return _rebuild(program)
-            return program
-
-        with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, stamp, "broken-nullability", "Q1")
-        assert exc.value.check == "nullability"
-        assert exc.value.phase == f"broken-nullability[{LEVEL}]"
-
     def test_sequential_to_parallel_flip_rejected(self, tpch_catalog):
         """Retargeting a loop's write from the shared slots array to a fresh
         loop-local array removes nothing and reorders nothing — but the loop
@@ -166,27 +145,6 @@ class TestDataflowMutations:
         assert exc.value.check == "effects"
         assert exc.value.phase == f"broken-retarget[{LEVEL}]"
         assert "retargeted" in str(exc.value)
-
-    def test_narrow_range_stamp_rejected(self, tpch_catalog):
-        """A range stamp the interval analysis does not contain."""
-        from repro.analysis.dataflow.lattices import Interval
-
-        def stamp(program, context):
-            facts = value_facts(program, context.catalog)
-            claimed = Interval(0, 0)
-            for stmt, _ in iter_program_stmts(program):
-                if stmt.expr.blocks:
-                    continue
-                if not facts.fact_of(stmt.sym.id).interval.leq(claimed):
-                    stmt.expr.attrs["range"] = (0, 0)
-                    return _rebuild(program)
-            return program
-
-        with pytest.raises(VerificationError) as exc:
-            compile_mutated(tpch_catalog, stamp, "broken-range", "Q1")
-        assert exc.value.check == "interval"
-        assert exc.value.phase == f"broken-range[{LEVEL}]"
-        assert "does not contain" in str(exc.value)
 
     def test_unjustified_branch_unwrap_rejected(self, tpch_catalog):
         """Splicing an if_ arm into the parent without recording the

@@ -26,7 +26,7 @@ class TestWarmVersusDrain:
         """Monitor threads call ``stats()`` throughout a submission storm
         and the drain; every snapshot must be internally consistent and
         every submission must resolve to a typed response."""
-        server = QueryServer(tiny_catalog, worker_threads=4)
+        server = QueryServer(tiny_catalog, max_concurrency=4)
         stop = threading.Event()
         snapshots = []
         errors = []
@@ -74,7 +74,7 @@ class TestWarmVersusDrain:
     def test_drain_after_storm_leaves_no_orphans(self, tiny_catalog):
         """Submissions racing ``drain()`` either execute or get a typed
         rejection; nothing hangs and the pool shuts down."""
-        server = QueryServer(tiny_catalog, worker_threads=2)
+        server = QueryServer(tiny_catalog, max_concurrency=2)
 
         async def scenario():
             await server.start()

@@ -14,9 +14,9 @@ from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.volcano import VolcanoEngine
-from repro.robustness.faults import FaultPlan, FaultSpec, inject
+from repro.robustness.faults import EngineFault, FaultPlan, FaultSpec, inject
 from repro.robustness.governor import QueryBudget
-from repro.server import QueryServer, serve_one_shot
+from repro.server import QueryServer
 from repro.server.admission import AdmittedRequest
 from repro.tpch.dbgen import generate_catalog
 from repro.tpch.queries import build_query
@@ -130,8 +130,7 @@ class TestLifecycle:
     def test_timed_drain_sheds_queued_requests_with_no_orphans(
             self, tiny_catalog):
         async def scenario():
-            server = QueryServer(tiny_catalog, initial_concurrency=1,
-                                 max_concurrency=1)
+            server = QueryServer(tiny_catalog, max_concurrency=1)
             await server.start()
             faults = FaultPlan([FaultSpec(site="server.executor_slow",
                                           value=0.3, fires_on=(1,))])
@@ -230,8 +229,9 @@ class TestDeadlinePropagation:
         assert response.status == "deadline_exceeded"
         assert response.reason == "budget_timeout"
         assert response.detail["stats"]["rows_processed"] >= 1
-        assert server.incidents.count("budget_trip") >= 1
-        assert server.stats()["limiter"]["overloads"] >= 1
+        trip = server.incidents.last("budget_trip")
+        assert (trip.query, trip.cause) == ("bt", "budget:timeout")
+        assert server.stats()["responses_by_status"] == {"deadline_exceeded": 1}
 
     def test_request_deadline_tightens_the_base_budget(self, tiny_catalog):
         server = QueryServer(tiny_catalog,
@@ -271,7 +271,7 @@ class TestLoadShedding:
             compiled tier answers.  Returns the compile-cache misses."""
             misses = QueryCompiler.cache_stats.misses
             response = server._execute(AdmittedRequest(
-                name=name, plan=queries[name], priority=0, deadline=None,
+                name=name, plan=queries[name], deadline=None,
                 enqueued_at=0.0), 0.0)
             assert response.ok and response.tier == "compiled"
             assert response.tier_policy == "full"
@@ -316,7 +316,7 @@ class TestLoadShedding:
 
         async def scenario():
             server = QueryServer(tiny_catalog, max_queue_depth=8,
-                                 initial_concurrency=1, max_concurrency=1)
+                                 max_concurrency=1)
             await server.start()
             submits = [server.submit(plan_s, f"s{n}") for n in range(4)] + \
                       [server.submit(plan_r, f"r{n}") for n in range(3)] + \
@@ -347,11 +347,129 @@ class TestLoadShedding:
             {"admission_reject": 2}
 
 
-class TestServeOneShot:
-    def test_runs_and_drains(self, tiny_catalog):
-        plan = _scan_plan()
-        responses, server = _run(serve_one_shot(
-            tiny_catalog, [(plan, f"q{n}", {}) for n in range(4)]))
+
+async def _peak_in_flight(server, submits):
+    """Run ``submits`` concurrently, sampling ``in_flight`` on the loop;
+    returns the largest sample and the responses."""
+    gathered = asyncio.gather(*submits)
+    peak = 0
+    while not gathered.done():
+        peak = max(peak, server.stats()["in_flight"])
+        await asyncio.sleep(0.002)
+    return peak, await gathered
+
+
+def _slow_storm():
+    return FaultSpec(site="server.executor_slow", value=0.05, fires_on=None)
+
+
+class TestFixedWindow:
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_peak_in_flight_is_the_window(self, tiny_catalog, window):
+        """Slow workers hold every slot: exactly ``window`` requests run at
+        once and the rest wait in the queue."""
+        async def scenario():
+            server = QueryServer(tiny_catalog, max_concurrency=window)
+            await server.start()
+            with inject(FaultPlan([_slow_storm()])):
+                peak, responses = await _peak_in_flight(server, [
+                    server.submit(_scan_plan(), f"q{n}")
+                    for n in range(3 * window)])
+                await server.drain()
+            return peak, responses
+
+        peak, responses = _run(scenario())
+        assert peak == window
         assert all(response.ok for response in responses)
-        assert server.state == "stopped"
-        assert sum(server.stats()["responses_by_status"].values()) == 4
+        # the last wave queued behind two full waves of slow workers
+        assert max(r.queue_seconds for r in responses) >= 2 * 0.05 * 0.9
+
+    @pytest.mark.parametrize("reason", ["expired_in_queue",
+                                        "expired_before_execute",
+                                        "budget_timeout", "ladder_exhausted"])
+    def test_window_unchanged_after_a_missed_or_failed_request(
+            self, tiny_catalog, reason):
+        """Whatever a request ends in, the next burst still runs the full
+        window: no outcome shrinks it."""
+        provoke = {
+            "expired_in_queue": (
+                [FaultSpec(site="server.queue_stall", value=0.05)],
+                {"timeout_seconds": 0.01}, None),
+            "expired_before_execute": (
+                [FaultSpec(site="server.deadline_skew", value=100.0)],
+                {"timeout_seconds": 5.0}, None),
+            "budget_timeout": (
+                [], {}, QueryBudget(timeout_seconds=0.0, check_interval=1)),
+            "ladder_exhausted": (
+                [FaultSpec(site=site, error=EngineFault, fires_on=None)
+                 for site in ("engine.compiled.run", "engine.vectorized.batch",
+                              "engine.volcano.operator")],
+                {}, None),
+        }
+        specs, submit_kwargs, base_budget = provoke[reason]
+
+        async def scenario():
+            server = QueryServer(tiny_catalog, max_concurrency=2,
+                                 base_budget=base_budget)
+            await server.start()
+            with inject(FaultPlan(specs)):
+                first = await server.submit(_scan_plan(), "first",
+                                            **submit_kwargs)
+            with inject(FaultPlan([_slow_storm()])):
+                peak, _ = await _peak_in_flight(server, [
+                    server.submit(_scan_plan(), f"q{n}") for n in range(6)])
+                await server.drain()
+            return server, first, peak
+
+        server, first, peak = _run(scenario())
+        assert first.reason == reason
+        assert first.rows is None
+        assert peak == 2
+        assert server.stats()["limiter"] == {"limit": 2}
+
+    def test_dispatch_is_fifo_across_deadlines(self, tiny_catalog):
+        """A nearer deadline does not jump the queue: with a window of one,
+        requests run, and finish, in the order they arrived."""
+        finished = []
+
+        async def scenario():
+            server = QueryServer(tiny_catalog, max_concurrency=1)
+            await server.start()
+
+            async def tracked(name, timeout):
+                response = await server.submit(_scan_plan(), name,
+                                               timeout_seconds=timeout)
+                finished.append(name)
+                return response
+
+            responses = await asyncio.gather(
+                tracked("late", 30.0), tracked("soon", 5.0),
+                tracked("none", None), tracked("mid", 10.0))
+            await server.drain()
+            return responses
+
+        responses = _run(scenario())
+        assert all(response.ok for response in responses)
+        assert finished == ["late", "soon", "none", "mid"]
+        waits = [response.queue_seconds for response in responses]
+        assert waits == sorted(waits)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_is_rejected(self, tiny_catalog, window):
+        with pytest.raises(ValueError, match="max_concurrency"):
+            QueryServer(tiny_catalog, max_concurrency=window)
+
+    @pytest.mark.parametrize("kwargs, window", [
+        ({"max_concurrency": 1}, 1), ({"max_concurrency": 4}, 4), ({}, 32)])
+    def test_stats_report_the_window(self, tiny_catalog, kwargs, window):
+        """``stats()["limiter"]["limit"]`` is the fixed window, before
+        start and after drain alike."""
+        async def scenario():
+            server = QueryServer(tiny_catalog, **kwargs)
+            before = server.stats()["limiter"]["limit"]
+            await server.start()
+            await server.submit(_scan_plan(), "q")
+            await server.drain()
+            return before, server.stats()["limiter"]["limit"]
+
+        assert _run(scenario()) == (window, window)

@@ -200,11 +200,11 @@ class TestTextColumnDecoding:
                 if type(values) is TextColumn}
         assert ("lineitem", "l_comment") in text and len(text) == 10
         assert not any(catalog.table(name).columns[column]._memo for name, column in text)
-        assert catalog.memory_footprint() == 2_178_169
+        assert catalog.memory_footprint() == 2_178_143
         assert not any(catalog.table(name).columns[column]._memo for name, column in text)
         for name, column in text:
             catalog.column(name, column)
-        assert catalog.memory_footprint() == 2_178_169
+        assert catalog.memory_footprint() == 2_178_143
 
     def test_racing_first_reads_agree(self):
         """Every reader of a column never drawn draws and decodes, or finds

@@ -153,8 +153,8 @@ class TestCatalog:
         assert catalog.memory_footprint() == lists + logical_bytes > 0
 
     def test_memory_footprint_of_a_tpch_catalog(self, tpch_catalog):
-        """``storage.catalog_bytes`` at sf 0.001 (pinned when each text
-        column got its own seed stream).  Sizing string-ness per value, not
+        """``storage.catalog_bytes`` at sf 0.001 (pinned when a text word
+        became two draws, a word list and then one word of it).  Sizing string-ness per value, not
         by a column's first value, gives the same integer: TPC-H has no
         NULLs."""
-        assert tpch_catalog.memory_footprint() == 2_178_169
+        assert tpch_catalog.memory_footprint() == 2_178_143

@@ -50,8 +50,7 @@ def reference_text(rng, min_words=4, max_words=10, inject="",
     """``draw_texts``'s row as it was written over ``random.Random``."""
     words = []
     for _ in range(rng.randint(min_words, max_words)):
-        words.append(rng.choice([rng.choice(ADJECTIVES), rng.choice(NOUNS),
-                                 rng.choice(VERBS)]))
+        words.append(rng.choice(rng.choice([ADJECTIVES, NOUNS, VERBS])))
     if inject and rng.random() < inject_probability:
         words.insert(rng.randint(0, len(words)), inject)
     return " ".join(words)
