@@ -25,12 +25,25 @@ decoded, by its first reader, and set-up draws no word: a comment no query
 reads (``l_comment``, ``ps_comment``, ``p_comment``, ``r_comment``,
 ``n_comment``) is never drawn, and reading text columns in any order changes
 no column.
+
+The main stream is drawn as ``random.Random``'s ``randrange`` / ``randint`` /
+``choice`` / ``sample`` / ``uniform`` draw it, written out over
+``getrandbits`` the way :func:`draw_texts` is: ``below(n)`` is the rejection
+loop of ``Random._randbelow``, its width ``n.bit_length()`` (2 bits for
+``n = 2``) worked out once, and a call for at most 32 bits consumes exactly
+one 32-bit word of the Mersenne Twister.  So every value and the generator
+state afterwards are the standard library's.  A line's ``l_extendedprice``
+is ``quantity * cents / 100.0`` with the part's ``p_retailprice`` in integer
+cents, which is ``round(quantity * p_retailprice, 2)`` bit for bit: the
+exact product has two decimals, and an exact integer divided by ``100.0`` is
+the double nearest that two-decimal number, which is what ``round`` returns
+too.  ``o_totalprice`` keeps its ``round``: its six-decimal products can tie.
 """
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import dates
 from ..storage.catalog import Catalog
@@ -173,6 +186,61 @@ def _special_requests(rng, below, codes, start, count) -> None:
         codes.insert(start + below(count + 1), _SPECIAL_REQUESTS)
 
 
+def draw_sample(getrandbits, population: Sequence, k: int) -> list:
+    """``Random.sample(population, k)`` for ``k <= 5``, written out over
+    ``getrandbits`` as ``draw_below`` is: the same items with the same draws,
+    so the generator state afterwards is the same too.
+
+    Like ``sample``, it deals from a copy of a population no larger than a
+    small set (21 slots while ``k <= 5``), and otherwise redraws an index it
+    has already picked.
+    """
+    n = len(population)
+    if not 0 <= k <= min(n, 5):
+        raise ValueError(f"draw_sample draws 0 to 5 of {n} items, not {k}")
+    if n <= 21:
+        pool, picked = list(population), []
+        for left in range(n, n - k, -1):
+            width = left.bit_length()
+            index = getrandbits(width)
+            while index >= left:
+                index = getrandbits(width)
+            picked.append(pool[index])
+            pool[index] = pool[left - 1]
+        return picked
+    width = n.bit_length()
+    indices: List[int] = []
+    for _ in range(k):
+        index = getrandbits(width)
+        while index >= n or index in indices:
+            index = getrandbits(width)
+        indices.append(index)
+    return [population[index] for index in indices]
+
+
+def _choose_words(getrandbits, word_lists) -> str:
+    """One ``choice`` from each of ``word_lists`` (``(words, size, bit
+    width)`` triples), joined by spaces."""
+    chosen = []
+    for words, size, width in word_lists:
+        index = getrandbits(width)
+        while index >= size:
+            index = getrandbits(width)
+        chosen.append(words[index])
+    return " ".join(chosen)
+
+
+_TYPE_SYLLABLES = tuple((words, len(words), len(words).bit_length()) for words
+                        in (TYPE_SYLLABLE_1, TYPE_SYLLABLE_2, TYPE_SYLLABLE_3))
+_CONTAINER_SYLLABLES = tuple((words, len(words), len(words).bit_length()) for words
+                             in (CONTAINER_SYLLABLE_1, CONTAINER_SYLLABLE_2))
+
+
+def _retail_cents(partkey: int) -> int:
+    """``p_retailprice`` of part ``partkey`` in whole cents."""
+    return 90000 + ((partkey // 10) % 20001) + 100 * (partkey % 1000)
+
+
 #: TPC-H base cardinalities at scale factor 1.
 BASE_CARDINALITIES = {
     "supplier": 10_000,
@@ -193,7 +261,6 @@ class TpchGenerator:
         self.scale_factor = scale_factor
         self.seed = seed
         self._rng = random.Random(seed)
-        self._below = draw_below(self._rng.getrandbits)
 
     # ------------------------------------------------------------------
     # Public API
@@ -210,7 +277,7 @@ class TpchGenerator:
         tables["partsupp"] = self._gen_partsupp(tables["part"], tables["supplier"])
         tables["customer"] = self._gen_customer()
         tables["orders"], tables["lineitem"] = self._gen_orders_and_lineitems(
-            tables["customer"], tables["part"], tables["supplier"], tables["partsupp"])
+            tables["customer"], tables["part"], tables["supplier"])
         for name in ("region", "nation", "supplier", "customer", "part",
                      "partsupp", "orders", "lineitem"):
             # the loader's path: one place computes statistics and tells the
@@ -235,10 +302,17 @@ class TpchGenerator:
             random.Random(stream), rows, min_words, max_words, marker))
 
     def _phone(self, nation_key: int) -> str:
-        below = self._below
-        country = 10 + nation_key
-        return (f"{country}-{100 + below(900)}"
-                f"-{100 + below(900)}-{1000 + below(9000)}")
+        getrandbits = self._rng.getrandbits
+        exchange = getrandbits(10)                      # randint(100, 999)
+        while exchange >= 900:
+            exchange = getrandbits(10)
+        number = getrandbits(10)                        # randint(100, 999)
+        while number >= 900:
+            number = getrandbits(10)
+        line = getrandbits(14)                          # randint(1000, 9999)
+        while line >= 9000:
+            line = getrandbits(14)
+        return f"{10 + nation_key}-{100 + exchange}-{100 + number}-{1000 + line}"
 
     # ------------------------------------------------------------------
     # Table generators
@@ -259,93 +333,121 @@ class TpchGenerator:
         }
 
     def _gen_supplier(self) -> Dict[str, List]:
-        rng = self._rng
+        getrandbits, random_ = self._rng.getrandbits, self._rng.random
         n = self._count("supplier")
         columns: Dict[str, List] = {name: [] for name in
                                     ("s_suppkey", "s_name", "s_nationkey",
                                      "s_phone", "s_acctbal")}
         for key in range(1, n + 1):
-            nation = rng.randrange(len(NATIONS))
+            nation = getrandbits(5)                     # randrange(len(NATIONS))
+            while nation >= 25:
+                nation = getrandbits(5)
             columns["s_suppkey"].append(key)
             columns["s_name"].append(f"Supplier#{key:09d}")
             columns["s_nationkey"].append(nation)
             columns["s_phone"].append(self._phone(nation))
-            columns["s_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
+            # uniform(-999.99, 9999.99)
+            columns["s_acctbal"].append(
+                round(-999.99 + (9999.99 - -999.99) * random_(), 2))
         columns["s_address"] = self._texts("s_address", n, 2, 4)
         columns["s_comment"] = self._texts("s_comment", n, 5, 10, _complaints)
         return columns
 
     def _gen_part(self) -> Dict[str, List]:
-        rng = self._rng
+        getrandbits = self._rng.getrandbits
         n = self._count("part")
         columns: Dict[str, List] = {name: [] for name in
                                     ("p_partkey", "p_name", "p_mfgr", "p_brand", "p_type",
                                      "p_size", "p_container", "p_retailprice")}
         for key in range(1, n + 1):
-            manufacturer = rng.randint(1, 5)
-            brand = manufacturer * 10 + rng.randint(1, 5)
-            name = " ".join(rng.sample(COLORS, 5))
+            manufacturer = getrandbits(3)               # randint(1, 5)
+            while manufacturer >= 5:
+                manufacturer = getrandbits(3)
+            brand = getrandbits(3)                      # randint(1, 5)
+            while brand >= 5:
+                brand = getrandbits(3)
+            manufacturer += 1
+            brand += manufacturer * 10 + 1              # its manufacturer's, 1-5
+            name = " ".join(draw_sample(getrandbits, COLORS, 5))
             columns["p_partkey"].append(key)
             columns["p_name"].append(name)
             columns["p_mfgr"].append(f"Manufacturer#{manufacturer}")
             columns["p_brand"].append(f"Brand#{brand}")
-            columns["p_type"].append(" ".join([rng.choice(TYPE_SYLLABLE_1),
-                                               rng.choice(TYPE_SYLLABLE_2),
-                                               rng.choice(TYPE_SYLLABLE_3)]))
-            columns["p_size"].append(rng.randint(1, 50))
-            columns["p_container"].append(" ".join([rng.choice(CONTAINER_SYLLABLE_1),
-                                                    rng.choice(CONTAINER_SYLLABLE_2)]))
-            columns["p_retailprice"].append(
-                round(90000 + ((key // 10) % 20001) + 100 * (key % 1000), 2) / 100.0)
+            columns["p_type"].append(_choose_words(getrandbits, _TYPE_SYLLABLES))
+            size = getrandbits(6)                       # randint(1, 50)
+            while size >= 50:
+                size = getrandbits(6)
+            columns["p_size"].append(1 + size)
+            columns["p_container"].append(
+                _choose_words(getrandbits, _CONTAINER_SYLLABLES))
+            columns["p_retailprice"].append(_retail_cents(key) / 100.0)
         columns["p_comment"] = self._texts("p_comment", n, 2, 5)
         return columns
 
     def _gen_partsupp(self, part: Dict[str, List], supplier: Dict[str, List]) -> Dict[str, List]:
-        rng, below = self._rng, self._below
+        getrandbits, random_ = self._rng.getrandbits, self._rng.random
         n_supp = len(supplier["s_suppkey"])
-        per_part = BASE_CARDINALITIES["partsupp_per_part"]
+        per_part = min(BASE_CARDINALITIES["partsupp_per_part"], n_supp)
         ps_partkey, ps_suppkey, ps_availqty, ps_supplycost = ([] for _ in range(4))
         for partkey in part["p_partkey"]:
-            suppliers = rng.sample(range(1, n_supp + 1), min(per_part, n_supp))
-            for suppkey in suppliers:
+            for suppkey in draw_sample(getrandbits, range(1, n_supp + 1), per_part):
                 ps_partkey.append(partkey)
                 ps_suppkey.append(suppkey)
-                ps_availqty.append(1 + below(9999))
-                ps_supplycost.append(round(rng.uniform(1.0, 1000.0), 2))
+                available = getrandbits(14)             # randint(1, 9999)
+                while available >= 9999:
+                    available = getrandbits(14)
+                ps_availqty.append(1 + available)
+                # uniform(1.0, 1000.0)
+                ps_supplycost.append(round(1.0 + (1000.0 - 1.0) * random_(), 2))
         return {"ps_partkey": ps_partkey, "ps_suppkey": ps_suppkey,
                 "ps_availqty": ps_availqty, "ps_supplycost": ps_supplycost,
                 "ps_comment": self._texts("ps_comment", len(ps_partkey), 5, 12)}
 
     def _gen_customer(self) -> Dict[str, List]:
-        rng = self._rng
+        getrandbits, random_ = self._rng.getrandbits, self._rng.random
         n = self._count("customer")
         columns: Dict[str, List] = {name: [] for name in
                                     ("c_custkey", "c_name", "c_nationkey",
                                      "c_phone", "c_acctbal", "c_mktsegment")}
         for key in range(1, n + 1):
-            nation = rng.randrange(len(NATIONS))
+            nation = getrandbits(5)                     # randrange(len(NATIONS))
+            while nation >= 25:
+                nation = getrandbits(5)
             columns["c_custkey"].append(key)
             columns["c_name"].append(f"Customer#{key:09d}")
             columns["c_nationkey"].append(nation)
             columns["c_phone"].append(self._phone(nation))
-            columns["c_acctbal"].append(round(rng.uniform(-999.99, 9999.99), 2))
-            columns["c_mktsegment"].append(rng.choice(SEGMENTS))
+            # uniform(-999.99, 9999.99)
+            columns["c_acctbal"].append(
+                round(-999.99 + (9999.99 - -999.99) * random_(), 2))
+            segment = getrandbits(3)                    # choice(SEGMENTS)
+            while segment >= 5:
+                segment = getrandbits(3)
+            columns["c_mktsegment"].append(SEGMENTS[segment])
         columns["c_address"] = self._texts("c_address", n, 2, 4)
         columns["c_comment"] = self._texts("c_comment", n, 6, 12)
         return columns
 
-    def _gen_orders_and_lineitems(self, customer, part, supplier, partsupp):
-        rng, below = self._rng, self._below
+    def _gen_orders_and_lineitems(self, customer, part, supplier):
+        getrandbits, random_ = self._rng.getrandbits, self._rng.random
         n_orders = self._count("orders")
         # a foreign key is the referenced primary-key column's own int object
         custkeys = customer["c_custkey"]
         partkeys = part["p_partkey"]
-        n_customers = len(custkeys)
-        n_parts = len(partkeys)
+        cents = [_retail_cents(key) for key in partkeys]
+        n_customers, n_parts = len(custkeys), len(partkeys)
         n_suppliers = len(supplier["s_suppkey"])
-        retail_price = part["p_retailprice"]
         n_clerks = max(2, n_orders // 1000)
-        clerks = [f"Clerk#{number:09d}" for number in range(n_clerks + 1)]
+        clerks = [f"Clerk#{number:09d}" for number in range(1, n_clerks + 1)]
+        lo_lines, hi_lines = BASE_CARDINALITIES["lineitems_per_order"]
+        n_line_counts = hi_lines - lo_lines + 1
+        n_order_days = _TOTAL_DAYS - 150
+        # the width of every below(n) the rejection loops below write out:
+        # n.bit_length(), as Random._randbelow draws it (2 bits for n = 2)
+        customer_bits, part_bits = n_customers.bit_length(), n_parts.bit_length()
+        supplier_bits, clerk_bits = n_suppliers.bit_length(), n_clerks.bit_length()
+        line_count_bits, order_day_bits = (n_line_counts.bit_length(),
+                                           n_order_days.bit_length())
 
         (o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate,
          o_orderpriority, o_clerk, o_shippriority) = ([] for _ in range(8))
@@ -353,65 +455,109 @@ class TpchGenerator:
          l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus,
          l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct,
          l_shipmode) = ([] for _ in range(15))
-        lo_lines, hi_lines = BASE_CARDINALITIES["lineitems_per_order"]
         cutoff = dates.date_to_int("1995-06-17")
 
         for orderkey in range(1, n_orders + 1):
             # As in official dbgen, one third of the customers never place an
             # order (keys divisible by three), which keeps Q13/Q22 meaningful.
-            custkey = 1 + below(n_customers)
-            while custkey % 3 == 0:
-                custkey = 1 + below(n_customers)
+            customer_index = getrandbits(customer_bits)
+            while customer_index >= n_customers or customer_index % 3 == 2:
+                customer_index = getrandbits(customer_bits)
             # order dates leave room for shipping within the 1992-1998 window
-            order_day = below(_TOTAL_DAYS - 151 + 1)
+            order_day = getrandbits(order_day_bits)
+            while order_day >= n_order_days:
+                order_day = getrandbits(order_day_bits)
+            lines = getrandbits(line_count_bits)
+            while lines >= n_line_counts:
+                lines = getrandbits(line_count_bits)
             total_price = 0.0
             any_open = False
-            for line_number in range(1, lo_lines + below(hi_lines - lo_lines + 1) + 1):
-                partkey = partkeys[below(n_parts)]
-                suppkey = 1 + below(n_suppliers)
-                quantity = _QUANTITIES[1 + below(50)]
-                extended = round(quantity * retail_price[partkey - 1], 2)
-                discount = _HUNDREDTHS[below(11)]
-                tax = _HUNDREDTHS[below(9)]
-                ship_day = order_day + 1 + below(121)
+            for line_number in range(1, lo_lines + lines + 1):
+                part_index = getrandbits(part_bits)
+                while part_index >= n_parts:
+                    part_index = getrandbits(part_bits)
+                suppkey = getrandbits(supplier_bits)
+                while suppkey >= n_suppliers:
+                    suppkey = getrandbits(supplier_bits)
+                quantity = getrandbits(6)               # below(50)
+                while quantity >= 50:
+                    quantity = getrandbits(6)
+                quantity += 1
+                # round(quantity * p_retailprice, 2) to the bit: see the module
+                extended = quantity * cents[part_index] / 100.0
+                percent = getrandbits(4)                # below(11)
+                while percent >= 11:
+                    percent = getrandbits(4)
+                discount = _HUNDREDTHS[percent]
+                percent = getrandbits(4)                # below(9)
+                while percent >= 9:
+                    percent = getrandbits(4)
+                tax = _HUNDREDTHS[percent]
+                ship_day = getrandbits(7)               # below(121)
+                while ship_day >= 121:
+                    ship_day = getrandbits(7)
+                ship_day += order_day + 1
+                commit_day = getrandbits(6)             # below(61)
+                while commit_day >= 61:
+                    commit_day = getrandbits(6)
+                receipt_day = getrandbits(5)            # below(30)
+                while receipt_day >= 30:
+                    receipt_day = getrandbits(5)
                 shipdate = _CALENDAR[ship_day]
-                commitdate = _CALENDAR[order_day + 30 + below(61)]
-                receiptdate = _CALENDAR[ship_day + 1 + below(30)]
-                returnflag = "N" if receiptdate > cutoff else ("R", "A")[below(2)]
+                receiptdate = _CALENDAR[ship_day + 1 + receipt_day]
+                if receiptdate > cutoff:
+                    returnflag = "N"
+                else:
+                    flag = getrandbits(2)               # below(2)
+                    while flag >= 2:
+                        flag = getrandbits(2)
+                    returnflag = ("R", "A")[flag]
                 if shipdate > cutoff:
                     linestatus = "O"
                     any_open = True
                 else:
                     linestatus = "F"
                 total_price += round(extended * (1 + tax) * (1 - discount), 2)
+                instruction = getrandbits(3)            # below(4)
+                while instruction >= 4:
+                    instruction = getrandbits(3)
+                mode = getrandbits(3)                   # below(7)
+                while mode >= 7:
+                    mode = getrandbits(3)
                 l_orderkey.append(orderkey)
-                l_partkey.append(partkey)
-                l_suppkey.append(suppkey)
+                l_partkey.append(partkeys[part_index])
+                l_suppkey.append(1 + suppkey)
                 l_linenumber.append(line_number)
-                l_quantity.append(quantity)
+                l_quantity.append(_QUANTITIES[quantity])
                 l_extendedprice.append(extended)
                 l_discount.append(discount)
                 l_tax.append(tax)
                 l_returnflag.append(returnflag)
                 l_linestatus.append(linestatus)
                 l_shipdate.append(shipdate)
-                l_commitdate.append(commitdate)
+                l_commitdate.append(_CALENDAR[order_day + 30 + commit_day])
                 l_receiptdate.append(receiptdate)
-                l_shipinstruct.append(SHIP_INSTRUCTIONS[below(4)])
-                l_shipmode.append(SHIP_MODES[below(7)])
+                l_shipinstruct.append(SHIP_INSTRUCTIONS[instruction])
+                l_shipmode.append(SHIP_MODES[mode])
 
             # an order has at least one line: it is filled unless one is open
             if not any_open:
                 status = "F"
             else:
-                status = "O" if rng.random() < 0.7 else "P"
+                status = "O" if random_() < 0.7 else "P"
+            priority = getrandbits(3)                   # below(5)
+            while priority >= 5:
+                priority = getrandbits(3)
+            clerk = getrandbits(clerk_bits)
+            while clerk >= n_clerks:
+                clerk = getrandbits(clerk_bits)
             o_orderkey.append(orderkey)
-            o_custkey.append(custkeys[custkey - 1])
+            o_custkey.append(custkeys[customer_index])
             o_orderstatus.append(status)
             o_totalprice.append(round(total_price, 2))
             o_orderdate.append(_CALENDAR[order_day])
-            o_orderpriority.append(PRIORITIES[below(5)])
-            o_clerk.append(clerks[1 + below(n_clerks)])
+            o_orderpriority.append(PRIORITIES[priority])
+            o_clerk.append(clerks[clerk])
             o_shippriority.append(0)
         orders = {
             "o_orderkey": o_orderkey, "o_custkey": o_custkey,
