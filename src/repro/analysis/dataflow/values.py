@@ -166,15 +166,13 @@ class _ValueAnalysis:
         boolean = ValueFact(Interval.boolean(), Nullability.NON_NULL)
         intervals = [f.interval for f in facts]
         if not all(i.leq(Interval.boolean()) for i in intervals):
-            # band/bor over non-boolean (or unknown) ints are genuine bitwise
-            # arithmetic; and_/or_/not_ still yield Python bools
-            return ValueFact.top() if op in ("band", "bor") else boolean
-        if op in ("and_", "band"):
+            return boolean
+        if op == "and_":
             if any(i.known_false for i in intervals):
                 return ValueFact(Interval.const(0), Nullability.NON_NULL)
             if all(i.known_true for i in intervals):
                 return ValueFact(Interval.const(1), Nullability.NON_NULL)
-        elif op in ("or_", "bor"):
+        elif op == "or_":
             if any(i.known_true for i in intervals):
                 return ValueFact(Interval.const(1), Nullability.NON_NULL)
             if all(i.known_false for i in intervals):

@@ -16,7 +16,9 @@ Two responsibilities, both grounded in :mod:`repro.ir.effects`:
   - every *removed* binding was effectively removable
     (``Effect.removable_if_unused`` — for control ops the effective effect
     is the recursive union of their nested blocks, so dropping an ``if_``
-    with pure arms is legal while dropping one whose arm writes is not);
+    with pure arms is legal while dropping one whose arm writes is not),
+    or sat in an ``if_`` arm that the branch's literal condition never
+    selects, so it never ran;
   - the surviving non-reorderable statements (writes and I/O) appear in the
     same relative order as before — hoisting and fusion may move pure code
     freely but must never swap two writes.
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Set
 from ..ir import ops as ir_ops
 from ..ir.effects import Effect
 from ..ir.nodes import Atom, Const, Expr, Program, Stmt, Sym
-from ..ir.traversal import iter_program_stmts
+from ..ir.traversal import iter_program_stmts, iter_stmts
 from .errors import VerificationError
 
 
@@ -184,9 +186,10 @@ def audit_transition(before: Program, after: Program,
 def _audit_transition(before: Program, after: Program) -> None:
     before_index = _stmt_index(before)
     after_index = _stmt_index(after)
+    never_run = _never_run(before)
 
     for sym_id, stmt in before_index.items():
-        if sym_id in after_index:
+        if sym_id in after_index or sym_id in never_run:
             continue
         declared = ir_ops.effect_of(stmt.expr.op)
         if declared.control:
@@ -236,6 +239,21 @@ def _audit_transition(before: Program, after: Program) -> None:
                 f"({stmt.expr.op}) from {old.name} to {to} — a surviving "
                 "write must keep writing the object it wrote before",
                 binding=stmt.sym.name)
+
+
+def _never_run(program: Program) -> Set[int]:
+    """Bindings inside an ``if_`` arm that the branch's literal condition
+    never selects (the else arm of ``if True``, the then arm of
+    ``if False``): their effects never happen, so removing them is not
+    observable."""
+    dead: Set[int] = set()
+    for stmt, _ in iter_program_stmts(program):
+        expr = stmt.expr
+        cond = expr.args[0] if expr.op == "if_" and expr.args else None
+        if isinstance(cond, Const):
+            arm = expr.blocks[1] if cond.value else expr.blocks[0]
+            dead.update(nested.sym.id for nested, _ in iter_stmts(arm))
+    return dead
 
 
 def _write_target(stmt: Optional[Stmt]) -> Optional[Atom]:

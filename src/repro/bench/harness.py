@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..codegen.compiler import CompiledQuery, QueryCompiler
 from ..dsl.expr_compile import compile_row
-from ..planner import Planner, PlannerOptions
+from ..planner import Planner
 from ..stack.configs import (CONFIG_NAMES, DIRECT_ENGINE_NAMES, StackConfig,
                              build_config, build_direct_engine)
 from ..storage.catalog import Catalog
@@ -203,13 +203,12 @@ class BenchmarkHarness:
 
     def __init__(self, catalog: Catalog, repetitions: int = 3,
                  engines: Sequence[str] = ENGINE_NAMES,
-                 use_planner: bool = False,
-                 planner_options: Optional[PlannerOptions] = None) -> None:
+                 use_planner: bool = False) -> None:
         self.catalog = catalog
         self.repetitions = max(1, repetitions)
         self.engines = tuple(engines)
         self.use_planner = use_planner
-        self.planner = Planner.for_catalog(catalog, planner_options)
+        self.planner = Planner.for_catalog(catalog)
         self._configs: Dict[str, StackConfig] = {
             name: build_config(name) for name in self.engines if name in CONFIG_NAMES}
 

@@ -31,13 +31,11 @@ TABLE4_COMPONENTS: Tuple[Tuple[str, str], ...] = (
     ("Pipelining (shortcut fusion) for QMonad", "transforms/fusion.py"),
     ("Scalar expression compilation", "transforms/scalar_compiler.py"),
     ("Constant folding / partial evaluation", "transforms/folding.py"),
-    ("Scalar replacement / struct flattening", "transforms/scalar_replacement.py"),
     ("Unused struct field removal", "transforms/field_removal.py"),
     ("Dead code elimination", "transforms/dce.py"),
     ("String dictionaries", "transforms/string_dictionary.py"),
     ("Hash-table specialization", "transforms/hashmap_specialization.py"),
     ("List specialization (unique keys)", "transforms/list_specialization.py"),
-    ("Control-flow optimizations", "transforms/control_flow.py"),
     ("Scala-constructs-to-C (unparser to Python)", "codegen/unparser.py"),
 )
 

@@ -4,7 +4,7 @@ The paper's C.Scala programs are "equivalent to a C program, modulo a
 straightforward syntactic transformation (called stringification or
 unparsing)".  This module is that transformation for the Python target: every
 IR operation has a textual emission rule, control-flow ops become Python
-``for``/``while``/``if`` statements, and the two blocks of a program become
+``for``/``if`` statements, and the two blocks of a program become
 two functions:
 
 * ``prepare(db, _rt)`` executes the hoisted (data-loading time) block and
@@ -159,8 +159,6 @@ class PythonUnparser:
     def _op_ge(self, stmt):   return self._binary(stmt, ">=")
     def _op_and_(self, stmt): return self._connective(stmt, "and")
     def _op_or_(self, stmt):  return self._connective(stmt, "or")
-    def _op_band(self, stmt): return self._binary(stmt, "&")
-    def _op_bor(self, stmt):  return self._binary(stmt, "|")
 
     def _op_eq(self, stmt):   return self._equality(stmt, "==", "is")
     def _op_ne(self, stmt):   return self._equality(stmt, "!=", "is not")
@@ -258,19 +256,6 @@ class PythonUnparser:
         else:
             lines = [f"for {index} in range({start}, {end}):"]
         lines.extend(_INDENT + line for line in self._loop_body(body))
-        return lines
-
-    def _op_while_(self, stmt):
-        cond_block, body_block = stmt.expr.blocks
-        self._loop_depth += 1
-        try:
-            lines = ["while True:"]
-            lines.extend(_INDENT + line for line in self._block_body(cond_block))
-            lines.append(_INDENT + f"if not {_atom(cond_block.result)}:")
-            lines.append(_INDENT * 2 + "break")
-            lines.extend(_INDENT + line for line in self._nested(body_block))
-        finally:
-            self._loop_depth -= 1
         return lines
 
     # ------------------------------------------------------------------

@@ -148,14 +148,6 @@ class IRBuilder:
             body_fn(idx)
         return self.emit("for_range", [start, end], blocks=[body], tpe=UNIT)
 
-    def while_(self, cond_fn: Callable[[], Any], body_fn: Callable[[], Any]) -> Sym:
-        """Emit a while loop; the condition block result is the loop condition."""
-        with self.new_block() as (cond_block, _):
-            self.set_result(cond_fn())
-        with self.new_block() as (body_block, _):
-            body_fn()
-        return self.emit("while_", [], blocks=[cond_block, body_block], tpe=UNIT)
-
     def foreach(self, collection: Any, body_fn: Callable[[Sym], Any], op: str = "list_foreach",
                 hint: str = "e", tpe: Type = UNKNOWN) -> Sym:
         """Emit a foreach over a list-like collection."""

@@ -127,10 +127,6 @@ for _name in ("eq", "ne", "lt", "le", "gt", "ge"):
     _r(_name, "compare", arity=2, result=BOOL)
 for _name in ("and_", "or_"):
     _r(_name, "logic", arity=2, result=BOOL)
-# ``&`` and ``|`` of two integers is an integer: only boolean operands make
-# these boolean (the branchless-booleans pass emits them over booleans)
-for _name in ("band", "bor"):
-    _r(_name, "logic", arity=2)
 _r("not_", "logic", arity=1, result=BOOL)
 _r("year_of_date", "convert", arity=1, result=INT)
 
@@ -151,8 +147,6 @@ _r("tuple_get", "tuple", arity=1, attrs=("index",))
 _r("if_", "control", CONTROL, "if(cond) then-block else-block", arity=1, blocks=(0, 0))
 _r("for_range", "control", CONTROL, "bounded loop over [start, end) with one index parameter",
    arity=2, blocks=(1,), loop=True)
-_r("while_", "control", CONTROL, "while loop: condition block + body block",
-   blocks=(0, 0), loop=True)
 
 # ---------------------------------------------------------------------------
 # Mutable local variables (ScaLite `var`).
@@ -313,16 +307,13 @@ def is_registered(op_name: str) -> bool:
     return op_name in REGISTRY
 
 
-def is_bool(atom: Atom, defs: Mapping[int, Stmt], logic: bool = False) -> bool:
+def is_bool(atom: Atom, defs: Mapping[int, Stmt]) -> bool:
     """Whether an operand is already a bool: a ``True`` / ``False`` constant,
     or a symbol whose defining statement (``defs[id]``; absent for a
-    parameter or a loop variable) applies an op that always returns one.
-    With ``logic``, ``band`` / ``bor`` count too: a pass that emits them only
-    over bools may say so."""
+    parameter or a loop variable) applies an op that always returns one."""
     if isinstance(atom, Const):
         return isinstance(atom.value, bool)
     stmt = defs.get(atom.id)
     if stmt is None:
         return False
-    row = REGISTRY.get(stmt.expr.op)
-    return row.result is BOOL or (logic and row.family == "logic")
+    return REGISTRY.get(stmt.expr.op).result is BOOL

@@ -2,15 +2,15 @@
 
 A rule-based rewrite framework over :mod:`repro.dsl.qplan` operator trees,
 mirroring the fixpoint organization of the DSL stack one level up: predicate
-pushdown, field pruning, constant folding, top-k fusion and
+pushdown, field pruning, constant folding and top-k fusion always run;
 statistics-driven join-strategy selection (build-side swap, greedy join
-reordering) — all on by default.
+reordering) and physical access-path selection are on by default.
 
 Entry points:
 
 * :class:`Planner` / :func:`optimize_plan` — optimize a plan against a
   catalog,
-* :class:`PlannerOptions` — choose the rule set;
+* :class:`PlannerOptions` — choose the optional rule phases;
   ``PlannerOptions.exact_order()`` keeps only the rules that preserve row
   order and float accumulation order exactly,
 * :func:`sort_contract` — the ordering guarantee of a plan's output, which

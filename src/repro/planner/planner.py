@@ -7,24 +7,25 @@ paper's terms it is one more transformation level at the highest abstraction
 layer, organized exactly like the lower ones: small rules applied to a fixed
 point, each at the level where the rewrite is trivial to express.
 
-Default rule set:
+The rule phases, in order:
 
-1. constant folding over scalar expression trees,
-2. predicate pushdown with conjunct splitting,
-3. top-k fusion (``Limit`` over ``Sort`` -> bounded-heap ``TopK``),
-4. statistics-driven join strategy: build-side swap and greedy join-chain
+1. the logical rule sweep: constant folding over scalar expression trees,
+   predicate pushdown with conjunct splitting, and top-k fusion (``Limit``
+   over ``Sort`` -> bounded-heap ``TopK``),
+2. statistics-driven join strategy: build-side swap and greedy join-chain
    reordering,
-5. scan field / projection / aggregate pruning,
-6. physical access-path selection (:mod:`repro.planner.access_rules`):
+3. scan field / projection / aggregate pruning,
+4. physical access-path selection (:mod:`repro.planner.access_rules`):
    ``Select``-over-``Scan`` becomes a zone-filter-carrying ``PrunedScan`` and
    PK-build hash joins become ``IndexJoin`` over the catalog's load-time key
    indices.
 
-Rules 1-3, 5 and 6 are order- and value-preserving.  The ``join_strategy``
-rules (4) preserve the result multiset but not intermediate row order —
-which also perturbs float accumulation order — and run by default under the
-planner's **order contract** (:mod:`repro.planner.ordering`): the output is
-still ordered by the plan's explicit sort keys, so results are compared
+Phases 1 and 3 always run.  Phases 1, 3 and 4 are order- and
+value-preserving.  The ``join_strategy`` rules (2) preserve the result
+multiset but not intermediate row order — which also perturbs float
+accumulation order — and run by default under the planner's **order
+contract** (:mod:`repro.planner.ordering`): the output is still ordered by
+the plan's explicit sort keys, so results are compared
 multiset-wise within runs of equal keys and with float tolerance
 (:func:`repro.bench.harness.rows_equivalent`).  Pass
 ``PlannerOptions.exact_order()`` to disable them when bit-for-bit,
@@ -42,25 +43,22 @@ from .access_rules import IndexJoinSelection, PrunedScanSelection
 from .cardinality import CardinalityEstimator
 from .pruning import prune_plan
 from .reorder import reorder_join_chains
-from .rewrite import (PlannerContext, PlanRule, apply_rules_fixpoint)
+from .rewrite import PlannerContext, apply_rules_fixpoint
 from .rules import BuildSideSwap, ConstantFolding, PredicatePushdown, TopKFusion
 
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Which rules the planner applies.
+    """Which of the optional rule phases the planner runs.
 
-    Every rule is on by default, including the cost-based ``join_strategy``
-    pair (build-side swap, greedy join reordering), which keeps the result
+    The logical rule sweep and field pruning always run.  Every optional
+    phase is on by default, including the cost-based ``join_strategy`` pair
+    (build-side swap, greedy join reordering), which keeps the result
     multiset and the order contract's sort keys but may change tie order and
     float accumulation order.  ``exact_order()`` disables exactly those two
     for callers that need bit-for-bit, order-identical results.
     """
 
-    constant_folding: bool = True
-    predicate_pushdown: bool = True
-    field_pruning: bool = True
-    topk_fusion: bool = True
     join_strategy: bool = True
     #: physical access-path selection (PrunedScan, IndexJoin): order- and
     #: value-preserving, so it stays on even under ``exact_order()``
@@ -85,12 +83,6 @@ class PlannerOptions:
         """Every logical rule, but no physical access-path selection — the
         baseline the access-path benchmarks compare against."""
         return cls(access_paths=False)
-
-    @classmethod
-    def none(cls) -> "PlannerOptions":
-        return cls(constant_folding=False, predicate_pushdown=False,
-                   field_pruning=False, topk_fusion=False, join_strategy=False,
-                   access_paths=False)
 
 
 @dataclass
@@ -177,34 +169,24 @@ class Planner:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _rules(self) -> List[PlanRule]:
-        rules: List[PlanRule] = []
-        if self.options.constant_folding:
-            rules.append(ConstantFolding())
-        if self.options.predicate_pushdown:
-            rules.append(PredicatePushdown())
-        if self.options.topk_fusion:
-            rules.append(TopKFusion())
-        return rules
-
     def _run(self, plan: Q.Operator):
         # Reject malformed input outright: pushdown substitution could
         # otherwise rewrite an invalid plan into a valid-but-different one.
         Q.validate(plan, self.catalog)
         context = PlannerContext(catalog=self.catalog, options=self.options)
-        plan, report = apply_rules_fixpoint(plan, self._rules(), context)
+        plan, report = apply_rules_fixpoint(
+            plan, [ConstantFolding(), PredicatePushdown(), TopKFusion()], context)
         if self.options.join_strategy:
             estimator = self.estimator
             plan = reorder_join_chains(plan, context, estimator)
             plan, swap_report = apply_rules_fixpoint(
                 plan, [BuildSideSwap(estimator)], context)
             report.applied.extend(swap_report.applied)
-        if self.options.field_pruning:
-            pruned = prune_plan(plan, self.catalog, prune_projections=True,
-                                prune_aggregates=True)
-            if pruned is not plan:
-                context.record("field-pruning")
-                plan = pruned
+        pruned = prune_plan(plan, self.catalog, prune_projections=True,
+                            prune_aggregates=True)
+        if pruned is not plan:
+            context.record("field-pruning")
+            plan = pruned
         if self.options.access_paths:
             # Physical access-path selection runs last, on the settled logical
             # shape: filters that pushdown parked on scans become PrunedScans,

@@ -3,10 +3,10 @@
 :class:`HardenedExecutor` runs one query against the redundant engine lineup
 this repository already has, degrading on failure along two axes:
 
-* **engine tier** — compiled stack → vectorized → Volcano interpreter.  Any
-  non-budget engine failure moves to the next tier; a compile-time budget
-  trip does too (the whole point of the direct engines is that they need no
-  compilation).
+* **engine tier** — compiled dblab-5 stack → vectorized → Volcano
+  interpreter.  Any non-budget engine failure moves to the next tier; a
+  compile-time budget trip does too (the whole point of the direct engines
+  is that they need no compilation).
 * **plan mode** — access-path plan → re-planned without ``access_rules``.
   Access-layer failures (missing index, corrupted zone map —
   :class:`~repro.storage.access.AccessError` and
@@ -152,7 +152,6 @@ class HardenedExecutor:
 
     def __init__(self, catalog: Catalog, *,
                  tiers: Sequence[str] = ("compiled", "vectorized", "interpreter"),
-                 compiled_config: str = "dblab-5",
                  budget: Optional[QueryBudget] = None,
                  incidents: Optional[IncidentLog] = None,
                  breaker_threshold: int = 3,
@@ -167,7 +166,6 @@ class HardenedExecutor:
             raise ValueError("at least one tier is required")
         self.catalog = catalog
         self.tiers = tuple(tiers)
-        self.compiled_config = compiled_config
         self.budget = budget
         self.incidents = incidents if incidents is not None else DEFAULT_INCIDENTS
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_seconds)
@@ -176,12 +174,12 @@ class HardenedExecutor:
         self._sleep = sleep
         from ..codegen.compiler import QueryCompiler
         from ..stack.configs import build_config
-        config = build_config(compiled_config)
-        #: one compiler per plan mode.  Planning is the executor's job (it
-        #: owns the mode axis), so the compiler's own logical optimizer stays
-        #: off; the access-layer flag follows the plan mode so a degraded
-        #: plan also stops the generated code from touching catalog-resident
-        #: structures.
+        config = build_config("dblab-5")
+        #: one compiler per plan mode, both on the dblab-5 stack.  Planning
+        #: is the executor's job (it owns the mode axis), so the compiler's
+        #: own logical optimizer stays off; the access-layer flag follows the
+        #: plan mode so a degraded plan also stops the generated code from
+        #: touching catalog-resident structures.
         # concurrency: init-only
         self._compilers: Dict[str, QueryCompiler] = {
             mode: QueryCompiler(config.stack, config.flags.copy_with(

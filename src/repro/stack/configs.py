@@ -30,16 +30,8 @@ configuration          stack
 =====================  ==========================================================
 
 Every ``dblab-N`` also takes QMonad chains (a second front end over the same
-levels).  Two tested library passes are listed by no configuration:
-
-* :class:`~repro.transforms.control_flow.BranchlessBooleans` (``x && y`` →
-  ``x & y``, Appendix E): under CPython the bitwise operators dispatch
-  through ``__and__`` and are slower than the short-circuit jumps they
-  replace, the opposite of compiled C.
-* :class:`~repro.transforms.scalar_replacement.ScalarReplacement` (Appendix
-  C): the lowering keeps a row's fields as scalars and builds a record only
-  to store it, reading fields back from the stored element, so the pass
-  changes no program the stacks produce.
+levels).  Every optimization under :mod:`repro.transforms` is listed by some
+row: a pass that no configuration runs has no place in the library.
 """
 from __future__ import annotations
 

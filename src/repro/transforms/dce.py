@@ -62,10 +62,11 @@ class DeadCodeElimination(Optimization):
         """Which of the two the sweep of ``before`` gave work to.
 
         Folding looks again when an ``if_`` binding lost a reader, or when an
-        arm of an ``if_`` lost a dead write (it drops an arm only if that arm
-        is effect-free).  This pass looks again when an allocation or a write
-        lost a reader (the object may be write-only now), and when a dead
-        write or its object went that was the reason a binding was live.
+        arm of an ``if_`` lost a dead write (under a condition that is no
+        literal it drops an arm only if that arm is effect-free).  This pass
+        looks again when an allocation or a write lost a reader (the object
+        may be write-only now), and when a dead write or its object went that
+        was the reason a binding was live.
         """
         dead = _deaths(before)
         defs = use_def(before).defs

@@ -14,8 +14,8 @@ This pass folds every pure scalar op it can decide at compile time:
   load-time statistics;
 * a null check against a column with zero nulls folds the same way;
 * an ``if_`` whose condition folded becomes its taken arm, spliced into the
-  enclosing block — provided the dropped arm is effect-free, so removing it
-  is unobservable.
+  enclosing block — provided removing the dropped arm is unobservable: the
+  arm is effect-free, or the condition is a literal, which never selects it.
 
 Every eliminated branch records a justification in
 ``context.info["dataflow_justifications"]`` under the ``if_`` binding's sym
@@ -100,7 +100,9 @@ class _Folder:
                     # substitute a None literal into every consumer —
                     # unreachable code, but it unparses as ``None[...]`` for
                     # subscripting consumers.  Keep the branch instead.
-                    if block_effect(dropped).removable_if_unused and not (
+                    unobservable = isinstance(expr.args[0], Const) \
+                        or block_effect(dropped).removable_if_unused
+                    if unobservable and not (
                             result_is_none and self.uses.get(stmt.sym.id, 0) > 0):
                         spliced = self.rewrite_block(taken)
                         new_stmts.extend(spliced.stmts)

@@ -15,9 +15,7 @@ zero-iteration loops:
 
 The binding keeps its symbol, so uses inside the loop are untouched; chains
 of invariant bindings hoist together (the eligibility loop iterates until no
-statement moves).  ``while_`` loops are left alone: their condition block
-runs before the body, and the paper's stack never produces invariant work
-inside them worth the extra reasoning.
+statement moves).
 """
 from __future__ import annotations
 
@@ -41,8 +39,6 @@ _HOISTABLE_OPS = frozenset({
     "and_", "or_", "not_",
     "year_of_date",
 })
-
-_HOISTED_LOOPS = LOOP_OPS - {"while_"}
 
 
 class LoopInvariantHoisting(Optimization):
@@ -68,7 +64,7 @@ class LoopInvariantHoisting(Optimization):
                 expr = stmt.expr
                 if expr.blocks:
                     blocks = tuple(process(nested) for nested in expr.blocks)
-                    if expr.op in _HOISTED_LOOPS:
+                    if expr.op in LOOP_OPS:
                         hoisted, body = _split_invariants(blocks[-1], facts, live)
                         new_stmts.extend(hoisted)
                         blocks = blocks[:-1] + (body,)

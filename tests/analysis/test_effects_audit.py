@@ -161,7 +161,48 @@ class TestTransitionAudit:
         before = program_of([lst, branch], lst.sym, [db])
         after = program_of([lst], lst.sym, [db])
         with pytest.raises(VerificationError, match="removable"):
-            audit_transition(before, after, phase="branchless-booleans")
+            audit_transition(before, after, phase="rewrite")
+
+    def test_removing_a_writing_arm_a_literal_condition_never_selects_is_legal(self):
+        """Q13's ``if False:`` around a slot update: the arm never runs, so
+        its write never happens, and dropping the branch is unobservable."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        arm = Block([Stmt(Sym("a"), Expr("list_append", (lst.sym, Const(1))))])
+        branch = Stmt(Sym("br"), Expr("if_", (Const(False),),
+                                      blocks=(arm, Block([]))))
+        before = program_of([lst, branch], lst.sym, [db])
+        after = program_of([lst], lst.sym, [db])
+        audit_transition(before, after, phase="dataflow-folding")
+
+    def test_keeping_the_selected_arm_of_a_literal_condition_is_legal(self):
+        """``if True``: the else arm's write goes, the then arm's stays."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        kept = Stmt(Sym("k"), Expr("list_append", (lst.sym, Const(1))))
+        dropped = Stmt(Sym("d"), Expr("list_append", (lst.sym, Const(2))))
+        branch = Stmt(Sym("br"), Expr("if_", (Const(True),),
+                                      blocks=(Block([kept]), Block([dropped]))))
+        before = program_of([lst, branch], lst.sym, [db])
+        audit_transition(before, program_of([lst, kept], lst.sym, [db]),
+                         phase="dataflow-folding")
+        with pytest.raises(VerificationError, match="removable"):
+            audit_transition(before, program_of([lst, dropped], lst.sym, [db]),
+                             phase="dataflow-folding")
+
+    def test_removing_a_writing_arm_under_a_computed_condition_rejected(self):
+        """The audit trusts literals only: a condition some analysis decides
+        is not one, so the branch's writing arm must stay."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        cond = Stmt(Sym("c"), Expr("lt", (Const(2), Const(1))))
+        arm = Block([Stmt(Sym("a"), Expr("list_append", (lst.sym, Const(1))))])
+        branch = Stmt(Sym("br"), Expr("if_", (cond.sym,),
+                                      blocks=(arm, Block([]))))
+        before = program_of([lst, cond, branch], lst.sym, [db])
+        after = program_of([lst], lst.sym, [db])
+        with pytest.raises(VerificationError, match="removable"):
+            audit_transition(before, after, phase="dataflow-folding")
 
     def test_removing_if_with_pure_arms_is_legal(self):
         db = Sym("db")
@@ -171,7 +212,7 @@ class TestTransitionAudit:
                                       blocks=(arm, Block([]))))
         before = program_of([keep, branch], keep.sym, [db])
         after = program_of([keep], keep.sym, [db])
-        audit_transition(before, after, phase="branchless-booleans")
+        audit_transition(before, after, phase="rewrite")
 
     def test_reordering_writes_rejected(self):
         db = Sym("db")
@@ -198,7 +239,7 @@ class TestTransitionAudit:
         fresh = Stmt(Sym("v"), Expr("var_new", (Const(0),)))
         before = program_of([keep], keep.sym, [db])
         after = program_of([fresh, keep], keep.sym, [db])
-        audit_transition(before, after, phase="scalar-replacement")
+        audit_transition(before, after, phase="rewrite")
 
     def test_retargeting_a_write_rejected(self):
         """Straight-line code, no loop: the write survives and keeps its
@@ -247,8 +288,8 @@ class TestTransitionAudit:
             audit_transition(before, after, phase="broken-retarget")
         assert exc.value.check == "effects"
 
-    def test_retargeting_a_var_write_in_a_while_body_rejected(self):
-        db = Sym("db")
+    def test_retargeting_a_var_write_in_a_for_range_body_rejected(self):
+        db, i = Sym("db"), Sym("i", INT)
         flag = Stmt(Sym("flag"), Expr("var_new", (Const(True),)))
         other = Stmt(Sym("other"), Expr("var_new", (Const(True),)))
         read = Stmt(Sym("r"), Expr("var_read", (flag.sym,)))
@@ -256,8 +297,8 @@ class TestTransitionAudit:
         moved = Stmt(write.sym, Expr("var_write", (other.sym, Const(False))))
 
         def loop(body):
-            return Stmt(Sym("loop"), Expr("while_", (), blocks=(
-                Block([read], read.sym), Block(body))))
+            return Stmt(Sym("loop"), Expr("for_range", (Const(0), Const(9)),
+                                          blocks=(Block([read] + body, params=(i,)),)))
 
         before = program_of([flag, other, loop([write])], Const(None), [db])
         after = program_of([flag, other, loop([moved])], Const(None), [db])

@@ -86,17 +86,6 @@ class TestUnparser:
         assert result == 2
         assert "else:" in source
 
-    def test_while_loop(self):
-        db = Sym("db")
-        b = IRBuilder()
-        counter = b.emit("var_new", [0])
-        b.while_(lambda: b.emit("lt", [b.emit("var_read", [counter]), 5]),
-                 lambda: b.emit("var_write", [counter,
-                                              b.emit("add", [b.emit("var_read", [counter]), 1])]))
-        program = make_program(b.finish(b.emit("var_read", [counter])), [db], "C.Py")
-        result, _ = unparse_and_run(program)
-        assert result == 5
-
     def test_records_boxed_and_row_layout(self):
         db = Sym("db")
         b = IRBuilder()

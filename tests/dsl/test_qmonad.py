@@ -125,13 +125,13 @@ class TestToQPlanRoundTrip:
             chain, Q.Limit(Q.Sort(Q.Scan("R"), [(col("r_id"), "desc")]), 2))
 
     def test_take_sort_chain_fuses_to_topk_after_planning(self, tiny_catalog):
-        from repro.planner import Planner, PlannerOptions
+        from repro.planner import PlannerContext, TopKFusion, apply_rules_fixpoint
 
         chain = (QueryMonad.table("R")
                  .sortBy([(col("r_id"), "desc"), (col("r_name"), "asc")])
                  .take(3))
-        options = PlannerOptions(field_pruning=False, join_strategy=False)
-        optimized = Planner(tiny_catalog, options).optimize(to_qplan(chain))
+        optimized, _ = apply_rules_fixpoint(
+            to_qplan(chain), [TopKFusion()], PlannerContext(catalog=tiny_catalog))
         expected = Q.TopK(Q.Scan("R"),
                           [(col("r_id"), "desc"), (col("r_name"), "asc")], 3)
         assert Q.plan_fingerprint(optimized) == Q.plan_fingerprint(expected)

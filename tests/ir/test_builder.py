@@ -152,16 +152,6 @@ class TestBlockStructure:
         assert if_stmt.expr.blocks[0].result.value == 10
         assert if_stmt.expr.blocks[1].result.value == 20
 
-    def test_while_has_cond_and_body_blocks(self):
-        b = IRBuilder()
-        v = b.emit("var_new", [0])
-
-        b.while_(lambda: b.emit("lt", [b.emit("var_read", [v]), 10]),
-                 lambda: b.emit("var_write", [v, b.emit("add", [b.emit("var_read", [v]), 1])]))
-        block = b.finish()
-        while_stmt = [s for s in block.stmts if s.expr.op == "while_"][0]
-        assert len(while_stmt.expr.blocks) == 2
-
 
 class TestProgram:
     def test_program_printing_mentions_language_and_hoisted(self):

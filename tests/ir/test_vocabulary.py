@@ -17,14 +17,11 @@ from repro.codegen.unparser import PythonUnparser
 from repro.dsl import expr as E
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
-from repro.ir import IRBuilder, make_program
 from repro.ir.ops import REGISTRY
 from repro.ir.traversal import ops_used
 from repro.planner import Planner
-from repro.stack import C_PY, CompilationContext
 from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.tpch.queries import QUERY_NAMES, build_query
-from repro.transforms.control_flow import BranchlessBooleans
 
 
 def _lowered_ops(plan, catalog, config_name="dblab-5", access=True):
@@ -38,29 +35,12 @@ def _unary_minus(catalog):
     return _lowered_ops(plan, catalog)
 
 
-def _branchless(catalog):
-    b = IRBuilder()
-    x, y = b.emit("lt", [1, 2]), b.emit("gt", [3, 4])
-    both = b.emit("tuple_new", [b.emit("and_", [x, y]), b.emit("or_", [x, y])])
-    program = make_program(b.finish(both), [], "C.Py")
-    return ops_used(BranchlessBooleans(C_PY).run(program, CompilationContext()))
-
-
-def _while_loop(catalog):
-    b = IRBuilder()
-    b.while_(lambda: b.const(False), lambda: None)
-    return ops_used(make_program(b.finish(None), [], "ScaLite"))
-
-
 #: ops no planned TPC-H lowering contains -> (who in ``src/`` emits them, a
 #: run of that producer).  ``print_`` has none: it stays as the effect
 #: lattice's only ``IO`` witness, the reference for "never removed, never
 #: reordered".
 UNREACHED = {
     "neg": ("ScalarCompiler on a unary minus", _unary_minus),
-    "band": ("BranchlessBooleans over and_", _branchless),
-    "bor": ("BranchlessBooleans over or_", _branchless),
-    "while_": ("IRBuilder.while_", _while_loop),
     "print_": ("no producer: the IO witness", None),
 }
 

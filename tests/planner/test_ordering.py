@@ -8,7 +8,8 @@ from repro.dsl import qplan as Q
 from repro.dsl.expr import Col, col
 from repro.dsl.expr_compile import expr_fingerprint
 from repro.engine.volcano import execute as volcano_execute
-from repro.planner import Planner, PlannerOptions, sort_contract
+from repro.planner import (Planner, PlannerContext, PlannerOptions, TopKFusion,
+                           apply_rules_fixpoint, sort_contract)
 
 
 def contract_keys(plan):
@@ -66,14 +67,18 @@ class TestSortContract:
         assert sort_contract(Q.Scan("R")) is None
 
 
-class TestTopKFusionRule:
-    OPTIONS = PlannerOptions(field_pruning=False, join_strategy=False)
+def fused(plan, catalog):
+    """``plan`` rewritten by top-k fusion alone, to its fixed point."""
+    return apply_rules_fixpoint(plan, [TopKFusion()],
+                                PlannerContext(catalog=catalog))[0]
 
+
+class TestTopKFusionRule:
     def plan(self, count, keys=((col("r_id"), "desc"),)):
         return Q.Limit(Q.Sort(Q.Scan("R"), list(keys)), count)
 
     def test_limit_over_sort_fuses(self, tiny_catalog):
-        optimized = Planner(tiny_catalog, self.OPTIONS).optimize(self.plan(3))
+        optimized = fused(self.plan(3), tiny_catalog)
         assert isinstance(optimized, Q.TopK)
         assert optimized.count == 3
         assert volcano_execute(optimized, tiny_catalog) == \
@@ -81,30 +86,25 @@ class TestTopKFusionRule:
 
     def test_limit_over_topk_tightens(self, tiny_catalog):
         plan = Q.Limit(Q.TopK(Q.Scan("R"), [(col("r_id"), "asc")], 4), 2)
-        optimized = Planner(tiny_catalog, self.OPTIONS).optimize(plan)
+        optimized = fused(plan, tiny_catalog)
         assert isinstance(optimized, Q.TopK) and optimized.count == 2
 
     def test_looser_limit_over_topk_is_dropped(self, tiny_catalog):
         plan = Q.Limit(Q.TopK(Q.Scan("R"), [(col("r_id"), "asc")], 2), 10)
-        optimized = Planner(tiny_catalog, self.OPTIONS).optimize(plan)
+        optimized = fused(plan, tiny_catalog)
         assert isinstance(optimized, Q.TopK) and optimized.count == 2
 
     def test_stacked_limits_collapse(self, tiny_catalog):
         plan = Q.Limit(Q.Limit(Q.Scan("R"), 4), 2)
-        optimized = Planner(tiny_catalog, self.OPTIONS).optimize(plan)
+        optimized = fused(plan, tiny_catalog)
         assert isinstance(optimized, Q.Limit) and optimized.count == 2
         assert isinstance(optimized.child, Q.Scan)
 
-    def test_fusion_can_be_disabled(self, tiny_catalog):
-        options = PlannerOptions(field_pruning=False, join_strategy=False,
-                                 topk_fusion=False)
-        optimized = Planner(tiny_catalog, options).optimize(self.plan(3))
-        assert isinstance(optimized, Q.Limit)
-
     def test_fused_fingerprint_is_stable(self, tiny_catalog):
-        planner = Planner(tiny_catalog, self.OPTIONS)
+        planner = Planner(tiny_catalog, PlannerOptions.exact_order())
         once = planner.optimize(self.plan(3))
         twice = planner.optimize(once)
+        assert isinstance(once, Q.TopK)
         assert Q.plan_fingerprint(once) == Q.plan_fingerprint(twice)
 
 

@@ -1,8 +1,9 @@
 """Unit tests for the individual plan rewrite rules.
 
-Structural assertions run with field pruning disabled so the rewritten tree
-shape is easy to inspect; every structural case also checks exact result
-parity (values *and* order) against the raw plan on the Volcano reference.
+Structural assertions drive the rule under test alone to its fixed point, so
+the rewritten tree shape is easy to inspect; every structural case also
+checks result parity (values *and* order, or the multiset for the join
+rules) against the raw plan on the Volcano reference.
 """
 import pytest
 
@@ -10,19 +11,16 @@ from repro.dsl import qplan as Q
 from repro.dsl.expr import BinOp, Col, col, columns_used, lit
 from repro.engine.volcano import execute as volcano_execute
 from repro.engine.vectorized import execute as vectorized_execute
-from repro.planner import (CardinalityEstimator, Planner, PlannerContext, PlannerError,
-                           PlannerOptions, PlanRule, apply_rules_fixpoint, prune_plan)
+from repro.planner import (BuildSideSwap, CardinalityEstimator, ConstantFolding,
+                           Planner, PlannerContext, PlannerError, PlannerOptions,
+                           PlanRule, PredicatePushdown, apply_rules_fixpoint,
+                           prune_plan)
+from repro.planner.reorder import reorder_join_chains
 from repro.storage.catalog import Catalog
 from repro.storage.schema import TableSchema, int_column, string_column
 
-#: structural-assertion options: no pruning and no cost-based join rewrites,
-#: so the rewritten tree shape is determined by the rule under test alone
-STRUCTURE = PlannerOptions(field_pruning=False, join_strategy=False)
-
-
-def check_parity(raw, catalog, options=None, ordered=True):
-    """Optimize ``raw`` and verify engine results; returns the optimized plan."""
-    optimized = Planner(catalog, options).optimize(raw)
+def assert_parity(raw, optimized, catalog, ordered=True):
+    """Verify engine results of ``optimized`` against ``raw``; returns it."""
     raw_rows = volcano_execute(raw, catalog)
     opt_rows = volcano_execute(optimized, catalog)
     if ordered:
@@ -33,6 +31,21 @@ def check_parity(raw, catalog, options=None, ordered=True):
         key = lambda rows: sorted(sorted(r.items()) for r in rows)
         assert key(opt_rows) == key(raw_rows)
     return optimized
+
+
+def check_parity(raw, catalog, options=None, ordered=True):
+    """Optimize ``raw`` with the planner and verify engine results."""
+    return assert_parity(raw, Planner(catalog, options).optimize(raw), catalog,
+                         ordered)
+
+
+def rewritten(raw, catalog, rule, ordered=True):
+    """``raw`` rewritten by ``rule`` alone, to its fixed point — no other
+    rule, no pruning, no join strategy, no access path — so the tree shape
+    is the rule's; engine results are verified against ``raw``."""
+    plan, _ = apply_rules_fixpoint(raw, [rule], PlannerContext(catalog=catalog))
+    Q.validate(plan, catalog)
+    return assert_parity(raw, plan, catalog, ordered)
 
 
 @pytest.fixture()
@@ -60,18 +73,18 @@ def skewed_catalog() -> Catalog:
 class TestConstantFoldingRule:
     def test_tautological_select_is_removed(self, tiny_catalog):
         raw = Q.Select(Q.Scan("R"), BinOp(">", lit(2), lit(1)))
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, ConstantFolding())
         assert isinstance(optimized, Q.Scan)
 
     def test_literal_true_residual_is_dropped(self, tiny_catalog):
         raw = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"),
                          residual=BinOp("==", lit(1), lit(1)))
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, ConstantFolding())
         assert optimized.residual is None
 
     def test_folds_inside_projections(self, tiny_catalog):
         raw = Q.Project(Q.Scan("R"), [("x", col("r_id") * BinOp("+", lit(2), lit(3)))])
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, ConstantFolding())
         folded = optimized.projections[0][1]
         assert folded.right.value == 5
 
@@ -79,14 +92,14 @@ class TestConstantFoldingRule:
 class TestPredicatePushdownRule:
     def test_adjacent_selects_merge(self, tiny_catalog):
         raw = Q.Select(Q.Select(Q.Scan("R"), col("r_id") > 1), col("r_sid") > 10)
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Select)
         assert isinstance(optimized.child, Q.Scan)
 
     def test_pushes_below_project_with_substitution(self, tiny_catalog):
         raw = Q.Select(Q.Project(Q.Scan("R"), [("key", col("r_id") + 1)]),
                        col("key") > 2)
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Project)
         pushed = optimized.child
         assert isinstance(pushed, Q.Select)
@@ -97,7 +110,7 @@ class TestPredicatePushdownRule:
         raw = Q.Select(join, (col("r_name") == "R1")
                        & (col("s_val") > 1.0)
                        & (col("r_id") < col("s_id")))
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.HashJoin)
         assert isinstance(optimized.left, Q.Select)    # r_name conjunct
         assert isinstance(optimized.right, Q.Select)   # s_val conjunct
@@ -107,7 +120,7 @@ class TestPredicatePushdownRule:
         join = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"),
                           kind="leftsemi")
         raw = Q.Select(join, col("r_name") == "R1")
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         # bucket-order emission makes left-pushes order-unsafe for semi joins
         assert isinstance(optimized, Q.Select)
         assert isinstance(optimized.child, Q.HashJoin)
@@ -116,7 +129,7 @@ class TestPredicatePushdownRule:
         agg = Q.Agg(Q.Scan("R"), [("name", col("r_name"))],
                     [Q.AggSpec("count", None, "n")])
         raw = Q.Select(agg, col("name") == "R1")
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Agg)
         assert isinstance(optimized.child, Q.Select)
 
@@ -124,23 +137,23 @@ class TestPredicatePushdownRule:
         agg = Q.Agg(Q.Scan("R"), [("name", col("r_name"))],
                     [Q.AggSpec("count", None, "n")])
         raw = Q.Select(agg, col("n") > 1)
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Select)
 
     def test_pushes_below_sort_but_not_limit(self, tiny_catalog):
         sorted_plan = Q.Sort(Q.Scan("R"), [(col("r_id"), "desc")])
-        optimized = check_parity(Q.Select(sorted_plan, col("r_id") > 1),
-                                 tiny_catalog, STRUCTURE)
+        optimized = rewritten(Q.Select(sorted_plan, col("r_id") > 1),
+                              tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Sort)
         limited = Q.Limit(Q.Sort(Q.Scan("R"), [(col("r_id"), "desc")]), 3)
-        optimized = check_parity(Q.Select(limited, col("r_id") > 1),
-                                 tiny_catalog, STRUCTURE)
+        optimized = rewritten(Q.Select(limited, col("r_id") > 1),
+                              tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Select)
 
     def test_filter_sinks_through_multiple_levels(self, tiny_catalog):
         join = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))
         raw = Q.Select(Q.Sort(join, [(col("s_val"), "asc")]), col("r_name") == "R1")
-        optimized = check_parity(raw, tiny_catalog, STRUCTURE)
+        optimized = rewritten(raw, tiny_catalog, PredicatePushdown())
         assert isinstance(optimized, Q.Sort)
         assert isinstance(optimized.child, Q.HashJoin)
         assert isinstance(optimized.child.left, Q.Select)
@@ -149,8 +162,8 @@ class TestPredicatePushdownRule:
 class TestJoinStrategyRules:
     def test_build_side_swap_builds_on_the_smaller_input(self, skewed_catalog):
         raw = Q.HashJoin(Q.Scan("fact"), Q.Scan("dima"), col("f_a"), col("a_id"))
-        options = PlannerOptions(field_pruning=False, join_strategy=True)
-        optimized = check_parity(raw, skewed_catalog, options, ordered=False)
+        swap = BuildSideSwap(CardinalityEstimator(skewed_catalog))
+        optimized = rewritten(raw, skewed_catalog, swap, ordered=False)
         assert isinstance(optimized, Q.HashJoin)
         assert optimized.left.table == "dima"
         assert optimized.right.table == "fact"
@@ -158,8 +171,8 @@ class TestJoinStrategyRules:
     def test_swap_flips_residual_sides(self, skewed_catalog):
         raw = Q.HashJoin(Q.Scan("fact"), Q.Scan("dima"), col("f_a"), col("a_id"),
                          residual=BinOp("<", Col("f_val", "left"), Col("a_id", "right")))
-        options = PlannerOptions(field_pruning=False, join_strategy=True)
-        optimized = check_parity(raw, skewed_catalog, options, ordered=False)
+        swap = BuildSideSwap(CardinalityEstimator(skewed_catalog))
+        optimized = rewritten(raw, skewed_catalog, swap, ordered=False)
         assert optimized.left.table == "dima"
         assert optimized.residual.left.side == "right"
 
@@ -175,8 +188,6 @@ class TestJoinStrategyRules:
         assert optimized.left.table == "fact"
 
     def test_greedy_reorder_starts_from_the_smallest_input(self, skewed_catalog):
-        from repro.planner.reorder import reorder_join_chains
-
         chain = Q.HashJoin(
             Q.HashJoin(Q.Scan("fact"), Q.Scan("dimc"), col("f_c"), col("c_id")),
             Q.Scan("dima"), col("f_a"), col("a_id"))
@@ -203,16 +214,20 @@ class TestJoinStrategyRules:
         chain = Q.HashJoin(
             Q.HashJoin(Q.Scan("fact"), Q.Scan("dimc"), col("f_c"), col("c_id")),
             Q.Scan("dima"), col("f_a"), col("a_id"))
-        options = PlannerOptions(field_pruning=False, join_strategy=True)
-        check_parity(chain, skewed_catalog, options, ordered=False)
+        # the planner's join-strategy phase alone: reorder, then swap
+        context = PlannerContext(catalog=skewed_catalog)
+        estimator = CardinalityEstimator(skewed_catalog)
+        reordered = reorder_join_chains(chain, context, estimator)
+        swapped, _ = apply_rules_fixpoint(reordered, [BuildSideSwap(estimator)],
+                                          context)
+        assert_parity(chain, swapped, skewed_catalog, ordered=False)
 
     def test_reorder_keeps_residual_edges(self, skewed_catalog):
         # the dima edge arrives via a residual, not a key pair
         chain = Q.HashJoin(
             Q.HashJoin(Q.Scan("fact"), Q.Scan("dimc"), col("f_c"), col("c_id")),
             Q.Scan("dima"), col("f_a"), col("a_id"))
-        options = PlannerOptions(join_strategy=True)
-        check_parity(chain, skewed_catalog, options, ordered=False)
+        check_parity(chain, skewed_catalog, ordered=False)
 
 
 class TestFieldPruning:
@@ -264,6 +279,24 @@ class TestFieldPruning:
         # S keeps the key and the residual column but drops s_val.
         assert join.left.fields is None
         assert join.right.fields == ("s_id", "s_rid")
+
+
+class TestPlannerOptions:
+    def test_only_the_optional_phases_are_switches(self, tiny_catalog):
+        """The logical rule sweep and field pruning always run: with every
+        switch off, all four still rewrite the plan."""
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(PlannerOptions)] == [
+            "join_strategy", "access_paths", "validate_rewrites"]
+        raw = Q.Project(
+            Q.Limit(Q.Sort(Q.Select(Q.Scan("S"), (col("s_val") > 1.0) & (lit(1) == lit(1))),
+                           [(col("s_val"), "desc")]), 2),
+            [("v", col("s_val"))])
+        options = PlannerOptions(join_strategy=False, access_paths=False)
+        report = Planner(tiny_catalog, options).explain(raw)
+        assert {"constant-folding", "topk-fusion", "field-pruning"} <= set(report.applied)
+        pushed = Q.Select(Q.Project(Q.Scan("S"), [("v", col("s_val"))]), col("v") > 1.0)
+        assert "predicate-pushdown" in Planner(tiny_catalog, options).explain(pushed).applied
 
 
 class TestCardinalityEstimator:

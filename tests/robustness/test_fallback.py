@@ -87,14 +87,6 @@ class TestCleanExecution:
             VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
         assert len(executor.incidents) == 0
 
-    def test_template_expander_as_the_compiled_tier(self, tiny_catalog):
-        executor = _executor(tiny_catalog, tiers=("compiled",),
-                             compiled_config="template-expander")
-        report = executor.execute(_select_plan(), "tmpl_q")
-        assert report.tier == "compiled" and not report.degraded
-        assert_rows_equivalent(
-            VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
-
     def test_tier_validation(self, tiny_catalog):
         assert ENGINE_TIERS == ("compiled", "vectorized", "interpreter")
         with pytest.raises(ValueError, match="unknown tiers"):

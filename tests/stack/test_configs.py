@@ -82,9 +82,27 @@ class TestConfigs:
                   if "monad-fusion[QMonad]" in pass_names(name)]
         assert listed == ["dblab-5", "tpch-compliant"]
 
-    def test_branchless_booleans_is_a_library_pass_no_stack_lists(self):
-        for name in CONFIG_NAMES:
-            assert not any(n.startswith("branchless") for n in pass_names(name))
+    def test_every_pass_is_listed_by_a_configuration(self):
+        """A pass exists because a configuration runs it: every
+        ``Optimization`` defined under ``repro.transforms`` is a front-end
+        pass or a level pass of some Table 3 row that does not leave it out."""
+        import importlib
+        import pkgutil
+        import repro.transforms
+        from repro.stack.configs import _LEVEL_PASSES, _ROWS
+        from repro.stack.transformation import Optimization
+        defined = set()
+        for info in pkgutil.iter_modules(repro.transforms.__path__):
+            module = importlib.import_module(f"repro.transforms.{info.name}")
+            defined |= {cls for cls in vars(module).values()
+                        if isinstance(cls, type) and issubclass(cls, Optimization)
+                        and cls.__module__ == module.__name__}
+        listed = set()
+        for row in _ROWS.values():
+            listed |= (set(row.front_end_passes)
+                       | {make for level in row.chain
+                          for make in _LEVEL_PASSES.get(level, ())}) - set(row.without)
+        assert sorted(cls.__name__ for cls in defined - listed) == []
 
     def test_option_census(self):
         """What runs is the pass list; the options left are the three a caller

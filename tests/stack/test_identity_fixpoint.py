@@ -42,16 +42,20 @@ from repro.transforms.fusion import MonadFusionRules
 #: only the fields they read, and nothing when they read none.  Planner off
 #: and on alike, that changed every query's source except Q1 (one
 #: multi-slot group, no build) everywhere, Q22 under dblab-4 / dblab-5, and
-#: Q12 and Q14 under template-expander / dblab-2.
+#: Q12 and Q14 under template-expander / dblab-2.  The planner-off digest and
+#: those of dblab-3 / dblab-4 / dblab-5 / tpch-compliant were re-pinned again
+#: when folding began to drop an ``if_`` arm that a literal condition never
+#: selects even when the arm writes: the one source that moved is Q13's, which
+#: lost its ``if False:`` arm around the count's slot update (three lines).
 GOLDEN_SOURCE_SHA256 = {
-    False: "cca9d3ef10e2b2497aee73617be6e14b10f781788f94ee86ee6f3d7d5f632933",
+    False: "f5dcceba93603bb993ed1401fc0f5cda080f82317cce94f5f76b7cc82de89318",
     True: {
         "template-expander": "a222fc8fddab2bf6a46b51d160eb8de35bc5961f59d84e50295f9ae18e5fbf05",
         "dblab-2": "0641f673e9d240a466ab2eb8eef471e4c1736ecd6b5e1165d4c26eafcc93bb23",
-        "dblab-3": "b3c70c27556bbb096875b21a797047bbe3a447ab8c69da8c3e498b75c820603c",
-        "dblab-4": "cd698687202a24f97712e7c722a73f38644c2d3b9469bf304463e0bd0a702e22",
-        "dblab-5": "8f9edde29afa51240fd3316e06c3fa007aadfb14fea6d27b8121b205242d796e",
-        "tpch-compliant": "74328b445077df65e4817ecd048d50d4532dc8e363378dd1d82d4f3134d480a6",
+        "dblab-3": "31b4d9f44feb4bc7366511a7410dd2725e50740510a3c2404669ac11349b680b",
+        "dblab-4": "9a122eb8137faf627de90f00a3eb572cb49bae70db625249c87924af66ef838d",
+        "dblab-5": "7be8943a0886d9c1890db0ad4c3ecbc84ee4c7652076ca01198919e09d01c343",
+        "tpch-compliant": "3a847a8fdcc2e8969afe34017a60b95d1c02d7b30dc1022332d83a8a58fa4cd5",
     },
 }
 
@@ -164,8 +168,10 @@ class TestDeclarations:
         """dblab-5, planner on, 22 queries: 6 steps each is 132 runs; folding
         changes 17 programs — mostly by dropping the NULL guards of folds
         over columns with no NULL — and re-queues itself, the first ScaLite
-        pass (17 more); no sweep of DCE's takes a reader from a branch, an
-        allocation or a write."""
+        pass (17 more); on Q13 its second run drops the arm that the
+        condition the first run folded to ``False`` never selects, which
+        re-queues the four ScaLite passes once more (4 more); no sweep of
+        DCE's takes a reader from a branch, an allocation or a write."""
         config = build_config("dblab-5", planner=True)
         compiler = QueryCompiler(config.stack, config.flags)
         runs = changed = requeued = 0
@@ -176,7 +182,7 @@ class TestDeclarations:
                 runs += phase.runs
                 changed += phase.changed
                 requeued += phase.requeued
-        assert (runs, changed, requeued) == (149, 74, 17)
+        assert (runs, changed, requeued) == (153, 75, 21)
 
     @pytest.mark.parametrize("config_name", CONFIG_NAMES)
     def test_the_confirmation_holds_on_every_planned_query(

@@ -16,10 +16,8 @@ a comment or string therefore counts, and so does a re-export in an
 ``__init__``.
 
 Some passes stay although no planned TPC-H query makes them fire, and that
-is deliberate: ``UnusedFieldRemoval`` is in stacks, and
-``ScalarReplacement`` and ``BranchlessBooleans`` are tested library passes
-in no stack; Table 4 counts all three modules
-(``bench/loc.py::TABLE4_COMPONENTS``).  Helpers only tests call
+is deliberate: ``UnusedFieldRemoval`` is in stacks, and Table 4 counts its
+module (``bench/loc.py::TABLE4_COMPONENTS``).  Helpers only tests call
 (``Catalog.register_rows``, ``storage/loader.py::load_directory``) pass as
 well: a test is a reference.
 """

@@ -55,6 +55,19 @@ class TestDataflowFolding:
         # the predicate folds, but dropping an arm with I/O is not allowed
         assert counts["if_"] == 1
         assert counts["print_"] == 1
+        # until the branch tests the literal, which never selects that arm
+        # (the taken arm's ``add`` of two literals folds in the same run)
+        refolded = DataflowFolding(SCALITE).run(folded, context())
+        assert count_ops(refolded) == {}
+
+    def test_a_literal_condition_drops_the_writing_arm_it_never_selects(self):
+        """Q13's ``if False:`` around a slot update: the arm never runs."""
+        b = IRBuilder()
+        out = b.emit("list_new", [])
+        b.if_(False, lambda: b.emit("list_append", [out, 1]) and None, lambda: None)
+        program = make_program(b.finish(out), [], "ScaLite")
+        folded = DataflowFolding(SCALITE).run(program, context())
+        assert count_ops(folded) == {"list_new": 1}
 
     def test_none_result_unwrap_skipped_when_sym_is_used(self):
         """Unwrapping a branch whose arm yields None would substitute a None

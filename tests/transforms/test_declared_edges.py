@@ -3,12 +3,12 @@
 The worklist of :func:`repro.stack.transformation.apply_fixpoint` re-runs a
 pass only when a pass that declares it ``enables`` it changed the program, so
 a declaration that misses an edge leaves a program one rewrite short.  The 22
-queries exercise few of the edges (scalar replacement is in no stack; no
-sweep of DCE's gives anybody work there), so these tests build the programs that do: each edge by
-hand, compiled by the dblab-5 stack plus scalar replacement under
-``verify=True`` (whose confirmation runs every pass once more on the settled
-program), and a few hundred random programs on which the worklist must
-settle exactly where the round-robin it replaced did.
+queries exercise few of the edges (no sweep of DCE's gives anybody work
+there), so these tests build the programs that do: each edge by hand,
+compiled by the dblab-5 stack under ``verify=True`` (whose confirmation runs
+every pass once more on the settled program), and a few hundred random
+programs on which the worklist must settle exactly where the round-robin it
+replaced did.
 """
 import random
 
@@ -16,18 +16,13 @@ from repro.analysis import VerificationError, confirm_fixpoint
 from repro.ir import Const, IRBuilder, make_program
 from repro.ir.nodes import reset_symbol_counter
 from repro.ir.traversal import count_ops
-from repro.stack import SCALITE, CompilationContext, DslStack
+from repro.stack import SCALITE, CompilationContext
 from repro.stack.configs import build_config
 from repro.stack.transformation import apply_fixpoint, program_fingerprint
 from repro.transforms.dce import DeadCodeElimination
-from repro.transforms.scalar_replacement import ScalarReplacement
+from repro.transforms.folding import DataflowFolding
 
-_DBLAB5 = build_config("dblab-5").stack
-#: dblab-5 with scalar replacement — a library pass no configuration lists —
-#: first among its ScaLite passes, so the pass's own edges stay held here
-STACK = DslStack("dblab-5+scalar-replacement", _DBLAB5.languages,
-                 _DBLAB5.lowerings,
-                 [ScalarReplacement(SCALITE)] + _DBLAB5.optimizations)
+STACK = build_config("dblab-5").stack
 STEPS = STACK.optimizations_for(SCALITE)
 REC = {"fields": ("x",), "layout": "boxed"}
 
@@ -76,15 +71,22 @@ class TestDeadCodeEliminationEdges:
         assert phase.requeued > 0 and "dataflow-folding[ScaLite]" in applied(phase)
 
     def test_taking_a_dead_write_out_of_an_arm_lets_folding_drop_the_arm(self):
-        """Folding drops the arm not taken only when it is effect-free; the
-        write in it goes to a list nobody reads."""
+        """Under a condition the analysis decides but that is no literal (a
+        field of a record built from ``False``), folding drops the arm not
+        taken only when it is effect-free; the write in it goes to a list
+        nobody reads."""
         def build():
             b = IRBuilder()
             seen = b.emit("list_new", [])
-            b.if_(False, lambda: b.emit("list_append", [seen, 1]) and None,
+            flag = b.emit("record_get", [b.emit("record_new", [Const(False)], attrs=REC)],
+                          attrs={"field": "x"})
+            b.if_(flag, lambda: b.emit("list_append", [seen, 1]) and None,
                   lambda: b.emit("print_", [Const("kept")]) and None)
             return make_program(b.finish(Const(0)), [], "ScaLite")
 
+        reset_symbol_counter()
+        alone = DataflowFolding(SCALITE).run(build(), CompilationContext())
+        assert count_ops(alone)["if_"] == 1
         phase, program = verified(build)
         assert count_ops(program) == {"print_": 1}
         assert "dataflow-folding[ScaLite]" in applied(phase)
@@ -127,35 +129,6 @@ class TestDeadCodeEliminationEdges:
         dce = DeadCodeElimination(SCALITE)
         assert dce.run(program, CompilationContext()) is not program
         assert dce.enables_after(program) == ()
-
-
-class TestForwardingAndFolding:
-    def test_records_and_constants_handed_out_by_an_unwrapped_branch(self):
-        """Folding unwraps the branch, scalar replacement forwards both
-        nested reads in one run, folding then folds the sum and the
-        comparison and unwraps the branch that decided, in one run."""
-        def build():
-            b = IRBuilder()
-
-            def nested(value):
-                inner = b.emit("record_new", [Const(value)], attrs=REC)
-                return b.emit("record_new", [inner], attrs=REC)
-
-            pair = b.if_(True, lambda: nested(1), lambda: nested(7))
-            inner = b.emit("record_get", [pair], attrs={"field": "x"})
-            total = b.emit("add", [b.emit("record_get", [inner], attrs={"field": "x"}), 1])
-            small = b.emit("lt", [total, 5])
-            scaled = b.if_(small, lambda: b.emit("mul", [total, 10]),
-                           lambda: b.emit("mul", [total, 20]))
-            return make_program(b.finish(b.emit("print_", [scaled])), [], "ScaLite")
-
-        phase, program = verified(build)
-        assert count_ops(program) == {"print_": 1}
-        assert applied(phase) == [
-            "dataflow-folding[ScaLite]", "dce[ScaLite]",
-            "scalar-replacement[ScaLite]"]
-        # folding twice, the two others once each
-        assert phase.changed == 4
 
 
 def random_program(seed):

@@ -1,15 +1,13 @@
-"""Unit tests for the generic IR optimizations (DCE, literal folding, scalar
-replacement, allocation hoisting, branchless booleans)."""
+"""Unit tests for the generic IR optimizations (DCE, literal folding,
+allocation hoisting)."""
 
 from repro.ir import IRBuilder, Const, make_program
 from repro.ir.nodes import Sym
 from repro.ir.traversal import count_ops
-from repro.stack import CompilationContext, OptimizationFlags, SCALITE, C_PY
-from repro.transforms.control_flow import BranchlessBooleans
+from repro.stack import CompilationContext, OptimizationFlags, SCALITE
 from repro.transforms.dce import DeadCodeElimination
 from repro.transforms.folding import DataflowFolding
 from repro.transforms.memory_hoisting import MemoryAllocationHoisting
-from repro.transforms.scalar_replacement import ScalarReplacement
 
 
 def context():
@@ -127,35 +125,6 @@ class TestLiteralFolding:
         assert folded.body.result == Const(1998)
 
 
-class TestScalarReplacement:
-    def test_record_get_of_fresh_record_is_forwarded(self):
-        b = IRBuilder()
-        a = b.emit("add", [1, 2])
-        rec = b.emit("record_new", [a, Const(7)], attrs={"fields": ("x", "y"),
-                                                         "layout": "boxed"})
-        read = b.emit("record_get", [rec], attrs={"field": "y"})
-        out = b.emit("mul", [read, 2])
-        program = make_program(b.finish(out), [], "ScaLite")
-        replaced = ScalarReplacement(SCALITE).run(program, context())
-        cleaned = DeadCodeElimination(SCALITE).run(replaced, context())
-        counts = count_ops(cleaned)
-        assert "record_get" not in counts
-        assert "record_new" not in counts   # flattened away entirely
-
-    def test_records_stored_in_structures_are_kept(self):
-        b = IRBuilder()
-        rec = b.emit("record_new", [Const(1)], attrs={"fields": ("x",), "layout": "boxed"})
-        lst = b.emit("list_new", [])
-        b.emit("list_append", [lst, rec])
-        read = b.emit("record_get", [rec], attrs={"field": "x"})
-        program = make_program(b.finish(read), [], "ScaLite")
-        replaced = ScalarReplacement(SCALITE).run(program, context())
-        cleaned = DeadCodeElimination(SCALITE).run(replaced, context())
-        counts = count_ops(cleaned)
-        assert counts["record_new"] == 1      # still stored in the list
-        assert "record_get" not in counts     # but the read is forwarded
-
-
 class TestMemoryHoisting:
     def test_hoists_table_access_and_pure_statements(self):
         db = Sym("db")
@@ -186,25 +155,3 @@ class TestMemoryHoisting:
         hoisted = MemoryAllocationHoisting(SCALITE).run(program, context())
         assert all(s.expr.op != "add" for s in hoisted.hoisted.stmts)
 
-
-class TestBranchlessBooleans:
-    def test_boolean_and_becomes_bitwise(self):
-        b = IRBuilder()
-        v = b.emit("var_new", [1])
-        r = b.emit("var_read", [v])
-        c1 = b.emit("lt", [r, 10])
-        c2 = b.emit("gt", [r, 0])
-        both = b.emit("and_", [c1, c2])
-        program = make_program(b.finish(both), [], "C.Py")
-        rewritten = BranchlessBooleans(C_PY).run(program, context())
-        counts = count_ops(rewritten)
-        assert "band" in counts and "and_" not in counts
-
-    def test_non_boolean_operands_left_alone(self):
-        b = IRBuilder()
-        v = b.emit("var_new", [1])
-        r = b.emit("var_read", [v])
-        both = b.emit("and_", [r, Const(5)])
-        program = make_program(b.finish(both), [], "C.Py")
-        rewritten = BranchlessBooleans(C_PY).run(program, context())
-        assert "and_" in count_ops(rewritten)
