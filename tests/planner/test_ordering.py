@@ -107,6 +107,17 @@ class TestTopKFusionRule:
         assert isinstance(once, Q.TopK)
         assert Q.plan_fingerprint(once) == Q.plan_fingerprint(twice)
 
+    @pytest.mark.parametrize("preset", ["all_rules", "exact_order", "no_access_paths"])
+    def test_the_planner_fuses_under_every_preset(self, tiny_catalog, preset):
+        """Fusion is part of the always-on sweep; the fused plan keeps the
+        sort's order contract and its rows."""
+        plan = self.plan(3)
+        optimized = Planner(tiny_catalog, getattr(PlannerOptions, preset)()).optimize(plan)
+        assert isinstance(optimized, Q.TopK) and optimized.count == 3
+        assert contract_keys(optimized) == contract_keys(plan)
+        assert volcano_execute(optimized, tiny_catalog) == \
+            volcano_execute(plan, tiny_catalog)
+
 
 class TestRowsEquivalent:
     ROWS = [{"k": 2, "v": 1.0}, {"k": 1, "v": 2.0}, {"k": 1, "v": 3.0}]

@@ -298,6 +298,20 @@ class TestPlannerOptions:
         pushed = Q.Select(Q.Project(Q.Scan("S"), [("v", col("s_val"))]), col("v") > 1.0)
         assert "predicate-pushdown" in Planner(tiny_catalog, options).explain(pushed).applied
 
+    @pytest.mark.parametrize("preset", ["all_rules", "exact_order", "no_access_paths"])
+    def test_every_preset_runs_the_sweep_and_pruning(self, tiny_catalog, preset):
+        """No preset can turn the always-on phases off, and what they
+        rewrite still returns the unplanned plan's rows."""
+        raw = Q.Project(
+            Q.Limit(Q.Sort(Q.Select(Q.Scan("S"), (col("s_val") > 1.0) & (lit(1) == lit(1))),
+                           [(col("s_val"), "desc")]), 2),
+            [("v", col("s_val"))])
+        planner = Planner(tiny_catalog, getattr(PlannerOptions, preset)())
+        report = planner.explain(raw)
+        assert {"constant-folding", "topk-fusion", "field-pruning"} <= set(report.applied)
+        assert volcano_execute(planner.optimize(raw), tiny_catalog) == \
+            volcano_execute(raw, tiny_catalog)
+
 
 class TestCardinalityEstimator:
     def test_scan_estimates_match_statistics(self, tiny_catalog):

@@ -87,6 +87,18 @@ class TestCleanExecution:
             VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
         assert len(executor.incidents) == 0
 
+    def test_both_plan_modes_compile_through_dblab5(self, tiny_catalog):
+        """The compiled tier is the dblab-5 stack; planning stays with the
+        executor, and only the access plan mode touches catalog structures."""
+        executor = _executor(tiny_catalog)
+        stack = build_config("dblab-5").stack
+        for mode, compiler in executor._compilers.items():
+            assert compiler.stack.name == stack.name
+            assert [p.name for p in compiler.stack.optimizations] == \
+                [p.name for p in stack.optimizations]
+            assert not compiler.flags.logical_plan_optimizer
+            assert compiler.flags.catalog_access_layer == (mode == "access")
+
     def test_tier_validation(self, tiny_catalog):
         assert ENGINE_TIERS == ("compiled", "vectorized", "interpreter")
         with pytest.raises(ValueError, match="unknown tiers"):

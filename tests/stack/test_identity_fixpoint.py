@@ -14,10 +14,12 @@ import hashlib
 
 import pytest
 
+from repro.bench.harness import assert_rows_equivalent
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.dsl.qmonad import QueryMonad
+from repro.engine.volcano import VolcanoEngine
 from repro.ir import IRBuilder, make_program
 from repro.ir import pretty
 from repro.ir.nodes import reset_symbol_counter
@@ -298,6 +300,22 @@ class TestGoldenSource:
         digest = hashlib.sha256()
         self._feed(digest, config_name, True, tpch_catalog)
         assert digest.hexdigest() == GOLDEN_SOURCE_SHA256[True][config_name]
+
+    @pytest.mark.parametrize("config_name",
+                             ["dblab-3", "dblab-4", "dblab-5", "tpch-compliant"])
+    def test_q13_keeps_no_branch_on_a_literal(self, tpch_catalog, config_name):
+        """The stacks that run dataflow folding drop the ``if False:`` arm
+        around Q13's count update, and the query still returns its rows."""
+        config = build_config(config_name)
+        compiler = QueryCompiler(config.stack, config.flags)
+        QueryCompiler.clear_cache()
+        reset_symbol_counter()
+        compiled = compiler.compile(build_query("Q13"), tpch_catalog, "Q13")
+        assert "if False" not in compiled.source
+        assert "if True" not in compiled.source
+        assert_rows_equivalent(
+            VolcanoEngine(tpch_catalog).execute(build_query("Q13")),
+            compiled.run(tpch_catalog))
 
     def test_planned_trees_are_identical(self, tpch_catalog):
         digest = hashlib.sha256()

@@ -69,6 +69,19 @@ class TestDataflowFolding:
         folded = DataflowFolding(SCALITE).run(program, context())
         assert count_ops(folded) == {"list_new": 1}
 
+    def test_a_true_literal_keeps_the_writing_arm_and_drops_the_other(self):
+        """The arm a literal selects is inlined, writes and all; the write in
+        the arm it never selects goes with that arm."""
+        b = IRBuilder()
+        out = b.emit("list_new", [])
+        b.if_(True, lambda: b.emit("list_append", [out, 1]) and None,
+              lambda: b.emit("list_append", [out, 2]) and None)
+        program = make_program(b.finish(out), [], "ScaLite")
+        folded = DataflowFolding(SCALITE).run(program, context())
+        assert count_ops(folded) == {"list_new": 1, "list_append": 1}
+        append, = [stmt.expr for stmt in folded.body.stmts if stmt.expr.op == "list_append"]
+        assert append.args[1].value == 1
+
     def test_none_result_unwrap_skipped_when_sym_is_used(self):
         """Unwrapping a branch whose arm yields None would substitute a None
         literal into the consumer; the folder keeps the branch instead."""
