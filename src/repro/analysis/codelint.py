@@ -141,7 +141,7 @@ def _check_governed_loops(stmts: Sequence[ast.stmt], depth: int,
                 raise _err(
                     f"depth-0 for-loop at line {node.lineno} of {where} "
                     "does not iterate a governor hook (_rt.governed_range "
-                    "/ _rt.governed_iter) — it escapes the row budget",
+                    "/ _rt.governed_iter) — it escapes the deadline",
                     binding=where)
             _check_governed_loops(node.body, depth + 1, where)
             _check_governed_loops(node.orelse, depth + 1, where)

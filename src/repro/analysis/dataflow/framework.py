@@ -1,8 +1,8 @@
 """Lattice-based abstract-interpretation framework over ANF programs.
 
 Two things live here, shared by every concrete analysis of the package
-(the lattice elements themselves, each with its own ``join``/``widen``/``leq``,
-are in :mod:`.lattices`):
+(the lattice elements themselves, each with its own ``join``/``leq``, are in
+:mod:`.lattices`):
 
 * block walkers — :func:`walk_forward` / :func:`walk_backward` visit every
   statement of a program in (reverse) execution order, descending into the

@@ -64,14 +64,6 @@ class Interval:
     def join(self, other: "Interval") -> "Interval":
         return Interval(_min_lo(self.lo, other.lo), _max_hi(self.hi, other.hi))
 
-    def widen(self, other: "Interval") -> "Interval":
-        """Drop any endpoint the new fact moved past (classic interval widening)."""
-        lo = self.lo if (self.lo is not None and other.lo is not None
-                         and other.lo >= self.lo) else None
-        hi = self.hi if (self.hi is not None and other.hi is not None
-                         and other.hi <= self.hi) else None
-        return Interval(lo, hi)
-
     def leq(self, other: "Interval") -> bool:
         """``self`` is contained in ``other``."""
         lo_ok = other.lo is None or (self.lo is not None and self.lo >= other.lo)
@@ -199,10 +191,6 @@ class ValueFact:
 
     def join(self, other: "ValueFact") -> "ValueFact":
         return ValueFact(self.interval.join(other.interval),
-                         self.nullability.join(other.nullability))
-
-    def widen(self, other: "ValueFact") -> "ValueFact":
-        return ValueFact(self.interval.widen(other.interval),
                          self.nullability.join(other.nullability))
 
     def leq(self, other: "ValueFact") -> bool:

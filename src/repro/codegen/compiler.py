@@ -23,8 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..dsl import qmonad as M
 from ..dsl import qplan as Q
 from ..ir.nodes import Program
-from ..robustness.faults import fault_point, fault_value
-from ..robustness.governor import current_governor
+from ..robustness.faults import fault_point
 from ..stack.context import CompilationContext, OptimizationFlags
 from ..stack.language import QMONAD, QPLAN
 from ..stack.pipeline import CompilationResult, DslStack
@@ -99,11 +98,7 @@ class CompiledQuery:
         fault_point("engine.compiled.run", query=self.name, config=self.config)
         if aux is None:
             aux = self.prepare(db)
-        rows = self._query_fn(db, runtime, aux)
-        governor = current_governor()
-        if governor is not None:
-            governor.note_output_rows(len(rows))
-        return rows
+        return self._query_fn(db, runtime, aux)
 
     @property
     def compile_seconds(self) -> float:
@@ -243,9 +238,6 @@ class QueryCompiler:
                 lambda: self._build(plan, source, catalog, query_name))
             if hit:
                 return replace(compiled, cache_hit=True)
-        governor = current_governor()
-        if governor is not None:
-            governor.charge_compile(compiled.compile_seconds)
         return compiled
 
     def _lower(self, plan, source, catalog: Catalog,
@@ -276,9 +268,6 @@ class QueryCompiler:
             from ..analysis import verify_source
             verify_source(text, phase=f"unparse[{query_name}]")
         generation_seconds = time.perf_counter() - start
-        # Injected slow-compile penalty: deterministic extra seconds charged
-        # as if the staged lowering had taken that long (no real sleeping).
-        generation_seconds += fault_value("compiler.slow_compile", 0.0)
 
         start = time.perf_counter()
         namespace: Dict[str, Any] = {}

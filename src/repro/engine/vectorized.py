@@ -104,9 +104,6 @@ class VectorizedEngine:
                 columns = [batch.columns[name] for name in fields]
                 for i in batch.indices():
                     rows.append({name: column[i] for name, column in zip(fields, columns)})
-        governor = current_governor()
-        if governor is not None:
-            governor.note_output_rows(len(rows))
         return rows
 
     def execute_batches(self, plan: qplan.Operator) -> Iterator[ColumnBatch]:

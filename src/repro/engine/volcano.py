@@ -57,20 +57,16 @@ class VolcanoEngine:
     # ------------------------------------------------------------------
     def execute(self, plan: qplan.Operator) -> List[Row]:
         """Run a plan to completion and return the list of output rows."""
-        rows = list(self.iterate(plan))
-        governor = current_governor()
-        if governor is not None:
-            governor.note_output_rows(len(rows))
-        return rows
+        return list(self.iterate(plan))
 
     def iterate(self, plan: qplan.Operator) -> Iterator[Row]:
         """The iterator-model pipeline for one operator.
 
         This is the interpreter's cooperative cancellation point: with a
         governor installed, every operator's ``next()`` stream ticks the
-        budget per pulled row, so a trip cancels within one row of the limit
-        on any pipeline shape.  Without a governor the stream is returned
-        unwrapped.
+        budget per pulled row, so a deadline trip cancels within one check
+        interval on any pipeline shape.  Without a governor the stream is
+        returned unwrapped.
         """
         fault_point("engine.volcano.operator", operator=type(plan).__name__)
         stream = self._dispatch(plan)

@@ -3,15 +3,15 @@
 The engine lineup (Volcano interpreter, vectorized engine, compiled DSL
 stacks) is wrapped by three cooperating layers:
 
-* :mod:`repro.robustness.governor` — per-query :class:`QueryBudget` limits
-  (wall-clock timeout, intermediate/output row caps, compile-time cap)
-  enforced at cooperative cancellation checkpoints inside every engine;
-  a trip raises a typed :class:`BudgetExceeded` carrying progress stats.
+* :mod:`repro.robustness.governor` — a per-query :class:`QueryBudget`
+  deadline enforced at cooperative cancellation checkpoints inside every
+  engine; a trip raises a typed :class:`BudgetExceeded` carrying progress
+  stats.
 * :mod:`repro.robustness.fallback` — :class:`HardenedExecutor`, the
   degradation ladder: compiled stack → vectorized → Volcano, access-path
   plan → no-access plan, with a per-fingerprint circuit breaker,
-  exponential-backoff retry for transient faults, and a structured incident
-  log (:mod:`repro.robustness.incidents`).
+  exponential-backoff retry for transient faults (fixed module constants),
+  and a structured incident log (:mod:`repro.robustness.incidents`).
 * :mod:`repro.robustness.faults` — a seeded, deterministic fault-injection
   registry with sites planted in the storage access layer, the query
   compiler and every engine; the chaos parity suite drives it.

@@ -4,9 +4,8 @@
 this repository already has, degrading on failure along two axes:
 
 * **engine tier** — compiled dblab-5 stack → vectorized → Volcano
-  interpreter.  Any non-budget engine failure moves to the next tier; a
-  compile-time budget trip does too (the whole point of the direct engines
-  is that they need no compilation).
+  interpreter (``ENGINE_TIERS``, always all three).  Any engine failure
+  moves to the next tier.
 * **plan mode** — access-path plan → re-planned without ``access_rules``.
   Access-layer failures (missing index, corrupted zone map —
   :class:`~repro.storage.access.AccessError` and
@@ -18,10 +17,10 @@ this repository already has, degrading on failure along two axes:
 Transient faults (:class:`~repro.robustness.faults.TransientFault`) are
 retried in place with exponential backoff.  A per-(fingerprint, tier)
 circuit breaker disables a repeatedly failing tier until a cooldown expires.
-Every degradation is recorded in a structured
-:class:`~repro.robustness.incidents.IncidentLog`; timeout/row budget trips
-are final and re-raise :class:`~repro.robustness.governor.BudgetExceeded`
-to the caller.
+Retry and breaker settings are module constants.  Every degradation is
+recorded in a structured :class:`~repro.robustness.incidents.IncidentLog`;
+a deadline trip is final and re-raises
+:class:`~repro.robustness.governor.BudgetExceeded` to the caller.
 
 The executor detects access-layer generation skew: if a table is
 re-registered between planning and execution (or mid-ladder), the stale plan
@@ -34,8 +33,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from ..codegen.compiler import QueryCompiler
@@ -53,6 +51,16 @@ from .incidents import DEFAULT_INCIDENTS, IncidentLog
 
 ENGINE_TIERS = ("compiled", "vectorized", "interpreter")
 PLAN_MODES = ("access", "no_access")
+
+#: the ladder's fixed settings: a (fingerprint, tier) breaker opens after
+#: ``BREAKER_THRESHOLD`` failures and lets one probe through per
+#: ``BREAKER_COOLDOWN_SECONDS``; a transient fault is retried in place
+#: ``MAX_RETRIES`` times, the backoff starting at ``BACKOFF_SECONDS`` and
+#: doubling per retry
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_SECONDS = 30.0
+MAX_RETRIES = 2
+BACKOFF_SECONDS = 0.01
 
 #: errors that indicate a broken physical access structure: degrade the plan
 #: (drop access paths), not the engine
@@ -73,31 +81,36 @@ class LadderExhausted(RuntimeError):
 class CircuitBreaker:
     """Per-key failure counter with open/cooldown/half-open states.
 
+    A key opens after ``BREAKER_THRESHOLD`` failures with no success between
+    them.  Once ``BREAKER_COOLDOWN_SECONDS`` have passed, :meth:`allow`
+    grants one probe and re-arms the cooldown, so the next probe waits
+    another cooldown; the probe's success closes the key.
+
     State transitions are serialised by a lock: the serving front door runs
     ladder attempts on a thread pool, so concurrent failures on the same
     (fingerprint, tier) key must not lose counter increments or double-open
-    the breaker.
+    the breaker, and concurrent callers of a cooled key must not all probe.
     """
 
-    def __init__(self, threshold: int = 3, cooldown_seconds: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
-        self.cooldown_seconds = cooldown_seconds
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.RLock()
         self._failures: Dict[Tuple, int] = {}
         self._opened_at: Dict[Tuple, float] = {}
 
     def allow(self, key: Tuple) -> bool:
-        """Whether an attempt may run: closed, or open-but-cooled (half-open
-        probe — one attempt is let through; its outcome closes or re-arms)."""
+        """Whether an attempt may run: the key is closed, or open and cooled
+        (half-open: this call is the one probe let through, and re-arms the
+        cooldown; the probe's outcome closes or keeps the key open)."""
         with self._lock:
             opened = self._opened_at.get(key)
             if opened is None:
                 return True
-            return self._clock() - opened >= self.cooldown_seconds
+            now = self._clock()
+            if now - opened < BREAKER_COOLDOWN_SECONDS:
+                return False
+            self._opened_at[key] = now
+            return True
 
     def is_open(self, key: Tuple) -> bool:
         with self._lock:
@@ -109,7 +122,7 @@ class CircuitBreaker:
         with self._lock:
             count = self._failures.get(key, 0) + 1
             self._failures[key] = count
-            if count >= self.threshold:
+            if count >= BREAKER_THRESHOLD:
                 self._opened_at[key] = self._clock()
                 return True
             return False
@@ -151,26 +164,11 @@ class HardenedExecutor:
     """
 
     def __init__(self, catalog: Catalog, *,
-                 tiers: Sequence[str] = ("compiled", "vectorized", "interpreter"),
-                 budget: Optional[QueryBudget] = None,
                  incidents: Optional[IncidentLog] = None,
-                 breaker_threshold: int = 3,
-                 breaker_cooldown_seconds: float = 30.0,
-                 max_retries: int = 2,
-                 backoff_seconds: float = 0.01,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        unknown = [tier for tier in tiers if tier not in ENGINE_TIERS]
-        if unknown:
-            raise ValueError(f"unknown tiers {unknown}; valid: {ENGINE_TIERS}")
-        if not tiers:
-            raise ValueError("at least one tier is required")
         self.catalog = catalog
-        self.tiers = tuple(tiers)
-        self.budget = budget
         self.incidents = incidents if incidents is not None else DEFAULT_INCIDENTS
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown_seconds)
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
+        self.breaker = CircuitBreaker()
         self._sleep = sleep
         from ..codegen.compiler import QueryCompiler
         from ..stack.configs import build_config
@@ -215,102 +213,82 @@ class HardenedExecutor:
     # ------------------------------------------------------------------
     def execute(self, plan: Q.Operator, query_name: str = "query",
                 budget: Optional[QueryBudget] = None) -> ExecutionReport:
-        """Run ``plan`` through the ladder; raises :class:`BudgetExceeded`
-        on a final budget trip, :class:`LadderExhausted` when every tier
-        fails."""
-        budget = budget if budget is not None else self.budget
+        """Run ``plan`` down the ladder, under ``budget``'s deadline when one
+        is given; raises :class:`BudgetExceeded` when the deadline passes,
+        :class:`LadderExhausted` when every tier fails."""
         fingerprint = Q.plan_fingerprint(plan)
         attempts: List[dict] = []
         mode_index = 0
-        tier_index = 0
-        retries = 0
-
-        while tier_index < len(self.tiers):
-            tier = self.tiers[tier_index]
-            mode = PLAN_MODES[mode_index]
+        for tier in ENGINE_TIERS:
             breaker_key = (fingerprint, tier)
+            # asked once per tier: a half-open probe is the whole visit, its
+            # retries and plan degradation included
             if not self.breaker.allow(breaker_key):
-                attempts.append({"tier": tier, "plan_mode": mode,
+                attempts.append({"tier": tier,
+                                 "plan_mode": PLAN_MODES[mode_index],
                                  "error": "circuit breaker open",
                                  "error_type": "CircuitOpen",
                                  "elapsed_seconds": 0.0})
-                tier_index += 1
-                retries = 0
                 continue
-
-            started = time.perf_counter()
-            try:
-                rows = self._attempt(plan, tier, mode, query_name, budget)
-            except BudgetExceeded as error:
-                elapsed = time.perf_counter() - started
-                self.incidents.report(
-                    "budget_trip", query=query_name, tier=tier,
-                    cause=f"budget:{error.kind}", message=str(error),
-                    elapsed_seconds=elapsed, plan_mode=mode,
-                    stats=error.stats.as_dict())
-                if error.kind == "compile" and tier_index + 1 < len(self.tiers):
-                    # compile-time blowup: the direct tiers need no compile
-                    attempts.append(self._attempt_record(tier, mode, error, elapsed))
-                    self._degrade_tier(query_name, tier, error, elapsed, mode)
-                    tier_index += 1
-                    retries = 0
-                    continue
-                raise
-            except TransientFault as error:
-                elapsed = time.perf_counter() - started
-                self.breaker.record_failure(breaker_key)
-                if retries < self.max_retries:
-                    delay = self.backoff_seconds * (2 ** retries)
-                    retries += 1
+            retries = 0
+            while True:
+                mode = PLAN_MODES[mode_index]
+                started = time.perf_counter()
+                try:
+                    rows = self._attempt(plan, tier, mode, query_name, budget)
+                except BudgetExceeded as error:
                     self.incidents.report(
-                        "transient_retry", query=query_name, tier=tier,
-                        cause=type(error).__name__, message=str(error),
-                        elapsed_seconds=elapsed, plan_mode=mode,
-                        attempt=retries, backoff_seconds=delay)
+                        "budget_trip", query=query_name, tier=tier,
+                        cause="budget:timeout", message=str(error),
+                        elapsed_seconds=time.perf_counter() - started,
+                        plan_mode=mode, stats=error.stats.as_dict())
+                    raise
+                except TransientFault as error:
+                    elapsed = time.perf_counter() - started
                     attempts.append(self._attempt_record(tier, mode, error, elapsed))
-                    self._sleep(delay)
-                    continue
-                attempts.append(self._attempt_record(tier, mode, error, elapsed))
-                self._degrade_tier(query_name, tier, error, elapsed, mode)
-                self._note_breaker_opened(breaker_key, query_name, tier)
-                tier_index += 1
-                retries = 0
-                continue
-            except ACCESS_ERRORS as error:
-                elapsed = time.perf_counter() - started
-                attempts.append(self._attempt_record(tier, mode, error, elapsed))
-                if mode_index + 1 < len(PLAN_MODES):
-                    mode_index += 1
-                    self.incidents.report(
-                        "plan_degraded", query=query_name, tier=tier,
-                        cause=type(error).__name__, message=str(error),
-                        elapsed_seconds=elapsed, from_mode=mode,
-                        to_mode=PLAN_MODES[mode_index])
-                    retries = 0
-                    continue  # same tier, safer plan
-                self.breaker.record_failure(breaker_key)
-                self._degrade_tier(query_name, tier, error, elapsed, mode)
-                self._note_breaker_opened(breaker_key, query_name, tier)
-                tier_index += 1
-                retries = 0
-                continue
-            except Exception as error:  # noqa: BLE001 - the ladder's purpose
-                elapsed = time.perf_counter() - started
-                attempts.append(self._attempt_record(tier, mode, error, elapsed))
-                self.breaker.record_failure(breaker_key)
-                self._degrade_tier(query_name, tier, error, elapsed, mode)
-                self._note_breaker_opened(breaker_key, query_name, tier)
-                tier_index += 1
-                retries = 0
-                continue
+                    opened = self.breaker.record_failure(breaker_key)
+                    if retries < MAX_RETRIES:
+                        delay = BACKOFF_SECONDS * (2 ** retries)
+                        retries += 1
+                        self.incidents.report(
+                            "transient_retry", query=query_name, tier=tier,
+                            cause=type(error).__name__, message=str(error),
+                            elapsed_seconds=elapsed, plan_mode=mode,
+                            attempt=retries, backoff_seconds=delay)
+                        self._sleep(delay)
+                        continue
+                    self._give_up_tier(query_name, tier, error, elapsed, mode,
+                                       opened)
+                    break
+                except ACCESS_ERRORS as error:
+                    elapsed = time.perf_counter() - started
+                    attempts.append(self._attempt_record(tier, mode, error, elapsed))
+                    if mode_index + 1 < len(PLAN_MODES):
+                        mode_index += 1
+                        self.incidents.report(
+                            "plan_degraded", query=query_name, tier=tier,
+                            cause=type(error).__name__, message=str(error),
+                            elapsed_seconds=elapsed, from_mode=mode,
+                            to_mode=PLAN_MODES[mode_index])
+                        retries = 0
+                        continue  # same tier, safer plan
+                    self._give_up_tier(query_name, tier, error, elapsed, mode,
+                                       self.breaker.record_failure(breaker_key))
+                    break
+                except Exception as error:  # noqa: BLE001 - the ladder's purpose
+                    elapsed = time.perf_counter() - started
+                    attempts.append(self._attempt_record(tier, mode, error, elapsed))
+                    self._give_up_tier(query_name, tier, error, elapsed, mode,
+                                       self.breaker.record_failure(breaker_key))
+                    break
 
-            if self.breaker.record_success(breaker_key):
-                self.incidents.report(
-                    "circuit_close", query=query_name, tier=tier,
-                    cause="probe_succeeded",
-                    message=f"half-open probe succeeded, {tier} re-enabled")
-            return ExecutionReport(query=query_name, rows=rows, tier=tier,
-                                   plan_mode=mode, attempts=attempts)
+                if self.breaker.record_success(breaker_key):
+                    self.incidents.report(
+                        "circuit_close", query=query_name, tier=tier,
+                        cause="probe_succeeded",
+                        message=f"half-open probe succeeded, {tier} re-enabled")
+                return ExecutionReport(query=query_name, rows=rows, tier=tier,
+                                       plan_mode=mode, attempts=attempts)
 
         raise LadderExhausted(query_name, attempts)
 
@@ -362,18 +340,17 @@ class HardenedExecutor:
                 "error_type": type(error).__name__,
                 "elapsed_seconds": elapsed}
 
-    def _degrade_tier(self, query_name: str, tier: str, error: BaseException,
-                      elapsed: float, mode: str) -> None:
+    def _give_up_tier(self, query_name: str, tier: str, error: BaseException,
+                      elapsed: float, mode: str, opened: bool) -> None:
+        """Report that ``tier`` failed, and that its breaker opened when the
+        failure's ``record_failure`` said so."""
         self.incidents.report(
             "tier_failure", query=query_name, tier=tier,
             cause=type(error).__name__, message=str(error),
             elapsed_seconds=elapsed, plan_mode=mode)
-
-    def _note_breaker_opened(self, key: Tuple, query_name: str,
-                             tier: str) -> None:
-        if self.breaker.is_open(key) and not self.breaker.allow(key):
+        if opened:
             self.incidents.report(
                 "circuit_open", query=query_name, tier=tier,
                 cause="failure_threshold",
                 message=(f"{tier} disabled for this plan fingerprint for "
-                         f"{self.breaker.cooldown_seconds}s"))
+                         f"{BREAKER_COOLDOWN_SECONDS}s"))

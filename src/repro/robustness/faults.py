@@ -13,7 +13,7 @@ deterministically from its seed and per-site hit counters, whether a given
 hit fires.  A firing spec raises its configured exception, runs a side
 effect (e.g. bump an access-layer generation to simulate skew), or hands an
 injected value back to the call site (:func:`fault_value`, used for the
-slow-compile penalty).
+``server.*`` stall, slowdown and skew seconds).
 
 Registered sites (kept here as the single source of truth):
 
@@ -25,7 +25,6 @@ site                             planted in
 ``access.zone_map``              ``storage/access.py`` — corrupted zone map
 ``catalog.table``                ``storage/catalog.py`` — transient catalog fault
 ``compiler.compile``             ``codegen/compiler.py`` — compile-time exception
-``compiler.slow_compile``        ``codegen/compiler.py`` — value: extra seconds
 ``engine.volcano.operator``      ``engine/volcano.py`` — mid-query operator error
 ``engine.vectorized.batch``      ``engine/vectorized.py`` — truncated batch
 ``engine.compiled.run``          ``codegen/compiler.py`` — generated-code error
@@ -61,7 +60,6 @@ KNOWN_SITES = frozenset({
     "access.zone_map",
     "catalog.table",
     "compiler.compile",
-    "compiler.slow_compile",
     "engine.volcano.operator",
     "engine.vectorized.batch",
     "engine.compiled.run",

@@ -1,11 +1,11 @@
-"""Per-query resource budgets with cooperative cancellation.
+"""Per-query deadlines with cooperative cancellation.
 
 A :class:`ResourceGovernor` owns one :class:`QueryBudget` for the duration of
 one query execution.  Engines do not poll the wall clock themselves; they
 call cheap checkpoint hooks — ``tick(rows)`` per row, ``checkpoint(rows)``
-per operator/batch boundary, ``charge_compile(seconds)`` once per staged
-lowering — and the governor trips a typed :class:`BudgetExceeded` carrying
-the progress made so far.
+per operator/batch boundary — and the governor trips a typed
+:class:`BudgetExceeded` carrying the progress made so far once the
+deadline has passed.
 
 The governor is installed with the :func:`governed` context manager, which
 stores it in a :class:`contextvars.ContextVar`.  Everything is built so the
@@ -15,8 +15,8 @@ per operator (not per row), and the compiled-code hooks in
 active, so fused loops run unwrapped.
 
 Wall-clock reads are amortised: ``tick`` only consults ``perf_counter`` every
-``check_interval`` rows (row budgets are still enforced on every tick, so a
-row-cap trip is exact to within one row).
+``check_interval`` rows.  A budget without a timeout still installs a
+ticking governor; it counts progress and never trips.
 """
 from __future__ import annotations
 
@@ -29,22 +29,17 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 @dataclass(frozen=True)
 class QueryBudget:
-    """Limits for one query execution.  ``None`` disables a limit."""
+    """The deadline of one query execution: ``timeout_seconds`` of wall
+    clock (``None``: no deadline), read every ``check_interval`` rows."""
 
     timeout_seconds: Optional[float] = None
-    max_output_rows: Optional[int] = None
-    max_intermediate_rows: Optional[int] = None
-    max_compile_seconds: Optional[float] = None
     check_interval: int = 256
 
     def __post_init__(self) -> None:
         if self.check_interval < 1:
             raise ValueError("check_interval must be >= 1")
-        for name in ("timeout_seconds", "max_output_rows",
-                     "max_intermediate_rows", "max_compile_seconds"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.timeout_seconds is not None and self.timeout_seconds < 0:
+            raise ValueError("timeout_seconds must be non-negative")
 
     @classmethod
     def unlimited(cls) -> "QueryBudget":
@@ -56,35 +51,29 @@ class ProgressStats:
     """Partial progress carried by a :class:`BudgetExceeded`."""
 
     rows_processed: int = 0
-    output_rows: int = 0
     checkpoints: int = 0
     elapsed_seconds: float = 0.0
-    compile_seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
             "rows_processed": self.rows_processed,
-            "output_rows": self.output_rows,
             "checkpoints": self.checkpoints,
             "elapsed_seconds": self.elapsed_seconds,
-            "compile_seconds": self.compile_seconds,
         }
 
 
 class BudgetExceeded(RuntimeError):
-    """A query blew through its :class:`QueryBudget`.
+    """A query ran past its :class:`QueryBudget` deadline.
 
-    ``kind`` is one of ``"timeout"``, ``"rows"``, ``"output_rows"`` or
-    ``"compile"``; ``stats`` is a :class:`ProgressStats` snapshot taken at
-    the tripping checkpoint.
+    ``limit`` is the timeout in seconds; ``stats`` is a
+    :class:`ProgressStats` snapshot taken at the tripping checkpoint.
     """
 
-    def __init__(self, kind: str, limit: float, stats: ProgressStats) -> None:
-        self.kind = kind
+    def __init__(self, limit: float, stats: ProgressStats) -> None:
         self.limit = limit
         self.stats = stats
         super().__init__(
-            f"query budget exceeded ({kind}: limit={limit}, "
+            f"query budget exceeded (timeout: limit={limit}, "
             f"rows={stats.rows_processed}, elapsed={stats.elapsed_seconds:.3f}s)")
 
 
@@ -123,11 +112,7 @@ class ResourceGovernor:
 
     def tick(self, rows: int = 1) -> None:
         """Charge ``rows`` of intermediate work; cheap enough to call per row."""
-        stats = self.stats
-        stats.rows_processed += rows
-        limit = self.budget.max_intermediate_rows
-        if limit is not None and stats.rows_processed > limit:
-            self._trip("rows", limit)
+        self.stats.rows_processed += rows
         self._since_clock_check += rows
         if self._since_clock_check >= self.budget.check_interval:
             self._since_clock_check = 0
@@ -136,26 +121,9 @@ class ResourceGovernor:
     def checkpoint(self, rows: int = 0) -> None:
         """Operator/batch boundary: always consults the wall clock."""
         self.stats.checkpoints += 1
-        if rows:
-            stats = self.stats
-            stats.rows_processed += rows
-            limit = self.budget.max_intermediate_rows
-            if limit is not None and stats.rows_processed > limit:
-                self._trip("rows", limit)
+        self.stats.rows_processed += rows
         self._since_clock_check = 0
         self._check_clock()
-
-    def charge_compile(self, seconds: float) -> None:
-        self.stats.compile_seconds += seconds
-        limit = self.budget.max_compile_seconds
-        if limit is not None and self.stats.compile_seconds > limit:
-            self._trip("compile", limit)
-
-    def note_output_rows(self, count: int) -> None:
-        self.stats.output_rows += count
-        limit = self.budget.max_output_rows
-        if limit is not None and self.stats.output_rows > limit:
-            self._trip("output_rows", limit)
 
     # -- iterator guards ----------------------------------------------------
 
@@ -186,8 +154,4 @@ class ResourceGovernor:
         elapsed = self.elapsed()
         if elapsed > limit:
             self.stats.elapsed_seconds = elapsed
-            self._trip("timeout", limit)
-
-    def _trip(self, kind: str, limit: float) -> None:
-        self.stats.elapsed_seconds = self.elapsed()
-        raise BudgetExceeded(kind, limit, self.stats)
+            raise BudgetExceeded(limit, self.stats)

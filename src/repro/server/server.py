@@ -15,7 +15,7 @@ pool, and refuses to melt down when demand exceeds capacity:
   governor, so a query admitted late runs with a tighter budget, and
   requests whose deadline expired in the queue are dropped (typed
   ``deadline_exceeded``, never executed).
-* **One ladder** — every admitted request runs on the executor's configured
+* **One ladder** — every admitted request runs on the executor's
   fallback ladder, whatever the queue occupancy; pressure is answered by
   the queue bound alone, and every rejection is recorded in the incident
   log.
@@ -386,21 +386,13 @@ class QueryServer:
             report = self.executor.execute(request.plan, request.name,
                                            budget=budget)
         except BudgetExceeded as error:
-            elapsed = time.perf_counter() - started
-            if error.kind == "timeout":
-                # the propagated deadline tripped mid-execution; the executor
-                # already recorded the budget_trip incident
-                return QueryResponse(
-                    query=request.name, status=DeadlineExceeded.status,
-                    reason="budget_timeout", error_type="BudgetExceeded",
-                    message=str(error),
-                    queue_seconds=queue_seconds, execute_seconds=elapsed,
-                    detail={"stats": error.stats.as_dict()})
+            # the propagated deadline tripped mid-execution; the executor
+            # already recorded the budget_trip incident
             return QueryResponse(
-                query=request.name, status=STATUS_FAILED,
-                reason=f"budget_{error.kind}", error_type="BudgetExceeded",
-                message=str(error),
-                queue_seconds=queue_seconds, execute_seconds=elapsed,
+                query=request.name, status=DeadlineExceeded.status,
+                reason="budget_timeout", error_type="BudgetExceeded",
+                message=str(error), queue_seconds=queue_seconds,
+                execute_seconds=time.perf_counter() - started,
                 detail={"stats": error.stats.as_dict()})
         except LadderExhausted as error:
             return QueryResponse(

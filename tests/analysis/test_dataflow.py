@@ -21,11 +21,6 @@ class TestIntervalLattice:
         assert not Interval(0, 3).leq(Interval(1, 9))
         assert Interval(1, 2).leq(Interval.top())
 
-    def test_widen_drops_moving_bounds(self):
-        widened = Interval(1, 5).widen(Interval(1, 9))
-        assert widened == Interval(1, None)
-        assert Interval(1, 5).widen(Interval(1, 5)) == Interval(1, 5)
-
     def test_arithmetic(self):
         assert Interval(1, 3).add(Interval(10, 20)) == Interval(11, 23)
         assert Interval(1, 3).sub(Interval(1, 2)) == Interval(-1, 2)
@@ -53,6 +48,16 @@ class TestNullability:
         assert ValueFact.of_const(None).nullability is Nullability.NULL
         assert ValueFact.of_const(7).interval == Interval(7, 7)
         assert ValueFact.of_const(True).interval == Interval(1, 1)
+
+    def test_value_fact_is_the_product_lattice(self):
+        joined = ValueFact.of_const(3).join(ValueFact.of_const(None))
+        assert joined.interval == Interval.top()  # NULL says nothing numeric
+        assert joined.nullability is Nullability.MAYBE_NULL
+        both = ValueFact.of_const(3).join(ValueFact.of_const(8))
+        assert both == ValueFact(Interval(3, 8), Nullability.NON_NULL)
+        assert ValueFact.of_const(5).leq(both)
+        assert not ValueFact.of_const(9).leq(both)
+        assert not joined.leq(both)  # MAYBE_NULL is above NON_NULL
 
 
 class TestFrameworkWalkersAndUseDef:

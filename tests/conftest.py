@@ -78,3 +78,23 @@ def tiny_catalog() -> Catalog:
 def tpch_catalog() -> Catalog:
     """A small deterministic TPC-H catalog shared by integration tests."""
     return generate_catalog(scale_factor=0.001, seed=20160626)
+
+
+#: the fault sites that fail each ladder tier at every attempt
+_TIER_FAULT_SITES = {"compiled": "engine.compiled.run",
+                     "vectorized": "engine.vectorized.batch"}
+
+
+@pytest.fixture()
+def ladder_down_to():
+    """``ladder_down_to(tier)``: fault specs that fail every
+    :class:`~repro.robustness.fallback.HardenedExecutor` tier above ``tier``
+    on every hit, so the ladder runs ``tier`` as if it were its first."""
+    from repro.robustness.fallback import ENGINE_TIERS
+    from repro.robustness.faults import EngineFault, FaultSpec
+
+    def specs(tier: str) -> list:
+        above = ENGINE_TIERS[:ENGINE_TIERS.index(tier)]
+        return [FaultSpec(site=_TIER_FAULT_SITES[upper], error=EngineFault,
+                          fires_on=None) for upper in above]
+    return specs

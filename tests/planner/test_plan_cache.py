@@ -109,11 +109,10 @@ class TestPlannedTreesAreBounded:
         saved = QueryCompiler.cache_capacity
         QueryCompiler.set_cache_capacity(4)
         try:
-            executor = HardenedExecutor(tiny_catalog, tiers=("interpreter",),
-                                        incidents=IncidentLog())
+            executor = HardenedExecutor(tiny_catalog, incidents=IncidentLog())
             for n in range(10):
                 plan = Q.Select(Q.Scan("S"), col("s_val") > float(n))
-                assert executor.execute(plan, f"b{n}").tier == "interpreter"
+                assert executor.execute(plan, f"b{n}").tier == "compiled"
             derived = AccessLayer.for_catalog(tiny_catalog).derived
             assert derived.entry_count(PLANS) == 4
             assert not any("plan" in name for name in vars(executor))
@@ -123,13 +122,12 @@ class TestPlannedTreesAreBounded:
     def test_one_shot_planned_trees_stay_in_probation(self, tiny_catalog):
         """At the default capacity, never-repeated plans keep at most
         ``PROBATION`` planned trees, and a warmed plan outlasts them."""
-        executor = HardenedExecutor(tiny_catalog, tiers=("interpreter",),
-                                    incidents=IncidentLog())
+        executor = HardenedExecutor(tiny_catalog, incidents=IncidentLog())
         warmed = Q.Select(Q.Scan("S"), col("s_val") > -1.0)
         executor.warm(warmed, "warmed")
         for n in range(PROBATION + 8):
             plan = Q.Select(Q.Scan("S"), col("s_val") > float(n))
-            assert executor.execute(plan, f"b{n}").tier == "interpreter"
+            assert executor.execute(plan, f"b{n}").tier == "compiled"
         derived = AccessLayer.for_catalog(tiny_catalog).derived
         assert derived.entry_count(PLANS) == PROBATION + 1
         assert executor.warm(warmed, "warmed") == 0.0

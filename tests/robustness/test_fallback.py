@@ -12,7 +12,9 @@ from repro.planner import Planner, sort_contract
 from repro.robustness.faults import (DataCorruptionFault, EngineFault,
                                      FaultPlan, FaultSpec, TransientFault,
                                      inject)
-from repro.robustness.fallback import (ENGINE_TIERS, CircuitBreaker,
+from repro.robustness.fallback import (BACKOFF_SECONDS, BREAKER_COOLDOWN_SECONDS,
+                                       BREAKER_THRESHOLD, ENGINE_TIERS,
+                                       MAX_RETRIES, CircuitBreaker,
                                        HardenedExecutor, LadderExhausted)
 from repro.robustness.governor import BudgetExceeded, QueryBudget
 from repro.robustness.incidents import DEFAULT_INCIDENTS, IncidentLog
@@ -31,45 +33,72 @@ def _join_plan():
     return Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_id"), col("s_rid"))
 
 
-def _executor(catalog, **overrides):
-    kwargs = dict(incidents=IncidentLog(), backoff_seconds=0.001)
-    kwargs.update(overrides)
-    return HardenedExecutor(catalog, **kwargs)
+def _executor(catalog, sleep=lambda seconds: None):
+    """An executor with its own incident log that backs off without
+    sleeping."""
+    return HardenedExecutor(catalog, incidents=IncidentLog(), sleep=sleep)
+
+
+def _open(breaker, key):
+    """Record the failures that open ``key``."""
+    return [breaker.record_failure(key) for _ in range(BREAKER_THRESHOLD)]
 
 
 class TestCircuitBreaker:
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
+    def test_ladder_settings_are_fixed(self):
+        assert ENGINE_TIERS == ("compiled", "vectorized", "interpreter")
+        assert (BREAKER_THRESHOLD, BREAKER_COOLDOWN_SECONDS) == (3, 30.0)
+        assert (MAX_RETRIES, BACKOFF_SECONDS) == (2, 0.01)
 
     def test_opens_after_threshold_failures(self):
-        now = [0.0]
-        breaker = CircuitBreaker(threshold=2, cooldown_seconds=10.0,
-                                 clock=lambda: now[0])
+        breaker = CircuitBreaker(clock=lambda: 0.0)
         key = ("fp", "compiled")
-        assert breaker.record_failure(key) is False
-        assert not breaker.is_open(key)
-        assert breaker.record_failure(key) is True
+        assert _open(breaker, key) == [False, False, True]
         assert breaker.is_open(key)
         assert not breaker.allow(key)
 
     def test_cooldown_lets_a_probe_through(self):
         now = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_seconds=10.0,
-                                 clock=lambda: now[0])
+        breaker = CircuitBreaker(clock=lambda: now[0])
         key = ("fp", "compiled")
-        breaker.record_failure(key)
+        _open(breaker, key)
         assert not breaker.allow(key)
-        now[0] = 10.0
+        now[0] = BREAKER_COOLDOWN_SECONDS
         assert breaker.allow(key)       # half-open probe
         assert breaker.is_open(key)     # still open until a success lands
         assert breaker.record_success(key) is True
         assert breaker.allow(key)
         assert not breaker.is_open(key)
 
+    def test_half_open_admits_one_probe_per_cooldown(self):
+        now = [0.0]
+        breaker = CircuitBreaker(clock=lambda: now[0])
+        key = ("fp", "compiled")
+        _open(breaker, key)
+        now[0] = 31.0
+        assert [breaker.allow(key) for _ in range(3)] == [True, False, False]
+        now[0] = 31.0 + BREAKER_COOLDOWN_SECONDS - 1.0
+        assert not breaker.allow(key)   # the granted probe re-armed the timer
+        now[0] = 31.0 + BREAKER_COOLDOWN_SECONDS
+        assert breaker.allow(key)
+
+    def test_failed_probe_re_arms_the_cooldown(self):
+        now = [0.0]
+        breaker = CircuitBreaker(clock=lambda: now[0])
+        key = ("fp", "compiled")
+        _open(breaker, key)
+        now[0] = 40.0
+        assert breaker.allow(key)
+        now[0] = 45.0
+        assert breaker.record_failure(key) is True
+        now[0] = 45.0 + BREAKER_COOLDOWN_SECONDS - 1.0
+        assert not breaker.allow(key)
+        now[0] = 45.0 + BREAKER_COOLDOWN_SECONDS
+        assert breaker.allow(key)
+
     def test_keys_are_independent(self):
-        breaker = CircuitBreaker(threshold=1)
-        breaker.record_failure(("fp", "compiled"))
+        breaker = CircuitBreaker()
+        _open(breaker, ("fp", "compiled"))
         assert not breaker.allow(("fp", "compiled"))
         assert breaker.allow(("fp", "vectorized"))
         assert breaker.allow(("other", "compiled"))
@@ -99,12 +128,19 @@ class TestCleanExecution:
             assert not compiler.flags.logical_plan_optimizer
             assert compiler.flags.catalog_access_layer == (mode == "access")
 
-    def test_tier_validation(self, tiny_catalog):
-        assert ENGINE_TIERS == ("compiled", "vectorized", "interpreter")
-        with pytest.raises(ValueError, match="unknown tiers"):
-            HardenedExecutor(tiny_catalog, tiers=("template",))
-        with pytest.raises(ValueError, match="at least one tier"):
-            HardenedExecutor(tiny_catalog, tiers=())
+    def test_the_ladder_runs_every_tier_in_order(self, tiny_catalog):
+        executor = _executor(tiny_catalog)
+        faults = FaultPlan([
+            FaultSpec(site="engine.compiled.run", error=EngineFault,
+                      fires_on=None),
+            FaultSpec(site="engine.vectorized.batch", error=EngineFault,
+                      fires_on=None),
+            FaultSpec(site="engine.volcano.operator", error=EngineFault,
+                      fires_on=None)])
+        with inject(faults):
+            with pytest.raises(LadderExhausted) as info:
+                executor.execute(_select_plan(), "every_tier_q")
+        assert [a["tier"] for a in info.value.attempts] == list(ENGINE_TIERS)
 
 
 class TestTierDegradation:
@@ -138,16 +174,18 @@ class TestTierDegradation:
         assert [a["tier"] for a in report.attempts] == ["compiled", "vectorized"]
         assert_rows_equivalent(reference, report.rows)
 
-    def test_ladder_exhausted(self, tiny_catalog):
-        executor = _executor(tiny_catalog, tiers=("interpreter",))
-        faults = FaultPlan([FaultSpec(site="engine.volcano.operator",
-                                      error=EngineFault, fires_on=None)])
+    def test_ladder_exhausted(self, tiny_catalog, ladder_down_to):
+        executor = _executor(tiny_catalog)
+        faults = FaultPlan(ladder_down_to("interpreter") + [
+            FaultSpec(site="engine.volcano.operator", error=EngineFault,
+                      fires_on=None)])
         with inject(faults):
             with pytest.raises(LadderExhausted) as info:
                 executor.execute(_select_plan(), "doomed_q")
         assert info.value.query == "doomed_q"
-        assert [a["tier"] for a in info.value.attempts] == ["interpreter"]
+        assert info.value.attempts[-1]["tier"] == "interpreter"
         assert "interpreter" in str(info.value)
+        assert executor.incidents.count("tier_failure") == 3
 
 
 class TestPlanDegradation:
@@ -170,125 +208,155 @@ class TestPlanDegradation:
         assert degraded[0].detail["to_mode"] == "no_access"
 
     def test_persistent_corruption_exhausts_plan_modes(self, tiny_catalog):
-        executor = _executor(tiny_catalog, tiers=("interpreter",))
+        executor = _executor(tiny_catalog)
         faults = FaultPlan([FaultSpec(site="catalog.table",
                                       error=DataCorruptionFault,
                                       fires_on=None)])
         with inject(faults):
             with pytest.raises(LadderExhausted) as info:
                 executor.execute(_select_plan(), "corrupt_q")
-        assert [a["plan_mode"] for a in info.value.attempts] == \
-            ["access", "no_access"]
+        # the plan degrades once, on the first tier; the tiers below keep
+        # the degraded plan
+        assert [(a["tier"], a["plan_mode"]) for a in info.value.attempts] == \
+            [("compiled", "access"), ("compiled", "no_access"),
+             ("vectorized", "no_access"), ("interpreter", "no_access")]
         assert len(executor.incidents.records(category="plan_degraded")) == 1
-        assert len(executor.incidents.records(category="tier_failure")) == 1
+        assert len(executor.incidents.records(category="tier_failure")) == 3
 
 
 class TestTransientRetry:
     def test_transient_fault_retries_in_place(self, tiny_catalog):
         sleeps = []
-        executor = _executor(tiny_catalog, tiers=("interpreter",),
-                             backoff_seconds=0.01, sleep=sleeps.append)
+        executor = _executor(tiny_catalog, sleep=sleeps.append)
         faults = FaultPlan([FaultSpec(site="catalog.table",
                                       error=TransientFault, fires_on=(1,),
                                       max_fires=1)])
         with inject(faults):
             report = executor.execute(_select_plan(), "flaky_q")
-        assert report.tier == "interpreter"
+        assert report.tier == "compiled"
         assert [a["error_type"] for a in report.attempts] == ["TransientFault"]
-        assert sleeps == [0.01]
+        assert sleeps == [BACKOFF_SECONDS]
         retry = executor.incidents.last("transient_retry")
         assert retry is not None
         assert retry.detail["attempt"] == 1
-        assert retry.detail["backoff_seconds"] == 0.01
+        assert retry.detail["backoff_seconds"] == BACKOFF_SECONDS
 
     def test_backoff_doubles_per_retry(self, tiny_catalog):
         sleeps = []
-        executor = _executor(tiny_catalog, tiers=("interpreter",),
-                             max_retries=2, backoff_seconds=0.01,
-                             sleep=sleeps.append)
+        executor = _executor(tiny_catalog, sleep=sleeps.append)
         faults = FaultPlan([FaultSpec(site="catalog.table",
                                       error=TransientFault, fires_on=(1, 2))])
         with inject(faults):
             report = executor.execute(_select_plan(), "flaky2_q")
-        assert report.tier == "interpreter"
-        assert sleeps == [0.01, 0.02]
+        assert report.tier == "compiled"
+        assert sleeps == [BACKOFF_SECONDS, 2 * BACKOFF_SECONDS]
 
     def test_retries_exhausted_moves_to_next_tier(self, tiny_catalog):
         sleeps = []
-        executor = _executor(tiny_catalog, tiers=("interpreter",),
-                             max_retries=1, backoff_seconds=0.01,
-                             sleep=sleeps.append)
+        executor = _executor(tiny_catalog, sleep=sleeps.append)
         faults = FaultPlan([FaultSpec(site="catalog.table",
                                       error=TransientFault, fires_on=None)])
         with inject(faults):
             with pytest.raises(LadderExhausted) as info:
                 executor.execute(_select_plan(), "hopeless_q")
-        assert len(sleeps) == 1  # one retry, then the tier is given up
-        assert len(info.value.attempts) == 2
+        # MAX_RETRIES retries per tier, then the tier is given up; the
+        # breaker counts every attempt, so each tier's last one opens it
+        assert sleeps == [BACKOFF_SECONDS, 2 * BACKOFF_SECONDS] * 3
+        assert [a["tier"] for a in info.value.attempts] == \
+            [tier for tier in ENGINE_TIERS for _ in range(MAX_RETRIES + 1)]
+        assert [i.tier for i in executor.incidents.records(
+            category="circuit_open")] == list(ENGINE_TIERS)
+
+
+def _fail_compiled(executor, times, plan=_select_plan):
+    """Run ``plan()`` ``times`` times with the compiled tier failing."""
+    faults = FaultPlan([FaultSpec(site="engine.compiled.run",
+                                  error=EngineFault, fires_on=None)])
+    with inject(faults):
+        return [executor.execute(plan(), "cb_q") for _ in range(times)]
 
 
 class TestCircuitBreakerIntegration:
     def test_open_breaker_skips_the_tier(self, tiny_catalog):
-        executor = _executor(tiny_catalog, breaker_threshold=1,
-                             breaker_cooldown_seconds=300.0)
-        faults = FaultPlan([FaultSpec(site="engine.compiled.run",
-                                      error=EngineFault, fires_on=(1,))])
-        with inject(faults):
-            first = executor.execute(_select_plan(), "cb_q")
-        assert first.tier == "vectorized"
-        assert executor.incidents.last("circuit_open") is not None
-        # second run: no fault installed, but the breaker skips compiled
-        second = executor.execute(_select_plan(), "cb_q")
-        assert second.tier == "vectorized"
-        assert second.attempts[0]["error_type"] == "CircuitOpen"
+        executor = _executor(tiny_catalog)
+        reports = _fail_compiled(executor, BREAKER_THRESHOLD)
+        assert [r.tier for r in reports] == ["vectorized"] * BREAKER_THRESHOLD
+        # reported once, by the failure that opened it
+        opened = executor.incidents.records(category="circuit_open")
+        assert [i.tier for i in opened] == ["compiled"]
+        # next run: no fault installed, but the breaker skips compiled
+        skipped = executor.execute(_select_plan(), "cb_q")
+        assert skipped.tier == "vectorized"
+        assert skipped.attempts[0]["error_type"] == "CircuitOpen"
 
     def test_breaker_closes_after_successful_probe(self, tiny_catalog):
-        executor = _executor(tiny_catalog, breaker_threshold=1,
-                             breaker_cooldown_seconds=0.0)
-        faults = FaultPlan([FaultSpec(site="engine.compiled.run",
-                                      error=EngineFault, fires_on=(1,))])
-        with inject(faults):
-            executor.execute(_select_plan(), "probe_q")
-        report = executor.execute(_select_plan(), "probe_q")
+        now = [0.0]
+        executor = _executor(tiny_catalog)
+        executor.breaker = CircuitBreaker(clock=lambda: now[0])
+        _fail_compiled(executor, BREAKER_THRESHOLD)
+        now[0] = BREAKER_COOLDOWN_SECONDS
+        report = executor.execute(_select_plan(), "cb_q")
         assert report.tier == "compiled"
+        assert report.attempts == []
         assert executor.incidents.last("circuit_close") is not None
+        assert executor.execute(_select_plan(), "cb_q").tier == "compiled"
+
+    def test_a_probe_keeps_its_plan_degradation(self, tiny_catalog):
+        """The half-open probe is the tier's whole visit: a broken index
+        met by the probe degrades the plan on the same tier, which then
+        answers and closes the breaker."""
+        now = [0.0]
+        executor = _executor(tiny_catalog)
+        executor.breaker = CircuitBreaker(clock=lambda: now[0])
+        _fail_compiled(executor, BREAKER_THRESHOLD, plan=_join_plan)
+        now[0] = BREAKER_COOLDOWN_SECONDS
+        faults = FaultPlan([FaultSpec(
+            site="access.key_index",
+            error=lambda: AccessError("injected: key index missing"),
+            fires_on=None)])
+        with inject(faults):
+            report = executor.execute(_join_plan(), "cb_q")
+        assert (report.tier, report.plan_mode) == ("compiled", "no_access")
+        assert executor.incidents.last("circuit_close") is not None
+
+    def test_a_probe_in_flight_keeps_other_callers_off_the_tier(
+            self, tiny_catalog):
+        """Once the cooldown has passed, the first caller's probe re-arms the
+        breaker: a second caller skips the tier instead of probing it too."""
+        now = [0.0]
+        executor = _executor(tiny_catalog)
+        executor.breaker = CircuitBreaker(clock=lambda: now[0])
+        _fail_compiled(executor, BREAKER_THRESHOLD)
+        now[0] = BREAKER_COOLDOWN_SECONDS + 1.0
+        key = (Q.plan_fingerprint(_select_plan()), "compiled")
+        assert executor.breaker.allow(key)  # another worker's probe
+        report = executor.execute(_select_plan(), "cb_q")
+        assert report.tier == "vectorized"
+        assert report.attempts[0]["error_type"] == "CircuitOpen"
 
 
 class TestBudgets:
     def test_final_budget_trip_reraises(self, tiny_catalog):
-        executor = _executor(tiny_catalog, tiers=("interpreter",))
-        with pytest.raises(BudgetExceeded) as info:
+        executor = _executor(tiny_catalog)
+        with pytest.raises(BudgetExceeded):
             executor.execute(_select_plan(), "over_q",
-                             budget=QueryBudget(max_intermediate_rows=2))
-        assert info.value.kind == "rows"
+                             budget=QueryBudget(timeout_seconds=0.0,
+                                                check_interval=3))
         trip = executor.incidents.last("budget_trip")
         assert trip is not None
-        assert trip.cause == "budget:rows"
+        assert (trip.tier, trip.cause) == ("compiled", "budget:timeout")
         assert trip.detail["stats"]["rows_processed"] == 3
+        assert executor.incidents.count("tier_failure") == 0
 
-    def test_compile_budget_trip_degrades_to_direct_tier(self, tiny_catalog):
+    def test_a_budget_without_timeout_runs_to_completion(self, tiny_catalog):
         QueryCompiler.clear_cache()
         reference = VolcanoEngine(tiny_catalog).execute(_select_plan())
-        executor = _executor(tiny_catalog,
-                             budget=QueryBudget(max_compile_seconds=0.0))
-        report = executor.execute(_select_plan(), "slow_compile_q")
-        assert report.tier == "vectorized"
-        assert report.attempts[0]["error_type"] == "BudgetExceeded"
+        executor = _executor(tiny_catalog)
+        report = executor.execute(_select_plan(), "unbounded_q",
+                                  budget=QueryBudget(check_interval=1))
+        assert (report.tier, report.attempts) == ("compiled", [])
         assert_rows_equivalent(reference, report.rows)
-        trip = executor.incidents.last("budget_trip")
-        assert trip.cause == "budget:compile"
-        assert executor.incidents.last("tier_failure").tier == "compiled"
-
-    def test_injected_slow_compile_trips_a_finite_budget(self, tiny_catalog):
-        QueryCompiler.clear_cache()
-        executor = _executor(tiny_catalog,
-                             budget=QueryBudget(max_compile_seconds=5.0))
-        faults = FaultPlan([FaultSpec(site="compiler.slow_compile",
-                                      value=10.0, fires_on=(1,))])
-        with inject(faults):
-            report = executor.execute(_select_plan(), "molasses_q")
-        assert report.tier == "vectorized"
-        assert executor.incidents.last("budget_trip").cause == "budget:compile"
+        assert executor.incidents.count("budget_trip") == 0
 
 
 def _bigger_s_table():
@@ -371,17 +439,20 @@ class TestSharingCacheHygiene:
             assert engine._shared_ids == Q.shared_subplan_fingerprints(plan)
         assert engine._shared_ids is None
 
-    def test_hardened_executor_reuses_engines_cleanly(self, tiny_catalog):
+    def test_hardened_executor_reuses_engines_cleanly(self, tiny_catalog,
+                                                     ladder_down_to):
         """Ladder fallback re-runs on the same engine instances; a fault in
         one attempt must not poison the next query's sharing state."""
-        executor = _executor(tiny_catalog, tiers=("interpreter",))
+        executor = _executor(tiny_catalog)
         reference = VolcanoEngine(tiny_catalog).execute(_shared_plan())
-        faults = FaultPlan([FaultSpec(site="engine.volcano.operator",
-                                      error=TransientFault, fires_on=(2,),
-                                      max_fires=1)])
+        faults = FaultPlan(ladder_down_to("interpreter") + [
+            FaultSpec(site="engine.volcano.operator", error=TransientFault,
+                      fires_on=(2,), max_fires=1)])
         with inject(faults):
             report = executor.execute(_shared_plan(), "shared_q")
-        assert [a["error_type"] for a in report.attempts] == ["TransientFault"]
+        assert [a["error_type"] for a in report.attempts] == \
+            ["EngineFault", "EngineFault", "TransientFault"]
+        assert report.tier == "interpreter"
         assert_rows_equivalent(reference, report.rows)
 
 

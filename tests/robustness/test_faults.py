@@ -75,14 +75,14 @@ class TestFaultPlan:
         assert not all(firing_pattern(7))
 
     def test_value_sites(self):
-        plan = FaultPlan([FaultSpec(site="compiler.slow_compile", value=3.5,
+        plan = FaultPlan([FaultSpec(site="server.executor_slow", value=3.5,
                                     fires_on=(1,))])
         with inject(plan):
-            assert fault_value("compiler.slow_compile", 0.0) == 3.5
-            assert fault_value("compiler.slow_compile", 0.0) == 0.0  # hit 2
+            assert fault_value("server.executor_slow", 0.0) == 3.5
+            assert fault_value("server.executor_slow", 0.0) == 0.0  # hit 2
 
     def test_value_default_without_plan(self):
-        assert fault_value("compiler.slow_compile", 0.25) == 0.25
+        assert fault_value("server.executor_slow", 0.25) == 0.25
 
     def test_action_receives_site_context(self):
         seen = []
@@ -133,4 +133,4 @@ class TestInstallation:
                      "server.deadline_skew"):
             assert site in KNOWN_SITES
         assert "access.partition" in KNOWN_SITES
-        assert len(KNOWN_SITES) == 13
+        assert len(KNOWN_SITES) == 12

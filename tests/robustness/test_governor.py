@@ -1,5 +1,7 @@
-"""Resource-governor tests: budget trips on every engine, checkpoint
+"""Resource-governor tests: deadline trips on every engine, checkpoint
 granularity, and the zero-overhead inactive path."""
+import dataclasses
+
 import pytest
 
 from repro.codegen.compiler import QueryCompiler
@@ -19,18 +21,16 @@ def _scan_plan():
 
 
 class TestQueryBudget:
-    def test_defaults_are_unlimited(self):
+    def test_a_budget_is_its_deadline(self):
+        assert [f.name for f in dataclasses.fields(QueryBudget)] == \
+            ["timeout_seconds", "check_interval"]
         budget = QueryBudget.unlimited()
         assert budget.timeout_seconds is None
-        assert budget.max_output_rows is None
-        assert budget.max_intermediate_rows is None
-        assert budget.max_compile_seconds is None
+        assert budget.check_interval == 256
 
     def test_rejects_negative_limits(self):
         with pytest.raises(ValueError):
             QueryBudget(timeout_seconds=-1.0)
-        with pytest.raises(ValueError):
-            QueryBudget(max_output_rows=-5)
         with pytest.raises(ValueError):
             QueryBudget(check_interval=0)
 
@@ -48,28 +48,13 @@ class TestGovernorCore:
                 raise RuntimeError("boom")
         assert current_governor() is None
 
-    def test_row_budget_trips_within_one_row(self):
-        governor = ResourceGovernor(QueryBudget(max_intermediate_rows=10))
-        with pytest.raises(BudgetExceeded) as info:
-            for _ in range(100):
-                governor.tick()
-        assert info.value.kind == "rows"
-        assert info.value.stats.rows_processed == 11  # exactly one past
-
-    def test_output_row_budget(self):
-        governor = ResourceGovernor(QueryBudget(max_output_rows=5))
-        governor.note_output_rows(5)  # at the limit: fine
-        with pytest.raises(BudgetExceeded) as info:
-            governor.note_output_rows(1)
-        assert info.value.kind == "output_rows"
-
-    def test_compile_budget(self):
-        governor = ResourceGovernor(QueryBudget(max_compile_seconds=1.0))
-        governor.charge_compile(0.5)
-        with pytest.raises(BudgetExceeded) as info:
-            governor.charge_compile(0.6)
-        assert info.value.kind == "compile"
-        assert info.value.stats.compile_seconds == pytest.approx(1.1)
+    def test_budget_without_timeout_ticks_and_never_trips(self):
+        governor = ResourceGovernor(QueryBudget(check_interval=1))
+        for _ in range(1000):
+            governor.tick()
+        governor.checkpoint(5)
+        assert governor.stats.rows_processed == 1005
+        assert governor.stats.checkpoints == 1
 
     def test_timeout_checked_at_checkpoints(self):
         governor = ResourceGovernor(QueryBudget(timeout_seconds=0.0,
@@ -77,19 +62,29 @@ class TestGovernorCore:
         with pytest.raises(BudgetExceeded) as info:
             for _ in range(8):
                 governor.tick()
-        assert info.value.kind == "timeout"
+        assert info.value.limit == 0.0
         # the clock is only consulted every check_interval rows
         assert info.value.stats.rows_processed == 4
 
+    def test_checkpoint_always_reads_the_clock(self):
+        governor = ResourceGovernor(QueryBudget(timeout_seconds=0.0,
+                                                check_interval=1000))
+        with pytest.raises(BudgetExceeded) as info:
+            governor.checkpoint(3)
+        assert info.value.stats.rows_processed == 3
+        assert info.value.stats.checkpoints == 1
+
     def test_stats_carry_partial_progress(self):
-        governor = ResourceGovernor(QueryBudget(max_intermediate_rows=3))
+        governor = ResourceGovernor(QueryBudget(timeout_seconds=0.0,
+                                                check_interval=4))
         with pytest.raises(BudgetExceeded) as info:
             governor.guard_rows(iter(range(100))).__next__()
             for _ in governor.guard_rows(iter(range(100))):
                 pass
         stats = info.value.stats.as_dict()
-        assert stats["rows_processed"] == 4
-        assert stats["elapsed_seconds"] >= 0.0
+        assert stats == {"rows_processed": 4, "checkpoints": 0,
+                         "elapsed_seconds": stats["elapsed_seconds"]}
+        assert stats["elapsed_seconds"] > 0.0
 
 
 class TestRuntimeHooks:
@@ -103,54 +98,49 @@ class TestRuntimeHooks:
         assert governed_iter(values) is values
 
     def test_governed_range_ticks_when_active(self):
-        with governed(QueryBudget(max_intermediate_rows=3)):
+        seen = []
+        with governed(QueryBudget(timeout_seconds=0.0, check_interval=3)):
             with pytest.raises(BudgetExceeded):
-                for _ in governed_range(0, 100):
-                    pass
+                for i in governed_range(0, 100):
+                    seen.append(i)
+        assert seen == [0, 1]  # the third tick reads the clock and trips
 
 
 @pytest.mark.timeout(20)
 class TestEngineCancellation:
-    """Row-budget trips cancel within one checkpoint interval per engine."""
+    """A passed deadline cancels within one check interval per engine."""
 
-    def test_volcano_row_budget(self, tiny_catalog):
+    def test_volcano_trips_at_the_check_interval(self, tiny_catalog):
         engine = VolcanoEngine(tiny_catalog)
-        with governed(QueryBudget(max_intermediate_rows=3)):
+        with governed(QueryBudget(timeout_seconds=0.0, check_interval=3)):
             with pytest.raises(BudgetExceeded) as info:
                 engine.execute(_scan_plan())
-        assert info.value.kind == "rows"
-        assert info.value.stats.rows_processed == 4
+        # every operator's stream ticks: the third pulled row reads the clock
+        assert info.value.stats.rows_processed == 3
 
     def test_volcano_timeout(self, tiny_catalog):
         engine = VolcanoEngine(tiny_catalog)
         with governed(QueryBudget(timeout_seconds=0.0, check_interval=1)):
             with pytest.raises(BudgetExceeded) as info:
                 engine.execute(_scan_plan())
-        assert info.value.kind == "timeout"
+        assert info.value.stats.rows_processed == 1
 
-    def test_volcano_output_budget(self, tiny_catalog):
-        engine = VolcanoEngine(tiny_catalog)
-        with governed(QueryBudget(max_output_rows=2)):
-            with pytest.raises(BudgetExceeded) as info:
-                engine.execute(Q.Scan("R"))
-        assert info.value.kind == "output_rows"
-
-    def test_vectorized_batch_budget(self, tiny_catalog):
+    def test_vectorized_trips_at_the_first_batch(self, tiny_catalog):
         engine = VectorizedEngine(tiny_catalog, batch_size=2)
-        with governed(QueryBudget(max_intermediate_rows=3)):
+        with governed(QueryBudget(timeout_seconds=0.0, check_interval=1000)):
             with pytest.raises(BudgetExceeded) as info:
                 engine.execute(_scan_plan())
-        assert info.value.kind == "rows"
-        # batch boundaries are the checkpoints: the trip lands within one
-        # batch (2 rows) of the 3-row limit
-        assert info.value.stats.rows_processed <= 3 + 2
+        # batch boundaries are the checkpoints, and a checkpoint always
+        # reads the clock: the trip lands on the first batch (2 rows)
+        assert info.value.stats.checkpoints == 1
+        assert info.value.stats.rows_processed <= 2
 
     def test_vectorized_timeout(self, tiny_catalog):
         engine = VectorizedEngine(tiny_catalog)
         with governed(QueryBudget(timeout_seconds=0.0)):
             with pytest.raises(BudgetExceeded) as info:
                 engine.execute(_scan_plan())
-        assert info.value.kind == "timeout"
+        assert info.value.stats.checkpoints >= 1
 
     @pytest.mark.parametrize("config_name", ["dblab-5", "template-expander"])
     def test_compiled_stack_in_loop_cancellation(self, tiny_catalog, config_name):
@@ -158,10 +148,9 @@ class TestEngineCancellation:
         compiler = QueryCompiler(config.stack, config.flags)
         compiled = compiler.compile(_scan_plan(), tiny_catalog, "gq")
         assert "_rt.governed_" in compiled.source
-        with governed(QueryBudget(max_intermediate_rows=3)):
+        with governed(QueryBudget(timeout_seconds=0.0, check_interval=4)):
             with pytest.raises(BudgetExceeded) as info:
                 compiled.run(tiny_catalog)
-        assert info.value.kind == "rows"
         assert info.value.stats.rows_processed == 4
 
     @pytest.mark.parametrize("config_name", ["dblab-5", "template-expander"])
@@ -173,11 +162,14 @@ class TestEngineCancellation:
         assert compiled.run(tiny_catalog) == \
             VolcanoEngine(tiny_catalog).execute(_scan_plan())
 
-    def test_compile_time_budget_via_compiler(self, tiny_catalog):
+    def test_a_cold_compile_is_not_charged_to_the_deadline(self, tiny_catalog):
+        """The deadline is read only where rows flow: a cold compile under a
+        passed deadline completes, and the run that follows trips."""
         QueryCompiler.clear_cache()
         config = build_config("dblab-5")
         compiler = QueryCompiler(config.stack, config.flags)
-        with governed(QueryBudget(max_compile_seconds=0.0)):
-            with pytest.raises(BudgetExceeded) as info:
-                compiler.compile(_scan_plan(), tiny_catalog, "slowq")
-        assert info.value.kind == "compile"
+        with governed(QueryBudget(timeout_seconds=0.0, check_interval=1)):
+            compiled = compiler.compile(_scan_plan(), tiny_catalog, "coldq")
+            assert not compiled.cache_hit
+            with pytest.raises(BudgetExceeded):
+                compiled.run(tiny_catalog)

@@ -9,6 +9,7 @@ pin the one genuinely subtle interleaving: a compile that started before a
 table re-registration must not resurrect its stale entry after the
 generation bump evicted that data's cache cohort.
 """
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,7 +18,9 @@ import pytest
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
-from repro.robustness.fallback import CircuitBreaker, HardenedExecutor
+from repro.robustness.fallback import (BREAKER_COOLDOWN_SECONDS,
+                                       BREAKER_THRESHOLD, CircuitBreaker,
+                                       HardenedExecutor)
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
 from repro.robustness.incidents import CATEGORIES, IncidentLog
 from repro.stack.configs import build_config
@@ -99,11 +102,11 @@ class TestIncidentLogConcurrency:
 
 class TestCircuitBreakerConcurrency:
     def test_exact_failure_counting(self):
-        """Lost increments would leave the breaker closed after exactly
-        ``threshold`` concurrent failures; with the lock the arithmetic is
-        exact: one True per failure at-or-past the threshold."""
+        """Lost increments would leave the counter short of the failures
+        recorded; with the lock the arithmetic is exact: one True per
+        failure at-or-past the threshold."""
         total = THREADS * 50
-        breaker = CircuitBreaker(threshold=total, cooldown_seconds=3600.0)
+        breaker = CircuitBreaker()
         key = ("fp", "compiled")
         barrier = threading.Barrier(THREADS)
 
@@ -115,10 +118,33 @@ class TestCircuitBreakerConcurrency:
             opens = sum(pool.map(hammer, range(THREADS)))
         assert breaker.is_open(key)
         assert not breaker.allow(key)
-        assert opens == 1  # exactly the hit that reached the threshold
+        assert breaker._failures[key] == total
+        assert opens == total - (BREAKER_THRESHOLD - 1)
+
+    def test_concurrent_callers_of_a_cooled_breaker_get_one_probe(self):
+        now = [0.0]
+        breaker = CircuitBreaker(clock=lambda: now[0])
+        key = ("fp", "compiled")
+        for _ in range(BREAKER_THRESHOLD):
+            breaker.record_failure(key)
+        now[0] = BREAKER_COOLDOWN_SECONDS + 1.0
+        barrier = threading.Barrier(THREADS)
+
+        def probe(_):
+            barrier.wait()
+            return breaker.allow(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(THREADS) as pool:
+                granted = list(pool.map(probe, range(THREADS)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert granted.count(True) == 1
 
     def test_success_failure_races_leave_consistent_state(self):
-        breaker = CircuitBreaker(threshold=3, cooldown_seconds=3600.0)
+        breaker = CircuitBreaker()
         key = ("fp", "vectorized")
         stop = threading.Event()
         errors = []
