@@ -11,9 +11,10 @@ the measurements behind the paper's tables and figures:
   Python compilation (the CLang stand-in).
 
 A *planner mode* extends the Table-3 grid with an optimized-vs-raw plan
-dimension: ``use_planner=True`` times logically-optimized plans everywhere,
-and :meth:`BenchmarkHarness.table3_planner` measures both variants side by
-side (``format_planner_table`` / ``write_planner_json`` report them).
+dimension: ``measure(..., optimize=True)`` times the logically-optimized
+plan, and :meth:`BenchmarkHarness.table3_planner` measures both variants
+side by side (``format_planner_table`` / ``write_planner_json`` report
+them).
 
 The module also hosts the **order-contract result comparator** the parity
 suites and smoke drivers share: :func:`rows_equivalent` checks multiset
@@ -202,12 +203,10 @@ class BenchmarkHarness:
     """Runs queries under the different engines and collects measurements."""
 
     def __init__(self, catalog: Catalog, repetitions: int = 3,
-                 engines: Sequence[str] = ENGINE_NAMES,
-                 use_planner: bool = False) -> None:
+                 engines: Sequence[str] = ENGINE_NAMES) -> None:
         self.catalog = catalog
         self.repetitions = max(1, repetitions)
         self.engines = tuple(engines)
-        self.use_planner = use_planner
         self.planner = Planner.for_catalog(catalog)
         self._configs: Dict[str, StackConfig] = {
             name: build_config(name) for name in self.engines if name in CONFIG_NAMES}
@@ -217,15 +216,13 @@ class BenchmarkHarness:
     # ------------------------------------------------------------------
     def measure(self, query_name: str, engine: str, plan=None,
                 measure_memory: bool = False,
-                optimize: Optional[bool] = None) -> Measurement:
+                optimize: bool = False) -> Measurement:
         """Run one query under one engine and return its measurement.
 
-        ``optimize`` runs the logical planner over the plan first (defaults
-        to the harness-wide ``use_planner`` setting); the measurement's
-        ``plan_mode`` records which plan was timed.
+        ``optimize`` runs the logical planner over the plan first; the
+        measurement's ``plan_mode`` records which plan was timed.
         """
         plan = plan if plan is not None else build_query(query_name)
-        optimize = self.use_planner if optimize is None else optimize
         if optimize:
             plan = self.planner.optimize(plan)
         plan_mode = "planned" if optimize else "raw"

@@ -159,10 +159,6 @@ class QueryCompiler:
         DerivedCache.clear_all()
 
     @classmethod
-    def cache_len(cls) -> int:
-        return DerivedCache.total(COMPILED)
-
-    @classmethod
     def set_cache_capacity(cls, capacity: int) -> None:
         """Re-bound the derived caches (both segments), evicting if needed."""
         if capacity < 1:
@@ -179,13 +175,6 @@ class QueryCompiler:
             return (Q.plan_fingerprint(M.to_qplan(plan)), "qmonad",
                     self.stack.name, self.flags, query_name)
         return (Q.plan_fingerprint(plan), self.stack.name, self.flags, query_name)
-
-    def is_cached(self, plan, catalog: Catalog,
-                  query_name: str = "query") -> bool:
-        """Whether :meth:`compile` would be served from the cache right now."""
-        key = self._cache_key(self._front_end(plan, catalog)[0], query_name)
-        return key is not None and AccessLayer.for_catalog(catalog).derived.contains(
-            COMPILED, key)
 
     def _planned(self, plan: Q.Operator, catalog: Catalog) -> Q.Operator:
         """``plan`` as the stack receives it: logically optimized when the

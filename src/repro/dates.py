@@ -25,11 +25,6 @@ def int_to_date(value: int) -> datetime.date:
     return datetime.date(value // 10000, (value // 100) % 100, value % 100)
 
 
-def int_to_str(value: int) -> str:
-    """Render the integer encoding as ``'YYYY-MM-DD'`` (for result formatting)."""
-    return int_to_date(value).isoformat()
-
-
 def year_of(value: int) -> int:
     """Extract the year of an encoded date (the EXTRACT(YEAR ...) of TPC-H Q7/Q8/Q9)."""
     return value // 10000
@@ -37,21 +32,3 @@ def year_of(value: int) -> int:
 
 def add_days(value: int, days: int) -> int:
     return date_to_int(int_to_date(value) + datetime.timedelta(days=days))
-
-
-def add_months(value: int, months: int) -> int:
-    date = int_to_date(value)
-    month_index = date.month - 1 + months
-    year = date.year + month_index // 12
-    month = month_index % 12 + 1
-    # clamp the day to the end of the target month (sufficient for TPC-H constants)
-    for day in (date.day, 30, 29, 28):
-        try:
-            return date_to_int(datetime.date(year, month, day))
-        except ValueError:
-            continue
-    raise ValueError(f"cannot add {months} months to {value}")
-
-
-def add_years(value: int, years: int) -> int:
-    return add_months(value, 12 * years)

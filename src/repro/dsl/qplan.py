@@ -383,15 +383,6 @@ def walk(plan: Operator):
         yield from walk(child)
 
 
-def tables_used(plan: Operator) -> List[str]:
-    """Names of the base relations scanned by a plan (in scan order)."""
-    tables: List[str] = []
-    for node in walk(plan):
-        if isinstance(node, Scan) and node.table not in tables:
-            tables.append(node.table)
-    return tables
-
-
 def output_fields(plan: Operator, catalog,
                   memo: Optional[Dict[int, List[str]]] = None) -> List[str]:
     """Output column names of a plan node (requires the catalog for scans).

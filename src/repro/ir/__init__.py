@@ -3,7 +3,7 @@ from .builder import IRBuilder, make_program
 from .effects import Effect, PURE, READ, WRITE, ALLOC, IO, CONTROL
 from .nodes import Atom, Block, Const, Expr, Program, Stmt, Sym, reset_symbol_counter
 from .ops import REGISTRY, effect_of, is_registered
-from .pretty import block_to_str, fingerprint, program_to_str
+from .pretty import fingerprint
 from . import types
 
 __all__ = [
@@ -11,5 +11,5 @@ __all__ = [
     "Effect", "PURE", "READ", "WRITE", "ALLOC", "IO", "CONTROL",
     "Atom", "Block", "Const", "Expr", "Program", "Stmt", "Sym", "reset_symbol_counter",
     "REGISTRY", "effect_of", "is_registered",
-    "block_to_str", "fingerprint", "program_to_str", "types",
+    "fingerprint", "types",
 ]

@@ -71,4 +71,3 @@ READ_WRITE = Effect(reads=True, writes=True)
 ALLOC = Effect(allocates=True)
 IO = Effect(io=True)
 CONTROL = Effect(control=True, reads=True, writes=True)
-GLOBAL = Effect(reads=True, writes=True, io=True)

@@ -94,9 +94,6 @@ class Block:
     def __len__(self) -> int:
         return len(self.stmts)
 
-    def bound_syms(self) -> List[Sym]:
-        return [stmt.sym for stmt in self.stmts]
-
 
 @dataclass
 class Expr:

@@ -1,61 +1,14 @@
-"""Human-readable printing of ANF programs.
+"""The structural fingerprint of an ANF program — the paper's "no
+structurally different code".
 
-The printed form is also the structural fingerprint of a program — the
-paper's "no structurally different code".  The fixed-point driver of
-:mod:`repro.stack.transformation` does not print anything to find its fixed
-point (a pass that changes nothing returns its input); the verifier uses the
-fingerprint to hold passes to that contract.
+The fixed-point driver of :mod:`repro.stack.transformation` does not
+fingerprint anything to find its fixed point (a pass that changes nothing
+returns its input); the verifier uses the fingerprint to hold passes to that
+contract.
 """
 from __future__ import annotations
 
-from typing import List
-
-from .nodes import Atom, Block, Const, Program, Stmt, Sym
-
-_INDENT = "  "
-
-
-def atom_str(atom: Atom) -> str:
-    if isinstance(atom, Sym):
-        return atom.name
-    if isinstance(atom, Const):
-        return repr(atom.value)
-    return repr(atom)
-
-
-def stmt_str(stmt: Stmt) -> str:
-    expr = stmt.expr
-    parts = [atom_str(a) for a in expr.args]
-    parts += [f"{key}={value!r}" for key, value in sorted(expr.attrs.items(), key=lambda kv: kv[0])]
-    return f"val {stmt.sym.name} = {expr.op}({', '.join(parts)})"
-
-
-def block_lines(block: Block, indent: int = 0) -> List[str]:
-    lines: List[str] = []
-    pad = _INDENT * indent
-    if block.params:
-        lines.append(f"{pad}params: {', '.join(p.name for p in block.params)}")
-    for stmt in block.stmts:
-        lines.append(pad + stmt_str(stmt))
-        for i, nested in enumerate(stmt.expr.blocks):
-            lines.append(f"{pad}{_INDENT}block[{i}]:")
-            lines.extend(block_lines(nested, indent + 2))
-    lines.append(f"{pad}result: {atom_str(block.result)}")
-    return lines
-
-
-def block_to_str(block: Block) -> str:
-    return "\n".join(block_lines(block))
-
-
-def program_to_str(program: Program) -> str:
-    lines = [f"program [{program.language}] params({', '.join(p.name for p in program.params)})"]
-    if program.hoisted.stmts:
-        lines.append("hoisted (data-loading time):")
-        lines.extend(block_lines(program.hoisted, 1))
-    lines.append("body:")
-    lines.extend(block_lines(program.body, 1))
-    return "\n".join(lines)
+from .nodes import Atom, Block, Program, Sym
 
 
 def fingerprint(program: Program) -> str:

@@ -49,21 +49,6 @@ def used_syms(block: Block) -> Set[Sym]:
     return used
 
 
-def bound_syms(block: Block, recursive: bool = True) -> Set[Sym]:
-    """All symbols bound by statements (and block parameters) inside a block."""
-    bound: Set[Sym] = set(block.params)
-    for stmt, _ in iter_stmts(block, recursive=recursive):
-        bound.add(stmt.sym)
-        for nested in stmt.expr.blocks:
-            bound.update(nested.params)
-    return bound
-
-
-def free_syms(block: Block) -> Set[Sym]:
-    """Symbols used inside the block but defined outside of it."""
-    return used_syms(block) - bound_syms(block)
-
-
 def same_objects(new: Sequence, old: Sequence) -> bool:
     """Whether two equally long sequences hold the same objects, pairwise.
 

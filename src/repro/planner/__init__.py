@@ -8,8 +8,7 @@ reordering) and physical access-path selection are on by default.
 
 Entry points:
 
-* :class:`Planner` / :func:`optimize_plan` — optimize a plan against a
-  catalog,
+* :class:`Planner` — optimize a plan against a catalog,
 * :class:`PlannerOptions` — choose the optional rule phases;
   ``PlannerOptions.exact_order()`` keeps only the rules that preserve row
   order and float accumulation order exactly,
@@ -21,7 +20,7 @@ from .access_rules import (IndexJoinSelection, PrunedScanSelection,
                            index_eligible_build)
 from .cardinality import CardinalityEstimator
 from .ordering import SortContract, sort_contract
-from .planner import Planner, PlannerOptions, PlanReport, optimize_plan
+from .planner import Planner, PlannerOptions, PlanReport
 from .pruning import prune_plan
 from .rewrite import PlannerContext, PlannerError, PlanRule, apply_rules_fixpoint
 from .rules import BuildSideSwap, ConstantFolding, PredicatePushdown, TopKFusion
@@ -43,7 +42,6 @@ __all__ = [
     "SortContract",
     "TopKFusion",
     "apply_rules_fixpoint",
-    "optimize_plan",
     "prune_plan",
     "sort_contract",
 ]

@@ -199,9 +199,3 @@ class Planner:
         # An optimizer bug must surface here, not as a wrong answer later.
         Q.validate(plan, self.catalog)
         return plan, (context, report)
-
-
-def optimize_plan(plan: Q.Operator, catalog,
-                  options: Optional[PlannerOptions] = None) -> Q.Operator:
-    """Convenience wrapper: optimize one plan with a fresh planner."""
-    return Planner(catalog, options).optimize(plan)

@@ -30,24 +30,22 @@ consumers' columns.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set
+from typing import AbstractSet, Dict, List, Optional, Set
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
 
 
-def prune_plan(plan: Q.Operator, catalog,
-               required: Optional[Sequence[str]] = None, *,
+def prune_plan(plan: Q.Operator, catalog, *,
                prune_projections: bool = False,
                prune_aggregates: bool = False) -> Q.Operator:
-    """Prune columns not in ``required`` (default: the plan's own output).
+    """Prune the columns the plan's own output does not need.
 
     The top-level output columns are always preserved, so the pruned plan
     returns rows with exactly the same keys as the original.
     """
     memo: Dict[int, List[str]] = {}
-    if required is None:
-        required = Q.output_fields(plan, catalog, memo)
+    required = Q.output_fields(plan, catalog, memo)
     shared = Q.shared_subplan_fingerprints(plan)
     shared_needs: Optional[Dict[str, Set[str]]] = None
     if shared:

@@ -124,8 +124,7 @@ def rewrite_sweep(plan: Q.Operator, rules: Sequence[PlanRule],
 
 
 def apply_rules_fixpoint(plan: Q.Operator, rules: Sequence[PlanRule],
-                         context: PlannerContext,
-                         max_iterations: int = 8) -> tuple:
+                         context: PlannerContext) -> tuple:
     """Sweep ``rules`` over the plan until it stops changing.
 
     Returns ``(plan, report)``: :func:`rewrite_sweep` is handed to the
@@ -139,7 +138,6 @@ def apply_rules_fixpoint(plan: Q.Operator, rules: Sequence[PlanRule],
     fired = len(context.applied)
     sweep = FunctionOptimization(
         QPLAN, "rewrite-sweep", lambda tree, ctx: rewrite_sweep(tree, rules, ctx))
-    plan, report = apply_fixpoint([sweep] if rules else [], plan, context,
-                                  max_iterations)
+    plan, report = apply_fixpoint([sweep] if rules else [], plan, context)
     report.applied = context.applied[fired:]
     return plan, report

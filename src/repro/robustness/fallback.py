@@ -112,10 +112,6 @@ class CircuitBreaker:
             self._opened_at[key] = now
             return True
 
-    def is_open(self, key: Tuple) -> bool:
-        with self._lock:
-            return key in self._opened_at
-
     def record_failure(self, key: Tuple) -> bool:
         """Count a failure; returns True when this opens (or re-arms) the
         breaker."""

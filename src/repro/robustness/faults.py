@@ -174,10 +174,6 @@ class FaultPlan:
                 return spec.value
             return default
 
-    def fired_sites(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(site for site, _ in self.fired)
-
 
 _PLAN: Optional[FaultPlan] = None
 

@@ -21,7 +21,6 @@ from call sites that have no executor-scoped log in hand.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from collections import deque
@@ -72,34 +71,21 @@ class Incident:
     elapsed_seconds: float = 0.0
     detail: Dict[str, object] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "timestamp": self.timestamp,
-            "category": self.category,
-            "query": self.query,
-            "tier": self.tier,
-            "cause": self.cause,
-            "message": self.message,
-            "elapsed_seconds": self.elapsed_seconds,
-            "detail": dict(self.detail),
-        }
+
+#: How many incidents the ring buffer of an :class:`IncidentLog` keeps.
+CAPACITY = 1024
 
 
 class IncidentLog:
     """Bounded, in-order, thread-safe incident sink with query helpers.
 
-    The ring buffer holds the most recent ``capacity`` incidents; the
+    The ring buffer holds the most recent :data:`CAPACITY` incidents; the
     per-category counters (:meth:`snapshot`) are never evicted, so totals
     survive ring wrap-around.
     """
 
-    def __init__(self, capacity: int = 1024,
-                 clock: Callable[[], float] = time.time):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._records: Deque[Incident] = deque(maxlen=capacity)
+    def __init__(self, clock: Callable[[], float] = time.time):
+        self._records: Deque[Incident] = deque(maxlen=CAPACITY)
         self._clock = clock
         self._lock = threading.RLock()
         self._counters: Dict[str, int] = {}
@@ -167,18 +153,9 @@ class IncidentLog:
             "total_reported": total,
             "buffered": buffered,
             "evicted": total - buffered,
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "by_category": by_category,
         }
-
-    def to_json(self, include_records: bool = False,
-                indent: Optional[int] = None) -> str:
-        """The :meth:`snapshot` (optionally plus the buffered records) as a
-        JSON document for stats endpoints and benchmark artifacts."""
-        payload = self.snapshot()
-        if include_records:
-            payload["records"] = [record.as_dict() for record in self.records()]
-        return json.dumps(payload, indent=indent, default=repr)
 
     def clear(self) -> None:
         with self._lock:

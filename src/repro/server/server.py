@@ -415,12 +415,11 @@ class QueryServer:
             queue_seconds=queue_seconds, execute_seconds=elapsed)
 
     def _budget_for(self, remaining: Optional[float]) -> Optional[QueryBudget]:
-        """Translate the remaining deadline into the governor budget."""
+        """Translate the remaining deadline into the governor budget: none
+        when there is no deadline to enforce, whatever the check interval."""
         base = self.base_budget
         if remaining is None:
-            if base == QueryBudget.unlimited():
-                return None  # nothing to enforce; skip governor overhead
-            return base
+            return None if base.timeout_seconds is None else base
         remaining = max(0.0, remaining)
         timeout = remaining if base.timeout_seconds is None \
             else min(base.timeout_seconds, remaining)

@@ -175,9 +175,5 @@ def build_config(name: str, planner: bool = False) -> StackConfig:
         subplan_sharing=row.subplan_sharing))
 
 
-def all_configs(planner: bool = False) -> List[StackConfig]:
-    return [build_config(name, planner=planner) for name in CONFIG_NAMES]
-
-
 def config_flags(name: str) -> OptimizationFlags:
     return build_config(name).flags

@@ -67,9 +67,6 @@ class Language:
             raise ValueError(
                 f"language {self.name!r} references unregistered ops: {sorted(unknown)}")
 
-    def allows_op(self, op: str) -> bool:
-        return op in self.ops
-
     def validate(self, program) -> None:
         """Check that ``program`` only uses constructs of this language.
 
@@ -156,15 +153,3 @@ C_PY = Language(
 
 ALL_LANGUAGES: Tuple[Language, ...] = (QPLAN, QMONAD, SCALITE_MAP_LIST, SCALITE_LIST,
                                        SCALITE, C_PY)
-
-
-def language_by_name(name: str) -> Language:
-    for lang in ALL_LANGUAGES:
-        if lang.name == name:
-            return lang
-    raise KeyError(f"unknown language {name!r}")
-
-
-def ordered_levels() -> List[Language]:
-    """All languages ordered from most abstract to least abstract."""
-    return sorted(ALL_LANGUAGES, key=lambda lang: -lang.level)

@@ -48,10 +48,6 @@ class CompilationResult:
     language: Language
     phases: List[PhaseResult] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(p.seconds for p in self.phases)
-
 
 class DslStack:
     """A stack of DSLs with their optimizations and lowerings.

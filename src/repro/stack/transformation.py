@@ -171,8 +171,11 @@ def enabled_by(step, steps: Sequence, before=None) -> List[int]:
     return [i for i, other in enumerate(steps) if isinstance(other, enables)]
 
 
+#: The most passes over its step list a fixpoint run makes.
+MAX_ITERATIONS = 8
+
+
 def apply_fixpoint(steps: Sequence[Transformation], program, context,
-                   max_iterations: int = 8,
                    observer: Optional[Callable] = None) -> tuple:
     """Run ``steps`` off a worklist until no step has anything left to do.
 
@@ -189,8 +192,8 @@ def apply_fixpoint(steps: Sequence[Transformation], program, context,
     round-robin that stops once every step in a row has returned its input).
     The loop ends when the queue is empty.  Returns ``(program, report)``.
 
-    A hard bound of ``max_iterations`` passes over the list — at most
-    ``max_iterations * len(steps)`` runs — guards against non-terminating
+    A hard bound of :data:`MAX_ITERATIONS` passes over the list — at most
+    ``MAX_ITERATIONS * len(steps)`` runs — guards against non-terminating
     step sets (the "special care" footnote of the paper); hitting it is
     reported (``reached_fixpoint`` false; :meth:`DslStack.compile` writes it
     into the phase detail and raises under ``verify=True``) rather than
@@ -203,7 +206,7 @@ def apply_fixpoint(steps: Sequence[Transformation], program, context,
     report = FixpointReport()
     queued = [True] * len(steps)
     waiting = len(steps)
-    while waiting and report.iterations < max_iterations:
+    while waiting and report.iterations < MAX_ITERATIONS:
         report.iterations += 1
         for position, step in enumerate(steps):
             if not queued[position]:

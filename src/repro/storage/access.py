@@ -748,8 +748,7 @@ class AccessLayer:
     # ------------------------------------------------------------------
     # Partition pruning
     # ------------------------------------------------------------------
-    def prune_candidates(self, table: str, filters: Sequence[ZoneFilter],
-                         max_fraction: float = _MAX_PRUNE_FRACTION):
+    def prune_candidates(self, table: str, filters: Sequence[ZoneFilter]):
         """Candidate base-row positions under ``filters``, in ascending row
         order, or ``None`` when the zoned columns do not prune well enough.
 
@@ -759,16 +758,15 @@ class AccessLayer:
         range by bisection, and the rows left in it, read only in the chunks
         the zone maps admit, get one filtered pass over the other columns.
         A ``range`` when nothing but the clip prunes, else a list drawn from
-        the position pool.  The ``max_fraction`` gate is read off a sample of
-        the same test before any list is built; the caller still evaluates
-        the full predicate on the survivors.
+        the position pool.  The :data:`_MAX_PRUNE_FRACTION` gate is read off
+        a sample of the same test before any list is built; the caller still
+        evaluates the full predicate on the survivors.
         """
         with self._lock:
-            return self._prune_candidates(table, filters, max_fraction)
+            return self._prune_candidates(table, filters)
 
     @guarded_by("_lock")
-    def _prune_candidates(self, table: str, filters: Sequence[ZoneFilter],
-                          max_fraction: float):
+    def _prune_candidates(self, table: str, filters: Sequence[ZoneFilter]):
         num_rows = self.catalog.size(table)
         if num_rows == 0:
             return None
@@ -795,13 +793,13 @@ class AccessLayer:
             return None
         span = max(0, hi - lo)
         if not tests:
-            return None if span > max_fraction * num_rows else range(lo, lo + span)
+            return None if span > _MAX_PRUNE_FRACTION * num_rows else range(lo, lo + span)
         pool = self._pool(num_rows)
         # drawn from the pool, so a span passed whole is already the list
         stride = _SAMPLE_STRIDE if span >= _SAMPLE_STRIDE ** 2 else 1
         sample = pool[lo:lo + span:stride]
         passing = _passing(sample, tests)
-        if len(passing) * span > max_fraction * num_rows * len(sample):
+        if len(passing) * span > _MAX_PRUNE_FRACTION * num_rows * len(sample):
             return None
         if stride > 1:
             admitted = self.chunk_ranges(
@@ -888,7 +886,7 @@ class AccessLayer:
 
     @guarded_by("_lock")
     def _compute_pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
-        candidates = self._prune_candidates(table, filters, _MAX_PRUNE_FRACTION)
+        candidates = self._prune_candidates(table, filters)
         if candidates is not None:
             return candidates
         num_rows = self.catalog.size(table)

@@ -8,11 +8,11 @@ simple and the access pattern identical across engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List
 
 from ..robustness.faults import fault_point
 from .layouts import ColumnarTable
-from .schema import Schema, TableSchema
+from .schema import Schema
 from .statistics import Statistics, compute_table_statistics
 
 
@@ -47,9 +47,6 @@ class Catalog:
         layer = getattr(self, "_access_layer", None)
         if layer is not None:
             layer.invalidate_table(name)
-
-    def register_rows(self, schema: TableSchema, rows: Iterable[Dict[str, Any]]) -> None:
-        self.register(ColumnarTable.from_rows(schema, list(rows)))
 
     # ------------------------------------------------------------------
     # Access (used by interpreters and generated code)
@@ -86,14 +83,8 @@ class Catalog:
     # ------------------------------------------------------------------
     # Schema helpers used by the optimizer / index inference
     # ------------------------------------------------------------------
-    def primary_key_of(self, table: str) -> Optional[str]:
-        return self.schema.table(table).single_column_primary_key
-
     def is_primary_key(self, table: str, column: str) -> bool:
         return self.schema.table(table).primary_key == (column,)
-
-    def is_foreign_key(self, table: str, column: str) -> bool:
-        return self.schema.table(table).column(column).foreign_key is not None
 
     def memory_footprint(self) -> int:
         """*Logical* loaded-data size in bytes: the C layout the paper's

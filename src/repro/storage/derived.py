@@ -142,12 +142,6 @@ class DerivedCache:
                 self._trim(kind)
         return value, False
 
-    def contains(self, kind: str, key: Hashable) -> bool:
-        """Whether ``key`` is cached now (no recency bump, no promotion, no
-        counters)."""
-        with self._lock:
-            return key in self._protected[kind] or key in self._probation[kind]
-
     def entry_count(self, kind: str) -> int:
         with self._lock:
             return len(self._protected[kind]) + len(self._probation[kind])
@@ -184,12 +178,6 @@ class DerivedCache:
             for cache in list(cls._live):
                 for kind in cache._probation.keys() | cache._protected.keys():
                     cache._trim(kind)
-
-    @classmethod
-    def total(cls, kind: str) -> int:
-        """Live ``kind`` entries over every catalog."""
-        with cls._lock:
-            return sum(cache.entry_count(kind) for cache in list(cls._live))
 
     @classmethod
     def clear_all(cls) -> None:

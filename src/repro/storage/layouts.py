@@ -20,7 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
 from .schema import TableSchema
 
@@ -143,20 +143,3 @@ class ColumnarTable:
                 total += sys.getsizeof(values) + sum(
                     len(v) if isinstance(v, str) else 8 for v in values)
         return total
-
-    def row_dict(self, index: int) -> Dict[str, Any]:
-        """The boxed representation of one row."""
-        return {name: self.column(name)[index] for name in list(self.columns)}
-
-    def iter_rows(self) -> Iterator[Dict[str, Any]]:
-        names = list(self.columns)
-        for values in zip(*map(self.column, names)):
-            yield dict(zip(names, values))
-
-    @classmethod
-    def from_rows(cls, schema: TableSchema, rows: Sequence[Dict[str, Any]]) -> "ColumnarTable":
-        columns: Dict[str, List[Any]] = {name: [] for name in schema.column_names()}
-        for row in rows:
-            for name in columns:
-                columns[name].append(row[name])
-        return cls(schema, columns)

@@ -67,9 +67,6 @@ class TableSchema:
     def column_names(self) -> List[str]:
         return [col.name for col in self.columns]
 
-    def column_type(self, name: str) -> Type:
-        return self.column(name).type
-
     @property
     def single_column_primary_key(self) -> Optional[str]:
         """The primary key column when it is a single attribute (else ``None``)."""

@@ -35,6 +35,10 @@ ZONE_CHUNK_ROWS = 2048
 #: distinct values per row above which a column counts as near-unique
 NEAR_UNIQUE_SHARE = 0.8
 
+#: how many times its distinct count a key's value range may span for a
+#: direct array indexed by value to count as dense
+DENSE_KEY_SLACK = 4.0
+
 
 @dataclass
 class ColumnZoneMap:
@@ -154,17 +158,18 @@ class ColumnStatistics:
             return self.max_value - self.min_value + 1
         return None
 
-    def is_dense_key(self, slack: float = 4.0) -> bool:
+    def is_dense_key(self) -> bool:
         """Whether a direct array indexed by value would be reasonably dense.
 
         The paper trades memory for speed aggressively ("an aggressive system
-        memory trade-off to hold a sparse array"), so a generous slack factor
-        is allowed between the value range and the number of distinct values.
+        memory trade-off to hold a sparse array"), so the value range may
+        exceed the number of distinct values by the generous factor
+        :data:`DENSE_KEY_SLACK` (plus 1024 slots).
         """
         value_range = self.value_range
         if value_range is None or self.num_distinct == 0 or self.min_value < 0:
             return False
-        return value_range <= slack * max(self.num_distinct, 1) + 1024
+        return value_range <= DENSE_KEY_SLACK * self.num_distinct + 1024
 
     @property
     def is_unique(self) -> bool:

@@ -30,8 +30,3 @@ def build_query(name: str) -> Operator:
         return QUERIES[name]()
     except KeyError:
         raise KeyError(f"unknown TPC-H query {name!r}; known: {QUERY_NAMES}") from None
-
-
-def all_queries() -> Dict[str, Operator]:
-    """Build every TPC-H query plan."""
-    return {name: build_query(name) for name in QUERY_NAMES}

@@ -136,11 +136,3 @@ def _short_key(canonical: str) -> str:
     import hashlib
 
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-def shared_binding_count(program) -> int:
-    """Number of shared-subplan bindings in a compiled program (test probe)."""
-    from ..ir.traversal import iter_program_stmts
-
-    return sum(1 for stmt, _ in iter_program_stmts(program)
-               if "shared_subplan" in stmt.expr.attrs)

@@ -17,12 +17,16 @@ from repro.ir import make_program
 from repro.ir.nodes import Block, Const, Expr, Stmt, Sym
 from repro.ir.traversal import iter_program_stmts
 from repro.stack.configs import build_config
-from repro.stack.language import language_by_name
+from repro.stack.language import ALL_LANGUAGES
 from repro.stack.pipeline import DslStack
 from repro.stack.transformation import FunctionOptimization
 
 CONFIG = "dblab-5"
 LEVEL = "ScaLite"
+
+
+def _language(name):
+    return next(lang for lang in ALL_LANGUAGES if lang.name == name)
 
 
 def _rebuild(program, body=None, hoisted=None):
@@ -34,7 +38,7 @@ def _rebuild(program, body=None, hoisted=None):
 def compile_mutated(catalog, mutation, name, query, **flag_overrides):
     config = build_config(CONFIG)
     config.flags = config.flags.copy_with(**flag_overrides)
-    broken = FunctionOptimization(language_by_name(LEVEL), name, mutation)
+    broken = FunctionOptimization(_language(LEVEL), name, mutation)
     stack = DslStack(config.stack.name + "+mutation",
                      config.stack.languages, config.stack.lowerings,
                      list(config.stack.optimizations) + [broken])

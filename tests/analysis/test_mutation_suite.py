@@ -17,7 +17,7 @@ from repro.ir import make_program
 from repro.ir.nodes import Block, Const, Expr, Stmt, Sym
 from repro.ir.traversal import used_syms
 from repro.stack.configs import build_config
-from repro.stack.language import language_by_name
+from repro.stack.language import ALL_LANGUAGES
 from repro.stack.pipeline import DslStack
 from repro.stack.transformation import FunctionOptimization
 from repro.tpch.queries import build_query
@@ -25,6 +25,10 @@ from repro.tpch.queries import build_query
 QUERY = "Q1"
 CONFIG = "dblab-5"
 LEVEL = "ScaLite"
+
+
+def _language(name):
+    return next(lang for lang in ALL_LANGUAGES if lang.name == name)
 
 
 def _rebuild(program, body):
@@ -35,7 +39,7 @@ def _rebuild(program, body):
 def compile_mutated(catalog, mutation, name, level=LEVEL, query=QUERY):
     """Compile ``query`` with ``mutation`` injected as an optimization."""
     config = build_config(CONFIG)
-    broken = FunctionOptimization(language_by_name(level), name, mutation)
+    broken = FunctionOptimization(_language(level), name, mutation)
     stack = DslStack(config.stack.name + "+mutation",
                      config.stack.languages, config.stack.lowerings,
                      list(config.stack.optimizations) + [broken])

@@ -6,6 +6,8 @@ import repro.analysis
 from repro.analysis.verify import main as verify_main
 from repro.codegen.compiler import QueryCompiler
 from repro.stack.configs import build_config
+from repro.storage.access import AccessLayer
+from repro.storage.derived import COMPILED
 from repro.tpch.queries import QUERY_NAMES, build_query
 
 QUERIES = ("Q1", "Q3", "Q6", "Q10", "Q14", "Q19")
@@ -58,9 +60,10 @@ class TestVerifiedCompilation:
         assert not checked.compile(plan, tpch_catalog,
                                    query_name="Q6").cache_hit
         # and verified compilations are not inserted either
-        before = QueryCompiler.cache_len()
+        derived = AccessLayer.for_catalog(tpch_catalog).derived
+        before = derived.entry_count(COMPILED)
         checked.compile(plan, tpch_catalog, query_name="Q6")
-        assert QueryCompiler.cache_len() == before
+        assert derived.entry_count(COMPILED) == before
 
     def test_default_path_installs_no_verification_hooks(self, tpch_catalog,
                                                          monkeypatch):

@@ -89,16 +89,15 @@ class TestHarness:
 
 
 class TestPlannerMode:
-    def test_measure_with_optimize_tags_the_plan_mode(self, harness):
-        raw = harness.measure("Q6", "interpreter", optimize=False)
-        planned = harness.measure("Q6", "interpreter", optimize=True)
+    @pytest.mark.parametrize("engine", ["interpreter", "dblab-5"])
+    def test_measure_with_optimize_tags_the_plan_mode(self, harness, engine):
+        raw = harness.measure("Q6", engine, optimize=False)
+        planned = harness.measure("Q6", engine, optimize=True)
         assert raw.plan_mode == "raw" and planned.plan_mode == "planned"
         assert planned.rows == raw.rows
 
-    def test_use_planner_harness_defaults_every_measurement(self):
-        catalog = generate_catalog(scale_factor=0.0005, seed=3)
-        planning = BenchmarkHarness(catalog, repetitions=1, use_planner=True)
-        assert planning.measure("Q6", "vectorized").plan_mode == "planned"
+    def test_a_measurement_times_the_raw_plan_unless_told_to_optimize(self, harness):
+        assert harness.measure("Q6", "vectorized").plan_mode == "raw"
 
     def test_table3_planner_grid(self, harness):
         results = harness.table3_planner(queries=["Q6"],

@@ -9,7 +9,9 @@ from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.dsl.qmonad import QueryMonad, to_qplan
 from repro.stack.configs import build_config
-from repro.storage.derived import PROBATION
+from repro.storage.access import AccessLayer
+from repro.storage.catalog import Catalog
+from repro.storage.derived import COMPILED, PROBATION
 from repro.tpch.dbgen import generate_catalog
 
 
@@ -18,6 +20,11 @@ def _plan():
         Q.HashJoin(Q.Select(Q.Scan("R"), col("r_name") == "R1"),
                    Q.Scan("S"), col("r_sid"), col("s_rid")),
         [], [Q.AggSpec("count", None, "n")])
+
+
+def _entries(catalog):
+    """Compiled queries the catalog's derived cache holds now."""
+    return AccessLayer.for_catalog(catalog).derived.entry_count(COMPILED)
 
 
 @pytest.fixture(autouse=True)
@@ -142,13 +149,25 @@ class TestCompiledQueryCache:
         assert not second.cache_hit
         assert QueryCompiler.cache_stats.misses == 2
 
+    def test_clear_cache_empties_every_catalogs_cache(self, tiny_catalog):
+        config = build_config("dblab-5")
+        compiler = QueryCompiler(config.stack, config.flags)
+        other = Catalog()
+        for name in tiny_catalog.table_names():
+            other.register(tiny_catalog.table(name))
+        for catalog in (tiny_catalog, other):
+            compiler.compile(_plan(), catalog, "q")
+        assert (_entries(tiny_catalog), _entries(other)) == (1, 1)
+        QueryCompiler.clear_cache()
+        assert (_entries(tiny_catalog), _entries(other)) == (0, 0)
+
     def test_clear_cache_resets(self, tiny_catalog):
         config = build_config("dblab-5")
         compiler = QueryCompiler(config.stack, config.flags)
         compiler.compile(_plan(), tiny_catalog, "q")
-        assert QueryCompiler.cache_len() == 1
+        assert _entries(tiny_catalog) == 1
         QueryCompiler.clear_cache()
-        assert QueryCompiler.cache_len() == 0
+        assert _entries(tiny_catalog) == 0
         assert QueryCompiler.cache_stats.misses == 0
 
 
@@ -172,7 +191,6 @@ class TestQMonadChains:
         first = compiler.compile(_chain(), tiny_catalog, "chain")
         second = compiler.compile(_chain(), tiny_catalog, "chain")
         assert not first.cache_hit and second.cache_hit
-        assert compiler.is_cached(_chain(), tiny_catalog, "chain")
         assert second.source == first.source
         assert second.run(tiny_catalog) == first.run(tiny_catalog)
         assert (QueryCompiler.cache_stats.hits,
@@ -184,17 +202,16 @@ class TestQMonadChains:
         compiler.compile(tree, tiny_catalog, "q")
         assert not compiler.compile(_chain(), tiny_catalog, "q").cache_hit
         assert compiler.compile(tree, tiny_catalog, "q").cache_hit
-        assert QueryCompiler.cache_len() == 2
+        assert _entries(tiny_catalog) == 2
 
     def test_verify_bypasses_the_cache_in_both_directions(self, tiny_catalog):
         plain, checked = self._compiler(), self._compiler(verify=True)
         plain.compile(_chain(), tiny_catalog, "chain")
         # a cached unverified compile does not satisfy a verifying one ...
         assert not checked.compile(_chain(), tiny_catalog, "chain").cache_hit
-        assert not checked.is_cached(_chain(), tiny_catalog, "chain")
         # ... and a verifying compile stores nothing
         checked.compile(_chain(), tiny_catalog, "other")
-        assert QueryCompiler.cache_len() == 1
+        assert _entries(tiny_catalog) == 1
         assert not plain.compile(_chain(), tiny_catalog, "other").cache_hit
 
 
@@ -296,14 +313,14 @@ class TestCacheBounds:
         compiler = self._compiler()
         for n in range(PROBATION + 1):
             compiler.compile(_distinct_plan(n), tiny_catalog, "q")
-        assert QueryCompiler.cache_len() == PROBATION
+        assert _entries(tiny_catalog) == PROBATION
         assert QueryCompiler.cache_stats.evictions == 1
         # plan 0 was the oldest never-hit compile: recompiling it misses
         assert not compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
         # the newest survived the plan-0 reinsert (which evicted plan 1)
         assert compiler.compile(_distinct_plan(PROBATION), tiny_catalog,
                                 "q").cache_hit
-        assert not compiler.is_cached(_distinct_plan(1), tiny_catalog, "q")
+        assert not compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
 
     def test_a_cache_hit_outlasts_a_burst_of_one_shot_compiles(
             self, tiny_catalog, bounded_capacity):
@@ -323,7 +340,7 @@ class TestCacheBounds:
             compiler.compile(_distinct_plan(n), tiny_catalog, "q")
         assert compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
         QueryCompiler.set_cache_capacity(1)
-        assert QueryCompiler.cache_len() == 1
+        assert _entries(tiny_catalog) == 1
         assert QueryCompiler.cache_stats.evictions == 3
         # the survivor is the plan that repeated, not the newest insert
         assert compiler.compile(_distinct_plan(1), tiny_catalog, "q").cache_hit
@@ -334,13 +351,13 @@ class TestCacheBounds:
         compiler = self._compiler()
         for n in range(3):
             compiler.compile(_distinct_plan(n), tiny_catalog, "q")
-        assert QueryCompiler.cache_len() == 3
+        assert _entries(tiny_catalog) == 3
 
         table = tiny_catalog.table("S")
         tiny_catalog.register(ColumnarTable(table.schema, dict(table.columns)))
         # the reload itself drops every pre-reload entry (an invalidation,
         # not an eviction: the counter is for what the bound pushed out)
-        assert QueryCompiler.cache_len() == 0
+        assert _entries(tiny_catalog) == 0
         assert not compiler.compile(_distinct_plan(0), tiny_catalog, "q").cache_hit
-        assert QueryCompiler.cache_len() == 1
+        assert _entries(tiny_catalog) == 1
         assert QueryCompiler.cache_stats.evictions == 0

@@ -89,10 +89,6 @@ class TestAnalysis:
         with pytest.raises(qplan.PlanError):
             qplan.output_fields(join, catalog)
 
-    def test_tables_used(self, catalog):
-        join = qplan.HashJoin(qplan.Scan("r"), qplan.Scan("s"), col("r_sid"), col("s_id"))
-        assert qplan.tables_used(join) == ["r", "s"]
-
     def test_validate_accepts_well_formed_plan(self, catalog):
         plan = qplan.Agg(
             qplan.Select(

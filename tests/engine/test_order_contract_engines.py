@@ -17,25 +17,25 @@ from repro.engine.volcano import VolcanoEngine
 from repro.engine import sortkeys
 from repro.stack.configs import build_config
 from repro.storage.catalog import Catalog
+from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, float_column, int_column, string_column
 
 
 def _nullable_catalog() -> Catalog:
     """A table whose sortable columns contain NULLs, plus an empty table."""
     catalog = Catalog()
-    catalog.register_rows(
+    catalog.register(ColumnarTable(
         TableSchema("N", [int_column("n_id"), int_column("n_num"),
                           string_column("n_str"), float_column("n_val")],
                     primary_key=("n_id",)),
-        [{"n_id": 1, "n_num": 30, "n_str": "c", "n_val": 1.5},
-         {"n_id": 2, "n_num": None, "n_str": "a", "n_val": 2.5},
-         {"n_id": 3, "n_num": 10, "n_str": None, "n_val": None},
-         {"n_id": 4, "n_num": 30, "n_str": "b", "n_val": 0.5},
-         {"n_id": 5, "n_num": None, "n_str": "a", "n_val": 4.5}])
-    catalog.register_rows(
+        {"n_id": [1, 2, 3, 4, 5],
+         "n_num": [30, None, 10, 30, None],
+         "n_str": ["c", "a", None, "b", "a"],
+         "n_val": [1.5, 2.5, None, 0.5, 4.5]}))
+    catalog.register(ColumnarTable(
         TableSchema("E", [int_column("e_id"), float_column("e_val")],
                     primary_key=("e_id",)),
-        [])
+        {"e_id": [], "e_val": []}))
     return catalog
 
 

@@ -40,7 +40,8 @@ def _catalog_with(rows):
     schema = TableSchema("T", [int_column("t_id"), int_column("t_key"),
                                float_column("t_val"), string_column("t_tag")])
     catalog = Catalog()
-    catalog.register(ColumnarTable.from_rows(schema, rows))
+    catalog.register(ColumnarTable(schema, {
+        name: [row[name] for row in rows] for name in schema.column_names()}))
     return catalog
 
 
@@ -126,11 +127,8 @@ class TestNullKeys:
 
     def test_join_on_null_key_matches_volcano(self, small_catalog):
         schema = TableSchema("U", [int_column("u_key"), string_column("u_name")])
-        small_catalog.register(ColumnarTable.from_rows(schema, [
-            {"u_key": 10, "u_name": "ten"},
-            {"u_key": None, "u_name": "nil"},
-            {"u_key": 99, "u_name": "miss"},
-        ]))
+        small_catalog.register(ColumnarTable(schema, {
+            "u_key": [10, None, 99], "u_name": ["ten", "nil", "miss"]}))
         plan = qplan.HashJoin(qplan.Scan("T"), qplan.Scan("U"),
                               col("t_key"), col("u_key"))
         assert VectorizedEngine(small_catalog).execute(plan) == \
@@ -145,9 +143,7 @@ class TestNullKeys:
 
     def test_outer_join_null_padding_and_is_null(self, small_catalog):
         schema = TableSchema("V", [int_column("v_key"), float_column("v_val")])
-        small_catalog.register(ColumnarTable.from_rows(schema, [
-            {"v_key": 10, "v_val": 0.5},
-        ]))
+        small_catalog.register(ColumnarTable(schema, {"v_key": [10], "v_val": [0.5]}))
         joined = qplan.HashJoin(qplan.Scan("T"), qplan.Scan("V"),
                                 col("t_key"), col("v_key"), kind="leftouter")
         plan = qplan.Select(joined, is_null(col("v_key")))

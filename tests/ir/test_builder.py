@@ -1,7 +1,7 @@
 """Unit tests for the ANF builder and its hash-consing behaviour."""
 import pytest
 
-from repro.ir import IRBuilder, Sym, make_program, program_to_str
+from repro.ir import IRBuilder, Sym, make_program
 from repro.ir.types import BOOL, FLOAT, INT, STRING, UNIT
 
 
@@ -154,14 +154,6 @@ class TestBlockStructure:
 
 
 class TestProgram:
-    def test_program_printing_mentions_language_and_hoisted(self):
-        b = IRBuilder()
-        res = b.emit("add", [1, 2])
-        p = make_program(b.finish(res), [], "scalite")
-        text = program_to_str(p)
-        assert "scalite" in text
-        assert "body:" in text
-
     def test_program_repr(self):
         b = IRBuilder()
         p = make_program(b.finish(b.const(0)), [Sym("db")], "c.py")

@@ -6,24 +6,23 @@ depends on (union monotonicity, reorderability, hoisted-first iteration
 order, substitution not touching binders).
 """
 from repro.ir import IRBuilder, make_program
-from repro.ir.effects import (ALLOC, CONTROL, Effect, GLOBAL, IO, PURE, READ,
+from repro.ir.effects import (ALLOC, CONTROL, Effect, IO, PURE, READ,
                               READ_WRITE, WRITE)
 from repro.ir.nodes import Block, Const, Expr, Stmt, Sym
-from repro.ir.traversal import (block_effect, bound_syms, free_syms,
-                                iter_program_stmts, iter_stmts,
+from repro.ir.traversal import (block_effect, iter_program_stmts, iter_stmts,
                                 substitute_block, used_syms)
 from repro.ir.types import INT
 
 
 class TestEffectAlgebra:
     def test_union_is_commutative_and_idempotent(self):
-        for left in (PURE, READ, WRITE, ALLOC, IO, CONTROL, GLOBAL):
+        for left in (PURE, READ, WRITE, ALLOC, IO, CONTROL):
             for right in (PURE, READ, WRITE, ALLOC, IO, CONTROL):
                 assert left.union(right) == right.union(left)
             assert left.union(left) == left
 
     def test_union_with_pure_is_identity(self):
-        for effect in (READ, WRITE, ALLOC, IO, CONTROL, GLOBAL):
+        for effect in (READ, WRITE, ALLOC, IO, CONTROL):
             assert effect.union(PURE) == effect
 
     def test_union_never_loses_flags(self):
@@ -43,7 +42,7 @@ class TestEffectAlgebra:
     def test_removability_matches_reorderability(self):
         """The two legality predicates agree: both forbid writes/io/control."""
         for effect in (PURE, READ, WRITE, ALLOC, IO, CONTROL, READ_WRITE,
-                       GLOBAL, Effect(reads=True, allocates=True)):
+                       Effect(reads=True, allocates=True)):
             assert effect.removable_if_unused == effect.can_reorder_with_reads
 
     def test_alloc_removable_but_not_pure(self):
@@ -81,17 +80,9 @@ class TestTraversalEdgeCases:
         ops = [stmt.expr.op for stmt, _ in iter_program_stmts(program)]
         assert ops == ["table_size", "for_range", "for_range", "add"]
 
-    def test_used_and_bound_on_block_with_only_result(self):
+    def test_used_syms_of_a_block_with_only_a_result(self):
         x = Sym("x", INT)
-        block = Block([], x)
-        assert used_syms(block) == {x}
-        assert bound_syms(block) == set()
-        assert free_syms(block) == {x}
-
-    def test_block_params_count_as_bound(self):
-        i = Sym("i", INT)
-        block = Block([], i, params=(i,))
-        assert free_syms(block) == set()
+        assert used_syms(Block([], x)) == {x}
 
     def test_substitute_block_rewrites_uses_not_binders(self):
         x, y = Sym("x", INT), Sym("y", INT)

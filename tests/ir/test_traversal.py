@@ -1,8 +1,7 @@
 """Unit tests for IR traversal, symbol analysis and block rewriting."""
 from repro.ir import IRBuilder, Const, make_program
-from repro.ir.traversal import (block_effect, bound_syms, count_ops, free_syms,
-                                iter_program_stmts, iter_stmts, ops_used, rewrite_program,
-                                substitute_block, used_syms)
+from repro.ir.traversal import (block_effect, count_ops, iter_program_stmts, iter_stmts,
+                                ops_used, rewrite_program, substitute_block, used_syms)
 from repro.ir.nodes import Sym
 
 
@@ -35,15 +34,6 @@ class TestSymbolAnalysis:
         program, _ = build_loop_program()
         ops = [s.expr.op for s, _ in iter_stmts(program.body, recursive=False)]
         assert "array_get" not in ops
-
-    def test_free_syms_of_body_is_db_param(self):
-        program, db = build_loop_program()
-        assert free_syms(program.body) == {db}
-
-    def test_bound_syms_include_loop_index(self):
-        program, _ = build_loop_program()
-        hints = {s.hint for s in bound_syms(program.body)}
-        assert "i" in hints
 
     def test_used_syms_includes_result(self):
         b = IRBuilder()

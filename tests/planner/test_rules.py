@@ -16,7 +16,9 @@ from repro.planner import (BuildSideSwap, CardinalityEstimator, ConstantFolding,
                            PlanRule, PredicatePushdown, apply_rules_fixpoint,
                            prune_plan)
 from repro.planner.reorder import reorder_join_chains
+from repro.stack.transformation import MAX_ITERATIONS
 from repro.storage.catalog import Catalog
+from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, int_column, string_column
 
 def assert_parity(raw, optimized, catalog, ordered=True):
@@ -53,20 +55,21 @@ def skewed_catalog() -> Catalog:
     """A star schema with very different table sizes for the cost-based rules:
     fact (60 rows) referencing dima (3 rows) and dimc (8 rows)."""
     catalog = Catalog()
-    catalog.register_rows(
+    catalog.register(ColumnarTable(
         TableSchema("dima", [int_column("a_id"), string_column("a_name")],
                     primary_key=("a_id",)),
-        [{"a_id": i, "a_name": f"A{i}"} for i in range(3)])
-    catalog.register_rows(
+        {"a_id": list(range(3)), "a_name": [f"A{i}" for i in range(3)]}))
+    catalog.register(ColumnarTable(
         TableSchema("dimc", [int_column("c_id"), string_column("c_name")],
                     primary_key=("c_id",)),
-        [{"c_id": i, "c_name": f"C{i}"} for i in range(8)])
-    catalog.register_rows(
+        {"c_id": list(range(8)), "c_name": [f"C{i}" for i in range(8)]}))
+    catalog.register(ColumnarTable(
         TableSchema("fact", [int_column("f_id"), int_column("f_a"),
                              int_column("f_c"), int_column("f_val")],
                     primary_key=("f_id",)),
-        [{"f_id": i, "f_a": i % 3, "f_c": i % 8, "f_val": i * 7 % 11}
-         for i in range(60)])
+        {"f_id": list(range(60)), "f_a": [i % 3 for i in range(60)],
+         "f_c": [i % 8 for i in range(60)],
+         "f_val": [i * 7 % 11 for i in range(60)]}))
     return catalog
 
 
@@ -353,6 +356,26 @@ class TestRewriteFramework:
         with pytest.raises(PlannerError, match="runaway"):
             apply_rules_fixpoint(Q.Scan("R"), [Runaway()],
                                  PlannerContext(catalog=tiny_catalog))
+
+    def test_a_rule_set_that_never_settles_stops_at_the_bound(self, tiny_catalog):
+        """A rule that reaches a local fixed point in every sweep but changes
+        the plan again in the next one: the sweeps stop at ``MAX_ITERATIONS``
+        with ``reached_fixpoint=False``."""
+        class Restless(PlanRule):
+            name = "restless"
+            fired = False
+
+            def apply(self, node, context):
+                if not isinstance(node, Q.Limit):
+                    return None
+                self.fired = not self.fired   # once per sweep at the root
+                return Q.Limit(node.child, node.count + 1) if self.fired else None
+
+        plan, report = apply_rules_fixpoint(Q.Limit(Q.Scan("R"), 0), [Restless()],
+                                            PlannerContext(catalog=tiny_catalog))
+        assert report.iterations == MAX_ITERATIONS == 8
+        assert not report.reached_fixpoint
+        assert plan.count == MAX_ITERATIONS
 
     def test_optimizer_is_idempotent(self, tiny_catalog):
         join = Q.HashJoin(Q.Scan("R"), Q.Scan("S"), col("r_sid"), col("s_rid"))

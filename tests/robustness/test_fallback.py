@@ -54,7 +54,7 @@ class TestCircuitBreaker:
         breaker = CircuitBreaker(clock=lambda: 0.0)
         key = ("fp", "compiled")
         assert _open(breaker, key) == [False, False, True]
-        assert breaker.is_open(key)
+        assert key in breaker._opened_at
         assert not breaker.allow(key)
 
     def test_cooldown_lets_a_probe_through(self):
@@ -65,10 +65,10 @@ class TestCircuitBreaker:
         assert not breaker.allow(key)
         now[0] = BREAKER_COOLDOWN_SECONDS
         assert breaker.allow(key)       # half-open probe
-        assert breaker.is_open(key)     # still open until a success lands
+        assert key in breaker._opened_at     # still open until a success lands
         assert breaker.record_success(key) is True
         assert breaker.allow(key)
-        assert not breaker.is_open(key)
+        assert key not in breaker._opened_at
 
     def test_half_open_admits_one_probe_per_cooldown(self):
         now = [0.0]
@@ -102,6 +102,14 @@ class TestCircuitBreaker:
         assert not breaker.allow(("fp", "compiled"))
         assert breaker.allow(("fp", "vectorized"))
         assert breaker.allow(("other", "compiled"))
+
+    def test_a_success_below_the_threshold_resets_the_count(self):
+        breaker = CircuitBreaker(clock=lambda: 0.0)
+        key = ("fp", "compiled")
+        for _ in range(BREAKER_THRESHOLD - 1):
+            assert breaker.record_failure(key) is False
+        assert breaker.record_success(key) is False   # it was never open
+        assert _open(breaker, key) == [False, False, True]
 
 
 class TestCleanExecution:

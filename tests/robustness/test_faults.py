@@ -43,7 +43,7 @@ class TestFaultPlan:
             for _ in range(3):
                 with pytest.raises(DataCorruptionFault):
                     fault_point("access.zone_map", table="S")
-        assert plan.fired_sites() == ("access.zone_map",) * 3
+        assert plan.fired == [("access.zone_map", hit) for hit in (1, 2, 3)]
 
     def test_max_fires_clears_a_transient_fault(self):
         plan = FaultPlan([FaultSpec(site="catalog.table", error=TransientFault,

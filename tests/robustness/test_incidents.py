@@ -1,7 +1,9 @@
 """Structured incident-log tests: schema, validation, ring-buffer bound."""
+from dataclasses import asdict
+
 import pytest
 
-from repro.robustness.incidents import CATEGORIES, Incident, IncidentLog
+from repro.robustness.incidents import CAPACITY, CATEGORIES, Incident, IncidentLog
 
 
 class TestReporting:
@@ -17,7 +19,7 @@ class TestReporting:
         assert incident.cause == "EngineFault"
         assert incident.timestamp == 123.5
         assert incident.detail == {"operator": "HashJoin"}
-        record = incident.as_dict()
+        record = asdict(incident)
         for field in ("seq", "timestamp", "category", "query", "tier",
                       "cause", "message", "elapsed_seconds", "detail"):
             assert field in record
@@ -64,6 +66,16 @@ class TestQuerying:
         assert log.last("tier_failure").query == "q2"
         assert log.last("circuit_open") is None
 
+    def test_queries_see_the_ring_and_counts_see_every_report(self):
+        log = IncidentLog()
+        log.report("circuit_open", query="first")
+        for n in range(CAPACITY):
+            log.report("tier_failure", query=f"q{n}")
+        assert log.records(category="circuit_open") == []
+        assert log.last("circuit_open") is None
+        assert log.count("circuit_open") == 1
+        assert log.last().query == f"q{CAPACITY - 1}"
+
     def test_clear(self):
         log = self._seeded()
         log.clear()
@@ -72,20 +84,20 @@ class TestQuerying:
 
 
 class TestRingBuffer:
-    def test_capacity_bounds_retention(self):
-        log = IncidentLog(capacity=3)
-        for n in range(10):
+    def test_the_ring_keeps_the_newest_capacity_records(self):
+        log = IncidentLog()
+        for n in range(CAPACITY + 3):
             log.report("budget_trip", query=f"q{n}")
-        assert len(log) == 3
-        assert [i.query for i in log] == ["q7", "q8", "q9"]
+        assert len(log) == CAPACITY
+        assert [i.query for i in log] == [f"q{n}" for n in range(3, CAPACITY + 3)]
 
 
 class TestSnapshot:
-    """Per-category counters survive ring eviction; snapshot/to_json are
-    the serving stats endpoint's view of the log."""
+    """Per-category counters survive ring eviction; the snapshot is the
+    serving stats endpoint's view of the log."""
 
     def test_snapshot_counts_by_category(self):
-        log = IncidentLog(capacity=8)
+        log = IncidentLog()
         log.report("tier_failure", query="q1")
         log.report("tier_failure", query="q2")
         log.report("admission_reject", query="q3")
@@ -93,19 +105,19 @@ class TestSnapshot:
         assert snapshot["total_reported"] == 3
         assert snapshot["buffered"] == 3
         assert snapshot["evicted"] == 0
-        assert snapshot["capacity"] == 8
+        assert snapshot["capacity"] == CAPACITY
         assert snapshot["by_category"] == {"tier_failure": 2,
                                            "admission_reject": 1}
 
     def test_counters_survive_ring_eviction(self):
-        log = IncidentLog(capacity=2)
-        for n in range(50):
+        log = IncidentLog()
+        for n in range(CAPACITY + 48):
             log.report(CATEGORIES[n % 3], query=f"q{n}")
         snapshot = log.snapshot()
-        assert snapshot["total_reported"] == 50
-        assert snapshot["buffered"] == 2
+        assert snapshot["total_reported"] == CAPACITY + 48
+        assert snapshot["buffered"] == CAPACITY
         assert snapshot["evicted"] == 48
-        assert sum(snapshot["by_category"].values()) == 50
+        assert sum(snapshot["by_category"].values()) == CAPACITY + 48
         assert log.count(CATEGORIES[0]) == snapshot["by_category"][CATEGORIES[0]]
 
     def test_count_for_unreported_category_is_zero(self):
@@ -119,28 +131,6 @@ class TestSnapshot:
         snapshot = log.snapshot()
         assert snapshot["total_reported"] == 0
         assert snapshot["by_category"] == {}
-
-    def test_to_json_round_trips(self):
-        import json
-
-        log = IncidentLog(capacity=4)
-        log.report("deadline_expired", query="q1", tier="compiled",
-                   detail={"remaining": 0.0})
-        payload = json.loads(log.to_json())
-        assert payload["total_reported"] == 1
-        assert payload["by_category"] == {"deadline_expired": 1}
-        assert "records" not in payload
-
-    def test_to_json_with_records(self):
-        import json
-
-        log = IncidentLog(capacity=4)
-        log.report("tier_failure", query="q9", tier="interpreter")
-        payload = json.loads(log.to_json(include_records=True, indent=2))
-        assert len(payload["records"]) == 1
-        record = payload["records"][0]
-        assert record["category"] == "tier_failure"
-        assert record["query"] == "q9"
 
     def test_serving_categories_exist(self):
         for category in ("admission_reject", "deadline_expired"):

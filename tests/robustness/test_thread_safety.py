@@ -22,7 +22,7 @@ from repro.robustness.fallback import (BREAKER_COOLDOWN_SECONDS,
                                        BREAKER_THRESHOLD, CircuitBreaker,
                                        HardenedExecutor)
 from repro.robustness.faults import FaultPlan, FaultSpec, inject
-from repro.robustness.incidents import CATEGORIES, IncidentLog
+from repro.robustness.incidents import CAPACITY, CATEGORIES, IncidentLog
 from repro.stack.configs import build_config
 from repro.storage.access import AccessLayer
 from repro.storage.derived import COMPILED, PROBATION
@@ -33,7 +33,7 @@ REPORTS_PER_THREAD = 200
 
 class TestIncidentLogConcurrency:
     def test_no_lost_reports_under_concurrent_writers(self):
-        log = IncidentLog(capacity=64)
+        log = IncidentLog()
         barrier = threading.Barrier(THREADS)
 
         def hammer(thread_id):
@@ -49,12 +49,12 @@ class TestIncidentLogConcurrency:
         total = THREADS * REPORTS_PER_THREAD
         assert snapshot["total_reported"] == total
         assert sum(snapshot["by_category"].values()) == total
-        assert snapshot["buffered"] == 64  # ring stayed bounded
-        assert snapshot["evicted"] == total - 64
-        assert len(log) == 64
+        assert snapshot["buffered"] == CAPACITY  # ring stayed bounded
+        assert snapshot["evicted"] == total - CAPACITY
+        assert len(log) == CAPACITY
 
     def test_concurrent_readers_see_consistent_records(self):
-        log = IncidentLog(capacity=256)
+        log = IncidentLog()
         stop = threading.Event()
         errors = []
 
@@ -88,7 +88,7 @@ class TestIncidentLogConcurrency:
         assert errors == []
 
     def test_unique_seq_under_concurrency(self):
-        log = IncidentLog(capacity=THREADS * REPORTS_PER_THREAD)
+        log = IncidentLog()
 
         def hammer(_):
             return [log.report("budget_trip").seq
@@ -116,7 +116,7 @@ class TestCircuitBreakerConcurrency:
 
         with ThreadPoolExecutor(THREADS) as pool:
             opens = sum(pool.map(hammer, range(THREADS)))
-        assert breaker.is_open(key)
+        assert key in breaker._opened_at
         assert not breaker.allow(key)
         assert breaker._failures[key] == total
         assert opens == total - (BREAKER_THRESHOLD - 1)
@@ -154,7 +154,6 @@ class TestCircuitBreakerConcurrency:
                 try:
                     record(key)
                     breaker.allow(key)
-                    breaker.is_open(key)
                 except Exception as error:  # noqa: BLE001
                     errors.append(error)
                     stop.set()
@@ -171,7 +170,7 @@ class TestCircuitBreakerConcurrency:
         assert errors == []
         # terminal state is one of the two legal ones, not corruption
         breaker.record_success(key)
-        assert not breaker.is_open(key)
+        assert key not in breaker._opened_at
 
 
 def _compiler():
@@ -211,8 +210,8 @@ class TestCompiledQueryCacheConcurrency:
             with ThreadPoolExecutor(THREADS) as pool:
                 list(pool.map(hammer, range(THREADS)))
             assert errors == []
-            assert QueryCompiler.cache_len() <= capacity
             derived = AccessLayer.for_catalog(tiny_catalog).derived
+            assert derived.entry_count(COMPILED) <= capacity
             room = min(capacity, PROBATION)
             assert len(derived._probation[COMPILED]) <= room
             assert len(derived._protected[COMPILED]) <= capacity - room
@@ -260,7 +259,8 @@ class TestCompiledQueryCacheConcurrency:
 
             # the fresh entry survived the stale compile's return: the next
             # compile is a cache hit on code compiled against the live data
-            assert QueryCompiler.cache_len() == 1
+            assert AccessLayer.for_catalog(tiny_catalog).derived.entry_count(
+                COMPILED) == 1
             again = compiler.compile(plan, tiny_catalog, "rq")
             assert again.cache_hit
             assert again._compiled_generation == live_generation

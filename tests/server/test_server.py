@@ -244,6 +244,44 @@ class TestDeadlinePropagation:
         # unlimited base + no deadline: no governor at all
         assert QueryServer(tiny_catalog)._budget_for(None) is None
 
+    def test_a_base_budget_without_a_timeout_installs_no_governor(self, tiny_catalog):
+        """A check interval alone is nothing to enforce: with no request
+        deadline the run is ungoverned, and with one the interval is kept."""
+        server = QueryServer(tiny_catalog,
+                             base_budget=QueryBudget(check_interval=64))
+        assert server._budget_for(None) is None
+        assert server._budget_for(2.5) == QueryBudget(timeout_seconds=2.5,
+                                                      check_interval=64)
+
+    def test_a_check_interval_alone_is_served_ungoverned(self, tiny_catalog):
+        """Through ``submit``: the ladder gets no budget for a request without
+        a deadline, and a deadline-bearing request keeps the interval."""
+        server = QueryServer(tiny_catalog,
+                             base_budget=QueryBudget(check_interval=64))
+        handed = []
+        execute = server.executor.execute
+
+        def spy(plan, name, budget=None):
+            handed.append(budget)
+            return execute(plan, name, budget=budget)
+
+        server.executor.execute = spy
+
+        async def scenario():
+            await server.start()
+            try:
+                return [await server.submit(_scan_plan(), "free"),
+                        await server.submit(_scan_plan(), "timed",
+                                            timeout_seconds=30.0)]
+            finally:
+                await server.drain()
+
+        responses = _run(scenario())
+        assert [response.status for response in responses] == ["ok", "ok"]
+        assert handed[0] is None
+        assert handed[1].check_interval == 64
+        assert 0.0 < handed[1].timeout_seconds <= 30.0
+
     def test_default_timeout_applies_when_submit_gives_none(self, tiny_catalog):
         async def scenario():
             server = QueryServer(tiny_catalog, default_timeout_seconds=0.0)

@@ -3,9 +3,13 @@ import pytest
 
 from repro.codegen.compiler import QueryCompiler
 from repro.dsl.qmonad import QueryMonad
-from repro.stack.configs import CONFIG_NAMES, all_configs, build_config
+from repro.stack.configs import CONFIG_NAMES, build_config
 from repro.stack.language import C_PY, QMONAD, QPLAN
 from repro.tpch.queries import build_query
+
+
+def all_configs():
+    return [build_config(name) for name in CONFIG_NAMES]
 
 
 def pass_names(config_name):

@@ -3,8 +3,7 @@ import pytest
 
 from repro.ir import IRBuilder, make_program
 from repro.stack import (ALL_LANGUAGES, C_PY, Language, LanguageError, QMONAD, QPLAN,
-                         SCALITE, SCALITE_LIST, SCALITE_MAP_LIST, language_by_name,
-                         ordered_levels)
+                         SCALITE, SCALITE_LIST, SCALITE_MAP_LIST)
 
 
 class TestLanguageDefinitions:
@@ -31,31 +30,22 @@ class TestLanguageDefinitions:
     def test_specialized_structures_not_in_map_list_level(self):
         """Dense structures only appear below ScaLite[Map, List]."""
         for op in ("dense_agg_new", "dense_agg_group"):
-            assert not SCALITE_MAP_LIST.allows_op(op)
-            assert SCALITE_LIST.allows_op(op)
+            assert op not in SCALITE_MAP_LIST.ops
+            assert op in SCALITE_LIST.ops
 
     def test_folds_are_core_statements_at_every_level(self):
         """An aggregate folds into its accumulator record (an array, and a set
         for count_distinct) in the core every imperative level shares."""
         for lang in (SCALITE_MAP_LIST, SCALITE_LIST, SCALITE, C_PY):
             for op in ("array_get", "array_set", "set_add", "set_size"):
-                assert lang.allows_op(op), (lang, op)
+                assert op in lang.ops, (lang, op)
 
     def test_strdict_ops_available_where_the_optimization_runs(self):
         """StringDictionaries is declared at ScaLite[Map, List]; cohesion says
         an optimization stays within its language, so the strdict vocabulary
         must start there (the static verifier caught the earlier mismatch)."""
-        assert SCALITE_MAP_LIST.allows_op("strdict_code")
-        assert SCALITE_LIST.allows_op("strdict_code")
-
-    def test_language_by_name(self):
-        assert language_by_name("C.Py") is C_PY
-        with pytest.raises(KeyError):
-            language_by_name("Fortran")
-
-    def test_ordered_levels_most_abstract_first(self):
-        levels = [lang.level for lang in ordered_levels()]
-        assert levels == sorted(levels, reverse=True)
+        assert "strdict_code" in SCALITE_MAP_LIST.ops
+        assert "strdict_code" in SCALITE_LIST.ops
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.stack import (C_PY, CompilationContext, DslStack, FunctionOptimizatio
                          Language, Lowering, Optimization, OptimizationFlags, QPLAN, SCALITE,
                          SCALITE_LIST, SCALITE_MAP_LIST, StackValidationError,
                          TransformationError, apply_fixpoint)
+from repro.stack.transformation import MAX_ITERATIONS
 
 
 def simple_program(language="ScaLite"):
@@ -75,7 +76,8 @@ class TestFixpoint:
         assert "add" not in counts and "mul" not in counts
 
     def test_fixpoint_terminates_on_oscillation(self):
-        """An optimization that always produces new structure hits the bound."""
+        """An optimization that always produces new structure stops after
+        ``MAX_ITERATIONS`` passes, reported rather than raised."""
         flip = {"n": 0}
 
         def oscillate(program, context):
@@ -85,9 +87,21 @@ class TestFixpoint:
             return make_program(builder.finish(), [], program.language)
 
         opt = FunctionOptimization(SCALITE, "oscillate", oscillate)
-        _, report = apply_fixpoint([opt], simple_program(), CompilationContext(),
-                                   max_iterations=4)
-        assert report.iterations == 4
+        _, report = apply_fixpoint([opt], simple_program(), CompilationContext())
+        assert MAX_ITERATIONS == 8
+        assert report.iterations == report.runs == flip["n"] == MAX_ITERATIONS
+        assert not report.reached_fixpoint
+
+    def test_the_bound_caps_runs_at_max_iterations_times_the_steps(self):
+        """Two steps that always change the program: every pass runs both,
+        so the bound is ``MAX_ITERATIONS * len(steps)`` runs."""
+        def grow(program, context):
+            return program + ("x",)
+
+        steps = [FunctionOptimization(SCALITE, name, grow) for name in "ab"]
+        result, report = apply_fixpoint(steps, (), CompilationContext())
+        assert report.runs == len(result) == MAX_ITERATIONS * len(steps)
+        assert report.iterations == MAX_ITERATIONS
         assert not report.reached_fixpoint
 
     def test_empty_optimization_list_is_trivial_fixpoint(self):
@@ -338,7 +352,6 @@ class TestStackCompilation:
     def test_phase_timings_are_recorded(self):
         stack = self._two_level_stack()
         result = stack.compile(simple_program(), SCALITE)
-        assert result.total_seconds >= 0
         assert all(p.seconds >= 0 for p in result.phases)
 
     def test_level_validation_catches_bad_lowering_output(self):

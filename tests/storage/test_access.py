@@ -316,6 +316,26 @@ class TestCandidateLists:
         # the sample, then chunk 0 only: the other chunks' zone maps exclude it
         assert read == [n // access._SAMPLE_STRIDE, ZONE_CHUNK_ROWS]
 
+    def test_a_clip_keeping_more_than_the_fraction_is_not_a_candidate_list(self):
+        """The clustered clip of ``l_id`` keeps rows up to
+        ``_MAX_PRUNE_FRACTION`` of the table, not one more."""
+        catalog, n = self._long_catalog()
+        layer = catalog.access_layer()
+        assert access._MAX_PRUNE_FRACTION == 0.5
+        half = int(access._MAX_PRUNE_FRACTION * n)
+        assert layer.prune_candidates("L", [("l_id", "<", half)]) == range(half)
+        assert layer.prune_candidates("L", [("l_id", "<", half + 1)]) is None
+
+    def test_a_sampled_filter_keeping_more_than_the_fraction_is_not_a_list(self):
+        """The same bound on the sampled path: the unclustered ``l_down``
+        keeps half the rows (and half the sample) under ``> n / 2``, a list,
+        and one sampled row more under ``> n / 2 - 1``, none."""
+        catalog, n = self._long_catalog()
+        layer = catalog.access_layer()
+        half = int(access._MAX_PRUNE_FRACTION * n)
+        assert layer.prune_candidates("L", [("l_down", ">", half)]) == list(range(half))
+        assert layer.prune_candidates("L", [("l_down", ">", half - 1)]) is None
+
     def test_a_clustered_filter_alone_is_bisected_without_a_pass(self, monkeypatch):
         catalog, n = self._long_catalog()
         read = self._rows_read(monkeypatch)
@@ -407,7 +427,7 @@ class TestDictionaryRewrite:
         columns.update(extra)
         reference = compile_row(predicate)
         expected = [i for i in range(table.num_rows)
-                    if reference(table.row_dict(i))]
+                    if reference({name: table.column(name)[i] for name in table.columns})]
         actual = compile_columnar_predicate(rewritten)(
             columns, range(table.num_rows))
         assert list(actual) == expected

@@ -12,6 +12,7 @@ import gc
 import sys
 import threading
 import time
+import weakref
 from contextlib import nullcontext
 
 import pytest
@@ -32,6 +33,18 @@ def fresh_caches():
 
 def _never():
     raise AssertionError("a hit must not build")
+
+
+def _segments(cache, kind=PLANS):
+    """``(probation keys, protected keys)``, oldest first."""
+    return list(cache._probation[kind]), list(cache._protected[kind])
+
+
+def _holds(cache, key, kind=PLANS):
+    """Whether ``key`` is cached now, read without a lookup (which counts
+    and promotes)."""
+    probation, protected = _segments(cache, kind)
+    return key in probation or key in protected
 
 
 class TestLookup:
@@ -57,17 +70,8 @@ class TestLookup:
         cache = DerivedCache()
         with pytest.raises(ZeroDivisionError):
             cache.lookup(PLANS, "k", lambda: 1 / 0)
-        assert not cache.contains(PLANS, "k")
+        assert not _holds(cache, "k")
         assert DerivedCache.stats[PLANS].misses == 0
-
-    def test_contains_neither_counts_nor_promotes(self):
-        cache = DerivedCache()
-        cache.lookup(PLANS, "old", lambda: 1)
-        assert cache.contains(PLANS, "old")
-        for n in range(PROBATION):  # one-shot builds push "old" out regardless
-            cache.lookup(PLANS, n, lambda n=n: n)
-        assert not cache.contains(PLANS, "old")
-        assert DerivedCache.stats[PLANS].hits == 0
 
 
 class TestBound:
@@ -77,7 +81,7 @@ class TestBound:
             cache.lookup(PLANS, n, lambda n=n: n)
             cache.lookup(COMPILED, n, lambda n=n: n)
         assert cache.entry_count(PLANS) == cache.entry_count(COMPILED) == PROBATION
-        assert not cache.contains(PLANS, 0) and cache.contains(PLANS, PROBATION)
+        assert not _holds(cache, 0) and _holds(cache, PROBATION)
         assert DerivedCache.stats[PLANS].evictions == 1
         assert DerivedCache.stats[COMPILED].evictions == 1
 
@@ -87,24 +91,22 @@ class TestBound:
             for n in range(3):
                 cache.lookup(PLANS, n, lambda n=n: n)
             cache.lookup(PLANS, 0, _never)  # promoted
-        assert DerivedCache.total(PLANS) == 6
+        assert first.entry_count(PLANS) + second.entry_count(PLANS) == 6
         DerivedCache.set_capacity(1)
         assert first.entry_count(PLANS) == second.entry_count(PLANS) == 1
-        assert first.contains(PLANS, 0) and second.contains(PLANS, 0)
+        assert _holds(first, 0) and _holds(second, 0)
         assert DerivedCache.stats[PLANS].evictions == 4
 
-    def test_a_dead_cache_leaves_the_process_wide_view(self):
+    def test_the_process_wide_view_does_not_keep_a_dead_cache(self):
         cache = DerivedCache()
         cache.lookup(PLANS, "k", lambda: 1)
-        assert DerivedCache.total(PLANS) == 1
+        assert cache in DerivedCache._live
+        gone = weakref.ref(cache)
         del cache
         gc.collect()
-        assert DerivedCache.total(PLANS) == 0
+        assert gone() is None
 
 
-def _segments(cache, kind=PLANS):
-    """``(probation keys, protected keys)``, oldest first."""
-    return list(cache._probation[kind]), list(cache._protected[kind])
 
 
 class TestSegments:
@@ -178,7 +180,7 @@ class TestSegments:
         for n in range(PROBATION):
             cache.lookup(PLANS, n, lambda n=n: n)
         assert cache.entry_count(PLANS) == PROBATION + 2
-        assert not cache.contains(PLANS, "a")
+        assert not _holds(cache, "a")
         assert DerivedCache.stats[PLANS].evictions == 1
 
 
@@ -199,7 +201,7 @@ class TestInvalidation:
         other = DerivedCache()
         other.lookup(PLANS, "k", lambda: 1)
         tiny_catalog.register(tiny_catalog.table("S"))
-        assert other.contains(PLANS, "k")
+        assert _holds(other, "k")
 
     def test_a_build_that_straddles_an_invalidation_is_not_stored(self):
         cache = DerivedCache()
@@ -210,7 +212,7 @@ class TestInvalidation:
 
         value, hit = cache.lookup(PLANS, "k", build_across_a_reload)
         assert value == "derived from the replaced data" and not hit
-        assert not cache.contains(PLANS, "k")
+        assert not _holds(cache, "k")
         assert cache.lookup(PLANS, "k", lambda: "fresh") == ("fresh", False)
         assert cache.lookup(PLANS, "k", _never) == ("fresh", True)
 

@@ -170,7 +170,6 @@ class TestTextColumnDecoding:
         assert values == ["", "beta", "gamma delta", "delta alpha beta",
                           "alpha beta gamma delta", ""]
         assert table.columns["t_text"] is values is table.column("t_text")
-        assert table.row_dict(3) == {"t_id": 3, "t_text": "delta alpha beta"}
 
     def test_statistics_read_the_decoded_column(self):
         catalog = Catalog()

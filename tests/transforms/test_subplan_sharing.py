@@ -16,15 +16,21 @@ from repro.codegen.compiler import QueryCompiler
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col
 from repro.engine.volcano import VolcanoEngine
+from repro.ir.traversal import iter_program_stmts
 from repro.bench.harness import assert_rows_equivalent
 from repro.planner import sort_contract
 from repro.stack.configs import build_config
 from repro.storage.catalog import Catalog
 from repro.tpch.queries import build_query
-from repro.transforms.subplan_sharing import shared_binding_count
 
 #: the TPC-H queries whose (raw) plans contain repeated subtrees
 SHARED_QUERIES = ("Q11", "Q15", "Q22")
+
+
+def shared_binding_count(program) -> int:
+    """Number of shared-subplan bindings in a compiled program."""
+    return sum(1 for stmt, _ in iter_program_stmts(program)
+               if "shared_subplan" in stmt.expr.attrs)
 
 
 class CountingCatalog(Catalog):
