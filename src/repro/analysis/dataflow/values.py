@@ -147,13 +147,14 @@ class _ValueAnalysis:
 
     def _comparison(self, op: str, expr: Expr) -> ValueFact:
         left, right = (self._atom(a) for a in expr.args)
-        # eq/ne against a literal None is a null check, decided by nullability.
+        # eq/ne against a literal None is a null check, decided by nullability
+        # (two NULLs are equal: ``None == None``).
         for fact, other in ((left, right), (right, left)):
             if fact.nullability is Nullability.NULL:
-                if other.nullability is Nullability.NON_NULL:
-                    verdict = Interval.const(0 if op == "eq" else 1) \
-                        if op in ("eq", "ne") else Interval.boolean()
-                    return ValueFact(verdict, Nullability.NON_NULL)
+                if op in ("eq", "ne") and other.nullability is not Nullability.MAYBE_NULL:
+                    equal = other.nullability is Nullability.NULL
+                    return ValueFact(Interval.const(int(equal == (op == "eq"))),
+                                     Nullability.NON_NULL)
                 return ValueFact(Interval.boolean(), Nullability.NON_NULL)
         if (left.nullability is Nullability.NON_NULL
                 and right.nullability is Nullability.NON_NULL):

@@ -17,8 +17,10 @@ Two responsibilities, both grounded in :mod:`repro.ir.effects`:
     (``Effect.removable_if_unused`` — for control ops the effective effect
     is the recursive union of their nested blocks, so dropping an ``if_``
     with pure arms is legal while dropping one whose arm writes is not),
-    or sat in an ``if_`` arm that the branch's literal condition never
-    selects, so it never ran;
+    or sat in an ``if_`` arm that the branch's condition never selects, so
+    it never ran: the condition is a literal, or the pass recorded a
+    justification for deciding it and the value analysis of the input
+    program proves that verdict;
   - the surviving non-reorderable statements (writes and I/O) appear in the
     same relative order as before — hoisting and fusion may move pure code
     freely but must never swap two writes.
@@ -27,17 +29,19 @@ Two responsibilities, both grounded in :mod:`repro.ir.effects`:
     that handed the object out, but never point the write somewhere else.
 
 The auditor deliberately knows nothing about individual transformations;
-it only trusts the effect declarations.  That is what makes it a check
-*on* the transformations rather than a restatement of them.
+it only trusts the effect declarations, and a pass's claim that a branch is
+decided only once the value analysis has proved it again.  That is what
+makes it a check *on* the transformations rather than a restatement of them.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from ..ir import ops as ir_ops
 from ..ir.effects import Effect
 from ..ir.nodes import Atom, Const, Expr, Program, Stmt, Sym
 from ..ir.traversal import iter_program_stmts, iter_stmts
+from .dataflow.values import ValueFacts, value_facts
 from .errors import VerificationError
 
 
@@ -170,23 +174,27 @@ def _ordered_ids(program: Program) -> List[int]:
 
 
 def audit_transition(before: Program, after: Program,
-                     phase: Optional[str] = None) -> None:
+                     phase: Optional[str] = None, catalog: Any = None,
+                     justifications: Optional[Mapping[int, str]] = None) -> None:
     """Prove one optimization pass legal under the effect system.
 
     Raises :class:`VerificationError` (attributed to ``phase``) when the
     pass removed a non-removable binding, reordered two statements whose
     effects pin their relative order, or retargeted a surviving write.
+    ``justifications`` maps the sym id of an ``if_`` the pass decided to its
+    recorded reason; ``catalog`` seeds the value analysis that re-proves it.
     """
     try:
-        _audit_transition(before, after)
+        _audit_transition(before, after, catalog, justifications or {})
     except VerificationError as exc:
         raise exc.with_phase(phase) if phase else exc from None
 
 
-def _audit_transition(before: Program, after: Program) -> None:
+def _audit_transition(before: Program, after: Program, catalog: Any,
+                      justifications: Mapping[int, str]) -> None:
     before_index = _stmt_index(before)
     after_index = _stmt_index(after)
-    never_run = _never_run(before)
+    never_run = _never_run(before, catalog, justifications)
 
     for sym_id, stmt in before_index.items():
         if sym_id in after_index or sym_id in never_run:
@@ -241,18 +249,31 @@ def _audit_transition(before: Program, after: Program) -> None:
                 binding=stmt.sym.name)
 
 
-def _never_run(program: Program) -> Set[int]:
-    """Bindings inside an ``if_`` arm that the branch's literal condition
-    never selects (the else arm of ``if True``, the then arm of
-    ``if False``): their effects never happen, so removing them is not
-    observable."""
+def _never_run(program: Program, catalog: Any,
+               justifications: Mapping[int, str]) -> Set[int]:
+    """Bindings inside an ``if_`` arm that the branch's condition never
+    selects (the else arm of ``if True``, the then arm of ``if False``):
+    their effects never happen, so removing them is not observable.  The
+    condition is a literal, or a justified ``if_``'s condition that the
+    value analysis of ``program`` decides."""
     dead: Set[int] = set()
+    facts: Optional[ValueFacts] = None
     for stmt, _ in iter_program_stmts(program):
         expr = stmt.expr
         cond = expr.args[0] if expr.op == "if_" and expr.args else None
         if isinstance(cond, Const):
-            arm = expr.blocks[1] if cond.value else expr.blocks[0]
-            dead.update(nested.sym.id for nested, _ in iter_stmts(arm))
+            verdict = bool(cond.value)
+        elif isinstance(cond, Sym) and stmt.sym.id in justifications:
+            if facts is None:
+                facts = value_facts(program, catalog)
+            interval = facts.of_atom(cond).interval
+            if not (interval.known_true or interval.known_false):
+                continue  # an unproved claim: removals are judged as any other
+            verdict = interval.known_true
+        else:
+            continue
+        arm = expr.blocks[1] if verdict else expr.blocks[0]
+        dead.update(nested.sym.id for nested, _ in iter_stmts(arm))
     return dead
 
 

@@ -78,7 +78,8 @@ def audit_optimization(before: Any, after: Any,
     analysis that re-verifies those claims).
     """
     if isinstance(before, Program) and isinstance(after, Program):
-        audit_transition(before, after, phase=phase)
+        audit_transition(before, after, phase=phase, catalog=catalog,
+                         justifications=justifications)
         audit_dataflow_transition(before, after, catalog=catalog,
                                   justifications=justifications, phase=phase)
 

@@ -180,9 +180,8 @@ class QueryCompiler:
         """``plan`` as the stack receives it: logically optimized when the
         flag is on (so the cache is keyed on the *optimized* fingerprint and
         differently-written plans that optimize to one tree share one
-        compiled query), validated otherwise."""
+        compiled query), as written otherwise (:meth:`_lower` validates it)."""
         if not self.flags.logical_plan_optimizer:
-            Q.validate(plan, catalog)
             return plan
         from ..planner import Planner, PlannerOptions
         if self.verify:
@@ -231,6 +230,11 @@ class QueryCompiler:
 
     def _lower(self, plan, source, catalog: Catalog,
                query_name: str) -> CompilationResult:
+        if source is QPLAN and not self.flags.logical_plan_optimizer:
+            # the planner validates what it optimizes; an unplanned tree is
+            # validated here, on a cache miss only: a hit was valid when built
+            # and a table re-registration empties the cache
+            Q.validate(plan, catalog)
         context = CompilationContext(catalog=catalog, flags=self.flags,
                                      query_name=query_name)
         result = self.stack.compile(plan, source, context, verify=self.verify,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..dsl.aggregates import AGGREGATES
+from ..dsl.expr import BY_IR_OP, literal_source
 from ..ir.nodes import Atom, Block, Const, Program, Stmt, Sym
 from ..ir.ops import held_in_slot, is_bool
 from ..ir.traversal import used_syms
@@ -42,7 +43,7 @@ def _atom(atom: Atom) -> str:
     if isinstance(atom, Sym):
         return _name(atom)
     if isinstance(atom, Const):
-        return repr(atom.value)
+        return literal_source(atom.value)
     raise UnparserError(f"not an atom: {atom!r}")
 
 
@@ -115,15 +116,16 @@ class PythonUnparser:
     def _assign(self, stmt: Stmt, rhs: str) -> List[str]:
         return [f"{_name(stmt.sym)} = {rhs}"]
 
-    def _binary(self, stmt: Stmt, operator: str) -> List[str]:
+    def _binary(self, stmt: Stmt) -> List[str]:
+        """An infix op: its text is the scalar operator it lowers from."""
         left, right = (_atom(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"({left} {operator} {right})")
+        return self._assign(stmt, f"({left} {BY_IR_OP[stmt.expr.op].symbol} {right})")
 
-    def _connective(self, stmt: Stmt, operator: str) -> List[str]:
+    def _connective(self, stmt: Stmt) -> List[str]:
         """``and`` / ``or`` over operands made bools: Python's return an
         operand, the connectives of every engine return ``True`` / ``False``."""
         left, right = (self._truth(a) for a in stmt.expr.args)
-        return self._assign(stmt, f"({left} {operator} {right})")
+        return self._assign(stmt, f"({left} {BY_IR_OP[stmt.expr.op].symbol} {right})")
 
     def _truth(self, atom: Atom) -> str:
         if is_bool(atom, self._defs):
@@ -149,28 +151,21 @@ class PythonUnparser:
     # ------------------------------------------------------------------
     # Arithmetic / comparison / logic
     # ------------------------------------------------------------------
-    def _op_add(self, stmt):  return self._binary(stmt, "+")
-    def _op_sub(self, stmt):  return self._binary(stmt, "-")
-    def _op_mul(self, stmt):  return self._binary(stmt, "*")
-    def _op_div(self, stmt):  return self._binary(stmt, "/")
-    def _op_lt(self, stmt):   return self._binary(stmt, "<")
-    def _op_le(self, stmt):   return self._binary(stmt, "<=")
-    def _op_gt(self, stmt):   return self._binary(stmt, ">")
-    def _op_ge(self, stmt):   return self._binary(stmt, ">=")
-    def _op_and_(self, stmt): return self._connective(stmt, "and")
-    def _op_or_(self, stmt):  return self._connective(stmt, "or")
+    _op_add = _op_sub = _op_mul = _op_div = _binary
+    _op_lt = _op_le = _op_gt = _op_ge = _binary
+    _op_and_ = _op_or_ = _connective
 
-    def _op_eq(self, stmt):   return self._equality(stmt, "==", "is")
-    def _op_ne(self, stmt):   return self._equality(stmt, "!=", "is not")
+    def _op_eq(self, stmt):   return self._equality(stmt, "is")
+    def _op_ne(self, stmt):   return self._equality(stmt, "is not")
 
-    def _equality(self, stmt: Stmt, operator: str, identity: str) -> List[str]:
+    def _equality(self, stmt: Stmt, identity: str) -> List[str]:
         """A test against ``None`` is an identity test, unless a literal
         other than ``None`` is on the left: ``5 is None`` is a SyntaxWarning."""
         left, right = stmt.expr.args
         if isinstance(right, Const) and right.value is None and not (
                 isinstance(left, Const) and left.value is not None):
-            operator = identity
-        return self._assign(stmt, f"({_atom(left)} {operator} {_atom(right)})")
+            return self._assign(stmt, f"({_atom(left)} {identity} {_atom(right)})")
+        return self._binary(stmt)
 
     def _op_neg(self, stmt):
         return self._assign(stmt, f"(-{_atom(stmt.expr.args[0])})")
@@ -206,8 +201,8 @@ class PythonUnparser:
         return self._assign(stmt, f"{_atom(stmt.expr.args[0])}[{start - 1}:{start - 1 + length}]")
 
     def _op_str_in(self, stmt):
-        values = tuple(stmt.expr.attrs["values"])
-        return self._assign(stmt, f"({_atom(stmt.expr.args[0])} in {values!r})")
+        values = literal_source(tuple(stmt.expr.attrs["values"]))
+        return self._assign(stmt, f"({_atom(stmt.expr.args[0])} in {values})")
 
     # ------------------------------------------------------------------
     # Tuples

@@ -9,18 +9,56 @@ them into ANF arithmetic on column values.
 Python operator overloading makes plan construction readable::
 
     (col("l_shipdate") <= lit(date("1998-09-02"))) & (col("l_discount") > lit(0.05))
+
+This module is the one place that knows the language: its node kinds, how to
+walk and rebuild their children (:func:`children`, :func:`map_children`) and
+its operators (:data:`OPERATORS`).  What an expression computes is what its
+compiled closure (:func:`repro.dsl.expr_compile.compile_row`) returns.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .. import dates
 
 
 class ExprError(Exception):
     pass
+
+
+class Operator(NamedTuple):
+    """One operator of the scalar language."""
+
+    #: its spelling in a plan, which is also its Python spelling
+    symbol: str
+    arity: int
+    #: the ANF op it lowers to (a row of :mod:`repro.ir.ops`)
+    ir_op: str
+    #: whether it always yields a ``bool``
+    boolean: bool
+    #: the comparison that gives the same answer with the operands swapped
+    flipped: Optional[str] = None
+
+
+OPERATORS = (
+    Operator("+", 2, "add", False), Operator("-", 2, "sub", False),
+    Operator("*", 2, "mul", False), Operator("/", 2, "div", False),
+    Operator("==", 2, "eq", True, "=="), Operator("!=", 2, "ne", True, "!="),
+    Operator("<", 2, "lt", True, ">"), Operator("<=", 2, "le", True, ">="),
+    Operator(">", 2, "gt", True, "<"), Operator(">=", 2, "ge", True, "<="),
+    Operator("and", 2, "and_", True), Operator("or", 2, "or_", True),
+    Operator("not", 1, "not_", True), Operator("-", 1, "neg", False),
+)
+#: the operators of :class:`BinOp` / :class:`UnaryOp` by symbol, and all by ANF op
+BINARY = {o.symbol: o for o in OPERATORS if o.arity == 2}
+UNARY = {o.symbol: o for o in OPERATORS if o.arity == 1}
+BY_IR_OP = {o.ir_op: o for o in OPERATORS}
 
 
 class Expr:
@@ -127,10 +165,8 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    VALID_OPS = {"+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or"}
-
     def __post_init__(self) -> None:
-        if self.op not in self.VALID_OPS:
+        if self.op not in BINARY:
             raise ExprError(f"unknown binary operator {self.op!r}")
 
     def __repr__(self) -> str:
@@ -144,10 +180,8 @@ class UnaryOp(Expr):
     op: str
     operand: Expr
 
-    VALID_OPS = {"not", "-"}
-
     def __post_init__(self) -> None:
-        if self.op not in self.VALID_OPS:
+        if self.op not in UNARY:
             raise ExprError(f"unknown unary operator {self.op!r}")
 
 
@@ -302,6 +336,78 @@ def and_all(predicates: Sequence[Expr]) -> Expr:
     return result
 
 
+def split_conjuncts(expr: Expr) -> List[Expr]:
+    """Flatten a tree of ``and`` connectives into its conjuncts (in order)."""
+    if isinstance(expr, BinOp) and expr.op == "and":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def literal_source(value: Any) -> str:
+    """Python source of a literal value: its ``repr``, except that a
+    non-finite float, which has no literal, is spelled ``float('inf')``,
+    in a tuple too."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float({str(value)!r})"
+    if isinstance(value, tuple):
+        items = ", ".join(map(literal_source, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
+
+
+# ---------------------------------------------------------------------------
+# Children: each kind's operands in order (a ``Case`` is each condition then
+# its value, then ``otherwise``), and its rebuild from new ones
+# ---------------------------------------------------------------------------
+class _ByKind(dict):
+    def __missing__(self, kind: type) -> Any:
+        raise ExprError(f"unknown expression node {kind.__name__}")
+
+
+def _operand(node: Any) -> Tuple[Expr, ...]:
+    return (node.operand,)
+
+
+#: each kind's operands as a tuple (``None`` for a leaf)
+_CHILDREN: Dict[type, Optional[Callable[[Any], Tuple[Expr, ...]]]] = _ByKind({
+    Lit: None, Col: None,
+    BinOp: operator.attrgetter("left", "right"),
+    UnaryOp: _operand, Like: _operand, InList: _operand, Substr: _operand,
+    YearOf: _operand, IsNull: _operand,
+    Case: lambda node: (*chain.from_iterable(node.whens), node.otherwise),
+})
+
+_REBUILD: Dict[type, Callable[[Any, Tuple[Expr, ...]], Expr]] = {
+    BinOp: lambda node, new: BinOp(node.op, *new),
+    UnaryOp: lambda node, new: UnaryOp(node.op, *new),
+    Like: lambda node, new: Like(new[0], node.pattern),
+    InList: lambda node, new: InList(new[0], node.values),
+    Substr: lambda node, new: Substr(new[0], node.start, node.length),
+    YearOf: lambda node, new: YearOf(*new),
+    IsNull: lambda node, new: IsNull(*new),
+    Case: lambda node, new: Case(tuple(zip(new[:-1:2], new[1:-1:2])), new[-1]),
+}
+
+
+def children(expr: Expr) -> Tuple[Expr, ...]:
+    """The operands of ``expr``, in order."""
+    walk = _CHILDREN[type(expr)]
+    return () if walk is None else walk(expr)
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` with ``fn`` applied to each of its operands in order:
+    ``expr`` itself when ``fn`` returned every operand unchanged."""
+    walk = _CHILDREN[type(expr)]
+    if walk is None:
+        return expr
+    old = walk(expr)
+    new = tuple(map(fn, old))
+    if all(map(operator.is_, new, old)):
+        return expr
+    return _REBUILD[type(expr)](expr, new)
+
+
 # ---------------------------------------------------------------------------
 # Analysis
 # ---------------------------------------------------------------------------
@@ -332,101 +438,9 @@ def columns_used_with_sides(expr: Expr) -> List[Tuple[str, Optional[str]]]:
             if key not in seen:
                 seen.add(key)
                 found.append(key)
-        elif isinstance(node, BinOp):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, UnaryOp):
-            visit(node.operand)
-        elif isinstance(node, (Like, InList, Substr, YearOf, IsNull)):
-            visit(node.operand)
-        elif isinstance(node, Case):
-            for cond, value in node.whens:
-                visit(cond)
-                visit(value)
-            visit(node.otherwise)
-        elif isinstance(node, Lit):
-            pass
-        else:
-            raise ExprError(f"unknown expression node {type(node).__name__}")
+            return
+        for child in children(node):
+            visit(child)
 
     visit(expr)
     return found
-
-
-# ---------------------------------------------------------------------------
-# Row-at-a-time reference evaluation: the semantics the engines' compiled
-# closures (``expr_compile.compile_row``) match and constant folding runs
-# ---------------------------------------------------------------------------
-def evaluate(expr: Expr, row: Dict[str, Any],
-             left: Optional[Dict[str, Any]] = None,
-             right: Optional[Dict[str, Any]] = None) -> Any:
-    """Evaluate a scalar expression against a row dictionary.
-
-    ``left`` / ``right`` are only provided while evaluating join residual
-    predicates, where sided column references resolve against the respective
-    input rows.
-    """
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Col):
-        if expr.side == "left" and left is not None:
-            return left[expr.name]
-        if expr.side == "right" and right is not None:
-            return right[expr.name]
-        if expr.name in row:
-            return row[expr.name]
-        raise ExprError(f"row has no column {expr.name!r}; available: {sorted(row)}")
-    if isinstance(expr, BinOp):
-        if expr.op == "and":
-            return bool(evaluate(expr.left, row, left, right)) and \
-                bool(evaluate(expr.right, row, left, right))
-        if expr.op == "or":
-            return bool(evaluate(expr.left, row, left, right)) or \
-                bool(evaluate(expr.right, row, left, right))
-        lhs = evaluate(expr.left, row, left, right)
-        rhs = evaluate(expr.right, row, left, right)
-        return _apply_binop(expr.op, lhs, rhs)
-    if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, row, left, right)
-        return (not value) if expr.op == "not" else -value
-    if isinstance(expr, Like):
-        return expr.matches(evaluate(expr.operand, row, left, right))
-    if isinstance(expr, InList):
-        return evaluate(expr.operand, row, left, right) in expr.values
-    if isinstance(expr, Case):
-        for cond, value in expr.whens:
-            if evaluate(cond, row, left, right):
-                return evaluate(value, row, left, right)
-        return evaluate(expr.otherwise, row, left, right)
-    if isinstance(expr, Substr):
-        text = evaluate(expr.operand, row, left, right)
-        return text[expr.start - 1: expr.start - 1 + expr.length]
-    if isinstance(expr, YearOf):
-        return dates.year_of(evaluate(expr.operand, row, left, right))
-    if isinstance(expr, IsNull):
-        return evaluate(expr.operand, row, left, right) is None
-    raise ExprError(f"cannot evaluate expression node {type(expr).__name__}")
-
-
-def _apply_binop(op: str, lhs: Any, rhs: Any) -> Any:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    if op == "==":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise ExprError(f"unknown binary operator {op!r}")

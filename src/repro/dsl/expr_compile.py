@@ -1,13 +1,15 @@
 """Expression-to-closure compilation: the interpreted fast path.
 
-The Volcano interpreter historically walked the :class:`~repro.dsl.expr.Expr`
-tree with :func:`~repro.dsl.expr.evaluate` once per row — the per-tuple
+Walking the :class:`~repro.dsl.expr.Expr` tree once per row is the per-tuple
 interpretation overhead the paper sets out to eliminate.  This module compiles
 an expression tree **once** into a single Python function (via ``compile`` /
 ``exec`` of generated source, the same mechanism the DSL stack uses for whole
 queries) and the engines then call that closure per row or per column batch.
+The closure *is* the semantics of the scalar language: constant folding
+(:func:`repro.planner.exprs.fold_node`) runs :func:`compile_row`'s, and the
+tests hold every form to a tree-walking reference evaluator written apart.
 
-Four forms are produced, all semantically identical to ``evaluate``:
+Five forms are produced, all computing the same values:
 
 * :func:`compile_row` — ``fn(row) -> value`` over a boxed row dictionary
   (used by the Volcano select/project/agg/sort hot paths),
@@ -74,17 +76,14 @@ def expr_fingerprint(expr: E.Expr) -> str:
 # ---------------------------------------------------------------------------
 # Source emission
 # ---------------------------------------------------------------------------
-#: expression nodes that always produce a Python ``bool``
-_BOOLEAN_BINOPS = {"==", "!=", "<", "<=", ">", ">=", "and", "or"}
-
-
 def _is_boolean(node: E.Expr) -> bool:
+    """Whether ``node`` always produces a Python ``bool``."""
     if isinstance(node, E.Lit):
         return isinstance(node.value, bool)
     if isinstance(node, E.BinOp):
-        return node.op in _BOOLEAN_BINOPS
+        return E.BINARY[node.op].boolean
     if isinstance(node, E.UnaryOp):
-        return node.op == "not"
+        return E.UNARY[node.op].boolean
     return isinstance(node, (E.Like, E.InList, E.IsNull))
 
 
@@ -106,7 +105,7 @@ class _Emitter:
         if isinstance(node, E.Lit):
             value = node.value
             if value is None or isinstance(value, (bool, int, float, str)):
-                return repr(value)
+                return E.literal_source(value)
             return self.bind("k", value)
         if isinstance(node, E.Col):
             return ref(node)
@@ -114,8 +113,8 @@ class _Emitter:
             left = self.emit(node.left, ref)
             right = self.emit(node.right, ref)
             if node.op in ("and", "or"):
-                # `evaluate` returns bool(l) and bool(r): coerce non-boolean
-                # operands so compiled results are value-identical.
+                # a connective yields bool(l) and bool(r), as in generated
+                # code: coerce the operands that may not be bools
                 if not _is_boolean(node.left):
                     left = f"bool({left})"
                 if not _is_boolean(node.right):
@@ -181,7 +180,7 @@ def clear_cache() -> None:
 # Row-at-a-time forms
 # ---------------------------------------------------------------------------
 def compile_row(expr: E.Expr) -> Callable[[Dict[str, Any]], Any]:
-    """Compile to ``fn(row) -> value``, matching ``evaluate(expr, row)``."""
+    """Compile to ``fn(row) -> value``: the value of ``expr`` on ``row``."""
     def build() -> Callable:
         emitter = _Emitter()
         body = emitter.emit(expr, lambda c: f"row[{c.name!r}]")
@@ -195,8 +194,8 @@ def compile_pair(expr: E.Expr) -> Callable[[Dict[str, Any], Dict[str, Any]], Any
     """Compile to ``fn(left_row, right_row) -> value`` for join predicates.
 
     Sided column references resolve against the respective row; unsided ones
-    follow the merged-dictionary semantics of ``evaluate`` (right shadows
-    left, as in ``{**left, **right}``).
+    resolve against the merged row (right shadows left, as in
+    ``{**left, **right}``).
     """
     def ref(c: E.Col) -> str:
         if c.side == "left":

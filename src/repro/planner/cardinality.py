@@ -167,7 +167,7 @@ class CardinalityEstimator:
             column, literal = node.left, node.right.value
         elif isinstance(node.right, E.Col) and isinstance(node.left, E.Lit):
             column, literal = node.right, node.left.value
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+            op = E.BINARY[op].flipped
         if column is None:
             return _RANGE_SELECTIVITY
         stats = self._columns().get(column.name)

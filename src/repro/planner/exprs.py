@@ -1,17 +1,18 @@
 """Scalar-expression analysis and rewriting used by the plan optimizer.
 
 Everything here is pure tree surgery over :mod:`repro.dsl.expr` nodes:
-conjunct splitting for predicate pushdown, column substitution for pushing
+rebuilding conjunctions for predicate pushdown, column substitution for pushing
 filters through projections and aggregations, side flipping for join-input
 swaps, and compile-time constant folding.
 
-Folding runs the reference evaluator :func:`repro.dsl.expr.evaluate` on a
-node whose operands are all literals, so a fold is value-identical to
-runtime evaluation by construction.  A division by a constant zero is
+Folding runs the closure the engines run,
+:func:`repro.dsl.expr_compile.compile_row`, of a node whose operands are all
+literals (passed in as a row), so a fold is value-identical to runtime
+evaluation by construction.  A division by a constant zero is
 *skipped* rather than raised, and ``TypeError`` / ``ZeroDivisionError`` /
 ``OverflowError`` during folding abandon the fold instead of failing
-compilation, and so does a result that is a non-finite float (``inf`` and
-``nan`` have no literal in generated code).  The ScaLite
+compilation, and so does a result that is a non-finite float (folding
+leaves ``inf`` and ``nan`` to run time).  The ScaLite
 :class:`~repro.transforms.folding.DataflowFolding` folds an IR op over
 literals through the same :func:`fold_node`.
 """
@@ -21,20 +22,17 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dsl import expr as E
+from ..dsl.expr_compile import compile_row
 
 _FOLD_ERRORS = (TypeError, ZeroDivisionError, OverflowError)
+#: a fold's operands go in as the columns of a row, not as source: in source,
+#: ``0 is None`` or ``None[0:2]`` is a SyntaxWarning at compile time
+_OPERAND_NAMES = ("0", "1")
 
 
 # ---------------------------------------------------------------------------
 # Conjunctions
 # ---------------------------------------------------------------------------
-def split_conjuncts(expr: E.Expr) -> List[E.Expr]:
-    """Flatten a tree of ``and`` connectives into its conjuncts (in order)."""
-    if isinstance(expr, E.BinOp) and expr.op == "and":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
 def conjoin(conjuncts: Sequence[E.Expr]) -> Optional[E.Expr]:
     """Rebuild a conjunction; ``None`` for an empty list (no predicate)."""
     if not conjuncts:
@@ -56,46 +54,9 @@ def rewrite_expr(expr: E.Expr, fn: Callable[[E.Expr], Optional[E.Expr]]) -> E.Ex
     subtrees are returned as the *same objects*, so ``result is expr`` is a
     reliable "nothing changed" test.
     """
-    rebuilt = _rebuild_children(expr, lambda child: rewrite_expr(child, fn))
+    rebuilt = E.map_children(expr, lambda child: rewrite_expr(child, fn))
     replacement = fn(rebuilt)
     return rebuilt if replacement is None else replacement
-
-
-def _rebuild_children(expr: E.Expr, fn: Callable[[E.Expr], E.Expr]) -> E.Expr:
-    if isinstance(expr, (E.Lit, E.Col)):
-        return expr
-    if isinstance(expr, E.BinOp):
-        left, right = fn(expr.left), fn(expr.right)
-        if left is expr.left and right is expr.right:
-            return expr
-        return E.BinOp(expr.op, left, right)
-    if isinstance(expr, E.UnaryOp):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand else E.UnaryOp(expr.op, operand)
-    if isinstance(expr, E.Like):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand else E.Like(operand, expr.pattern)
-    if isinstance(expr, E.InList):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand else E.InList(operand, expr.values)
-    if isinstance(expr, E.Substr):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand \
-            else E.Substr(operand, expr.start, expr.length)
-    if isinstance(expr, E.YearOf):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand else E.YearOf(operand)
-    if isinstance(expr, E.IsNull):
-        operand = fn(expr.operand)
-        return expr if operand is expr.operand else E.IsNull(operand)
-    if isinstance(expr, E.Case):
-        whens = tuple((fn(cond), fn(value)) for cond, value in expr.whens)
-        otherwise = fn(expr.otherwise)
-        unchanged = otherwise is expr.otherwise and all(
-            c is oc and v is ov
-            for (c, v), (oc, ov) in zip(whens, expr.whens))
-        return expr if unchanged else E.Case(whens, otherwise)
-    raise E.ExprError(f"unknown expression node {type(expr).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +129,9 @@ def classify_columns(expr: E.Expr, left_fields: Sequence[str],
 def fold_constants(expr: E.Expr) -> E.Expr:
     """Fold every subtree whose operands are all literals.
 
-    Each fold is value-identical to :func:`repro.dsl.expr.evaluate` on the
-    original subtree — including the ``bool()`` coercion of the logical
-    connectives — so folding is safe in *any* expression position.
+    Each fold is value-identical to running the original subtree — including
+    the ``bool()`` coercion of the logical connectives — so folding is safe
+    in *any* expression position.
     """
     return rewrite_expr(expr, fold_node)
 
@@ -180,12 +141,8 @@ def fold_node(node: E.Expr) -> Optional[E.Expr]:
     without its dead arms, or ``None`` to keep ``node`` as it is."""
     if isinstance(node, E.Case):
         return _fold_case(node)
-    if isinstance(node, E.BinOp):
-        operands = (node.left, node.right)
-    elif isinstance(node, (E.UnaryOp, E.Like, E.InList, E.Substr, E.YearOf,
-                           E.IsNull)):
-        operands = (node.operand,)
-    else:
+    operands = E.children(node)
+    if not operands:
         return None  # a leaf
     values = [operand.value for operand in operands if isinstance(operand, E.Lit)]
     if len(values) < len(operands):
@@ -194,8 +151,10 @@ def fold_node(node: E.Expr) -> Optional[E.Expr]:
         return None  # keep the runtime division-by-zero behaviour
     if isinstance(node, E.YearOf) and not isinstance(values[0], int):
         return None  # only the integer date encoding has a year
+    names = iter(_OPERAND_NAMES)
+    template = E.map_children(node, lambda _: E.Col(next(names)))
     try:
-        value = E.evaluate(node, {})
+        value = compile_row(template)(dict(zip(_OPERAND_NAMES, values)))
     except _FOLD_ERRORS:
         return None
     if isinstance(value, float) and not math.isfinite(value):

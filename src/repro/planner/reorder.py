@@ -24,8 +24,9 @@ from typing import List, Optional, Tuple
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
+from ..dsl.expr import split_conjuncts
 from .cardinality import CardinalityEstimator
-from .exprs import conjoin, split_conjuncts
+from .exprs import conjoin
 from .rewrite import PlannerContext
 
 

@@ -25,11 +25,12 @@ from typing import List, Optional
 
 from ..dsl import expr as E
 from ..dsl import qplan as Q
+from ..dsl.expr import split_conjuncts
 from .access_rules import index_eligible_build
 from .cardinality import CardinalityEstimator
 from .exprs import (classify_columns, conjoin, flip_sides, fold_constants,
-                    is_literal_true, simplify_predicate, split_conjuncts,
-                    strip_sides, substitute_columns)
+                    is_literal_true, simplify_predicate, strip_sides,
+                    substitute_columns)
 from .rewrite import PlanRule, PlannerContext
 
 

@@ -266,20 +266,11 @@ def extract_zone_filters(predicate: E.Expr,
     """
     available = set(columns)
     filters: List[ZoneFilter] = []
-    for conjunct in _conjuncts(predicate):
+    for conjunct in E.split_conjuncts(predicate):
         extracted = _as_zone_filter(conjunct, available)
         if extracted is not None:
             filters.append(extracted)
     return tuple(filters)
-
-
-def _conjuncts(expr: E.Expr) -> List[E.Expr]:
-    if isinstance(expr, E.BinOp) and expr.op == "and":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-_FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
 
 
 def _as_zone_filter(conjunct: E.Expr, columns: set) -> Optional[ZoneFilter]:
@@ -293,11 +284,13 @@ def _as_zone_filter(conjunct: E.Expr, columns: set) -> Optional[ZoneFilter]:
             if kind == "equals":
                 return (operand.name, "==", needle)
         return None
-    if not isinstance(conjunct, E.BinOp) or conjunct.op not in _FLIPPED_OP:
+    # an equality or an order bounds a zone; `!=` and the rest bound none
+    if not isinstance(conjunct, E.BinOp) or conjunct.op == "!=" \
+            or E.BINARY[conjunct.op].flipped is None:
         return None
     left, right, op = conjunct.left, conjunct.right, conjunct.op
     if isinstance(right, E.Col) and isinstance(left, E.Lit):
-        left, right, op = right, left, _FLIPPED_OP[op]
+        left, right, op = right, left, E.BINARY[op].flipped
     if not (isinstance(left, E.Col) and isinstance(right, E.Lit)):
         return None
     if left.side is not None or left.name not in columns:
@@ -418,12 +411,9 @@ class _DictionaryRewriter:
         return E.Col(name)
 
     def rewrite(self, node: E.Expr) -> E.Expr:
+        if isinstance(node, (E.BinOp, E.UnaryOp)) and node.op in ("and", "or", "not"):
+            return E.map_children(node, self.rewrite)
         if isinstance(node, E.BinOp):
-            if node.op in ("and", "or"):
-                left, right = self.rewrite(node.left), self.rewrite(node.right)
-                if left is node.left and right is node.right:
-                    return node
-                return E.BinOp(node.op, left, right)
             if node.op in ("==", "!="):
                 column, literal = None, None
                 if isinstance(node.left, E.Col) and isinstance(node.right, E.Lit):
@@ -441,9 +431,6 @@ class _DictionaryRewriter:
                     return E.Lit(node.op == "!=")
                 return E.BinOp(node.op, self.code_column(dictionary), E.Lit(code))
             return node
-        if isinstance(node, E.UnaryOp) and node.op == "not":
-            operand = self.rewrite(node.operand)
-            return node if operand is node.operand else E.UnaryOp("not", operand)
         if isinstance(node, E.InList):
             operand = node.operand
             if (not isinstance(operand, E.Col) or operand.side is not None

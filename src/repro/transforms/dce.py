@@ -61,9 +61,9 @@ class DeadCodeElimination(Optimization):
     def enables_after(self, before: Program) -> Optional[Tuple[type, ...]]:
         """Which of the two the sweep of ``before`` gave work to.
 
-        Folding looks again when an ``if_`` binding lost a reader, or when an
-        arm of an ``if_`` lost a dead write (under a condition that is no
-        literal it drops an arm only if that arm is effect-free).  This pass
+        Folding looks again when an ``if_`` binding lost a reader (an arm's
+        dead write is no reason: folding drops the arm a decided condition
+        never selects, writes and all).  This pass
         looks again when an allocation or a write lost a reader (the object
         may be write-only now), and when a dead write or its object went that
         was the reason a binding was live.
@@ -73,16 +73,14 @@ class DeadCodeElimination(Optimization):
         objects = purity(before)
         enabled = set()
 
-        def visit(block: Block, in_arm: bool) -> None:
+        def visit(block: Block) -> None:
             for stmt in block.stmts:
                 if not dead(stmt):
                     for nested in stmt.expr.blocks:
-                        visit(nested, in_arm or stmt.expr.op == "if_")
+                        visit(nested)
                     continue
                 rooted = stmt.sym.id in objects.dead_writes \
                     or stmt.sym.id in objects.removable_objects
-                if in_arm and stmt.sym.id in objects.dead_writes:
-                    enabled.add(DataflowFolding)
                 for arg in stmt.expr.args:
                     definition = defs.get(arg.id) if isinstance(arg, Sym) else None
                     if definition is None or dead(definition):
@@ -93,8 +91,8 @@ class DeadCodeElimination(Optimization):
                     if rooted or effect.allocates or effect.writes:
                         enabled.add(DeadCodeElimination)
 
-        visit(before.hoisted, False)
-        visit(before.body, False)
+        visit(before.hoisted)
+        visit(before.body)
         return tuple(enabled)
 
 

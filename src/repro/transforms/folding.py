@@ -15,12 +15,14 @@ This pass folds every pure scalar op it can decide at compile time:
 * a null check against a column with zero nulls folds the same way;
 * an ``if_`` whose condition folded becomes its taken arm, spliced into the
   enclosing block — provided removing the dropped arm is unobservable: the
-  arm is effect-free, or the condition is a literal, which never selects it.
+  arm is effect-free, or its condition never selects it, being a literal or
+  decided by the value analysis of the pass's input program.
 
 Every eliminated branch records a justification in
 ``context.info["dataflow_justifications"]`` under the ``if_`` binding's sym
-id; the verifier's transition audit refuses the unwrap without it and
-re-proves the condition on the input program.
+id.  Without it the verifier's transition audits refuse the unwrap and the
+removal of a dropped arm that writes; with it they re-prove the condition on
+the input program.
 """
 from __future__ import annotations
 
@@ -37,9 +39,8 @@ from ..stack.language import Language
 from ..stack.transformation import Optimization
 from .scalar_compiler import literal_expr
 
-#: pure boolean-valued ops eligible for verdict folding
-_PREDICATE_OPS = frozenset({"eq", "ne", "lt", "le", "gt", "ge",
-                            "and_", "or_", "not_"})
+#: pure boolean-valued ops eligible for verdict folding: the boolean operators'
+_PREDICATE_OPS = frozenset(o.ir_op for o in E.OPERATORS if o.boolean)
 
 
 class DataflowFolding(Optimization):
@@ -94,14 +95,17 @@ class _Folder:
                 if verdict is not None:
                     taken = expr.blocks[0] if verdict else expr.blocks[1]
                     dropped = expr.blocks[1] if verdict else expr.blocks[0]
+                    # The dropped arm never runs when the condition of the
+                    # input program (a literal, or decided by its value
+                    # analysis) decides the same; else it must be pure.
+                    unobservable = self._branch_verdict(expr.args[0]) is verdict \
+                        or block_effect(dropped).removable_if_unused
                     result_is_none = isinstance(taken.result, Const) \
                         and taken.result.value is None
                     # Unwrapping a branch whose taken arm yields None would
                     # substitute a None literal into every consumer —
                     # unreachable code, but it unparses as ``None[...]`` for
                     # subscripting consumers.  Keep the branch instead.
-                    unobservable = isinstance(expr.args[0], Const) \
-                        or block_effect(dropped).removable_if_unused
                     if unobservable and not (
                             result_is_none and self.uses.get(stmt.sym.id, 0) > 0):
                         spliced = self.rewrite_block(taken)

@@ -21,6 +21,7 @@ from typing import Dict
 from ..dsl import expr as E
 from ..dsl import qmonad as M
 from ..dsl import qplan as Q
+from ..planner.exprs import substitute_columns
 from ..stack.context import CompilationContext
 from ..stack.language import Language, QMONAD
 from ..stack.transformation import Lowering, Optimization
@@ -58,40 +59,11 @@ def _fuse(query: M.QueryMonad) -> M.QueryMonad:
     if query.op == "map" and children and children[0].op == "map":
         inner = children[0]
         inner_by_name: Dict[str, E.Expr] = dict(inner.args["projections"])
-        composed = tuple((name, _substitute(expr, inner_by_name))
+        composed = tuple((name, substitute_columns(expr, inner_by_name))
                          for name, expr in query.args["projections"])
         return M.QueryMonad("map", {"projections": composed}, inner.children)
 
     return query
-
-
-def _substitute(expression: E.Expr, bindings: Dict[str, E.Expr]) -> E.Expr:
-    """Replace column references by the expressions of an inner projection."""
-    if isinstance(expression, E.Col) and expression.side is None:
-        return bindings.get(expression.name, expression)
-    if isinstance(expression, E.Lit):
-        return expression
-    if isinstance(expression, E.BinOp):
-        return E.BinOp(expression.op, _substitute(expression.left, bindings),
-                       _substitute(expression.right, bindings))
-    if isinstance(expression, E.UnaryOp):
-        return E.UnaryOp(expression.op, _substitute(expression.operand, bindings))
-    if isinstance(expression, E.Like):
-        return E.Like(_substitute(expression.operand, bindings), expression.pattern)
-    if isinstance(expression, E.InList):
-        return E.InList(_substitute(expression.operand, bindings), expression.values)
-    if isinstance(expression, E.Case):
-        return E.Case(tuple((_substitute(c, bindings), _substitute(v, bindings))
-                            for c, v in expression.whens),
-                      _substitute(expression.otherwise, bindings))
-    if isinstance(expression, E.Substr):
-        return E.Substr(_substitute(expression.operand, bindings), expression.start,
-                        expression.length)
-    if isinstance(expression, E.YearOf):
-        return E.YearOf(_substitute(expression.operand, bindings))
-    if isinstance(expression, E.IsNull):
-        return E.IsNull(_substitute(expression.operand, bindings))
-    return expression
 
 
 class QMonadShortcutFusionLowering(Lowering):

@@ -1,8 +1,9 @@
 """Compilation of scalar expressions into ANF operations.
 
-This is the counterpart of :func:`repro.dsl.expr.evaluate`: instead of
-interpreting the expression tree per row, it emits the equivalent ANF
-statements once, operating on the atoms of the current :class:`RowVals`.
+This is the counterpart of :func:`repro.dsl.expr_compile.compile_row`: instead
+of a closure the engines call per row, it emits the equivalent ANF statements
+once, operating on the atoms of the current :class:`RowVals`.  The ANF op of
+each operator is its row of :data:`repro.dsl.expr.OPERATORS`.
 """
 from __future__ import annotations
 
@@ -19,26 +20,15 @@ class ScalarCompileError(Exception):
     pass
 
 
-_BINOP_TO_IR = {
-    "+": "add", "-": "sub", "*": "mul", "/": "div",
-    "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-    "and": "and_", "or": "or_",
-}
-_UNARY_TO_IR = {"not": "not_", "-": "neg"}
-_IR_TO_BINOP = {ir_op: op for op, ir_op in _BINOP_TO_IR.items()}
-_IR_TO_UNARY = {ir_op: op for op, ir_op in _UNARY_TO_IR.items()}
-
-
 def literal_expr(op: str, values: Sequence[Any]) -> Optional[E.Expr]:
     """The scalar node that :meth:`ScalarCompiler.compile` lowers to ``op``,
     with ``values`` as its literal operands; ``None`` when no node lowers to
-    ``op`` alone.  What a pure op over literals computes is what
-    :func:`repro.dsl.expr.evaluate` says of this node."""
+    ``op`` alone.  What a pure op over literals computes is what this node's
+    :func:`~repro.dsl.expr_compile.compile_row` closure returns."""
     literals = [E.Lit(value) for value in values]
-    if op in _IR_TO_BINOP and len(literals) == 2:
-        return E.BinOp(_IR_TO_BINOP[op], literals[0], literals[1])
-    if op in _IR_TO_UNARY and len(literals) == 1:
-        return E.UnaryOp(_IR_TO_UNARY[op], literals[0])
+    operator = E.BY_IR_OP.get(op)
+    if operator is not None and operator.arity == len(literals):
+        return (E.BinOp if operator.arity == 2 else E.UnaryOp)(operator.symbol, *literals)
     if op == "year_of_date" and len(literals) == 1:
         return E.YearOf(literals[0])
     return None
@@ -65,10 +55,10 @@ class ScalarCompiler:
         if isinstance(node, E.BinOp):
             lhs = self.compile(node.left, row, left, right)
             rhs = self.compile(node.right, row, left, right)
-            return b.emit(_BINOP_TO_IR[node.op], [lhs, rhs])
+            return b.emit(E.BINARY[node.op].ir_op, [lhs, rhs])
         if isinstance(node, E.UnaryOp):
             operand = self.compile(node.operand, row, left, right)
-            return b.emit(_UNARY_TO_IR[node.op], [operand])
+            return b.emit(E.UNARY[node.op].ir_op, [operand])
         if isinstance(node, E.Like):
             return self._compile_like(node, row, left, right)
         if isinstance(node, E.InList):

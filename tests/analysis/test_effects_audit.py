@@ -191,8 +191,9 @@ class TestTransitionAudit:
                              phase="dataflow-folding")
 
     def test_removing_a_writing_arm_under_a_computed_condition_rejected(self):
-        """The audit trusts literals only: a condition some analysis decides
-        is not one, so the branch's writing arm must stay."""
+        """Without a recorded justification the audit trusts literals only:
+        a condition some analysis decides is not one, so the branch's
+        writing arm must stay."""
         db = Sym("db")
         lst = Stmt(Sym("lst"), Expr("list_new", ()))
         cond = Stmt(Sym("c"), Expr("lt", (Const(2), Const(1))))
@@ -203,6 +204,30 @@ class TestTransitionAudit:
         after = program_of([lst], lst.sym, [db])
         with pytest.raises(VerificationError, match="removable"):
             audit_transition(before, after, phase="dataflow-folding")
+
+    @pytest.mark.parametrize("condition, legal", [
+        (lambda size: Expr("lt", (Const(2), Const(1))), True),
+        (lambda size: Expr("ne", (Const(None), Const(None))), True),
+        (lambda size: Expr("lt", (size, Const(1))), False),
+    ], ids=["2<1", "None!=None", "undecided"])
+    def test_a_justified_condition_is_re_proved(self, condition, legal):
+        """A recorded justification lets the writing arm go only when the
+        value analysis of the input program proves the arm never runs."""
+        db = Sym("db")
+        lst = Stmt(Sym("lst"), Expr("list_new", ()))
+        size = Stmt(Sym("n"), Expr("table_size", (db,), attrs={"table": "R"}))
+        cond = Stmt(Sym("c"), condition(size.sym))
+        arm = Block([Stmt(Sym("a"), Expr("list_append", (lst.sym, Const(1))))])
+        branch = Stmt(Sym("br"), Expr("if_", (cond.sym,),
+                                      blocks=(arm, Block([]))))
+        before = program_of([lst, size, cond, branch], lst.sym, [db])
+        after = program_of([lst, size], lst.sym, [db])
+        claim = {branch.sym.id: "if_ condition provably false"}
+        if legal:
+            audit_transition(before, after, justifications=claim)
+        else:
+            with pytest.raises(VerificationError, match="removable"):
+                audit_transition(before, after, justifications=claim)
 
     def test_removing_if_with_pure_arms_is_legal(self):
         db = Sym("db")

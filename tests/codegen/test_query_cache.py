@@ -86,6 +86,22 @@ class TestCompiledQueryCache:
         assert second.source == first.source
         assert second.run(tiny_catalog) == first.run(tiny_catalog)
 
+    def test_a_hit_does_not_validate_the_plan(self, tiny_catalog, monkeypatch):
+        """An unplanned tree is validated when it is built, not on each hit."""
+        config = build_config("dblab-5")
+        compiler = QueryCompiler(config.stack, config.flags)
+        calls = []
+        validate = Q.validate
+        monkeypatch.setattr(Q, "validate", lambda *args: calls.append(1) or validate(*args))
+        compiler.compile(_plan(), tiny_catalog, "q")
+        assert calls
+        del calls[:]
+        assert compiler.compile(_plan(), tiny_catalog, "q").cache_hit
+        assert calls == []
+        bad = Q.Select(Q.Scan("R"), col("not_a_column") == 1)
+        with pytest.raises(Q.PlanError):
+            compiler.compile(bad, tiny_catalog, "q")
+
     def test_cached_copy_has_independent_prepared_state(self, tiny_catalog):
         """The stateless contract: every ``prepare`` hands its caller a new
         ``aux`` and nothing prepared stays on the query — neither on the

@@ -5,9 +5,10 @@ import pytest
 
 from repro.codegen import runtime
 from repro.dsl.expr import (BinOp, Col, ExprError, Like, UnaryOp, and_all, case, col,
-                            columns_used, date, evaluate, in_list, is_null, like, lit,
+                            columns_used, date, in_list, is_null, like, lit,
                             substr, wrap, year)
 from repro.dsl.expr_compile import compile_row
+from scalar_oracle import evaluate
 
 
 ROW = {"a": 10, "b": 3, "name": "PROMO BRUSHED STEEL", "flag": True,

@@ -2,8 +2,9 @@
 import pytest
 
 from repro.dsl import expr_compile as EC
-from repro.dsl.expr import (Col, case, col, evaluate, in_list, is_null, like,
+from repro.dsl.expr import (Col, case, col, in_list, is_null, like,
                             lit, substr, year)
+from scalar_oracle import evaluate
 
 
 ROWS = [

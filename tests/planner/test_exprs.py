@@ -1,12 +1,22 @@
 """Unit tests for the planner's expression analysis and rewriting helpers."""
-import pytest
+import math
 
-from repro.dsl.expr import (BinOp, Col, Lit, UnaryOp, case, col, columns_used,
-                            evaluate, in_list, is_null, like, lit, substr, year)
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.dsl.expr import (BINARY, OPERATORS, BinOp, Col, Lit, UnaryOp, case, col,
+                            columns_used, in_list, is_null, like, lit,
+                            split_conjuncts, substr, year)
+from repro.dsl.expr_compile import compile_row
 from repro.planner.exprs import (classify_columns, conjoin, flip_sides,
-                                 fold_constants, is_literal_true,
-                                 simplify_predicate, split_conjuncts,
-                                 strip_sides, substitute_columns)
+                                 fold_constants, fold_node, is_literal_true,
+                                 simplify_predicate, strip_sides,
+                                 substitute_columns)
+from scalar_oracle import evaluate
+
+SCALARS = st.one_of(st.integers(-30000, 30000), st.floats(allow_nan=False),
+                    st.booleans(), st.none(), st.text(max_size=3),
+                    st.sampled_from([0, 0.0]))
 
 
 class TestConjuncts:
@@ -120,6 +130,35 @@ class TestConstantFolding:
         assert isinstance(folded, Lit)
         assert folded.value == evaluate(expr, {})
         assert type(folded.value) is type(evaluate(expr, {}))
+
+    @settings(max_examples=400, deadline=None)
+    @given(operator=st.sampled_from(OPERATORS),
+           values=st.lists(SCALARS, min_size=2, max_size=2))
+    @example(operator=BINARY["and"], values=[True, 5])
+    @example(operator=BINARY["/"], values=[1, 0.0])
+    @example(operator=BINARY["*"], values=[1e308, 10.0])
+    @example(operator=BINARY["<"], values=[float("-inf"), 1])
+    def test_folding_matches_the_oracle_on_every_operator(self, operator, values):
+        """``fold_node`` == ``compile_row`` == the oracle, value and type; a
+        fold is skipped where running the node raises, divides by a literal
+        zero or yields a non-finite float."""
+        operands = [lit(value) for value in values[:operator.arity]]
+        node = (BinOp if operator.arity == 2 else UnaryOp)(operator.symbol, *operands)
+        folded = fold_node(node)
+        try:
+            expected = evaluate(node, {})
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            assert folded is None
+            with pytest.raises(type(exc)):
+                compile_row(node)({})
+            return
+        value = compile_row(node)({})
+        assert value == expected and type(value) is type(expected)
+        if folded is not None:
+            assert folded.value == expected and type(folded.value) is type(expected)
+        else:
+            assert (operator.symbol == "/" and values[1] == 0) or (
+                isinstance(expected, float) and not math.isfinite(expected))
 
     def test_untouched_trees_keep_identity(self):
         expr = (col("a") > 1) & (col("b") < 2)

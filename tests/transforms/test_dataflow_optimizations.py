@@ -44,9 +44,11 @@ class TestDataflowFolding:
         assert DataflowFolding(SCALITE).run(program, context()) is program
 
     def test_effectful_dropped_arm_blocks_the_unwrap(self):
+        """A condition that folds in this run, but that the value analysis
+        of the input program does not decide (it has no string intervals)."""
         b = IRBuilder()
         x = b.emit("add", [1, 2])
-        cond = b.emit("lt", [x, 100])
+        cond = b.emit("eq", [Const("a"), Const("a")])
         b.if_(cond, lambda: b.emit("add", [x, 1]),
               lambda: b.emit("print_", [Const("side effect")]))
         program = make_program(b.finish(None), [], "ScaLite")
@@ -59,6 +61,19 @@ class TestDataflowFolding:
         # (the taken arm's ``add`` of two literals folds in the same run)
         refolded = DataflowFolding(SCALITE).run(folded, context())
         assert count_ops(refolded) == {}
+
+    def test_a_decided_condition_drops_the_effectful_arm_in_one_run(self):
+        """The value analysis of the input program proves ``3 < 100``: the
+        arm with I/O never runs, and goes with its justification recorded."""
+        b = IRBuilder()
+        x = b.emit("add", [1, 2])
+        cond = b.emit("lt", [x, 100])
+        branch = b.if_(cond, lambda: b.emit("add", [x, 1]),
+                       lambda: b.emit("print_", [Const("side effect")]))
+        program = make_program(b.finish(None), [], "ScaLite")
+        ctx = context()
+        assert count_ops(DataflowFolding(SCALITE).run(program, ctx)) == {}
+        assert "provably true" in ctx.info["dataflow_justifications"][branch.id]
 
     def test_a_literal_condition_drops_the_writing_arm_it_never_selects(self):
         """Q13's ``if False:`` around a slot update: the arm never runs."""
