@@ -2,7 +2,7 @@
 one fold of a run of values into an accumulator, and one finish.
 
 The interpreter folds each row as a one-value run and the vectorized engine
-each batch's values of a group.  The compiled stacks lay a group's record out
+each group's values as one run.  The compiled stacks lay a group's record out
 from ``slots`` (:func:`repro.ir.ops.held_in_slot`, the unparser's starts) and
 the pipelining lowering emits each fold and finish as IR statements over it,
 so generated code calls no helper; the differential suites hold the two

@@ -144,6 +144,9 @@ class _Emitter:
         if isinstance(node, E.YearOf):
             return f"_year({self.emit(node.operand, ref)})"
         if isinstance(node, E.IsNull):
+            if isinstance(node.operand, E.Lit):
+                # the answer itself: ``0 is None`` is a SyntaxWarning
+                return E.literal_source(node.operand.value is None)
             return f"({self.emit(node.operand, ref)} is None)"
         raise ExprCompileError(f"cannot compile expression node {type(node).__name__}")
 
@@ -267,7 +270,7 @@ def compile_columnar_pair(expr: E.Expr, left_fields: Sequence[str],
     """Compile a join residual for the vectorized engine.
 
     Returns ``make(left_cols, right_cols)`` which binds the column lists once
-    per probe batch and yields ``fn(j, i) -> value`` over a (left row ``j``,
+    per join and yields ``fn(j, i) -> value`` over a (left row ``j``,
     right row ``i``) candidate pair.  Unsided columns resolve like the merged
     row dictionary of the interpreter: right shadows left.
     """

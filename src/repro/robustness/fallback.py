@@ -143,10 +143,6 @@ class ExecutionReport:
     #: {tier, plan_mode, error, error_type, elapsed_seconds}
     attempts: List[dict] = field(default_factory=list)
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.attempts)
-
 
 class HardenedExecutor:
     """Runs queries through the fallback ladder against one catalog.

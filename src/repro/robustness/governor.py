@@ -3,7 +3,7 @@
 A :class:`ResourceGovernor` owns one :class:`QueryBudget` for the duration of
 one query execution.  Engines do not poll the wall clock themselves; they
 call cheap checkpoint hooks — ``tick(rows)`` per row, ``checkpoint(rows)``
-per operator/batch boundary — and the governor trips a typed
+once per executed operator — and the governor trips a typed
 :class:`BudgetExceeded` carrying the progress made so far once the
 deadline has passed.
 
@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,13 @@ class ResourceGovernor:
             self._check_clock()
 
     def checkpoint(self, rows: int = 0) -> None:
-        """Operator/batch boundary: always consults the wall clock."""
+        """One executed operator: always consults the wall clock."""
         self.stats.checkpoints += 1
         self.stats.rows_processed += rows
         self._since_clock_check = 0
         self._check_clock()
 
-    # -- iterator guards ----------------------------------------------------
+    # -- iterator guard -----------------------------------------------------
 
     def guard_rows(self, rows: Iterable) -> Iterator:
         """Wrap a row iterator, ticking once per row."""
@@ -133,14 +133,6 @@ class ResourceGovernor:
         for row in rows:
             tick()
             yield row
-
-    def guard_batches(self, batches: Iterable,
-                      num_rows: Callable[[Any], int]) -> Iterator:
-        """Wrap a batch iterator; ``num_rows(batch)`` sizes each checkpoint."""
-        checkpoint = self.checkpoint
-        for batch in batches:
-            checkpoint(num_rows(batch))
-            yield batch
 
     # -- internals ----------------------------------------------------------
 

@@ -25,7 +25,7 @@ pool, and refuses to melt down when demand exceeds capacity:
   admitted query, rejects new ones, and leaves zero orphaned futures.
 
 Execution runs on a thread pool: compiled code and engines hit governor
-checkpoints (GIL yield points) per row/batch, and the executor, incident
+checkpoints (GIL yield points) per row/operator, and the executor, incident
 log, circuit breaker and compiled-query cache are all thread-safe.  The
 ``server.*`` fault sites (queue stalls, slow executors, deadline skew) let
 the overload chaos suite drive this machinery through injected storms.

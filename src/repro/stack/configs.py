@@ -57,8 +57,8 @@ from .pipeline import DslStack
 #: Engines that execute QPlan trees directly, without a DSL stack.  They are
 #: selectable everywhere a stack configuration is (benchmark harness, Table 3
 #: engine column): the row-at-a-time Volcano interpreter and the vectorized
-#: columnar engine (batch-at-a-time, selection vectors, compiled expression
-#: closures).
+#: columnar engine (column-at-a-time: one batch per operator, selection
+#: vectors, compiled expression closures).
 DIRECT_ENGINE_NAMES = ("interpreter", "vectorized")
 
 

@@ -99,8 +99,7 @@ ADJECTIVES = ["special", "pending", "unusual", "express", "furious", "sly", "car
               "busy", "regular", "final", "ironic", "even", "bold", "silent"]
 
 START_DATE = dates.date_to_int("1992-01-01")
-END_DATE = dates.date_to_int("1998-08-02")
-_TOTAL_DAYS = 2405   # days between START_DATE and END_DATE
+_TOTAL_DAYS = 2405   # days from START_DATE to the last date, 1998-08-02
 
 # Value tables: a row holds the table's object, not a fresh box, so a loaded
 # column costs one object per *distinct* value; dates are drawn as day ordinals

@@ -54,11 +54,12 @@ class TestExactRowParity:
         assert engine.execute(optimized) == engine.execute(raw)
 
     @pytest.mark.parametrize("query_name", ACCESS_QUERIES)
-    def test_vectorized_with_small_batches(self, tpch_catalog, planner, query_name):
+    def test_vectorized_matches_the_interpreter(self, tpch_catalog, planner,
+                                                query_name):
         raw = build_query(query_name)
         optimized = planner.optimize(build_query(query_name))
-        engine = VectorizedEngine(tpch_catalog, batch_size=17)
-        assert engine.execute(optimized) == engine.execute(raw)
+        assert VectorizedEngine(tpch_catalog).execute(optimized) == \
+            VolcanoEngine(tpch_catalog).execute(raw)
 
     @pytest.mark.parametrize("query_name", ACCESS_QUERIES)
     def test_template_expander(self, tpch_catalog, planner, query_name):
@@ -151,8 +152,7 @@ class TestIndexJoinIsItsHashJoin:
                                  col("p_key"), kind, residual,
                                  index_table="dim", index_column="d_key")
         Q.validate(index_plan, catalog)
-        for engine in (VolcanoEngine(catalog), VectorizedEngine(catalog),
-                       VectorizedEngine(catalog, batch_size=3)):
+        for engine in (VolcanoEngine(catalog), VectorizedEngine(catalog)):
             expected = engine.execute(hash_plan)
             assert expected, "every kind keeps some rows of this catalog"
             assert engine.execute(index_plan) == expected, type(engine).__name__
@@ -253,9 +253,7 @@ class TestLeftOuterIndexJoin:
 
     def test_rows_match_the_hash_join_exactly(self, tpch_catalog):
         hash_plan, index_plan = self._pair()
-        for engine in (VolcanoEngine(tpch_catalog),
-                       VectorizedEngine(tpch_catalog),
-                       VectorizedEngine(tpch_catalog, batch_size=17)):
+        for engine in (VolcanoEngine(tpch_catalog), VectorizedEngine(tpch_catalog)):
             assert engine.execute(index_plan) == engine.execute(hash_plan)
         assert expand(index_plan, tpch_catalog) == expand(hash_plan, tpch_catalog)
 

@@ -2,14 +2,15 @@
 
 The headline guarantee is row-identical output (values *and* order) with the
 Volcano reference interpreter on every TPC-H query; the unit tests cover the
-selection-vector semantics the batch model introduces.
+selection-vector semantics and the one-batch-per-operator contract.
 """
 import pytest
 
 from repro.dsl import qplan
 from repro.dsl.expr import Col, col, is_null, lit
-from repro.engine.vectorized import ColumnBatch, VectorizedEngine, VectorizedError
+from repro.engine.vectorized import ColumnBatch, VectorizedEngine
 from repro.engine.volcano import execute as volcano_execute
+from repro.robustness.governor import QueryBudget, governed
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import TableSchema, float_column, int_column, string_column
@@ -25,12 +26,6 @@ class TestTpchParity:
         plan = build_query(query_name)
         reference = volcano_execute(plan, tpch_catalog)
         assert VectorizedEngine(tpch_catalog).execute(plan) == reference
-
-    @pytest.mark.parametrize("query_name", ["Q1", "Q3", "Q4", "Q6", "Q13", "Q21"])
-    def test_chunked_batches_are_row_identical_too(self, tpch_catalog, query_name):
-        plan = build_query(query_name)
-        reference = volcano_execute(plan, tpch_catalog)
-        assert VectorizedEngine(tpch_catalog, batch_size=17).execute(plan) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -71,22 +66,18 @@ class TestColumnBatch:
         batch = ColumnBatch({}, None, 0)
         assert not hasattr(batch, "__dict__")
 
-    def test_invalid_batch_size_rejected(self, small_catalog):
-        with pytest.raises(VectorizedError):
-            VectorizedEngine(small_catalog, batch_size=0)
-
 
 class TestSelectionVectors:
     def test_scan_is_zero_copy(self, small_catalog):
         engine = VectorizedEngine(small_catalog)
-        (batch,) = list(engine.execute_batches(qplan.Scan("T")))
+        batch = engine.execute_batch(qplan.Scan("T"))
         assert batch.sel is None
         assert batch.columns["t_id"] is small_catalog.table("T").column("t_id")
 
     def test_select_only_shrinks_the_selection(self, small_catalog):
         engine = VectorizedEngine(small_catalog)
         plan = qplan.Select(qplan.Scan("T"), col("t_val") > 2.0)
-        (batch,) = list(engine.execute_batches(plan))
+        batch = engine.execute_batch(plan)
         assert batch.sel == [2, 3, 4]
         # the data itself is untouched storage
         assert batch.columns["t_val"] is small_catalog.table("T").column("t_val")
@@ -104,18 +95,19 @@ class TestSelectionVectors:
                           [(col("t_id"), "asc")])
         assert VectorizedEngine(catalog).execute(plan) == []
 
-    def test_chunked_scan_covers_every_row_once(self, small_catalog):
-        engine = VectorizedEngine(small_catalog, batch_size=2)
-        batches = list(engine.execute_batches(qplan.Scan("T")))
-        assert [list(b.indices()) for b in batches] == [[0, 1], [2, 3], [4]]
-        assert engine.execute(qplan.Scan("T")) == \
-            VectorizedEngine(small_catalog).execute(qplan.Scan("T"))
+    def test_limit_cuts_its_one_batch(self, small_catalog):
+        engine = VectorizedEngine(small_catalog)
+        plan = qplan.Limit(qplan.Select(qplan.Scan("T"), col("t_val") > 1.0), 3)
+        batch = engine.execute_batch(plan)
+        assert list(batch.indices()) == [1, 2, 3]
+        assert batch.columns["t_id"] is small_catalog.table("T").column("t_id")
+        assert [r["t_id"] for r in engine.execute(plan)] == [2, 3, 4]
 
-    def test_limit_cuts_across_batches(self, small_catalog):
-        engine = VectorizedEngine(small_catalog, batch_size=2)
-        plan = qplan.Limit(qplan.Scan("T"), 3)
-        rows = engine.execute(plan)
-        assert [r["t_id"] for r in rows] == [1, 2, 3]
+    def test_limit_above_the_input_returns_it(self, small_catalog):
+        engine = VectorizedEngine(small_catalog)
+        plan = qplan.Limit(qplan.Scan("T"), 9)
+        assert engine.execute_batch(plan).num_selected == 5
+        assert [r["t_id"] for r in engine.execute(plan)] == [1, 2, 3, 4, 5]
 
     def test_limit_zero(self, small_catalog):
         assert VectorizedEngine(small_catalog).execute(
@@ -179,11 +171,119 @@ class TestOperatorParityOnSmallData:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    @pytest.mark.parametrize("batch_size", [None, 2])
-    def test_matches_volcano(self, small_catalog, name, batch_size):
+    def test_matches_volcano(self, small_catalog, name):
         plan = self.CASES[name]()
-        assert VectorizedEngine(small_catalog, batch_size=batch_size).execute(plan) == \
+        assert VectorizedEngine(small_catalog).execute(plan) == \
             volcano_execute(plan, small_catalog)
+
+
+def _keyed_catalog():
+    """``T`` keyed by a dense ``t_id`` (an index join's build) and a
+    probe table ``U`` whose keys match some ``T`` rows and miss others."""
+    catalog = _catalog_with([
+        {"t_id": 1, "t_key": 10, "t_val": 1.0, "t_tag": "a"},
+        {"t_id": 2, "t_key": 20, "t_val": 2.0, "t_tag": "b"},
+        {"t_id": 3, "t_key": 10, "t_val": 3.0, "t_tag": "a"},
+        {"t_id": 4, "t_key": None, "t_val": 4.0, "t_tag": "c"},
+        {"t_id": 5, "t_key": 30, "t_val": 5.0, "t_tag": "b"},
+    ])
+    table = catalog.table("T")
+    catalog.register(ColumnarTable(TableSchema("T", table.schema.columns,
+                                               primary_key=("t_id",)),
+                                   {name: table.column(name)
+                                    for name in table.schema.column_names()}))
+    schema = TableSchema("U", [int_column("u_key"), int_column("u_tid"),
+                               string_column("u_name")])
+    catalog.register(ColumnarTable(schema, {
+        "u_key": [20, 99, 10], "u_tid": [2, 9, 1], "u_name": ["x", "y", "z"]}))
+    return catalog
+
+
+def _join(kind):
+    return qplan.HashJoin(qplan.Scan("T"), qplan.Scan("U"), col("t_key"),
+                          col("u_key"), kind=kind)
+
+
+class TestOneBatchPerOperator:
+    """Each operator runs once over its input's columns and returns one
+    :class:`ColumnBatch`; a governor is charged once per executed operator."""
+
+    PLANS = {
+        "scan": lambda: qplan.Scan("T"),
+        "pruned-scan": lambda: qplan.PrunedScan(
+            qplan.Scan("T"), col("t_id") > 2, (("t_id", ">", 2),)),
+        "select-over-scan": lambda: qplan.Select(qplan.Scan("T"), col("t_tag") == "a"),
+        "select": lambda: qplan.Select(
+            qplan.Project(qplan.Scan("T"), [("v", col("t_val") * 2)]), col("v") > 4),
+        "project": lambda: qplan.Project(qplan.Scan("T"), [("id", col("t_id"))]),
+        "agg-grouped": lambda: qplan.Agg(
+            qplan.Scan("T"), [("t_tag", col("t_tag"))],
+            [qplan.AggSpec("sum", col("t_val"), "total")]),
+        "agg-global-empty": lambda: qplan.Agg(
+            qplan.Select(qplan.Scan("T"), lit(False)), [],
+            [qplan.AggSpec("count", None, "n"), qplan.AggSpec("avg", col("t_val"), "a")]),
+        "sort": lambda: qplan.Sort(qplan.Scan("T"), [(col("t_val"), "desc")]),
+        "topk": lambda: qplan.TopK(qplan.Scan("T"), [(col("t_val"), "desc")], 2),
+        "limit": lambda: qplan.Limit(qplan.Scan("T"), 2),
+        "limit-zero": lambda: qplan.Limit(qplan.Scan("T"), 0),
+        "inner": lambda: _join("inner"),
+        "leftsemi": lambda: _join("leftsemi"),
+        "leftanti": lambda: _join("leftanti"),
+        "leftouter": lambda: _join("leftouter"),
+        "index-join": lambda: qplan.IndexJoin(
+            qplan.Scan("T"), qplan.Scan("U"), col("t_id"), col("u_tid"),
+            index_table="T", index_column="t_id"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_one_batch_holds_the_interpreters_rows(self, name):
+        catalog = _keyed_catalog()
+        plan = self.PLANS[name]()
+        qplan.validate(plan, catalog)
+        batch = VectorizedEngine(catalog).execute_batch(plan)
+        assert isinstance(batch, ColumnBatch)
+        fields = qplan.output_fields(plan, catalog)
+        rows = [{name: batch.columns[name][i] for name in fields}
+                for i in batch.indices()]
+        assert rows == volcano_execute(plan, catalog)
+
+    def test_left_outer_puts_matched_pairs_first_then_padded_rows(self):
+        catalog = _keyed_catalog()
+        rows = VectorizedEngine(catalog).execute(_join("leftouter"))
+        # the probe's matches in probe order (u_key 20, then 10's two rows),
+        # then the unmatched build rows in bucket order, padded with None
+        assert [(row["t_id"], row["u_name"]) for row in rows] == \
+            [(2, "x"), (1, "z"), (3, "z"), (4, None), (5, None)]
+        assert rows == volcano_execute(_join("leftouter"), catalog)
+
+    @staticmethod
+    def _charges(catalog, plan):
+        charged = []
+        with governed(QueryBudget()) as governor:
+            checkpoint = governor.checkpoint
+            governor.checkpoint = lambda rows: charged.append(rows) or checkpoint(rows)
+            VectorizedEngine(catalog).execute(plan)
+        assert governor.stats.checkpoints == len(charged)
+        assert governor.stats.rows_processed == sum(charged)
+        return charged
+
+    def test_one_checkpoint_per_executed_operator(self):
+        plan = qplan.Sort(qplan.Agg(
+            qplan.Project(qplan.Scan("T"), [("t_tag", col("t_tag"))]),
+            [("t_tag", col("t_tag"))], [qplan.AggSpec("count", None, "n")]),
+            [(col("n"), "desc")])
+        # scan, project, agg, sort: each charges its selected rows once
+        assert self._charges(_keyed_catalog(), plan) == [5, 5, 3, 3]
+
+    def test_a_shared_subplan_is_charged_once(self):
+        revenue = qplan.Agg(qplan.Scan("T"), [("t_tag", col("t_tag"))],
+                            [qplan.AggSpec("sum", col("t_val"), "total")])
+        top = qplan.Agg(revenue, [], [qplan.AggSpec("max", col("total"), "best")])
+        plan = qplan.Select(qplan.HashJoin(revenue, top, lit(0), lit(0)),
+                            col("total") == col("best"))
+        assert qplan.shared_subplan_fingerprints(plan)
+        # scan and revenue once, top (over the replayed revenue), join, select
+        assert self._charges(_keyed_catalog(), plan) == [5, 3, 1, 3, 1]
 
 
 class TestDictionaryCodePredicates:

@@ -34,7 +34,6 @@ from repro.codegen.compiler import QueryCompiler
 from repro.codegen.unparser import PythonUnparser
 from repro.dsl import qplan as Q
 from repro.dsl.expr import col, lit
-from repro.engine.vectorized import VectorizedEngine
 from repro.engine.volcano import execute
 from repro.ir import IRBuilder, make_program
 from repro.ir.nodes import Const, Sym
@@ -369,10 +368,8 @@ class TestAggregateDifferential:
         """The vectorized engine and each configuration, planner off and on,
         run twice from one ``prepare`` (so no group state survives a run),
         give exactly Volcano's values; an empty input folds to one row
-        globally and to none when grouped.  The vectorized engine also runs
-        in batches of 1 and 3 rows, so a group's accumulator is carried
-        from batch to batch.  ``alone`` folds that one aggregate instead of
-        all of them."""
+        globally and to none when grouped.  ``alone`` folds that one
+        aggregate instead of all of them."""
         catalog = make_agg_catalog(rows)
         specs = [spec for spec in AGG_SPECS if alone in (None, spec.name)]
         plan = Q.Agg(Q.Select(Q.Scan("t"), col("d") >= threshold), AGG_KEYS[keys], specs)
@@ -388,10 +385,6 @@ class TestAggregateDifferential:
                 for _ in range(2):
                     assert canon(run()) == canon(expected), \
                         (engine, planned is not plan, expected)
-            for batch_size in (1, 3):
-                rows = VectorizedEngine(catalog, batch_size=batch_size).execute(planned)
-                assert canon(rows) == canon(expected), \
-                    ("vectorized", batch_size, planned is not plan, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from repro.dsl import qplan as Q
 from repro.dsl.expr import BinOp, Col, col, columns_used, lit
 from repro.engine.volcano import execute as volcano_execute
-from repro.engine.vectorized import execute as vectorized_execute
+from repro.engine.vectorized import VectorizedEngine
 from repro.planner import (BuildSideSwap, CardinalityEstimator, ConstantFolding,
                            Planner, PlannerContext, PlannerError, PlannerOptions,
                            PlanRule, PredicatePushdown, apply_rules_fixpoint,
@@ -27,8 +27,8 @@ def assert_parity(raw, optimized, catalog, ordered=True):
     opt_rows = volcano_execute(optimized, catalog)
     if ordered:
         assert opt_rows == raw_rows
-        assert vectorized_execute(optimized, catalog) == \
-            vectorized_execute(raw, catalog)
+        engine = VectorizedEngine(catalog)
+        assert engine.execute(optimized) == engine.execute(raw)
     else:
         key = lambda rows: sorted(sorted(r.items()) for r in rows)
         assert key(opt_rows) == key(raw_rows)

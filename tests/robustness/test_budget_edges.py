@@ -53,11 +53,10 @@ class TestZeroTimeoutBudget:
         _assert_populated(info.value)
         assert info.value.stats.rows_processed == 1
 
-    def test_vectorized_trips_at_first_batch(self, tiny_catalog):
+    def test_vectorized_trips_at_first_operator(self, tiny_catalog):
         with governed(QueryBudget(timeout_seconds=0.0, check_interval=1)):
             with pytest.raises(BudgetExceeded) as info:
-                VectorizedEngine(tiny_catalog, batch_size=2).execute(
-                    _scan_plan())
+                VectorizedEngine(tiny_catalog).execute(_scan_plan())
         _assert_populated(info.value)
         assert info.value.stats.checkpoints >= 1
 

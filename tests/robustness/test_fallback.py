@@ -119,7 +119,6 @@ class TestCleanExecution:
         assert report.tier == "compiled"
         assert report.plan_mode == "access"
         assert report.attempts == []
-        assert not report.degraded
         assert_rows_equivalent(
             VolcanoEngine(tiny_catalog).execute(_select_plan()), report.rows)
         assert len(executor.incidents) == 0
@@ -160,7 +159,6 @@ class TestTierDegradation:
         with inject(faults):
             report = executor.execute(_select_plan(), "deg_q")
         assert report.tier == "vectorized"
-        assert report.degraded
         assert [a["tier"] for a in report.attempts] == ["compiled"]
         assert report.attempts[0]["error_type"] == "EngineFault"
         assert_rows_equivalent(reference, report.rows)

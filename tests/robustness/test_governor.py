@@ -125,15 +125,16 @@ class TestEngineCancellation:
                 engine.execute(_scan_plan())
         assert info.value.stats.rows_processed == 1
 
-    def test_vectorized_trips_at_the_first_batch(self, tiny_catalog):
-        engine = VectorizedEngine(tiny_catalog, batch_size=2)
+    def test_vectorized_trips_at_the_first_operator(self, tiny_catalog):
+        engine = VectorizedEngine(tiny_catalog)
         with governed(QueryBudget(timeout_seconds=0.0, check_interval=1000)):
             with pytest.raises(BudgetExceeded) as info:
                 engine.execute(_scan_plan())
-        # batch boundaries are the checkpoints, and a checkpoint always
-        # reads the clock: the trip lands on the first batch (2 rows)
+        # each executed operator is one checkpoint, and a checkpoint always
+        # reads the clock: the trip lands on the first operator, the filtered
+        # scan, with all 6 of its rows charged
         assert info.value.stats.checkpoints == 1
-        assert info.value.stats.rows_processed <= 2
+        assert info.value.stats.rows_processed == 6
 
     def test_vectorized_timeout(self, tiny_catalog):
         engine = VectorizedEngine(tiny_catalog)

@@ -13,23 +13,27 @@ exempt: they are how tests substitute fakes for time.
 
 Covered are the hardening layer (:class:`QueryBudget`,
 :class:`HardenedExecutor`, :class:`CircuitBreaker`, :class:`IncidentLog`),
-the harness, the two fixpoint drivers, plan pruning and the access layer's
-pruning and dense-key tests.  The scan sees keyword arguments only, so a
-callable whose option some caller passes by position stays uncovered
-(``draw_texts``, whose ``marker`` ``_texts`` passes positionally).
+the harness, the two direct engines, the two fixpoint drivers, plan pruning
+and the access layer's pruning and dense-key tests.  The scan sees keyword
+arguments only, so a callable whose option some caller passes by position
+stays uncovered (``draw_texts``, whose ``marker`` ``_texts`` passes
+positionally).
 
-Like ``tests/test_every_definition_is_referenced.py`` the scan is on text: a
-keyword argument is the name right after ``(`` or ``,`` and before a single
-``=``, so a call spread over lines counts, and so does ``replace(budget,
-timeout_seconds=...)``.
+The scan reads the keyword arguments of the ``ast.Call`` nodes, so a call
+spread over lines counts, and so does ``replace(budget,
+timeout_seconds=...)``; a tuple assignment (``lo, hi = ...``) or a
+parameter default (``def g(a, limit=3)``) passes nothing.
 """
+import ast
+import functools
 import inspect
-import re
 from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import BenchmarkHarness
+from repro.engine.vectorized import VectorizedEngine
+from repro.engine.volcano import VolcanoEngine
 from repro.planner.pruning import prune_plan
 from repro.planner.rewrite import apply_rules_fixpoint
 from repro.robustness.fallback import CircuitBreaker, HardenedExecutor
@@ -43,8 +47,9 @@ ROOT = Path(__file__).resolve().parents[2]
 CALLERS = ("src", "servebench", "benchmarks", "examples")
 SEAMS = {"sleep", "clock"}
 COVERED = (QueryBudget, HardenedExecutor, CircuitBreaker, IncidentLog,
-           BenchmarkHarness, apply_fixpoint, apply_rules_fixpoint, prune_plan,
-           AccessLayer.prune_candidates, ColumnStatistics.is_dense_key)
+           BenchmarkHarness, VectorizedEngine, VolcanoEngine, apply_fixpoint,
+           apply_rules_fixpoint, prune_plan, AccessLayer.prune_candidates,
+           ColumnStatistics.is_dense_key)
 
 
 def _options(covered):
@@ -52,10 +57,23 @@ def _options(covered):
             if parameter.default is not inspect.Parameter.empty]
 
 
+def _keywords(source):
+    """The names ``source`` passes as keyword arguments of a call."""
+    return {keyword.arg for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg is not None}
+
+
+@functools.lru_cache(maxsize=None)
 def _passed_by_name():
-    text = "\n".join(path.read_text() for top in CALLERS
-                     for path in sorted((ROOT / top).rglob("*.py")))
-    return set(re.findall(r"[(,]\s*([A-Za-z_]\w*)\s*=(?!=)", text))
+    return set().union(*(_keywords(path.read_text()) for top in CALLERS
+                         for path in sorted((ROOT / top).rglob("*.py"))))
+
+
+def test_only_a_call_passes_a_name():
+    assert _keywords("lo, hi = f()\ndef g(a, limit=3):\n    return a\n") == set()
+    assert _keywords("replace(budget,\n        timeout_seconds=0.5)\n"
+                     "f(**options, width=2)\n") == {"timeout_seconds", "width"}
 
 
 @pytest.mark.parametrize("covered", COVERED, ids=lambda covered: covered.__qualname__)
@@ -75,6 +93,8 @@ def test_the_seams_are_the_only_unset_options():
                        "CircuitBreaker": ["clock"],
                        "IncidentLog": ["clock"],
                        "BenchmarkHarness": ["repetitions", "engines"],
+                       "VectorizedEngine": [],
+                       "VolcanoEngine": [],
                        "apply_fixpoint": ["observer"],
                        "apply_rules_fixpoint": [],
                        "prune_plan": ["prune_projections", "prune_aggregates"],

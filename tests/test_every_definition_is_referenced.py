@@ -11,10 +11,11 @@ or ``examples/`` — two unused methods of one name do not vouch for each
 other.  A mention under ``tests/`` does not count: a test is not a caller,
 and a helper only tests reach belongs in ``tests/`` or nowhere.
 
-The match is on text, not on AST names: the unparser calls ``_rt.*`` runtime
-helpers from inside f-strings, which an AST scan would not see.  A mention in
-a comment or string therefore counts, and so does a re-export in an
-``__init__``.
+A mention is a name token of the code, or an identifier-shaped word inside
+a string literal that is not a docstring: the unparser calls ``_rt.*``
+runtime helpers from inside f-strings, which the code's names would not
+show.  A comment or a docstring is not a caller, so a mention there does not
+count; a re-export in an ``__init__`` does.
 
 Some passes stay although no planned TPC-H query makes them fire, and that
 is deliberate: ``UnusedFieldRemoval`` is in stacks, and Table 4 counts its
@@ -24,7 +25,10 @@ reason; an exemption that something outside ``tests/`` (other than a
 definition or an ``__init__`` re-export) has come to mention must go.
 """
 import ast
+import functools
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -46,6 +50,16 @@ EXEMPT = {
     "reset_symbol_counter": "determinism seam: symbol names come from a "
                             "process-wide counter, and comparing generated "
                             "source byte for byte needs it reset",
+    "health": "lifecycle probe: the server's liveness answer, which a "
+              "process supervisor reads and no in-process caller does",
+    "readiness": "lifecycle probe: whether new requests are admitted now, "
+                 "which a load balancer reads and no in-process caller does",
+    "exact_order": "the row-order-preserving planner preset the parity "
+                   "suites and ROADMAP direction 2 compare the full rule "
+                   "set against",
+    "prune_candidates": "the sample-gated candidate list, which the pruning "
+                        "suites test apart from pruned_indices' fallback to "
+                        "every row",
 }
 
 
@@ -70,6 +84,32 @@ def _definitions(tree):
             yield from assigned(node)
 
 
+def _docstrings(tree):
+    """The ``(line, column)`` starts of the docstrings of one module."""
+    owners = [tree] + [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return {(first.lineno, first.col_offset) for first in
+            (owner.body[0] for owner in owners if owner.body)
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)}
+
+
+#: the token kinds whose text is string content (f-string pieces on 3.12+)
+STRING_KINDS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def _mentions(source):
+    """``(line, name)`` of each mention in one file: a name token, or an
+    identifier-shaped word in a string literal that is not a docstring."""
+    docstrings = _docstrings(ast.parse(source))
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            yield token.start[0], token.string
+        elif token.type in STRING_KINDS and token.start not in docstrings:
+            for name in TOKEN.findall(token.string):
+                yield token.start[0], name
+
+
 def _tokens(skip_init=False):
     """``(path, line, name) -> occurrences`` over the searched files."""
     tokens = Counter()
@@ -77,9 +117,8 @@ def _tokens(skip_init=False):
         for path in sorted((ROOT / top).rglob("*.py")):
             if skip_init and path.name == "__init__.py":
                 continue
-            for line_no, line in enumerate(path.read_text().splitlines(), 1):
-                for name in TOKEN.findall(line):
-                    tokens[path, line_no, name] += 1
+            for line_no, name in _mentions(path.read_text()):
+                tokens[path, line_no, name] += 1
     return tokens
 
 
@@ -93,6 +132,7 @@ def _covered():
     return definitions
 
 
+@functools.lru_cache(maxsize=None)
 def unreferenced(skip_init=False):
     """``path:line name`` of each covered definition with no other mention."""
     tokens, definitions = _tokens(skip_init), _covered()
@@ -105,6 +145,17 @@ def unreferenced(skip_init=False):
     return [f"{path.relative_to(ROOT)}:{line_no} {name}"
             for (path, line_no, name) in sorted(definitions)
             if totals[name] <= defined_at[name]]
+
+
+def test_a_comment_or_docstring_mentions_nothing():
+    source = ('"""Module text names alpha."""\n'
+              '# a comment names beta\n'
+              'def g(y):\n'
+              '    """Function text names epsilon."""\n'
+              '    return f"{_rt.gamma(y)}" + "delta"\n')
+    names = {name for _, name in _mentions(source)}
+    assert {"g", "y", "_rt", "gamma", "delta"} <= names
+    assert not {"alpha", "beta", "epsilon"} & names
 
 
 def test_every_public_definition_in_src_is_referenced():
