@@ -12,7 +12,7 @@ A small standalone driver (no pytest) used by CI and by hand::
 
 For every query it optimizes the plan twice against one shared (warm)
 catalog — once with the default planner (access paths on: ``PrunedScan``
-zone-map/candidate-list pruning, ``IndexJoin`` over the load-time PK indices,
+candidate-list pruning, ``IndexJoin`` over the load-time PK indices,
 dictionary-encoded string predicates) and once with
 ``PlannerOptions.no_access_paths()`` (every logical rule, no physical
 selection) — and times both on the same engine(s).  ``--engines`` accepts

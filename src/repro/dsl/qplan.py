@@ -134,10 +134,10 @@ class PrunedScan(Select):
     column against a literal, as ``(column, op, literal)`` triples with
     ``op`` drawn from :data:`PrunedScan.FILTER_OPS` (``prefix`` encodes
     ``LIKE 'p%'``).  The
-    catalog's access layer turns those into skipped chunks (zone maps) or a
-    candidate row slice (sorted-column partition pruning); the full predicate
-    is still evaluated on every surviving row, so the hints can only skip
-    rows the predicate would reject anyway.
+    catalog's access layer turns those into a candidate row list (a sorted
+    column clipped by bisection, a selective filtered pass over the rest);
+    the full predicate is still evaluated on every surviving row, so the
+    hints can only skip rows the predicate would reject anyway.
     """
 
     #: operators a zone filter may carry

@@ -218,9 +218,9 @@ class VectorizedEngine:
         """A filter fused onto a base-table scan.
 
         Zone filters (when present) shrink the evaluated index set through
-        the access layer — sorted-column candidate slices or zone-map chunk
-        ranges — and dictionary-encoded string columns rewrite the predicate
-        to integer code comparisons.  Both legs only ever narrow *which* rows
+        the access layer — a sorted-column slice or a selective filter's
+        candidate list — and dictionary-encoded string columns rewrite the
+        predicate to integer code comparisons.  Both legs only ever narrow *which* rows
         the (full) predicate is evaluated on, so the surviving selection
         vector is identical to the unpruned filter, in the same (ascending)
         order, over the same zero-copy columns.

@@ -5,8 +5,8 @@ physical counterparts (:mod:`repro.storage.access`):
 
 * **PrunedScanSelection** — ``Select`` directly over a ``Scan`` becomes a
   :class:`~repro.dsl.qplan.PrunedScan` carrying the predicate's prunable
-  conjuncts as zone filters, so engines can skip chunks (zone maps) or jump
-  to a candidate row slice (sorted-column partition pruning).
+  conjuncts as zone filters, so engines can jump to a candidate row list
+  (sorted-column partition pruning, a selective filtered pass).
 * **IndexJoinSelection** — a hash join whose build side is a bare scan keyed
   on the scanned table's unique, dense single-column primary key becomes an
   :class:`~repro.dsl.qplan.IndexJoin`: its build is the key's load-time

@@ -45,7 +45,7 @@ class CardinalityEstimator:
         """Column statistics indexed by (globally unique) column name.
 
         Delegates to :meth:`repro.storage.statistics.Statistics.columns_by_name`
-        — each column's summaries (min/max, distinct counts, zone maps) are
+        — each column's summaries (min/max, distinct counts) are
         computed on their first read; the estimator only caches the name index.
         """
         if self._column_stats is None:

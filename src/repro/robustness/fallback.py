@@ -7,7 +7,7 @@ this repository already has, degrading on failure along two axes:
   interpreter (``ENGINE_TIERS``, always all three).  Any engine failure
   moves to the next tier.
 * **plan mode** — access-path plan → re-planned without ``access_rules``.
-  Access-layer failures (missing index, corrupted zone map —
+  Access-layer failures (missing index, corrupted candidate list —
   :class:`~repro.storage.access.AccessError` and
   :class:`~repro.robustness.faults.DataCorruptionFault`) degrade the plan
   instead of the engine: the same tier retries on a plan that no longer

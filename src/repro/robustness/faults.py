@@ -22,7 +22,7 @@ site                             planted in
 ===============================  ================================================
 ``access.key_index``             ``storage/access.py`` — missing/broken key index
 ``access.partition``             ``storage/access.py`` — broken partition index
-``access.zone_map``              ``storage/access.py`` — corrupted zone map
+``access.zone_map``              ``storage/access.py`` — corrupted candidate list
 ``catalog.table``                ``storage/catalog.py`` — transient catalog fault
 ``compiler.compile``             ``codegen/compiler.py`` — compile-time exception
 ``engine.volcano.operator``      ``engine/volcano.py`` — mid-query operator error
@@ -83,7 +83,7 @@ class EngineFault(InjectedFault):
 
 
 class DataCorruptionFault(InjectedFault):
-    """An access structure (zone map, index) found in a corrupted state."""
+    """An access structure (candidate list, index) found in a corrupted state."""
 
 
 @dataclass

@@ -287,6 +287,10 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    # The dispatcher holds admitted requests until a window slot frees: handed
+    # straight to the pool, every worker would run at once and starve the
+    # event loop of the GIL, so responses reach their callers long after
+    # their deadlines.
     async def _dispatch_loop(self) -> None:
         wake, loop = self._wake, self._loop
         assert wake is not None and loop is not None

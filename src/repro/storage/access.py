@@ -20,13 +20,10 @@ column values only.  The structures:
   request.  Positions, not copied records, so one index per ``(table,
   column)`` serves every payload set of every query; the compiled stacks
   fetch it in ``prepare`` and read payload columns through it.
-* **Zone maps + candidate lists**
-  (:meth:`AccessLayer.chunk_ranges`, :meth:`AccessLayer.prune_candidates`) —
-  range predicates on a column skip whole chunks via the load-time zone maps
-  (:class:`repro.storage.statistics.ColumnZoneMap`), a column stored sorted
-  clips the row range by bisection, and a selective filter on an unclustered
-  column becomes a candidate list by one filtered pass over the admitted
-  chunks.  Only the list is kept (memoized by
+* **Candidate lists** (:meth:`AccessLayer.prune_candidates`) — under range
+  predicates a column stored sorted clips the row range by bisection, and a
+  selective filter on an unclustered column becomes a candidate list by one
+  filtered pass over the clipped range.  Only the list is kept (memoized by
   :meth:`AccessLayer.pruned_indices`); no sorted copy or permutation of a
   column is.
 * **Dictionary-encoded strings** (:meth:`AccessLayer.dictionary`,
@@ -69,7 +66,7 @@ import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..concurrency import guarded_by
@@ -228,18 +225,6 @@ class _Bounds:
                 self.tighten("<", successor)
         else:  # pragma: no cover - guarded by extract_zone_filters
             raise AccessError(f"unknown zone-filter operator {op!r}")
-
-    def admits_chunk(self, chunk_min: Any, chunk_max: Any) -> bool:
-        """Whether any value in ``[chunk_min, chunk_max]`` can satisfy the bounds."""
-        if self.lo is not None:
-            value, strict = self.lo
-            if chunk_max < value or (strict and chunk_max <= value):
-                return False
-        if self.hi is not None:
-            value, strict = self.hi
-            if chunk_min > value or (strict and chunk_min >= value):
-                return False
-        return True
 
 
 def _tighter_lo(candidate: Tuple[Any, bool], current: Tuple[Any, bool]) -> bool:
@@ -721,9 +706,9 @@ class AccessLayer:
         if stats.num_distinct > _MAX_DICTIONARY_SIZE or stats.is_near_unique:
             return None
         # the load pass answered this: min() over a column raises for a None
-        # or a mix of types, leaving no zone map, so a str minimum means
-        # every value is a str
-        if stats.zone_map is None or not isinstance(stats.min_value, str):
+        # or a mix of types, leaving no minimum, so a str minimum means every
+        # value is a str
+        if not isinstance(stats.min_value, str):
             return None
         values = self.catalog.column(table, column)
         self._count_build("dictionary", table, column)
@@ -742,12 +727,12 @@ class AccessLayer:
         Exactly the rows that pass the filters of every zoned column (one
         whose values are mutually comparable; a literal they cannot be
         compared with is skipped): a column stored sorted clips the row
-        range by bisection, and the rows left in it, read only in the chunks
-        the zone maps admit, get one filtered pass over the other columns.
-        A ``range`` when nothing but the clip prunes, else a list drawn from
-        the position pool.  The :data:`_MAX_PRUNE_FRACTION` gate is read off
-        a sample of the same test before any list is built; the caller still
-        evaluates the full predicate on the survivors.
+        range by bisection, and the rows left in it get one filtered pass
+        over the other columns.  A ``range`` when nothing but the clip
+        prunes, else a list drawn from the position pool.  The
+        :data:`_MAX_PRUNE_FRACTION` gate is read off a sample of the same
+        test before any list is built; the caller still evaluates the full
+        predicate on the survivors.
         """
         with self._lock:
             return self._prune_candidates(table, filters)
@@ -757,12 +742,12 @@ class AccessLayer:
         num_rows = self.catalog.size(table)
         if num_rows == 0:
             return None
-        lo, hi, zoned = 0, num_rows, []
+        lo, hi, zoned = 0, num_rows, False
         tests: List[_RowTest] = []
         for column, bounds in _bounds_per_column(filters).items():
             stats = self._column_stats(table, column)
-            if stats is None or stats.zone_map is None:
-                continue  # no zone map means the values are not comparable
+            if stats is None or stats.min_value is None:
+                continue  # no minimum means the values are not comparable
             values = self.catalog.column(table, column)
             try:
                 if stats.sorted_ascending:
@@ -775,7 +760,7 @@ class AccessLayer:
                     tests.append(test)
             except TypeError:
                 continue  # filter literal not comparable to the column values
-            zoned.append(column)
+            zoned = True
         if not zoned:
             return None
         span = max(0, hi - lo)
@@ -789,50 +774,13 @@ class AccessLayer:
         if len(passing) * span > _MAX_PRUNE_FRACTION * num_rows * len(sample):
             return None
         if stride > 1:
-            admitted = self.chunk_ranges(
-                table, [entry for entry in filters if entry[0] in zoned])
-            passing = _passing(chain.from_iterable(
-                pool[max(start, lo):min(stop, hi)] for start, stop in admitted), tests)
+            passing = _passing(islice(pool, lo, lo + span), tests)
         return range(lo, lo + span) if len(passing) == span else passing
-
-    def chunk_ranges(self, table: str,
-                     filters: Sequence[ZoneFilter]) -> List[Tuple[int, int]]:
-        """Row ranges whose zone maps admit ``filters`` (adjacent chunks are
-        merged); ``[(0, num_rows)]`` when nothing can be skipped."""
-        num_rows = self.catalog.size(table)
-        per_column = _bounds_per_column(filters)
-        zoned = []
-        for column, bounds in per_column.items():
-            stats = self._column_stats(table, column)
-            if stats is not None and stats.zone_map is not None:
-                zoned.append((stats.zone_map, bounds))
-        if not zoned or num_rows == 0:
-            return [(0, num_rows)]
-        ranges: List[Tuple[int, int]] = []
-        num_chunks = zoned[0][0].num_chunks
-        for chunk in range(num_chunks):
-            admitted = True
-            for zone_map, bounds in zoned:
-                try:
-                    if not bounds.admits_chunk(zone_map.mins[chunk],
-                                               zone_map.maxs[chunk]):
-                        admitted = False
-                        break
-                except TypeError:
-                    continue  # incomparable literal: the zone cannot reject
-            if not admitted:
-                continue
-            start, stop = zoned[0][0].chunk_span(chunk, num_rows)
-            if ranges and ranges[-1][1] == start:
-                ranges[-1] = (ranges[-1][0], stop)
-            else:
-                ranges.append((start, stop))
-        return ranges
 
     def pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
         """The best available candidate-row sequence for a pruned scan:
-        the candidate list when selective, else the zone-map-surviving
-        chunk ranges, else every row — ascending and reiterable.
+        the candidate list when selective, else every row — ascending and
+        reiterable.
 
         Memoized per ``(table, filters)`` once asked for twice, so the
         repeated-query regime pays the filtered pass once and a plan that
@@ -874,14 +822,9 @@ class AccessLayer:
     @guarded_by("_lock")
     def _compute_pruned_indices(self, table: str, filters: Sequence[ZoneFilter]):
         candidates = self._prune_candidates(table, filters)
-        if candidates is not None:
-            return candidates
-        num_rows = self.catalog.size(table)
-        ranges = self.chunk_ranges(table, filters)
-        if ranges == [(0, num_rows)]:
-            return range(num_rows)
-        pool = self._pool(num_rows)
-        return list(chain.from_iterable(pool[start:stop] for start, stop in ranges))
+        if candidates is None:
+            return range(self.catalog.size(table))
+        return candidates
 
 
 @dataclass

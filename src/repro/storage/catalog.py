@@ -74,8 +74,8 @@ class Catalog:
     # Physical access layer
     # ------------------------------------------------------------------
     def access_layer(self):
-        """The catalog's physical access layer (PK direct arrays, zone-map
-        pruning, string dictionaries), created on first use and memoized for
+        """The catalog's physical access layer (PK direct arrays, candidate
+        lists, string dictionaries), created on first use and memoized for
         the catalog's lifetime — see :mod:`repro.storage.access`."""
         from .access import AccessLayer
         return AccessLayer.for_catalog(self)

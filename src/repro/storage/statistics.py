@@ -6,31 +6,24 @@ and key ranges: how large to pre-allocate pools, whether a key column is dense
 enough to be backed by a direct array, how many distinct groups an aggregation
 may produce.  :meth:`repro.storage.catalog.Catalog.register` calls
 :func:`compute_table_statistics` for every loaded table, which reads no row:
-a column's load pass (min/max, NULL count, sortedness, zone map) and its
-distinct count are each taken on their first read, so only the columns a plan
-touches are ever scanned (:class:`ColumnStatistics`).
+a column's load pass (min/max, NULL count, sortedness) and its distinct count
+are each taken on their first read, so only the columns a plan touches are
+ever scanned (:class:`ColumnStatistics`).
 
-Beyond the scalar summaries, every column also gets a **zone map**
-(:class:`ColumnZoneMap`): per-chunk minima and maxima over fixed-size row
-chunks, plus a sortedness flag.  The physical access layer
-(:mod:`repro.storage.access`) consumes these to skip whole chunks under range
-predicates, and the planner's cardinality model reads the same min/max
-numbers for range-selectivity interpolation — one pass feeds both, instead
-of each consumer re-deriving its own summaries.
+The same min/max numbers feed the planner's range-selectivity interpolation
+and the physical access layer (:mod:`repro.storage.access`), which clips a
+column stored sorted by bisection — one pass feeds every consumer, instead of
+each re-deriving its own summaries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import islice
 from operator import le
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .layouts import ColumnarTable
-
-#: rows per zone-map chunk; small enough that clustered predicates skip
-#: meaningful fractions at test scale factors, large enough that the per-chunk
-#: bookkeeping stays negligible against the rows it summarises
-ZONE_CHUNK_ROWS = 2048
 
 #: distinct values per row above which a column counts as near-unique
 NEAR_UNIQUE_SHARE = 0.8
@@ -38,29 +31,6 @@ NEAR_UNIQUE_SHARE = 0.8
 #: how many times its distinct count a key's value range may span for a
 #: direct array indexed by value to count as dense
 DENSE_KEY_SLACK = 4.0
-
-
-@dataclass
-class ColumnZoneMap:
-    """Per-chunk min/max summaries of one column (the classic zone map).
-
-    ``mins[k]`` / ``maxs[k]`` summarise rows ``[k*chunk_rows, (k+1)*chunk_rows)``.
-    Only built for columns whose values are mutually comparable; heterogenous
-    columns get no zone map at all rather than a partial one.
-    """
-
-    chunk_rows: int
-    mins: List[Any]
-    maxs: List[Any]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.mins)
-
-    def chunk_span(self, chunk: int, num_rows: int) -> Tuple[int, int]:
-        """The ``[start, stop)`` row range summarised by ``chunk``."""
-        start = chunk * self.chunk_rows
-        return start, min(start + self.chunk_rows, num_rows)
 
 
 @dataclass(init=False, eq=False)
@@ -80,7 +50,7 @@ class ColumnStatistics:
 
     #: the fields one load pass over a column fills (:func:`_load_pass`)
     LOAD_PASS_FIELDS = ("num_nulls", "min_value", "max_value",
-                        "sorted_ascending", "zone_map")
+                        "sorted_ascending")
 
     name: str
     num_rows: int
@@ -91,43 +61,35 @@ class ColumnStatistics:
     max_value: Optional[Any]
     #: whether the stored values are non-decreasing in row order (a clustered
     #: column); sorted columns let range predicates prune to one contiguous
-    #: row range without consulting the per-chunk zone map
+    #: row range by bisection
     sorted_ascending: bool
-    #: per-chunk min/max summaries (``None`` for incomparable value mixes)
-    zone_map: Optional[ColumnZoneMap]
 
     def __init__(self, name: str, num_rows: int = 0, num_distinct: int = 0,
                  num_nulls: int = 0, min_value: Optional[Any] = None,
                  max_value: Optional[Any] = None, sorted_ascending: bool = False,
-                 zone_map: Optional[ColumnZoneMap] = None,
-                 read: Optional[Callable[[], Sequence[Any]]] = None,
-                 chunk_rows: int = ZONE_CHUNK_ROWS) -> None:
+                 read: Optional[Callable[[], Sequence[Any]]] = None) -> None:
         self.name = name
         self.num_rows = num_rows
         #: returns the column the memos are still to be filled from
         self._read = read
-        #: rows per zone-map chunk of the load pass still to run (``None``
-        #: once it ran), and the distinct count (``None`` until counted)
-        self._chunk_rows: Optional[int] = chunk_rows
+        #: the distinct count (``None`` until counted)
         self._num_distinct: Optional[int] = None
         if read is None:
-            self._chunk_rows, self._num_distinct = None, num_distinct
+            self._num_distinct = num_distinct
             self.num_nulls = num_nulls
             self.min_value = min_value
             self.max_value = max_value
             self.sorted_ascending = sorted_ascending
-            self.zone_map = zone_map
 
     def __getattr__(self, name: str) -> Any:
-        """Run the load pass on the first miss of any of its fields."""
+        """Run the load pass on the first miss of any of its fields (a field
+        missing from the instance is a pass still to run)."""
         if name not in self.LOAD_PASS_FIELDS:
             raise AttributeError(name)
-        chunk_rows, read = self._chunk_rows, self._read
-        if chunk_rows is not None and read is not None:
-            for field_name, value in zip(self.LOAD_PASS_FIELDS,
-                                         _load_pass(read(), chunk_rows)):
+        read = self._read
+        if read is not None:
+            for field_name, value in zip(self.LOAD_PASS_FIELDS, _load_pass(read())):
                 setattr(self, field_name, value)
-            self._chunk_rows = None
             if self._num_distinct is not None:
                 self._read = None
         return object.__getattribute__(self, name)
@@ -139,7 +101,7 @@ class ColumnStatistics:
         count = self._num_distinct
         if count is None:
             count = self._num_distinct = len(set(read()))
-            if self._chunk_rows is None:
+            if self.LOAD_PASS_FIELDS[-1] in vars(self):
                 self._read = None
         return count
 
@@ -219,12 +181,6 @@ class Statistics:
         table_stats = self.tables.get(table)
         return table_stats is not None and column in table_stats.columns
 
-    def key_range(self, table: str, column: str) -> Optional[tuple]:
-        stats = self.column(table, column)
-        if stats.min_value is None:
-            return None
-        return (stats.min_value, stats.max_value)
-
     def columns_by_name(self) -> Dict[str, ColumnStatistics]:
         """Column statistics keyed by (globally unique) column name.
 
@@ -241,32 +197,17 @@ class Statistics:
         return merged
 
 
-def _load_pass(values, chunk_rows: int) -> Tuple[Any, ...]:
+def _load_pass(values) -> Tuple[Any, ...]:
     """One pass over a column: ``ColumnStatistics.LOAD_PASS_FIELDS``, in order."""
     if len(values) == 0:
-        return 0, None, None, False, None
+        return 0, None, None, False
     num_nulls = sum(1 for value in values if value is None)
-    mins: List[Any] = []
-    maxs: List[Any] = []
-    sorted_ascending = True
     try:
-        previous = None
-        for start in range(0, len(values), chunk_rows):
-            chunk = values[start:start + chunk_rows]
-            low, high = min(chunk), max(chunk)
-            mins.append(low)
-            maxs.append(high)
-            if sorted_ascending:
-                if previous is not None and chunk[0] < previous:
-                    sorted_ascending = False
-                else:
-                    sorted_ascending = all(map(le, chunk, chunk[1:]))
-                previous = chunk[-1]
-        return (num_nulls, min(mins), max(maxs), sorted_ascending,
-                ColumnZoneMap(chunk_rows, mins, maxs))
+        return (num_nulls, min(values), max(values),
+                all(map(le, values, islice(values, 1, None))))
     except TypeError:
         # incomparable value mix (e.g. None among ints): no order summaries
-        return num_nulls, None, None, False, None
+        return num_nulls, None, None, False
 
 
 def compute_table_statistics(table: ColumnarTable) -> TableStatistics:

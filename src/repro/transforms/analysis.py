@@ -1,14 +1,13 @@
 """Shared program-analysis helpers for the IR-level transformations.
 
-``definition_map`` and ``use_counts`` used to rebuild their maps on every
-call, once per pass per fixpoint iteration.  They now delegate to the
-memoized use-def facts of the dataflow framework
-(:func:`repro.analysis.dataflow.use_def`): the maps are computed once per
-program object, kept across the passes that return the program unchanged,
-and invalidated automatically on rewrite, because a transformation that
-changes anything builds a *new* :class:`~repro.ir.nodes.Program`.  Treat the
-returned maps as read-only — they are shared between all passes that ask
-about the same program.
+``definition_map`` used to rebuild its map on every call, once per pass per
+fixpoint iteration.  It now delegates to the memoized use-def facts of the
+dataflow framework (:func:`repro.analysis.dataflow.use_def`): the map is
+computed once per program object, kept across the passes that return the
+program unchanged, and invalidated automatically on rewrite, because a
+transformation that changes anything builds a *new*
+:class:`~repro.ir.nodes.Program`.  Treat the returned map as read-only — it
+is shared between all passes that ask about the same program.
 """
 from __future__ import annotations
 
@@ -21,11 +20,6 @@ from ..ir.nodes import Atom, Program, Stmt, Sym
 def definition_map(program: Program) -> Dict[int, Stmt]:
     """Map every symbol id to the statement defining it (memoized; read-only)."""
     return use_def(program).defs
-
-
-def use_counts(program: Program) -> Dict[int, int]:
-    """How often each symbol is referenced as argument or result (memoized)."""
-    return use_def(program).uses
 
 
 def trace_to_table_column(atom: Atom, defs: Dict[int, Stmt]) -> Optional[tuple]:

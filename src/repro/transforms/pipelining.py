@@ -317,8 +317,8 @@ class _PushCompiler:
     def _pruned_scan(self, node: Q.PrunedScan, consume: Consumer) -> None:
         """``Select(Scan)`` served by the catalog's partition pruning.
 
-        The candidate row positions — a sorted-column slice or the
-        zone-map-surviving chunks, memoized on the catalog's access layer —
+        The candidate row positions — a sorted-column slice or a selective
+        filter's candidate list, memoized on the catalog's access layer —
         are fetched once at data-loading time (the hoisted block); the query
         body loops over candidates only and still evaluates the full
         predicate on each, so rows and emission order are exactly those of

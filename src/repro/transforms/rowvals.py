@@ -114,9 +114,6 @@ class RowVals:
             return list(self._record_fields)
         return list(self._values)
 
-    def has(self, name: str) -> bool:
-        return name in self._values or name in self._record_fields
-
     def get(self, name: str) -> Atom:
         """The atom holding column ``name`` (reads through the backing if needed)."""
         if name in self._values:

@@ -15,13 +15,12 @@ from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable
 from repro.storage.schema import (TableSchema, float_column, int_column,
                                   string_column)
-from repro.storage.statistics import ZONE_CHUNK_ROWS, ColumnStatistics
+from repro.storage.statistics import ColumnStatistics
 
 
-def _column_statistics(values, chunk_rows=ZONE_CHUNK_ROWS):
+def _column_statistics(values):
     """The statistics of one column, read on the first field read."""
-    return ColumnStatistics("c", num_rows=len(values), read=lambda: values,
-                            chunk_rows=chunk_rows)
+    return ColumnStatistics("c", num_rows=len(values), read=lambda: values)
 
 
 def _catalog(rows=None):
@@ -262,8 +261,8 @@ class TestCandidateLists:
                                    int_column("l_down")], primary_key=("l_id",))
         catalog.register(ColumnarTable(schema, {
             "l_id": list(range(n)),                  # clustered
-            "l_mod": [i % 10 for i in range(n)],     # no chunk can be skipped
-            "l_down": list(range(n, 0, -1)),         # unclustered, zoned by chunk
+            "l_mod": [i % 10 for i in range(n)],     # every tenth row per value
+            "l_down": list(range(n, 0, -1)),         # unclustered (descending)
         }))
         return catalog, n
 
@@ -273,9 +272,9 @@ class TestCandidateLists:
             "L", [("l_id", ">=", 3000), ("l_mod", "==", 0)])
         assert candidates == list(range(3000, n, 10))
 
-    def test_only_the_used_columns_zone_maps_skip_chunks(self):
-        """``l_down``'s lower bound alone admits chunk 0 only, but its other
-        literal leaves the column out: every chunk is passed."""
+    def test_an_incomparable_literal_leaves_the_column_out_of_the_pass(self):
+        """``l_down``'s lower bound alone keeps the first 2047 rows, but its
+        other literal leaves the column out: only ``l_mod`` narrows."""
         catalog, n = self._long_catalog()
         candidates = catalog.access_layer().prune_candidates(
             "L", [("l_mod", "==", 0), ("l_down", ">", n - 2048), ("l_down", "<", "z")])
@@ -306,15 +305,15 @@ class TestCandidateLists:
         assert catalog.access_layer().prune_candidates("L", filters) is None
         assert read == [span // access._SAMPLE_STRIDE]
 
-    def test_a_selective_filter_passes_the_admitted_chunks_after_the_sample(
+    def test_a_selective_filter_passes_the_range_after_the_sample(
             self, monkeypatch):
         catalog, n = self._long_catalog()
         read = self._rows_read(monkeypatch)
         candidates = catalog.access_layer().prune_candidates(
             "L", [("l_down", ">", n - 100)])
         assert candidates == list(range(100))
-        # the sample, then chunk 0 only: the other chunks' zone maps exclude it
-        assert read == [n // access._SAMPLE_STRIDE, ZONE_CHUNK_ROWS]
+        # the sample, then one pass over the whole (unclipped) range
+        assert read == [n // access._SAMPLE_STRIDE, n]
 
     def test_a_clip_keeping_more_than_the_fraction_is_not_a_candidate_list(self):
         """The clustered clip of ``l_id`` keeps rows up to
@@ -388,15 +387,6 @@ class TestPruning:
         candidates = layer.prune_candidates(
             "R", [("r_val", ">=", 2.0), ("r_val", "<", 4.0)])
         assert set(candidates) == {2, 3}      # 3.0 and 2.0
-
-    def test_chunk_ranges_skip_on_sorted_columns(self):
-        catalog = Catalog()
-        schema = TableSchema("T", [int_column("t_id")], primary_key=("t_id",))
-        catalog.register(ColumnarTable(schema, {"t_id": list(range(5000))}))
-        ranges = catalog.access_layer().chunk_ranges("T", [("t_id", ">=", 4096)])
-        assert ranges == [(4096, 5000)]
-        # and an impossible filter admits no chunk at all
-        assert catalog.access_layer().chunk_ranges("T", [("t_id", ">", 9999)]) == []
 
     def test_pruned_indices_is_memoized(self):
         catalog = _catalog()
@@ -546,31 +536,22 @@ class TestReloadInvalidation:
         assert engine.execute(index_plan) == engine.execute(hash_plan)
 
 
-class TestStatisticsZoneMaps:
-    def test_zone_map_and_sortedness_are_collected_at_load(self):
+class TestStatisticsLoadPass:
+    def test_min_max_and_sortedness_are_collected_at_load(self):
         catalog = _catalog()
         stats = catalog.statistics.column("R", "r_id")
         assert stats.sorted_ascending
         assert stats.is_unique
-        assert stats.zone_map is not None
-        assert stats.zone_map.mins == [10]
-        assert stats.zone_map.maxs == [14]
+        assert (stats.min_value, stats.max_value) == (10, 14)
         val = catalog.statistics.column("R", "r_val")
         assert not val.sorted_ascending
         assert (val.min_value, val.max_value) == (1.0, 5.0)
-
-    def test_chunked_zone_maps(self):
-        stats = _column_statistics(list(range(5000)), chunk_rows=2048)
-        assert stats.zone_map.num_chunks == 3
-        assert stats.zone_map.mins == [0, 2048, 4096]
-        assert stats.zone_map.maxs == [2047, 4095, 4999]
-        assert stats.sorted_ascending
 
     def test_nulls_are_counted_in_the_load_pass(self):
         assert _column_statistics([3, 1, 2, 1]).num_nulls == 0
         nulls = _column_statistics([None, "a", None, "b", None])
         assert nulls.num_nulls == 3 and nulls.num_distinct == 3
-        assert nulls.zone_map is None       # None among strings: no order
+        assert nulls.min_value is None      # None among strings: no order
         assert _column_statistics([None, None]).num_nulls == 2
         # 0 / 0.0 / False / "" are values, not NULLs
         assert _column_statistics([0, 0.0, False]).num_nulls == 0
@@ -583,7 +564,7 @@ class TestStatisticsZoneMaps:
         assert merged["s_id"].num_distinct == 3
 
     def test_date_range_still_interpolates_in_the_estimator(self):
-        # the estimator consumes the same load-time min/max the zone maps use
+        # the estimator consumes the same load-time min/max the pruning uses
         from repro.planner.cardinality import CardinalityEstimator
         from repro.dsl.qplan import Scan, Select
         catalog = _catalog()
@@ -611,7 +592,7 @@ def test_date_literals_prune_like_integers():
 
 
 class TestMultiColumnIntersection:
-    """Conjunctive filters on several zoned/sorted columns intersect their
+    """Conjunctive filters on several sorted/unsorted columns intersect their
     surviving row sets — regression for the single-best-column pruning that
     ignored every other conjunct."""
 
@@ -655,9 +636,9 @@ class TestMultiColumnIntersection:
         assert [i for i in survivors if a[i] < 30 and b[i] < 30] == expected
         assert set(expected) <= set(survivors)
 
-    def test_sorted_slice_intersects_with_other_columns_zone_maps(self):
-        """A sorted column's candidate slice is further cut by the zone maps
-        of a second, unsorted-but-zoned filter column."""
+    def test_sorted_slice_intersects_with_other_columns_filters(self):
+        """A sorted column's candidate slice is further cut by the filter of
+        a second, unsorted column."""
         catalog = Catalog()
         schema = TableSchema("Z", [int_column("z_sorted"), int_column("z_zoned")],
                              primary_key=("z_sorted",))
@@ -669,28 +650,9 @@ class TestMultiColumnIntersection:
         layer = catalog.access_layer()
         filters = (("z_sorted", "<", 3000), ("z_zoned", "==", 0))
         survivors = list(layer.pruned_indices("Z", filters))
-        # the sorted slice alone keeps [0, 3000); chunk 2 (z_zoned == 1)
-        # is rejected by the second column's zone map
+        # the sorted slice alone keeps [0, 3000); the rows from 2048 on
+        # (z_zoned == 1) fail the second column's filter
         assert survivors == list(range(2048))
-
-    def test_chunk_ranges_intersect_across_columns(self):
-        catalog = Catalog()
-        schema = TableSchema("C", [int_column("c_up"), int_column("c_down")],
-                             primary_key=("c_up",))
-        n = 8192
-        catalog.register(ColumnarTable(schema, {
-            "c_up": list(range(n)),
-            "c_down": list(range(n, 0, -1)),
-        }))
-        layer = catalog.access_layer()
-        up = [("c_up", ">=", 2048)]           # chunks 1..3
-        down = [("c_down", ">", n - 4096)]    # rows 0..4095: chunks 0..1
-        up_chunks = layer.chunk_ranges("C", up)
-        down_chunks = layer.chunk_ranges("C", down)
-        both = layer.chunk_ranges("C", up + down)
-        assert both == [(2048, 4096)]
-        assert both[0][1] - both[0][0] < sum(b - a for a, b in up_chunks)
-        assert both[0][1] - both[0][0] < sum(b - a for a, b in down_chunks)
 
 
 #: rows of the table the candidate-memo tests prune

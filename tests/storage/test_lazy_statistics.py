@@ -1,7 +1,7 @@
 """Load-time state is built for what a plan reads.
 
 Registering a table reads none of its rows: a column's load pass (min/max,
-NULL count, sortedness, zone map) runs on the first read of any of those
+NULL count, sortedness) runs on the first read of any of those
 fields, and its distinct count on its own first read.  The load-time access
 paths are the primary-key direct arrays only: a string dictionary waits for
 the first request that reads it.  These tests pin that the lazily read
@@ -22,54 +22,42 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.storage.catalog import Catalog
 from repro.storage.layouts import ColumnarTable, TextColumn
 from repro.storage.schema import TableSchema, int_column, string_column
-from repro.storage.statistics import (ZONE_CHUNK_ROWS, ColumnStatistics,
-                                      ColumnZoneMap, compute_table_statistics)
+from repro.storage.statistics import ColumnStatistics, compute_table_statistics
 from repro.tpch.dbgen import generate_catalog
 
 #: the fields a column's load pass fills together on the first read of any
-LOAD_PASS = ("num_nulls", "min_value", "max_value", "sorted_ascending",
-             "zone_map")
+LOAD_PASS = ("num_nulls", "min_value", "max_value", "sorted_ascending")
 
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def eager_statistics(name, values, chunk_rows):
-    """The reference: every statistic, distinct count included, taken in one
-    eager pass over the column."""
+def eager_statistics(name, values):
+    """The reference: every statistic, distinct count included, taken
+    eagerly over the whole column, comparison by comparison."""
     stats = ColumnStatistics(name=name, num_rows=len(values))
     if not values:
         return stats
     stats = ColumnStatistics(
         name=name, num_rows=len(values), num_distinct=len(set(values)),
         num_nulls=sum(1 for value in values if value is None))
-    chunks = [values[start:start + chunk_rows]
-              for start in range(0, len(values), chunk_rows)]
     try:
-        mins = [min(chunk) for chunk in chunks]
-        maxs = [max(chunk) for chunk in chunks]
-        stats.min_value, stats.max_value = min(mins), max(maxs)
-        stats.sorted_ascending = all(
-            later[0] >= earlier[-1] for earlier, later in zip(chunks, chunks[1:])
-        ) and all(a <= b for chunk in chunks for a, b in zip(chunk, chunk[1:]))
-        stats.zone_map = ColumnZoneMap(chunk_rows, mins, maxs)
+        stats.min_value, stats.max_value = min(values), max(values)
+        stats.sorted_ascending = all(a <= b for a, b in zip(values, values[1:]))
     except TypeError:
-        pass
+        stats.min_value = stats.max_value = None
+        stats.sorted_ascending = False
     return stats
 
 
-def lazy_statistics(values, chunk_rows=ZONE_CHUNK_ROWS) -> ColumnStatistics:
+def lazy_statistics(values) -> ColumnStatistics:
     """The statistics a loader registers for ``values``: nothing read yet."""
-    return ColumnStatistics("c", num_rows=len(values), read=lambda: values,
-                            chunk_rows=chunk_rows)
+    return ColumnStatistics("c", num_rows=len(values), read=lambda: values)
 
 
 def fields(stats: ColumnStatistics):
-    zone_map = stats.zone_map
     return (stats.name, stats.num_rows, stats.num_distinct, stats.num_nulls,
             stats.min_value, stats.max_value, stats.sorted_ascending,
-            None if zone_map is None else
-            (zone_map.chunk_rows, zone_map.mins, zone_map.maxs),
             stats.is_unique, stats.is_near_unique, stats.is_dense_key())
 
 
@@ -80,7 +68,8 @@ columns = st.one_of(
     st.lists(st.one_of(st.none(), small_ints), max_size=50),
     st.lists(st.text("abc", max_size=3), max_size=50).map(sorted),
     st.lists(st.one_of(st.none(), st.text("abc", max_size=3)), max_size=50),
-    # incomparable mix: the zone map's TypeError path
+    st.lists(small_ints, max_size=50).map(lambda values: sorted(values, reverse=True)),
+    # incomparable mix: the load pass's TypeError path
     st.lists(st.one_of(small_ints, st.text("ab", max_size=2)), max_size=50),
     st.lists(st.floats(-5, 5, allow_nan=False), max_size=50),
 )
@@ -88,17 +77,31 @@ columns = st.one_of(
 
 class TestLazyEqualsEager:
     @SETTINGS
-    @given(columns, st.integers(1, 12))
-    def test_every_field(self, values, chunk_rows):
-        lazy = lazy_statistics(values, chunk_rows)
-        assert fields(lazy) == fields(eager_statistics("c", values, chunk_rows))
+    @given(columns)
+    def test_every_field(self, values):
+        assert fields(lazy_statistics(values)) == fields(eager_statistics("c", values))
+
+    @pytest.mark.parametrize("values, expected", [
+        ([], (0, None, None, False)),
+        # one NULL: min() and max() of one value compare nothing
+        ([None], (1, None, None, True)),
+        ([3, "a", 1], (0, None, None, False)),
+        ([None, 2, 1], (1, None, None, False)),
+        ([5, 5, 3, 1], (0, 1, 5, False)),
+        (["a", "b", "b"], (0, "a", "b", True)),
+    ])
+    def test_edge_columns(self, values, expected):
+        lazy = lazy_statistics(values)
+        assert (lazy.num_nulls, lazy.min_value, lazy.max_value,
+                lazy.sorted_ascending) == expected
+        assert fields(lazy) == fields(eager_statistics("c", values))
 
     def test_every_column_of_a_tpch_catalog(self, tpch_catalog):
         for name in tpch_catalog.table_names():
             table = tpch_catalog.table(name)
             lazy = compute_table_statistics(table)
             for column in table.schema.column_names():
-                eager = eager_statistics(column, table.column(column), ZONE_CHUNK_ROWS)
+                eager = eager_statistics(column, table.column(column))
                 assert fields(lazy.column(column)) == fields(eager), column
 
     def test_explicit_statistics_are_the_numbers_given(self):
@@ -110,7 +113,7 @@ class TestLazyEqualsEager:
     def test_racing_first_reads_agree(self):
         """The count and the load pass are lock-free idempotent memos:
         however first reads interleave, every reader of every column sees
-        its one count and its one zone map, and the column is dropped."""
+        its one count and its one load pass, and the column is dropped."""
         columns = [list(range(size)) * 2 for size in range(1, 400)]
         stats = [lazy_statistics(values) for values in columns]
         readers = 4
@@ -121,12 +124,12 @@ class TestLazyEqualsEager:
             barrier.wait(timeout=30)
             for each in stats:
                 if distinct_first:
-                    count, low, zones = \
-                        each.num_distinct, each.min_value, each.zone_map
+                    count, low, high = \
+                        each.num_distinct, each.min_value, each.max_value
                 else:
-                    zones, low, count = \
-                        each.zone_map, each.min_value, each.num_distinct
-                out.append((count, low, zones.mins))
+                    high, low, count = \
+                        each.max_value, each.min_value, each.num_distinct
+                out.append((count, low, high))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -140,7 +143,7 @@ class TestLazyEqualsEager:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert seen == [[(size, 0, [0]) for size in range(1, 400)]] * readers
+        assert seen == [[(size, 0, size - 1) for size in range(1, 400)]] * readers
         assert all(each._read is None for each in stats)
 
 
@@ -298,8 +301,7 @@ class TestRegisterReadsNoRows:
         # the other fields came with it, stored as plain attributes
         assert all(name in vars(stats) for name in LOAD_PASS)
         assert (stats.num_nulls, stats.min_value, stats.max_value,
-                stats.sorted_ascending, stats.zone_map.mins) == \
-            (0, 0, 2999, True, [0, 2048])
+                stats.sorted_ascending) == (0, 0, 2999, True)
         assert column.reads == one_pass and stats._read() is column
         assert stats.num_distinct == 3000 and stats._read is None
         assert column.reads == one_pass + 1

@@ -238,9 +238,9 @@ EXACT_GATE_ROWS = 1024
 
 @st.composite
 def _cases(draw):
-    """Two columns of up to 30 rows or of more than one 2048-row zone chunk
-    (a drawn pattern tiled, stored ascending — clustered — or descending, so
-    that the zone maps skip chunks), a ``None`` in a fifth of them, and 1-4
+    """Two columns of up to 30 rows or of 2049-5000 rows, past the sampled
+    gate (a drawn pattern tiled, stored ascending — clustered, so that the
+    clip bisects — or descending), a ``None`` in a fifth of them, and 1-4
     filters over both whose literals are mostly stored values.  Comparable and
     incomparable literals alike: a string bound on a numeric column must be
     skipped (``prune_candidates`` leaves the column out)."""
@@ -286,11 +286,10 @@ def _two_column_catalog(a, b):
     return catalog
 
 
-def _matching(catalog, table, filters, incomparable_fails=False):
+def _matching(catalog, table, filters):
     """The rows passing every filter on a column without ``None`` whose values
     its literals compare with, written out filter by filter; ``None`` when no
-    filter is on such a column.  With ``incomparable_fails`` a literal the
-    values do not compare with keeps no row instead of being skipped."""
+    filter is on such a column."""
     rows, counted = range(catalog.size(table)), False
     for column in dict.fromkeys(name for name, _, _ in filters):
         values = catalog.column(table, column)
@@ -299,8 +298,6 @@ def _matching(catalog, table, filters, incomparable_fails=False):
             continue
         if any(isinstance(literal, str) != isinstance(values[0], str)
                for _, literal in own):
-            if incomparable_fails:
-                rows = []
             continue
         counted = True
         rows = [row for row in rows if all(
@@ -341,11 +338,8 @@ class TestCandidatesAreTheMatchingRows:
         assert _from_the_pool(layer, indices)
         if candidates is not None:
             assert list(indices) == expected
-        else:   # the chunks the zone maps admit, every row when they admit all
-            assert list(indices) == list(chain.from_iterable(
-                range(start, stop) for start, stop in layer.chunk_ranges("T", filters)))
-            assert set(_matching(catalog, "T", filters, incomparable_fails=True)
-                       or ()) <= set(indices)
+        else:
+            assert indices == range(length)
 
     def test_every_warmed_list_is_its_matching_rows(self, warm_catalog):
         layer = warm_catalog.access_layer()
